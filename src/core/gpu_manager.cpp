@@ -3,7 +3,7 @@
 namespace gflink::core {
 
 GpuManager::GpuManager(sim::Simulation& sim, int node_id, const GpuManagerConfig& config,
-                       sim::Tracer* tracer, obs::MetricsRegistry* registry,
+                       obs::MetricsRegistry* registry,
                        obs::SpanStore* spans, obs::FlightRecorder* flight)
     : node_id_(node_id) {
   GFLINK_CHECK_MSG(!config.devices.empty(), "worker needs at least one GPU");
@@ -11,7 +11,7 @@ GpuManager::GpuManager(sim::Simulation& sim, int node_id, const GpuManagerConfig
   std::vector<gpu::CudaWrapper*> raw_wrappers;
   for (std::size_t i = 0; i < config.devices.size(); ++i) {
     auto id = "node" + std::to_string(node_id) + ".gpu" + std::to_string(i);
-    devices_.push_back(std::make_unique<gpu::GpuDevice>(sim, id, config.devices[i], tracer));
+    devices_.push_back(std::make_unique<gpu::GpuDevice>(sim, id, config.devices[i], spans));
     stubs_.push_back(std::make_unique<gpu::CudaStub>(*devices_.back(), config.stub_overheads));
     wrappers_.push_back(
         std::make_unique<gpu::CudaWrapper>(*stubs_.back(), config.jni_overhead));
@@ -58,7 +58,6 @@ void GpuManager::export_metrics(obs::MetricsRegistry& out) const {
 GFlinkRuntime::GFlinkRuntime(dataflow::Engine& engine, const GpuManagerConfig& config) {
   for (int w = 1; w <= engine.num_workers(); ++w) {
     managers_.push_back(std::make_unique<GpuManager>(engine.sim(), w, config,
-                                                     &engine.cluster().tracer(),
                                                      &engine.cluster().metrics(),
                                                      &engine.cluster().spans(),
                                                      &engine.cluster().flight()));

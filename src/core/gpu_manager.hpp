@@ -37,11 +37,11 @@ struct GpuManagerConfig {
 class GpuManager {
  public:
   /// `registry` (optional) is the observability sink for scheduler
-  /// distributions; the tracer covers per-lane timelines. `spans`
-  /// (optional) records per-GWork causal spans; `flight` (optional)
+  /// distributions. `spans` (optional) records per-GWork causal spans and
+  /// the devices' copy/kernel lane intervals; `flight` (optional)
   /// receives cache-eviction and staging-failure flight events.
   GpuManager(sim::Simulation& sim, int node_id, const GpuManagerConfig& config,
-             sim::Tracer* tracer, obs::MetricsRegistry* registry = nullptr,
+             obs::MetricsRegistry* registry = nullptr,
              obs::SpanStore* spans = nullptr, obs::FlightRecorder* flight = nullptr);
 
   int node_id() const { return node_id_; }

@@ -64,7 +64,7 @@ struct GStreamConfig {
 
 class GStreamManager {
  public:
-  /// `registry` (optional, plumbed like the tracer) receives the hot-path
+  /// `registry` (optional) receives the hot-path
   /// distributions: queue depth at enqueue and GWork submit->done latency.
   /// `spans` (optional) records each GWork's causal spans — gwork plus
   /// per-stage H2D/kernel/D2H children, monolithic or per chunk — parented

@@ -78,9 +78,9 @@ Engine::Engine(const EngineConfig& config)
       shuffle_(sim_, cluster_, dfs_, config.shuffle,
                [this](int t) { return owner_of_partition(t); }),
       default_parallelism_(0) {
-  cluster_.tracer().set_enabled(config.trace);
-  // Causal spans are retained for DAG analysis only on traced runs; the
-  // flight-recorder rings stay on regardless (they are bounded).
+  // Causal spans and lane intervals are retained for analysis and export
+  // only on traced runs; the flight-recorder rings stay on regardless
+  // (they are bounded).
   cluster_.spans().set_retain(config.trace);
   const int slots = config_.slots_per_worker > 0 ? config_.slots_per_worker
                                                  : config_.cluster.worker.cpu.cores;

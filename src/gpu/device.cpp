@@ -9,15 +9,25 @@
 namespace gflink::gpu {
 
 GpuDevice::GpuDevice(sim::Simulation& sim, std::string id, const DeviceSpec& spec,
-                     sim::Tracer* tracer)
+                     obs::SpanStore* spans)
     : sim_(&sim),
       id_(std::move(id)),
       spec_(spec),
       memory_(spec.device_memory),
-      tracer_(tracer),
+      spans_(spans),
       compute_(sim),
       copy_a_(sim),
       copy_b_(sim) {}
+
+void GpuDevice::record_lane(Lane lane, const std::string& label, sim::Time begin) {
+  if (spans_ == nullptr || !spans_->retain()) return;
+  obs::StrId& id = lanes_[static_cast<std::size_t>(lane)];
+  if (id.v == 0) {
+    static constexpr const char* kSuffix[] = {"/h2d", "/d2h", "/kernel"};
+    id = spans_->intern(id_ + kSuffix[static_cast<std::size_t>(lane)]);
+  }
+  spans_->record_lane(id, label, begin, sim_->now());
+}
 
 sim::Duration GpuDevice::dma_time(std::uint64_t bytes, bool pinned) const {
   const double bw = pinned ? spec_.pcie_bandwidth : spec_.pcie_bandwidth * spec_.pageable_penalty;
@@ -38,7 +48,7 @@ double GpuDevice::overlap_efficiency() const {
   return hideable > 0 ? static_cast<double>(overlap) / static_cast<double>(hideable) : 0.0;
 }
 
-sim::Co<void> GpuDevice::dma(sim::Mutex& engine, const char* lane, std::uint64_t bytes,
+sim::Co<void> GpuDevice::dma(sim::Mutex& engine, Lane lane, std::uint64_t bytes,
                              bool pinned, bool off_heap, const std::string& label,
                              std::atomic<sim::Duration>& busy) {
   // JVM-heap buffers must first be staged into native memory — the copy the
@@ -53,7 +63,7 @@ sim::Co<void> GpuDevice::dma(sim::Mutex& engine, const char* lane, std::uint64_t
   co_await sim_->delay(dma_time(bytes, pinned));
   mark_engine(/*copy=*/true, -1);
   busy.fetch_add(sim_->now() - begin, std::memory_order_relaxed);
-  if (tracer_) tracer_->record(id_ + "/" + lane, label, begin, sim_->now());
+  record_lane(lane, label, begin);
   engine.unlock();
 }
 
@@ -67,14 +77,14 @@ sim::Co<void> GpuDevice::copy_h2d(const mem::HBuffer& src, std::size_t src_offse
   std::byte* shadow = memory_.shadow(dst, bytes);
   std::memcpy(shadow, src.data() + src_offset, bytes);
   bytes_h2d_.fetch_add(bytes, std::memory_order_relaxed);
-  co_await dma(copy_a_, "h2d", bytes, src.pinned(), src.off_heap(), label, h2d_busy_);
+  co_await dma(copy_a_, Lane::H2D, bytes, src.pinned(), src.off_heap(), label, h2d_busy_);
 }
 
 sim::Co<void> GpuDevice::copy_d2h(DevicePtr src, mem::HBuffer& dst, std::size_t dst_offset,
                                   std::uint64_t bytes, const std::string& label) {
   GFLINK_CHECK(dst_offset + bytes <= dst.size());
   sim::Mutex& engine = spec_.copy_engines >= 2 ? copy_b_ : copy_a_;
-  co_await dma(engine, "d2h", bytes, dst.pinned(), dst.off_heap(), label, d2h_busy_);
+  co_await dma(engine, Lane::D2H, bytes, dst.pinned(), dst.off_heap(), label, d2h_busy_);
   // Copy bytes after the simulated transfer completes: the destination is
   // only coherent once the DMA is done, and callers may inspect it then.
   const std::byte* shadow = memory_.shadow(src, bytes);
@@ -109,9 +119,7 @@ sim::Co<void> GpuDevice::launch(const Kernel& kernel, const std::vector<BufferBi
   mark_engine(/*copy=*/false, -1);
   kernel_busy_.fetch_add(dur, std::memory_order_relaxed);
   kernels_launched_.fetch_add(1, std::memory_order_relaxed);
-  if (tracer_) {
-    tracer_->record(id_ + "/kernel", label.empty() ? kernel.name : label, begin, sim_->now());
-  }
+  record_lane(Lane::Kernel, label.empty() ? kernel.name : label, begin);
   compute_.unlock();
 }
 
@@ -144,9 +152,8 @@ sim::Co<void> GpuDevice::launch_mapped(const Kernel& kernel,
   mark_engine(/*copy=*/false, -1);
   kernel_busy_.fetch_add(dur, std::memory_order_relaxed);
   kernels_launched_.fetch_add(1, std::memory_order_relaxed);
-  if (tracer_) {
-    tracer_->record(id_ + "/kernel", label.empty() ? kernel.name + "(mapped)" : label, begin,
-                    sim_->now());
+  if (spans_ != nullptr && spans_->retain()) {
+    record_lane(Lane::Kernel, label.empty() ? kernel.name + "(mapped)" : label, begin);
   }
   (void)layout;
   compute_.unlock();

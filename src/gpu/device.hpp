@@ -15,6 +15,7 @@
 // the engines being independent resources.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <string>
 
@@ -23,9 +24,9 @@
 #include "gpu/device_spec.hpp"
 #include "gpu/kernel.hpp"
 #include "mem/buffer.hpp"
+#include "obs/span.hpp"
 #include "sim/simulation.hpp"
 #include "sim/sync.hpp"
-#include "sim/trace.hpp"
 
 class Threading_DeviceOverlapAccounting_Test;  // tests/test_threading.cpp
 
@@ -33,8 +34,10 @@ namespace gflink::gpu {
 
 class GpuDevice {
  public:
+  /// `spans` (optional) receives one lane interval per copy and kernel on
+  /// the lanes "<id>/h2d", "<id>/d2h" and "<id>/kernel" when it retains.
   GpuDevice(sim::Simulation& sim, std::string id, const DeviceSpec& spec,
-            sim::Tracer* tracer = nullptr);
+            obs::SpanStore* spans = nullptr);
 
   const std::string& id() const { return id_; }
   const DeviceSpec& spec() const { return spec_; }
@@ -103,8 +106,14 @@ class GpuDevice {
   // the sim thread mutates it, and no public API reaches it off-plane.
   friend class ::Threading_DeviceOverlapAccounting_Test;
 
-  sim::Co<void> dma(sim::Mutex& engine, const char* lane, std::uint64_t bytes, bool pinned,
+  enum class Lane { H2D, D2H, Kernel };
+
+  sim::Co<void> dma(sim::Mutex& engine, Lane lane, std::uint64_t bytes, bool pinned,
                     bool off_heap, const std::string& label, std::atomic<sim::Duration>& busy);
+
+  /// Record [begin, now] on one of this device's lanes when the trace store
+  /// retains intervals. The lane is interned on first use.
+  void record_lane(Lane lane, const std::string& label, sim::Time begin);
 
   /// Engine-activity bookkeeping behind copy_compute_overlap(): called at
   /// every busy-state transition of a copy or compute engine. The counts,
@@ -116,7 +125,8 @@ class GpuDevice {
   std::string id_;
   DeviceSpec spec_;
   DeviceMemory memory_;
-  sim::Tracer* tracer_;
+  obs::SpanStore* spans_;
+  std::array<obs::StrId, 3> lanes_{};  // by Lane; 0 until first recorded
 
   sim::Mutex compute_;
   sim::Mutex copy_a_;  // H2D engine (and D2H when copy_engines == 1)

@@ -8,22 +8,21 @@
 
 namespace gflink::net {
 
-Node::Node(sim::Simulation& sim, int id, const NodeSpec& spec, sim::Tracer* tracer,
-           obs::SpanStore* spans)
+Node::Node(sim::Simulation& sim, int id, const NodeSpec& spec, obs::SpanStore* spans)
     : id_(id),
       spec_(spec),
       egress_(sim, "node" + std::to_string(id) + "/egress", spec.nic.bandwidth, spec.nic.latency,
-              tracer, spans, id),
+              spans, id),
       ingress_(sim, "node" + std::to_string(id) + "/ingress", spec.nic.bandwidth, spec.nic.latency,
-               tracer, spans, id),
+               spans, id),
       rdma_tx_(sim, "node" + std::to_string(id) + "/rdma_tx", spec.rdma.bandwidth,
-               spec.rdma.latency, tracer, spans, id),
+               spec.rdma.latency, spans, id),
       rdma_rx_(sim, "node" + std::to_string(id) + "/rdma_rx", spec.rdma.bandwidth,
-               spec.rdma.latency, tracer, spans, id),
+               spec.rdma.latency, spans, id),
       disk_read_(sim, "node" + std::to_string(id) + "/disk_read", spec.disk.read_bandwidth,
-                 spec.disk.access_latency, tracer, spans, id),
+                 spec.disk.access_latency, spans, id),
       disk_write_(sim, "node" + std::to_string(id) + "/disk_write", spec.disk.write_bandwidth,
-                  spec.disk.access_latency, tracer, spans, id) {}
+                  spec.disk.access_latency, spans, id) {}
 
 Duration Node::record_time(double flops, double bytes) const {
   double compute_s = flops / spec_.cpu.effective_flops;
@@ -38,9 +37,9 @@ Cluster::Cluster(sim::Simulation& sim, const ClusterConfig& config)
   GFLINK_CHECK_MSG(!config.colocated_master || config.num_workers == 1,
                    "colocated master requires a single worker");
   spans_.attach_flight_recorder(&flight_);
-  nodes_.push_back(std::make_unique<Node>(sim, 0, config.master, &tracer_, &spans_));
+  nodes_.push_back(std::make_unique<Node>(sim, 0, config.master, &spans_));
   for (int i = 1; i <= config.num_workers; ++i) {
-    nodes_.push_back(std::make_unique<Node>(sim, i, config.worker, &tracer_, &spans_));
+    nodes_.push_back(std::make_unique<Node>(sim, i, config.worker, &spans_));
   }
   rdma_counters_.resize(nodes_.size());
 }

@@ -23,7 +23,6 @@
 #include "sim/simulation.hpp"
 #include "sim/stats.hpp"
 #include "sim/sync.hpp"
-#include "sim/trace.hpp"
 
 namespace gflink::net {
 
@@ -76,20 +75,14 @@ struct NodeSpec {
 class Pipe {
  public:
   Pipe(sim::Simulation& sim, std::string name, double bandwidth, Duration latency,
-       sim::Tracer* tracer = nullptr, obs::SpanStore* spans = nullptr, int node = -1)
+       obs::SpanStore* spans = nullptr, int node = -1)
       : sim_(&sim),
         name_(std::move(name)),
         bandwidth_(bandwidth),
         latency_(latency),
         mutex_(sim),
-        tracer_(tracer),
         spans_(spans),
-        node_(node) {
-    // Causal spans on one pipe share a peer-group name derived from the
-    // pipe kind ("net:egress", "net:disk_write", ...).
-    auto slash = name_.rfind('/');
-    kind_ = "net:" + (slash == std::string::npos ? name_ : name_.substr(slash + 1));
-  }
+        node_(node) {}
 
   /// Occupy the pipe for the duration of the transfer. When `link` carries
   /// a parent span, the transfer is recorded as a causal child span (from
@@ -112,15 +105,17 @@ class Pipe {
       ++transfers_;
       busy_ns_ += sim_->now() - begin;
     }
-    if (tracer_) tracer_->record(name_, label, begin, sim_->now());
-    if (spans_ != nullptr && link.parent != 0) {
-      const obs::SpanId xfer =
-          spans_->open(kind_, link.category, link.parent, requested, name_, node_);
-      if (begin > requested) {
-        spans_->record("wait:queue", obs::SpanCategory::Wait, xfer, requested, begin, name_,
-                       node_);
+    if (spans_ != nullptr) {
+      if (spans_->retain()) spans_->record_lane(lane(), label, begin, sim_->now());
+      if (link.parent != 0) {
+        const obs::SpanId xfer =
+            spans_->open(kind(), link.category, link.parent, requested, lane(), node_);
+        if (begin > requested) {
+          spans_->record("wait:queue", obs::SpanCategory::Wait, xfer, requested, begin, lane(),
+                         node_);
+        }
+        spans_->close(xfer, sim_->now());
       }
-      spans_->close(xfer, sim_->now());
     }
     mutex_.unlock();
   }
@@ -182,15 +177,31 @@ class Pipe {
   }
 
  private:
+  /// The pipe's trace lane (its name) and the peer-group name its causal
+  /// spans share ("net:egress", "net:disk_write", ...). Both are interned
+  /// on first use, so building a cluster interns nothing.
+  obs::StrId lane() {
+    if (lane_.v == 0) lane_ = spans_->intern(name_);
+    return lane_;
+  }
+  obs::StrId kind() {
+    if (kind_.v == 0) {
+      const auto slash = name_.rfind('/');
+      kind_ = spans_->intern("net:" +
+                             (slash == std::string::npos ? name_ : name_.substr(slash + 1)));
+    }
+    return kind_;
+  }
+
   sim::Simulation* sim_;
   std::string name_;
   double bandwidth_;
   Duration latency_;
   sim::Mutex mutex_;  // the simulated resource itself (FIFO occupancy)
-  sim::Tracer* tracer_;
-  obs::SpanStore* spans_;  // simulation-plane, like tracer_
+  obs::SpanStore* spans_;  // simulation-plane trace store (may be nullptr)
   int node_;               // owning node id for causal spans
-  std::string kind_;       // peer-group span name, e.g. "net:egress"
+  obs::StrId lane_;        // 0 until lane() first runs
+  obs::StrId kind_;        // 0 until kind() first runs
   /// Guards the stats below as one consistent tuple (bytes+count+durations
   /// move together, so individual atomics would tear the snapshot). Leaf
   /// lock; never held across a co_await.
@@ -204,8 +215,7 @@ class Pipe {
 /// One machine in the cluster.
 class Node {
  public:
-  Node(sim::Simulation& sim, int id, const NodeSpec& spec, sim::Tracer* tracer,
-       obs::SpanStore* spans = nullptr);
+  Node(sim::Simulation& sim, int id, const NodeSpec& spec, obs::SpanStore* spans = nullptr);
 
   int id() const { return id_; }
   const NodeSpec& spec() const { return spec_; }
@@ -248,8 +258,8 @@ struct ClusterConfig {
   bool colocated_master = false;
 };
 
-/// Master (node 0) + workers (nodes 1..num_workers). Also hosts shared
-/// metrics and the tracer.
+/// Master (node 0) + workers (nodes 1..num_workers). Also hosts the shared
+/// metrics, the trace store and the flight recorder.
 class Cluster {
  public:
   Cluster(sim::Simulation& sim, const ClusterConfig& config);
@@ -261,8 +271,6 @@ class Cluster {
   const Node& node(int id) const { return *nodes_.at(static_cast<std::size_t>(id)); }
   Node& worker(int index) { return *nodes_.at(static_cast<std::size_t>(index) + 1); }
 
-  sim::Tracer& tracer() { return tracer_; }
-  const sim::Tracer& tracer() const { return tracer_; }
   obs::MetricsRegistry& metrics() { return metrics_; }
   const obs::MetricsRegistry& metrics() const { return metrics_; }
   obs::SpanStore& spans() { return spans_; }
@@ -307,9 +315,8 @@ class Cluster {
  private:
   sim::Simulation* sim_;
   bool colocated_master_ = false;
-  sim::Tracer tracer_;
   obs::MetricsRegistry metrics_;
-  obs::SpanStore spans_;        // causal span DAG (simulation-plane)
+  obs::SpanStore spans_;        // causal spans + lane intervals (simulation-plane)
   obs::FlightRecorder flight_;  // always-on bounded post-mortem rings
   std::vector<std::unique_ptr<Node>> nodes_;
   /// Per-node named fetch-add counters (remote_fetch_add targets).

@@ -12,9 +12,9 @@ namespace gflink::obs {
 
 namespace {
 
-sim::Time latest_span_end(const sim::Tracer& tracer) {
+sim::Time latest_interval_end(const SpanStore& store) {
   sim::Time end = 0;
-  for (const auto& s : tracer.spans()) end = std::max(end, s.end);
+  for (const auto& l : store.lane_intervals()) end = std::max(end, l.end);
   return end;
 }
 
@@ -34,35 +34,39 @@ void write_event_prefix(std::ostream& os, bool& first) {
 
 /// Display lane for a causal span: its own lane if set, otherwise a
 /// per-node catch-all so every span lands on some swimlane.
-std::string causal_lane(const CausalSpan& s) {
-  if (!s.lane.empty()) return s.lane;
+std::string causal_lane(const SpanStore& store, const CausalSpan& s) {
+  if (s.lane.v != 0) return store.str(s.lane);
   if (s.node >= 0) return "node" + std::to_string(s.node) + "/causal";
   return "master/causal";
 }
 
 }  // namespace
 
-std::map<std::string, LaneUtilization> lane_utilization(const sim::Tracer& tracer,
+std::map<std::string, LaneUtilization> lane_utilization(const SpanStore& store,
                                                         sim::Time horizon) {
-  if (horizon <= 0) horizon = latest_span_end(tracer);
+  if (horizon <= 0) horizon = latest_interval_end(store);
+  // One pass groups the intervals by lane id; the map then orders lanes by name.
+  std::vector<std::vector<std::pair<sim::Time, sim::Time>>> by_lane(store.interned());
+  for (const auto& l : store.lane_intervals()) by_lane[l.lane.v].emplace_back(l.begin, l.end);
   std::map<std::string, LaneUtilization> out;
-  for (const auto& s : tracer.spans()) ++out[s.lane].spans;
-  for (auto& [lane, u] : out) {
-    u.busy_ns = tracer.busy_time(lane);
+  for (std::uint32_t id = 0; id < by_lane.size(); ++id) {
+    if (by_lane[id].empty()) continue;
+    LaneUtilization& u = out[store.str(StrId{id})];
+    u.spans = by_lane[id].size();
+    u.busy_ns = union_length(by_lane[id]);
     u.utilization = horizon > 0 ? static_cast<double>(u.busy_ns) / static_cast<double>(horizon)
                                 : 0.0;
   }
   return out;
 }
 
-void write_chrome_trace(std::ostream& os, const sim::Tracer& tracer,
-                        const MetricsRegistry* metrics, sim::Time horizon,
-                        const SpanStore* spans) {
-  if (horizon <= 0) horizon = latest_span_end(tracer);
-  if (spans != nullptr && spans->spans().empty()) spans = nullptr;
+void write_chrome_trace(std::ostream& os, const SpanStore& store,
+                        const MetricsRegistry* metrics, sim::Time horizon) {
+  if (horizon <= 0) horizon = latest_interval_end(store);
+  const std::vector<CausalSpan>& spans = store.spans();
 
   // Stable pid/tid assignment: processes and threads numbered in first-seen
-  // order over the (deterministic) span sequence.
+  // order over the (deterministic) interval and span sequences.
   std::map<std::string, int> pids;   // process name -> pid
   std::map<std::string, int> tids;   // full lane -> tid
   std::vector<std::pair<std::string, std::string>> lane_split;  // tid order
@@ -73,10 +77,8 @@ void write_chrome_trace(std::ostream& os, const sim::Tracer& tracer,
     tids.emplace(lane, static_cast<int>(tids.size()) + 1);
     lane_split.emplace_back(proc, thread);
   };
-  for (const auto& s : tracer.spans()) intern_lane(s.lane);
-  if (spans != nullptr) {
-    for (const auto& s : spans->spans()) intern_lane(causal_lane(s));
-  }
+  for (const auto& l : store.lane_intervals()) intern_lane(store.str(l.lane));
+  for (const auto& s : spans) intern_lane(causal_lane(store, s));
 
   os << "{\n  \"displayTimeUnit\": \"ms\",\n  \"traceEvents\": [\n";
   bool first = true;
@@ -95,13 +97,15 @@ void write_chrome_trace(std::ostream& os, const sim::Tracer& tracer,
        << ",\"tid\":" << tid << ",\"args\":{\"name\":\"" << json_escape(thread) << "\"}}";
   }
 
-  // Spans: complete ("X") events, timestamps in microseconds.
-  for (const auto& s : tracer.spans()) {
-    const auto [proc, thread] = split_lane(s.lane);
+  // Lane intervals: complete ("X") events, timestamps in microseconds.
+  for (const auto& s : store.lane_intervals()) {
+    const std::string& lane = store.str(s.lane);
+    const auto [proc, thread] = split_lane(lane);
     write_event_prefix(os, first);
-    os << "{\"ph\":\"X\",\"name\":\"" << json_escape(s.label.empty() ? thread : s.label)
-       << "\",\"cat\":\"" << json_escape(proc) << "\",\"pid\":" << pids.at(proc)
-       << ",\"tid\":" << tids.at(s.lane) << ",\"ts\":" << sim::to_micros(s.begin)
+    os << "{\"ph\":\"X\",\"name\":\""
+       << json_escape(s.label.v == 0 ? thread : store.str(s.label)) << "\",\"cat\":\""
+       << json_escape(proc) << "\",\"pid\":" << pids.at(proc)
+       << ",\"tid\":" << tids.at(lane) << ",\"ts\":" << sim::to_micros(s.begin)
        << ",\"dur\":" << sim::to_micros(s.duration()) << "}";
   }
 
@@ -110,36 +114,33 @@ void write_chrome_trace(std::ostream& os, const sim::Tracer& tracer,
   // flow start ("s") binds to the parent's slice (ts clamped inside it) and
   // the finish ("f") binds to the child's slice at its begin; the shared id
   // is the child span id (unique per link).
-  if (spans != nullptr) {
-    std::map<SpanId, const CausalSpan*> by_id;
-    for (const auto& s : spans->spans()) by_id.emplace(s.id, &s);
-    for (const auto& s : spans->spans()) {
-      const std::string lane = causal_lane(s);
-      const auto [proc, thread] = split_lane(lane);
-      write_event_prefix(os, first);
-      os << "{\"ph\":\"X\",\"name\":\"" << json_escape(s.name) << "\",\"cat\":\"causal\",\"pid\":"
-         << pids.at(proc) << ",\"tid\":" << tids.at(lane) << ",\"ts\":" << sim::to_micros(s.begin)
-         << ",\"dur\":" << sim::to_micros(s.duration()) << ",\"args\":{\"trace\":" << s.trace_id
-         << ",\"span\":" << s.id << ",\"parent\":" << s.parent << "}}";
-    }
-    for (const auto& s : spans->spans()) {
-      auto parent = by_id.find(s.parent);
-      if (s.parent == 0 || parent == by_id.end()) continue;
-      const CausalSpan& p = *parent->second;
-      const std::string plane = causal_lane(p);
-      const std::string clane = causal_lane(s);
-      const auto [pproc, pthread] = split_lane(plane);
-      const auto [cproc, cthread] = split_lane(clane);
-      const sim::Time start = std::min(std::max(s.begin, p.begin), p.end);
-      write_event_prefix(os, first);
-      os << "{\"ph\":\"s\",\"name\":\"causal\",\"cat\":\"causal\",\"id\":" << s.id
-         << ",\"pid\":" << pids.at(pproc) << ",\"tid\":" << tids.at(plane)
-         << ",\"ts\":" << sim::to_micros(start) << "}";
-      write_event_prefix(os, first);
-      os << "{\"ph\":\"f\",\"bp\":\"e\",\"name\":\"causal\",\"cat\":\"causal\",\"id\":" << s.id
-         << ",\"pid\":" << pids.at(cproc) << ",\"tid\":" << tids.at(clane)
-         << ",\"ts\":" << sim::to_micros(s.begin) << "}";
-    }
+  for (const auto& s : spans) {
+    const std::string lane = causal_lane(store, s);
+    const auto [proc, thread] = split_lane(lane);
+    write_event_prefix(os, first);
+    os << "{\"ph\":\"X\",\"name\":\"" << json_escape(store.str(s.name))
+       << "\",\"cat\":\"causal\",\"pid\":" << pids.at(proc) << ",\"tid\":" << tids.at(lane)
+       << ",\"ts\":" << sim::to_micros(s.begin) << ",\"dur\":" << sim::to_micros(s.duration())
+       << ",\"args\":{\"trace\":" << s.trace_id << ",\"span\":" << s.id << ",\"parent\":" << s.parent
+       << "}}";
+  }
+  for (const auto& s : spans) {
+    const std::size_t parent = store.index_of(s.parent);
+    if (parent == SpanStore::npos) continue;
+    const CausalSpan& p = spans[parent];
+    const std::string plane = causal_lane(store, p);
+    const std::string clane = causal_lane(store, s);
+    const auto [pproc, pthread] = split_lane(plane);
+    const auto [cproc, cthread] = split_lane(clane);
+    const sim::Time start = std::min(std::max(s.begin, p.begin), p.end);
+    write_event_prefix(os, first);
+    os << "{\"ph\":\"s\",\"name\":\"causal\",\"cat\":\"causal\",\"id\":" << s.id
+       << ",\"pid\":" << pids.at(pproc) << ",\"tid\":" << tids.at(plane)
+       << ",\"ts\":" << sim::to_micros(start) << "}";
+    write_event_prefix(os, first);
+    os << "{\"ph\":\"f\",\"bp\":\"e\",\"name\":\"causal\",\"cat\":\"causal\",\"id\":" << s.id
+       << ",\"pid\":" << pids.at(cproc) << ",\"tid\":" << tids.at(clane)
+       << ",\"ts\":" << sim::to_micros(s.begin) << "}";
   }
 
   // Counter snapshots at the end of the trace.
@@ -155,7 +156,7 @@ void write_chrome_trace(std::ostream& os, const sim::Tracer& tracer,
   os << "\n  ],\n  \"laneUtilization\": {";
   {
     bool first_lane = true;
-    for (const auto& [lane, u] : lane_utilization(tracer, horizon)) {
+    for (const auto& [lane, u] : lane_utilization(store, horizon)) {
       if (!first_lane) os << ",";
       first_lane = false;
       os << "\n    \"" << json_escape(lane) << "\": {\"busy_ns\": " << u.busy_ns
@@ -165,10 +166,10 @@ void write_chrome_trace(std::ostream& os, const sim::Tracer& tracer,
   os << "\n  }\n}\n";
 }
 
-std::string chrome_trace_json(const sim::Tracer& tracer, const MetricsRegistry* metrics,
-                              sim::Time horizon, const SpanStore* spans) {
+std::string chrome_trace_json(const SpanStore& store, const MetricsRegistry* metrics,
+                              sim::Time horizon) {
   std::ostringstream os;
-  write_chrome_trace(os, tracer, metrics, horizon, spans);
+  write_chrome_trace(os, store, metrics, horizon);
   return os.str();
 }
 

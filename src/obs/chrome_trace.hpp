@@ -1,4 +1,5 @@
-// Chrome-trace / Perfetto export of sim::Tracer spans.
+// Chrome-trace / Perfetto export of a SpanStore: its lane intervals and
+// its causal spans.
 //
 // Lanes ("node1.gpu0/h2d", "node3/egress") become trace threads grouped
 // into processes by their prefix before the first '/', so Perfetto and
@@ -13,7 +14,6 @@
 #include <string>
 
 #include "sim/time.hpp"
-#include "sim/trace.hpp"
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -26,24 +26,24 @@ struct LaneUtilization {
   double utilization = 0.0;  // busy / horizon
 };
 
-/// Busy-time rollup per lane. `horizon` is the run's end time; 0 means
-/// "use the latest span end seen on any lane".
-std::map<std::string, LaneUtilization> lane_utilization(const sim::Tracer& tracer,
+/// Busy-time rollup per lane over the store's lane intervals. `horizon` is
+/// the run's end time; 0 means "use the latest interval end on any lane".
+std::map<std::string, LaneUtilization> lane_utilization(const SpanStore& store,
                                                         sim::Time horizon = 0);
 
 /// Write the full Chrome-trace JSON object ({"traceEvents": [...], ...}).
-/// Virtual nanoseconds map to trace microseconds. `metrics`, when given,
-/// contributes one counter event per registered counter at the trace end.
-/// `spans`, when given and retaining, contributes the causal spans as
-/// complete events on their own lanes plus flow events (ph "s"/"f") along
-/// every parent/child link, so Perfetto draws causality arrows between
-/// lanes instead of visually disconnected swimlanes.
-void write_chrome_trace(std::ostream& os, const sim::Tracer& tracer,
-                        const MetricsRegistry* metrics = nullptr, sim::Time horizon = 0,
-                        const SpanStore* spans = nullptr);
+/// Virtual nanoseconds map to trace microseconds. Every lane interval is a
+/// complete event on its lane. `metrics`, when given, contributes one
+/// counter event per registered counter at the trace end. The retained
+/// causal spans, if any, become complete events on their own lanes plus
+/// flow events (ph "s"/"f") along every parent/child link, so Perfetto
+/// draws causality arrows between lanes instead of visually disconnected
+/// swimlanes.
+void write_chrome_trace(std::ostream& os, const SpanStore& store,
+                        const MetricsRegistry* metrics = nullptr, sim::Time horizon = 0);
 
 /// Same document as a string (tests, small traces).
-std::string chrome_trace_json(const sim::Tracer& tracer, const MetricsRegistry* metrics = nullptr,
-                              sim::Time horizon = 0, const SpanStore* spans = nullptr);
+std::string chrome_trace_json(const SpanStore& store, const MetricsRegistry* metrics = nullptr,
+                              sim::Time horizon = 0);
 
 }  // namespace gflink::obs

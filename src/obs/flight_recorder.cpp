@@ -23,11 +23,13 @@ std::string FlightRecorder::dump_path() const {
   return dump_path_;
 }
 
-void FlightRecorder::on_span_closed(const CausalSpan& span) {
+void FlightRecorder::on_span_closed(const SpanStore& store, const CausalSpan& span,
+                                    SpanNotes notes) {
   core::MutexLock lock(mu_);
+  store_ = &store;
   ++spans_seen_;
   auto& ring = spans_[span.node];
-  ring.push_back(span);
+  ring.push_back(RingSpan{span, std::move(notes)});
   while (ring.size() > capacity_) ring.pop_front();
 }
 
@@ -112,7 +114,7 @@ Json FlightRecorder::to_json_locked() const {
     entry["node"] = node;
     Json spans = Json::array();
     if (si != spans_.end() && si->first == node) {
-      for (const auto& s : si->second) spans.push_back(s.to_json());
+      for (const auto& s : si->second) spans.push_back(store_->to_json(s.span, s.notes));
       ++si;
     }
     entry["spans"] = std::move(spans);

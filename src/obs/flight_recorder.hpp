@@ -52,9 +52,13 @@ class FlightRecorder {
   void set_dump_path(std::string path);
   std::string dump_path() const;
 
-  /// SpanStore streams every completed span in; the ring keeps the most
-  /// recent `capacity` per node.
-  void on_span_closed(const CausalSpan& span);
+  /// SpanStore streams every completed span in, with its notes; the ring
+  /// keeps the most recent `capacity` per node. Ring entries are the
+  /// fixed-size span records: a dump renders their names through `store`'s
+  /// string table, so a recorder serves one store, which must stay alive
+  /// for every dump, and dumps read that simulation-plane table (take them
+  /// on the simulation thread or after the run).
+  void on_span_closed(const SpanStore& store, const CausalSpan& span, SpanNotes notes = {});
 
   /// Record a notable event (kept in the node's event ring).
   void note_event(sim::Time at, int node, std::string kind, std::string detail);
@@ -89,7 +93,14 @@ class FlightRecorder {
   const std::size_t capacity_;
   mutable core::Mutex mu_;
   std::string dump_path_ GFLINK_GUARDED_BY(mu_);
-  std::map<int, std::deque<CausalSpan>> spans_ GFLINK_GUARDED_BY(mu_);  // per-node rings
+  /// One ring entry: the span record plus its notes (usually none).
+  struct RingSpan {
+    CausalSpan span;
+    SpanNotes notes;
+  };
+
+  const SpanStore* store_ GFLINK_GUARDED_BY(mu_) = nullptr;  // names the ring spans
+  std::map<int, std::deque<RingSpan>> spans_ GFLINK_GUARDED_BY(mu_);  // per-node rings
   std::map<int, std::deque<FlightEvent>> events_ GFLINK_GUARDED_BY(mu_);
   std::uint64_t spans_seen_ GFLINK_GUARDED_BY(mu_) = 0;
   std::uint64_t events_seen_ GFLINK_GUARDED_BY(mu_) = 0;

@@ -9,7 +9,6 @@
 #include <string>
 
 #include "sim/time.hpp"
-#include "sim/trace.hpp"
 
 #include "obs/chrome_trace.hpp"
 #include "obs/json.hpp"
@@ -35,9 +34,9 @@ struct RunReport {
   /// Record one configuration entry (string/number/bool via Json ctors).
   void set_config(const std::string& key, Json value) { config[key] = std::move(value); }
 
-  /// Capture per-lane utilization rollups from a tracer.
-  void capture_lanes(const sim::Tracer& tracer, sim::Time horizon = 0) {
-    lanes = lane_utilization(tracer, horizon);
+  /// Capture per-lane utilization rollups from a store's lane intervals.
+  void capture_lanes(const SpanStore& store, sim::Time horizon = 0) {
+    lanes = lane_utilization(store, horizon);
   }
 
   /// Run the DAG analyses over a retaining span store: fills the

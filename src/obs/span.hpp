@@ -1,10 +1,20 @@
-// Causal span tracing: the job-wide dependency DAG behind the flat lanes.
+// The one trace store: causal spans plus flat lane intervals, over one
+// string table.
 //
-// Where sim::Tracer records independent per-lane intervals (good for
-// utilization), the SpanStore records *causal* spans with parent/child
-// links: every job gets a trace id, and each engine stage, task, shuffle
-// session, per-block send, DFS spill and per-GWork H2D/kernel/D2H chunk
-// opens a span under its causing parent, so the whole run forms one DAG.
+// The SpanStore records *causal* spans with parent/child links: every job
+// gets a trace id, and each engine stage, task, shuffle session, per-block
+// send, DFS spill and per-GWork H2D/kernel/D2H chunk opens a span under its
+// causing parent, so the whole run forms one DAG. Beside the DAG it keeps
+// flat *lane intervals* — what a NIC direction, a GPU engine or a node's
+// shuffle sender was busy with — which feed the utilization rollups and the
+// Chrome-trace swimlanes.
+//
+// Both record kinds are fixed-size: names, lanes and labels are interned
+// once into the store's string table and held as 32-bit ids, and span notes
+// live in a side table keyed by span id. A retaining store therefore grows
+// by 56 B per span and 24 B per lane interval, and a store that does not
+// retain builds no strings for lane intervals at all.
+//
 // On top of the DAG live the analyses that explain where time went:
 //
 //  * extract_critical_path() walks the DAG backwards from each root span
@@ -15,15 +25,18 @@
 //    name peer group and names the resource the straggler waited on.
 //
 // Thread-safety: the SpanStore is simulation-plane state, mutated only by
-// the single simulation thread between suspension points (same discipline
-// as sim::Tracer — see docs/ARCHITECTURE.md, "Concurrency invariants").
-// It takes no lock; do not touch it from host-plane threads.
+// the single simulation thread between suspension points (see
+// docs/ARCHITECTURE.md, "Concurrency invariants"). It takes no lock; do not
+// touch it from host-plane threads.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <deque>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -40,6 +53,33 @@ class FlightRecorder;
 /// Span identity. 0 means "no span": APIs taking a parent treat 0 as
 /// "root" and data-plane call sites treat a 0 SpanLink as "don't record".
 using SpanId = std::uint64_t;
+
+/// An interned string: an index into one SpanStore's string table. The
+/// default id 0 is the empty string.
+struct StrId {
+  std::uint32_t v = 0;
+  friend bool operator==(StrId, StrId) = default;
+};
+
+/// A name, lane or label argument: text (interned on use) or an id the
+/// caller interned earlier. Hot call sites intern once and pass the id.
+class StrRef {
+ public:
+  StrRef() = default;
+  StrRef(StrId id) : id_(id), interned_(true) {}  // NOLINT(google-explicit-constructor)
+  StrRef(std::string_view s) : text_(s) {}        // NOLINT(google-explicit-constructor)
+  StrRef(const std::string& s) : text_(s) {}      // NOLINT(google-explicit-constructor)
+  StrRef(const char* s) : text_(s) {}             // NOLINT(google-explicit-constructor)
+
+  bool interned() const { return interned_; }
+  StrId id() const { return id_; }
+  std::string_view text() const { return text_; }
+
+ private:
+  std::string_view text_;
+  StrId id_;
+  bool interned_ = false;
+};
 
 /// The fixed taxonomy every span is attributed to. Control covers
 /// scheduling/deploy/CPU compute (the paper's JVM-side work); H2D/Kernel/
@@ -60,70 +100,151 @@ struct SpanLink {
   SpanCategory category = SpanCategory::Control;
 };
 
+/// One causal span. `name` and `lane` are ids into the owning store's
+/// string table (SpanStore::str); its notes are in SpanStore::notes.
 struct CausalSpan {
   SpanId id = 0;
   SpanId parent = 0;           // 0 = root of a trace
   std::uint64_t trace_id = 0;  // job id; inherited from the parent span
-  std::string name;            // peer-group key, e.g. "task:ranks" — no per-span ids
-  SpanCategory category = SpanCategory::Control;
   sim::Time begin = 0;
   sim::Time end = 0;
-  std::string lane;  // display lane for trace viewers, e.g. "node3/shuffle"
-  int node = -1;     // owning node (flight-recorder ring key); -1 = master
-  std::vector<std::pair<std::string, std::string>> notes;  // annotations
+  StrId name;                  // peer-group key, e.g. "task:ranks" — no per-span ids
+  StrId lane;                  // display lane, e.g. "node3/shuffle"; 0 = none
+  std::int32_t node = -1;      // owning node (flight-recorder ring key); -1 = master
+  SpanCategory category = SpanCategory::Control;
 
   sim::Duration duration() const { return end - begin; }
-  Json to_json() const;
 };
+static_assert(sizeof(CausalSpan) <= 64, "a causal span must stay a compact fixed-size record");
+
+/// One key/value annotation of a span (the key is interned).
+struct SpanNote {
+  StrId key;
+  std::string value;
+};
+using SpanNotes = std::vector<SpanNote>;
+
+/// One busy interval on a flat resource lane ("node1.gpu0/h2d",
+/// "node3/egress", "node2/shuffle"). `label` 0 means "unlabeled".
+struct LaneInterval {
+  StrId lane;
+  StrId label;
+  sim::Time begin = 0;
+  sim::Time end = 0;
+
+  sim::Duration duration() const { return end - begin; }
+  bool overlaps(const LaneInterval& o) const { return begin < o.end && o.begin < end; }
+};
+static_assert(sizeof(LaneInterval) == 24, "lane intervals are 24-byte records");
 
 class SpanStore {
  public:
-  SpanStore() = default;
+  SpanStore();
+  SpanStore(const SpanStore&) = delete;
+  SpanStore& operator=(const SpanStore&) = delete;
 
-  /// When retaining, closed spans are kept for DAG analysis/export; when
-  /// not (the default), they only feed the flight-recorder ring and the
-  /// aggregate counters, keeping memory bounded on untraced runs.
+  /// When retaining, closed spans and lane intervals are kept for analysis
+  /// and export; when not (the default), spans only feed the
+  /// flight-recorder ring and the aggregate counters, and lane intervals
+  /// are dropped, keeping memory bounded on untraced runs.
   void set_retain(bool retain) { retain_ = retain; }
   bool retain() const { return retain_; }
 
   /// Completed spans always stream into `flight` (may be nullptr).
   void attach_flight_recorder(FlightRecorder* flight) { flight_ = flight; }
 
+  // ---- String table --------------------------------------------------------
+
+  /// The id of `s`, adding it to the table on first use.
+  StrId intern(StrRef s);
+  /// The id of an already-interned string. Never grows the table.
+  std::optional<StrId> find(std::string_view s) const;
+  const std::string& str(StrId id) const { return strings_[id.v]; }
+  /// Number of strings in the table (the empty string included).
+  std::size_t interned() const { return strings_.size(); }
+
+  // ---- Causal spans --------------------------------------------------------
+
   /// Open a span. The trace id is inherited from the parent; for roots
   /// (parent 0) pass the job id via `trace_id`. Times are explicit so the
   /// store has no Simulation dependency (tests build DAGs by hand).
-  SpanId open(std::string name, SpanCategory category, SpanId parent, sim::Time begin,
-              std::string lane = {}, int node = -1, std::uint64_t trace_id = 0);
+  SpanId open(StrRef name, SpanCategory category, SpanId parent, sim::Time begin,
+              StrRef lane = {}, int node = -1, std::uint64_t trace_id = 0);
 
   /// Attach a key/value note to an open span (no-op on id 0 / closed ids).
-  void annotate(SpanId id, std::string key, std::string value);
+  void annotate(SpanId id, StrRef key, std::string value);
 
   void close(SpanId id, sim::Time end);
 
   /// One-shot open+close for spans whose extent is known at record time
   /// (block transfers, waits). Returns the id so callers may parent to it.
-  SpanId record(std::string name, SpanCategory category, SpanId parent, sim::Time begin,
-                sim::Time end, std::string lane = {}, int node = -1);
+  SpanId record(StrRef name, SpanCategory category, SpanId parent, sim::Time begin,
+                sim::Time end, StrRef lane = {}, int node = -1);
 
   /// Closed spans, in close order (deterministic). Empty unless retaining.
   const std::vector<CausalSpan>& spans() const { return closed_; }
+  /// Position of a retained closed span in spans(), or npos.
+  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+  std::size_t index_of(SpanId id) const {
+    return id < slot_.size() && slot_[id] != 0 ? slot_[id] - 1 : npos;
+  }
+  /// Notes of a retained closed span (empty if it has none).
+  SpanNotes notes(SpanId id) const;
+  /// {"id", "parent", "trace_id", "name", "category", "begin_ns", "end_ns",
+  ///  "lane"?, "node", "notes"?} with names rendered through the table.
+  Json to_json(const CausalSpan& s, const SpanNotes& notes) const;
+  Json to_json(const CausalSpan& s) const { return to_json(s, notes(s.id)); }
+
   std::uint64_t recorded() const { return recorded_; }
   bool empty() const { return closed_.empty(); }
+  /// Drop every span and lane interval; the string table stays.
   void clear();
 
   /// Aggregate counters: trace_spans_total and per-category
   /// trace_span_ns_total{category=...}.
   void export_metrics(MetricsRegistry& m) const;
 
+  // ---- Lane intervals ------------------------------------------------------
+
+  /// Record a busy interval on `lane`. A no-op unless retaining, so callers
+  /// that build a label should check retain() first.
+  void record_lane(StrId lane, StrRef label, sim::Time begin, sim::Time end) {
+    if (retain_) lanes_.push_back({lane, intern(label), begin, end});
+  }
+  /// Every lane interval, in recording order.
+  const std::vector<LaneInterval>& lane_intervals() const { return lanes_; }
+  /// The intervals on one lane, in recording order.
+  std::vector<LaneInterval> lane(std::string_view name) const;
+  /// Busy time on a lane: the union of its intervals.
+  sim::Duration busy_time(std::string_view lane) const;
+  /// True if any interval on lane `a` overlaps any interval on lane `b` in
+  /// virtual time — the pipeline-overlap predicate.
+  bool lanes_overlap(std::string_view a, std::string_view b) const;
+
  private:
+  /// Notes of one retained closed span: `slot` is its spans() index.
+  struct ClosedNote {
+    std::uint32_t slot = 0;
+    SpanNote note;
+  };
+
   bool retain_ = false;
   FlightRecorder* flight_ = nullptr;
   SpanId next_id_ = 1;
   std::uint64_t recorded_ = 0;
   std::array<sim::Duration, kSpanCategories> category_ns_{};
+  std::deque<std::string> strings_;  // stable addresses for the index keys
+  std::unordered_map<std::string_view, StrId> string_index_;
   std::unordered_map<SpanId, CausalSpan> open_;
+  std::unordered_map<SpanId, SpanNotes> open_notes_;
   std::vector<CausalSpan> closed_;
+  std::vector<std::uint32_t> slot_;       // span id -> spans() index + 1 (0 = not retained)
+  std::vector<ClosedNote> closed_notes_;  // in close order, so sorted by slot
+  std::vector<LaneInterval> lanes_;
 };
+
+/// Length of the union of [begin, end) intervals (sorts them in place).
+sim::Duration union_length(std::vector<std::pair<sim::Time, sim::Time>>& intervals);
 
 // ---- Critical path ---------------------------------------------------------
 

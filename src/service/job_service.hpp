@@ -17,8 +17,8 @@
 //  * tags every dispatched job with its tenant, which flows into the GPU
 //    layer: per-tenant cache quotas in GMemoryManager and per-tenant GWork
 //    priorities in GStreamManager (via core::GFlinkRuntime);
-//  * measures per-tenant SLOs — queue wait vs. run split via the span
-//    tracer (tenant-labeled lanes), service_* metrics, and the per-tenant
+//  * measures per-tenant SLOs — queue wait vs. run split via causal
+//    spans on tenant-labeled lanes, service_* metrics, and the per-tenant
 //    fairness section of the v3 run report.
 //
 // Concurrency: the service is simulation-plane state — mutated only

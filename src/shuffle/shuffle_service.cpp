@@ -52,6 +52,14 @@ ShuffleService::ShuffleService(sim::Simulation& sim, net::Cluster& cluster, dfs:
   GFLINK_CHECK(config_.max_retries >= 0);
 }
 
+obs::StrId ShuffleService::shuffle_lane(int node) {
+  const auto n = static_cast<std::size_t>(node);
+  if (n >= shuffle_lanes_.size()) shuffle_lanes_.resize(n + 1);
+  obs::StrId& id = shuffle_lanes_[n];
+  if (id.v == 0) id = cluster_->spans().intern("node" + std::to_string(node) + "/shuffle");
+  return id;
+}
+
 std::uint64_t ShuffleService::resident_bytes(int worker) const {
   core::MutexLock lock(mu_);
   return resident_.at(static_cast<std::size_t>(worker));
@@ -262,7 +270,7 @@ sim::Co<void> ShuffleSession::send_bucket(int src, int t, mem::RecordBatch bucke
     // outlive their task, but the session span stays open until finish().
     const obs::SpanId send_span =
         sp.open("shuffle:send", obs::SpanCategory::Shuffle, span_, begin,
-                "node" + std::to_string(src) + "/shuffle", src);
+                service_->shuffle_lane(src), src);
     const std::uint64_t block = std::max<std::uint64_t>(1, service_->config().block_bytes);
     sim::Semaphore& credit = *credits_[static_cast<std::size_t>(t)];
     if (service_->config().mode == ShuffleMode::Pipelined) {
@@ -278,7 +286,7 @@ sim::Co<void> ShuffleSession::send_bucket(int src, int t, mem::RecordBatch bucke
           co_await credit.acquire();
           if (service_->sim().now() > stall) {
             sp.record("wait:credit", obs::SpanCategory::Wait, send_span, stall,
-                      service_->sim().now(), "node" + std::to_string(src) + "/shuffle", src);
+                      service_->sim().now(), service_->shuffle_lane(src), src);
           }
         }
         service_->block_started();
@@ -312,7 +320,7 @@ sim::Co<void> ShuffleSession::send_bucket(int src, int t, mem::RecordBatch bucke
           co_await credit.acquire();
           if (service_->sim().now() > stall) {
             sp.record("wait:credit", obs::SpanCategory::Wait, send_span, stall,
-                      service_->sim().now(), "node" + std::to_string(src) + "/shuffle", src);
+                      service_->sim().now(), service_->shuffle_lane(src), src);
           }
         }
         service_->block_started();
@@ -328,10 +336,9 @@ sim::Co<void> ShuffleSession::send_bucket(int src, int t, mem::RecordBatch bucke
       }
     }
     sp.close(send_span, service_->sim().now());
-    sim::Tracer& tracer = service_->cluster().tracer();
-    if (tracer.enabled()) {
-      tracer.record("node" + std::to_string(src) + "/shuffle",
-                    label_ + " p" + std::to_string(t), begin, service_->sim().now());
+    if (sp.retain()) {
+      sp.record_lane(service_->shuffle_lane(src), label_ + " p" + std::to_string(t), begin,
+                     service_->sim().now());
     }
   }
   if (ok) {
@@ -369,7 +376,7 @@ sim::Co<void> ShuffleSession::send_one_sided(int src, std::vector<mem::RecordBat
     if (bucket.byte_size() == 0 || dst == src) continue;
     if (hist_span == 0) {
       hist_span = sp.open("shuffle:histogram", obs::SpanCategory::Shuffle, span_, hist_begin,
-                          "node" + std::to_string(src) + "/shuffle", src);
+                          service_->shuffle_lane(src), src);
     }
     if (!announced[static_cast<std::size_t>(dst)]) {
       announced[static_cast<std::size_t>(dst)] = 1;
@@ -413,7 +420,7 @@ sim::Co<void> ShuffleSession::one_sided_bucket(int src, int t, std::uint64_t off
     obs::SpanStore& sp = service_->cluster().spans();
     const obs::SpanId write_span =
         sp.open("shuffle:one_sided_write", obs::SpanCategory::Shuffle, span_, begin,
-                "node" + std::to_string(src) + "/shuffle", src);
+                service_->shuffle_lane(src), src);
     service_->block_started();
     ok = co_await service_->one_sided_write(src, dst, offset, bytes, label_,
                                             {write_span, obs::SpanCategory::Shuffle});
@@ -428,10 +435,9 @@ sim::Co<void> ShuffleSession::one_sided_bucket(int src, int t, std::uint64_t off
     // would hang it instead).
     co_await service_->cluster().remote_fetch_add(src, dst, done_counter(), 1);
     sp.close(write_span, service_->sim().now());
-    sim::Tracer& tracer = service_->cluster().tracer();
-    if (tracer.enabled()) {
-      tracer.record("node" + std::to_string(src) + "/shuffle",
-                    label_ + " p" + std::to_string(t), begin, service_->sim().now());
+    if (sp.retain()) {
+      sp.record_lane(service_->shuffle_lane(src), label_ + " p" + std::to_string(t), begin,
+                     service_->sim().now());
     }
   }
   if (ok) {
@@ -462,7 +468,7 @@ sim::Co<void> ShuffleSession::one_sided_barrier() {
     const sim::Time end = service_->sim().now();
     if (end > begin) {
       cluster.spans().record("shuffle:one_sided_barrier", obs::SpanCategory::Wait, span_, begin,
-                             end, "node" + std::to_string(dst) + "/shuffle", dst);
+                             end, service_->shuffle_lane(dst), dst);
     }
   }
 }

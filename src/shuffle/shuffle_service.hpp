@@ -296,6 +296,10 @@ class ShuffleService {
   sim::Co<bool> one_sided_write(int src, int dst, std::uint64_t offset, std::uint64_t bytes,
                                 const std::string& label, obs::SpanLink link = {});
 
+  /// The trace lane "node<i>/shuffle" of node `node`'s shuffle sender,
+  /// interned on first use.
+  obs::StrId shuffle_lane(int node);
+
   void block_started() GFLINK_EXCLUDES(mu_);
   void block_finished() GFLINK_EXCLUDES(mu_);
   void add_resident(int worker, std::uint64_t bytes) GFLINK_EXCLUDES(mu_);
@@ -312,6 +316,7 @@ class ShuffleService {
   /// Outlives every session (sessions are per-stage; the service is
   /// per-engine), so worker-side hooks may capture the service pointer.
   std::unique_ptr<spill::SpillStore> spill_store_;
+  std::vector<obs::StrId> shuffle_lanes_;  // per node id; 0 until first used
   /// Guards the service-wide credit/fault/resident accounting shared by
   /// every session. Leaf lock; the in-flight gauge is published after
   /// release (the registry has its own lock).

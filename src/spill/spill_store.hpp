@@ -36,7 +36,7 @@
 //
 // Thread-safety: the store is simulation-plane state (queues, tier
 // cursors, block flags), mutated only between suspension points of the
-// single simulation thread — same discipline as sim::Tracer and the
+// single simulation thread — same discipline as obs::SpanStore and the
 // ShuffleSession bucket table. Metrics go through the thread-safe
 // registry. Every metric and span emitted here carries a tier
 // attribution (gflint rule R6).
@@ -106,7 +106,7 @@ struct SpillBlock {
   SpillTier tier = SpillTier::Dfs;
   std::uint64_t raw_bytes = 0;
   std::uint64_t stored_bytes = 0;  // post-codec bytes on disk/DFS tiers
-  std::string label;               // diagnostic label for pipes/tracer
+  std::string label;               // diagnostic label for pipes/trace lanes
   std::string dfs_path;            // DFS-tier blocks only
   bool landed = false;
   bool released = false;

@@ -14,6 +14,7 @@
 #include "core/gwork.hpp"
 #include "dataflow/dataset.hpp"
 
+namespace obs = gflink::obs;
 namespace sim = gflink::sim;
 namespace mem = gflink::mem;
 namespace gpu = gflink::gpu;
@@ -86,7 +87,7 @@ void register_test_kernels() {
 /// Standalone GPU fixture: two devices + wrappers + cache manager + streams.
 struct StreamFixture {
   Simulation s;
-  sim::Tracer tracer{true};
+  obs::SpanStore trace;  // retains lane intervals (set in the constructor)
   gpu::GpuDevice dev0, dev1;
   gpu::CudaStub stub0, stub1;
   gpu::CudaWrapper wrap0, wrap1;
@@ -96,14 +97,15 @@ struct StreamFixture {
 
   explicit StreamFixture(core::GStreamConfig cfg = {}, gpu::DeviceSpec spec0 = test_spec(),
                          gpu::DeviceSpec spec1 = test_spec())
-      : dev0(s, "gpu0", spec0, &tracer),
-        dev1(s, "gpu1", spec1, &tracer),
+      : dev0(s, "gpu0", spec0, &trace),
+        dev1(s, "gpu1", spec1, &trace),
         stub0(dev0),
         stub1(dev1),
         wrap0(stub0),
         wrap1(stub1),
         memory({&dev0, &dev1}, 1 << 20, core::CachePolicy::Fifo),
         streams(s, {&wrap0, &wrap1}, memory, cfg) {
+    trace.set_retain(true);
     register_test_kernels();
   }
 
@@ -448,7 +450,7 @@ TEST(GStreamManager, MultiStreamPipelineOverlapsCopiesAndKernels) {
     }(f.streams, work, wg));
   }
   f.s.run();
-  EXPECT_TRUE(f.tracer.lanes_overlap("gpu0/h2d", "gpu0/kernel"));
+  EXPECT_TRUE(f.trace.lanes_overlap("gpu0/h2d", "gpu0/kernel"));
 }
 
 TEST(GStreamManager, SingleStreamSerializesNoOverlap) {
@@ -465,8 +467,8 @@ TEST(GStreamManager, SingleStreamSerializesNoOverlap) {
     }(f.streams, work, wg));
   }
   f.s.run();
-  EXPECT_FALSE(f.tracer.lanes_overlap("gpu0/h2d", "gpu0/kernel"));
-  EXPECT_FALSE(f.tracer.lanes_overlap("gpu1/h2d", "gpu1/kernel"));
+  EXPECT_FALSE(f.trace.lanes_overlap("gpu0/h2d", "gpu0/kernel"));
+  EXPECT_FALSE(f.trace.lanes_overlap("gpu1/h2d", "gpu1/kernel"));
 }
 
 TEST(GStreamManager, PipeliningIsFasterThanSerial) {

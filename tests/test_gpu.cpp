@@ -11,6 +11,7 @@
 #include "gpu/kernel.hpp"
 #include "mem/buffer.hpp"
 
+namespace obs = gflink::obs;
 namespace sim = gflink::sim;
 namespace gpu = gflink::gpu;
 namespace mem = gflink::mem;
@@ -242,8 +243,9 @@ TEST(GpuDevice, CopyOverlapsKernelThreeStagePipeline) {
   Simulation s;
   auto spec = test_spec();
   gpu::GpuDevice dev(s, "gpu0", spec, nullptr);
-  sim::Tracer tracer(true);
-  gpu::GpuDevice traced(s, "gpu1", spec, &tracer);
+  obs::SpanStore trace;
+  trace.set_retain(true);
+  gpu::GpuDevice traced(s, "gpu1", spec, &trace);
   mem::AddressSpace as;
   mem::HBuffer h(2'000'000, as.allocate(2'000'000));
   h.set_pinned(true);
@@ -270,7 +272,7 @@ TEST(GpuDevice, CopyOverlapsKernelThreeStagePipeline) {
   }
   s.run();
   // Pipeline: copies at [0,1) and [1,2) ms; kernels at [1,2) and [2,3) ms.
-  EXPECT_TRUE(tracer.lanes_overlap("gpu1/h2d", "gpu1/kernel"));
+  EXPECT_TRUE(trace.lanes_overlap("gpu1/h2d", "gpu1/kernel"));
   EXPECT_EQ(s.now(), sim::millis(3));
 }
 

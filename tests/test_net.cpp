@@ -138,12 +138,12 @@ TEST(Node, RecordTimeRoofline) {
 TEST(Cluster, TracerSeesNicSpans) {
   Simulation s;
   net::Cluster c(s, small_cluster());
-  c.tracer().set_enabled(true);
+  c.spans().set_retain(true);
   s.spawn([](net::Cluster& cl) -> Co<void> {
     co_await cl.transfer(1, 2, 1'000'000, "blockA");
   }(c));
   s.run();
-  EXPECT_EQ(c.tracer().lane("node1/egress").size(), 1u);
-  EXPECT_EQ(c.tracer().lane("node2/ingress").size(), 1u);
-  EXPECT_EQ(c.tracer().lane("node1/egress")[0].label, "blockA");
+  EXPECT_EQ(c.spans().lane("node1/egress").size(), 1u);
+  EXPECT_EQ(c.spans().lane("node2/ingress").size(), 1u);
+  EXPECT_EQ(c.spans().str(c.spans().lane("node1/egress")[0].label), "blockA");
 }

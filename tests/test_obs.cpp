@@ -16,7 +16,6 @@
 #include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
 #include "obs/span.hpp"
-#include "sim/trace.hpp"
 
 namespace obs = gflink::obs;
 namespace sim = gflink::sim;
@@ -156,12 +155,23 @@ TEST(Metrics, ToJsonCarriesQuantiles) {
 
 // ---- Chrome trace ----------------------------------------------------------
 
+namespace {
+
+/// Record one lane interval, interning the lane on the spot.
+void record_lane(obs::SpanStore& s, const char* lane, const char* label, sim::Time begin,
+                 sim::Time end) {
+  s.record_lane(s.intern(lane), label, begin, end);
+}
+
+}  // namespace
+
 TEST(ChromeTrace, EmittedJsonParsesBack) {
-  sim::Tracer t(true);
-  t.record("node1.gpu0/h2d", "copyA", sim::micros(0), sim::micros(10));
-  t.record("node1.gpu0/kernel", "k", sim::micros(5), sim::micros(25));
-  t.record("node0/egress", "shuffle", sim::micros(10), sim::micros(30));
-  t.record("loose_lane", "x", sim::micros(0), sim::micros(1));
+  obs::SpanStore t;
+  t.set_retain(true);
+  record_lane(t, "node1.gpu0/h2d", "copyA", sim::micros(0), sim::micros(10));
+  record_lane(t, "node1.gpu0/kernel", "k", sim::micros(5), sim::micros(25));
+  record_lane(t, "node0/egress", "shuffle", sim::micros(10), sim::micros(30));
+  record_lane(t, "loose_lane", "x", sim::micros(0), sim::micros(1));
 
   obs::MetricsRegistry m;
   m.counter("net.bytes").inc(4096);
@@ -221,12 +231,13 @@ TEST(ChromeTrace, EmittedJsonParsesBack) {
 }
 
 TEST(ChromeTrace, LaneUtilizationUnionsOverlaps) {
-  sim::Tracer t(true);
-  // Overlapping spans on one lane: busy time is the union, not the sum
-  // (mirrors sim::Tracer::busy_time's span-merge semantics).
-  t.record("l", "a", 0, 100);
-  t.record("l", "b", 50, 150);
-  t.record("l", "c", 300, 400);
+  obs::SpanStore t;
+  t.set_retain(true);
+  // Overlapping intervals on one lane: busy time is the union, not the sum
+  // (the same merge as SpanStore::busy_time).
+  record_lane(t, "l", "a", 0, 100);
+  record_lane(t, "l", "b", 50, 150);
+  record_lane(t, "l", "c", 300, 400);
   auto util = obs::lane_utilization(t, 400);
   ASSERT_EQ(util.count("l"), 1u);
   EXPECT_EQ(util["l"].busy_ns, 250);
@@ -313,7 +324,7 @@ TEST(Spans, TraceIdInheritsAndAggregatesCount) {
   build_golden_dag(s);
   ASSERT_EQ(s.spans().size(), 5u);
   for (const auto& span : s.spans()) {
-    EXPECT_EQ(span.trace_id, 7u) << span.name;
+    EXPECT_EQ(span.trace_id, 7u) << s.str(span.name);
   }
   EXPECT_EQ(s.recorded(), 5u);
 
@@ -409,13 +420,84 @@ TEST(Spans, UntracedStoreStaysEmptyButCounts) {
   s.close(0, 99);
 }
 
+TEST(Spans, ClosedParentTraceIdNeedsRetention) {
+  // A child opened after its parent closed finds the parent by id: on a
+  // retaining store it inherits the trace id, on a store that does not
+  // retain the parent is gone and the child's trace id stays 0.
+  for (const bool retain : {true, false}) {
+    obs::SpanStore s;
+    s.set_retain(retain);
+    const obs::SpanId job = s.open("job", obs::SpanCategory::Control, 0, 0, {}, 0, 42);
+    for (int i = 0; i < 100; ++i) s.record("filler", obs::SpanCategory::Control, job, i, i + 1);
+    s.close(job, 200);
+    s.record("late", obs::SpanCategory::Control, job, 300, 400);
+    if (retain) {
+      const obs::CausalSpan& late = s.spans().back();
+      EXPECT_EQ(s.str(late.name), "late");
+      EXPECT_EQ(late.trace_id, 42u);
+      EXPECT_EQ(s.index_of(job), 100u);  // closed after the 100 fillers
+    } else {
+      EXPECT_TRUE(s.empty());
+      EXPECT_EQ(s.index_of(job), obs::SpanStore::npos);
+    }
+  }
+  obs::FlightRecorder fr;
+  obs::SpanStore s;
+  s.attach_flight_recorder(&fr);
+  const obs::SpanId job = s.open("job", obs::SpanCategory::Control, 0, 0, {}, 0, 42);
+  s.close(job, 10);
+  s.record("late", obs::SpanCategory::Control, job, 20, 30, {}, 0);
+  const obs::Json ring = fr.to_json().find("nodes")->items()[0];
+  EXPECT_EQ(ring.find("spans")->items()[1].find("trace_id")->as_int(), 0);
+}
+
+TEST(Spans, CompactRecordsInternNamesAndLanes) {
+  static_assert(sizeof(obs::CausalSpan) <= 64);
+  static_assert(sizeof(obs::LaneInterval) == 24);
+  obs::FlightRecorder fr(/*ring_capacity=*/2);
+  obs::SpanStore s;
+  s.set_retain(true);
+  s.attach_flight_recorder(&fr);
+  const std::size_t before = s.interned();
+  const char* names[] = {"task:map", "task:reduce", "wait:slot", "net:egress"};
+  const char* lanes[] = {"node1/tasks", "node2/tasks", "node1/egress"};
+  const obs::SpanId root = s.open("task:map", obs::SpanCategory::Control, 0, 0, "node1/tasks", 1);
+  for (int i = 0; i < 100'000; ++i) {
+    s.record(names[i % 4], obs::SpanCategory::Control, root, i, i + 1, lanes[i % 3], 1);
+  }
+  EXPECT_EQ(s.interned() - before, 7u);  // 4 names + 3 lanes, whatever the span count
+
+  // Notes ride in a side table and come back out in the span JSON and in
+  // the flight dump, whose ring renders names through the same table.
+  s.annotate(root, "failed", "worker_lost");
+  s.annotate(root, "chunks", "3");
+  s.close(root, 100'000);
+  ASSERT_EQ(s.spans().size(), 100'001u);
+  const obs::CausalSpan& last = s.spans().back();
+  ASSERT_EQ(last.id, root);
+  const obs::Json j = s.to_json(last);
+  EXPECT_EQ(j.find("name")->as_string(), "task:map");
+  EXPECT_EQ(j.find("lane")->as_string(), "node1/tasks");
+  EXPECT_EQ(j.find("notes")->find("failed")->as_string(), "worker_lost");
+  EXPECT_EQ(j.find("notes")->find("chunks")->as_string(), "3");
+  EXPECT_EQ(s.to_json(s.spans().front()).find("notes"), nullptr);
+
+  const obs::Json dump = fr.to_json();
+  const obs::Json& ring = *dump.find("nodes")->items()[0].find("spans");
+  ASSERT_EQ(ring.size(), 2u);
+  EXPECT_EQ(ring.items()[1].find("name")->as_string(), "task:map");
+  EXPECT_EQ(ring.items()[1].find("notes")->find("failed")->as_string(), "worker_lost");
+  auto parsed = obs::Json::parse(dump.dump(2));
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->dump(), dump.dump());
+}
+
 TEST(ChromeTrace, FlowEventsFollowSpanLinks) {
-  sim::Tracer t(true);
-  t.record("node1/cpu", "work", 0, 1000);
   obs::SpanStore s;
   build_golden_dag(s);
+  record_lane(s, "node1/cpu", "work", 0, 1000);
 
-  const std::string doc = obs::chrome_trace_json(t, nullptr, 1000, &s);
+  const std::string doc = obs::chrome_trace_json(s, nullptr, 1000);
   auto parsed = Json::parse(doc);
   ASSERT_TRUE(parsed.has_value()) << doc;
 

@@ -296,9 +296,8 @@ TEST(OneSidedShuffle, TracedRunNamesTheThreePhases) {
   // Every one-sided phase shows up in the causal trace, so the critical-path
   // breakdown can attribute exchange time to histogram / write / barrier.
   std::set<std::string> names;
-  for (const obs::CausalSpan& span : engine.cluster().spans().spans()) {
-    names.insert(span.name);
-  }
+  const obs::SpanStore& store = engine.cluster().spans();
+  for (const obs::CausalSpan& span : store.spans()) names.insert(store.str(span.name));
   EXPECT_TRUE(names.count("shuffle:histogram")) << "histogram phase not traced";
   EXPECT_TRUE(names.count("shuffle:one_sided_write")) << "write phase not traced";
   EXPECT_TRUE(names.count("shuffle:one_sided_barrier")) << "barrier phase not traced";

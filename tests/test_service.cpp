@@ -303,8 +303,9 @@ TEST(JobService, QueueWaitSpansLandOnTenantLanes) {
   });
 
   bool found = false;
-  for (const auto& span : engine.cluster().spans().spans()) {
-    if (span.name == "service_queue_wait" && span.lane == "service/a") {
+  const gflink::obs::SpanStore& store = engine.cluster().spans();
+  for (const auto& span : store.spans()) {
+    if (store.str(span.name) == "service_queue_wait" && store.str(span.lane) == "service/a") {
       found = true;
       EXPECT_EQ(span.category, gflink::obs::SpanCategory::Wait);
       EXPECT_GT(span.end, span.begin);

@@ -5,12 +5,13 @@
 #include <cmath>
 #include <vector>
 
+#include "obs/span.hpp"
 #include "sim/random.hpp"
 #include "sim/simulation.hpp"
 #include "sim/stats.hpp"
 #include "sim/sync.hpp"
-#include "sim/trace.hpp"
 
+namespace obs = gflink::obs;
 namespace sim = gflink::sim;
 using sim::Co;
 using sim::Duration;
@@ -464,11 +465,16 @@ TEST(Stats, HistogramMerge) {
   EXPECT_NEAR(a.quantile(0.5), 5.0, 1.0);
 }
 
+// The lane tracer lives in the trace store as flat lane intervals.
+
 TEST(Tracer, RecordsAndQueriesLanes) {
-  sim::Tracer t(true);
-  t.record("gpu0/kernel", "k0", 0, 100);
-  t.record("gpu0/kernel", "k1", 150, 250);
-  t.record("gpu0/copyH2D", "c1", 80, 160);
+  obs::SpanStore t;
+  t.set_retain(true);
+  const obs::StrId kernel = t.intern("gpu0/kernel");
+  const obs::StrId h2d = t.intern("gpu0/copyH2D");
+  t.record_lane(kernel, "k0", 0, 100);
+  t.record_lane(kernel, "k1", 150, 250);
+  t.record_lane(h2d, "c1", 80, 160);
   EXPECT_EQ(t.lane("gpu0/kernel").size(), 2u);
   EXPECT_EQ(t.busy_time("gpu0/kernel"), 200);
   EXPECT_TRUE(t.lanes_overlap("gpu0/kernel", "gpu0/copyH2D"));
@@ -476,16 +482,20 @@ TEST(Tracer, RecordsAndQueriesLanes) {
 }
 
 TEST(Tracer, DisabledTracerIsNoop) {
-  sim::Tracer t(false);
-  t.record("lane", "x", 0, 10);
-  EXPECT_TRUE(t.spans().empty());
+  obs::SpanStore t;  // not retaining: the default for untraced runs
+  const std::size_t strings = t.interned();
+  t.record_lane(t.intern("lane"), "x", 0, 10);
+  EXPECT_TRUE(t.lane_intervals().empty());
+  EXPECT_EQ(t.interned(), strings + 1);  // the lane, but no label
 }
 
 TEST(Tracer, BusyTimeMergesOverlappingSpans) {
-  sim::Tracer t(true);
-  t.record("l", "a", 0, 100);
-  t.record("l", "b", 50, 150);
-  t.record("l", "c", 300, 400);
+  obs::SpanStore t;
+  t.set_retain(true);
+  const obs::StrId l = t.intern("l");
+  t.record_lane(l, "a", 0, 100);
+  t.record_lane(l, "b", 50, 150);
+  t.record_lane(l, "c", 300, 400);
   EXPECT_EQ(t.busy_time("l"), 250);
 }
 

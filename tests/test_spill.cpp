@@ -215,9 +215,10 @@ TEST(SpillStore, FetchPromotesReReadBlockToMemory) {
   EXPECT_EQ(f.store.tier_used_bytes(1, SpillTier::Disk), 0u);
   EXPECT_EQ(f.store.tier_used_bytes(1, SpillTier::Memory), 500u);
   bool saw_promote = false, saw_mem_fetch = false;
-  for (const obs::CausalSpan& sp : f.cluster.spans().spans()) {
-    if (sp.name == "spill:promote:memory") saw_promote = true;
-    if (sp.name == "spill:fetch:memory") saw_mem_fetch = true;
+  const obs::SpanStore& store = f.cluster.spans();
+  for (const obs::CausalSpan& sp : store.spans()) {
+    if (store.str(sp.name) == "spill:promote:memory") saw_promote = true;
+    if (store.str(sp.name) == "spill:fetch:memory") saw_mem_fetch = true;
   }
   EXPECT_TRUE(saw_promote);
   EXPECT_TRUE(saw_mem_fetch);

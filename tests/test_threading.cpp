@@ -225,6 +225,8 @@ TEST(Threading, DeviceOverlapAccounting) {
 TEST(Threading, FlightRecorderConcurrentWritersWrapTheRings) {
   // Small capacity so every ring wraps many times while the writers race.
   obs::FlightRecorder flight(16);
+  obs::SpanStore store;  // names the ring spans; interned before the race
+  const obs::StrId stress_span = store.intern("stress_span");
   std::atomic<std::uint64_t> span_id{1};
   run_threads([&](int t) {
     for (int i = 0; i < kIters; ++i) {
@@ -235,10 +237,10 @@ TEST(Threading, FlightRecorderConcurrentWritersWrapTheRings) {
       obs::CausalSpan span;
       span.id = span_id.fetch_add(1, std::memory_order_relaxed);
       span.node = node;
-      span.name = "stress_span";
+      span.name = stress_span;
       span.begin = i;
       span.end = i + 1;
-      flight.on_span_closed(span);
+      flight.on_span_closed(store, span);
     }
   });
   EXPECT_EQ(flight.events_seen(), static_cast<std::uint64_t>(kThreads) * kIters);

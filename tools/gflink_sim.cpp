@@ -321,10 +321,8 @@ wl::RunResult run_driver(sim::Co<ResultT> (*driver)(df::Engine&, core::GFlinkRun
   if (runtime) runtime->export_metrics(g_report.metrics);
   const obs::SpanStore& spans = engine.cluster().spans();
   if (!opt.trace_out.empty()) {
-    const sim::Tracer& tracer = engine.cluster().tracer();
-    g_trace_json = obs::chrome_trace_json(tracer, &engine.cluster().metrics(), engine.now(),
-                                          &spans);
-    g_report.capture_lanes(tracer, engine.now());
+    g_trace_json = obs::chrome_trace_json(spans, &engine.cluster().metrics(), engine.now());
+    g_report.capture_lanes(spans, engine.now());
   }
   if (spans.retain()) {
     // Both modes run the analyses; the report keeps the last (GFlink) pass.
