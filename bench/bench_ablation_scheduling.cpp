@@ -14,7 +14,6 @@
 namespace {
 
 using namespace gflink::bench;
-using gflink::sim::Co;
 
 const char* policy_name(core::SchedulingPolicy p) {
   switch (p) {
@@ -36,8 +35,6 @@ Outcome run_with_policy(core::SchedulingPolicy policy) {
   wl::Testbed tb;
   tb.workers = 4;
   tb.scheduling = policy;
-  df::Engine engine(wl::make_engine_config(tb));
-  wl::ensure_kernels_registered();
   // Strongly heterogeneous bulks: one C2050 and one P100 per worker (the
   // "computational power of GPUs is different from each other" setting the
   // scheme targets). Scaled platform constants copied from the base config.
@@ -47,7 +44,7 @@ Outcome run_with_policy(core::SchedulingPolicy policy) {
   p100.pcie_latency = gcfg.devices[0].pcie_latency;
   p100.kernel_launch_overhead = gcfg.devices[0].kernel_launch_overhead;
   gcfg.devices[1] = p100;
-  core::GFlinkRuntime runtime(engine, gcfg);
+  wl::Session session(tb, wl::Mode::Gpu, wl::make_engine_config(tb), gcfg);
 
   wl::kmeans::Config cfg;
   cfg.points = 210'000'000;
@@ -55,10 +52,9 @@ Outcome run_with_policy(core::SchedulingPolicy policy) {
   cfg.write_output = false;
 
   Outcome out;
-  engine.run([&](df::Engine& eng) -> Co<void> {
-    auto r = co_await wl::kmeans::run(eng, &runtime, tb, wl::Mode::Gpu, cfg);
-    out.seconds = full_seconds(r.run.total, tb);
-  });
+  out.seconds = full_seconds(session.run(&wl::kmeans::run, cfg).run.total, tb);
+  report_case(session);
+  core::GFlinkRuntime& runtime = *session.runtime();
   out.cache_hits = runtime.total_cache_hits();
   out.h2d_bytes = runtime.total_bytes_h2d();
   for (int w = 1; w <= tb.workers; ++w) {

@@ -39,19 +39,13 @@ double measure(sh::ShuffleMode mode, bool skewed) {
   df::EngineConfig cfg = wl::make_engine_config(tb);
   cfg.shuffle.spill_enabled = false;  // isolate the transport, not the budget
 
-  df::Engine engine(cfg);
+  wl::Session session(tb, wl::Mode::Cpu, cfg, wl::make_gpu_config(tb));
   wl::pagerank::Config pcfg;  // defaults: 10 M pages, 5 iterations
   if (skewed) pcfg.zipf_shift = 2;
-  wl::pagerank::Result result;
-  engine.run([&](df::Engine& eng) -> gflink::sim::Co<void> {
-    result = co_await wl::pagerank::run(eng, nullptr, tb, wl::Mode::Cpu, pcfg);
-  });
+  const auto result = session.run(&wl::pagerank::run, pcfg);
 
   const char* dist = kDists[skewed ? 1 : 0];
-  gflink::obs::RunReport& rep = bench_report();
-  rep.virtual_ns += engine.now();
-  engine.export_metrics(rep.metrics);
-  rep.metrics.inc("bench_cases_total");
+  gflink::obs::RunReport& rep = report_case(session);
   const double secs = full_seconds(result.run.total, tb);
   const gflink::obs::Labels labels{{"mode", sh::shuffle_mode_name(mode)}, {"dist", dist}};
   rep.metrics.gauge("ablation_shuffle_seconds", labels).set(secs);

@@ -47,24 +47,18 @@ double measure(bool async_path, sp::SpillCodec codec) {
   cfg.shuffle.spill.memory_tier_bytes = 4 * 1024;
   cfg.shuffle.spill.disk_tier_bytes = 12 * 1024;
 
-  df::Engine engine(cfg);
+  wl::Session session(tb, wl::Mode::Cpu, cfg, wl::make_gpu_config(tb));
   wl::pagerank::Config pcfg;  // defaults: 10 M pages, 5 iterations
-  wl::pagerank::Result result;
-  engine.run([&](df::Engine& eng) -> gflink::sim::Co<void> {
-    result = co_await wl::pagerank::run(eng, nullptr, tb, wl::Mode::Cpu, pcfg);
-  });
+  const auto result = session.run(&wl::pagerank::run, pcfg);
 
   // Producer-visible spill time: the Spill category of the last-finisher
   // critical path. Async offload moves tier writes off that path, so this
   // is the number the refactor shrinks.
-  const obs::CriticalPath cp = obs::extract_critical_path(engine.cluster().spans());
+  const obs::CriticalPath cp = obs::extract_critical_path(session.engine().cluster().spans());
   const double spill_stall_s =
       full_seconds(cp.by_category[static_cast<std::size_t>(obs::SpanCategory::Spill)], tb);
 
-  gflink::obs::RunReport& rep = bench_report();
-  rep.virtual_ns += engine.now();
-  engine.export_metrics(rep.metrics);
-  rep.metrics.inc("bench_cases_total");
+  gflink::obs::RunReport& rep = report_case(session);
   const double secs = full_seconds(result.run.total, tb);
   const gflink::obs::Labels labels{{"path", kPaths[async_path ? 1 : 0]},
                                    {"codec", sp::spill_codec_name(codec)}};

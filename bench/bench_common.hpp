@@ -12,7 +12,6 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <memory>
 
 #include "bench_report.hpp"
 #include "core/gdst.hpp"
@@ -26,28 +25,23 @@ namespace gpu = gflink::gpu;
 namespace sim = gflink::sim;
 namespace wl = gflink::workloads;
 
-/// Run one workload driver on a fresh testbed; returns the full result.
-template <typename ConfigT, typename ResultT>
-ResultT run_workload(sim::Co<ResultT> (*driver)(df::Engine&, core::GFlinkRuntime*,
-                                                const wl::Testbed&, wl::Mode, const ConfigT&),
-                     const wl::Testbed& tb, wl::Mode mode, const ConfigT& config) {
-  df::Engine engine(wl::make_engine_config(tb));
-  std::unique_ptr<core::GFlinkRuntime> runtime;
-  if (mode == wl::Mode::Gpu) {
-    wl::ensure_kernels_registered();
-    runtime = std::make_unique<core::GFlinkRuntime>(engine, wl::make_gpu_config(tb));
-  }
-  ResultT result{};
-  engine.run([&](df::Engine& eng) -> sim::Co<void> {
-    result = co_await driver(eng, runtime.get(), tb, mode, config);
-  });
-  // Feed the binary-wide run report before the engine (and its registry)
-  // is torn down. Counters add across cases; gauges keep the last case.
+/// Add one finished case to the binary-wide run report, before the
+/// session (and its registry) is torn down. Counters add across cases;
+/// gauges keep the last case.
+inline obs::RunReport& report_case(const wl::Session& session) {
   obs::RunReport& rep = bench_report();
-  rep.virtual_ns += engine.now();
-  engine.export_metrics(rep.metrics);
-  if (runtime) runtime->export_metrics(rep.metrics);
+  session.report_into(rep);
   rep.metrics.inc("bench_cases_total");
+  return rep;
+}
+
+/// Run one workload driver on a fresh testbed and report the case.
+template <typename ConfigT, typename ResultT>
+ResultT run_workload(wl::Driver<ConfigT, ResultT> driver, const wl::Testbed& tb, wl::Mode mode,
+                     const ConfigT& config) {
+  wl::Session session(tb, mode);
+  ResultT result = session.run(driver, config);
+  report_case(session);
   return result;
 }
 
@@ -64,6 +58,15 @@ inline void report_pair(benchmark::State& state, double cpu_seconds, double gfli
   state.counters["cpu_s"] = cpu_seconds;
   state.counters["gflink_s"] = gflink_seconds;
   state.counters["speedup"] = cpu_seconds / gflink_seconds;
+}
+
+/// Run `driver` as stock Flink, then as GFlink, and report the pair.
+template <typename ConfigT, typename ResultT>
+void run_pair(benchmark::State& state, wl::Driver<ConfigT, ResultT> driver,
+              const wl::Testbed& tb, const ConfigT& config) {
+  const auto cpu = run_workload(driver, tb, wl::Mode::Cpu, config);
+  const auto gpu = run_workload(driver, tb, wl::Mode::Gpu, config);
+  report_pair(state, full_seconds(cpu.run.total, tb), full_seconds(gpu.run.total, tb), tb);
 }
 
 }  // namespace gflink::bench

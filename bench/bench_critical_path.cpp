@@ -19,21 +19,12 @@ void CriticalPath_PageRank(benchmark::State& state) {
   for (auto _ : state) {
     wl::Testbed tb;
     tb.trace = true;  // retain the span DAG for the critical-path walk
-    df::Engine engine(wl::make_engine_config(tb));
-    wl::ensure_kernels_registered();
-    core::GFlinkRuntime runtime(engine, wl::make_gpu_config(tb));
+    wl::Session session(tb, wl::Mode::Gpu);
     wl::pagerank::Config pcfg;  // defaults: 10 M pages, 5 iterations
-    wl::pagerank::Result result;
-    engine.run([&](df::Engine& eng) -> gflink::sim::Co<void> {
-      result = co_await wl::pagerank::run(eng, &runtime, tb, wl::Mode::Gpu, pcfg);
-    });
+    const auto result = session.run(&wl::pagerank::run, pcfg);
 
-    gflink::obs::RunReport& rep = bench_report();
-    rep.virtual_ns += engine.now();
-    engine.export_metrics(rep.metrics);
-    runtime.export_metrics(rep.metrics);
-    rep.metrics.inc("bench_cases_total");
-    rep.capture_spans(engine.cluster().spans());
+    gflink::obs::RunReport& rep = report_case(session);
+    rep.capture_spans(session.engine().cluster().spans());
     // The table generator extrapolates breakdown_ns to full-scale seconds.
     rep.set_config("scale", tb.scale);
 

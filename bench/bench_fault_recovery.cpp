@@ -12,24 +12,19 @@
 namespace {
 
 using namespace gflink::bench;
-using gflink::sim::Co;
 
 double run_with_failure(const wl::Testbed& tb, gflink::sim::Time kill_at,
                         std::uint64_t* retried) {
-  df::Engine engine(wl::make_engine_config(tb));
-  wl::ensure_kernels_registered();
-  core::GFlinkRuntime runtime(engine, wl::make_gpu_config(tb));
+  wl::Session session(tb, wl::Mode::Gpu);
   if (kill_at > 0) {
-    engine.schedule_worker_failure(3, kill_at);
+    session.engine().schedule_worker_failure(3, kill_at);
   }
   wl::kmeans::Config cfg;
   cfg.points = 210'000'000;
   cfg.iterations = 10;
-  wl::kmeans::Result result;
-  engine.run([&](df::Engine& eng) -> Co<void> {
-    result = co_await wl::kmeans::run(eng, &runtime, tb, wl::Mode::Gpu, cfg);
-  });
-  if (retried != nullptr) *retried = engine.tasks_retried();
+  const auto result = session.run(&wl::kmeans::run, cfg);
+  report_case(session);
+  if (retried != nullptr) *retried = session.engine().tasks_retried();
   return full_seconds(result.run.total, tb);
 }
 

@@ -18,9 +18,7 @@ void Fig5a_KMeans(benchmark::State& state) {
   wl::kmeans::Config cfg;
   cfg.points = static_cast<std::uint64_t>(state.range(0)) * 1'000'000ULL;
   for (auto _ : state) {
-    auto cpu = run_workload(&wl::kmeans::run, tb, wl::Mode::Cpu, cfg);
-    auto gpu = run_workload(&wl::kmeans::run, tb, wl::Mode::Gpu, cfg);
-    report_pair(state, full_seconds(cpu.run.total, tb), full_seconds(gpu.run.total, tb), tb);
+    run_pair(state, &wl::kmeans::run, tb, cfg);
   }
   state.SetLabel("Fig5a points(M)=" + std::to_string(state.range(0)));
 }
@@ -33,9 +31,7 @@ void Fig5b_PageRank(benchmark::State& state) {
   wl::pagerank::Config cfg;
   cfg.pages = static_cast<std::uint64_t>(state.range(0)) * 1'000'000ULL;
   for (auto _ : state) {
-    auto cpu = run_workload(&wl::pagerank::run, tb, wl::Mode::Cpu, cfg);
-    auto gpu = run_workload(&wl::pagerank::run, tb, wl::Mode::Gpu, cfg);
-    report_pair(state, full_seconds(cpu.run.total, tb), full_seconds(gpu.run.total, tb), tb);
+    run_pair(state, &wl::pagerank::run, tb, cfg);
   }
   state.SetLabel("Fig5b pages(M)=" + std::to_string(state.range(0)));
 }
@@ -48,9 +44,7 @@ void Fig5c_WordCount(benchmark::State& state) {
   wl::wordcount::Config cfg;
   cfg.text_bytes = static_cast<std::uint64_t>(state.range(0)) << 30;
   for (auto _ : state) {
-    auto cpu = run_workload(&wl::wordcount::run, tb, wl::Mode::Cpu, cfg);
-    auto gpu = run_workload(&wl::wordcount::run, tb, wl::Mode::Gpu, cfg);
-    report_pair(state, full_seconds(cpu.run.total, tb), full_seconds(gpu.run.total, tb), tb);
+    run_pair(state, &wl::wordcount::run, tb, cfg);
   }
   state.SetLabel("Fig5c text(GB)=" + std::to_string(state.range(0)));
 }

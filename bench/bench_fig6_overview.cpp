@@ -18,9 +18,7 @@ void Fig6a_SpMV(benchmark::State& state) {
   wl::spmv::Config cfg;
   cfg.matrix_bytes = static_cast<std::uint64_t>(state.range(0)) << 30;
   for (auto _ : state) {
-    auto cpu = run_workload(&wl::spmv::run, tb, wl::Mode::Cpu, cfg);
-    auto gpu = run_workload(&wl::spmv::run, tb, wl::Mode::Gpu, cfg);
-    report_pair(state, full_seconds(cpu.run.total, tb), full_seconds(gpu.run.total, tb), tb);
+    run_pair(state, &wl::spmv::run, tb, cfg);
   }
   state.SetLabel("Fig6a matrix(GB)=" + std::to_string(state.range(0)));
 }
@@ -33,9 +31,7 @@ void Fig6b_LinearRegression(benchmark::State& state) {
   wl::linreg::Config cfg;
   cfg.samples = static_cast<std::uint64_t>(state.range(0)) * 1'000'000ULL;
   for (auto _ : state) {
-    auto cpu = run_workload(&wl::linreg::run, tb, wl::Mode::Cpu, cfg);
-    auto gpu = run_workload(&wl::linreg::run, tb, wl::Mode::Gpu, cfg);
-    report_pair(state, full_seconds(cpu.run.total, tb), full_seconds(gpu.run.total, tb), tb);
+    run_pair(state, &wl::linreg::run, tb, cfg);
   }
   state.SetLabel("Fig6b samples(M)=" + std::to_string(state.range(0)));
 }
@@ -48,9 +44,7 @@ void Fig6c_ConnectedComponents(benchmark::State& state) {
   wl::concomp::Config cfg;
   cfg.vertices = static_cast<std::uint64_t>(state.range(0)) * 1'000'000ULL;
   for (auto _ : state) {
-    auto cpu = run_workload(&wl::concomp::run, tb, wl::Mode::Cpu, cfg);
-    auto gpu = run_workload(&wl::concomp::run, tb, wl::Mode::Gpu, cfg);
-    report_pair(state, full_seconds(cpu.run.total, tb), full_seconds(gpu.run.total, tb), tb);
+    run_pair(state, &wl::concomp::run, tb, cfg);
   }
   state.SetLabel("Fig6c pages(M)=" + std::to_string(state.range(0)));
 }

@@ -19,9 +19,7 @@ void Fig7c_KMeansScalability(benchmark::State& state) {
   wl::kmeans::Config cfg;
   cfg.points = 150'000'000;  // ~10 GB of Point records
   for (auto _ : state) {
-    auto cpu = run_workload(&wl::kmeans::run, tb, wl::Mode::Cpu, cfg);
-    auto gpu = run_workload(&wl::kmeans::run, tb, wl::Mode::Gpu, cfg);
-    report_pair(state, full_seconds(cpu.run.total, tb), full_seconds(gpu.run.total, tb), tb);
+    run_pair(state, &wl::kmeans::run, tb, cfg);
   }
   state.SetLabel("Fig7c slaves=" + std::to_string(state.range(0)));
 }
@@ -35,9 +33,7 @@ void Fig7d_SpmvScalability(benchmark::State& state) {
   wl::spmv::Config cfg;
   cfg.matrix_bytes = 10ULL << 30;  // the paper's 10 GB matrix
   for (auto _ : state) {
-    auto cpu = run_workload(&wl::spmv::run, tb, wl::Mode::Cpu, cfg);
-    auto gpu = run_workload(&wl::spmv::run, tb, wl::Mode::Gpu, cfg);
-    report_pair(state, full_seconds(cpu.run.total, tb), full_seconds(gpu.run.total, tb), tb);
+    run_pair(state, &wl::spmv::run, tb, cfg);
   }
   state.SetLabel("Fig7d slaves=" + std::to_string(state.range(0)));
 }

@@ -55,37 +55,28 @@ std::array<double, 3> run_exclusive(const wl::Testbed& tb, const Apps& apps) {
   return out;
 }
 
+/// One app of the concurrent run: its full-scale time lands in `slot`.
+template <typename ConfigT, typename ResultT>
+Co<void> run_app(wl::Driver<ConfigT, ResultT> driver, df::Engine& e, core::GFlinkRuntime* rt,
+                 const wl::Testbed& t, const ConfigT& config, double& slot,
+                 gflink::sim::WaitGroup& w) {
+  const ResultT r = co_await driver(e, rt, t, wl::Mode::Gpu, config);
+  slot = full_seconds(r.run.total, t);
+  w.done();
+}
+
 /// Concurrent: all three drivers in one engine, sharing slots, network,
 /// DFS and GPUs. Returns the three app times plus the makespan.
 std::array<double, 4> run_concurrent(const wl::Testbed& tb, const Apps& apps) {
-  df::Engine engine(wl::make_engine_config(tb));
-  wl::ensure_kernels_registered();
-  core::GFlinkRuntime runtime(engine, wl::make_gpu_config(tb));
+  wl::Session session(tb, wl::Mode::Gpu);
+  core::GFlinkRuntime* runtime = session.runtime();
   std::array<double, 4> out{};
-  engine.run([&](df::Engine& eng) -> Co<void> {
+  session.engine().run([&](df::Engine& eng) -> Co<void> {
     gflink::sim::WaitGroup wg(eng.sim());
     wg.add(3);
-    eng.sim().spawn([](df::Engine& e, core::GFlinkRuntime& rt, const wl::Testbed& t,
-                       const Apps& a, double& slot, gflink::sim::WaitGroup& w,
-                       double scale) -> Co<void> {
-      auto r = co_await wl::kmeans::run(e, &rt, t, wl::Mode::Gpu, a.kmeans);
-      slot = gflink::sim::to_seconds(r.run.total) / scale;
-      w.done();
-    }(eng, runtime, tb, apps, out[0], wg, tb.scale));
-    eng.sim().spawn([](df::Engine& e, core::GFlinkRuntime& rt, const wl::Testbed& t,
-                       const Apps& a, double& slot, gflink::sim::WaitGroup& w,
-                       double scale) -> Co<void> {
-      auto r = co_await wl::spmv::run(e, &rt, t, wl::Mode::Gpu, a.spmv);
-      slot = gflink::sim::to_seconds(r.run.total) / scale;
-      w.done();
-    }(eng, runtime, tb, apps, out[1], wg, tb.scale));
-    eng.sim().spawn([](df::Engine& e, core::GFlinkRuntime& rt, const wl::Testbed& t,
-                       const Apps& a, double& slot, gflink::sim::WaitGroup& w,
-                       double scale) -> Co<void> {
-      auto r = co_await wl::pointadd::run(e, &rt, t, wl::Mode::Gpu, a.pointadd);
-      slot = gflink::sim::to_seconds(r.run.total) / scale;
-      w.done();
-    }(eng, runtime, tb, apps, out[2], wg, tb.scale));
+    eng.sim().spawn(run_app(&wl::kmeans::run, eng, runtime, tb, apps.kmeans, out[0], wg));
+    eng.sim().spawn(run_app(&wl::spmv::run, eng, runtime, tb, apps.spmv, out[1], wg));
+    eng.sim().spawn(run_app(&wl::pointadd::run, eng, runtime, tb, apps.pointadd, out[2], wg));
     co_await wg.wait();
     out[3] = full_seconds(eng.now(), tb);
   });

@@ -55,14 +55,10 @@ const char* op_name(Op op) {
 /// Run just the operator under test on a materialized input; return the
 /// stage time.
 double measure(Op op, wl::Mode mode, const wl::Testbed& tb) {
-  df::Engine engine(wl::make_engine_config(tb));
-  std::unique_ptr<core::GFlinkRuntime> runtime;
-  wl::ensure_kernels_registered();
-  if (mode == wl::Mode::Gpu) {
-    runtime = std::make_unique<core::GFlinkRuntime>(engine, wl::make_gpu_config(tb));
-  }
+  wl::Session session(tb, mode);
+  core::GFlinkRuntime* runtime = session.runtime();
   double seconds = 0.0;
-  engine.run([&](df::Engine& eng) -> Co<void> {
+  session.engine().run([&](df::Engine& eng) -> Co<void> {
     df::Job job(eng, "fig8b");
     co_await job.submit();
     const std::uint64_t n = static_cast<std::uint64_t>(80e6 * tb.scale);  // 80 M records
@@ -159,6 +155,7 @@ double measure(Op op, wl::Mode mode, const wl::Testbed& tb) {
     job.finish();
     if (runtime) runtime->release_job(job.id());
   });
+  report_case(session);
   return seconds;
 }
 

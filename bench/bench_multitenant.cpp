@@ -39,16 +39,15 @@ struct CaseResult {
 
 CaseResult run_case(const wl::Testbed& tb, const std::vector<TenantLoad>& loads,
                     gflink::sim::Time deadline) {
-  df::Engine engine(wl::make_engine_config(tb));
-  wl::ensure_kernels_registered();
-  core::GFlinkRuntime runtime(engine, wl::make_gpu_config(tb));
+  wl::Session session(tb, wl::Mode::Gpu);
+  df::Engine& engine = session.engine();
 
   svc::ServiceConfig scfg;
   scfg.max_pending = 64;
   // Two jobs run at a time: enough to keep both GPUs busy, few enough that
   // every tenant always has a pending backlog and DRR decides who is next.
   scfg.max_total_in_flight = 2;
-  svc::JobService service(engine, &runtime, scfg);
+  svc::JobService service(engine, session.runtime(), scfg);
   for (const auto& load : loads) service.add_tenant(load.config);
 
   // ~400 KB of points per job at testbed scale: the GPU map caches its
@@ -98,12 +97,7 @@ CaseResult run_case(const wl::Testbed& tb, const std::vector<TenantLoad>& loads,
   out.tenants = service.snapshot();
   out.fairness = service.fairness_json();
 
-  gflink::obs::RunReport& rep = bench_report();
-  rep.virtual_ns += engine.now();
-  engine.export_metrics(rep.metrics);
-  runtime.export_metrics(rep.metrics);
-  rep.tenants = service.fairness_json();
-  rep.metrics.inc("bench_cases_total");
+  report_case(session).tenants = service.fairness_json();
   return out;
 }
 

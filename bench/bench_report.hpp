@@ -1,8 +1,8 @@
 // Machine-readable reporting for bench binaries.
 //
 // Each bench binary accumulates one obs::RunReport across all of its cases
-// (run_workload in bench_common.hpp feeds it) and writes BENCH_<name>.json
-// on exit via GFLINK_BENCH_MAIN. The output directory is $GFLINK_BENCH_OUT
+// (report_case() in bench_common.hpp feeds it from each workloads::Session)
+// and writes BENCH_<name>.json on exit via GFLINK_BENCH_MAIN. The output directory is $GFLINK_BENCH_OUT
 // when set, else the current directory.
 #pragma once
 

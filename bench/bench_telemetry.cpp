@@ -56,7 +56,8 @@ ScenarioResult run_health_scenario() {
   // way the paper-figure benches do.
   wl::Testbed tb;
   tb.workers = 6;
-  df::Engine engine(wl::make_engine_config(tb));
+  wl::Session session(tb, wl::Mode::Cpu);
+  df::Engine& engine = session.engine();
 
   svc::ServiceConfig scfg;
   scfg.max_total_in_flight = 2;  // the burst must be able to monopolize
@@ -135,11 +136,7 @@ ScenarioResult run_health_scenario() {
   out.periods = plane.aggregator().periods();
   out.jobs_completed = service.completed();
   out.virtual_seconds = sim::to_seconds(engine.now());
-
-  gflink::obs::RunReport& rep = bench_report();
-  rep.virtual_ns += engine.now();
-  engine.export_metrics(rep.metrics);
-  rep.metrics.inc("bench_cases_total");
+  report_case(session);
   return out;
 }
 
@@ -198,9 +195,9 @@ BENCHMARK(Telemetry_HealthScenario)
 double run_pagerank(bool telemetry) {
   wl::Testbed tb;
   wl::pagerank::Config cfg;  // Fig. 5b default: 10 M pages, 5 iterations
-  df::Engine engine(wl::make_engine_config(tb));
-  wl::ensure_kernels_registered();
-  core::GFlinkRuntime runtime(engine, wl::make_gpu_config(tb));
+  wl::Session session(tb, wl::Mode::Gpu);
+  df::Engine& engine = session.engine();
+  core::GFlinkRuntime& runtime = *session.runtime();
 
   tel::TelemetryConfig tcfg;
   tcfg.period = sim::millis(1);
@@ -221,11 +218,7 @@ double run_pagerank(bool telemetry) {
     if (telemetry) plane.stop();
   });
 
-  gflink::obs::RunReport& rep = bench_report();
-  rep.virtual_ns += engine.now();
-  engine.export_metrics(rep.metrics);
-  runtime.export_metrics(rep.metrics);
-  rep.metrics.inc("bench_cases_total");
+  report_case(session);
   return sim::to_seconds(done_at);
 }
 

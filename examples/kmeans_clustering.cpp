@@ -12,28 +12,8 @@
 
 #include "workloads/kmeans.hpp"
 
-namespace df = gflink::dataflow;
-namespace core = gflink::core;
 namespace sim = gflink::sim;
 namespace wl = gflink::workloads;
-
-namespace {
-
-wl::kmeans::Result run(wl::Mode mode, const wl::Testbed& tb, const wl::kmeans::Config& cfg) {
-  df::Engine engine(wl::make_engine_config(tb));
-  std::unique_ptr<core::GFlinkRuntime> runtime;
-  if (mode == wl::Mode::Gpu) {
-    wl::ensure_kernels_registered();
-    runtime = std::make_unique<core::GFlinkRuntime>(engine, wl::make_gpu_config(tb));
-  }
-  wl::kmeans::Result result;
-  engine.run([&](df::Engine& eng) -> sim::Co<void> {
-    result = co_await wl::kmeans::run(eng, runtime.get(), tb, mode, cfg);
-  });
-  return result;
-}
-
-}  // namespace
 
 int main() {
   wl::Testbed tb;  // the paper's testbed: 10 slaves, 2x Tesla C2050 each
@@ -47,8 +27,8 @@ int main() {
   std::printf("testbed: %d slaves x (4 CPU cores + %d x %s), scale %.0e\n\n", tb.workers,
               tb.gpus_per_worker, tb.gpu_spec.name.c_str(), tb.scale);
 
-  auto cpu = run(wl::Mode::Cpu, tb, cfg);
-  auto gpu = run(wl::Mode::Gpu, tb, cfg);
+  auto cpu = wl::run(&wl::kmeans::run, tb, wl::Mode::Cpu, cfg);
+  auto gpu = wl::run(&wl::kmeans::run, tb, wl::Mode::Gpu, cfg);
 
   auto fs = [&](sim::Duration d) { return sim::to_seconds(d) / tb.scale; };
   std::printf("%-10s %12s %12s\n", "iteration", "Flink (s)", "GFlink (s)");

@@ -13,40 +13,20 @@
 
 #include "workloads/spmv.hpp"
 
-namespace df = gflink::dataflow;
-namespace core = gflink::core;
 namespace sim = gflink::sim;
 namespace wl = gflink::workloads;
-
-namespace {
-
-wl::spmv::Result run(wl::Mode mode, bool gpu_cache, const wl::Testbed& tb) {
-  wl::spmv::Config cfg;
-  cfg.matrix_bytes = 1ULL << 30;
-  cfg.iterations = 8;
-  cfg.gpu_cache = gpu_cache;
-  df::Engine engine(wl::make_engine_config(tb));
-  std::unique_ptr<core::GFlinkRuntime> runtime;
-  if (mode == wl::Mode::Gpu) {
-    wl::ensure_kernels_registered();
-    runtime = std::make_unique<core::GFlinkRuntime>(engine, wl::make_gpu_config(tb));
-  }
-  wl::spmv::Result result;
-  engine.run([&](df::Engine& eng) -> sim::Co<void> {
-    result = co_await wl::spmv::run(eng, runtime.get(), tb, mode, cfg);
-  });
-  return result;
-}
-
-}  // namespace
 
 int main() {
   wl::Testbed tb;
   tb.workers = 1;  // single machine: JobManager colocated with the worker
+  wl::spmv::Config cfg;
+  cfg.matrix_bytes = 1ULL << 30;
+  cfg.iterations = 8;
 
-  auto cpu = run(wl::Mode::Cpu, true, tb);
-  auto cached = run(wl::Mode::Gpu, true, tb);
-  auto uncached = run(wl::Mode::Gpu, false, tb);
+  auto cpu = wl::run(&wl::spmv::run, tb, wl::Mode::Cpu, cfg);
+  auto cached = wl::run(&wl::spmv::run, tb, wl::Mode::Gpu, cfg);
+  cfg.gpu_cache = false;
+  auto uncached = wl::run(&wl::spmv::run, tb, wl::Mode::Gpu, cfg);
 
   std::printf("SpMV, 1.0 GB matrix (%llu rows x %llu cols full-scale), single machine\n\n",
               static_cast<unsigned long long>(cpu.rows * 1000),

@@ -154,6 +154,34 @@ Worker& Engine::worker_state(int node_id) {
   return *workers_[static_cast<std::size_t>(node_id)];
 }
 
+obs::StrId Worker::tasks_lane(obs::SpanStore& spans) {
+  if (tasks_lane_.v == 0) tasks_lane_ = spans.intern("node" + std::to_string(node_id_) + "/tasks");
+  return tasks_lane_;
+}
+
+obs::StrId Worker::slots_lane(obs::SpanStore& spans) {
+  if (slots_lane_.v == 0) slots_lane_ = spans.intern("node" + std::to_string(node_id_) + "/slots");
+  return slots_lane_;
+}
+
+obs::SpanId Engine::open_task(obs::StrRef name, obs::SpanId parent, int node) {
+  obs::SpanStore& sp = cluster_.spans();
+  return sp.open(name, obs::SpanCategory::Control, parent, now(),
+                 worker_state(node).tasks_lane(sp), node);
+}
+
+sim::Co<Worker*> Engine::acquire_slot(int node, obs::SpanId task_span) {
+  Worker& w = worker_state(node);
+  const sim::Time slot_wait = now();
+  co_await w.slots().acquire();
+  if (now() > slot_wait) {
+    obs::SpanStore& sp = cluster_.spans();
+    sp.record("wait:slot", obs::SpanCategory::Wait, task_span, slot_wait, now(),
+              w.slots_lane(sp), node);
+  }
+  co_return &w;
+}
+
 void Engine::note_stage(const StageStat& stat) {
   obs::MetricsRegistry& m = cluster_.metrics();
   m.inc("engine.stages");
@@ -241,20 +269,12 @@ sim::Co<DataHandle> Engine::run_source(Job& job, const SourceSpec& source) {
                     obs::SpanId st_span, std::shared_ptr<std::vector<int>> fails,
                     sim::WaitGroup& join) -> sim::Co<void> {
         obs::SpanStore& sp = eng.cluster().spans();
-        const obs::SpanId task_span =
-            sp.open("task:source", obs::SpanCategory::Control, st_span, eng.now(),
-                    "node" + std::to_string(node) + "/tasks", node);
+        const obs::SpanId task_span = eng.open_task("task:source", st_span, node);
         try {
           if (!eng.worker_alive(node)) throw TaskFailed{node};
           co_await eng.cluster().message(0, node);
           co_await eng.sim().delay(eng.config().task_deploy_overhead);
-          Worker& w = eng.worker_state(node);
-          const sim::Time slot_wait = eng.now();
-          co_await w.slots().acquire();
-          if (eng.now() > slot_wait) {
-            sp.record("wait:slot", obs::SpanCategory::Wait, task_span, slot_wait, eng.now(),
-                      "node" + std::to_string(node) + "/slots", node);
-          }
+          Worker& w = *co_await eng.acquire_slot(node, task_span);
           try {
             // Read this partition's share of blocks (round-robin).
             if (fi != nullptr) {
@@ -351,23 +371,16 @@ mem::RecordBatch Engine::combine_by_key(const OpNode& reduce, const mem::RecordB
 sim::Co<void> Engine::stage_task(Job& job, const Stage& stage, int part_index,
                                  const MaterializedDataSet::Part& in, MaterializedDataSet& out,
                                  shuffle::ShuffleSession* exchange, int out_partitions,
-                                 StageStat& stat, obs::SpanId stage_span) {
+                                 StageStat& stat, obs::SpanId stage_span,
+                                 obs::StrId task_name) {
   const int worker = in.worker;
   obs::SpanStore& sp = cluster_.spans();
-  const obs::SpanId task_span =
-      sp.open("task:" + stat.name, obs::SpanCategory::Control, stage_span, now(),
-              "node" + std::to_string(worker) + "/tasks", worker);
+  const obs::SpanId task_span = open_task(task_name, stage_span, worker);
   try {
   if (!worker_alive(worker)) throw TaskFailed{worker};
   co_await cluster_.message(0, worker);  // task deployment RPC
   co_await sim_.delay(config_.task_deploy_overhead);
-  Worker& w = worker_state(worker);
-  const sim::Time slot_wait = now();
-  co_await w.slots().acquire();
-  if (now() > slot_wait) {
-    sp.record("wait:slot", obs::SpanCategory::Wait, task_span, slot_wait, now(),
-              "node" + std::to_string(worker) + "/slots", worker);
-  }
+  Worker& w = *co_await acquire_slot(worker, task_span);
 
   const std::uint64_t records_in = in.batch ? in.batch->count() : 0;
   stat.records_in += records_in;
@@ -455,17 +468,8 @@ sim::Co<void> Engine::stage_task(Job& job, const Stage& stage, int part_index,
 sim::Co<void> Engine::scatter_partition(const MaterializedDataSet::Part& part, const KeyFn& key,
                                         shuffle::ShuffleSession& session,
                                         obs::SpanId stage_span) {
-  obs::SpanStore& sp = cluster_.spans();
-  const obs::SpanId task_span =
-      sp.open("task:scatter", obs::SpanCategory::Control, stage_span, now(),
-              "node" + std::to_string(part.worker) + "/tasks", part.worker);
-  Worker& w = worker_state(part.worker);
-  const sim::Time slot_wait = now();
-  co_await w.slots().acquire();
-  if (now() > slot_wait) {
-    sp.record("wait:slot", obs::SpanCategory::Wait, task_span, slot_wait, now(),
-              "node" + std::to_string(part.worker) + "/slots", part.worker);
-  }
+  const obs::SpanId task_span = open_task("task:scatter", stage_span, part.worker);
+  Worker& w = *co_await acquire_slot(part.worker, task_span);
   std::vector<mem::RecordBatch> buckets =
       session.partition(*part.batch, &part.batch->desc(), key, nullptr);
   // Cost: key extraction + serialization-free bucketing per record.
@@ -474,7 +478,7 @@ sim::Co<void> Engine::scatter_partition(const MaterializedDataSet::Part& part, c
                           16.0, static_cast<double>(part.batch->desc().stride())));
   co_await session.send(part.worker, std::move(buckets));
   w.slots().release();
-  sp.close(task_span, now());
+  cluster_.spans().close(task_span, now());
 }
 
 sim::Co<DataHandle> Engine::run_stage(Job& job, const Stage& stage, DataHandle input) {
@@ -496,6 +500,7 @@ sim::Co<DataHandle> Engine::run_stage(Job& job, const Stage& stage, DataHandle i
   const obs::SpanId stage_span = cluster_.spans().open(
       "stage:" + stat.name, obs::SpanCategory::Control, job.span(), stat.begin, "master/stages",
       0);
+  const obs::StrId task_name = cluster_.spans().intern("task:" + stat.name);
 
   const int out_partitions = static_cast<int>(input->parts.size());
   auto out = std::make_shared<MaterializedDataSet>();
@@ -525,10 +530,10 @@ sim::Co<DataHandle> Engine::run_stage(Job& job, const Stage& stage, DataHandle i
       sim_.spawn([](Engine& eng, Job& jb, const Stage& st, int idx,
                     MaterializedDataSet::Part part_in, MaterializedDataSet& result,
                     shuffle::ShuffleSession* ex, int nparts, StageStat& ss, obs::SpanId st_span,
-                    std::shared_ptr<std::vector<int>> fails,
+                    obs::StrId tname, std::shared_ptr<std::vector<int>> fails,
                     sim::WaitGroup& join) -> sim::Co<void> {
         try {
-          co_await eng.stage_task(jb, st, idx, part_in, result, ex, nparts, ss, st_span);
+          co_await eng.stage_task(jb, st, idx, part_in, result, ex, nparts, ss, st_span, tname);
         } catch (const TaskFailed&) {
           ++eng.tasks_failed_;
           ++jb.stats().tasks_failed;
@@ -536,7 +541,7 @@ sim::Co<DataHandle> Engine::run_stage(Job& job, const Stage& stage, DataHandle i
         }
         join.done();
       }(*this, job, stage, index, part, *out, exchange.get(), out_partitions,
-        stat, stage_span, failed, wg));
+        stat, stage_span, task_name, failed, wg));
     }
     co_await wg.wait();
     pending.clear();
@@ -567,16 +572,8 @@ sim::Co<DataHandle> Engine::run_stage(Job& job, const Stage& stage, DataHandle i
                     obs::SpanId st_span, sim::WaitGroup& join) -> sim::Co<void> {
         const int node = eng.owner_of_partition(t_index);
         obs::SpanStore& sp = eng.cluster().spans();
-        const obs::SpanId task_span =
-            sp.open("task:merge", obs::SpanCategory::Control, st_span, eng.now(),
-                    "node" + std::to_string(node) + "/tasks", node);
-        Worker& w = eng.worker_state(node);
-        const sim::Time slot_wait = eng.now();
-        co_await w.slots().acquire();
-        if (eng.now() > slot_wait) {
-          sp.record("wait:slot", obs::SpanCategory::Wait, task_span, slot_wait, eng.now(),
-                    "node" + std::to_string(node) + "/slots", node);
-        }
+        const obs::SpanId task_span = eng.open_task("task:merge", st_span, node);
+        Worker& w = *co_await eng.acquire_slot(node, task_span);
         const OpNode* term = st.terminal;
         // Reads spilled deposits back from the DFS before merging.
         std::vector<mem::RecordBatch> deposited =
@@ -761,16 +758,8 @@ sim::Co<DataHandle> Engine::join(Job& job, const DataHandle& left, const DataHan
                   sim::WaitGroup& join) -> sim::Co<void> {
       const int node = eng.owner_of_partition(t_index);
       obs::SpanStore& sp = eng.cluster().spans();
-      const obs::SpanId task_span =
-          sp.open("task:join", obs::SpanCategory::Control, st_span, eng.now(),
-                  "node" + std::to_string(node) + "/tasks", node);
-      Worker& w = eng.worker_state(node);
-      const sim::Time slot_wait = eng.now();
-      co_await w.slots().acquire();
-      if (eng.now() > slot_wait) {
-        sp.record("wait:slot", obs::SpanCategory::Wait, task_span, slot_wait, eng.now(),
-                  "node" + std::to_string(node) + "/slots", node);
-      }
+      const obs::SpanId task_span = eng.open_task("task:join", st_span, node);
+      Worker& w = *co_await eng.acquire_slot(node, task_span);
       std::vector<mem::RecordBatch> lbs =
           co_await le.take(t_index, node, {task_span, obs::SpanCategory::Spill});
       std::vector<mem::RecordBatch> rbs =
@@ -876,16 +865,8 @@ sim::Co<DataHandle> Engine::co_group(Job& job, const DataHandle& left,
                   sim::WaitGroup& join) -> sim::Co<void> {
       const int node = eng.owner_of_partition(t_index);
       obs::SpanStore& sp = eng.cluster().spans();
-      const obs::SpanId task_span =
-          sp.open("task:cogroup", obs::SpanCategory::Control, st_span, eng.now(),
-                  "node" + std::to_string(node) + "/tasks", node);
-      Worker& w = eng.worker_state(node);
-      const sim::Time slot_wait = eng.now();
-      co_await w.slots().acquire();
-      if (eng.now() > slot_wait) {
-        sp.record("wait:slot", obs::SpanCategory::Wait, task_span, slot_wait, eng.now(),
-                  "node" + std::to_string(node) + "/slots", node);
-      }
+      const obs::SpanId task_span = eng.open_task("task:cogroup", st_span, node);
+      Worker& w = *co_await eng.acquire_slot(node, task_span);
       std::vector<mem::RecordBatch> lbs =
           co_await le.take(t_index, node, {task_span, obs::SpanCategory::Spill});
       std::vector<mem::RecordBatch> rbs =

@@ -131,11 +131,17 @@ class Worker {
   void* extension() const { return extension_; }
   void set_extension(void* ext) { extension_ = ext; }
 
+  /// This worker's task and slot-wait lanes, interned into `spans` on first use.
+  obs::StrId tasks_lane(obs::SpanStore& spans);
+  obs::StrId slots_lane(obs::SpanStore& spans);
+
  private:
   int node_id_;
   sim::Semaphore slots_;
   mem::MemoryManager memory_;
   void* extension_ = nullptr;
+  obs::StrId tasks_lane_;
+  obs::StrId slots_lane_;
 };
 
 /// What a running task sees: its worker, the engine services, and the
@@ -317,13 +323,20 @@ class Engine {
   sim::Co<DataHandle> run_source(Job& job, const SourceSpec& source);
   sim::Co<DataHandle> run_stage(Job& job, const Stage& stage, DataHandle input);
 
-  // One stage task over one partition. If the stage ends in a shuffle, the
-  // task's buckets are sent through `exchange`; else it writes its output
-  // part directly.
+  // One stage task over one partition, its span named `task_name`. If the
+  // stage ends in a shuffle, the task's buckets are sent through `exchange`;
+  // else it writes its output part directly.
   sim::Co<void> stage_task(Job& job, const Stage& stage, int part_index,
                            const MaterializedDataSet::Part& in,
                            MaterializedDataSet& out, shuffle::ShuffleSession* exchange,
-                           int out_partitions, StageStat& stat, obs::SpanId stage_span);
+                           int out_partitions, StageStat& stat, obs::SpanId stage_span,
+                           obs::StrId task_name);
+
+  // The prologue every task shares: open its span on the worker's tasks
+  // lane, then (after any deployment steps) take a slot on that worker,
+  // recording the wait, if any, on its slots lane.
+  obs::SpanId open_task(obs::StrRef name, obs::SpanId parent, int node);
+  sim::Co<Worker*> acquire_slot(int node, obs::SpanId task_span);
 
   // Apply the record-op chain; returns the resulting batch and charges CPU.
   sim::Co<std::shared_ptr<mem::RecordBatch>> apply_record_ops(

@@ -3,6 +3,7 @@
 #include <cstring>
 #include <unordered_map>
 
+#include "obs/run_report.hpp"
 #include "workloads/records.hpp"
 
 namespace gflink::workloads {
@@ -108,6 +109,25 @@ core::GpuManagerConfig make_gpu_config(const Testbed& tb) {
   cfg.stub_overheads.free_cost = scaled(sim::micros(40), s);
   cfg.stub_overheads.host_register_cost_per_mb = scaled(sim::micros(200), s);
   return cfg;
+}
+
+Session::Session(const Testbed& tb, Mode mode)
+    : Session(tb, mode, make_engine_config(tb),
+              mode == Mode::Gpu ? make_gpu_config(tb) : core::GpuManagerConfig{}) {}
+
+Session::Session(const Testbed& tb, Mode mode, const df::EngineConfig& engine_config,
+                 const core::GpuManagerConfig& gpu_config)
+    : tb_(tb), mode_(mode), engine_(engine_config) {
+  if (mode == Mode::Gpu) {
+    ensure_kernels_registered();
+    runtime_ = std::make_unique<core::GFlinkRuntime>(engine_, gpu_config);
+  }
+}
+
+void Session::report_into(obs::RunReport& report) const {
+  report.virtual_ns += engine_.now();
+  engine_.export_metrics(report.metrics);
+  if (runtime_) runtime_->export_metrics(report.metrics);
 }
 
 namespace {

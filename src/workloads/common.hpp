@@ -1,5 +1,6 @@
-// Shared benchmark scaffolding: the scaled testbed model, calibration
-// constants, and the per-run result record.
+// Shared workload scaffolding: the scaled testbed model, calibration
+// constants, the per-run result record, and the run harness (Session)
+// that turns a testbed into a running engine plus GPU runtime.
 //
 // ## The scaling model
 //
@@ -25,9 +26,15 @@
 // paper's Table 2 (2.97 GB/s plateau, ~1.8 us setup, ~0.2 us JNI).
 #pragma once
 
+#include <memory>
+
 #include "core/gpu_manager.hpp"
 #include "dataflow/dataset.hpp"
 #include "dataflow/engine.hpp"
+
+namespace gflink::obs {
+struct RunReport;
+}  // namespace gflink::obs
 
 namespace gflink::workloads {
 
@@ -107,5 +114,67 @@ struct RunResult {
 enum class Mode : std::uint8_t { Cpu, Gpu };
 
 inline const char* mode_name(Mode m) { return m == Mode::Cpu ? "CPU" : "GFlink"; }
+
+/// A workload driver: every workload's `run` has this shape.
+template <typename ConfigT, typename ResultT>
+using Driver = sim::Co<ResultT> (*)(df::Engine&, core::GFlinkRuntime*, const Testbed&, Mode,
+                                    const ConfigT&);
+
+/// One run on a testbed: the dataflow engine (stock Flink) and, in GFlink
+/// mode, the GPU runtime attached to it. The runtime is declared after the
+/// engine so it is torn down first.
+class Session {
+ public:
+  Session(const Testbed& tb, Mode mode);
+  /// Explicit configs, for ablations that edit what the testbed derives.
+  /// `gpu_config` is used in GFlink mode only.
+  Session(const Testbed& tb, Mode mode, const df::EngineConfig& engine_config,
+          const core::GpuManagerConfig& gpu_config);
+  Session(const Session&) = delete;
+  Session& operator=(const Session&) = delete;
+
+  df::Engine& engine() { return engine_; }
+  /// Null in CPU mode.
+  core::GFlinkRuntime* runtime() { return runtime_.get(); }
+
+  /// Drive one workload to completion on the virtual clock.
+  template <typename ConfigT, typename ResultT>
+  ResultT run(Driver<ConfigT, ResultT> driver, const ConfigT& config) {
+    ResultT result{};
+    engine_.run([&](df::Engine& eng) {
+      return drive(driver, eng, runtime_.get(), tb_, mode_, config, result);
+    });
+    return result;
+  }
+
+  /// Add this run to `report`: its virtual time and the engine's and
+  /// runtime's metrics (counters add up; gauges keep the last run).
+  void report_into(obs::RunReport& report) const;
+
+ private:
+  // The root coroutine of run(). Every reference outlives it: Engine::run
+  // returns only once the simulation has drained.
+  // NOLINTBEGIN(cppcoreguidelines-avoid-reference-coroutine-parameters)
+  template <typename ConfigT, typename ResultT>
+  static sim::Co<void> drive(Driver<ConfigT, ResultT> driver, df::Engine& engine,
+                             core::GFlinkRuntime* runtime, const Testbed& tb, Mode mode,
+                             const ConfigT& config, ResultT& result) {
+    result = co_await driver(engine, runtime, tb, mode, config);
+  }
+  // NOLINTEND(cppcoreguidelines-avoid-reference-coroutine-parameters)
+
+  Testbed tb_;
+  Mode mode_;
+  df::Engine engine_;
+  std::unique_ptr<core::GFlinkRuntime> runtime_;
+};
+
+/// Run one workload on a fresh session.
+template <typename ConfigT, typename ResultT>
+ResultT run(Driver<ConfigT, ResultT> driver, const Testbed& tb, Mode mode,
+            const ConfigT& config) {
+  Session session(tb, mode);
+  return session.run(driver, config);
+}
 
 }  // namespace gflink::workloads

@@ -17,7 +17,6 @@
 namespace sim = gflink::sim;
 namespace mem = gflink::mem;
 namespace df = gflink::dataflow;
-namespace core = gflink::core;
 namespace wl = gflink::workloads;
 using df::DataSet;
 using df::Engine;
@@ -205,16 +204,13 @@ TEST(Fault, IterativeWorkloadRecoversWithSameChecksum) {
   cfg.write_output = false;
 
   auto run_with_failure = [&](bool fail) {
-    df::Engine engine(wl::make_engine_config(tb));
+    wl::Session session(tb, wl::Mode::Cpu);
     if (fail) {
       // Kill worker 2 mid-run (between iterations 1 and 2 in virtual time).
-      engine.schedule_worker_failure(2, sim::millis(10));
+      session.engine().schedule_worker_failure(2, sim::millis(10));
     }
-    wl::kmeans::Result r;
-    engine.run([&](df::Engine& eng) -> Co<void> {
-      r = co_await wl::kmeans::run(eng, nullptr, tb, wl::Mode::Cpu, cfg);
-    });
-    return std::pair<double, std::uint64_t>(r.run.checksum, engine.tasks_retried());
+    const double checksum = session.run(&wl::kmeans::run, cfg).run.checksum;
+    return std::pair<double, std::uint64_t>(checksum, session.engine().tasks_retried());
   };
   auto [checksum_ok, retried_ok] = run_with_failure(false);
   auto [checksum_f, retried_f] = run_with_failure(true);
@@ -231,11 +227,9 @@ TEST(Fault, CheckpointsWriteReplicatedSnapshots) {
   cfg.iterations = 6;
   cfg.checkpoint_interval = 2;
   cfg.write_output = false;
-  df::Engine engine(wl::make_engine_config(tb));
-  wl::kmeans::Result r;
-  engine.run([&](df::Engine& eng) -> Co<void> {
-    r = co_await wl::kmeans::run(eng, nullptr, tb, wl::Mode::Cpu, cfg);
-  });
+  wl::Session session(tb, wl::Mode::Cpu);
+  const wl::kmeans::Result r = session.run(&wl::kmeans::run, cfg);
+  df::Engine& engine = session.engine();
   EXPECT_DOUBLE_EQ(engine.cluster().metrics().counter("fault.checkpoints"), 3.0);
   // Checkpoint paths are keyed by "<name>-<job id>" so concurrent jobs
   // running the same program cannot clobber each other's snapshots.

@@ -11,35 +11,16 @@
 #include "workloads/wordcount.hpp"
 
 namespace sim = gflink::sim;
-namespace df = gflink::dataflow;
-namespace core = gflink::core;
 namespace wl = gflink::workloads;
-using sim::Co;
 
 namespace {
 
 /// Full paper testbed, quarter-scale data so each run is a few ms real.
 template <typename ConfigT, typename ResultT>
-double speedup(sim::Co<ResultT> (*driver)(df::Engine&, core::GFlinkRuntime*, const wl::Testbed&,
-                                          wl::Mode, const ConfigT&),
-               const ConfigT& config) {
-  wl::Testbed tb;  // 10 workers x 2 C2050, scale 1e-3
-  double seconds[2] = {0, 0};
-  for (int m = 0; m < 2; ++m) {
-    const auto mode = m == 0 ? wl::Mode::Cpu : wl::Mode::Gpu;
-    df::Engine engine(wl::make_engine_config(tb));
-    std::unique_ptr<core::GFlinkRuntime> runtime;
-    if (mode == wl::Mode::Gpu) {
-      wl::ensure_kernels_registered();
-      runtime = std::make_unique<core::GFlinkRuntime>(engine, wl::make_gpu_config(tb));
-    }
-    ResultT result{};
-    engine.run([&](df::Engine& eng) -> Co<void> {
-      result = co_await driver(eng, runtime.get(), tb, mode, config);
-    });
-    seconds[m] = sim::to_seconds(result.run.total);
-  }
-  return seconds[0] / seconds[1];
+double speedup(wl::Driver<ConfigT, ResultT> driver, const ConfigT& config) {
+  const wl::Testbed tb;  // 10 workers x 2 C2050, scale 1e-3
+  return sim::to_seconds(wl::run(driver, tb, wl::Mode::Cpu, config).run.total) /
+         sim::to_seconds(wl::run(driver, tb, wl::Mode::Gpu, config).run.total);
 }
 
 }  // namespace

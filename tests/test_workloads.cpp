@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "obs/run_report.hpp"
 #include "workloads/concomp.hpp"
 #include "workloads/kmeans.hpp"
 #include "workloads/linreg.hpp"
@@ -13,10 +14,8 @@
 #include "workloads/wordcount.hpp"
 
 namespace sim = gflink::sim;
-namespace df = gflink::dataflow;
-namespace core = gflink::core;
+namespace obs = gflink::obs;
 namespace wl = gflink::workloads;
-using sim::Co;
 using wl::Mode;
 using wl::Testbed;
 
@@ -30,25 +29,53 @@ Testbed small_testbed() {
   return tb;
 }
 
-/// Run a workload driver in a freshly built engine (+ runtime in GPU mode).
-template <typename ConfigT, typename ResultT>
-ResultT run_workload(sim::Co<ResultT> (*driver)(df::Engine&, core::GFlinkRuntime*,
-                                                const Testbed&, Mode, const ConfigT&),
-                     const Testbed& tb, Mode mode, const ConfigT& config) {
-  df::Engine engine(wl::make_engine_config(tb));
-  std::unique_ptr<core::GFlinkRuntime> runtime;
-  if (mode == Mode::Gpu) {
-    wl::ensure_kernels_registered();
-    runtime = std::make_unique<core::GFlinkRuntime>(engine, wl::make_gpu_config(tb));
-  }
-  ResultT result{};
-  engine.run([&](df::Engine& eng) -> Co<void> {
-    result = co_await driver(eng, runtime.get(), tb, mode, config);
-  });
-  return result;
+/// Series of the GPU runtime's metric families (gpu_*, gstream_*).
+std::size_t runtime_series(const obs::MetricsRegistry& m) {
+  std::size_t n = 0;
+  auto add = [&n](const auto& series) {
+    for (const auto& [id, v] : series) {
+      n += id.name.rfind("gpu_", 0) == 0 || id.name.rfind("gstream_", 0) == 0 ? 1 : 0;
+    }
+  };
+  add(m.counters());
+  add(m.gauges());
+  add(m.histograms());
+  return n;
 }
 
 }  // namespace
+
+// ---- Session ----------------------------------------------------------------
+
+TEST(Session, GflinkModeAttachesTheRuntime) {
+  wl::Session cpu(small_testbed(), Mode::Cpu);
+  wl::Session gpu(small_testbed(), Mode::Gpu);
+  EXPECT_EQ(cpu.runtime(), nullptr);
+  EXPECT_NE(gpu.runtime(), nullptr);
+}
+
+TEST(Session, ReportIntoSumsVirtualTimeAndKeepsRuntimeMetricsToGflink) {
+  wl::Session cpu(small_testbed(), Mode::Cpu);
+  wl::Session gpu(small_testbed(), Mode::Gpu);
+  wl::pointadd::Config cfg;
+  cfg.points = 1'000'000;
+  const auto a = cpu.run(&wl::pointadd::run, cfg);
+  const auto b = gpu.run(&wl::pointadd::run, cfg);
+  EXPECT_EQ(a.run.checksum, b.run.checksum);
+  ASSERT_GT(cpu.engine().now(), 0);
+  ASSERT_GT(gpu.engine().now(), 0);
+
+  obs::RunReport cpu_only;
+  cpu.report_into(cpu_only);
+  EXPECT_EQ(cpu_only.virtual_ns, cpu.engine().now());
+  EXPECT_EQ(runtime_series(cpu_only.metrics), 0u);
+
+  obs::RunReport both;
+  cpu.report_into(both);
+  gpu.report_into(both);
+  EXPECT_EQ(both.virtual_ns, cpu.engine().now() + gpu.engine().now());
+  EXPECT_GT(runtime_series(both.metrics), 0u);
+}
 
 // ---- KMeans -----------------------------------------------------------------
 
@@ -58,8 +85,8 @@ TEST(KMeans, CpuAndGpuCentersAgree) {
   cfg.points = 4'000'000;  // 4000 scaled
   cfg.iterations = 3;
   cfg.write_output = false;
-  auto cpu = run_workload(&wl::kmeans::run, tb, Mode::Cpu, cfg);
-  auto gpu = run_workload(&wl::kmeans::run, tb, Mode::Gpu, cfg);
+  auto cpu = wl::run(&wl::kmeans::run, tb, Mode::Cpu, cfg);
+  auto gpu = wl::run(&wl::kmeans::run, tb, Mode::Gpu, cfg);
   ASSERT_EQ(cpu.centers.size(), gpu.centers.size());
   for (std::size_t c = 0; c < cpu.centers.size(); ++c) {
     for (int j = 0; j < wl::kDim; ++j) {
@@ -75,7 +102,7 @@ TEST(KMeans, CentersConvergeTowardGroundTruth) {
   cfg.points = 8'000'000;
   cfg.iterations = 6;
   cfg.write_output = false;
-  auto result = run_workload(&wl::kmeans::run, tb, Mode::Cpu, cfg);
+  auto result = wl::run(&wl::kmeans::run, tb, Mode::Cpu, cfg);
   // Ground-truth centers sit near (20c, 20c+eps, ...) per cluster c; after
   // convergence every recovered center must be close to one truth cluster.
   for (const auto& center : result.centers) {
@@ -98,7 +125,7 @@ TEST(KMeans, IterationTimesShapeFirstHighMiddleLow) {
   cfg.points = 20'000'000;
   cfg.iterations = 5;
   cfg.write_output = true;
-  auto result = run_workload(&wl::kmeans::run, tb, Mode::Gpu, cfg);
+  auto result = wl::run(&wl::kmeans::run, tb, Mode::Gpu, cfg);
   ASSERT_EQ(result.run.iterations.size(), 5u);
   // First iteration reads the input: clearly slower than the second.
   EXPECT_GT(result.run.iterations[0], 2 * result.run.iterations[1]);
@@ -107,18 +134,13 @@ TEST(KMeans, IterationTimesShapeFirstHighMiddleLow) {
 }
 
 TEST(KMeans, GpuCacheHitsAfterFirstIteration) {
-  auto tb = small_testbed();
-  df::Engine engine(wl::make_engine_config(tb));
-  wl::ensure_kernels_registered();
-  core::GFlinkRuntime runtime(engine, wl::make_gpu_config(tb));
+  wl::Session session(small_testbed(), Mode::Gpu);
   wl::kmeans::Config cfg;
   cfg.points = 4'000'000;
   cfg.iterations = 3;
   cfg.write_output = false;
-  engine.run([&](df::Engine& eng) -> Co<void> {
-    (void)co_await wl::kmeans::run(eng, &runtime, tb, Mode::Gpu, cfg);
-  });
-  EXPECT_GT(runtime.total_cache_hits(), 0u);
+  (void)session.run(&wl::kmeans::run, cfg);
+  EXPECT_GT(session.runtime()->total_cache_hits(), 0u);
 }
 
 // ---- LinearRegression ---------------------------------------------------------
@@ -129,8 +151,8 @@ TEST(LinReg, CpuAndGpuWeightsAgree) {
   cfg.samples = 4'000'000;
   cfg.iterations = 3;
   cfg.write_output = false;
-  auto cpu = run_workload(&wl::linreg::run, tb, Mode::Cpu, cfg);
-  auto gpu = run_workload(&wl::linreg::run, tb, Mode::Gpu, cfg);
+  auto cpu = wl::run(&wl::linreg::run, tb, Mode::Cpu, cfg);
+  auto gpu = wl::run(&wl::linreg::run, tb, Mode::Gpu, cfg);
   ASSERT_EQ(cpu.weights.size(), gpu.weights.size());
   for (std::size_t j = 0; j < cpu.weights.size(); ++j) {
     EXPECT_NEAR(cpu.weights[j], gpu.weights[j], 1e-9) << "weight " << j;
@@ -147,7 +169,7 @@ TEST(LinReg, LossDecreasesOverIterations) {
   // ground truth (w_j = (j+1)*0.25, bias 3.0) shrinks with more epochs.
   auto distance = [&](int iters) {
     cfg.iterations = iters;
-    auto r = run_workload(&wl::linreg::run, tb, Mode::Cpu, cfg);
+    auto r = wl::run(&wl::linreg::run, tb, Mode::Cpu, cfg);
     double d = 0;
     for (int j = 0; j < wl::kDim; ++j) {
       const double e = r.weights[static_cast<std::size_t>(j)] - (j + 1) * 0.25;
@@ -167,8 +189,8 @@ TEST(Spmv, CpuAndGpuChecksumsAgree) {
   cfg.matrix_bytes = 64ULL << 20;  // 64 KB scaled
   cfg.iterations = 3;
   cfg.write_output = false;
-  auto cpu = run_workload(&wl::spmv::run, tb, Mode::Cpu, cfg);
-  auto gpu = run_workload(&wl::spmv::run, tb, Mode::Gpu, cfg);
+  auto cpu = wl::run(&wl::spmv::run, tb, Mode::Cpu, cfg);
+  auto gpu = wl::run(&wl::spmv::run, tb, Mode::Gpu, cfg);
   EXPECT_EQ(cpu.rows, gpu.rows);
   EXPECT_NEAR(cpu.run.checksum, gpu.run.checksum, 1e-3);
 }
@@ -178,22 +200,16 @@ TEST(Spmv, MatrixCachedAfterFirstIteration) {
   // matrix far larger than the vector.
   auto tb = small_testbed();
   tb.workers = 1;
-  df::Engine engine(wl::make_engine_config(tb));
-  wl::ensure_kernels_registered();
-  core::GFlinkRuntime runtime(engine, wl::make_gpu_config(tb));
+  wl::Session session(tb, Mode::Gpu);
   wl::spmv::Config cfg;
   cfg.matrix_bytes = 1ULL << 30;  // the paper's 1.0 GB matrix
   cfg.iterations = 4;
   cfg.write_output = false;
-  std::vector<sim::Duration> iters;
-  engine.run([&](df::Engine& eng) -> Co<void> {
-    auto r = co_await wl::spmv::run(eng, &runtime, tb, Mode::Gpu, cfg);
-    iters = r.run.iterations;
-  });
+  const std::vector<sim::Duration> iters = session.run(&wl::spmv::run, cfg).run.iterations;
   ASSERT_EQ(iters.size(), 4u);
   // Iterations after the first run much faster (matrix cached, no DFS).
   EXPECT_GT(iters[0], 3 * iters[1]);
-  EXPECT_GT(runtime.total_cache_hits(), 0u);
+  EXPECT_GT(session.runtime()->total_cache_hits(), 0u);
 }
 
 // ---- PageRank -------------------------------------------------------------------
@@ -204,8 +220,8 @@ TEST(PageRank, CpuAndGpuRanksAgree) {
   cfg.pages = 2'000'000;
   cfg.iterations = 3;
   cfg.write_output = false;
-  auto cpu = run_workload(&wl::pagerank::run, tb, Mode::Cpu, cfg);
-  auto gpu = run_workload(&wl::pagerank::run, tb, Mode::Gpu, cfg);
+  auto cpu = wl::run(&wl::pagerank::run, tb, Mode::Cpu, cfg);
+  auto gpu = wl::run(&wl::pagerank::run, tb, Mode::Gpu, cfg);
   ASSERT_EQ(cpu.ranks.size(), gpu.ranks.size());
   for (std::size_t i = 0; i < cpu.ranks.size(); ++i) {
     // f32 contributions are summed in different orders by the two paths
@@ -220,7 +236,7 @@ TEST(PageRank, RanksFormADistribution) {
   cfg.pages = 2'000'000;
   cfg.iterations = 5;
   cfg.write_output = false;
-  auto r = run_workload(&wl::pagerank::run, tb, Mode::Cpu, cfg);
+  auto r = wl::run(&wl::pagerank::run, tb, Mode::Cpu, cfg);
   for (double rank : r.ranks) {
     EXPECT_GT(rank, 0.0);
     EXPECT_LT(rank, 1.0);
@@ -233,7 +249,7 @@ TEST(PageRank, ShuffleDominatesNetwork) {
   cfg.pages = 2'000'000;
   cfg.iterations = 3;
   cfg.write_output = false;
-  auto r = run_workload(&wl::pagerank::run, tb, Mode::Cpu, cfg);
+  auto r = wl::run(&wl::pagerank::run, tb, Mode::Cpu, cfg);
   EXPECT_GT(r.run.stats.shuffle_bytes, 0u);
 }
 
@@ -246,7 +262,7 @@ TEST(ConComp, LabelsConvergeToComponents) {
   cfg.components = 16;
   cfg.iterations = 8;
   cfg.write_output = false;
-  auto r = run_workload(&wl::concomp::run, tb, Mode::Cpu, cfg);
+  auto r = wl::run(&wl::concomp::run, tb, Mode::Cpu, cfg);
   EXPECT_EQ(r.distinct_labels, 16u);
 }
 
@@ -257,8 +273,8 @@ TEST(ConComp, CpuAndGpuAgree) {
   cfg.components = 8;
   cfg.iterations = 4;
   cfg.write_output = false;
-  auto cpu = run_workload(&wl::concomp::run, tb, Mode::Cpu, cfg);
-  auto gpu = run_workload(&wl::concomp::run, tb, Mode::Gpu, cfg);
+  auto cpu = wl::run(&wl::concomp::run, tb, Mode::Cpu, cfg);
+  auto gpu = wl::run(&wl::concomp::run, tb, Mode::Gpu, cfg);
   EXPECT_EQ(cpu.distinct_labels, gpu.distinct_labels);
   EXPECT_EQ(cpu.run.checksum, gpu.run.checksum);
 }
@@ -270,8 +286,8 @@ TEST(WordCount, CpuAndGpuCountsAgree) {
   wl::wordcount::Config cfg;
   cfg.text_bytes = 64ULL << 20;  // 64 KB scaled
   cfg.write_output = false;
-  auto cpu = run_workload(&wl::wordcount::run, tb, Mode::Cpu, cfg);
-  auto gpu = run_workload(&wl::wordcount::run, tb, Mode::Gpu, cfg);
+  auto cpu = wl::run(&wl::wordcount::run, tb, Mode::Cpu, cfg);
+  auto gpu = wl::run(&wl::wordcount::run, tb, Mode::Gpu, cfg);
   EXPECT_EQ(cpu.total_words, gpu.total_words);
   EXPECT_EQ(cpu.distinct_words, gpu.distinct_words);
 }
@@ -281,7 +297,7 @@ TEST(WordCount, CountsEveryGeneratedWord) {
   wl::wordcount::Config cfg;
   cfg.text_bytes = 64ULL << 20;
   cfg.write_output = false;
-  auto r = run_workload(&wl::wordcount::run, tb, Mode::Cpu, cfg);
+  auto r = wl::run(&wl::wordcount::run, tb, Mode::Cpu, cfg);
   const auto bytes = static_cast<std::uint64_t>(static_cast<double>(cfg.text_bytes) * tb.scale);
   EXPECT_EQ(r.total_words, static_cast<std::uint64_t>(bytes / cfg.bytes_per_word));
   EXPECT_GT(r.distinct_words, 100u);
@@ -292,7 +308,7 @@ TEST(WordCount, ZipfSkewsCounts) {
   wl::wordcount::Config cfg;
   cfg.text_bytes = 64ULL << 20;
   cfg.write_output = false;
-  auto r = run_workload(&wl::wordcount::run, tb, Mode::Cpu, cfg);
+  auto r = wl::run(&wl::wordcount::run, tb, Mode::Cpu, cfg);
   // With Zipf(1.0), the vocabulary is far from exhausted uniformly.
   EXPECT_LT(r.distinct_words, cfg.vocabulary);
 }
@@ -303,8 +319,8 @@ TEST(PointAdd, CpuAndGpuAgree) {
   auto tb = small_testbed();
   wl::pointadd::Config cfg;
   cfg.points = 2'000'000;
-  auto cpu = run_workload(&wl::pointadd::run, tb, Mode::Cpu, cfg);
-  auto gpu = run_workload(&wl::pointadd::run, tb, Mode::Gpu, cfg);
+  auto cpu = wl::run(&wl::pointadd::run, tb, Mode::Cpu, cfg);
+  auto gpu = wl::run(&wl::pointadd::run, tb, Mode::Gpu, cfg);
   EXPECT_EQ(cpu.run.checksum, gpu.run.checksum);
 }
 
@@ -329,8 +345,8 @@ TEST(Workloads, RunsAreDeterministic) {
   cfg.points = 2'000'000;
   cfg.iterations = 2;
   cfg.write_output = false;
-  auto a = run_workload(&wl::kmeans::run, tb, Mode::Gpu, cfg);
-  auto b = run_workload(&wl::kmeans::run, tb, Mode::Gpu, cfg);
+  auto a = wl::run(&wl::kmeans::run, tb, Mode::Gpu, cfg);
+  auto b = wl::run(&wl::kmeans::run, tb, Mode::Gpu, cfg);
   EXPECT_EQ(a.run.total, b.run.total);
   EXPECT_EQ(a.run.checksum, b.run.checksum);
 }
@@ -345,8 +361,8 @@ TEST_P(SpeedupProperty, KmeansGpuBeatsCpu) {
   cfg.points = GetParam();
   cfg.iterations = 4;
   cfg.write_output = false;
-  auto cpu = run_workload(&wl::kmeans::run, tb, Mode::Cpu, cfg);
-  auto gpu = run_workload(&wl::kmeans::run, tb, Mode::Gpu, cfg);
+  auto cpu = wl::run(&wl::kmeans::run, tb, Mode::Cpu, cfg);
+  auto gpu = wl::run(&wl::kmeans::run, tb, Mode::Gpu, cfg);
   EXPECT_LT(gpu.run.total, cpu.run.total)
       << "points=" << cfg.points << " cpu=" << sim::format_duration(cpu.run.total)
       << " gpu=" << sim::format_duration(gpu.run.total);

@@ -10,9 +10,12 @@
 //
 // Sizes are full-scale units per workload: millions of records (kmeans,
 // linreg, pagerank, concomp, pointadd) or GB (spmv, wordcount).
+#include <cerrno>
 #include <chrono>
+#include <climits>
+#include <cmath>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
 #include <string>
 
@@ -114,6 +117,31 @@ void print_usage() {
       "                           detector (0 = detector off)\n");
 }
 
+// A numeric flag value must be the whole argument and in range ("abc", "4x"
+// and 0 workers are all errors naming the flag): an integer >= 1 when
+// `integer`, else a number > 0.
+bool number_flag(const std::string& flag, const char* v, bool integer, double* out) {
+  if (v == nullptr) return false;
+  char* end = nullptr;
+  errno = 0;
+  const double x = integer ? static_cast<double>(std::strtol(v, &end, 10)) : std::strtod(v, &end);
+  if (end == v || *end != '\0' || errno != 0 ||
+      !(integer ? x >= 1 && x <= INT_MAX : x > 0 && std::isfinite(x))) {
+    std::fprintf(stderr, "invalid value for %s: '%s' (want %s)\n", flag.c_str(), v,
+                 integer ? "an integer >= 1" : "a number > 0");
+    return false;
+  }
+  *out = x;
+  return true;
+}
+
+bool count_flag(const std::string& flag, const char* v, int* out) {
+  double x = 0;
+  if (!number_flag(flag, v, true, &x)) return false;
+  *out = static_cast<int>(x);
+  return true;
+}
+
 bool parse(int argc, char** argv, Options& opt) {
   if (argc < 2) return false;
   opt.workload = argv[1];
@@ -130,77 +158,65 @@ bool parse(int argc, char** argv, Options& opt) {
       }
       return argv[++i];
     };
+    auto text = [&](std::string& out) {
+      const char* v = value();
+      if (v != nullptr) out = v;
+      return v != nullptr;
+    };
     if (arg == "--mode") {
-      const char* v = value();
-      if (!v) return false;
-      opt.mode = v;
+      if (!text(opt.mode)) return false;
     } else if (arg == "--workers") {
-      const char* v = value();
-      if (!v) return false;
-      opt.testbed.workers = std::atoi(v);
+      if (!count_flag(arg, value(), &opt.testbed.workers)) return false;
     } else if (arg == "--gpus") {
-      const char* v = value();
-      if (!v) return false;
-      opt.testbed.gpus_per_worker = std::atoi(v);
+      if (!count_flag(arg, value(), &opt.testbed.gpus_per_worker)) return false;
     } else if (arg == "--gpu") {
-      const char* v = value();
-      if (!v) return false;
-      const std::string model = v;
+      std::string model;
+      if (!text(model)) return false;
       if (model == "c2050") opt.testbed.gpu_spec = gflink::gpu::DeviceSpec::c2050();
       else if (model == "gtx750") opt.testbed.gpu_spec = gflink::gpu::DeviceSpec::gtx750();
       else if (model == "k20") opt.testbed.gpu_spec = gflink::gpu::DeviceSpec::k20();
       else if (model == "p100") opt.testbed.gpu_spec = gflink::gpu::DeviceSpec::p100();
       else {
-        std::fprintf(stderr, "unknown GPU model: %s\n", v);
+        std::fprintf(stderr, "unknown GPU model: %s\n", model.c_str());
         return false;
       }
     } else if (arg == "--size") {
-      const char* v = value();
-      if (!v) return false;
-      opt.size = std::atof(v);
+      if (!number_flag(arg, value(), false, &opt.size)) return false;
     } else if (arg == "--iterations") {
-      const char* v = value();
-      if (!v) return false;
-      opt.iterations = std::atoi(v);
+      if (!count_flag(arg, value(), &opt.iterations)) return false;
     } else if (arg == "--scale") {
-      const char* v = value();
-      if (!v) return false;
-      opt.testbed.scale = std::atof(v);
+      if (!number_flag(arg, value(), false, &opt.testbed.scale)) return false;
     } else if (arg == "--streams") {
-      const char* v = value();
-      if (!v) return false;
-      opt.testbed.streams_per_gpu = std::atoi(v);
+      if (!count_flag(arg, value(), &opt.testbed.streams_per_gpu)) return false;
     } else if (arg == "--scheduling") {
-      const char* v = value();
-      if (!v) return false;
-      const std::string p = v;
+      std::string p;
+      if (!text(p)) return false;
       if (p == "locality") opt.testbed.scheduling = core::SchedulingPolicy::LocalityAware;
       else if (p == "roundrobin") opt.testbed.scheduling = core::SchedulingPolicy::RoundRobin;
       else if (p == "random") opt.testbed.scheduling = core::SchedulingPolicy::Random;
       else {
-        std::fprintf(stderr, "unknown scheduling policy: %s\n", v);
+        std::fprintf(stderr, "unknown scheduling policy: %s\n", p.c_str());
         return false;
       }
     } else if (arg == "--shuffle-mode") {
-      const char* v = value();
-      if (!v) return false;
+      std::string v;
+      if (!text(v)) return false;
       if (!gflink::shuffle::parse_shuffle_mode(v, &opt.testbed.shuffle_mode)) {
-        std::fprintf(stderr, "unknown shuffle mode: %s\n", v);
+        std::fprintf(stderr, "unknown shuffle mode: %s\n", v.c_str());
         return false;
       }
     } else if (arg == "--spill-codec") {
-      const char* v = value();
-      if (!v) return false;
+      std::string v;
+      if (!text(v)) return false;
       if (!gflink::spill::parse_spill_codec(v, &opt.testbed.spill_codec)) {
-        std::fprintf(stderr, "unknown spill codec: %s\n", v);
+        std::fprintf(stderr, "unknown spill codec: %s\n", v.c_str());
         return false;
       }
     } else if (arg == "--spill-tiers") {
-      const char* v = value();
-      if (!v) return false;
+      std::string tiers;
+      if (!text(tiers)) return false;
       opt.testbed.spill_memory_tier = false;
       opt.testbed.spill_disk_tier = false;
-      std::string tiers = v;
       for (std::size_t pos = 0; pos <= tiers.size();) {
         std::size_t comma = tiers.find(',', pos);
         if (comma == std::string::npos) comma = tiers.size();
@@ -218,35 +234,19 @@ bool parse(int argc, char** argv, Options& opt) {
     } else if (arg == "--no-cache") {
       opt.cache = false;
     } else if (arg == "--trace-out") {
-      const char* v = value();
-      if (!v) return false;
-      opt.trace_out = v;
+      if (!text(opt.trace_out)) return false;
     } else if (arg == "--report-out") {
-      const char* v = value();
-      if (!v) return false;
-      opt.report_out = v;
+      if (!text(opt.report_out)) return false;
     } else if (arg == "--flight-dump") {
-      const char* v = value();
-      if (!v) return false;
-      opt.flight_dump = v;
+      if (!text(opt.flight_dump)) return false;
     } else if (arg == "--critical-path") {
       opt.critical_path = true;
     } else if (arg == "--telemetry-out") {
-      const char* v = value();
-      if (!v) return false;
-      opt.telemetry_out = v;
+      if (!text(opt.telemetry_out)) return false;
     } else if (arg == "--telemetry-prom") {
-      const char* v = value();
-      if (!v) return false;
-      opt.telemetry_prom = v;
+      if (!text(opt.telemetry_prom)) return false;
     } else if (arg == "--telemetry-period") {
-      const char* v = value();
-      if (!v) return false;
-      opt.telemetry_period_ms = std::atof(v);
-      if (opt.telemetry_period_ms <= 0) {
-        std::fprintf(stderr, "--telemetry-period must be positive\n");
-        return false;
-      }
+      if (!number_flag(arg, value(), false, &opt.telemetry_period_ms)) return false;
     } else if (arg == "--slo-ms") {
       const char* v = value();
       if (!v) return false;
@@ -261,19 +261,15 @@ bool parse(int argc, char** argv, Options& opt) {
   return true;
 }
 
+// One mode of the run: the session plus the instruments the flags ask for.
 template <typename ConfigT, typename ResultT>
-wl::RunResult run_driver(sim::Co<ResultT> (*driver)(df::Engine&, core::GFlinkRuntime*,
-                                                    const wl::Testbed&, wl::Mode,
-                                                    const ConfigT&),
-                         const Options& opt, wl::Mode mode, const ConfigT& cfg) {
-  df::Engine engine(wl::make_engine_config(opt.testbed));
+wl::RunResult run_driver(wl::Driver<ConfigT, ResultT> driver, const Options& opt, wl::Mode mode,
+                         const ConfigT& cfg) {
+  wl::Session session(opt.testbed, mode);
+  df::Engine& engine = session.engine();
+  core::GFlinkRuntime* runtime = session.runtime();
   if (!opt.flight_dump.empty()) {
     engine.cluster().flight().set_dump_path(opt.flight_dump);
-  }
-  std::unique_ptr<core::GFlinkRuntime> runtime;
-  if (mode == wl::Mode::Gpu) {
-    wl::ensure_kernels_registered();
-    runtime = std::make_unique<core::GFlinkRuntime>(engine, wl::make_gpu_config(opt.testbed));
   }
 
   namespace tel = gflink::obs::telemetry;
@@ -303,7 +299,7 @@ wl::RunResult run_driver(sim::Co<ResultT> (*driver)(df::Engine&, core::GFlinkRun
   ResultT result{};
   engine.run([&](df::Engine& eng) -> sim::Co<void> {
     if (plane) plane->start();
-    result = co_await driver(eng, runtime.get(), opt.testbed, mode, cfg);
+    result = co_await driver(eng, runtime, opt.testbed, mode, cfg);
     if (plane) plane->stop();
   });
   if (plane) {
@@ -316,9 +312,7 @@ wl::RunResult run_driver(sim::Co<ResultT> (*driver)(df::Engine&, core::GFlinkRun
     }
   }
   // Capture observability state before the engine is torn down.
-  g_report.virtual_ns += engine.now();
-  engine.export_metrics(g_report.metrics);
-  if (runtime) runtime->export_metrics(g_report.metrics);
+  session.report_into(g_report);
   const obs::SpanStore& spans = engine.cluster().spans();
   if (!opt.trace_out.empty()) {
     g_trace_json = obs::chrome_trace_json(spans, &engine.cluster().metrics(), engine.now());
