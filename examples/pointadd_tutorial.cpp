@@ -46,6 +46,7 @@ sim::Co<void> add_point_mapper(df::TaskContext& ctx, const mem::RecordBatch& in,
   mem::MemoryManager& memory = ctx.worker_state().memory();
   const std::size_t stride = sizeof(wl::Pt);
   const std::size_t per_block = ctx.engine().config().page_size / stride;
+  out.reserve(in.count());  // one output record per input record
 
   for (std::size_t first = 0; first < in.count(); first += per_block) {
     const std::size_t n = std::min(per_block, in.count() - first);
@@ -78,9 +79,7 @@ sim::Co<void> add_point_mapper(df::TaskContext& ctx, const mem::RecordBatch& in,
 
     co_await manager.run(work);  // submit to GStreamManager + await
 
-    for (std::size_t i = 0; i < n; ++i) {
-      out.append_raw(out_buf->data() + i * stride);
-    }
+    out.append_raw(out_buf->data(), n);
   }
 }
 

@@ -19,18 +19,16 @@ struct BlockResult {
 };
 
 /// Retire the oldest in-flight block: await completion, append its output
-/// records in block order, and release its host buffers back to the page
-/// budget. Bounding the in-flight window keeps the task's footprint
-/// independent of partition size (and free of budget deadlocks). A named
-/// coroutine instead of a capturing lambda (gflint C1); awaited in-scope.
-sim::Co<void> retire_oldest_block(std::deque<BlockResult>& in_flight, mem::RecordBatch& out,
-                                  std::size_t out_stride) {
+/// records in block order with one copy, and release its host buffers back
+/// to the page budget. Bounding the in-flight window keeps the task's
+/// footprint independent of partition size (and free of budget deadlocks).
+/// A named coroutine instead of a capturing lambda (gflint C1); awaited
+/// in-scope.
+sim::Co<void> retire_oldest_block(std::deque<BlockResult>& in_flight, mem::RecordBatch& out) {
   BlockResult r = std::move(in_flight.front());
   in_flight.pop_front();
   co_await r.work->done->wait();
-  for (std::size_t i = 0; i < r.out_records; ++i) {
-    out.append_raw(r.out_buffer->data() + i * out_stride);
-  }
+  out.append_raw(r.out_buffer->data(), r.out_records);
 }
 
 }  // namespace
@@ -48,6 +46,17 @@ sim::Co<void> gpu_map_partition_run(dataflow::TaskContext& ctx, const GpuOpSpec&
   // A GStruct must not straddle a page (paper §5.1).
   const std::size_t records_per_block = std::max<std::size_t>(1, block_bytes / stride);
   const std::size_t blocks = (in.count() + records_per_block - 1) / records_per_block;
+  const auto block_records = [&](std::size_t b) {
+    return std::min(records_per_block, in.count() - b * records_per_block);
+  };
+  const auto block_out_records = [&](std::size_t n) {
+    return spec.out_items ? spec.out_items(n) : n;
+  };
+  // The output size is known before the first block is submitted: size the
+  // batch once instead of growing it block by block.
+  std::size_t total_out = out.count();
+  for (std::size_t b = 0; b < blocks; ++b) total_out += block_out_records(block_records(b));
+  out.reserve(total_out);
 
   // Task-level shared pieces: broadcast buffers and kernel parameters.
   std::vector<GBuffer> aux =
@@ -64,9 +73,9 @@ sim::Co<void> gpu_map_partition_run(dataflow::TaskContext& ctx, const GpuOpSpec&
   // wait, so blocks pipeline through the GStreamManager's streams.
   for (std::size_t b = 0; b < blocks; ++b) {
     const std::size_t first = b * records_per_block;
-    const std::size_t n = std::min(records_per_block, in.count() - first);
+    const std::size_t n = block_records(b);
     const std::size_t in_bytes = n * stride;
-    const std::size_t out_records = spec.out_items ? spec.out_items(n) : n;
+    const std::size_t out_records = block_out_records(n);
     const std::size_t out_bytes = out_records * out_stride;
 
     // The input block aliases the partition's off-heap page: zero copy in
@@ -114,11 +123,11 @@ sim::Co<void> gpu_map_partition_run(dataflow::TaskContext& ctx, const GpuOpSpec&
     mgr.streams().submit(work);
     in_flight.push_back(BlockResult{std::move(work), out_records, std::move(out_buf)});
     if (in_flight.size() >= window) {
-      co_await retire_oldest_block(in_flight, out, out_stride);
+      co_await retire_oldest_block(in_flight, out);
     }
   }
   while (!in_flight.empty()) {
-    co_await retire_oldest_block(in_flight, out, out_stride);
+    co_await retire_oldest_block(in_flight, out);
   }
 }
 

@@ -21,6 +21,16 @@
 
 namespace gflink::dataflow {
 
+/// The one layout check of a typed plan node: its records of type T move as
+/// raw bytes laid out by `desc`, so the two must agree. Runs once when the
+/// node is built, not once per record.
+template <typename T>
+const mem::StructDesc* host_layout_desc(const mem::StructDesc* desc) {
+  GFLINK_CHECK_MSG(desc != nullptr && desc->matches_host_layout<T>(),
+                   "descriptor does not match host layout");
+  return desc;
+}
+
 /// Typed emit-collector handed to flatMap user functions.
 template <typename U>
 class FlatCollector {
@@ -48,7 +58,7 @@ class DataSet {
     auto node = std::make_shared<OpNode>();
     node->kind = OpKind::Source;
     node->name = "source";
-    node->out_desc = desc;
+    node->out_desc = host_layout_desc<T>(desc);
     node->source.desc = desc;
     node->source.partitions = partitions;
     node->source.parse_cost = parse_cost;
@@ -56,7 +66,8 @@ class DataSet {
     node->source.generate = [generate = std::move(generate)](int part, mem::RecordBatch& out) {
       std::vector<T> rows;
       generate(part, rows);
-      for (const T& r : rows) out.append(r);
+      out.reserve(rows.size());
+      out.append_raw(rows.data(), rows.size());
     };
     return DataSet(&engine, std::move(node));
   }
@@ -81,7 +92,7 @@ class DataSet {
   template <typename U>
   DataSet<U> map(const mem::StructDesc* out_desc, std::string name, OpCost cost,
                  std::function<U(const T&)> fn) const {
-    auto n = record_node(out_desc, std::move(name), cost);
+    auto n = record_node(host_layout_desc<U>(out_desc), std::move(name), cost);
     n->record_fn = [fn = std::move(fn)](const std::byte* rec, Emitter& out) {
       out.emit(fn(*reinterpret_cast<const T*>(rec)));
     };
@@ -91,7 +102,7 @@ class DataSet {
   template <typename U>
   DataSet<U> flat_map(const mem::StructDesc* out_desc, std::string name, OpCost cost,
                       std::function<void(const T&, FlatCollector<U>&)> fn) const {
-    auto n = record_node(out_desc, std::move(name), cost);
+    auto n = record_node(host_layout_desc<U>(out_desc), std::move(name), cost);
     n->record_fn = [fn = std::move(fn)](const std::byte* rec, Emitter& out) {
       FlatCollector<U> collector(out);
       fn(*reinterpret_cast<const T*>(rec), collector);
@@ -138,7 +149,7 @@ class DataSet {
     auto n = std::make_shared<OpNode>();
     n->kind = OpKind::GroupReduce;
     n->name = std::move(name);
-    n->out_desc = out_desc;
+    n->out_desc = host_layout_desc<U>(out_desc);
     n->cost = cost;
     n->input = node_;
     n->key_fn = [key = std::move(key)](const std::byte* rec) {
@@ -168,14 +179,15 @@ class DataSet {
     auto n = std::make_shared<OpNode>();
     n->kind = OpKind::MapPartition;
     n->name = std::move(name);
-    n->out_desc = out_desc;
+    n->out_desc = host_layout_desc<U>(out_desc);
     n->cost = cost;
     n->input = node_;
     n->partition_fn = [fn = std::move(fn)](const mem::RecordBatch& in, mem::RecordBatch& out) {
       std::span<const T> rows(in.count() ? in.template aos_view<T>() : nullptr, in.count());
       std::vector<U> result;
       fn(rows, result);
-      for (const U& r : result) out.append(r);
+      out.reserve(result.size());
+      out.append_raw(result.data(), result.size());
     };
     return DataSet<U>(engine_, std::move(n));
   }
@@ -311,7 +323,7 @@ sim::Co<DataHandle> co_group(
         FlatCollector<O> collector(out);
         group_fn(lv, rv, collector);
       },
-      out_desc, cost, partitions, name);
+      host_layout_desc<O>(out_desc), cost, partitions, name);
 }
 
 /// Hash join of two typed datasets.
@@ -334,7 +346,7 @@ sim::Co<DataHandle> join(Job& job, const DataHandle& left, const DataHandle& rig
         FlatCollector<O> collector(out);
         join_fn(*reinterpret_cast<const L*>(l), *reinterpret_cast<const R*>(r), collector);
       },
-      out_desc, cost, partitions, name);
+      host_layout_desc<O>(out_desc), cost, partitions, name);
 }
 
 }  // namespace gflink::dataflow

@@ -331,8 +331,7 @@ sim::Co<DataHandle> Engine::run_source(Job& job, const SourceSpec& source) {
 }
 
 sim::Co<std::shared_ptr<mem::RecordBatch>> Engine::apply_record_ops(
-    Job& job, const Stage& stage, int worker, std::shared_ptr<mem::RecordBatch> batch) {
-  (void)job;
+    const Stage& stage, int worker, std::shared_ptr<mem::RecordBatch> batch) {
   if (stage.record_ops.empty()) co_return batch;
   const net::Node& node = cluster_.node(worker);
   sim::Duration total = 0;
@@ -351,18 +350,23 @@ sim::Co<std::shared_ptr<mem::RecordBatch>> Engine::apply_record_ops(
   co_return cur;
 }
 
-mem::RecordBatch Engine::combine_by_key(const OpNode& reduce, const mem::RecordBatch& in) {
+mem::RecordBatch Engine::combine_by_key(const OpNode& reduce,
+                                        std::span<const mem::RecordBatch> batches) {
   mem::RecordBatch acc(reduce.out_desc);
+  std::size_t n = 0;
+  for (const auto& b : batches) n += b.count();
   std::unordered_map<std::uint64_t, std::size_t> index;
-  index.reserve(in.count());
-  for (std::size_t i = 0; i < in.count(); ++i) {
-    const std::byte* rec = in.record_ptr(i);
-    const std::uint64_t key = reduce.key_fn(rec);
-    auto [it, inserted] = index.try_emplace(key, acc.count());
-    if (inserted) {
-      acc.append_raw(rec);
-    } else {
-      reduce.combine_fn(acc.record_ptr(it->second), rec);
+  index.reserve(n);
+  for (const auto& b : batches) {
+    for (std::size_t i = 0; i < b.count(); ++i) {
+      const std::byte* rec = b.record_ptr(i);
+      const std::uint64_t key = reduce.key_fn(rec);
+      auto [it, inserted] = index.try_emplace(key, acc.count());
+      if (inserted) {
+        acc.append_raw(rec);
+      } else {
+        reduce.combine_fn(acc.record_ptr(it->second), rec);
+      }
     }
   }
   return acc;
@@ -387,7 +391,7 @@ sim::Co<void> Engine::stage_task(Job& job, const Stage& stage, int part_index,
 
   std::shared_ptr<mem::RecordBatch> batch;
   try {
-    batch = co_await apply_record_ops(job, stage, worker, in.batch);
+    batch = co_await apply_record_ops(stage, worker, in.batch);
   } catch (const TaskFailed&) {
     w.slots().release();  // the physical slot is gone with the node, but
     throw;                // keep the accounting balanced for a rejoin
@@ -568,8 +572,8 @@ sim::Co<DataHandle> Engine::run_stage(Job& job, const Stage& stage, DataHandle i
     for (int t = 0; t < out_partitions; ++t) {
       merge_wg.add();
       sim_.spawn([](Engine& eng, const Stage& st, shuffle::ShuffleSession& ex,
-                    MaterializedDataSet& result, int t_index, StageStat& ss,
-                    obs::SpanId st_span, sim::WaitGroup& join) -> sim::Co<void> {
+                    MaterializedDataSet& result, int t_index, obs::SpanId st_span,
+                    sim::WaitGroup& join) -> sim::Co<void> {
         const int node = eng.owner_of_partition(t_index);
         obs::SpanStore& sp = eng.cluster().spans();
         const obs::SpanId task_span = eng.open_task("task:merge", st_span, node);
@@ -598,18 +602,17 @@ sim::Co<DataHandle> Engine::run_stage(Job& job, const Stage& stage, DataHandle i
               static_cast<sim::Duration>(n_in + emitter.emitted()) *
               eng.cluster().node(node).record_time(term->cost.flops, term->cost.bytes));
         } else if (term->kind == OpKind::ReduceByKey) {
-          mem::RecordBatch all(term->out_desc);
-          for (const auto& b : deposited) {
-            for (std::size_t i = 0; i < b.count(); ++i) all.append_raw(b.record_ptr(i));
-          }
-          *merged = Engine::combine_by_key(*term, all);
+          *merged = Engine::combine_by_key(*term, deposited);
+          // Free the deposits before the merge's modelled time elapses:
+          // the other merge tasks run meanwhile.
+          deposited = {};
           co_await eng.sim().delay(
               static_cast<sim::Duration>(n) *
               eng.cluster().node(node).record_time(term->cost.flops, term->cost.bytes));
         } else {  // Rebalance: concatenation plus the deferred transfers
-          for (auto& b : deposited) {
-            for (std::size_t i = 0; i < b.count(); ++i) merged->append_raw(b.record_ptr(i));
-          }
+          merged->reserve(n);
+          for (const auto& b : deposited) merged->append(b);
+          deposited = {};
           co_await eng.sim().delay(
               static_cast<sim::Duration>(n) *
               eng.cluster().node(node).record_time(1.0, static_cast<double>(
@@ -618,9 +621,8 @@ sim::Co<DataHandle> Engine::run_stage(Job& job, const Stage& stage, DataHandle i
         result.parts[static_cast<std::size_t>(t_index)] = {node, std::move(merged)};
         w.slots().release();
         sp.close(task_span, eng.now());
-        (void)ss;
         join.done();
-      }(*this, stage, *exchange, *out, t, stat, stage_span, merge_wg));
+      }(*this, stage, *exchange, *out, t, stage_span, merge_wg));
     }
     co_await merge_wg.wait();
   }
@@ -663,11 +665,9 @@ sim::Co<std::shared_ptr<mem::RecordBatch>> Engine::collect(Job& job, PlanNodePtr
     co_await sim_.delay(std::max(tree_time, funnel_time));
   }
   auto merged = std::make_shared<mem::RecordBatch>(data->desc);
+  merged->reserve(data->total_records());
   for (const auto& part : data->parts) {
-    if (!part.batch) continue;
-    for (std::size_t i = 0; i < part.batch->count(); ++i) {
-      merged->append_raw(part.batch->record_ptr(i));
-    }
+    if (part.batch) merged->append(*part.batch);
   }
   co_return merged;
 }

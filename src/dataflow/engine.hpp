@@ -23,6 +23,7 @@
 #pragma once
 
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -340,7 +341,7 @@ class Engine {
 
   // Apply the record-op chain; returns the resulting batch and charges CPU.
   sim::Co<std::shared_ptr<mem::RecordBatch>> apply_record_ops(
-      Job& job, const Stage& stage, int worker, std::shared_ptr<mem::RecordBatch> batch);
+      const Stage& stage, int worker, std::shared_ptr<mem::RecordBatch> batch);
 
   // Map side of join/coGroup co-partitioning: bucket one partition by key
   // hash (charging the bucketing CPU) and ship the buckets through
@@ -348,8 +349,9 @@ class Engine {
   sim::Co<void> scatter_partition(const MaterializedDataSet::Part& part, const KeyFn& key,
                                   shuffle::ShuffleSession& session, obs::SpanId stage_span);
 
-  // Local combine of `batch` into per-key accumulators.
-  static mem::RecordBatch combine_by_key(const OpNode& reduce, const mem::RecordBatch& batch);
+  // Combine the records of `batches`, in order, into per-key accumulators.
+  static mem::RecordBatch combine_by_key(const OpNode& reduce,
+                                         std::span<const mem::RecordBatch> batches);
 
   int owner_of_partition(int index) const { return 1 + index % num_workers(); }
 

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <type_traits>
 
 #include "mem/record_batch.hpp"
 #include "sim/coro.hpp"
@@ -34,11 +35,14 @@ class Emitter {
     ++count_;
   }
 
-  /// Emit a typed record through the zero-copy path.
+  /// Emit a typed record through the zero-copy path. The typed plan node
+  /// that owns this emitter checked U against the output descriptor once,
+  /// when it was built (DataSet::map, flat_map, group_reduce, join,
+  /// co_group), so no per-record layout check runs here.
   template <typename U>
   void emit(const U& record) {
-    out_->append(record);
-    ++count_;
+    static_assert(std::is_trivially_copyable_v<U>, "records are raw GStruct bytes");
+    emit_raw(&record);
   }
 
   std::uint64_t emitted() const { return count_; }

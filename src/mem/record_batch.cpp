@@ -41,11 +41,24 @@ std::size_t RecordBatch::byte_size() const {
   return bytes_.size();
 }
 
-void RecordBatch::append_raw(const void* record_bytes) {
+void RecordBatch::reserve(std::size_t records) {
+  GFLINK_CHECK_MSG(layout_ == Layout::AoS, "reserve requires AoS layout");
+  bytes_.reserve(records * desc_->stride());
+}
+
+void RecordBatch::append_raw(const void* record_bytes) { append_raw(record_bytes, 1); }
+
+void RecordBatch::append_raw(const void* records, std::size_t n) {
   GFLINK_CHECK_MSG(layout_ == Layout::AoS, "append requires AoS layout");
-  const auto* src = static_cast<const std::byte*>(record_bytes);
-  bytes_.insert(bytes_.end(), src, src + desc_->stride());
-  ++count_;
+  const auto* src = static_cast<const std::byte*>(records);
+  bytes_.insert(bytes_.end(), src, src + n * desc_->stride());
+  count_ += n;
+}
+
+void RecordBatch::append(const RecordBatch& other) {
+  GFLINK_CHECK_MSG(other.layout_ == Layout::AoS, "append requires AoS layout");
+  GFLINK_CHECK_MSG(other.desc_->stride() == desc_->stride(), "append of a different stride");
+  append_raw(other.bytes_.data(), other.count_);
 }
 
 const std::byte* RecordBatch::record_ptr(std::size_t i) const {

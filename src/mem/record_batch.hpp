@@ -31,9 +31,22 @@ class RecordBatch {
   /// Total bytes of the batch payload (what a PCIe transfer would move).
   std::size_t byte_size() const;
 
+  /// Reserve room for `records` records in total, so a batch whose final
+  /// size is known grows once instead of by doubling. AoS only.
+  void reserve(std::size_t records);
+
   /// Append one record given its AoS-layout bytes (desc().stride() long).
   /// Only valid for AoS batches.
   void append_raw(const void* record_bytes);
+
+  /// Append `n` records given as one contiguous AoS-layout buffer
+  /// (n * desc().stride() bytes) with a single copy. Only valid for AoS
+  /// batches.
+  void append_raw(const void* records, std::size_t n);
+
+  /// Append every record of another AoS batch of the same stride with a
+  /// single copy.
+  void append(const RecordBatch& other);
 
   /// Pointer to record i (AoS only).
   const std::byte* record_ptr(std::size_t i) const;
@@ -65,13 +78,6 @@ class RecordBatch {
     GFLINK_CHECK(layout_ == Layout::AoS);
     GFLINK_CHECK_MSG(desc_->matches_host_layout<T>(), "descriptor does not match host layout");
     return reinterpret_cast<T*>(bytes_.data());
-  }
-
-  /// Append a typed record through the zero-copy path.
-  template <typename T>
-  void append(const T& record) {
-    GFLINK_CHECK_MSG(desc_->matches_host_layout<T>(), "descriptor does not match host layout");
-    append_raw(&record);
   }
 
   /// Convert to another layout (returns a new batch; self if same layout).

@@ -1,5 +1,7 @@
 #include "obs/run_report.hpp"
 
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <fstream>
 
@@ -21,6 +23,7 @@ Json RunReport::to_json() const {
   root["schema"] = "gflink.run_report/v3";
   root["config"] = config;
   root["wall_seconds"] = wall_seconds;
+  root["peak_rss_mb"] = peak_rss_mb;
   root["virtual_ns"] = static_cast<std::int64_t>(virtual_ns);
   root["virtual_seconds"] = sim::to_seconds(virtual_ns);
   root["metrics"] = metrics.to_json();
@@ -44,6 +47,12 @@ bool RunReport::write(const std::string& path) const {
   if (!out) return false;
   out << to_json().dump(2) << "\n";
   return static_cast<bool>(out);
+}
+
+double host_peak_rss_mb() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // ru_maxrss is KiB on Linux
 }
 
 void add_derived_gflink_metrics(MetricsRegistry& m) {

@@ -1,6 +1,7 @@
 // Machine-readable run reports: one JSON document per bench/sim run.
 //
-// A RunReport collects the run's configuration, wall and virtual time, a
+// A RunReport collects the run's configuration, wall and virtual time, host
+// peak RSS, a
 // metrics snapshot and per-lane utilization rollups, and serializes them
 // as the `BENCH_<name>.json` documents that populate the perf trajectory.
 #pragma once
@@ -21,6 +22,7 @@ struct RunReport {
   std::string name;                // e.g. "fig5_overview"
   Json config = Json::object();    // free-form run configuration
   double wall_seconds = 0.0;       // host wall-clock of the whole run
+  double peak_rss_mb = 0.0;        // host peak resident set (host_peak_rss_mb())
   sim::Time virtual_ns = 0;        // simulated time (summed across cases)
   MetricsRegistry metrics;         // accumulated metric snapshot
   std::map<std::string, LaneUtilization> lanes;  // from the last traced run
@@ -48,6 +50,9 @@ struct RunReport {
   /// Write the pretty-printed JSON document; false on I/O failure.
   bool write(const std::string& path) const;
 };
+
+/// Peak resident set size of this process so far, in MiB (getrusage).
+double host_peak_rss_mb();
 
 /// Derive the headline GFlink ratios from the raw counters and make sure
 /// the keys every report is expected to carry exist even when a run never

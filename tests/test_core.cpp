@@ -932,6 +932,34 @@ TEST(Gdst, BlocksArePageSized) {
   EXPECT_EQ(runtime.total_kernels(), 16u);
 }
 
+TEST(Gdst, OutputBatchIsSizedOnceWithoutSlack) {
+  register_test_kernels();
+  auto ecfg = engine_config(1);
+  ecfg.page_size = 1024;  // 64 KVs per block: 16 blocks, the last one partial
+  df::Engine e(ecfg);
+  core::GFlinkRuntime runtime(e, gpu_config());
+  df::DataHandle mapped, reduced;
+  e.run([&](df::Engine& eng) -> Co<void> {
+    df::Job job(eng, "t");
+    co_await job.submit();
+    core::GpuOpSpec spec;
+    spec.kernel = "core_double_kv";
+    mapped = co_await core::gpu_dataset_op<KV, KV>(iota(eng, 1, 1000), &kv_desc(), "g", spec)
+                 .materialize(job);
+    spec.kernel = "core_block_sum";
+    spec.out_items = [](std::size_t) { return std::size_t{1}; };
+    reduced = co_await core::gpu_dataset_op<KV, KV>(iota(eng, 1, 1000), &kv_desc(), "r", spec)
+                  .materialize(job);
+    job.finish();
+  });
+  const mem::RecordBatch& map_out = *mapped->parts.at(0).batch;
+  EXPECT_EQ(map_out.count(), 1000u);
+  EXPECT_EQ(map_out.bytes().capacity(), map_out.bytes().size());
+  const mem::RecordBatch& reduce_out = *reduced->parts.at(0).batch;
+  EXPECT_EQ(reduce_out.count(), 16u);
+  EXPECT_EQ(reduce_out.bytes().capacity(), reduce_out.bytes().size());
+}
+
 TEST(Gdst, CacheEliminatesRepeatTransfers) {
   register_test_kernels();
   df::Engine e(engine_config(2));

@@ -211,6 +211,60 @@ TEST(Engine, MapPartitionSeesWholeBlocks) {
   EXPECT_EQ(total, 100);
 }
 
+TEST(Engine, KnownSizeBatchesHaveNoSlack) {
+  Engine e(fast_config());
+  df::DataHandle source, partitioned;
+  std::shared_ptr<mem::RecordBatch> collected;
+  e.run([&](Engine& eng) -> Co<void> {
+    Job job(eng, "t");
+    co_await job.submit();
+    // 1000 records over 3 partitions: 334/333/333 records each, sizes a
+    // doubling buffer would overshoot.
+    source = co_await iota(eng, 3, 1000, 1000).materialize(job);
+    partitioned = co_await DataSet<KV>::from_handle(eng, source)
+                      .map_partition<KV>(&kv_desc(), "copy", OpCost{1.0, 16.0},
+                                         [](std::span<const KV> part, std::vector<KV>& out) {
+                                           out.assign(part.begin(), part.end());
+                                         })
+                      .materialize(job);
+    collected = co_await eng.collect(job, DataSet<KV>::from_handle(eng, partitioned).node());
+    job.finish();
+  });
+  for (const df::DataHandle& h : {source, partitioned}) {
+    ASSERT_EQ(h->parts.size(), 3u);
+    for (const auto& part : h->parts) {
+      EXPECT_GT(part.batch->count(), 0u);
+      EXPECT_EQ(part.batch->bytes().capacity(), part.batch->bytes().size());
+    }
+  }
+  ASSERT_EQ(collected->count(), 1000u);
+  EXPECT_EQ(collected->bytes().capacity(), collected->bytes().size());
+  const KV* rows = collected->aos_view<KV>();
+  std::int64_t sum = 0;
+  for (std::size_t i = 0; i < collected->count(); ++i) sum += rows[i].value;
+  EXPECT_EQ(sum, 999 * 1000 / 2);
+}
+
+TEST(DataSetDeathTest, MismatchedDescriptorAbortsWhenTheNodeIsBuilt) {
+  // Same fields as KV but no host offsets recorded, so the descriptor
+  // cannot match KV's host layout.
+  static const mem::StructDesc unmirrored = mem::StructDescBuilder("KV", 8)
+                                                .field("key", mem::FieldType::U64)
+                                                .field("value", mem::FieldType::I64)
+                                                .build();
+  ASSERT_FALSE(unmirrored.matches_host_layout<KV>());
+  const auto build_map = [] {
+    Engine e(fast_config());
+    (void)iota(e, 2, 10, 10).map<KV>(&unmirrored, "m", OpCost{}, [](const KV& kv) { return kv; });
+  };
+  EXPECT_DEATH(build_map(), "descriptor does not match host layout");
+  const auto build_source = [] {
+    Engine e(fast_config());
+    (void)DataSet<KV>::from_generator(e, &unmirrored, 2, [](int, std::vector<KV>&) {});
+  };
+  EXPECT_DEATH(build_source(), "descriptor does not match host layout");
+}
+
 TEST(Engine, AsyncMapPartitionGetsContext) {
   Engine e(fast_config());
   int seen_workers = 0;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <vector>
 
 #include "mem/buffer.hpp"
 #include "mem/gstruct.hpp"
@@ -95,7 +96,7 @@ TEST(RecordBatch, AppendAndTypedAccess) {
   mem::RecordBatch b(&d);
   for (int i = 0; i < 10; ++i) {
     PaperPoint p{static_cast<std::uint32_t>(i), i * 1.5, i * 0.5f};
-    b.append(p);
+    b.append_raw(&p);
   }
   EXPECT_EQ(b.count(), 10u);
   EXPECT_EQ(b.byte_size(), 240u);
@@ -104,6 +105,44 @@ TEST(RecordBatch, AppendAndTypedAccess) {
   EXPECT_FLOAT_EQ(b.get<float>(2, 7), 3.5f);
   const PaperPoint* view = b.aos_view<PaperPoint>();
   EXPECT_EQ(view[3].x, 3u);
+}
+
+TEST(RecordBatch, BulkAppendIsByteIdenticalToPerRecordAppends) {
+  auto d = paper_point_desc();
+  std::vector<PaperPoint> rows;
+  for (int i = 0; i < 37; ++i) {
+    rows.push_back(PaperPoint{static_cast<std::uint32_t>(i), i * 2.25, i * -0.5f});
+  }
+  mem::RecordBatch one(&d);
+  for (const PaperPoint& p : rows) one.append_raw(&p);
+  mem::RecordBatch bulk(&d);
+  bulk.append_raw(rows.data(), 5);
+  bulk.append_raw(rows.data() + 5, rows.size() - 5);
+  EXPECT_EQ(bulk.count(), one.count());
+  EXPECT_EQ(bulk.bytes(), one.bytes());
+}
+
+TEST(RecordBatch, ReserveKeepsCountAndLeavesNoSlack) {
+  auto d = paper_point_desc();
+  mem::RecordBatch b(&d);
+  b.reserve(8);
+  EXPECT_EQ(b.count(), 0u);
+  EXPECT_TRUE(b.empty());
+  EXPECT_GE(b.bytes().capacity(), 8 * d.stride());
+  const PaperPoint rows[8] = {};
+  b.append_raw(rows, 8);
+  EXPECT_EQ(b.count(), 8u);
+  EXPECT_EQ(b.bytes().capacity(), b.bytes().size());
+}
+
+TEST(RecordBatchDeathTest, BulkAppendToSoABatchAborts) {
+  auto d = paper_point_desc();
+  mem::RecordBatch soa(&d, 2, Layout::SoA);
+  const PaperPoint rows[2] = {};
+  EXPECT_DEATH(soa.append_raw(rows, 2), "AoS");
+  EXPECT_DEATH(soa.reserve(4), "AoS");
+  mem::RecordBatch aos(&d);
+  EXPECT_DEATH(aos.append(soa), "AoS");
 }
 
 TEST(RecordBatch, SetMutates) {

@@ -582,6 +582,15 @@ TEST(FlightRecorder, FirstFaultAutoDumps) {
   std::remove(path.c_str());
 }
 
+TEST(RunReport, CarriesHostPeakRss) {
+  obs::RunReport rep;
+  rep.peak_rss_mb = obs::host_peak_rss_mb();
+  EXPECT_GT(rep.peak_rss_mb, 0.0);
+  const Json j = rep.to_json();
+  ASSERT_NE(j.find("peak_rss_mb"), nullptr);
+  EXPECT_DOUBLE_EQ(j.find("peak_rss_mb")->as_double(), rep.peak_rss_mb);
+}
+
 TEST(RunReport, DerivedMetricsHandleEmptyRegistry) {
   obs::MetricsRegistry m;
   obs::add_derived_gflink_metrics(m);

@@ -3,13 +3,14 @@
 
     check_trace_neutrality.py <gflink binary> <work dir>
 
-Runs ``gflink pagerank --mode both --workers 4 --size 2 --iterations 3``
-twice: once plain (with only ``--report-out``), and once with
-``--critical-path --trace-out --report-out``. Fails unless both runs print
-the same makespans, iteration times, checksums and speedup, and their run
-reports carry identical values for every metric whose name does not start
-with ``trace_`` (the critical-path and straggler gauges exist only in the
-traced report).
+Runs each case below twice: once plain (with only ``--report-out``), and
+once with ``--critical-path --trace-out --report-out``. PageRank exercises
+the iterative all-to-all exchange; WordCount exercises GDST output
+assembly, the padding filter and the ReduceByKey merge. Fails unless both
+runs of a case print the same makespans, iteration times, checksums and
+speedup, and their run reports carry identical values for every metric
+whose name does not start with ``trace_`` (the critical-path and straggler
+gauges exist only in the traced report).
 """
 
 import json
@@ -17,13 +18,16 @@ import os
 import subprocess
 import sys
 
-ARGS = ["pagerank", "--mode", "both", "--workers", "4", "--size", "2", "--iterations", "3"]
+CASES = [
+    ["pagerank", "--mode", "both", "--workers", "4", "--size", "2", "--iterations", "3"],
+    ["wordcount", "--mode", "both", "--workers", "4", "--size", "2"],
+]
 # Lines of the per-mode summary that carry modelled numbers.
 SUMMARY_KEYS = ("total", "submission", "iterations", "checksum", "speedup")
 
 
-def run(binary, extra):
-    p = subprocess.run([binary] + ARGS + extra, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+def run(binary, args, extra):
+    p = subprocess.run([binary] + args + extra, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
                        text=True)
     if p.returncode != 0:
         sys.exit("gflink failed (%d):\n%s" % (p.returncode, p.stdout))
@@ -44,31 +48,43 @@ def metrics(path):
     return out
 
 
+def check(binary, work, args):
+    """The errors of one case, and its summary-line and metric-series counts."""
+    name = args[0]
+    plain_report = os.path.join(work, "neutrality_%s_plain_report.json" % name)
+    traced_report = os.path.join(work, "neutrality_%s_traced_report.json" % name)
+    plain = run(binary, args, ["--report-out", plain_report])
+    traced = run(binary, args, ["--critical-path", "--trace-out",
+                                os.path.join(work, "neutrality_%s_trace.json" % name),
+                                "--report-out", traced_report])
+    errors = []
+    if not plain:
+        errors.append("%s: no summary lines in the plain run's output" % name)
+    if plain != traced:
+        errors.append("%s: printed summaries differ:\n  plain:  %s\n  traced: %s"
+                      % (name, "\n          ".join(plain), "\n          ".join(traced)))
+    a, b = metrics(plain_report), metrics(traced_report)
+    for key in sorted(set(a) | set(b)):
+        if a.get(key) != b.get(key):
+            errors.append("%s: metric %s %s%s: plain %s, traced %s"
+                          % (name, key[0], key[1], key[2], a.get(key), b.get(key)))
+    return errors, len(plain), len(a)
+
+
 def main():
     if len(sys.argv) != 3:
         sys.exit(__doc__)
     binary, work = sys.argv[1], sys.argv[2]
     os.makedirs(work, exist_ok=True)
-    plain_report = os.path.join(work, "neutrality_plain_report.json")
-    traced_report = os.path.join(work, "neutrality_traced_report.json")
-    plain = run(binary, ["--report-out", plain_report])
-    traced = run(binary, ["--critical-path", "--trace-out",
-                          os.path.join(work, "neutrality_trace.json"),
-                          "--report-out", traced_report])
     errors = []
-    if not plain:
-        errors.append("no summary lines in the plain run's output")
-    if plain != traced:
-        errors.append("printed summaries differ:\n  plain:  %s\n  traced: %s"
-                      % ("\n          ".join(plain), "\n          ".join(traced)))
-    a, b = metrics(plain_report), metrics(traced_report)
-    for key in sorted(set(a) | set(b)):
-        if a.get(key) != b.get(key):
-            errors.append("metric %s %s%s: plain %s, traced %s"
-                          % (key[0], key[1], key[2], a.get(key), b.get(key)))
+    for args in CASES:
+        case_errors, lines, series = check(binary, work, args)
+        errors += case_errors
+        if not case_errors:
+            print("trace-neutral %s: %d summary lines and %d metric series identical"
+                  % (args[0], lines, series))
     if errors:
         sys.exit("tracing changed the run:\n" + "\n".join(errors))
-    print("trace-neutral: %d summary lines and %d metric series identical" % (len(plain), len(a)))
 
 
 if __name__ == "__main__":

@@ -444,6 +444,7 @@ int run_workload(const Options& opt) {
     g_report.name = opt.workload;
     g_report.wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_begin).count();
+    g_report.peak_rss_mb = obs::host_peak_rss_mb();
     g_report.set_config("workload", obs::Json(opt.workload));
     g_report.set_config("mode", obs::Json(opt.mode));
     g_report.set_config("workers", obs::Json(opt.testbed.workers));
