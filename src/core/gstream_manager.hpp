@@ -22,7 +22,6 @@
 // RoundRobin and Random baselines.
 #pragma once
 
-#include <atomic>
 #include <deque>
 #include <memory>
 #include <string>
@@ -99,49 +98,35 @@ class GStreamManager {
     return it == tenant_priority_.end() ? 0 : it->second;
   }
 
-  // Statistics for load-balance and stealing tests. All counters are
-  // relaxed atomics: independent monotonic totals bumped from concurrent
-  // stream coroutines, read by exporters without the scheduler involved.
-  std::uint64_t executed_on(int gpu) const {
-    return executed_.at(static_cast<std::size_t>(gpu)).load(std::memory_order_relaxed);
-  }
-  std::uint64_t steals() const { return steals_.load(std::memory_order_relaxed); }
+  // Statistics for load-balance and stealing tests.
+  std::uint64_t executed_on(int gpu) const { return executed_.at(static_cast<std::size_t>(gpu)); }
+  std::uint64_t steals() const { return steals_; }
   /// Times a queued GWork popped ahead of the queue front because its
   /// tenant priority was higher (FIFO order bypassed).
-  std::uint64_t priority_bypasses() const {
-    return priority_bypasses_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t cross_bulk_assignments() const {
-    return cross_bulk_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t freed_streams() const { return freed_count_.load(std::memory_order_relaxed); }
+  std::uint64_t priority_bypasses() const { return priority_bypasses_; }
+  std::uint64_t cross_bulk_assignments() const { return cross_bulk_; }
+  std::uint64_t freed_streams() const { return freed_count_; }
   std::size_t queue_depth(int gpu) const {
     return pool_.at(static_cast<std::size_t>(gpu)).size();
   }
   /// GWork whose cached-input-preferred device (Algorithm 5.1's probe at
   /// submit time) matched / missed the device it actually executed on.
   /// Work with nothing cached anywhere counts as neither.
-  std::uint64_t locality_hits() const { return locality_hits_.load(std::memory_order_relaxed); }
-  std::uint64_t locality_misses() const {
-    return locality_misses_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t locality_hits() const { return locality_hits_; }
+  std::uint64_t locality_misses() const { return locality_misses_; }
   /// GWork executed through the chunked pipeline / total chunks issued /
   /// chunk-eligible GWork that fell back to monolithic execution because
   /// the staging ring could not be reserved.
-  std::uint64_t chunked_works() const { return chunked_works_.load(std::memory_order_relaxed); }
-  std::uint64_t chunks_total() const { return chunks_total_.load(std::memory_order_relaxed); }
-  std::uint64_t chunk_fallbacks() const {
-    return chunk_fallbacks_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t chunked_works() const { return chunked_works_; }
+  std::uint64_t chunks_total() const { return chunks_total_; }
+  std::uint64_t chunk_fallbacks() const { return chunk_fallbacks_; }
   /// Times a monolithic placement released its buffers and backed off
   /// because concurrent streams held the device (see oom_retry_backoff).
-  std::uint64_t oom_retries() const { return oom_retries_.load(std::memory_order_relaxed); }
+  std::uint64_t oom_retries() const { return oom_retries_; }
   // Per-stage elapsed time of the three-stage pipeline, summed over streams.
-  sim::Duration stage_h2d_busy() const { return stage_h2d_ns_.load(std::memory_order_relaxed); }
-  sim::Duration stage_kernel_busy() const {
-    return stage_kernel_ns_.load(std::memory_order_relaxed);
-  }
-  sim::Duration stage_d2h_busy() const { return stage_d2h_ns_.load(std::memory_order_relaxed); }
+  sim::Duration stage_h2d_busy() const { return stage_h2d_ns_; }
+  sim::Duration stage_kernel_busy() const { return stage_kernel_ns_; }
+  sim::Duration stage_d2h_busy() const { return stage_d2h_ns_; }
 
   /// Publish scheduler counters (executions per GPU, steals, locality
   /// hits/misses, per-stage busy time) into `out`.
@@ -214,28 +199,28 @@ class GStreamManager {
   sim::Rng rng_{0xC0FFEE};
   int round_robin_cursor_ = 0;
 
-  // Scheduler structure (queues, bulks, worker state) is simulation-plane:
-  // mutated only between suspension points of the single simulation thread,
-  // so it carries no lock (docs/ARCHITECTURE.md, "Concurrency invariants").
+  // Scheduler structure (queues, bulks, worker state) is simulation-thread
+  // state, mutated only between suspension points of the stream coroutines
+  // (docs/ARCHITECTURE.md, "Single-threaded by construction").
   std::vector<std::deque<GWorkPtr>> pool_;  // GWork Pool: FIFO per GPU
   std::vector<std::vector<std::unique_ptr<StreamWorker>>> bulks_;
   // Tenant priority table (JobService): simulation-plane like the queues.
   std::unordered_map<std::string, int> tenant_priority_;
 
-  std::vector<std::atomic<std::uint64_t>> executed_;
-  std::atomic<std::uint64_t> steals_{0};
-  std::atomic<std::uint64_t> priority_bypasses_{0};
-  std::atomic<std::uint64_t> cross_bulk_{0};
-  std::atomic<std::uint64_t> freed_count_{0};
-  std::atomic<std::uint64_t> locality_hits_{0};
-  std::atomic<std::uint64_t> locality_misses_{0};
-  std::atomic<std::uint64_t> chunked_works_{0};
-  std::atomic<std::uint64_t> chunks_total_{0};
-  std::atomic<std::uint64_t> chunk_fallbacks_{0};
-  std::atomic<std::uint64_t> oom_retries_{0};
-  std::atomic<sim::Duration> stage_h2d_ns_{0};
-  std::atomic<sim::Duration> stage_kernel_ns_{0};
-  std::atomic<sim::Duration> stage_d2h_ns_{0};
+  std::vector<std::uint64_t> executed_;
+  std::uint64_t steals_ = 0;
+  std::uint64_t priority_bypasses_ = 0;
+  std::uint64_t cross_bulk_ = 0;
+  std::uint64_t freed_count_ = 0;
+  std::uint64_t locality_hits_ = 0;
+  std::uint64_t locality_misses_ = 0;
+  std::uint64_t chunked_works_ = 0;
+  std::uint64_t chunks_total_ = 0;
+  std::uint64_t chunk_fallbacks_ = 0;
+  std::uint64_t oom_retries_ = 0;
+  sim::Duration stage_h2d_ns_ = 0;
+  sim::Duration stage_kernel_ns_ = 0;
+  sim::Duration stage_d2h_ns_ = 0;
 
   // Hot-path distribution sinks (owned by the registry; null when no
   // registry was attached).

@@ -31,11 +31,6 @@ std::vector<int> Gdfs::place_block() {
 }
 
 const FileInfo& Gdfs::create_file(const std::string& path, std::uint64_t size) {
-  core::MutexLock lock(mu_);
-  return create_file_locked(path, size);
-}
-
-const FileInfo& Gdfs::create_file_locked(const std::string& path, std::uint64_t size) {
   GFLINK_CHECK_MSG(files_.find(path) == files_.end(), "file exists: " + path);
   FileInfo f;
   f.path = path;
@@ -59,7 +54,6 @@ const FileInfo& Gdfs::create_file_locked(const std::string& path, std::uint64_t 
 }
 
 const FileInfo* Gdfs::stat(const std::string& path) const {
-  core::MutexLock lock(mu_);
   auto it = files_.find(path);
   return it == files_.end() ? nullptr : &it->second;
 }
@@ -107,45 +101,41 @@ sim::Co<void> Gdfs::read_file(int reader, const std::string& path, obs::SpanLink
 sim::Co<void> Gdfs::write(int writer, const std::string& path, std::uint64_t bytes,
                           obs::SpanLink link) {
   co_await cluster_->sim().delay(config_.namenode_latency);
-  // Metadata phase under the namenode lock, released before any simulated
-  // I/O below. Snapshot the newly appended spans BY VALUE meanwhile:
-  // concurrent appends to the same file may reallocate `blocks` while this
-  // coroutine is suspended mid-transfer.
+  // Metadata phase. Snapshot the newly appended spans BY VALUE: concurrent
+  // appends to the same file may reallocate `blocks` while this coroutine
+  // is suspended mid-transfer.
   struct Span {
     std::vector<int> replicas;
     std::uint64_t bytes;
   };
   std::vector<Span> spans;
-  {
-    core::MutexLock lock(mu_);
-    auto it = files_.find(path);
-    if (it == files_.end()) {
-      // Creating charges metadata latency only; block placement is immediate.
-      create_file_locked(path, bytes);
-      it = files_.find(path);
-    } else {
-      // Append: extend metadata.
-      FileInfo& f = it->second;
-      std::uint64_t remaining = bytes;
-      int index = static_cast<int>(f.blocks.size());
-      while (remaining > 0) {
-        BlockInfo b;
-        b.file_id = f.id;
-        b.index = index++;
-        b.bytes = std::min(remaining, config_.block_size);
-        b.replicas = place_block();
-        remaining -= b.bytes;
-        f.blocks.push_back(std::move(b));
-      }
-      f.size += bytes;
-    }
-    const FileInfo& f = it->second;
+  auto it = files_.find(path);
+  if (it == files_.end()) {
+    // Creating charges metadata latency only; block placement is immediate.
+    create_file(path, bytes);
+    it = files_.find(path);
+  } else {
+    // Append: extend metadata.
+    FileInfo& f = it->second;
     std::uint64_t remaining = bytes;
-    for (auto rit = f.blocks.rbegin(); rit != f.blocks.rend() && remaining > 0; ++rit) {
-      const std::uint64_t span = std::min<std::uint64_t>(rit->bytes, remaining);
-      remaining -= span;
-      spans.push_back(Span{rit->replicas, span});
+    int index = static_cast<int>(f.blocks.size());
+    while (remaining > 0) {
+      BlockInfo b;
+      b.file_id = f.id;
+      b.index = index++;
+      b.bytes = std::min(remaining, config_.block_size);
+      b.replicas = place_block();
+      remaining -= b.bytes;
+      f.blocks.push_back(std::move(b));
     }
+    f.size += bytes;
+  }
+  const FileInfo& f = it->second;
+  std::uint64_t remaining = bytes;
+  for (auto rit = f.blocks.rbegin(); rit != f.blocks.rend() && remaining > 0; ++rit) {
+    const std::uint64_t span = std::min<std::uint64_t>(rit->bytes, remaining);
+    remaining -= span;
+    spans.push_back(Span{rit->replicas, span});
   }
   auto& metrics = cluster_->metrics();
   metrics.inc("dfs.bytes_written", static_cast<double>(bytes));

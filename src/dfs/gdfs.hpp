@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "core/thread_annotations.hpp"
 #include "net/cluster.hpp"
 #include "sim/random.hpp"
 
@@ -95,21 +94,15 @@ class Gdfs {
   net::Cluster& cluster() { return *cluster_; }
 
  private:
-  std::vector<int> place_block() GFLINK_REQUIRES(mu_);
-  const FileInfo& create_file_locked(const std::string& path, std::uint64_t size)
-      GFLINK_REQUIRES(mu_);
+  std::vector<int> place_block();
 
   net::Cluster* cluster_;
   GdfsConfig config_;
   std::function<bool(int)> alive_;
-  /// Guards the namenode metadata (file table, id/placement cursors, the
-  /// placement RNG). Leaf lock; write()/read paths lock only around their
-  /// metadata phases, never across the simulated I/O awaits.
-  mutable core::Mutex mu_;
-  sim::Rng rng_ GFLINK_GUARDED_BY(mu_);
-  std::map<std::string, FileInfo> files_ GFLINK_GUARDED_BY(mu_);
-  std::uint64_t next_file_id_ GFLINK_GUARDED_BY(mu_) = 1;
-  int next_primary_ GFLINK_GUARDED_BY(mu_) = 0;  // round-robin cursor over workers
+  sim::Rng rng_;
+  std::map<std::string, FileInfo> files_;
+  std::uint64_t next_file_id_ = 1;
+  int next_primary_ = 0;  // round-robin cursor over workers
 };
 
 }  // namespace gflink::dfs

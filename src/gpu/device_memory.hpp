@@ -12,7 +12,6 @@
 #include <map>
 #include <vector>
 
-#include "core/thread_annotations.hpp"
 #include "sim/util.hpp"
 
 namespace gflink::gpu {
@@ -26,10 +25,7 @@ class DeviceMemory {
   explicit DeviceMemory(std::uint64_t capacity);
 
   std::uint64_t capacity() const { return capacity_; }
-  std::uint64_t allocated() const {
-    core::MutexLock lock(mu_);
-    return allocated_;
-  }
+  std::uint64_t allocated() const { return allocated_; }
   std::uint64_t free_bytes() const { return capacity_ - allocated(); }
 
   /// First-fit allocation; returns 0 when no hole fits (cudaMalloc OOM).
@@ -44,24 +40,16 @@ class DeviceMemory {
   void free(DevicePtr ptr);
 
   /// True if `ptr` is a live allocation base.
-  bool live(DevicePtr ptr) const {
-    core::MutexLock lock(mu_);
-    return allocations_.count(ptr) != 0;
-  }
+  bool live(DevicePtr ptr) const { return allocations_.count(ptr) != 0; }
 
   std::uint64_t allocation_size(DevicePtr ptr) const;
 
   /// Host shadow bytes of the allocation containing [ptr, ptr+len). The
-  /// range must lie within a single live allocation. The *lookup* is
-  /// locked; the returned bytes are the data plane — owned by whichever
-  /// stream holds the allocation, written without the metadata lock.
+  /// range must lie within a single live allocation.
   std::byte* shadow(DevicePtr ptr, std::uint64_t len);
   const std::byte* shadow(DevicePtr ptr, std::uint64_t len) const;
 
-  std::size_t allocation_count() const {
-    core::MutexLock lock(mu_);
-    return allocations_.size();
-  }
+  std::size_t allocation_count() const { return allocations_.size(); }
 
  private:
   struct Allocation {
@@ -70,16 +58,13 @@ class DeviceMemory {
   };
 
   // Returns iterator to the allocation containing ptr, or aborts.
-  std::map<DevicePtr, Allocation>::const_iterator containing(DevicePtr ptr, std::uint64_t len)
-      const GFLINK_REQUIRES(mu_);
+  std::map<DevicePtr, Allocation>::const_iterator containing(DevicePtr ptr,
+                                                            std::uint64_t len) const;
 
-  /// Guards the allocator metadata (free list, allocation table, usage).
-  /// Leaf lock: acquired after GMemoryManager::mu_, never calls out.
-  mutable core::Mutex mu_;
   std::uint64_t capacity_;
-  std::uint64_t allocated_ GFLINK_GUARDED_BY(mu_) = 0;
-  std::map<DevicePtr, Allocation> allocations_ GFLINK_GUARDED_BY(mu_);   // keyed by base pointer
-  std::map<DevicePtr, std::uint64_t> free_list_ GFLINK_GUARDED_BY(mu_);  // base -> size, coalesced
+  std::uint64_t allocated_ = 0;
+  std::map<DevicePtr, Allocation> allocations_;   // keyed by base pointer
+  std::map<DevicePtr, std::uint64_t> free_list_;  // base -> size, coalesced
 };
 
 }  // namespace gflink::gpu

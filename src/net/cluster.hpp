@@ -16,7 +16,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/thread_annotations.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -93,18 +92,11 @@ class Pipe {
     const Time requested = sim_->now();
     co_await mutex_.lock();
     Time begin = sim_->now();
-    {
-      // Synchronous section: stats_mu_ is never held across a co_await.
-      core::MutexLock lock(stats_mu_);
-      queue_wait_ns_ += begin - requested;  // time spent behind earlier transfers
-    }
+    queue_wait_ns_ += begin - requested;  // time spent behind earlier transfers
     co_await sim_->delay(latency_ + sim::transfer_time(bytes, bandwidth_));
-    {
-      core::MutexLock lock(stats_mu_);
-      bytes_moved_ += bytes;
-      ++transfers_;
-      busy_ns_ += sim_->now() - begin;
-    }
+    bytes_moved_ += bytes;
+    ++transfers_;
+    busy_ns_ += sim_->now() - begin;
     if (spans_ != nullptr) {
       if (spans_->retain()) spans_->record_lane(lane(), label, begin, sim_->now());
       if (link.parent != 0) {
@@ -127,25 +119,13 @@ class Pipe {
 
   const std::string& name() const { return name_; }
   double bandwidth() const { return bandwidth_; }
-  std::uint64_t bytes_moved() const {
-    core::MutexLock lock(stats_mu_);
-    return bytes_moved_;
-  }
-  std::uint64_t transfers() const {
-    core::MutexLock lock(stats_mu_);
-    return transfers_;
-  }
+  std::uint64_t bytes_moved() const { return bytes_moved_; }
+  std::uint64_t transfers() const { return transfers_; }
   bool busy() const { return mutex_.locked(); }
   /// Total time the pipe was occupied by transfers.
-  Duration busy_time() const {
-    core::MutexLock lock(stats_mu_);
-    return busy_ns_;
-  }
+  Duration busy_time() const { return busy_ns_; }
   /// Total time transfers spent queued behind earlier ones.
-  Duration queue_wait() const {
-    core::MutexLock lock(stats_mu_);
-    return queue_wait_ns_;
-  }
+  Duration queue_wait() const { return queue_wait_ns_; }
   /// Fraction of [0, horizon] the pipe was busy.
   double utilization(Time horizon) const {
     return horizon > 0 ? static_cast<double>(busy_time()) / static_cast<double>(horizon) : 0.0;
@@ -156,24 +136,10 @@ class Pipe {
   /// run into a fresh or accumulating registry).
   void export_metrics(obs::MetricsRegistry& out) const {
     const obs::Labels l{{"pipe", name_}};
-    // stats_mu_ is a leaf lock, so it must not be held while calling into the
-    // registry (which takes its own mu_; gflint L1). Snapshot the tuple under
-    // the lock, publish after release.
-    std::uint64_t bytes_moved = 0;
-    std::uint64_t transfers = 0;
-    Duration busy_ns = 0;
-    Duration queue_wait_ns = 0;
-    {
-      core::MutexLock lock(stats_mu_);
-      bytes_moved = bytes_moved_;
-      transfers = transfers_;
-      busy_ns = busy_ns_;
-      queue_wait_ns = queue_wait_ns_;
-    }
-    out.counter("net_pipe_bytes_total", l).inc(static_cast<double>(bytes_moved));
-    out.counter("net_pipe_transfers_total", l).inc(static_cast<double>(transfers));
-    out.counter("net_pipe_busy_ns_total", l).inc(static_cast<double>(busy_ns));
-    out.counter("net_pipe_queue_wait_ns_total", l).inc(static_cast<double>(queue_wait_ns));
+    out.counter("net_pipe_bytes_total", l).inc(static_cast<double>(bytes_moved_));
+    out.counter("net_pipe_transfers_total", l).inc(static_cast<double>(transfers_));
+    out.counter("net_pipe_busy_ns_total", l).inc(static_cast<double>(busy_ns_));
+    out.counter("net_pipe_queue_wait_ns_total", l).inc(static_cast<double>(queue_wait_ns_));
   }
 
  private:
@@ -202,14 +168,10 @@ class Pipe {
   int node_;               // owning node id for causal spans
   obs::StrId lane_;        // 0 until lane() first runs
   obs::StrId kind_;        // 0 until kind() first runs
-  /// Guards the stats below as one consistent tuple (bytes+count+durations
-  /// move together, so individual atomics would tear the snapshot). Leaf
-  /// lock; never held across a co_await.
-  mutable core::Mutex stats_mu_;
-  std::uint64_t bytes_moved_ GFLINK_GUARDED_BY(stats_mu_) = 0;
-  std::uint64_t transfers_ GFLINK_GUARDED_BY(stats_mu_) = 0;
-  Duration busy_ns_ GFLINK_GUARDED_BY(stats_mu_) = 0;
-  Duration queue_wait_ns_ GFLINK_GUARDED_BY(stats_mu_) = 0;
+  std::uint64_t bytes_moved_ = 0;
+  std::uint64_t transfers_ = 0;
+  Duration busy_ns_ = 0;
+  Duration queue_wait_ns_ = 0;
 };
 
 /// One machine in the cluster.
@@ -320,8 +282,6 @@ class Cluster {
   obs::FlightRecorder flight_;  // always-on bounded post-mortem rings
   std::vector<std::unique_ptr<Node>> nodes_;
   /// Per-node named fetch-add counters (remote_fetch_add targets).
-  /// Simulation-plane state like spans_: mutated only between suspension
-  /// points of the one simulation thread, so it carries no lock.
   std::vector<std::unordered_map<std::uint64_t, std::uint64_t>> rdma_counters_;
 };
 

@@ -18,20 +18,15 @@ std::string MetricId::to_string() const {
 }
 
 Counter& MetricsRegistry::counter(const std::string& name, Labels labels) {
-  core::MutexLock lock(mu_);
-  // Map nodes are stable, so the reference stays valid after unlock; the
-  // Counter itself is atomic, so callers may inc() without the registry lock.
   return counters_[MetricId{name, std::move(labels)}];
 }
 
 Gauge& MetricsRegistry::gauge(const std::string& name, Labels labels) {
-  core::MutexLock lock(mu_);
   return gauges_[MetricId{name, std::move(labels)}];
 }
 
 sim::Histogram& MetricsRegistry::histogram(const std::string& name, double lo, double hi,
                                            std::size_t buckets, Labels labels) {
-  core::MutexLock lock(mu_);
   MetricId id{name, std::move(labels)};
   auto it = histograms_.find(id);
   if (it == histograms_.end()) {
@@ -49,19 +44,16 @@ sim::Histogram& MetricsRegistry::histogram(const std::string& name, double lo, d
 }
 
 double MetricsRegistry::counter_value(const std::string& name, const Labels& labels) const {
-  core::MutexLock lock(mu_);
   auto it = counters_.find(MetricId{name, labels});
   return it == counters_.end() ? 0.0 : it->second.value();
 }
 
 double MetricsRegistry::gauge_value(const std::string& name, const Labels& labels) const {
-  core::MutexLock lock(mu_);
   auto it = gauges_.find(MetricId{name, labels});
   return it == gauges_.end() ? 0.0 : it->second.value();
 }
 
 double MetricsRegistry::counter_sum(const std::string& name) const {
-  core::MutexLock lock(mu_);
   double total = 0.0;
   // Counters with one name sort adjacently (name is the major key).
   for (auto it = counters_.lower_bound(MetricId{name, {}});
@@ -73,30 +65,15 @@ double MetricsRegistry::counter_sum(const std::string& name) const {
 
 const sim::Histogram* MetricsRegistry::find_histogram(const std::string& name,
                                                       const Labels& labels) const {
-  core::MutexLock lock(mu_);
   auto it = histograms_.find(MetricId{name, labels});
   return it == histograms_.end() ? nullptr : &it->second;
 }
 
 void MetricsRegistry::merge_from(const MetricsRegistry& other) {
   if (&other == this) return;
-  // Never hold both registries' locks at once: mu_ is a leaf lock, and two
-  // concurrent merges in opposite directions would deadlock on the inverted
-  // pair (gflint L1). Snapshot `other` under its lock alone, release, then
-  // fold the copies under ours.
-  std::map<MetricId, Counter> counters;
-  std::map<MetricId, Gauge> gauges;
-  std::map<MetricId, sim::Histogram> histograms;
-  {
-    core::MutexLock theirs(other.mu_);
-    counters = other.counters_;
-    gauges = other.gauges_;
-    histograms = other.histograms_;
-  }
-  core::MutexLock self(mu_);
-  for (const auto& [id, c] : counters) counters_[id].inc(c.value());
-  for (const auto& [id, g] : gauges) gauges_[id].set(g.value());
-  for (const auto& [id, h] : histograms) {
+  for (const auto& [id, c] : other.counters_) counters_[id].inc(c.value());
+  for (const auto& [id, g] : other.gauges_) gauges_[id].set(g.value());
+  for (const auto& [id, h] : other.histograms_) {
     auto it = histograms_.find(id);
     if (it == histograms_.end()) {
       histograms_.emplace(id, h);
@@ -107,7 +84,6 @@ void MetricsRegistry::merge_from(const MetricsRegistry& other) {
 }
 
 Json MetricsRegistry::to_json() const {
-  core::MutexLock lock(mu_);
   Json root = Json::object();
   Json counters = Json::array();
   for (const auto& [id, c] : counters_) {
@@ -156,7 +132,6 @@ Json MetricsRegistry::to_json() const {
 }
 
 void MetricsRegistry::clear() {
-  core::MutexLock lock(mu_);
   counters_.clear();
   gauges_.clear();
   histograms_.clear();

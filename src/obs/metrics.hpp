@@ -13,22 +13,15 @@
 //  * histograms are sim::Histogram (fixed linear buckets + under/overflow)
 //    reported with p50/p95/p99.
 //
-// Thread-safety: the registry is a host-plane object (see
-// docs/ARCHITECTURE.md, "Concurrency invariants & lock hierarchy").
-// Get-or-create and the keyed read methods lock `mu_`; Counter and Gauge
-// handles are lock-free atomics, so hot-path increments from any thread are
-// race-free. Histogram *contents* (sim::Histogram::add) are
-// simulation-thread-confined — only registration is locked. The raw map
-// accessors are quiescent-state snapshots: call them only after concurrent
-// writers are done (end of run / after sim.run() returns).
+// The registry is simulation-thread state, like everything else in the
+// simulator (docs/ARCHITECTURE.md, "Single-threaded by construction"):
+// counters and gauges are plain doubles and nothing is locked.
 #pragma once
 
-#include <atomic>
 #include <map>
 #include <string>
 #include <utility>
 
-#include "core/thread_annotations.hpp"
 #include "sim/stats.hpp"
 
 #include "obs/json.hpp"
@@ -52,46 +45,26 @@ struct MetricId {
   std::string to_string() const;
 };
 
-/// Monotonic counter. Increments are lock-free (CAS loop — atomic<double>
-/// fetch_add is C++20 and this stays portable), so components may cache a
-/// Counter& and bump it from any thread.
+/// Monotonic counter; components may cache a Counter& and bump it.
 class Counter {
  public:
-  Counter() = default;
-  Counter(const Counter& other) : value_(other.value()) {}
-  Counter& operator=(const Counter& other) {
-    value_.store(other.value(), std::memory_order_relaxed);
-    return *this;
-  }
-
-  void inc(double v = 1.0) {
-    double cur = value_.load(std::memory_order_relaxed);
-    while (!value_.compare_exchange_weak(cur, cur + v, std::memory_order_relaxed)) {
-    }
-  }
-  double value() const { return value_.load(std::memory_order_relaxed); }
-  operator double() const { return value(); }  // ergonomic reads in tests/tools
+  void inc(double v = 1.0) { value_ += v; }
+  double value() const { return value_; }
+  operator double() const { return value_; }  // ergonomic reads in tests/tools
 
  private:
-  std::atomic<double> value_{0.0};
+  double value_ = 0.0;
 };
 
-/// Last-write-wins gauge; atomic for the same reason as Counter.
+/// Last-write-wins gauge.
 class Gauge {
  public:
-  Gauge() = default;
-  Gauge(const Gauge& other) : value_(other.value()) {}
-  Gauge& operator=(const Gauge& other) {
-    value_.store(other.value(), std::memory_order_relaxed);
-    return *this;
-  }
-
-  void set(double v) { value_.store(v, std::memory_order_relaxed); }
-  double value() const { return value_.load(std::memory_order_relaxed); }
-  operator double() const { return value(); }
+  void set(double v) { value_ = v; }
+  double value() const { return value_; }
+  operator double() const { return value_; }
 
  private:
-  std::atomic<double> value_{0.0};
+  double value_ = 0.0;
 };
 
 class MetricsRegistry {
@@ -119,20 +92,9 @@ class MetricsRegistry {
   double counter_sum(const std::string& name) const;
   const sim::Histogram* find_histogram(const std::string& name, const Labels& labels = {}) const;
 
-  // Quiescent-state snapshots: these hand out the guarded maps by reference,
-  // so they are only safe once concurrent registration has stopped (report
-  // writing, test assertions after sim.run()). Excluded from the analysis on
-  // purpose — locking here would only pretend to help, as the lock would be
-  // dropped before the caller iterates.
-  const std::map<MetricId, Counter>& counters() const GFLINK_NO_THREAD_SAFETY_ANALYSIS {
-    return counters_;
-  }
-  const std::map<MetricId, Gauge>& gauges() const GFLINK_NO_THREAD_SAFETY_ANALYSIS {
-    return gauges_;
-  }
-  const std::map<MetricId, sim::Histogram>& histograms() const GFLINK_NO_THREAD_SAFETY_ANALYSIS {
-    return histograms_;
-  }
+  const std::map<MetricId, Counter>& counters() const { return counters_; }
+  const std::map<MetricId, Gauge>& gauges() const { return gauges_; }
+  const std::map<MetricId, sim::Histogram>& histograms() const { return histograms_; }
 
   /// Fold another registry in: counters add, gauges overwrite (latest
   /// wins), histograms merge bucket-wise (shapes must match).
@@ -145,12 +107,9 @@ class MetricsRegistry {
   void clear();
 
  private:
-  /// Guards registration and keyed lookups. Leaf lock: nothing is called
-  /// while it is held (docs/ARCHITECTURE.md lock hierarchy).
-  mutable core::Mutex mu_;
-  std::map<MetricId, Counter> counters_ GFLINK_GUARDED_BY(mu_);
-  std::map<MetricId, Gauge> gauges_ GFLINK_GUARDED_BY(mu_);
-  std::map<MetricId, sim::Histogram> histograms_ GFLINK_GUARDED_BY(mu_);
+  std::map<MetricId, Counter> counters_;
+  std::map<MetricId, Gauge> gauges_;
+  std::map<MetricId, sim::Histogram> histograms_;
 };
 
 }  // namespace gflink::obs

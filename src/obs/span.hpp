@@ -24,10 +24,9 @@
 //  * find_stragglers() flags spans whose duration exceeds the p95 of their
 //    name peer group and names the resource the straggler waited on.
 //
-// Thread-safety: the SpanStore is simulation-plane state, mutated only by
-// the single simulation thread between suspension points (see
-// docs/ARCHITECTURE.md, "Concurrency invariants"). It takes no lock; do not
-// touch it from host-plane threads.
+// The SpanStore is simulation-thread state, mutated between suspension
+// points like everything else (docs/ARCHITECTURE.md, "Single-threaded by
+// construction").
 #pragma once
 
 #include <algorithm>

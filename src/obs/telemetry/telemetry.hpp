@@ -43,11 +43,10 @@
 // telemetry-enabled PageRank run stays within 2% of the bare run (guarded
 // by bench_telemetry and bench/baselines.json).
 //
-// Thread-safety: the plane is simulation-plane state (sampler rings,
-// aggregator series, detector state), mutated only between suspension
-// points of the single simulation thread — the SpanStore discipline. It
-// takes no lock; metrics go through the thread-safe registry and health
-// events through the leaf-locked flight recorder.
+// The plane is simulation-thread state (sampler rings, aggregator series,
+// detector state), mutated between suspension points like the registry and
+// the flight recorder it writes to (docs/ARCHITECTURE.md, "Single-threaded
+// by construction").
 //
 // gflint rule R7 applies to this directory: every metric registered here
 // carries a units suffix (_ns, _bytes, _total, _ratio) and every

@@ -43,13 +43,11 @@
 // sequence diagrams for all three modes.
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "core/thread_annotations.hpp"
 #include "dfs/gdfs.hpp"
 #include "mem/record_batch.hpp"
 #include "net/cluster.hpp"
@@ -161,17 +159,12 @@ class ShuffleSession {
 
   /// Bytes this session moved across the network (excludes same-worker
   /// buckets). The single source of truth for stage shuffle accounting.
-  std::uint64_t network_bytes() const {
-    core::MutexLock lock(mu_);
-    return network_bytes_;
-  }
+  std::uint64_t network_bytes() const { return network_bytes_; }
   /// Counted when the spilled block *lands* on its tier (worker-side on
   /// the async path, inline on the sync path) — the single accounting
   /// point the spill_bytes counters share. Held behind a shared_ptr so a
   /// worker whose session already died can still account safely.
-  std::uint64_t spilled_bytes() const {
-    return spill_acct_->load(std::memory_order_relaxed);
-  }
+  std::uint64_t spilled_bytes() const { return *spill_acct_; }
 
  private:
   struct Deposit {
@@ -192,26 +185,17 @@ class ShuffleSession {
   sim::Co<void> one_sided_barrier();
   sim::Co<void> deposit(int t, int dst, mem::RecordBatch bucket);
 
-  /// Credit accounting around one detached bucket send: end_send() returns
-  /// true when it retired the last in-flight send (the caller then fires
-  /// `drained_` — outside the lock, since Trigger is simulation-plane).
-  void begin_send() GFLINK_EXCLUDES(mu_);
-  bool end_send() GFLINK_EXCLUDES(mu_);
-
   ShuffleService* service_;
   int out_partitions_;
   std::string label_;
   std::uint64_t id_;
   obs::SpanId span_ = 0;  // the session's causal span; closed by finish()
-  // Deposited buckets, credit semaphores and the drain trigger are
-  // simulation-plane structures: touched only between suspension points of
-  // the simulation thread, never from exporters.
   std::vector<std::vector<Deposit>> buckets_;
   std::vector<std::unique_ptr<sim::Semaphore>> credits_;  // per target partition
   std::unique_ptr<sim::Trigger> drained_;  // created lazily by finish()
-  /// Per-destination one-sided exchange state (simulation-plane, like
-  /// buckets_). Histogram announcements fix expected_writes before any
-  /// write can retire, so the counts finish() polls against are exact.
+  /// Per-destination one-sided exchange state. Histogram announcements fix
+  /// expected_writes before any write can retire, so the counts finish()
+  /// polls against are exact.
   struct OneSidedDst {
     std::uint64_t expected_writes = 0;  // buckets announced toward this node
     std::uint64_t announced_bytes = 0;  // histogram total = final region cursor
@@ -221,17 +205,15 @@ class ShuffleSession {
   /// destination's memory, namespaced by session id.
   std::uint64_t region_counter() const { return id_ * 2; }
   std::uint64_t done_counter() const { return id_ * 2 + 1; }
-  /// Guards the session's byte/credit accounting (leaf lock; never held
-  /// across a co_await — every mutation sits in a synchronous section).
-  mutable core::Mutex mu_;
-  int in_flight_sends_ GFLINK_GUARDED_BY(mu_) = 0;
-  std::uint64_t network_bytes_ GFLINK_GUARDED_BY(mu_) = 0;
-  /// Landed spill bytes (see spilled_bytes()); atomic + shared so the
-  /// async worker's accounting hook never dangles.
-  std::shared_ptr<std::atomic<std::uint64_t>> spill_acct_ =
-      std::make_shared<std::atomic<std::uint64_t>>(0);
-  std::uint64_t next_spill_seq_ GFLINK_GUARDED_BY(mu_) = 0;
-  int aborted_blocks_ GFLINK_GUARDED_BY(mu_) = 0;
+  /// Detached bucket sends not yet retired; the last one to retire fires
+  /// `drained_`.
+  int in_flight_sends_ = 0;
+  std::uint64_t network_bytes_ = 0;
+  /// Landed spill bytes (see spilled_bytes()); shared so the async
+  /// worker's accounting hook never dangles.
+  std::shared_ptr<std::uint64_t> spill_acct_ = std::make_shared<std::uint64_t>(0);
+  std::uint64_t next_spill_seq_ = 0;
+  int aborted_blocks_ = 0;
 };
 
 class ShuffleService {
@@ -255,28 +237,16 @@ class ShuffleService {
   /// Fault-injection hook (the shuffle arm of the fault framework): the
   /// next `n` block-transfer attempts fail before moving any bytes and are
   /// retried with exponential backoff.
-  void inject_transfer_faults(int n) {
-    core::MutexLock lock(mu_);
-    injected_faults_ += n;
-  }
-  int pending_injected_faults() const {
-    core::MutexLock lock(mu_);
-    return injected_faults_;
-  }
+  void inject_transfer_faults(int n) { injected_faults_ += n; }
+  int pending_injected_faults() const { return injected_faults_; }
 
   /// Highest number of blocks that were simultaneously in flight — what the
   /// credit window bounds (diagnostic for tests/benches).
-  std::int64_t max_blocks_in_flight() const {
-    core::MutexLock lock(mu_);
-    return max_in_flight_;
-  }
+  std::int64_t max_blocks_in_flight() const { return max_in_flight_; }
 
   /// Blocks in flight right now (sent, not yet deposited) — the live
   /// telemetry plane samples this each period.
-  std::int64_t blocks_in_flight() const {
-    core::MutexLock lock(mu_);
-    return in_flight_;
-  }
+  std::int64_t blocks_in_flight() const { return in_flight_; }
 
   /// Bytes currently resident in `worker`'s exchange buffer (deposited, not
   /// yet taken, not spilled).
@@ -300,13 +270,12 @@ class ShuffleService {
   /// interned on first use.
   obs::StrId shuffle_lane(int node);
 
-  void block_started() GFLINK_EXCLUDES(mu_);
-  void block_finished() GFLINK_EXCLUDES(mu_);
-  void add_resident(int worker, std::uint64_t bytes) GFLINK_EXCLUDES(mu_);
-  void sub_resident(int worker, std::uint64_t bytes) GFLINK_EXCLUDES(mu_);
-  /// Atomically consume one injected fault; false when none are pending.
-  bool consume_injected_fault() GFLINK_EXCLUDES(mu_);
-  std::uint64_t allocate_session_id() GFLINK_EXCLUDES(mu_);
+  void block_started();
+  void block_finished();
+  void add_resident(int worker, std::uint64_t bytes);
+  void sub_resident(int worker, std::uint64_t bytes);
+  /// Consume one injected fault; false when none are pending.
+  bool consume_injected_fault();
 
   sim::Simulation* sim_;
   net::Cluster* cluster_;
@@ -317,15 +286,12 @@ class ShuffleService {
   /// per-engine), so worker-side hooks may capture the service pointer.
   std::unique_ptr<spill::SpillStore> spill_store_;
   std::vector<obs::StrId> shuffle_lanes_;  // per node id; 0 until first used
-  /// Guards the service-wide credit/fault/resident accounting shared by
-  /// every session. Leaf lock; the in-flight gauge is published after
-  /// release (the registry has its own lock).
-  mutable core::Mutex mu_;
-  int injected_faults_ GFLINK_GUARDED_BY(mu_) = 0;
-  std::int64_t in_flight_ GFLINK_GUARDED_BY(mu_) = 0;
-  std::int64_t max_in_flight_ GFLINK_GUARDED_BY(mu_) = 0;
-  std::uint64_t next_session_id_ GFLINK_GUARDED_BY(mu_) = 1;
-  std::vector<std::uint64_t> resident_ GFLINK_GUARDED_BY(mu_);  // exchange bytes per node id
+  // Service-wide credit/fault/resident accounting shared by every session.
+  int injected_faults_ = 0;
+  std::int64_t in_flight_ = 0;
+  std::int64_t max_in_flight_ = 0;
+  std::uint64_t next_session_id_ = 1;
+  std::vector<std::uint64_t> resident_;  // exchange bytes per node id
 };
 
 }  // namespace gflink::shuffle

@@ -34,12 +34,10 @@
 // on the worker, when the block lands — the single-point-accounting rule
 // the shuffle layer's spill-byte counters rely on.
 //
-// Thread-safety: the store is simulation-plane state (queues, tier
-// cursors, block flags), mutated only between suspension points of the
-// single simulation thread — same discipline as obs::SpanStore and the
-// ShuffleSession bucket table. Metrics go through the thread-safe
-// registry. Every metric and span emitted here carries a tier
-// attribution (gflint rule R6).
+// The store is simulation-thread state (queues, tier cursors, block
+// flags), mutated between suspension points like obs::SpanStore and the
+// ShuffleSession bucket table. Every metric and span emitted here carries
+// a tier attribution (gflint rule R6).
 #pragma once
 
 #include <functional>

@@ -1,11 +1,19 @@
 #pragma once
-#include <mutex>
+#include <atomic>  // finding: host-concurrency header
+#include <thread>  // finding: host-concurrency header
 
-// Fixture: both R2 failure modes — a raw std::mutex member, and a
-// core::Mutex that no annotation or MutexLock ever references.
-class Cache {
+// Fixture: host concurrency under src/. Every marked line is one R2
+// finding: the simulator runs on one thread, so none of these belong.
+class Prefetcher {
+ public:
+  int warm() {
+    auto pending = std::async([] { return 1; });  // finding: std::async
+    return pending.get();
+  }
+
  private:
-  std::mutex raw_mu_;       // finding: raw std::mutex
-  core::Mutex unused_mu_;   // finding: never annotated or locked
-  int entries_ = 0;
+  std::thread worker_;           // finding: std::thread
+  std::atomic<int> hits_{0};     // finding: std::atomic
+  std::mutex mu_;                // finding: std::mutex
+  std::condition_variable cv_;   // finding: std::condition_variable
 };

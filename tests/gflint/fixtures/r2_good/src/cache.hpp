@@ -1,16 +1,18 @@
 #pragma once
+#include <vector>
 
-// Fixture: annotated core::Mutex members pass R2 — one referenced by
-// GUARDED_BY, one only ever taken through MutexLock.
+#include "sim/sync.hpp"
+
+// Fixture: simulated contention passes R2. sim::Mutex and sim::Semaphore
+// model a DMA engine or NIC lane in virtual time; they are not host locks,
+// and names that merely contain "thread" or "mutex" are not primitives.
 class Cache {
  public:
-  int entries() const {
-    core::MutexLock lock(stats_mu_);
-    return entries_;
-  }
+  int thread_count() const { return thread_count_; }
 
  private:
-  mutable core::Mutex mu_;
-  mutable core::Mutex stats_mu_;
-  int entries_ GFLINK_GUARDED_BY(mu_) = 0;
+  sim::Mutex engine_;
+  sim::Semaphore credits_;
+  int thread_count_ = 1;
+  std::vector<int> mutex_ids_;
 };

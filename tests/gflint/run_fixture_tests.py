@@ -26,7 +26,7 @@ FINDING_RE = re.compile(r"\[([A-Z]\d+)\]")
 CASES = [
     ("r1_bad", "R1", 1, {"R1": 4}),
     ("r1_good", "R1", 0, {}),
-    ("r2_bad", "R2", 1, {"R2": 2}),
+    ("r2_bad", "R2", 1, {"R2": 7}),
     ("r2_good", "R2", 0, {}),
     ("r3_bad", "R3", 1, {"R3": 2}),
     ("r3_good", "R3", 0, {}),
@@ -45,9 +45,6 @@ CASES = [
     ("c2_good", "C2", 0, {}),
     ("c3_bad", "C3", 1, {"C3": 1}),
     ("c3_good", "C3", 0, {}),
-    # Lock order against the hierarchy parsed from docs/ARCHITECTURE.md.
-    ("l1_bad", "L1", 1, {"L1": 2}),
-    ("l1_good", "L1", 0, {}),
     # Token-stream regression: R-rule patterns inside comments/strings.
     ("tokens_good", "R1,R2,R3", 0, {}),
     # Suppression hygiene.

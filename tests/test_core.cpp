@@ -341,6 +341,54 @@ TEST(GMemoryManager, ReleaseJobForgetsTenantMapping) {
   EXPECT_EQ(m.tenant_cached_bytes(0, "t"), 0u);
 }
 
+TEST(Threading, GMemoryManagerCacheOperations) {
+  // Eight callers share two jobs and overlapping keys across two 8 MB
+  // devices. The manager is single-threaded by construction, so their op
+  // streams interleave round-robin on the one simulation thread:
+  // insert/lookup_pinned/unpin/erase mix with evict_for_space and the
+  // staging ring (which evicts cache entries under pressure).
+  constexpr int kCallers = 8;
+  Simulation s;
+  gpu::DeviceSpec spec = StreamFixture::test_spec();
+  spec.device_memory = 8 << 20;
+  gpu::GpuDevice dev0(s, "gpu0", spec);
+  gpu::GpuDevice dev1(s, "gpu1", spec);
+  core::GMemoryManager manager({&dev0, &dev1}, 2 << 20, core::CachePolicy::Fifo);
+  for (int i = 0; i < 500; ++i) {
+    for (int t = 0; t < kCallers; ++t) {
+      const int device = t % 2;
+      const std::uint64_t job = 1 + static_cast<std::uint64_t>(t % 2);
+      const std::uint64_t key = static_cast<std::uint64_t>(i % 16);
+      if (auto hit = manager.lookup_pinned(device, job, key)) {
+        manager.unpin(device, job, key);
+      } else if (auto entry = manager.insert(device, job, key, 64 << 10)) {
+        if (i % 7 == 0) {
+          manager.erase(device, job, key);
+        } else {
+          manager.unpin(device, job, key);
+        }
+      }
+      if (i % 11 == 0) {
+        manager.evict_for_space(device, job, 256 << 10);
+      }
+      if (i % 13 == 0) {
+        if (gpu::DevicePtr ring = manager.reserve_staging(device, job, 128 << 10)) {
+          manager.release_staging(device, ring);
+        }
+      }
+    }
+  }
+  for (int device = 0; device < 2; ++device) {
+    EXPECT_LE(manager.region_used(device), manager.region_capacity() * 2);
+    EXPECT_EQ(manager.staging_bytes(device), 0u);
+  }
+  EXPECT_GT(manager.hits() + manager.misses(), 0u);
+  manager.release_job(1);
+  manager.release_job(2);
+  EXPECT_EQ(manager.region_used(0), 0u);
+  EXPECT_EQ(manager.region_used(1), 0u);
+}
+
 // ---- GStreamManager ---------------------------------------------------------
 
 TEST(GStreamManager, ExecutesWorkEndToEnd) {

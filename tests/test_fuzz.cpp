@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <set>
 
 #include "core/gmemory_manager.hpp"
@@ -149,16 +150,22 @@ TEST_P(CacheFuzz, RandomCacheTrafficKeepsInvariants) {
       GetParam() % 2 == 0 ? core::CachePolicy::Fifo : core::CachePolicy::NoEvict;
   core::GMemoryManager cache({&d0, &d1}, kRegion, policy);
 
+  gpu::GpuDevice* devs[] = {&d0, &d1};
+
   // Reference model: per (device, job) -> set of keys believed cached.
   std::map<std::pair<int, std::uint64_t>, std::set<std::uint64_t>> model;
   std::vector<std::tuple<int, std::uint64_t, std::uint64_t>> pinned;  // (dev, job, key)
+  // At most one staging ring is held at a time, across cache traffic.
+  std::optional<std::pair<int, gpu::DevicePtr>> ring;
 
   for (int step = 0; step < 3000; ++step) {
     const int device = static_cast<int>(rng.next_below(2));
     const std::uint64_t job = 1 + rng.next_below(3);
     const std::uint64_t key = rng.next_below(40);
     const std::uint64_t bytes = 256 * (1 + rng.next_below(64));
-    switch (rng.next_below(5)) {
+    // Pressure-sized requests (256 KB .. 4 MB, up to the whole device).
+    const std::uint64_t big = (1 + rng.next_below(16)) << 18;
+    switch (rng.next_below(8)) {
       case 0:
       case 1: {  // insert (pinned) then unpin immediately
         auto slot = cache.insert(device, job, key, bytes);
@@ -191,6 +198,41 @@ TEST_P(CacheFuzz, RandomCacheTrafficKeepsInvariants) {
         }
         break;
       }
+      case 5: {  // erase: drop a held pin; the entry goes once no pin is left
+        if (!pinned.empty()) {
+          auto [pd, pj, pk] = pinned.back();
+          pinned.pop_back();
+          if (cache.erase(pd, pj, pk)) {
+            model[{pd, pj}].erase(pk);
+            EXPECT_FALSE(cache.lookup(pd, pj, pk).has_value());
+          }
+        } else if (cache.insert(device, job, key, bytes)) {
+          // The inserter's pin is the only one, so the undo always lands.
+          EXPECT_TRUE(cache.erase(device, job, key));
+          model[{device, job}].erase(key);
+        }
+        break;
+      }
+      case 6: {  // evict_for_space: true means the request now fits
+        if (cache.evict_for_space(device, job, big)) {
+          EXPECT_TRUE(devs[device]->memory().can_allocate(big));
+        }
+        break;
+      }
+      case 7: {  // staging ring: reserve one, or release the one held
+        if (ring) {
+          const int rd = ring->first;
+          cache.release_staging(rd, ring->second);
+          ring.reset();
+          EXPECT_EQ(cache.staging_bytes(rd), 0u);
+        } else if (gpu::DevicePtr p = cache.reserve_staging(device, job, big)) {
+          EXPECT_GE(cache.staging_bytes(device), big);
+          ring.emplace(device, p);
+        } else {
+          EXPECT_EQ(cache.staging_bytes(device), 0u);
+        }
+        break;
+      }
     }
     // Invariant: the region accounting never exceeds its capacity.
     for (int dev = 0; dev < 2; ++dev) {
@@ -200,6 +242,10 @@ TEST_P(CacheFuzz, RandomCacheTrafficKeepsInvariants) {
     }
   }
   // Cleanup releases all device memory.
+  if (ring) {
+    cache.release_staging(ring->first, ring->second);
+    EXPECT_EQ(cache.staging_bytes(ring->first), 0u);
+  }
   while (!pinned.empty()) {
     auto [pd, pj, pk] = pinned.back();
     pinned.pop_back();

@@ -582,6 +582,76 @@ TEST(FlightRecorder, FirstFaultAutoDumps) {
   std::remove(path.c_str());
 }
 
+TEST(FlightRecorder, WrappedRingsKeepExactTotalsAndClearResets) {
+  constexpr std::size_t kCapacity = 4;
+  constexpr int kNodes = 3;
+  constexpr int kPerNode = 10;  // every ring wraps 2.5 times
+  obs::FlightRecorder fr(kCapacity);
+  obs::SpanStore store;
+  const obs::StrId name = store.intern("wrap_span");
+  for (int i = 0; i < kNodes * kPerNode; ++i) {
+    const int node = i % kNodes;
+    fr.note_event(i, node, "wrap_event", std::to_string(i));
+    obs::CausalSpan span;
+    span.id = static_cast<obs::SpanId>(i + 1);
+    span.node = node;
+    span.name = name;
+    span.begin = i;
+    span.end = i + 1;
+    fr.on_span_closed(store, span);
+  }
+  fr.note_fault(100, 0, "wrap_fault", "");  // no dump path: counts only
+  constexpr std::uint64_t kSpans = kNodes * kPerNode;
+  constexpr std::uint64_t kEvents = kSpans + 1;
+  EXPECT_EQ(fr.events_seen(), kEvents);
+  EXPECT_EQ(fr.faults(), 1u);
+  EXPECT_EQ(fr.dumps(), 0u);
+
+  // The totals stay exact after wraparound; the rings keep the newest.
+  const std::string path = ::testing::TempDir() + "flight_wrap_dump.json";
+  ASSERT_TRUE(fr.dump_now(path));
+  std::remove(path.c_str());
+  EXPECT_EQ(fr.dumps(), 1u);
+  const Json dump = fr.to_json();
+  EXPECT_EQ(dump.find("spans_seen")->as_int(), static_cast<std::int64_t>(kSpans));
+  EXPECT_EQ(dump.find("events_seen")->as_int(), static_cast<std::int64_t>(kEvents));
+  EXPECT_EQ(dump.find("faults")->as_int(), 1);
+  const Json* nodes = dump.find("nodes");
+  ASSERT_NE(nodes, nullptr);
+  ASSERT_EQ(nodes->size(), static_cast<std::size_t>(kNodes));
+  for (const Json& n : nodes->items()) {
+    const auto& spans = n.find("spans")->items();
+    const auto& events = n.find("events")->items();
+    ASSERT_EQ(spans.size(), kCapacity);
+    ASSERT_EQ(events.size(), kCapacity);
+    // Node k's last span began at 27 + k, the newest of its ten.
+    EXPECT_EQ(spans.back().find("begin_ns")->as_int(), 27 + n.find("node")->as_int());
+  }
+  EXPECT_EQ(nodes->items()[0].find("events")->items().back().find("kind")->as_string(),
+            "wrap_fault");
+
+  obs::MetricsRegistry m;
+  fr.export_metrics(m);
+  EXPECT_DOUBLE_EQ(m.counter_value("flight_spans_total"), static_cast<double>(kSpans));
+  EXPECT_DOUBLE_EQ(m.counter_value("flight_events_total"), static_cast<double>(kEvents));
+  EXPECT_DOUBLE_EQ(m.counter_value("flight_faults_total"), 1.0);
+  EXPECT_DOUBLE_EQ(m.counter_value("flight_dumps_total"), 1.0);
+
+  fr.clear();
+  EXPECT_EQ(fr.events_seen(), 0u);
+  EXPECT_EQ(fr.faults(), 0u);
+  EXPECT_EQ(fr.dumps(), 0u);
+  const Json cleared = fr.to_json();
+  EXPECT_EQ(cleared.find("spans_seen")->as_int(), 0);
+  EXPECT_EQ(cleared.find("nodes")->size(), 0u);
+  obs::MetricsRegistry after;
+  fr.export_metrics(after);
+  for (const char* name :
+       {"flight_spans_total", "flight_events_total", "flight_faults_total", "flight_dumps_total"}) {
+    EXPECT_DOUBLE_EQ(after.counter_value(name), 0.0) << name;
+  }
+}
+
 TEST(RunReport, CarriesHostPeakRss) {
   obs::RunReport rep;
   rep.peak_rss_mb = obs::host_peak_rss_mb();

@@ -108,20 +108,12 @@ TEST(Simulation, NestedCoroutinesReturnValues) {
 }
 
 TEST(Simulation, DeepAwaitChainDoesNotOverflowStack) {
-#if defined(__SANITIZE_THREAD__)
-  GTEST_SKIP() << "100k-deep await chain overflows TSan's internal stack "
-                  "depot (sanitizer_stackdepot kStackSizeBits CHECK), "
-                  "which aborts before any user code misbehaves";
-#elif defined(__SANITIZE_ADDRESS__)
+#if defined(__SANITIZE_ADDRESS__)
   GTEST_SKIP() << "ASan instrumentation defeats the guaranteed tail call "
                   "behind symmetric transfer at -O0, so the chain grows "
                   "the native stack it exists to prove flat";
 #elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-  GTEST_SKIP() << "100k-deep await chain overflows TSan's internal stack "
-                  "depot (sanitizer_stackdepot kStackSizeBits CHECK), "
-                  "which aborts before any user code misbehaves";
-#elif __has_feature(address_sanitizer)
+#if __has_feature(address_sanitizer)
   GTEST_SKIP() << "ASan instrumentation defeats the guaranteed tail call "
                   "behind symmetric transfer at -O0, so the chain grows "
                   "the native stack it exists to prove flat";
