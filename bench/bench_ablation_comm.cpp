@@ -71,6 +71,7 @@ double measure(Strategy strategy) {
     w.device().memory().free(p);
   }(s, wrapper, host, strategy, elapsed));
   s.run();
+  gflink::bench::bench_report().virtual_ns += s.now();
   return static_cast<double>(kBlockBytes) / sim::to_seconds(elapsed);
 }
 

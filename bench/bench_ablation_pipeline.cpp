@@ -31,6 +31,7 @@ namespace sim = gflink::sim;
 namespace gpu = gflink::gpu;
 namespace mem = gflink::mem;
 namespace core = gflink::core;
+using gflink::obs::Metric;
 
 constexpr std::uint64_t kBlockBytes = 4ULL << 20;
 constexpr int kBlocks = 64;
@@ -179,13 +180,13 @@ void Ablation_ChunkedPipeline(benchmark::State& state) {
     }
     const std::string key = chunk_key(chunk_bytes);
     auto& rep = gflink::bench::bench_report();
-    rep.metrics.gauge("ablation_pipeline_seconds", {{"chunk", key}}).set(r.seconds);
-    rep.metrics.gauge("ablation_pipeline_overlap_efficiency", {{"chunk", key}})
+    rep.metrics.gauge(Metric::AblationPipelineSeconds, {{"chunk", key}}).set(r.seconds);
+    rep.metrics.gauge(Metric::AblationPipelineOverlapEfficiency, {{"chunk", key}})
         .set(r.overlap_efficiency);
-    rep.metrics.gauge("ablation_pipeline_chunks_per_work", {{"chunk", key}})
+    rep.metrics.gauge(Metric::AblationPipelineChunksPerWork, {{"chunk", key}})
         .set(static_cast<double>(r.chunks_per_work));
     if (monolithic_baseline > 0) {
-      rep.metrics.gauge("ablation_pipeline_gain", {{"chunk", key}})
+      rep.metrics.gauge(Metric::AblationPipelineGain, {{"chunk", key}})
           .set(monolithic_baseline / r.seconds);
     }
   }

@@ -28,6 +28,7 @@ namespace {
 
 using namespace gflink::bench;
 namespace sh = gflink::shuffle;
+using gflink::obs::Metric;
 
 constexpr sh::ShuffleMode kModes[] = {sh::ShuffleMode::Barrier, sh::ShuffleMode::Pipelined,
                                       sh::ShuffleMode::OneSided};
@@ -48,8 +49,8 @@ double measure(sh::ShuffleMode mode, bool skewed) {
   gflink::obs::RunReport& rep = report_case(session);
   const double secs = full_seconds(result.run.total, tb);
   const gflink::obs::Labels labels{{"mode", sh::shuffle_mode_name(mode)}, {"dist", dist}};
-  rep.metrics.gauge("ablation_shuffle_seconds", labels).set(secs);
-  rep.metrics.gauge("ablation_shuffle_checksum", labels).set(result.run.checksum);
+  rep.metrics.gauge(Metric::AblationShuffleSeconds, labels).set(secs);
+  rep.metrics.gauge(Metric::AblationShuffleChecksum, labels).set(result.run.checksum);
   return secs;
 }
 

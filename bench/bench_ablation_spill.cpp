@@ -62,9 +62,9 @@ double measure(bool async_path, sp::SpillCodec codec) {
   const double secs = full_seconds(result.run.total, tb);
   const gflink::obs::Labels labels{{"path", kPaths[async_path ? 1 : 0]},
                                    {"codec", sp::spill_codec_name(codec)}};
-  rep.metrics.gauge("ablation_spill_seconds", labels).set(secs);
-  rep.metrics.gauge("ablation_spill_stall_seconds", labels).set(spill_stall_s);
-  rep.metrics.gauge("ablation_spill_checksum", labels).set(result.run.checksum);
+  rep.metrics.gauge(obs::Metric::AblationSpillSeconds, labels).set(secs);
+  rep.metrics.gauge(obs::Metric::AblationSpillStallSeconds, labels).set(spill_stall_s);
+  rep.metrics.gauge(obs::Metric::AblationSpillChecksum, labels).set(result.run.checksum);
   return secs;
 }
 

@@ -31,7 +31,7 @@ namespace wl = gflink::workloads;
 inline obs::RunReport& report_case(const wl::Session& session) {
   obs::RunReport& rep = bench_report();
   session.report_into(rep);
-  rep.metrics.inc("bench_cases_total");
+  rep.metrics.inc(obs::Metric::BenchCases);
   return rep;
 }
 

@@ -22,6 +22,7 @@ namespace {
 
 using namespace gflink::bench;
 namespace svc = gflink::service;
+using gflink::obs::Metric;
 using gflink::sim::Co;
 using gflink::workloads::Pt;
 
@@ -128,10 +129,10 @@ void Multitenant_WeightedFairService(benchmark::State& state) {
       total_cache += static_cast<double>(t.cache_inserted_bytes);
     }
     auto& rep = bench_report();
-    rep.metrics.gauge("multitenant_jobs_per_second").set(jobs_per_second);
+    rep.metrics.gauge(Metric::MultitenantJobsPerSecond).set(jobs_per_second);
     // The perf guard's gauge check is bigger-is-worse (durations), so gate
     // aggregate throughput through its inverse.
-    rep.metrics.gauge("multitenant_seconds_per_job")
+    rep.metrics.gauge(Metric::MultitenantSecondsPerJob)
         .set(jobs_per_second > 0 ? 1.0 / jobs_per_second : 0.0);
     for (const auto& t : r.tenants) {
       const double weight_share = t.weight / total_weight;
@@ -140,11 +141,11 @@ void Multitenant_WeightedFairService(benchmark::State& state) {
       const double cache_share =
           total_cache > 0 ? static_cast<double>(t.cache_inserted_bytes) / total_cache : 0.0;
       const double p99_s = t.latency_ns.p99 / 1e9;
-      rep.metrics.gauge("multitenant_weight_share", {{"tenant", t.name}}).set(weight_share);
-      rep.metrics.gauge("multitenant_throughput_share", {{"tenant", t.name}})
+      rep.metrics.gauge(Metric::MultitenantWeightShare, {{"tenant", t.name}}).set(weight_share);
+      rep.metrics.gauge(Metric::MultitenantThroughputShare, {{"tenant", t.name}})
           .set(throughput_share);
-      rep.metrics.gauge("multitenant_cache_share", {{"tenant", t.name}}).set(cache_share);
-      rep.metrics.gauge("multitenant_p99_latency_s", {{"tenant", t.name}}).set(p99_s);
+      rep.metrics.gauge(Metric::MultitenantCacheShare, {{"tenant", t.name}}).set(cache_share);
+      rep.metrics.gauge(Metric::MultitenantP99LatencyS, {{"tenant", t.name}}).set(p99_s);
       state.counters["share_" + t.name] = throughput_share;
       std::printf(
           "%-6s weight=%.0f completed=%llu share=%.3f (want %.3f) cache=%.3f p99=%.4fs\n",

@@ -57,6 +57,7 @@ double measure_bandwidth(std::uint64_t bytes, bool native) {
     st.device().memory().free(p);
   }(s, stub, wrapper, host, bytes, native, elapsed));
   s.run();
+  gflink::bench::bench_report().virtual_ns += s.now();
   return static_cast<double>(bytes) / sim::to_seconds(elapsed);  // bytes/s
 }
 

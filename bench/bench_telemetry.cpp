@@ -40,6 +40,7 @@ namespace {
 using namespace gflink::bench;
 namespace svc = gflink::service;
 namespace tel = gflink::obs::telemetry;
+using gflink::obs::Metric;
 using gflink::sim::Co;
 
 struct ScenarioResult {
@@ -171,14 +172,14 @@ void Telemetry_HealthScenario(benchmark::State& state) {
     GFLINK_CHECK_MSG(burn->at == sim::millis(26), "slo_burn detection time drifted");
 
     auto& rep = bench_report();
-    rep.metrics.gauge("health_straggler_detect_ms")
+    rep.metrics.gauge(Metric::HealthStragglerDetectMs)
         .set(static_cast<double>(straggler->at) / 1e6);
-    rep.metrics.gauge("health_straggler_node").set(static_cast<double>(straggler->node));
-    rep.metrics.gauge("health_straggler_score").set(straggler->value);
-    rep.metrics.gauge("health_slo_detect_ms").set(static_cast<double>(burn->at) / 1e6);
-    rep.metrics.gauge("health_slo_burn_rate").set(burn->value);
-    rep.metrics.gauge("health_events_emitted").set(static_cast<double>(r.events.size()));
-    rep.metrics.gauge("telemetry_scenario_periods").set(static_cast<double>(r.periods));
+    rep.metrics.gauge(Metric::HealthStragglerNode).set(static_cast<double>(straggler->node));
+    rep.metrics.gauge(Metric::HealthStragglerScore).set(straggler->value);
+    rep.metrics.gauge(Metric::HealthSloDetectMs).set(static_cast<double>(burn->at) / 1e6);
+    rep.metrics.gauge(Metric::HealthSloBurnRate).set(burn->value);
+    rep.metrics.gauge(Metric::HealthEventsEmitted).set(static_cast<double>(r.events.size()));
+    rep.metrics.gauge(Metric::TelemetryScenarioPeriods).set(static_cast<double>(r.periods));
 
     state.counters["events"] = static_cast<double>(r.events.size());
     state.counters["straggler_ms"] = static_cast<double>(straggler->at) / 1e6;
@@ -236,9 +237,9 @@ void Telemetry_PagerankOverhead(benchmark::State& state) {
     GFLINK_CHECK_MSG(ratio < 0.02, "telemetry sampling overhead exceeded the 2% budget");
 
     auto& rep = bench_report();
-    rep.metrics.gauge("telemetry_pagerank_base_s").set(base_s);
-    rep.metrics.gauge("telemetry_pagerank_sampled_s").set(sampled_s);
-    rep.metrics.gauge("telemetry_overhead_ratio").set(ratio);
+    rep.metrics.gauge(Metric::TelemetryPagerankBaseS).set(base_s);
+    rep.metrics.gauge(Metric::TelemetryPagerankSampledS).set(sampled_s);
+    rep.metrics.gauge(Metric::TelemetryOverheadRatio).set(ratio);
     state.counters["base_s"] = base_s;
     state.counters["sampled_s"] = sampled_s;
     state.counters["overhead_ratio"] = ratio;

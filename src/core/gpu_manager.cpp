@@ -29,29 +29,30 @@ void GpuManager::export_metrics(obs::MetricsRegistry& out) const {
   for (std::size_t i = 0; i < devices_.size(); ++i) {
     const gpu::GpuDevice& dev = *devices_[i];
     const obs::Labels l{{"gpu", dev.id()}};
-    out.counter("gpu_kernels_total", l).inc(static_cast<double>(dev.kernels_launched()));
-    out.counter("gpu_kernel_busy_ns_total", l).inc(static_cast<double>(dev.kernel_busy()));
-    out.counter("gpu_h2d_busy_ns_total", l).inc(static_cast<double>(dev.h2d_busy()));
-    out.counter("gpu_d2h_busy_ns_total", l).inc(static_cast<double>(dev.d2h_busy()));
-    out.counter("gpu_bytes_h2d_total", l).inc(static_cast<double>(dev.bytes_h2d()));
-    out.counter("gpu_bytes_d2h_total", l).inc(static_cast<double>(dev.bytes_d2h()));
-    out.counter("gpu_copy_compute_overlap_ns_total", l)
+    out.counter(obs::Metric::GpuKernels, l).inc(static_cast<double>(dev.kernels_launched()));
+    out.counter(obs::Metric::GpuKernelBusyNs, l).inc(static_cast<double>(dev.kernel_busy()));
+    out.counter(obs::Metric::GpuH2dBusyNs, l).inc(static_cast<double>(dev.h2d_busy()));
+    out.counter(obs::Metric::GpuD2hBusyNs, l).inc(static_cast<double>(dev.d2h_busy()));
+    out.counter(obs::Metric::GpuBytesH2d, l).inc(static_cast<double>(dev.bytes_h2d()));
+    out.counter(obs::Metric::GpuBytesD2h, l).inc(static_cast<double>(dev.bytes_d2h()));
+    out.counter(obs::Metric::GpuCopyComputeOverlapNs, l)
         .inc(static_cast<double>(dev.copy_compute_overlap()));
-    out.gauge("gpu_copy_compute_overlap_efficiency", l).set(dev.overlap_efficiency());
-    out.gauge("gpu_cache_region_used_bytes", l)
+    out.gauge(obs::Metric::GpuCopyComputeOverlapEfficiency, l).set(dev.overlap_efficiency());
+    out.gauge(obs::Metric::GpuCacheRegionUsedBytes, l)
         .set(static_cast<double>(memory_->region_used(static_cast<int>(i))));
-    out.gauge("gpu_staging_ring_bytes", l)
+    out.gauge(obs::Metric::GpuStagingRingBytes, l)
         .set(static_cast<double>(memory_->staging_bytes(static_cast<int>(i))));
   }
-  out.counter("gpu_cache_hits_total").inc(static_cast<double>(memory_->hits()));
-  out.counter("gpu_cache_misses_total").inc(static_cast<double>(memory_->misses()));
-  out.counter("gpu_cache_evictions_total").inc(static_cast<double>(memory_->evictions()));
-  out.counter("gpu_cache_cross_tenant_evictions_total")
+  out.counter(obs::Metric::GpuCacheHits).inc(static_cast<double>(memory_->hits()));
+  out.counter(obs::Metric::GpuCacheMisses).inc(static_cast<double>(memory_->misses()));
+  out.counter(obs::Metric::GpuCacheEvictions).inc(static_cast<double>(memory_->evictions()));
+  out.counter(obs::Metric::GpuCacheCrossTenantEvictions)
       .inc(static_cast<double>(memory_->cross_tenant_evictions()));
-  out.counter("gpu_cache_pins_total").inc(static_cast<double>(memory_->pins()));
-  out.counter("gpu_staging_reservations_total")
+  out.counter(obs::Metric::GpuCachePins).inc(static_cast<double>(memory_->pins()));
+  out.counter(obs::Metric::GpuStagingReservations)
       .inc(static_cast<double>(memory_->staging_reservations()));
-  out.counter("gpu_staging_failures_total").inc(static_cast<double>(memory_->staging_failures()));
+  out.counter(obs::Metric::GpuStagingFailures)
+      .inc(static_cast<double>(memory_->staging_failures()));
   streams_->export_metrics(out);
 }
 

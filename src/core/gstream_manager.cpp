@@ -127,8 +127,8 @@ GStreamManager::GStreamManager(sim::Simulation& sim, std::vector<gpu::CudaWrappe
   GFLINK_CHECK(!wrappers_.empty());
   GFLINK_CHECK(config_.streams_per_gpu >= 1);
   if (registry != nullptr) {
-    queue_depth_hist_ = &registry->histogram("gstream_queue_depth", 0.0, 256.0, 64);
-    latency_hist_ = &registry->histogram("gwork_latency_ns", 0.0, 5.0e7, 100);
+    queue_depth_hist_ = &registry->histogram(obs::Metric::GstreamQueueDepth);
+    latency_hist_ = &registry->histogram(obs::Metric::GworkLatencyNs);
   }
   pool_.resize(wrappers_.size());
   executed_.assign(wrappers_.size(), 0);
@@ -751,23 +751,25 @@ void GStreamManager::finish(const GWorkPtr& work, int gpu_index) {
 
 void GStreamManager::export_metrics(obs::MetricsRegistry& out) const {
   for (std::size_t g = 0; g < executed_.size(); ++g) {
-    out.counter("gstream_executed_total", {{"gpu", std::to_string(g)}})
+    out.counter(obs::Metric::GstreamExecuted, {{"gpu", std::to_string(g)}})
         .inc(static_cast<double>(executed_[g]));
   }
-  out.counter("gstream_steals_total").inc(static_cast<double>(steals_));
-  out.counter("gstream_priority_bypass_total").inc(static_cast<double>(priority_bypasses_));
-  out.counter("gstream_cross_bulk_total").inc(static_cast<double>(cross_bulk_));
-  out.counter("gstream_freed_streams_total").inc(static_cast<double>(freed_count_));
-  out.counter("gstream_locality_hits_total").inc(static_cast<double>(locality_hits_));
-  out.counter("gstream_locality_misses_total").inc(static_cast<double>(locality_misses_));
-  out.counter("gstream_chunked_works_total").inc(static_cast<double>(chunked_works_));
-  out.counter("gstream_chunks_total").inc(static_cast<double>(chunks_total_));
-  out.counter("gstream_chunk_fallbacks_total").inc(static_cast<double>(chunk_fallbacks_));
-  out.counter("gstream_oom_retries_total").inc(static_cast<double>(oom_retries_));
-  out.counter("gpu_stage_busy_ns", {{"stage", "h2d"}}).inc(static_cast<double>(stage_h2d_ns_));
-  out.counter("gpu_stage_busy_ns", {{"stage", "kernel"}})
+  out.counter(obs::Metric::GstreamSteals).inc(static_cast<double>(steals_));
+  out.counter(obs::Metric::GstreamPriorityBypass).inc(static_cast<double>(priority_bypasses_));
+  out.counter(obs::Metric::GstreamCrossBulk).inc(static_cast<double>(cross_bulk_));
+  out.counter(obs::Metric::GstreamFreedStreams).inc(static_cast<double>(freed_count_));
+  out.counter(obs::Metric::GstreamLocalityHits).inc(static_cast<double>(locality_hits_));
+  out.counter(obs::Metric::GstreamLocalityMisses).inc(static_cast<double>(locality_misses_));
+  out.counter(obs::Metric::GstreamChunkedWorks).inc(static_cast<double>(chunked_works_));
+  out.counter(obs::Metric::GstreamChunks).inc(static_cast<double>(chunks_total_));
+  out.counter(obs::Metric::GstreamChunkFallbacks).inc(static_cast<double>(chunk_fallbacks_));
+  out.counter(obs::Metric::GstreamOomRetries).inc(static_cast<double>(oom_retries_));
+  out.counter(obs::Metric::GpuStageBusyNs, {{"stage", "h2d"}})
+      .inc(static_cast<double>(stage_h2d_ns_));
+  out.counter(obs::Metric::GpuStageBusyNs, {{"stage", "kernel"}})
       .inc(static_cast<double>(stage_kernel_ns_));
-  out.counter("gpu_stage_busy_ns", {{"stage", "d2h"}}).inc(static_cast<double>(stage_d2h_ns_));
+  out.counter(obs::Metric::GpuStageBusyNs, {{"stage", "d2h"}})
+      .inc(static_cast<double>(stage_d2h_ns_));
 }
 
 }  // namespace gflink::core

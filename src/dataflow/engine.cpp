@@ -93,7 +93,7 @@ Engine::Engine(const EngineConfig& config)
   task_busy_ns_.push_back(nullptr);  // node 0 is the master
   for (int w = 1; w <= cluster_.num_workers(); ++w) {
     task_busy_ns_.push_back(
-        &cluster_.metrics().counter("engine.task_busy_ns", {{"node", std::to_string(w)}}));
+        &cluster_.metrics().counter(obs::Metric::EngineTaskBusyNs, {{"node", std::to_string(w)}}));
   }
   alive_.assign(static_cast<std::size_t>(cluster_.num_workers()) + 1, true);
   dfs_.set_liveness([this](int node) { return worker_alive(node); });
@@ -103,7 +103,7 @@ void Engine::schedule_worker_failure(int worker, sim::Time at, sim::Duration dow
   GFLINK_CHECK(worker >= 1 && worker <= num_workers());
   sim_.schedule_at(at, [this, worker] {
     alive_[static_cast<std::size_t>(worker)] = false;
-    cluster_.metrics().inc("fault.worker_failures");
+    cluster_.metrics().inc(obs::Metric::FaultWorkerFailures);
     cluster_.flight().note_fault(sim_.now(), worker, "worker_failure",
                                  "node" + std::to_string(worker) + " lost");
   });
@@ -184,21 +184,18 @@ sim::Co<Worker*> Engine::acquire_slot(int node, obs::SpanId task_span) {
 
 void Engine::note_stage(const StageStat& stat) {
   obs::MetricsRegistry& m = cluster_.metrics();
-  m.inc("engine.stages");
-  m.inc("engine.stage_tasks", static_cast<double>(stat.tasks));
-  m.inc("engine.records_in", static_cast<double>(stat.records_in));
-  m.inc("engine.records_out", static_cast<double>(stat.records_out));
-  m.inc("engine.shuffle_bytes", static_cast<double>(stat.shuffle_bytes));
-  // 0..10 s of virtual time per stage, 100 buckets; the summary keeps exact
-  // bounds for outliers.
-  m.histogram("engine_stage_duration_ns", 0.0, 1.0e10, 100)
-      .add(static_cast<double>(stat.end - stat.begin));
+  m.inc(obs::Metric::EngineStages);
+  m.inc(obs::Metric::EngineStageTasks, static_cast<double>(stat.tasks));
+  m.inc(obs::Metric::EngineRecordsIn, static_cast<double>(stat.records_in));
+  m.inc(obs::Metric::EngineRecordsOut, static_cast<double>(stat.records_out));
+  m.inc(obs::Metric::EngineShuffleBytes, static_cast<double>(stat.shuffle_bytes));
+  m.histogram(obs::Metric::EngineStageDurationNs).add(static_cast<double>(stat.end - stat.begin));
 }
 
 void Engine::export_metrics(obs::MetricsRegistry& out) const {
   cluster_.export_metrics(out);
-  out.counter("engine_tasks_failed_total").inc(static_cast<double>(tasks_failed_));
-  out.counter("engine_tasks_retried_total").inc(static_cast<double>(tasks_retried_));
+  out.counter(obs::Metric::EngineTasksFailed).inc(static_cast<double>(tasks_failed_));
+  out.counter(obs::Metric::EngineTasksRetried).inc(static_cast<double>(tasks_retried_));
 }
 
 sim::Time Engine::run(std::function<sim::Co<void>(Engine&)> driver) {
@@ -661,7 +658,7 @@ sim::Co<std::shared_ptr<mem::RecordBatch>> Engine::collect(Job& job, PlanNodePtr
         (nic.latency * 2 + sim::transfer_time(max_part, nic.bandwidth));
     const sim::Duration funnel_time =
         nic.latency + sim::transfer_time(total, config_.cluster.master.nic.bandwidth);
-    cluster_.metrics().inc("net.bytes", static_cast<double>(total));
+    cluster_.metrics().inc(obs::Metric::NetBytes, static_cast<double>(total));
     co_await sim_.delay(std::max(tree_time, funnel_time));
   }
   auto merged = std::make_shared<mem::RecordBatch>(data->desc);
@@ -808,7 +805,7 @@ sim::Co<void> Engine::checkpoint(Job& job, const std::string& name, std::uint64_
   co_await dfs_.write(0, "/checkpoints/" + job.stats().name + "-" +
                              std::to_string(job.id()) + "/" + name, bytes);
   job.stats().io_bytes_written += bytes;
-  cluster_.metrics().inc("fault.checkpoints");
+  cluster_.metrics().inc(obs::Metric::FaultCheckpoints);
 }
 
 sim::Co<DataHandle> Engine::co_group(Job& job, const DataHandle& left,
@@ -929,7 +926,7 @@ sim::Co<void> Engine::broadcast(Job& job, std::uint64_t bytes) {
   const net::NicSpec& nic = config_.cluster.worker.nic;
   const int rounds = tree_rounds(num_workers());
   const sim::Duration per_round = nic.latency * 2 + sim::transfer_time(bytes, nic.bandwidth);
-  cluster_.metrics().inc("net.bytes",
+  cluster_.metrics().inc(obs::Metric::NetBytes,
                          static_cast<double>(bytes) * static_cast<double>(num_workers()));
   co_await sim_.delay(static_cast<sim::Duration>(rounds) * per_round);
 }
@@ -942,7 +939,7 @@ sim::Co<void> Engine::gather(Job& job, std::uint64_t bytes_per_worker) {
   const int rounds = tree_rounds(num_workers());
   const sim::Duration per_round =
       nic.latency * 2 + sim::transfer_time(bytes_per_worker, nic.bandwidth);
-  cluster_.metrics().inc("net.bytes", static_cast<double>(bytes_per_worker) *
+  cluster_.metrics().inc(obs::Metric::NetBytes, static_cast<double>(bytes_per_worker) *
                                           static_cast<double>(num_workers()));
   co_await sim_.delay(static_cast<sim::Duration>(rounds) * per_round);
 }

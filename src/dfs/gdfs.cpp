@@ -76,12 +76,12 @@ int Gdfs::preferred_replica(int reader, const BlockInfo& block) const {
 sim::Co<void> Gdfs::read_block(int reader, const BlockInfo& block, obs::SpanLink link) {
   auto& metrics = cluster_->metrics();
   int source = preferred_replica(reader, block);
-  metrics.inc("dfs.blocks_read");
-  metrics.inc("dfs.bytes_read", static_cast<double>(block.bytes));
+  metrics.inc(obs::Metric::DfsBlocksRead);
+  metrics.inc(obs::Metric::DfsBytesRead, static_cast<double>(block.bytes));
   if (source == reader) {
-    metrics.inc("dfs.local_reads");
+    metrics.inc(obs::Metric::DfsLocalReads);
   } else {
-    metrics.inc("dfs.remote_reads");
+    metrics.inc(obs::Metric::DfsRemoteReads);
   }
   co_await cluster_->node(source).disk_read().transfer(block.bytes, "dfs-read", link);
   if (source != reader) {
@@ -138,7 +138,7 @@ sim::Co<void> Gdfs::write(int writer, const std::string& path, std::uint64_t byt
     spans.push_back(Span{rit->replicas, span});
   }
   auto& metrics = cluster_->metrics();
-  metrics.inc("dfs.bytes_written", static_cast<double>(bytes));
+  metrics.inc(obs::Metric::DfsBytesWritten, static_cast<double>(bytes));
   // Pipelined replica writes: the writer streams to the primary (network if
   // remote), each replica persists to disk and forwards to the next.
   for (const Span& s : spans) {

@@ -147,9 +147,12 @@ bool check_mirror(const StructDesc& (*desc_fn)(), const char* what) {
 ///  * static-initialization time — the descriptor's computed offsets and
 ///    stride must equal the host layout (matches_host_layout<T>).
 /// Every workload translation unit that reinterprets batch bytes as a
-/// mirror struct must carry one of these per (T, desc) pair; tools/gflint.py
-/// enforces that (rule R4). The anonymous namespace keeps the check's
-/// linkage TU-local, so the same pair may be checked in several files.
+/// mirror struct carries one of these per (T, desc) pair. Each typed plan
+/// node repeats the layout check when it is built
+/// (dataflow::host_layout_desc), so a mirror struct that reaches a DataSet
+/// cannot disagree with its descriptor. The anonymous namespace keeps the
+/// check's linkage TU-local, so the same pair may be checked in several
+/// files.
 #define GSTRUCT_MIRROR_CHECK(T, desc_fn)                                                     \
   static_assert(std::is_standard_layout_v<T>, #T " must be standard-layout");                \
   static_assert(std::is_trivially_copyable_v<T>, #T " must be trivially copyable");          \

@@ -62,8 +62,8 @@ sim::Co<void> Cluster::transfer(int src, int dst, std::uint64_t bytes, const std
                                 obs::SpanLink link) {
   if (src == dst) co_return;  // in-memory, no NIC involvement
   if (colocated_master_ && (src == 0 || dst == 0)) co_return;
-  metrics_.inc("net.bytes", static_cast<double>(bytes));
-  metrics_.inc("net.transfers");
+  metrics_.inc(obs::Metric::NetBytes, static_cast<double>(bytes));
+  metrics_.inc(obs::Metric::NetTransfers);
   // Egress first, then ingress: the acquisition order (always egress before
   // ingress, never the reverse) is deadlock-free by construction.
   co_await node(src).egress().transfer(bytes, label, link);
@@ -73,7 +73,7 @@ sim::Co<void> Cluster::transfer(int src, int dst, std::uint64_t bytes, const std
 sim::Co<void> Cluster::message(int src, int dst) {
   if (src == dst) co_return;
   if (colocated_master_ && (src == 0 || dst == 0)) co_return;
-  metrics_.inc("net.messages");
+  metrics_.inc(obs::Metric::NetMessages);
   co_await sim_->delay(node(src).spec().nic.latency + node(dst).spec().nic.latency);
 }
 
@@ -82,8 +82,8 @@ sim::Co<void> Cluster::remote_write(int src, int dst, std::uint64_t offset, std:
   (void)offset;  // addressing fidelity only; payload rides the deposit path
   if (src == dst) co_return;  // registered region is local memory
   if (colocated_master_ && (src == 0 || dst == 0)) co_return;
-  metrics_.inc("net.rdma_bytes", static_cast<double>(bytes));
-  metrics_.inc("net.rdma_writes");
+  metrics_.inc(obs::Metric::NetRdmaBytes, static_cast<double>(bytes));
+  metrics_.inc(obs::Metric::NetRdmaWrites);
   // Initiator HCA first, then target HCA: same fixed acquisition order as
   // transfer(), deadlock-free by construction. The target's CPU is never
   // involved — only its HCA's DMA engine (rdma_rx) is occupied.
@@ -96,7 +96,7 @@ sim::Co<std::uint64_t> Cluster::remote_fetch_add(int src, int dst, std::uint64_t
   auto& slot = rdma_counters_[static_cast<std::size_t>(dst)][counter];
   const bool local = src == dst || (colocated_master_ && (src == 0 || dst == 0));
   if (!local) {
-    metrics_.inc("net.rdma_atomics");
+    metrics_.inc(obs::Metric::NetRdmaAtomics);
     // Request leg: initiator latency + target latency.
     co_await sim_->delay(node(src).spec().rdma.latency + node(dst).spec().rdma.latency);
   }

@@ -136,10 +136,10 @@ class Pipe {
   /// run into a fresh or accumulating registry).
   void export_metrics(obs::MetricsRegistry& out) const {
     const obs::Labels l{{"pipe", name_}};
-    out.counter("net_pipe_bytes_total", l).inc(static_cast<double>(bytes_moved_));
-    out.counter("net_pipe_transfers_total", l).inc(static_cast<double>(transfers_));
-    out.counter("net_pipe_busy_ns_total", l).inc(static_cast<double>(busy_ns_));
-    out.counter("net_pipe_queue_wait_ns_total", l).inc(static_cast<double>(queue_wait_ns_));
+    out.counter(obs::Metric::NetPipeBytes, l).inc(static_cast<double>(bytes_moved_));
+    out.counter(obs::Metric::NetPipeTransfers, l).inc(static_cast<double>(transfers_));
+    out.counter(obs::Metric::NetPipeBusyNs, l).inc(static_cast<double>(busy_ns_));
+    out.counter(obs::Metric::NetPipeQueueWaitNs, l).inc(static_cast<double>(queue_wait_ns_));
   }
 
  private:

@@ -80,10 +80,10 @@ Json FlightRecorder::to_json() const {
 }
 
 void FlightRecorder::export_metrics(MetricsRegistry& m) const {
-  m.counter("flight_spans_total").inc(static_cast<double>(spans_seen_));
-  m.counter("flight_events_total").inc(static_cast<double>(events_seen_));
-  m.counter("flight_faults_total").inc(static_cast<double>(faults_));
-  m.counter("flight_dumps_total").inc(static_cast<double>(dumps_));
+  m.counter(Metric::FlightSpans).inc(static_cast<double>(spans_seen_));
+  m.counter(Metric::FlightEvents).inc(static_cast<double>(events_seen_));
+  m.counter(Metric::FlightFaults).inc(static_cast<double>(faults_));
+  m.counter(Metric::FlightDumps).inc(static_cast<double>(dumps_));
 }
 
 void FlightRecorder::clear() {

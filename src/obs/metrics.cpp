@@ -1,7 +1,5 @@
 #include "obs/metrics.hpp"
 
-#include "sim/util.hpp"
-
 namespace gflink::obs {
 
 std::string MetricId::to_string() const {
@@ -17,28 +15,31 @@ std::string MetricId::to_string() const {
   return out;
 }
 
-Counter& MetricsRegistry::counter(const std::string& name, Labels labels) {
-  return counters_[MetricId{name, std::move(labels)}];
+Counter& MetricsRegistry::counter(Metric family, Labels labels) {
+  const MetricFamily& f = metric_family(family);
+  auto [it, created] = counters_.try_emplace(MetricId{std::string(f.name), std::move(labels)});
+  if (created) check_metric_registration(f, MetricKind::Counter, it->first.labels);
+  return it->second;
 }
 
-Gauge& MetricsRegistry::gauge(const std::string& name, Labels labels) {
-  return gauges_[MetricId{name, std::move(labels)}];
+Gauge& MetricsRegistry::gauge(Metric family, Labels labels) {
+  const MetricFamily& f = metric_family(family);
+  auto [it, created] = gauges_.try_emplace(MetricId{std::string(f.name), std::move(labels)});
+  if (created) check_metric_registration(f, MetricKind::Gauge, it->first.labels);
+  return it->second;
 }
 
-sim::Histogram& MetricsRegistry::histogram(const std::string& name, double lo, double hi,
-                                           std::size_t buckets, Labels labels) {
-  MetricId id{name, std::move(labels)};
+sim::Histogram& MetricsRegistry::histogram(Metric family, Labels labels) {
+  const MetricFamily& f = metric_family(family);
+  MetricId id{std::string(f.name), std::move(labels)};
   auto it = histograms_.find(id);
   if (it == histograms_.end()) {
-    it = histograms_.emplace(std::move(id), sim::Histogram(lo, hi, buckets)).first;
-  } else {
-    // Re-registration with a different layout would silently hand back a
-    // histogram whose buckets mean something else — fail loudly instead.
-    // (Histogram::buckets() counts the under/overflow slots, hence + 2.)
-    GFLINK_CHECK_MSG(it->second.lo() == lo && it->second.hi() == hi &&
-                         it->second.buckets() == buckets + 2,
-                     "MetricsRegistry::histogram re-registered with a different "
-                     "lo/hi/buckets layout");
+    // Checked before the histogram is built: a non-histogram family has no
+    // layout to build it from.
+    check_metric_registration(f, MetricKind::Histogram, id.labels);
+    it = histograms_
+             .emplace(std::move(id), sim::Histogram(f.layout.lo, f.layout.hi, f.layout.buckets))
+             .first;
   }
   return it->second;
 }

@@ -1,17 +1,22 @@
 // The unified metrics registry of the observability subsystem.
 //
-// Components register labeled counters, gauges and histograms by name and
-// hold on to the returned handle (node-stable across inserts), so the hot
-// path is a single pointer write. The registry snapshots to JSON for run
-// reports and merges across runs (bench binaries accumulate one registry
-// over many simulated testbeds).
+// Components register labeled counters, gauges and histograms through a
+// catalogued family (obs/metric_families.hpp) and hold on to the returned
+// handle (node-stable across inserts), so the hot path is a single pointer
+// write. The registry snapshots to JSON for run reports and merges across
+// runs (bench binaries accumulate one registry over many simulated
+// testbeds).
 //
 // Conventions:
-//  * counters are monotonically increasing totals, named `*_total` or with
-//    a unit suffix (`*_ns`, `*_bytes`);
-//  * gauges are last-write-wins instantaneous values (occupancy, ratios);
-//  * histograms are sim::Histogram (fixed linear buckets + under/overflow)
-//    reported with p50/p95/p99.
+//  * a series can only be registered through its `Metric` family, which
+//    fixes its name, kind, unit, label keys and (for histograms) bucket
+//    layout; a series created with the wrong kind or label-key set is a
+//    GFLINK_CHECK failure naming the family and its expected keys;
+//  * counters are monotonically increasing totals, gauges are
+//    last-write-wins instantaneous values, histograms are sim::Histogram
+//    (fixed linear buckets + under/overflow) reported with p50/p95/p99;
+//  * reads go by name (`counter_value`, `counter_sum`, `find_histogram`),
+//    because run reports, perfbench and the table generators key on names.
 //
 // The registry is simulation-thread state, like everything else in the
 // simulator (docs/ARCHITECTURE.md, "Single-threaded by construction"):
@@ -25,6 +30,7 @@
 #include "sim/stats.hpp"
 
 #include "obs/json.hpp"
+#include "obs/metric_families.hpp"
 
 namespace gflink::obs {
 
@@ -69,19 +75,16 @@ class Gauge {
 
 class MetricsRegistry {
  public:
-  /// Get-or-create. References stay valid for the registry's lifetime
-  /// (map nodes are stable), so components may cache them.
-  Counter& counter(const std::string& name, Labels labels = {});
-  Gauge& gauge(const std::string& name, Labels labels = {});
-  /// The bucket layout is fixed by the first registration of an id; later
-  /// calls must pass the same lo/hi/buckets — a mismatched re-registration
-  /// is a GFLINK_CHECK failure (a histogram with a surprising layout is
-  /// worse than a crash).
-  sim::Histogram& histogram(const std::string& name, double lo, double hi, std::size_t buckets,
-                            Labels labels = {});
+  /// Get-or-create a series of `family`. References stay valid for the
+  /// registry's lifetime (map nodes are stable), so components may cache
+  /// them. The kind and label-key check runs once, when the series is
+  /// created; a histogram takes its bucket layout from the family.
+  Counter& counter(Metric family, Labels labels = {});
+  Gauge& gauge(Metric family, Labels labels = {});
+  sim::Histogram& histogram(Metric family, Labels labels = {});
 
-  /// Convenience increment (creates the counter if needed).
-  void inc(const std::string& name, double v = 1.0) { counter(name).inc(v); }
+  /// Convenience increment of an unlabelled counter.
+  void inc(Metric family, double v = 1.0) { counter(family).inc(v); }
 
   // ---- Read-side -----------------------------------------------------------
 

@@ -58,15 +58,15 @@ double host_peak_rss_mb() {
 void add_derived_gflink_metrics(MetricsRegistry& m) {
   // Touch the headline keys so every report carries them, then derive.
   for (const char* stage : {"h2d", "kernel", "d2h"}) {
-    m.counter("gpu_stage_busy_ns", {{"stage", stage}});
+    m.counter(Metric::GpuStageBusyNs, {{"stage", stage}});
   }
   const double hits = m.counter_value("gpu_cache_hits_total");
   const double misses = m.counter_value("gpu_cache_misses_total");
-  m.gauge("cache_hit_ratio").set(hits + misses > 0 ? hits / (hits + misses) : 0.0);
+  m.gauge(Metric::CacheHitRatio).set(hits + misses > 0 ? hits / (hits + misses) : 0.0);
 
   const double loc_hits = m.counter_value("gstream_locality_hits_total");
   const double loc_misses = m.counter_value("gstream_locality_misses_total");
-  m.gauge("locality_hit_ratio")
+  m.gauge(Metric::LocalityHitRatio)
       .set(loc_hits + loc_misses > 0 ? loc_hits / (loc_hits + loc_misses) : 0.0);
 
   // Cluster-wide copy-compute overlap efficiency: how much of the hideable
@@ -78,7 +78,7 @@ void add_derived_gflink_metrics(MetricsRegistry& m) {
       m.counter_sum("gpu_h2d_busy_ns_total") + m.counter_sum("gpu_d2h_busy_ns_total");
   const double kernel_busy = m.counter_sum("gpu_kernel_busy_ns_total");
   const double hideable = std::min(copy_busy, kernel_busy);
-  m.gauge("copy_compute_overlap_efficiency").set(hideable > 0 ? overlap / hideable : 0.0);
+  m.gauge(Metric::CopyComputeOverlapEfficiency).set(hideable > 0 ? overlap / hideable : 0.0);
 }
 
 }  // namespace gflink::obs

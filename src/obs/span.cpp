@@ -154,9 +154,9 @@ void SpanStore::clear() {
 }
 
 void SpanStore::export_metrics(MetricsRegistry& m) const {
-  m.counter("trace_spans_total").inc(static_cast<double>(recorded_));
+  m.counter(Metric::TraceSpans).inc(static_cast<double>(recorded_));
   for (std::size_t i = 0; i < kSpanCategories; ++i) {
-    m.counter("trace_span_ns_total", {{"category", span_category_name(static_cast<SpanCategory>(i))}})
+    m.counter(Metric::TraceSpanNs, {{"category", span_category_name(static_cast<SpanCategory>(i))}})
         .inc(static_cast<double>(category_ns_[i]));
   }
 }
@@ -360,9 +360,9 @@ CriticalPath extract_critical_path(const SpanStore& store) {
 }
 
 void export_critical_path_metrics(const CriticalPath& cp, MetricsRegistry& m) {
-  m.gauge("trace_critical_path_seconds").set(sim::to_seconds(cp.total));
+  m.gauge(Metric::TraceCriticalPathSeconds).set(sim::to_seconds(cp.total));
   for (std::size_t i = 0; i < kSpanCategories; ++i) {
-    m.gauge("trace_critical_path_seconds",
+    m.gauge(Metric::TraceCriticalPathSeconds,
             {{"category", span_category_name(static_cast<SpanCategory>(i))}})
         .set(sim::to_seconds(cp.by_category[i]));
   }
@@ -450,7 +450,7 @@ std::vector<Straggler> find_stragglers(const SpanStore& store, std::size_t min_g
 }
 
 void export_straggler_metrics(const std::vector<Straggler>& stragglers, MetricsRegistry& m) {
-  m.gauge("trace_stragglers_total").set(static_cast<double>(stragglers.size()));
+  m.gauge(Metric::TraceStragglers).set(static_cast<double>(stragglers.size()));
 }
 
 }  // namespace gflink::obs

@@ -7,9 +7,10 @@
 //
 // All registration happens at wiring time (closures capture cached
 // references, pre-built strings and cached registry counter handles), so
-// the per-period sample path stays allocation-free. Every series name
-// carries a units suffix (gflint rule R7): _ns and _bytes mean what they
-// say, _total is a count of things, _ratio is a 0..1 fraction.
+// the per-period sample path stays allocation-free. Every series is a
+// Telemetry family of the metric catalog, so its name carries a units
+// suffix: _ns and _bytes mean what they say, _total is a count of things,
+// _ratio is a 0..1 fraction.
 #pragma once
 
 #include <string>
@@ -35,15 +36,15 @@ inline void install_engine_probes(TelemetryPlane& plane, dataflow::Engine& engin
   for (int w = 1; w <= engine.num_workers(); ++w) {
     NodeSampler& s = plane.sampler(w);
     Counter& busy =
-        engine.metrics().counter("engine.task_busy_ns", {{"node", std::to_string(w)}});
-    s.add_counter("telemetry_task_busy_ns", {}, [&busy] { return busy.value(); });
-    s.add_gauge("telemetry_shuffle_resident_bytes", {},
+        engine.metrics().counter(Metric::EngineTaskBusyNs, {{"node", std::to_string(w)}});
+    s.add_probe(Metric::TelemetryTaskBusyNs, {}, [&busy] { return busy.value(); });
+    s.add_probe(Metric::TelemetryShuffleResidentBytes, {},
                 [&shuffle, w] { return static_cast<double>(shuffle.resident_bytes(w)); });
-    s.add_gauge("telemetry_spill_queue_depth_total", {},
+    s.add_probe(Metric::TelemetrySpillQueueDepth, {},
                 [&spill, w] { return static_cast<double>(spill.queued_blocks(w)); });
   }
-  plane.sampler(0).add_gauge(
-      "telemetry_shuffle_in_flight_total", {},
+  plane.sampler(0).add_probe(
+      Metric::TelemetryShuffleInFlight, {},
       [&shuffle] { return static_cast<double>(shuffle.blocks_in_flight()); });
 }
 
@@ -56,21 +57,21 @@ inline void install_runtime_probes(TelemetryPlane& plane, core::GFlinkRuntime& r
   for (int w = 1; w <= runtime.num_workers(); ++w) {
     NodeSampler& s = plane.sampler(w);
     core::GpuManager& gm = runtime.manager(w);
-    s.add_gauge("telemetry_gpu_cache_used_bytes", {}, [&gm] {
+    s.add_probe(Metric::TelemetryGpuCacheUsedBytes, {}, [&gm] {
       double used = 0.0;
       for (int d = 0; d < gm.num_devices(); ++d) {
         used += static_cast<double>(gm.memory().region_used(d));
       }
       return used;
     });
-    s.add_gauge("telemetry_gpu_staging_bytes", {}, [&gm] {
+    s.add_probe(Metric::TelemetryGpuStagingBytes, {}, [&gm] {
       double staged = 0.0;
       for (int d = 0; d < gm.num_devices(); ++d) {
         staged += static_cast<double>(gm.memory().staging_bytes(d));
       }
       return staged;
     });
-    s.add_gauge("telemetry_gstream_queue_depth_total", {}, [&gm] {
+    s.add_probe(Metric::TelemetryGstreamQueueDepth, {}, [&gm] {
       double depth = 0.0;
       for (int d = 0; d < gm.num_devices(); ++d) {
         depth += static_cast<double>(gm.streams().queue_depth(d));
@@ -82,7 +83,7 @@ inline void install_runtime_probes(TelemetryPlane& plane, core::GFlinkRuntime& r
       const std::string name = tenant.name;
       const double quota =
           static_cast<double>(tenant.cache_quota_bytes) * gm.num_devices();
-      s.add_gauge("telemetry_tenant_quota_used_ratio", {{"tenant", name}},
+      s.add_probe(Metric::TelemetryTenantQuotaUsedRatio, {{"tenant", name}},
                   [&gm, name, quota] {
                     double used = 0.0;
                     for (int d = 0; d < gm.num_devices(); ++d) {
@@ -99,7 +100,7 @@ inline void install_runtime_probes(TelemetryPlane& plane, core::GFlinkRuntime& r
 inline void install_service_probes(TelemetryPlane& plane, service::JobService& service) {
   NodeSampler& master = plane.sampler(0);
   for (const std::string& tenant : service.tenant_names()) {
-    master.add_gauge("telemetry_service_pending_total", {{"tenant", tenant}},
+    master.add_probe(Metric::TelemetryServicePending, {{"tenant", tenant}},
                      [&service, tenant] {
                        return static_cast<double>(service.tenant_pending(tenant));
                      });

@@ -65,14 +65,12 @@ Json HealthEvent::to_json() const {
 NodeSampler::NodeSampler(int node, std::size_t ring_capacity)
     : node_(node), ring_capacity_(ring_capacity) {}
 
-void NodeSampler::add_gauge(std::string name, Labels labels, Probe probe) {
-  series_.emplace_back(std::move(name), std::move(labels), false, std::move(probe),
-                       ring_capacity_);
-  values_.resize(series_.size(), 0.0);
-}
-
-void NodeSampler::add_counter(std::string name, Labels labels, Probe probe) {
-  series_.emplace_back(std::move(name), std::move(labels), true, std::move(probe),
+void NodeSampler::add_probe(Metric family, Labels labels, Probe probe) {
+  const MetricFamily& f = metric_family(family);
+  const bool counter = f.kind == MetricKind::SampledCounter;
+  check_metric_registration(f, counter ? MetricKind::SampledCounter : MetricKind::SampledGauge,
+                            labels);
+  series_.emplace_back(std::string(f.name), std::move(labels), counter, std::move(probe),
                        ring_capacity_);
   values_.resize(series_.size(), 0.0);
 }
@@ -124,10 +122,10 @@ void TelemetryAggregator::register_node(const NodeSampler& sampler) {
       series_.emplace_back(series.name, series.labels, config_->ring_capacity);
       ClusterSeries& s = series_.back();
       s.counter = series.counter;
-      for (const auto& watched : config_->anomaly_series) {
-        if (watched == series.name) s.anomaly = true;
+      for (const Metric watched : config_->anomaly_series) {
+        if (metric_family(watched).name == series.name) s.anomaly = true;
       }
-      s.straggler = series.name == config_->straggler_series;
+      s.straggler = metric_family(config_->straggler_series).name == series.name;
     } else {
       si = it->second;
     }
@@ -171,7 +169,7 @@ void TelemetryAggregator::observe_completion(const std::string& tenant, sim::Dur
 
 void TelemetryAggregator::finalize(sim::Time at) {
   ++periods_;
-  cluster_->metrics().counter("telemetry_periods_total").inc();
+  cluster_->metrics().counter(Metric::TelemetryPeriods).inc();
   const std::size_t first_event = events_.size();
   for (ClusterSeries& s : series_) {
     s.ring.append(at, s.pending_sum);
@@ -201,13 +199,9 @@ void TelemetryAggregator::detect_anomaly(sim::Time at, ClusterSeries& s) {
     const double z = (x - s.mean[n]) / sigma;
     if (s.observed[n] >= config_->warmup_periods && s.cooldown[n] == 0 &&
         z > config_->z_threshold) {
-      emit(HealthEvent{.at = at,
-                       .node = s.nodes[n],
-                       .detector = "queue_anomaly",
-                       .series = s.name,
-                       .tenant = {},
-                       .value = z,
-                       .threshold = config_->z_threshold});
+      HealthEvent event(at, s.nodes[n], "queue_anomaly", z, config_->z_threshold);
+      event.series = s.name;
+      emit(std::move(event));
       s.cooldown[n] = config_->cooldown_periods;
     }
     const double d = x - s.mean[n];
@@ -245,13 +239,9 @@ void TelemetryAggregator::detect_straggler(sim::Time at, ClusterSeries& s) {
     s.streak[n] = over ? s.streak[n] + 1 : 0;
     if (over && s.streak[n] >= config_->straggler_consecutive && s.cooldown[n] == 0 &&
         s.observed[n] >= config_->warmup_periods) {
-      emit(HealthEvent{.at = at,
-                       .node = s.nodes[n],
-                       .detector = "straggler",
-                       .series = s.name,
-                       .tenant = {},
-                       .value = score,
-                       .threshold = config_->straggler_score});
+      HealthEvent event(at, s.nodes[n], "straggler", score, config_->straggler_score);
+      event.series = s.name;
+      emit(std::move(event));
       s.cooldown[n] = config_->cooldown_periods;
       s.streak[n] = 0;
     }
@@ -279,13 +269,9 @@ void TelemetryAggregator::detect_slo_burn(sim::Time at) {
     const double burn = t.burn_ewma / std::max(config_->slo_budget, 1.0e-9);
     if (t.total >= config_->slo_min_completions && t.cooldown == 0 &&
         burn >= config_->slo_burn_threshold) {
-      emit(HealthEvent{.at = at,
-                       .node = 0,
-                       .detector = "slo_burn",
-                       .series = {},
-                       .tenant = tenant,
-                       .value = burn,
-                       .threshold = config_->slo_burn_threshold});
+      HealthEvent event(at, 0, "slo_burn", burn, config_->slo_burn_threshold);
+      event.tenant = tenant;
+      emit(std::move(event));
       t.cooldown = config_->cooldown_periods;
     }
   }
@@ -293,7 +279,7 @@ void TelemetryAggregator::detect_slo_burn(sim::Time at) {
 
 void TelemetryAggregator::emit(HealthEvent event) {
   cluster_->metrics()
-      .counter("health_events_total",
+      .counter(Metric::HealthEvents,
                {{"detector", event.detector}, {"node", std::to_string(event.node)}})
       .inc();
   if (flight_ != nullptr) {
@@ -367,9 +353,9 @@ void TelemetryPlane::start() {
   obs::MetricsRegistry& m = cluster_->metrics();
   for (auto& [node, pn] : nodes_) {
     aggregator_.register_node(*pn.sampler);
-    pn.samples = &m.counter("telemetry_samples_total", {{"node", std::to_string(node)}});
+    pn.samples = &m.counter(Metric::TelemetrySamples, {{"node", std::to_string(node)}});
     pn.snapshot_bytes =
-        &m.counter("telemetry_snapshot_bytes_total", {{"node", std::to_string(node)}});
+        &m.counter(Metric::TelemetrySnapshotBytes, {{"node", std::to_string(node)}});
     pn.ship_label = "telemetry/snapshot";
   }
   for (auto& [node, pn] : nodes_) {
@@ -390,7 +376,7 @@ void TelemetryPlane::stop() {
     std::uint64_t downsamples = 0;
     for (const auto& s : pn.sampler->series()) downsamples += s.ring.downsamples();
     if (downsamples > 0) {
-      m.counter("telemetry_ring_downsamples_total", {{"node", std::to_string(node)}})
+      m.counter(Metric::TelemetryRingDownsamples, {{"node", std::to_string(node)}})
           .inc(static_cast<double>(downsamples));
     }
   }
@@ -453,14 +439,16 @@ std::string TelemetryPlane::prometheus_text() const {
       out << "} " << s.last[n] << "\n";
     }
   }
-  out << "# TYPE telemetry_periods_total counter\n";
-  out << "telemetry_periods_total " << aggregator_.periods() << "\n";
+  const std::string_view periods = metric_family(Metric::TelemetryPeriods).name;
+  out << "# TYPE " << periods << " counter\n";
+  out << periods << " " << aggregator_.periods() << "\n";
   std::map<std::string, std::map<int, int>> tally;
   for (const auto& ev : aggregator_.events()) ++tally[ev.detector][ev.node];
-  if (!tally.empty()) out << "# TYPE health_events_total counter\n";
+  const std::string_view health = metric_family(Metric::HealthEvents).name;
+  if (!tally.empty()) out << "# TYPE " << health << " counter\n";
   for (const auto& [detector, nodes] : tally) {
     for (const auto& [node, count] : nodes) {
-      out << "health_events_total{detector=\"" << prometheus_escape(detector) << "\",node=\""
+      out << health << "{detector=\"" << prometheus_escape(detector) << "\",node=\""
           << node << "\"} " << count << "\n";
     }
   }

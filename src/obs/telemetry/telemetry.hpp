@@ -48,9 +48,10 @@
 // the flight recorder it writes to (docs/ARCHITECTURE.md, "Single-threaded
 // by construction").
 //
-// gflint rule R7 applies to this directory: every metric registered here
-// carries a units suffix (_ns, _bytes, _total, _ratio) and every
-// HealthEvent emission carries a node label.
+// Every metric and probe series registered here is a Telemetry family of
+// the metric catalog (obs/metric_families.hpp), whose name suffix is
+// checked against its unit at compile time; a HealthEvent cannot be built
+// without the node it points at.
 #pragma once
 
 #include <cstdint>
@@ -120,16 +121,19 @@ class TimeSeriesRing {
 
 /// One detector firing. `detector` is "straggler", "slo_burn" or
 /// "queue_anomaly"; `node` is the node the signal points at (0 = master
-/// for cluster-level detections such as SLO burn). Every emission site
-/// must set the node label (gflint rule R7).
+/// for cluster-level detections such as SLO burn). The constructor takes
+/// the node, so no event exists without one.
 struct HealthEvent {
-  sim::Time at = 0;
-  int node = -1;
+  HealthEvent(sim::Time at, int node, std::string detector, double value, double threshold)
+      : at(at), node(node), detector(std::move(detector)), value(value), threshold(threshold) {}
+
+  sim::Time at;
+  int node;
   std::string detector;
   std::string series;  // triggering series name ("" for slo_burn)
   std::string tenant;  // slo_burn only
-  double value = 0.0;  // z-score / straggler score / burn rate
-  double threshold = 0.0;
+  double value;  // z-score / straggler score / burn rate
+  double threshold;
 
   Json to_json() const;
 };
@@ -156,17 +160,17 @@ struct TelemetryConfig {
   int warmup_periods = 8;
   /// Periods a (series, node) detector stays quiet after firing.
   int cooldown_periods = 16;
-  /// Series names the anomaly detector watches (queue depths by default).
-  std::vector<std::string> anomaly_series = {
-      "telemetry_gstream_queue_depth_total",
-      "telemetry_spill_queue_depth_total",
-      "telemetry_shuffle_in_flight_total",
-      "telemetry_service_pending_total",
+  /// Series the anomaly detector watches (queue depths by default).
+  std::vector<Metric> anomaly_series = {
+      Metric::TelemetryGstreamQueueDepth,
+      Metric::TelemetrySpillQueueDepth,
+      Metric::TelemetryShuffleInFlight,
+      Metric::TelemetryServicePending,
   };
 
   // ---- Live straggler score ---------------------------------------------
   /// Counter series whose per-period delta is the per-node busy signal.
-  std::string straggler_series = "telemetry_task_busy_ns";
+  Metric straggler_series = Metric::TelemetryTaskBusyNs;
   /// Fire when a node's EWMA busy ratio exceeds the peer group's
   /// nearest-rank p95 by this factor...
   double straggler_score = 1.5;
@@ -197,11 +201,10 @@ class NodeSampler {
 
   NodeSampler(int node, std::size_t ring_capacity);
 
-  /// Register a gauge probe: sampled as-is each period.
-  void add_gauge(std::string name, Labels labels, Probe probe);
-  /// Register a counter probe: sampled as the per-period *delta* of a
+  /// Register a probe of a sampled family. A SampledGauge is sampled as-is
+  /// each period; a SampledCounter as the per-period *delta* of a
   /// monotonic counter (the probe returns the cumulative value).
-  void add_counter(std::string name, Labels labels, Probe probe);
+  void add_probe(Metric family, Labels labels, Probe probe);
 
   /// Snapshot every probe into its ring and the last-values buffer.
   void sample(sim::Time at);
@@ -328,7 +331,7 @@ class TelemetryAggregator {
 
 /// The whole plane: per-node samplers, their driving coroutines, the
 /// master-side aggregator, and the exporters. Wiring order: construct,
-/// register probes (probes.hpp or add_gauge/add_counter on sampler()),
+/// register probes (probes.hpp or add_probe on sampler()),
 /// optionally attach a flight recorder and a timeline sink, start()
 /// inside the driver, stop() before the driver returns — each sampler
 /// loop observes the stop flag at its next tick and exits, so a drained

@@ -95,7 +95,7 @@ TicketPtr JobService::submit(const std::string& tenant, std::string job_name, do
   ticket->job_ = std::make_unique<dataflow::Job>(*engine_, std::move(job_name));
   ticket->job_->set_tenant(tenant);
   all_.push_back(ticket);
-  engine_->metrics().counter("service_submitted_total", {{"tenant", tenant}}).inc();
+  engine_->metrics().counter(obs::Metric::ServiceSubmitted, {{"tenant", tenant}}).inc();
 
   if (pending_count_ >= config_.max_pending) {
     // Admission control: the queue is bounded; tell the client now.
@@ -103,7 +103,7 @@ TicketPtr JobService::submit(const std::string& tenant, std::string job_name, do
     ticket->job_->cancel();
     ++t.rejected;
     ++rejected_;
-    engine_->metrics().counter("service_rejected_total", {{"tenant", tenant}}).inc();
+    engine_->metrics().counter(obs::Metric::ServiceRejected, {{"tenant", tenant}}).inc();
     ticket->done_->fire();
     return ticket;
   }
@@ -126,7 +126,7 @@ bool JobService::cancel(const TicketPtr& ticket) {
   ticket->job_->cancel();
   ++t.cancelled;
   ++cancelled_;
-  engine_->metrics().counter("service_cancelled_total", {{"tenant", ticket->tenant_}}).inc();
+  engine_->metrics().counter(obs::Metric::ServiceCancelled, {{"tenant", ticket->tenant_}}).inc();
   ticket->done_->fire();
   // A freed pending slot cannot unblock dispatch (dispatch is bounded by
   // in-flight caps, not queue depth), so no pump() here.
@@ -206,7 +206,7 @@ void JobService::dispatch(Tenant& t, const TicketPtr& ticket) {
   ++t.in_flight;
   ++total_in_flight_;
   engine_->metrics()
-      .counter("service_dispatch_cost_total", {{"tenant", t.config.name}})
+      .counter(obs::Metric::ServiceDispatchCost, {{"tenant", t.config.name}})
       .inc(ticket->cost);
   // gflint: allow(C3): the JobService outlives the simulation it drives
   // (owned by the harness that owns the Engine), and the ticket shared_ptr
@@ -222,7 +222,7 @@ sim::Co<void> JobService::run_job(Tenant& t, TicketPtr ticket) {
                                       tenant_lane(t), 0);
   }
   engine_->metrics()
-      .histogram("service_queue_wait_ns", 0.0, 1.0e10, 100, {{"tenant", t.config.name}})
+      .histogram(obs::Metric::ServiceQueueWaitNs, {{"tenant", t.config.name}})
       .add(queue_wait);
 
   dataflow::Job& job = *ticket->job_;
@@ -240,12 +240,12 @@ sim::Co<void> JobService::run_job(Tenant& t, TicketPtr ticket) {
   t.run_samples.push_back(run_ns);
   t.latency_samples.push_back(latency_ns);
   engine_->metrics()
-      .histogram("service_run_ns", 0.0, 1.0e10, 100, {{"tenant", t.config.name}})
+      .histogram(obs::Metric::ServiceRunNs, {{"tenant", t.config.name}})
       .add(run_ns);
   engine_->metrics()
-      .histogram("service_latency_ns", 0.0, 1.0e10, 100, {{"tenant", t.config.name}})
+      .histogram(obs::Metric::ServiceLatencyNs, {{"tenant", t.config.name}})
       .add(latency_ns);
-  engine_->metrics().counter("service_completed_total", {{"tenant", t.config.name}}).inc();
+  engine_->metrics().counter(obs::Metric::ServiceCompleted, {{"tenant", t.config.name}}).inc();
   ++t.completed;
   ++completed_;
   --t.in_flight;

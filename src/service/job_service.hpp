@@ -195,7 +195,9 @@ class JobService {
   void dispatch(Tenant& t, const TicketPtr& ticket);
   sim::Co<void> run_job(Tenant& t, TicketPtr ticket);
 
-  /// Span lane a tenant's service spans render on ("service/<tenant>").
+  /// Span lane a tenant's service spans render on ("service/<tenant>"): the
+  /// one place service span lanes are built, so every service span is
+  /// attributed to its tenant.
   std::string tenant_lane(const Tenant& t) const { return "service/" + t.config.name; }
 
   dataflow::Engine* engine_;

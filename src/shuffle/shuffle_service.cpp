@@ -77,11 +77,11 @@ void ShuffleService::sub_resident(int worker, std::uint64_t bytes) {
 void ShuffleService::block_started() {
   ++in_flight_;
   max_in_flight_ = std::max(max_in_flight_, in_flight_);
-  metrics().gauge("shuffle_blocks_in_flight").set(static_cast<double>(in_flight_));
+  metrics().gauge(obs::Metric::ShuffleBlocksInFlight).set(static_cast<double>(in_flight_));
 }
 
 void ShuffleService::block_finished() {
-  metrics().gauge("shuffle_blocks_in_flight").set(static_cast<double>(--in_flight_));
+  metrics().gauge(obs::Metric::ShuffleBlocksInFlight).set(static_cast<double>(--in_flight_));
 }
 
 bool ShuffleService::consume_injected_fault() {
@@ -95,18 +95,18 @@ sim::Co<bool> ShuffleService::transfer_block(int src, int dst, std::uint64_t byt
   obs::MetricsRegistry& m = metrics();
   for (int attempt = 0;; ++attempt) {
     if (consume_injected_fault()) {
-      m.inc("shuffle.transfer_faults");
+      m.inc(obs::Metric::ShuffleTransferFaults);
       // A fault trips the flight recorder: the surrounding spans in the
       // per-node rings are what a post-mortem needs.
       cluster_->flight().note_fault(sim_->now(), src, "shuffle_transfer_fault",
                                     label + " block to node" + std::to_string(dst));
       if (attempt >= config_.max_retries) {
-        m.inc("shuffle.transfer_aborts");
+        m.inc(obs::Metric::ShuffleTransferAborts);
         cluster_->flight().note_event(sim_->now(), src, "shuffle_transfer_abort",
                                       label + " retry budget exhausted");
         co_return false;
       }
-      m.inc("shuffle.transfer_retries");
+      m.inc(obs::Metric::ShuffleTransferRetries);
       // Exponential backoff, capped so the shift cannot overflow.
       const int shift = std::min(attempt, 10);
       co_await sim_->delay(config_.retry_backoff << shift);
@@ -123,16 +123,16 @@ sim::Co<bool> ShuffleService::one_sided_write(int src, int dst, std::uint64_t of
   obs::MetricsRegistry& m = metrics();
   for (int attempt = 0;; ++attempt) {
     if (consume_injected_fault()) {
-      m.inc("shuffle.transfer_faults");
+      m.inc(obs::Metric::ShuffleTransferFaults);
       cluster_->flight().note_fault(sim_->now(), src, "shuffle_transfer_fault",
                                     label + " one-sided write to node" + std::to_string(dst));
       if (attempt >= config_.max_retries) {
-        m.inc("shuffle.transfer_aborts");
+        m.inc(obs::Metric::ShuffleTransferAborts);
         cluster_->flight().note_event(sim_->now(), src, "shuffle_transfer_abort",
                                       label + " retry budget exhausted");
         co_return false;
       }
-      m.inc("shuffle.transfer_retries");
+      m.inc(obs::Metric::ShuffleTransferRetries);
       const int shift = std::min(attempt, 10);
       co_await sim_->delay(config_.retry_backoff << shift);
       continue;
@@ -157,7 +157,7 @@ ShuffleSession::ShuffleSession(ShuffleService& service, int out_partitions, std:
   }
   span_ = service_->cluster().spans().open("shuffle:" + label_, obs::SpanCategory::Shuffle,
                                            parent, service_->sim().now(), "master/shuffle", 0);
-  service_->metrics().inc("shuffle.sessions");
+  service_->metrics().inc(obs::Metric::ShuffleSessions);
 }
 
 ShuffleSession::~ShuffleSession() {
@@ -248,7 +248,7 @@ sim::Co<void> ShuffleSession::send_bucket(int src, int t, mem::RecordBatch bucke
       for (std::uint64_t off = 0; off < bytes; off += block) {
         const std::uint64_t n = std::min(block, bytes - off);
         if (!credit.try_acquire()) {
-          m.inc("shuffle.credit_stalls");
+          m.inc(obs::Metric::ShuffleCreditStalls);
           const sim::Time stall = service_->sim().now();
           co_await credit.acquire();
           if (service_->sim().now() > stall) {
@@ -265,8 +265,8 @@ sim::Co<void> ShuffleSession::send_bucket(int src, int t, mem::RecordBatch bucke
           s.service_->block_finished();
           cr.release();
           if (sent) {
-            s.service_->metrics().inc("shuffle.blocks");
-            s.service_->metrics().inc("shuffle.bytes", static_cast<double>(nbytes));
+            s.service_->metrics().inc(obs::Metric::ShuffleBlocks);
+            s.service_->metrics().inc(obs::Metric::ShuffleBytes, static_cast<double>(nbytes));
           } else {
             all_ok = false;
           }
@@ -282,7 +282,7 @@ sim::Co<void> ShuffleSession::send_bucket(int src, int t, mem::RecordBatch bucke
       while (remaining > 0 && ok) {
         const std::uint64_t n = std::min(block, remaining);
         if (!credit.try_acquire()) {
-          m.inc("shuffle.credit_stalls");
+          m.inc(obs::Metric::ShuffleCreditStalls);
           const sim::Time stall = service_->sim().now();
           co_await credit.acquire();
           if (service_->sim().now() > stall) {
@@ -296,8 +296,8 @@ sim::Co<void> ShuffleSession::send_bucket(int src, int t, mem::RecordBatch bucke
         service_->block_finished();
         credit.release();
         if (ok) {
-          m.inc("shuffle.blocks");
-          m.inc("shuffle.bytes", static_cast<double>(n));
+          m.inc(obs::Metric::ShuffleBlocks);
+          m.inc(obs::Metric::ShuffleBytes, static_cast<double>(n));
           remaining -= n;
         }
       }
@@ -346,7 +346,7 @@ sim::Co<void> ShuffleSession::send_one_sided(int src, std::vector<mem::RecordBat
     }
     if (!announced[static_cast<std::size_t>(dst)]) {
       announced[static_cast<std::size_t>(dst)] = 1;
-      m.inc("shuffle.one_sided_histograms");
+      m.inc(obs::Metric::ShuffleOneSidedHistograms);
       co_await cluster.message(src, dst);
     }
     const std::uint64_t bytes = bucket.byte_size();
@@ -389,8 +389,8 @@ sim::Co<void> ShuffleSession::one_sided_bucket(int src, int t, std::uint64_t off
                                             {write_span, obs::SpanCategory::Shuffle});
     service_->block_finished();
     if (ok) {
-      m.inc("shuffle.one_sided_writes");
-      m.inc("shuffle.one_sided_bytes", static_cast<double>(bytes));
+      m.inc(obs::Metric::ShuffleOneSidedWrites);
+      m.inc(obs::Metric::ShuffleOneSidedBytes, static_cast<double>(bytes));
     }
     // Completion signal: bump the destination's done counter whether the
     // write landed or aborted — the barrier counts retired attempts (an
@@ -452,8 +452,8 @@ sim::Co<void> ShuffleSession::deposit(int t, int dst, mem::RecordBatch bucket) {
     auto acct = spill_acct_;
     auto* service = service_;
     std::function<void()> on_landed = [service, acct, bytes] {
-      service->metrics().inc("shuffle.spill_blocks");
-      service->metrics().inc("shuffle.spill_bytes", static_cast<double>(bytes));
+      service->metrics().inc(obs::Metric::ShuffleSpillBlocks);
+      service->metrics().inc(obs::Metric::ShuffleSpillBytes, static_cast<double>(bytes));
       *acct += bytes;
     };
     if (cfg.spill_async) {
@@ -504,7 +504,7 @@ sim::Co<std::vector<mem::RecordBatch>> ShuffleSession::take(int t, int reader,
   for (Deposit& d : deposited) {
     const std::uint64_t bytes = d.batch.byte_size();
     if (d.spilled) {
-      service_->metrics().inc("shuffle.unspill_bytes", static_cast<double>(bytes));
+      service_->metrics().inc(obs::Metric::ShuffleUnspillBytes, static_cast<double>(bytes));
       if (d.spill_block) {
         // Async path: the fetch waits for the block to land if the worker
         // is still writing it (write-behind consistency), pays the tier

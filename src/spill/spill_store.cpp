@@ -44,6 +44,18 @@ const char* spill_tier_name(SpillTier tier) {
   return "unknown";
 }
 
+std::string spill_span_name(SpillSpan op, SpillTier tier) {
+  const char* prefix = "";
+  switch (op) {
+    case SpillSpan::EnqueueWait: prefix = "wait:spill_enqueue:"; break;
+    case SpillSpan::Write: prefix = "spill:write:"; break;
+    case SpillSpan::LandWait: prefix = "wait:spill_land:"; break;
+    case SpillSpan::Fetch: prefix = "spill:fetch:"; break;
+    case SpillSpan::Promote: prefix = "spill:promote:"; break;
+  }
+  return prefix + std::string(spill_tier_name(tier));
+}
+
 SpillStore::SpillStore(sim::Simulation& sim, net::Cluster& cluster, dfs::Gdfs& dfs,
                        SpillConfig config)
     : sim_(&sim), cluster_(&cluster), dfs_(&dfs), config_(std::move(config)) {
@@ -119,8 +131,8 @@ sim::Co<BlockHandle> SpillStore::offload(int node, std::uint64_t raw_bytes, std:
     block->dfs_path = config_.dfs_dir + "/b" + std::to_string(block->id);
   }
   const char* tier = spill_tier_name(block->tier);
-  metrics().counter("spill_offload_blocks_total", {{"tier", tier}}).inc();
-  metrics().counter("spill_offload_bytes_total", {{"tier", tier}}).inc(
+  metrics().counter(obs::Metric::SpillOffloadBlocks, {{"tier", tier}}).inc();
+  metrics().counter(obs::Metric::SpillOffloadBytes, {{"tier", tier}}).inc(
       static_cast<double>(raw_bytes));
   return enqueue(std::move(block), link);
 }
@@ -134,10 +146,10 @@ sim::Co<BlockHandle> SpillStore::enqueue(BlockHandle block, obs::SpanLink link) 
   const sim::Time enqueue_begin = sim_->now();
   co_await st.queue.send(QueueItem{block, link});
   if (sim_->now() > enqueue_begin) {
-    metrics().counter("spill_producer_stalls_total", {{"tier", tier}}).inc();
-    metrics().counter("spill_producer_stall_ns_total", {{"tier", tier}}).inc(
+    metrics().counter(obs::Metric::SpillProducerStalls, {{"tier", tier}}).inc();
+    metrics().counter(obs::Metric::SpillProducerStallNs, {{"tier", tier}}).inc(
         static_cast<double>(sim_->now() - enqueue_begin));
-    cluster_->spans().record(std::string("wait:spill_enqueue:") + tier,
+    cluster_->spans().record(spill_span_name(SpillSpan::EnqueueWait, block->tier),
                              obs::SpanCategory::Wait, link.parent, enqueue_begin, sim_->now(),
                              spill_lane(node), node);
   }
@@ -174,9 +186,9 @@ sim::Co<void> SpillStore::write_block(int node, BlockHandle handle, obs::SpanLin
   SpillBlock& block = *handle;
   const char* tier = spill_tier_name(block.tier);
   const sim::Time begin = sim_->now();
-  const obs::SpanId span =
-      cluster_->spans().open(std::string("spill:write:") + tier, obs::SpanCategory::Spill,
-                             link.parent, begin, spill_lane(node), node);
+  const obs::SpanId span = cluster_->spans().open(spill_span_name(SpillSpan::Write, block.tier),
+                                                  obs::SpanCategory::Spill, link.parent, begin,
+                                                  spill_lane(node), node);
   if (block.tier != SpillTier::Memory) {
     const std::uint64_t stored = co_await compress(node, block.raw_bytes, block.tier);
     GFLINK_CHECK_MSG(stored == block.stored_bytes,
@@ -198,8 +210,8 @@ sim::Co<void> SpillStore::write_block(int node, BlockHandle handle, obs::SpanLin
       break;
   }
   cluster_->spans().close(span, sim_->now());
-  metrics().counter("spill_landed_blocks_total", {{"tier", tier}}).inc();
-  metrics().counter("spill_stored_bytes_total", {{"tier", tier}}).inc(
+  metrics().counter(obs::Metric::SpillLandedBlocks, {{"tier", tier}}).inc();
+  metrics().counter(obs::Metric::SpillStoredBytes, {{"tier", tier}}).inc(
       static_cast<double>(block.stored_bytes));
   block.landed = true;
   if (block.land_trigger) block.land_trigger->fire();
@@ -218,9 +230,9 @@ sim::Co<std::uint64_t> SpillStore::compress(int node, std::uint64_t raw, SpillTi
     const char* tier = spill_tier_name(t);
     const sim::Duration cost = sim::transfer_time(raw, config_.compress_bandwidth);
     co_await sim_->delay(cost);
-    metrics().counter("codec_compress_ns_total", {{"tier", tier}}).inc(
+    metrics().counter(obs::Metric::CodecCompressNs, {{"tier", tier}}).inc(
         static_cast<double>(cost));
-    metrics().counter("codec_saved_bytes_total", {{"tier", tier}}).inc(
+    metrics().counter(obs::Metric::CodecSavedBytes, {{"tier", tier}}).inc(
         static_cast<double>(raw - stored));
   }
   (void)node;
@@ -232,7 +244,7 @@ sim::Co<void> SpillStore::decompress(int node, std::uint64_t raw, SpillTier t) {
     const char* tier = spill_tier_name(t);
     const sim::Duration cost = sim::transfer_time(raw, config_.decompress_bandwidth);
     co_await sim_->delay(cost);
-    metrics().counter("codec_decompress_ns_total", {{"tier", tier}}).inc(
+    metrics().counter(obs::Metric::CodecDecompressNs, {{"tier", tier}}).inc(
         static_cast<double>(cost));
   }
   (void)node;
@@ -249,18 +261,18 @@ sim::Co<void> SpillStore::fetch(const BlockHandle& handle, int reader, obs::Span
     const sim::Time wait_begin = sim_->now();
     co_await block.land_trigger->wait();
     if (sim_->now() > wait_begin) {
-      metrics().counter("spill_fetch_wait_ns_total", {{"tier", tier}}).inc(
+      metrics().counter(obs::Metric::SpillFetchWaitNs, {{"tier", tier}}).inc(
           static_cast<double>(sim_->now() - wait_begin));
-      cluster_->spans().record(std::string("wait:spill_land:") + tier,
+      cluster_->spans().record(spill_span_name(SpillSpan::LandWait, block.tier),
                                obs::SpanCategory::Wait, link.parent, wait_begin, sim_->now(),
                                spill_lane(reader), reader);
     }
   }
   const char* tier = spill_tier_name(block.tier);
   const sim::Time begin = sim_->now();
-  const obs::SpanId span =
-      cluster_->spans().open(std::string("spill:fetch:") + tier, obs::SpanCategory::Spill,
-                             link.parent, begin, spill_lane(reader), reader);
+  const obs::SpanId span = cluster_->spans().open(spill_span_name(SpillSpan::Fetch, block.tier),
+                                                  obs::SpanCategory::Spill, link.parent, begin,
+                                                  spill_lane(reader), reader);
   switch (block.tier) {
     case SpillTier::Memory:
       if (reader != block.node) {
@@ -285,7 +297,7 @@ sim::Co<void> SpillStore::fetch(const BlockHandle& handle, int reader, obs::Span
       co_await decompress(reader, block.raw_bytes, block.tier);
       break;
   }
-  metrics().counter("spill_tier_hits_total", {{"tier", tier}}).inc();
+  metrics().counter(obs::Metric::SpillTierHits, {{"tier", tier}}).inc();
   cluster_->spans().close(span, sim_->now());
   // Promotion: a re-read disk/DFS block moves back up into the memory
   // tier when room exists, so the next fetch is a memory hit.
@@ -297,7 +309,7 @@ sim::Co<void> SpillStore::fetch(const BlockHandle& handle, int reader, obs::Span
       const sim::Time promote_begin = sim_->now();
       co_await sim_->delay(sim::transfer_time(
           block.raw_bytes, cluster_->node(block.node).spec().cpu.mem_bandwidth));
-      cluster_->spans().record(std::string("spill:promote:") + to_tier,
+      cluster_->spans().record(spill_span_name(SpillSpan::Promote, SpillTier::Memory),
                                obs::SpanCategory::Spill, link.parent, promote_begin,
                                sim_->now(), spill_lane(block.node), block.node);
       auto& old_used = st.tier_used[static_cast<std::size_t>(block.tier)];
@@ -307,7 +319,7 @@ sim::Co<void> SpillStore::fetch(const BlockHandle& handle, int reader, obs::Span
       mem_used += block.raw_bytes;
       block.tier = SpillTier::Memory;
       block.stored_bytes = block.raw_bytes;
-      metrics().counter("spill_promotions_total", {{"tier", to_tier}}).inc();
+      metrics().counter(obs::Metric::SpillPromotions, {{"tier", to_tier}}).inc();
     }
   }
 }

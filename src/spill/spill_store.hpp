@@ -37,7 +37,8 @@
 // The store is simulation-thread state (queues, tier cursors, block
 // flags), mutated between suspension points like obs::SpanStore and the
 // ShuffleSession bucket table. Every metric and span emitted here carries
-// a tier attribution (gflint rule R6).
+// a tier attribution: the spill metric families require a `tier` label,
+// and every span name comes from spill_span_name(op, tier).
 #pragma once
 
 #include <functional>
@@ -68,6 +69,14 @@ inline constexpr std::size_t kSpillTiers = 3;
 /// Stable string keys ("memory", "disk", "dfs") used as the `tier` metric
 /// label and in span names.
 const char* spill_tier_name(SpillTier tier);
+
+/// The spill operations that record a span.
+enum class SpillSpan { EnqueueWait, Write, LandWait, Fetch, Promote };
+
+/// The span name of `op` on `tier` ("spill:write:disk",
+/// "wait:spill_land:dfs", ...): the one place spill span names are built,
+/// so every spill span names its tier.
+std::string spill_span_name(SpillSpan op, SpillTier tier);
 
 struct SpillConfig {
   SpillCodec codec = SpillCodec::Lz;

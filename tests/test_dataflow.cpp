@@ -306,8 +306,8 @@ TEST(Engine, ShuffleMovesBytesOverNetwork) {
     job.finish();
     // The default one-sided transport moves shuffle payloads over the
     // RDMA pipes, which account separately from the message-passing NIC.
-    net_bytes = eng.cluster().metrics().counter("net.bytes") +
-                eng.cluster().metrics().counter("net.rdma_bytes");
+    net_bytes = eng.cluster().metrics().counter_value("net.bytes") +
+                eng.cluster().metrics().counter_value("net.rdma_bytes");
     EXPECT_GT(job.stats().shuffle_bytes, 0u);
   });
   EXPECT_GT(net_bytes, 0.0);
@@ -352,8 +352,8 @@ TEST(Engine, DfsBackedSourceChargesIoAndPrefersLocality) {
     (void)co_await ds.count(job);
     job.finish();
     io_read = job.stats().io_bytes_read;
-    local = eng.cluster().metrics().counter("dfs.local_reads");
-    remote = eng.cluster().metrics().counter("dfs.remote_reads");
+    local = eng.cluster().metrics().counter_value("dfs.local_reads");
+    remote = eng.cluster().metrics().counter_value("dfs.remote_reads");
   });
   EXPECT_EQ(io_read, 8u << 20);
   // Splits are assigned to primary-replica holders: all reads local.
@@ -418,7 +418,7 @@ TEST(Engine, WriteDfsReplicates) {
     co_await ds.write_dfs(job, "/out");
     job.finish();
     written = job.stats().io_bytes_written;
-    dfs_written = eng.cluster().metrics().counter("dfs.bytes_written");
+    dfs_written = eng.cluster().metrics().counter_value("dfs.bytes_written");
   });
   EXPECT_EQ(written, 3000u * 16u);
   EXPECT_DOUBLE_EQ(dfs_written, 3000.0 * 16.0);
@@ -463,7 +463,7 @@ TEST(Engine, MaterializedHandleReusedWithoutIo) {
         },
         OpCost{8.0, 0.0}, "/in");
     auto handle = co_await src.materialize(job);
-    double reads0 = eng.cluster().metrics().counter("dfs.blocks_read");
+    double reads0 = eng.cluster().metrics().counter_value("dfs.blocks_read");
     // Iterate on the cached handle: no further DFS traffic.
     for (int iter = 0; iter < 3; ++iter) {
       auto ds = DataSet<KV>::from_handle(eng, handle)
@@ -471,7 +471,7 @@ TEST(Engine, MaterializedHandleReusedWithoutIo) {
                              [](const KV& kv) { return kv; });
       handle = co_await ds.materialize(job);
     }
-    reads_after_first = eng.cluster().metrics().counter("dfs.blocks_read") - reads0;
+    reads_after_first = eng.cluster().metrics().counter_value("dfs.blocks_read") - reads0;
     job.finish();
   });
   EXPECT_EQ(reads_after_first, 0.0);
@@ -486,7 +486,7 @@ TEST(Engine, BroadcastAndGatherChargeNetwork) {
     co_await eng.broadcast(job, 1 << 20);
     co_await eng.gather(job, 1 << 10);
     job.finish();
-    bytes = eng.cluster().metrics().counter("net.bytes");
+    bytes = eng.cluster().metrics().counter_value("net.bytes");
   });
   EXPECT_DOUBLE_EQ(bytes, 4.0 * (1 << 20) + 4.0 * (1 << 10));
 }

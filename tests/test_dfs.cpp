@@ -84,8 +84,8 @@ TEST(Gdfs, LocalReadSkipsNetwork) {
     co_await fs.read_block(reader, b);
   }(f.fs, local, block));
   f.s.run();
-  EXPECT_DOUBLE_EQ(f.cluster.metrics().counter("dfs.local_reads"), 1.0);
-  EXPECT_DOUBLE_EQ(f.cluster.metrics().counter("net.bytes"), 0.0);
+  EXPECT_DOUBLE_EQ(f.cluster.metrics().counter_value("dfs.local_reads"), 1.0);
+  EXPECT_DOUBLE_EQ(f.cluster.metrics().counter_value("net.bytes"), 0.0);
 }
 
 TEST(Gdfs, RemoteReadPaysNetwork) {
@@ -106,8 +106,8 @@ TEST(Gdfs, RemoteReadPaysNetwork) {
     co_await fs.read_block(reader, b);
   }(f.fs, remote, block));
   f.s.run();
-  EXPECT_DOUBLE_EQ(f.cluster.metrics().counter("dfs.remote_reads"), 1.0);
-  EXPECT_DOUBLE_EQ(f.cluster.metrics().counter("net.bytes"), static_cast<double>(1 << 20));
+  EXPECT_DOUBLE_EQ(f.cluster.metrics().counter_value("dfs.remote_reads"), 1.0);
+  EXPECT_DOUBLE_EQ(f.cluster.metrics().counter_value("net.bytes"), static_cast<double>(1 << 20));
 }
 
 TEST(Gdfs, ReadTimeMatchesDiskModel) {

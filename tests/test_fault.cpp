@@ -230,7 +230,7 @@ TEST(Fault, CheckpointsWriteReplicatedSnapshots) {
   wl::Session session(tb, wl::Mode::Cpu);
   const wl::kmeans::Result r = session.run(&wl::kmeans::run, cfg);
   df::Engine& engine = session.engine();
-  EXPECT_DOUBLE_EQ(engine.cluster().metrics().counter("fault.checkpoints"), 3.0);
+  EXPECT_DOUBLE_EQ(engine.cluster().metrics().counter_value("fault.checkpoints"), 3.0);
   // Checkpoint paths are keyed by "<name>-<job id>" so concurrent jobs
   // running the same program cannot clobber each other's snapshots.
   const std::string ckpt = "/checkpoints/kmeans-" + std::to_string(r.run.stats.job_id);

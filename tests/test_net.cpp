@@ -69,7 +69,7 @@ TEST(Cluster, TransferUsesBothNics) {
   s.run();
   // Store-and-forward through egress then ingress: 1 s + 1 s.
   EXPECT_EQ(done, sim::seconds(2));
-  EXPECT_DOUBLE_EQ(c.metrics().counter("net.bytes"), 100e6);
+  EXPECT_DOUBLE_EQ(c.metrics().counter_value("net.bytes"), 100e6);
 }
 
 TEST(Cluster, LocalTransferIsFree) {

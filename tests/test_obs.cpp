@@ -70,20 +70,24 @@ TEST(Json, ParseRejectsMalformed) {
 
 TEST(Metrics, LabelSemantics) {
   obs::MetricsRegistry m;
-  // Same name, different labels: distinct series.
-  m.counter("bytes", {{"pipe", "a"}}).inc(10);
-  m.counter("bytes", {{"pipe", "b"}}).inc(5);
-  m.counter("bytes").inc(1);
-  EXPECT_DOUBLE_EQ((m.counter_value("bytes", {{"pipe", "a"}})), 10.0);
-  EXPECT_DOUBLE_EQ((m.counter_value("bytes", {{"pipe", "b"}})), 5.0);
-  EXPECT_DOUBLE_EQ(m.counter_value("bytes"), 1.0);
-  EXPECT_DOUBLE_EQ(m.counter_sum("bytes"), 16.0);
+  // One family, different labels: distinct series.
+  m.counter(obs::Metric::NetPipeBytes, {{"pipe", "a"}}).inc(10);
+  m.counter(obs::Metric::NetPipeBytes, {{"pipe", "b"}}).inc(5);
+  EXPECT_DOUBLE_EQ((m.counter_value("net_pipe_bytes_total", {{"pipe", "a"}})), 10.0);
+  EXPECT_DOUBLE_EQ((m.counter_value("net_pipe_bytes_total", {{"pipe", "b"}})), 5.0);
+  EXPECT_DOUBLE_EQ(m.counter_sum("net_pipe_bytes_total"), 15.0);
   // Label order must not matter: std::map canonicalizes.
-  m.counter("multi", {{"x", "1"}, {"y", "2"}}).inc(1);
-  m.counter("multi", {{"y", "2"}, {"x", "1"}}).inc(1);
-  EXPECT_DOUBLE_EQ((m.counter_value("multi", {{"y", "2"}, {"x", "1"}})), 2.0);
+  m.counter(obs::Metric::HealthEvents, {{"detector", "straggler"}, {"node", "2"}}).inc(1);
+  m.counter(obs::Metric::HealthEvents, {{"node", "2"}, {"detector", "straggler"}}).inc(1);
+  EXPECT_DOUBLE_EQ(
+      (m.counter_value("health_events_total", {{"node", "2"}, {"detector", "straggler"}})), 2.0);
   // Absent series read as zero.
-  EXPECT_DOUBLE_EQ((m.counter_value("bytes", {{"pipe", "zzz"}})), 0.0);
+  EXPECT_DOUBLE_EQ((m.counter_value("net_pipe_bytes_total", {{"pipe", "zzz"}})), 0.0);
+  // A family with a second accepted key set registers both shapes.
+  m.gauge(obs::Metric::TraceCriticalPathSeconds).set(2.0);
+  m.gauge(obs::Metric::TraceCriticalPathSeconds, {{"category", "h2d"}}).set(1.0);
+  EXPECT_DOUBLE_EQ(m.gauge_value("trace_critical_path_seconds"), 2.0);
+  EXPECT_DOUBLE_EQ((m.gauge_value("trace_critical_path_seconds", {{"category", "h2d"}})), 1.0);
 
   obs::MetricId id{"bytes", {{"pipe", "a"}}};
   EXPECT_EQ(id.to_string(), "bytes{pipe=\"a\"}");
@@ -92,65 +96,106 @@ TEST(Metrics, LabelSemantics) {
 
 TEST(Metrics, HandlesAreStable) {
   obs::MetricsRegistry m;
-  obs::Counter& c = m.counter("hot");
-  for (int i = 0; i < 100; ++i) m.counter("other" + std::to_string(i));
+  obs::Counter& c = m.counter(obs::Metric::NetBytes);
+  for (int i = 0; i < 100; ++i) {
+    m.counter(obs::Metric::NetPipeBytes, {{"pipe", "p" + std::to_string(i)}});
+  }
   c.inc(7);
-  EXPECT_DOUBLE_EQ(m.counter_value("hot"), 7.0);
+  EXPECT_DOUBLE_EQ(m.counter_value("net.bytes"), 7.0);
 }
 
 TEST(Metrics, HistogramRegistrationAndQuantiles) {
   obs::MetricsRegistry m;
-  sim::Histogram& h = m.histogram("lat", 0.0, 100.0, 10);
-  for (int i = 0; i < 100; ++i) h.add(static_cast<double>(i));
-  // Re-registration with the same layout returns the same histogram.
-  sim::Histogram& again = m.histogram("lat", 0.0, 100.0, 10);
+  // The layout comes from the family: 0..10 s in 100 buckets.
+  sim::Histogram& h = m.histogram(obs::Metric::EngineStageDurationNs);
+  EXPECT_DOUBLE_EQ(h.lo(), 0.0);
+  EXPECT_DOUBLE_EQ(h.hi(), 1.0e10);
+  EXPECT_EQ(h.buckets(), 100u + 2u);  // plus under/overflow
+  for (int i = 0; i < 100; ++i) h.add(1.0e8 * i);
+  // Re-registration returns the same histogram.
+  sim::Histogram& again = m.histogram(obs::Metric::EngineStageDurationNs);
   EXPECT_EQ(&h, &again);
   EXPECT_EQ(again.summary().count(), 100u);
-  EXPECT_DOUBLE_EQ(again.quantile(0.5), 50.0);
+  EXPECT_DOUBLE_EQ(again.quantile(0.5), 5.0e9);
 }
 
-TEST(MetricsDeathTest, HistogramLayoutMismatchAborts) {
-  // A layout change on re-registration would silently reinterpret every
-  // recorded sample — it must abort instead of handing back the old series.
+TEST(MetricsDeathTest, WrongLabelKeysAbortNamingTheFamily) {
   obs::MetricsRegistry m;
-  m.histogram("lat", 0.0, 100.0, 10);
-  EXPECT_DEATH(m.histogram("lat", 0.0, 1.0, 1), "different");
-  EXPECT_DEATH(m.histogram("lat", 0.0, 100.0, 20), "different");
-  EXPECT_DEATH(m.histogram("lat", 5.0, 100.0, 10), "different");
+  EXPECT_DEATH(m.counter(obs::Metric::NetPipeBytes),
+               "'net_pipe_bytes_total' is a counter with label keys \\{pipe\\}");
+  EXPECT_DEATH(m.counter(obs::Metric::NetBytes, {{"pipe", "a"}}), "net.bytes");
+  EXPECT_DEATH(m.counter(obs::Metric::HealthEvents, {{"node", "1"}}), "detector, node");
+  EXPECT_DEATH(m.gauge(obs::Metric::TraceCriticalPathSeconds, {{"tier", "disk"}}),
+               "\\{\\} or \\{category\\}");
+}
+
+TEST(MetricsDeathTest, WrongKindAborts) {
+  obs::MetricsRegistry m;
+  EXPECT_DEATH(m.gauge(obs::Metric::NetBytes), "is a counter .*registered as a gauge");
+  EXPECT_DEATH(m.histogram(obs::Metric::NetBytes), "registered as a histogram");
+  EXPECT_DEATH(m.counter(obs::Metric::EngineStageDurationNs), "is a histogram");
+  EXPECT_DEATH(m.gauge(obs::Metric::TelemetryShuffleResidentBytes), "is a sampled gauge");
+}
+
+TEST(MetricsDeathTest, SpillAndServiceFamiliesRequireAttribution) {
+  obs::MetricsRegistry m;
+  EXPECT_DEATH(m.counter(obs::Metric::SpillOffloadBlocks), "label keys \\{tier\\}");
+  EXPECT_DEATH(m.counter(obs::Metric::CodecSavedBytes, {{"node", "1"}}), "\\{tier\\}");
+  EXPECT_DEATH(m.counter(obs::Metric::ServiceSubmitted), "label keys \\{tenant\\}");
+  EXPECT_DEATH(m.histogram(obs::Metric::ServiceLatencyNs), "\\{tenant\\}");
 }
 
 TEST(Metrics, MergeFrom) {
   obs::MetricsRegistry a, b;
-  a.counter("c").inc(1);
-  b.counter("c").inc(2);
-  b.counter("only_b").inc(4);
-  a.gauge("g").set(1.0);
-  b.gauge("g").set(9.0);
-  a.histogram("h", 0.0, 10.0, 5).add(1.0);
-  b.histogram("h", 0.0, 10.0, 5).add(2.0);
+  a.counter(obs::Metric::NetBytes).inc(1);
+  b.counter(obs::Metric::NetBytes).inc(2);
+  b.counter(obs::Metric::EngineStages).inc(4);
+  a.gauge(obs::Metric::CacheHitRatio).set(0.1);
+  b.gauge(obs::Metric::CacheHitRatio).set(0.9);
+  a.histogram(obs::Metric::EngineStageDurationNs).add(1.0);
+  b.histogram(obs::Metric::EngineStageDurationNs).add(2.0);
   a.merge_from(b);
-  EXPECT_DOUBLE_EQ(a.counter_value("c"), 3.0);        // counters add
-  EXPECT_DOUBLE_EQ(a.counter_value("only_b"), 4.0);   // new series appear
-  EXPECT_DOUBLE_EQ(a.gauge_value("g"), 9.0);          // gauges overwrite
-  ASSERT_NE(a.find_histogram("h"), nullptr);
-  EXPECT_EQ(a.find_histogram("h")->summary().count(), 2u);  // histograms merge
+  EXPECT_DOUBLE_EQ(a.counter_value("net.bytes"), 3.0);      // counters add
+  EXPECT_DOUBLE_EQ(a.counter_value("engine.stages"), 4.0);  // new series appear
+  EXPECT_DOUBLE_EQ(a.gauge_value("cache_hit_ratio"), 0.9);  // gauges overwrite
+  ASSERT_NE(a.find_histogram("engine_stage_duration_ns"), nullptr);
+  EXPECT_EQ(a.find_histogram("engine_stage_duration_ns")->summary().count(),
+            2u);  // histograms merge
 }
 
 TEST(Metrics, ToJsonCarriesQuantiles) {
   obs::MetricsRegistry m;
-  m.counter("n", {{"k", "v"}}).inc(2);
-  m.gauge("r").set(0.25);
-  sim::Histogram& h = m.histogram("lat", 0.0, 100.0, 10);
-  for (int i = 0; i < 100; ++i) h.add(static_cast<double>(i));
+  m.counter(obs::Metric::NetPipeBytes, {{"pipe", "v"}}).inc(2);
+  m.gauge(obs::Metric::CacheHitRatio).set(0.25);
+  sim::Histogram& h = m.histogram(obs::Metric::EngineStageDurationNs);
+  for (int i = 0; i < 100; ++i) h.add(1.0e8 * i);
   Json j = m.to_json();
   ASSERT_NE(j.find("counters"), nullptr);
   ASSERT_NE(j.find("gauges"), nullptr);
   ASSERT_NE(j.find("histograms"), nullptr);
   const Json& hist = j.find("histograms")->items().at(0);
   EXPECT_EQ(hist.find("count")->as_int(), 100);
-  EXPECT_DOUBLE_EQ(hist.find("p50")->as_double(), 50.0);
-  EXPECT_NEAR(hist.find("p95")->as_double(), 95.0, 1.0);
-  EXPECT_NEAR(hist.find("p99")->as_double(), 99.0, 1.0);
+  EXPECT_DOUBLE_EQ(hist.find("p50")->as_double(), 5.0e9);
+  EXPECT_NEAR(hist.find("p95")->as_double(), 9.5e9, 1.0e8);
+  EXPECT_NEAR(hist.find("p99")->as_double(), 9.9e9, 1.0e8);
+}
+
+// ---- Metric catalog --------------------------------------------------------
+
+TEST(MetricCatalog, ListsEveryFamilyExactlyOnce) {
+  const std::string catalog = obs::render_metric_catalog();
+  std::size_t rows = 0;
+  for (std::size_t pos = catalog.find("\n| `"); pos != std::string::npos;
+       pos = catalog.find("\n| `", pos + 1)) {
+    ++rows;
+  }
+  EXPECT_EQ(rows, obs::kMetricFamilies.size());
+  for (const obs::MetricFamily& f : obs::kMetricFamilies) {
+    const std::string cell = "| `" + std::string(f.name) + "` |";
+    const std::size_t first = catalog.find(cell);
+    ASSERT_NE(first, std::string::npos) << f.name;
+    EXPECT_EQ(catalog.find(cell, first + 1), std::string::npos) << f.name;
+  }
 }
 
 // ---- Chrome trace ----------------------------------------------------------
@@ -174,7 +219,7 @@ TEST(ChromeTrace, EmittedJsonParsesBack) {
   record_lane(t, "loose_lane", "x", sim::micros(0), sim::micros(1));
 
   obs::MetricsRegistry m;
-  m.counter("net.bytes").inc(4096);
+  m.counter(obs::Metric::NetBytes).inc(4096);
 
   const std::string doc = obs::chrome_trace_json(t, &m, sim::micros(40));
   auto parsed = Json::parse(doc);
@@ -252,10 +297,10 @@ TEST(RunReport, ToJsonCarriesHeadlineKeys) {
   rep.name = "unit";
   rep.set_config("workers", Json(4));
   rep.virtual_ns = sim::seconds(2);
-  rep.metrics.counter("gpu_cache_hits_total").inc(3);
-  rep.metrics.counter("gpu_cache_misses_total").inc(1);
-  rep.metrics.counter("gstream_locality_hits_total").inc(1);
-  rep.metrics.counter("gstream_locality_misses_total").inc(3);
+  rep.metrics.counter(obs::Metric::GpuCacheHits).inc(3);
+  rep.metrics.counter(obs::Metric::GpuCacheMisses).inc(1);
+  rep.metrics.counter(obs::Metric::GstreamLocalityHits).inc(1);
+  rep.metrics.counter(obs::Metric::GstreamLocalityMisses).inc(3);
   obs::add_derived_gflink_metrics(rep.metrics);
 
   EXPECT_DOUBLE_EQ(rep.metrics.gauge_value("cache_hit_ratio"), 0.75);

@@ -136,9 +136,9 @@ TEST(Operators, UnionConcatenatesWithoutCost) {
     co_await job.submit();
     auto a = co_await iota(eng, 3, 100, 100).materialize(job);
     auto b = co_await iota(eng, 3, 200, 200).materialize(job);
-    net_before = eng.cluster().metrics().counter("net.bytes");
+    net_before = eng.cluster().metrics().counter_value("net.bytes");
     auto u = eng.union_of(a, b);
-    net_after = eng.cluster().metrics().counter("net.bytes");
+    net_after = eng.cluster().metrics().counter_value("net.bytes");
     n = co_await DataSet<KV>::from_handle(eng, u).count(job);
     job.finish();
   });

@@ -5,6 +5,7 @@
 #include <regex>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "dataflow/engine.hpp"
@@ -99,7 +100,7 @@ TEST(TelemetryPlane, SamplesProbesAndMergesClusterSeries) {
   cfg.period = sim::millis(1);
   telemetry::TelemetryPlane plane(s, cluster, cfg);
   for (int w = 1; w <= 3; ++w) {
-    plane.sampler(w).add_gauge("telemetry_shuffle_resident_bytes", {},
+    plane.sampler(w).add_probe(obs::Metric::TelemetryShuffleResidentBytes, {},
                                [w] { return 100.0 * w; });
   }
   s.spawn(drive(s, plane, 10));
@@ -132,13 +133,29 @@ TEST(TelemetryPlane, CountsRingDownsamplesOnStop) {
   cfg.period = sim::millis(1);
   cfg.ring_capacity = 4;
   telemetry::TelemetryPlane plane(s, cluster, cfg);
-  plane.sampler(1).add_gauge("telemetry_spill_queue_depth_total", {}, [] { return 1.0; });
+  plane.sampler(1).add_probe(obs::Metric::TelemetrySpillQueueDepth, {}, [] { return 1.0; });
   s.spawn(drive(s, plane, 40));
   s.run();
   EXPECT_GT(cluster.metrics().counter_value("telemetry_ring_downsamples_total",
                                             {{"node", "1"}}),
             0.0);
 }
+
+TEST(TelemetryPlaneDeathTest, ProbesRegisterOnlyThroughTheirSampledFamily) {
+  Simulation s;
+  net::Cluster cluster(s, small_cluster(1));
+  telemetry::TelemetryPlane plane(s, cluster, telemetry::TelemetryConfig{});
+  telemetry::NodeSampler& sampler = plane.sampler(1);
+  auto zero = [] { return 0.0; };
+  // A registry counter as a probe and a tenant-keyed series without its
+  // tenant both abort.
+  EXPECT_DEATH(sampler.add_probe(obs::Metric::NetBytes, {}, zero), "'net.bytes' is a counter");
+  EXPECT_DEATH(sampler.add_probe(obs::Metric::TelemetryServicePending, {}, zero),
+               "label keys \\{tenant\\}");
+}
+
+// A HealthEvent names its node by construction.
+static_assert(!std::is_default_constructible_v<telemetry::HealthEvent>);
 
 // ---- Detectors -------------------------------------------------------------
 
@@ -149,7 +166,7 @@ TEST(TelemetryDetectors, QueueAnomalyFiresOnSpike) {
   cfg.period = sim::millis(1);
   telemetry::TelemetryPlane plane(s, cluster, cfg);
   // Flat at 0 until 20 ms, then a 50-deep queue appears.
-  plane.sampler(1).add_gauge("telemetry_gstream_queue_depth_total", {}, [&s] {
+  plane.sampler(1).add_probe(obs::Metric::TelemetryGstreamQueueDepth, {}, [&s] {
     return s.now() >= sim::millis(20) ? 50.0 : 0.0;
   });
   obs::FlightRecorder flight;
@@ -181,7 +198,7 @@ TEST(TelemetryDetectors, LiveStragglerScoreFlagsTheSlowNode) {
   // Cumulative busy ns per node: everyone is saturated until 10 ms, then
   // the peers go idle while node 4 stays busy.
   for (int w = 1; w <= 6; ++w) {
-    plane.sampler(w).add_counter("telemetry_task_busy_ns", {}, [&s, w] {
+    plane.sampler(w).add_probe(obs::Metric::TelemetryTaskBusyNs, {}, [&s, w] {
       if (w == 4) return static_cast<double>(s.now());
       return static_cast<double>(std::min(s.now(), sim::millis(10)));
     });
@@ -209,7 +226,7 @@ TEST(TelemetryDetectors, SloBurnRateFiresForTheBreachedTenant) {
   cfg.period = sim::millis(1);
   cfg.slo_ms = 1.0;
   telemetry::TelemetryPlane plane(s, cluster, cfg);
-  plane.sampler(0).add_gauge("telemetry_service_pending_total", {{"tenant", "prod"}},
+  plane.sampler(0).add_probe(obs::Metric::TelemetryServicePending, {{"tenant", "prod"}},
                              [] { return 0.0; });
   auto& aggregator = plane.aggregator();
   s.spawn([](Simulation& sm, telemetry::TelemetryAggregator& agg) -> Co<void> {
@@ -245,9 +262,9 @@ TEST(TelemetryExport, PrometheusTextMatchesTheExpositionGrammar) {
   cfg.period = sim::millis(1);
   telemetry::TelemetryPlane plane(s, cluster, cfg);
   for (int w = 1; w <= 2; ++w) {
-    plane.sampler(w).add_gauge("telemetry_gpu_cache_used_bytes", {},
+    plane.sampler(w).add_probe(obs::Metric::TelemetryGpuCacheUsedBytes, {},
                                [w] { return 1024.0 * w; });
-    plane.sampler(w).add_gauge("telemetry_tenant_quota_used_ratio", {{"tenant", "prod"}},
+    plane.sampler(w).add_probe(obs::Metric::TelemetryTenantQuotaUsedRatio, {{"tenant", "prod"}},
                                [] { return 0.5; });
   }
   s.spawn(drive(s, plane, 5));
@@ -276,7 +293,7 @@ TEST(TelemetryExport, TimelineWritesOneRecordPerPeriod) {
   cfg.period = sim::millis(1);
   telemetry::TelemetryPlane plane(s, cluster, cfg);
   for (int w = 1; w <= 2; ++w) {
-    plane.sampler(w).add_gauge("telemetry_spill_queue_depth_total", {},
+    plane.sampler(w).add_probe(obs::Metric::TelemetrySpillQueueDepth, {},
                                [w] { return static_cast<double>(w); });
   }
   std::ostringstream sink;

@@ -9,7 +9,10 @@ coroutine recognition. All rules share that one FileModel (no per-rule
 re-reads, no regex matches inside comments or string literals).
 
 Rule families, each enforcing an architectural invariant the type system
-cannot express (see docs/ARCHITECTURE.md, "Static analysis & lint"):
+cannot express (see docs/ARCHITECTURE.md, "Static analysis & lint").
+Metric naming and attribution are not lint: the metric family table in
+src/obs/metric_families.hpp enforces them at compile and registration
+time, and GStruct mirror layouts are checked by every typed plan node.
 
   R1  device-alloc   Device memory is allocated/released only through the
                      GMemoryManager / CudaWrapper layers (the paper's
@@ -23,29 +26,6 @@ cannot express (see docs/ARCHITECTURE.md, "Static analysis & lint"):
                      <future> and their kin. The simulator runs on one
                      thread by construction; sim::Mutex is a simulated
                      resource (a DMA engine, a NIC lane), not a host lock.
-  R3  metrics        Every metric name emitted in src/** appears in the
-                     EXPERIMENTS.md metric catalog, and vice versa (the
-                     catalog is the stable machine interface of run
-                     reports; silent drift breaks downstream readers).
-  R4  mirrors        Every GStruct mirror struct declared in
-                     src/workloads/records.hpp is covered by a
-                     GSTRUCT_MIRROR_CHECK(T, ...) in some workloads
-                     translation unit (the compile-time/static-init layout
-                     proof behind the zero-serialization path).
-  R5  tenant-labels  Every metric emission and span record under
-                     src/service/ carries a tenant attribution (a
-                     {"tenant", ...} label or a tenant-derived span lane).
-  R6  tier-labels    Every metric emission and span statement (record or
-                     open) under src/spill/ carries a tier attribution (a
-                     {"tier", ...} label or a tier-derived span name).
-  R7  telemetry      Every metric or time-series name registered under
-                     src/obs/telemetry/ (registry emissions plus
-                     add_gauge/add_counter series) carries a units suffix
-                     (_ns, _bytes, _total or _ratio), and every HealthEvent
-                     emission carries a node attribution — unitless series
-                     and unattributable health events are useless to
-                     dashboards and to the speculative-execution hook.
-
   C1  coro-capture   A lambda with a non-empty capture list whose body is
                      a coroutine (contains co_await/co_return/co_yield).
                      The closure object dies with the enclosing scope while
@@ -74,10 +54,9 @@ justification text is mandatory (A1 otherwise).
 Exit status: 0 when clean, 1 when any finding is reported, 2 on usage or
 environment errors (missing root, unreadable files).
 
-`--list-metrics` prints the metric names found in src/** (the input for
-regenerating the EXPERIMENTS.md catalog) and exits. `--sarif PATH` writes
-findings as SARIF 2.1.0 for inline PR annotation; `--stats` prints a
-per-rule findings/runtime summary; `--jobs N` scans files in parallel.
+`--sarif PATH` writes findings as SARIF 2.1.0 for inline PR annotation;
+`--stats` prints a per-rule findings/runtime summary; `--jobs N` scans
+files in parallel.
 Directories named `build*` are never scanned, so a stray in-tree build
 cannot pollute findings.
 """
@@ -122,27 +101,6 @@ HOST_CONCURRENCY_INCLUDE_RE = re.compile(
     r"condition_variable|future|semaphore|latch|barrier|stop_token)>", re.M
 )
 
-# R3: metric registration/emission sites: one of these methods called with a
-# string literal as the first argument (the repo-wide idiom).
-METRIC_METHODS = {"counter", "gauge", "histogram", "inc"}
-METRIC_NAME_RE = re.compile(r"^[A-Za-z0-9_.]+$")
-CATALOG_BEGIN = "<!-- metric-catalog:begin -->"
-CATALOG_END = "<!-- metric-catalog:end -->"
-CATALOG_NAME_RE = re.compile(r"`([A-Za-z0-9_.]+)`")
-
-# R4: mirror structs and their checks.
-MIRROR_STRUCT_RE = re.compile(r"^struct\s+(\w+)\s*\{", re.M)
-MIRROR_CHECK_RE = re.compile(r"GSTRUCT_MIRROR_CHECK\(\s*(\w+)\s*,")
-
-# R5/R6: span-record sites (src/service: record; src/spill: record + open).
-SPAN_RECORD_RE = re.compile(r"spans\(\)\s*\.\s*record\s*\(")
-SPAN_SITE_RE = re.compile(r"spans\(\)\s*\.\s*(?:record|open)\s*\(")
-
-# R7: telemetry-plane naming/attribution discipline (src/obs/telemetry/).
-TELEMETRY_DIR = "obs/telemetry/"
-TELEMETRY_UNITS_SUFFIXES = ("_ns", "_bytes", "_total", "_ratio")
-TELEMETRY_SERIES_METHODS = {"add_gauge", "add_counter"}
-
 # C2: parameter types that borrow from temporary-prone value types. A
 # detached frame must own its strings/buffers by value.
 def is_dangle_prone_type(type_text: str) -> bool:
@@ -170,16 +128,11 @@ KEEPALIVE_TOKENS = ("shared_from_this", "self", "keep_alive")
 # `allow(R2) justification` and comma-separated rule lists).
 ALLOW_RE = re.compile(r"gflint:\s*allow\(([^)]*)\)\s*:?\s*(.*)", re.S)
 
-ALL_RULES = ("R1", "R2", "R3", "R4", "R5", "R6", "R7", "C1", "C2", "C3")
+ALL_RULES = ("R1", "R2", "C1", "C2", "C3")
 
 RULE_DESCRIPTIONS = {
     "R1": "device memory allocated outside GMemoryManager/CudaWrapper",
     "R2": "host concurrency (threads, locks, atomics) under src/",
-    "R3": "metric emissions out of sync with the EXPERIMENTS.md catalog",
-    "R4": "GStruct mirror struct without a GSTRUCT_MIRROR_CHECK",
-    "R5": "src/service telemetry without tenant attribution",
-    "R6": "src/spill telemetry without tier attribution",
-    "R7": "telemetry series without units suffix or HealthEvent without node",
     "C1": "capturing-lambda coroutine (closure dies before the frame)",
     "C2": "detached coroutine borrowing a temporary-prone parameter",
     "C3": "detached member coroutine without a keep-alive of this",
@@ -327,15 +280,6 @@ def lex(text: str):
             toks.append(("punct", c, line))
             i += 1
     return toks
-
-
-def string_literal_value(tok_text: str) -> str:
-    """Best-effort contents of a string-literal token."""
-    m = re.match(r'(?:u8|u|U|L)?R"([^(]*)\((.*)\)\1"$', tok_text, re.S)
-    if m:
-        return m.group(2)
-    m = re.match(r'(?:u8|u|U|L)?"(.*)"$', tok_text, re.S)
-    return m.group(1) if m else tok_text
 
 
 # ---- FileModel: scope tree, classes, lambdas, functions --------------------
@@ -791,45 +735,6 @@ class FileModel:
 # ---- Shared site extraction ------------------------------------------------
 
 
-def metric_sites(model, methods=METRIC_METHODS):
-    """(name, line, sig_index) for every metric emission with a literal name."""
-    out = []
-    sig = model.sig
-    for i, (kind, text, line) in enumerate(sig):
-        if kind != "id" or text not in methods:
-            continue
-        if i + 2 >= len(sig) or sig[i + 1][1] != "(" or sig[i + 2][0] != "str":
-            continue
-        name = string_literal_value(sig[i + 2][1])
-        if METRIC_NAME_RE.match(name):
-            out.append((name, line, i))
-    return out
-
-
-def span_sites(model, methods):
-    """(method, line, sig_index) for spans().record/open(...) statements."""
-    out = []
-    sig = model.sig
-    n = len(sig)
-    for i, (kind, text, line) in enumerate(sig):
-        if kind != "id" or text != "spans" or i + 5 >= n:
-            continue
-        if (sig[i + 1][1] == "(" and sig[i + 2][1] == ")" and sig[i + 3][1] == "."
-                and sig[i + 4][0] == "id" and sig[i + 4][1] in methods
-                and sig[i + 5][1] == "("):
-            out.append((sig[i + 4][1], line, i))
-    return out
-
-
-def stmt_text(model, si):
-    """Token text of the statement starting at sig index si (to the ';')."""
-    sig = model.sig
-    j = si
-    while j < len(sig) and sig[j][1] != ";":
-        j += 1
-    return " ".join(t[1] for t in sig[si:j])
-
-
 def split_call_args(model, start, end):
     """Argument texts for sig[start:end], split on top-level commas."""
     sig = model.sig
@@ -971,57 +876,6 @@ def scan_file(task):
                 "R2", relp, model.line_of_offset(m.start()),
                 f"{m.group(0)} — {why}"))
 
-    def attribution_rule(rule, subdir, word, span_methods, hint):
-        if not rel.startswith(subdir):
-            return
-        sites = [(si, line, f"metric '{name}'")
-                 for (name, line, si) in metric_sites(model)]
-        sites += [(si, line, "span statement" if rule == "R6" else "span record")
-                  for (_meth, line, si) in span_sites(model, span_methods)]
-        for si, line, what in sorted(sites):
-            if word not in stmt_text(model, si):
-                findings.append((rule, relp, line, f"{what} {hint}"))
-
-    def r5():
-        attribution_rule(
-            "R5", "service/", "tenant", ("record",),
-            "under src/service carries no tenant attribution — label it "
-            "{\"tenant\", ...} (metrics) or put it on a tenant lane (spans) "
-            "so per-tenant SLOs stay observable")
-
-    def r6():
-        attribution_rule(
-            "R6", "spill/", "tier", ("record", "open"),
-            "under src/spill carries no tier attribution — label it "
-            "{\"tier\", ...} (metrics) or put the tier in the span name so "
-            "the ladder stays observable per rung")
-
-    def r7():
-        if not rel.startswith(TELEMETRY_DIR):
-            return
-        series = metric_sites(model) + metric_sites(model, TELEMETRY_SERIES_METHODS)
-        for name, line, _si in sorted(series, key=lambda s: s[1]):
-            if not name.endswith(TELEMETRY_UNITS_SUFFIXES):
-                findings.append((
-                    "R7", relp, line,
-                    f"telemetry series '{name}' carries no units suffix — name it "
-                    "*_ns, *_bytes, *_total or *_ratio so the Prometheus "
-                    "exposition and the JSONL timeline stay self-describing"))
-        sig = model.sig
-        for i, (kind, text, line) in enumerate(sig):
-            if kind != "id" or text != "HealthEvent":
-                continue
-            if i + 1 >= len(sig) or sig[i + 1][1] != "{":
-                continue
-            if i > 0 and sig[i - 1][1] in ("struct", "class"):
-                continue  # the type's own definition, not an emission
-            if not re.search(r"\bnode\b", stmt_text(model, i)):
-                findings.append((
-                    "R7", relp, line,
-                    "HealthEvent emission carries no node attribution — set "
-                    ".node so the event is traceable to the node it fired on "
-                    "(the speculative-execution hook keys on it)"))
-
     def c1():
         for lam in model.lambdas:
             if lam["captures"].strip() and lam["body_co"]:
@@ -1040,9 +894,6 @@ def scan_file(task):
 
     timed("R1", r1)
     timed("R2", r2)
-    timed("R5", r5)
-    timed("R6", r6)
-    timed("R7", r7)
     timed("C1", c1)
 
     return {
@@ -1057,12 +908,6 @@ def scan_file(task):
             for s in model.suppressions
         ],
         "facts": {
-            "metrics": metric_sites(model),
-            "mirror_structs": (MIRROR_STRUCT_RE.findall(model.code)
-                               if rel == "workloads/records.hpp" else []),
-            "mirror_checks": (MIRROR_CHECK_RE.findall(model.code)
-                              if rel.startswith("workloads/") and rel.endswith(".cpp")
-                              else []),
             "coro_fns": [
                 {"name": f["name"], "cls": f["cls"], "params": f["params"],
                  "line": f["line"], "has_body": f["body"] is not None}
@@ -1074,55 +919,6 @@ def scan_file(task):
 
 
 # ---- Global rules (run in the main process over the merged facts) ----------
-
-
-def rule_metrics_global(results, root: Path):
-    emitted = {}
-    for r in sorted(results, key=lambda x: x["rel"]):
-        for (name, line, _si) in r["facts"]["metrics"]:
-            emitted.setdefault(name, (f"src/{r['rel']}", line))
-    experiments = root / "EXPERIMENTS.md"
-    text = experiments.read_text()
-    begin, end = text.find(CATALOG_BEGIN), text.find(CATALOG_END)
-    if begin < 0 or end < 0 or end < begin:
-        return [("R3", "EXPERIMENTS.md", 0,
-                 f"metric catalog markers '{CATALOG_BEGIN}' / '{CATALOG_END}' "
-                 "not found — the catalog section is the schema contract")]
-    documented = set(CATALOG_NAME_RE.findall(text[begin:end]))
-    findings = []
-    for name in sorted(set(emitted) - documented):
-        relp, line = emitted[name]
-        findings.append((
-            "R3", relp, line,
-            f"metric '{name}' is emitted here but missing from the "
-            "EXPERIMENTS.md metric catalog"))
-    for name in sorted(documented - set(emitted)):
-        findings.append((
-            "R3", "EXPERIMENTS.md",
-            text.count("\n", 0, text.find(f"`{name}`", begin)) + 1,
-            f"metric '{name}' is documented in the catalog but never emitted "
-            "under src/ — stale entry"))
-    return findings
-
-
-def rule_mirrors_global(results):
-    declared, checked = set(), set()
-    for r in results:
-        declared.update(r["facts"]["mirror_structs"])
-        checked.update(r["facts"]["mirror_checks"])
-    records = "src/workloads/records.hpp"
-    findings = []
-    for name in sorted(declared - checked):
-        findings.append((
-            "R4", records, 0,
-            f"mirror struct '{name}' has no GSTRUCT_MIRROR_CHECK({name}, ...) in any "
-            "src/workloads/*.cpp — its descriptor/layout agreement is unproven"))
-    for name in sorted(checked - declared):
-        findings.append((
-            "R4", records, 0,
-            f"GSTRUCT_MIRROR_CHECK({name}, ...) references a struct not declared in "
-            "records.hpp"))
-    return findings
 
 
 def build_coro_registry(results):
@@ -1311,7 +1107,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path,
                         default=Path(__file__).resolve().parent.parent,
-                        help="repo root (containing src/ and EXPERIMENTS.md); "
+                        help="repo root (containing src/); "
                              "default: the checkout this script lives in")
     parser.add_argument("--rules", default=",".join(ALL_RULES),
                         help="comma-separated subset of rules to run (default: all)")
@@ -1321,8 +1117,6 @@ def main() -> int:
                         help="write findings as SARIF 2.1.0 to this path")
     parser.add_argument("--stats", action="store_true",
                         help="print a per-rule findings/runtime summary to stderr")
-    parser.add_argument("--list-metrics", action="store_true",
-                        help="print the metric names emitted under src/ and exit")
     args = parser.parse_args()
 
     src = args.root / "src"
@@ -1336,18 +1130,6 @@ def main() -> int:
         print(f"gflint: error: unknown rule(s): {', '.join(sorted(unknown))}",
               file=sys.stderr)
         return 2
-
-    if "R3" in rules and not args.list_metrics:
-        experiments = args.root / "EXPERIMENTS.md"
-        if not experiments.is_file():
-            print(f"gflint: error: missing metric catalog file {experiments}",
-                  file=sys.stderr)
-            return 2
-    if "R4" in rules and not args.list_metrics:
-        records = src / "workloads" / "records.hpp"
-        if not records.is_file():
-            print(f"gflint: error: missing {records}", file=sys.stderr)
-            return 2
 
     files = collect_files(src)
     jobs = args.jobs if args.jobs > 0 else min(8, os.cpu_count() or 1)
@@ -1365,13 +1147,6 @@ def main() -> int:
             print(f"gflint: error: {r['error']}", file=sys.stderr)
         return 2
 
-    if args.list_metrics:
-        names = sorted({name for r in results
-                        for (name, _line, _si) in r["facts"]["metrics"]})
-        for name in names:
-            print(name)
-        return 0
-
     findings = []
     for r in results:
         findings.extend(f for f in r["findings"] if f[0] in rules)
@@ -1385,10 +1160,6 @@ def main() -> int:
         return out
 
     global_findings = []
-    if "R3" in rules:
-        global_findings += timed_global("R3", lambda: rule_metrics_global(results, args.root))
-    if "R4" in rules:
-        global_findings += timed_global("R4", lambda: rule_mirrors_global(results))
     if rules & {"C2", "C3"}:
         detach = timed_global("C2/C3", lambda: rule_coro_detach(results))
         global_findings += [f for f in detach if f[0] in rules]
