@@ -94,6 +94,7 @@ double run_with_streams(int streams) {
     out = sm.now();
   }(wg, s, end));
   s.run();
+  gflink::bench::bench_report().virtual_ns += s.now();
   return sim::to_seconds(end);
 }
 
@@ -152,6 +153,7 @@ ChunkRun run_with_chunks(std::uint64_t chunk_bytes) {
     out = sm.now();
   }(wg, s, end));
   s.run();
+  gflink::bench::bench_report().virtual_ns += s.now();
 
   ChunkRun r;
   r.seconds = sim::to_seconds(end);

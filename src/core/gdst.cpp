@@ -4,31 +4,22 @@
 // separately policed by gflint rules C2/C3.
 #include "core/gdst.hpp"
 
-#include <cstring>
 #include <deque>
 
 namespace gflink::core {
 
 namespace {
 
-/// One submitted-but-unretired GPU block of a mapPartition task.
-struct BlockResult {
-  GWorkPtr work;
-  std::size_t out_records = 0;
-  mem::HBufferPtr out_buffer;
-};
-
-/// Retire the oldest in-flight block: await completion, append its output
-/// records in block order with one copy, and release its host buffers back
-/// to the page budget. Bounding the in-flight window keeps the task's
-/// footprint independent of partition size (and free of budget deadlocks).
-/// A named coroutine instead of a capturing lambda (gflint C1); awaited
-/// in-scope.
-sim::Co<void> retire_oldest_block(std::deque<BlockResult>& in_flight, mem::RecordBatch& out) {
-  BlockResult r = std::move(in_flight.front());
+/// Await the oldest in-flight block. Its output already sits in place in the
+/// task's output batch (the D2H wrote through the view); dropping the GWork
+/// releases the block's page budget. Bounding the in-flight window keeps the
+/// task's footprint independent of partition size (and free of budget
+/// deadlocks). A named coroutine instead of a capturing lambda (gflint C1);
+/// awaited in-scope.
+sim::Co<void> retire_oldest_block(std::deque<GWorkPtr>& in_flight) {
+  GWorkPtr work = std::move(in_flight.front());
   in_flight.pop_front();
-  co_await r.work->done->wait();
-  out.append_raw(r.out_buffer->data(), r.out_records);
+  co_await work->done->wait();
 }
 
 }  // namespace
@@ -53,10 +44,11 @@ sim::Co<void> gpu_map_partition_run(dataflow::TaskContext& ctx, const GpuOpSpec&
     return spec.out_items ? spec.out_items(n) : n;
   };
   // The output size is known before the first block is submitted: size the
-  // batch once instead of growing it block by block.
-  std::size_t total_out = out.count();
+  // batch once, so each block's D2H lands in its own slot of it.
+  std::size_t next_out = out.count();
+  std::size_t total_out = next_out;
   for (std::size_t b = 0; b < blocks; ++b) total_out += block_out_records(block_records(b));
-  out.reserve(total_out);
+  out.resize(total_out);
 
   // Task-level shared pieces: broadcast buffers and kernel parameters.
   std::vector<GBuffer> aux =
@@ -65,7 +57,11 @@ sim::Co<void> gpu_map_partition_run(dataflow::TaskContext& ctx, const GpuOpSpec&
 
   mem::MemoryManager& memory = ctx.worker_state().memory();
 
-  std::deque<BlockResult> in_flight;
+  // Block buffers are views of `in` and `out`, so no block may outlive this
+  // call. Every exit path below retires every submitted block: nothing
+  // between a submit and the final drain throws (only the engine's
+  // work_delay raises TaskFailed, and it is not called here).
+  std::deque<GWorkPtr> in_flight;
   const std::size_t window = std::max<std::size_t>(
       16, 4 * static_cast<std::size_t>(mgr.num_devices() * mgr.streams().streams_per_gpu()));
 
@@ -78,13 +74,13 @@ sim::Co<void> gpu_map_partition_run(dataflow::TaskContext& ctx, const GpuOpSpec&
     const std::size_t out_records = block_out_records(n);
     const std::size_t out_bytes = out_records * out_stride;
 
-    // The input block aliases the partition's off-heap page: zero copy in
-    // the modeled system; here we materialize the block buffer to give the
-    // kernel a concrete span.
-    mem::HBufferPtr in_buf = co_await memory.allocate(in_bytes);  // pinned off-heap
-    in_buf->write(0, in.record_ptr(first), in_bytes);
-
-    mem::HBufferPtr out_buf = co_await memory.allocate(std::max<std::size_t>(out_bytes, 1));
+    // The input block is the partition's own off-heap page (zero copy);
+    // kernels and DMA only ever read input blocks.
+    mem::HBufferPtr in_buf = co_await memory.view(
+        const_cast<std::byte*>(in.record_ptr(first)), in_bytes, in_bytes);
+    mem::HBufferPtr out_buf = co_await memory.view(out.bytes().data() + next_out * out_stride,
+                                                   out_bytes, std::max<std::size_t>(out_bytes, 1));
+    next_out += out_records;
 
     auto work = std::make_shared<GWork>();
     work->execute_name = spec.kernel;
@@ -99,7 +95,7 @@ sim::Co<void> gpu_map_partition_run(dataflow::TaskContext& ctx, const GpuOpSpec&
     work->chunkable = spec.chunkable;
     work->chunk_bytes = spec.chunk_bytes;
     GBuffer in_binding;
-    in_binding.host = in_buf;
+    in_binding.host = std::move(in_buf);
     in_binding.bytes = in_bytes;
     in_binding.cache = spec.cache_input;
     in_binding.cache_key = make_cache_key(spec.cache_namespace,
@@ -111,7 +107,7 @@ sim::Co<void> gpu_map_partition_run(dataflow::TaskContext& ctx, const GpuOpSpec&
     // make_aux): kernels index them absolutely.
     for (const GBuffer& a : aux) work->inputs.push_back(a);
     GBuffer out_binding;
-    out_binding.host = out_buf;
+    out_binding.host = std::move(out_buf);
     out_binding.bytes = out_bytes;
     // Element-wise ops produce a fixed number of output records per input
     // item; expose that as the output stride so chunks stay element-aligned.
@@ -121,13 +117,13 @@ sim::Co<void> gpu_map_partition_run(dataflow::TaskContext& ctx, const GpuOpSpec&
     work->outputs.push_back(std::move(out_binding));
 
     mgr.streams().submit(work);
-    in_flight.push_back(BlockResult{std::move(work), out_records, std::move(out_buf)});
+    in_flight.push_back(std::move(work));
     if (in_flight.size() >= window) {
-      co_await retire_oldest_block(in_flight, out);
+      co_await retire_oldest_block(in_flight);
     }
   }
   while (!in_flight.empty()) {
-    co_await retire_oldest_block(in_flight, out);
+    co_await retire_oldest_block(in_flight);
   }
 }
 

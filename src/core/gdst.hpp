@@ -10,8 +10,14 @@
 // and how many output items a block produces. `gpu_map_partition` turns the
 // spec into the engine's AsyncPartitionFn: at run time the partition is
 // split into page-sized blocks (§5.1 — a GStruct never straddles a page),
-// one GWork per block is submitted to the worker's GStreamManager, and the
-// per-block outputs are reassembled in order.
+// one GWork per block is submitted to the worker's GStreamManager, and each
+// block's output is written in place into the task's output batch.
+//
+// Zero copy: a block's input buffer is a view of the partition's own record
+// bytes, and its output buffer is a view of the block's slot in the output
+// batch, sized once before the first submit. The H2D reads the partition
+// and the D2H writes the result where it stays; the page budget is charged
+// per block exactly as for a separately allocated block buffer.
 //
 // Note on layouts: block buffers physically hold AoS GStruct bytes (the
 // zero-copy representation); GWork.layout declares the access pattern the
@@ -61,8 +67,8 @@ struct GpuOpSpec {
 };
 
 /// Execute a GPU-based mapPartition over one partition: split into blocks,
-/// submit one GWork per block (they pipeline across streams), await all,
-/// and assemble the output batch in block order.
+/// submit one GWork per block (they pipeline across streams) and await
+/// all. Block outputs land in `out` in block order.
 sim::Co<void> gpu_map_partition_run(dataflow::TaskContext& ctx, const GpuOpSpec& spec,
                                     const mem::RecordBatch& in, mem::RecordBatch& out);
 

@@ -5,7 +5,6 @@
 #include "dataflow/engine.hpp"
 
 #include <map>
-#include <unordered_map>
 
 namespace gflink::dataflow {
 
@@ -20,6 +19,39 @@ int tree_rounds(int receivers) {
     ++rounds;
   }
   return rounds;
+}
+
+/// Push every record of `in` through `ops` into `sink` in one pass per
+/// record: op i emits straight into op i+1 and the last op into `sink`, so
+/// no op builds a batch of its own. Returns the ops' modelled CPU time: per
+/// op, the records that entered it times record_time(op).
+sim::Duration run_record_ops(const std::vector<const OpNode*>& ops, const net::Node& node,
+                             const mem::RecordBatch& in, Emitter& sink) {
+  struct Link {
+    const RecordFn* op;
+    Emitter* out;
+  };
+  std::vector<Link> links(ops.size());
+  std::vector<Emitter> into;  // into[i] hands each record to op i
+  into.reserve(ops.size());
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    into.emplace_back(
+        [](void* link, const std::byte* record) {
+          (*static_cast<Link*>(link)->op)(record, *static_cast<Link*>(link)->out);
+        },
+        &links[i]);
+  }
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    links[i] = {&ops[i]->record_fn, i + 1 < ops.size() ? &into[i + 1] : &sink};
+  }
+  Emitter& first = ops.empty() ? sink : into.front();
+  for (std::size_t r = 0; r < in.count(); ++r) first.emit_raw(in.record_ptr(r));
+  sim::Duration total = 0;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    total += static_cast<sim::Duration>(into[i].emitted()) *
+             node.record_time(ops[i]->cost.flops, ops[i]->cost.bytes);
+  }
+  return total;
 }
 
 }  // namespace
@@ -327,48 +359,6 @@ sim::Co<DataHandle> Engine::run_source(Job& job, const SourceSpec& source) {
   co_return out;
 }
 
-sim::Co<std::shared_ptr<mem::RecordBatch>> Engine::apply_record_ops(
-    const Stage& stage, int worker, std::shared_ptr<mem::RecordBatch> batch) {
-  if (stage.record_ops.empty()) co_return batch;
-  const net::Node& node = cluster_.node(worker);
-  sim::Duration total = 0;
-  std::shared_ptr<mem::RecordBatch> cur = std::move(batch);
-  for (const OpNode* op : stage.record_ops) {
-    auto next = std::make_shared<mem::RecordBatch>(op->out_desc);
-    Emitter emitter(*next);
-    const std::size_t n = cur->count();
-    for (std::size_t i = 0; i < n; ++i) {
-      op->record_fn(cur->record_ptr(i), emitter);
-    }
-    total += static_cast<sim::Duration>(n) * node.record_time(op->cost.flops, op->cost.bytes);
-    cur = std::move(next);
-  }
-  co_await work_delay(worker, total);
-  co_return cur;
-}
-
-mem::RecordBatch Engine::combine_by_key(const OpNode& reduce,
-                                        std::span<const mem::RecordBatch> batches) {
-  mem::RecordBatch acc(reduce.out_desc);
-  std::size_t n = 0;
-  for (const auto& b : batches) n += b.count();
-  std::unordered_map<std::uint64_t, std::size_t> index;
-  index.reserve(n);
-  for (const auto& b : batches) {
-    for (std::size_t i = 0; i < b.count(); ++i) {
-      const std::byte* rec = b.record_ptr(i);
-      const std::uint64_t key = reduce.key_fn(rec);
-      auto [it, inserted] = index.try_emplace(key, acc.count());
-      if (inserted) {
-        acc.append_raw(rec);
-      } else {
-        reduce.combine_fn(acc.record_ptr(it->second), rec);
-      }
-    }
-  }
-  return acc;
-}
-
 sim::Co<void> Engine::stage_task(Job& job, const Stage& stage, int part_index,
                                  const MaterializedDataSet::Part& in, MaterializedDataSet& out,
                                  shuffle::ShuffleSession* exchange, int out_partitions,
@@ -383,76 +373,74 @@ sim::Co<void> Engine::stage_task(Job& job, const Stage& stage, int part_index,
   co_await sim_.delay(config_.task_deploy_overhead);
   Worker& w = *co_await acquire_slot(worker, task_span);
 
-  const std::uint64_t records_in = in.batch ? in.batch->count() : 0;
-  stat.records_in += records_in;
+  stat.records_in += in.batch ? in.batch->count() : 0;
+  const net::Node& node = cluster_.node(worker);
+  const std::vector<const OpNode*>& ops = stage.record_ops;
+  const OpNode* terminal = stage.terminal;
 
-  std::shared_ptr<mem::RecordBatch> batch;
   try {
-    batch = co_await apply_record_ops(stage, worker, in.batch);
+  if (terminal == nullptr || terminal->kind == OpKind::MapPartition ||
+      terminal->kind == OpKind::AsyncPartition) {
+    // The record ops' output is the stage's output or the terminal's input.
+    std::shared_ptr<mem::RecordBatch> batch = in.batch;
+    if (!ops.empty()) {
+      batch = std::make_shared<mem::RecordBatch>(ops.back()->out_desc);
+      Emitter sink(*batch);
+      co_await work_delay(worker, run_record_ops(ops, node, *in.batch, sink));
+    }
+    if (terminal == nullptr) {
+      out.parts[static_cast<std::size_t>(part_index)] = {worker, std::move(batch)};
+    } else if (terminal->kind == OpKind::MapPartition) {
+      auto result = std::make_shared<mem::RecordBatch>(terminal->out_desc);
+      terminal->partition_fn(*batch, *result);
+      co_await work_delay(worker, static_cast<sim::Duration>(batch->count()) *
+                                      node.record_time(terminal->cost.flops,
+                                                       terminal->cost.bytes));
+      out.parts[static_cast<std::size_t>(part_index)] = {worker, std::move(result)};
+    } else {
+      auto result = std::make_shared<mem::RecordBatch>(terminal->out_desc);
+      TaskContext ctx(*this, job, worker, part_index, task_span);
+      co_await terminal->async_fn(ctx, *batch, *result);
+      out.parts[static_cast<std::size_t>(part_index)] = {worker, std::move(result)};
+    }
+  } else {
+    // Shuffle terminals: the record ops stream straight into the bucketing
+    // pass, which does ReduceByKey's map-side combine. GroupReduce ships raw
+    // records (its function need not be associative); Rebalance deals them
+    // round-robin.
+    const OpKind kind = terminal->kind;
+    const mem::StructDesc& record_desc = ops.empty() ? in.batch->desc() : *ops.back()->out_desc;
+    shuffle::Bucketer bucketer(out_partitions, &record_desc,
+                               kind == OpKind::Rebalance ? nullptr : &terminal->key_fn,
+                               kind == OpKind::ReduceByKey ? &terminal->combine_fn : nullptr);
+    Emitter sink(
+        [](void* b, const std::byte* record) { static_cast<shuffle::Bucketer*>(b)->add(record); },
+        &bucketer);
+    const sim::Duration ops_time = run_record_ops(ops, node, *in.batch, sink);
+    const auto n = static_cast<sim::Duration>(sink.emitted());
+    std::vector<mem::RecordBatch> buckets = bucketer.take();
+    // Failure points: nothing has been sent through the exchange yet, so a
+    // retry of this task is idempotent.
+    if (!ops.empty()) co_await work_delay(worker, ops_time);
+    if (kind == OpKind::Rebalance) {
+      co_await sim_.delay(n * node.record_time(2.0, static_cast<double>(record_desc.stride())));
+      for (int t = 0; t < out_partitions; ++t) {
+        auto& bucket = buckets[static_cast<std::size_t>(t)];
+        if (!bucket.empty()) exchange->deposit_local(t, std::move(bucket));
+      }
+      // Rebalance transfers are charged in the merge step (receiver side
+      // cannot know sizes until all tasks deposited).
+    } else {
+      // GroupReduce: key extraction + serialization-free bucketing per record.
+      const double bytes = kind == OpKind::ReduceByKey ? terminal->cost.bytes
+                                                       : static_cast<double>(record_desc.stride());
+      co_await work_delay(worker, n * node.record_time(terminal->cost.flops, bytes));
+      co_await exchange->send(worker, std::move(buckets));
+    }
+  }
   } catch (const TaskFailed&) {
     w.slots().release();  // the physical slot is gone with the node, but
     throw;                // keep the accounting balanced for a rejoin
-  }
-  const net::Node& node = cluster_.node(worker);
-
-  const OpNode* terminal = stage.terminal;
-  try {
-  if (terminal == nullptr) {
-    out.parts[static_cast<std::size_t>(part_index)] = {worker, std::move(batch)};
-  } else if (terminal->kind == OpKind::MapPartition) {
-    auto result = std::make_shared<mem::RecordBatch>(terminal->out_desc);
-    terminal->partition_fn(*batch, *result);
-    co_await work_delay(worker, static_cast<sim::Duration>(batch->count()) *
-                                    node.record_time(terminal->cost.flops,
-                                                     terminal->cost.bytes));
-    out.parts[static_cast<std::size_t>(part_index)] = {worker, std::move(result)};
-  } else if (terminal->kind == OpKind::AsyncPartition) {
-    auto result = std::make_shared<mem::RecordBatch>(terminal->out_desc);
-    TaskContext ctx(*this, job, worker, part_index, task_span);
-    co_await terminal->async_fn(ctx, *batch, *result);
-    out.parts[static_cast<std::size_t>(part_index)] = {worker, std::move(result)};
-  } else if (terminal->kind == OpKind::ReduceByKey) {
-    // Map-side combine + bucketing in one pass over the input records.
-    std::vector<mem::RecordBatch> buckets = exchange->partition(
-        *batch, terminal->out_desc, terminal->key_fn, &terminal->combine_fn);
-    // Failure point: nothing has been sent through the exchange yet, so
-    // a retry of this task is idempotent.
-    co_await work_delay(worker, static_cast<sim::Duration>(batch->count()) *
-                                    node.record_time(terminal->cost.flops,
-                                                     terminal->cost.bytes));
-    co_await exchange->send(worker, std::move(buckets));
-  } else if (terminal->kind == OpKind::GroupReduce) {
-    // No map-side combine (the group function need not be associative):
-    // ship raw records, keyed. Cost: key extraction + serialization-free
-    // bucketing per record.
-    co_await work_delay(worker, static_cast<sim::Duration>(batch->count()) *
-                                    node.record_time(terminal->cost.flops,
-                                                     static_cast<double>(
-                                                         batch->desc().stride())));
-    std::vector<mem::RecordBatch> buckets =
-        exchange->partition(*batch, &batch->desc(), terminal->key_fn, nullptr);
-    co_await exchange->send(worker, std::move(buckets));
-  } else if (terminal->kind == OpKind::Rebalance) {
-    co_await sim_.delay(static_cast<sim::Duration>(batch->count()) *
-                        node.record_time(2.0, static_cast<double>(batch->desc().stride())));
-    std::vector<mem::RecordBatch> buckets;
-    buckets.reserve(static_cast<std::size_t>(out_partitions));
-    for (int t = 0; t < out_partitions; ++t) buckets.emplace_back(terminal->out_desc);
-    for (std::size_t i = 0; i < batch->count(); ++i) {
-      buckets[i % static_cast<std::size_t>(out_partitions)].append_raw(batch->record_ptr(i));
-    }
-    for (int t = 0; t < out_partitions; ++t) {
-      auto& bucket = buckets[static_cast<std::size_t>(t)];
-      if (!bucket.empty()) exchange->deposit_local(t, std::move(bucket));
-    }
-    // Rebalance transfers are charged in the merge step (receiver side
-    // cannot know sizes until all tasks deposited).
-  } else {
-    GFLINK_CHECK_MSG(false, "unexpected terminal operator");
-  }
-  } catch (const TaskFailed&) {
-    w.slots().release();
-    throw;
   }
 
   w.slots().release();
@@ -599,7 +587,12 @@ sim::Co<DataHandle> Engine::run_stage(Job& job, const Stage& stage, DataHandle i
               static_cast<sim::Duration>(n_in + emitter.emitted()) *
               eng.cluster().node(node).record_time(term->cost.flops, term->cost.bytes));
         } else if (term->kind == OpKind::ReduceByKey) {
-          *merged = Engine::combine_by_key(*term, deposited);
+          shuffle::Bucketer combine(1, term->out_desc, &term->key_fn, &term->combine_fn);
+          combine.reserve_keys(n);
+          for (const auto& b : deposited) {
+            for (std::size_t i = 0; i < b.count(); ++i) combine.add(b.record_ptr(i));
+          }
+          *merged = std::move(combine.take().front());
           // Free the deposits before the merge's modelled time elapses:
           // the other merge tasks run meanwhile.
           deposited = {};

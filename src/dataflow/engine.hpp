@@ -23,7 +23,6 @@
 #pragma once
 
 #include <functional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -339,19 +338,11 @@ class Engine {
   obs::SpanId open_task(obs::StrRef name, obs::SpanId parent, int node);
   sim::Co<Worker*> acquire_slot(int node, obs::SpanId task_span);
 
-  // Apply the record-op chain; returns the resulting batch and charges CPU.
-  sim::Co<std::shared_ptr<mem::RecordBatch>> apply_record_ops(
-      const Stage& stage, int worker, std::shared_ptr<mem::RecordBatch> batch);
-
   // Map side of join/coGroup co-partitioning: bucket one partition by key
   // hash (charging the bucketing CPU) and ship the buckets through
   // `session` — the single copy of the per-bucket send loop.
   sim::Co<void> scatter_partition(const MaterializedDataSet::Part& part, const KeyFn& key,
                                   shuffle::ShuffleSession& session, obs::SpanId stage_span);
-
-  // Combine the records of `batches`, in order, into per-key accumulators.
-  static mem::RecordBatch combine_by_key(const OpNode& reduce,
-                                         std::span<const mem::RecordBatch> batches);
 
   int owner_of_partition(int index) const { return 1 + index % num_workers(); }
 

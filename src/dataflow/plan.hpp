@@ -50,9 +50,6 @@ struct OpNode {
   KeyFn key_fn;                // ReduceByKey / GroupReduce
   CombineFn combine_fn;        // ReduceByKey
   GroupFn group_fn;            // GroupReduce
-  /// Output size hint for partition ops: expected output records per input
-  /// record (used to pre-reserve; purely an optimization hint).
-  double output_ratio = 1.0;
 };
 
 using PlanNodePtr = std::shared_ptr<OpNode>;

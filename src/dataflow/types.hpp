@@ -24,14 +24,26 @@ struct OpCost {
 };
 
 /// Collects records an operator emits. FlatMap-style operators may emit
-/// zero or many records per input.
+/// zero or many records per input. An emitter appends to a batch, or hands
+/// each record straight to a downstream sink: the next op of a stage's
+/// fused record-op chain, or the stage terminal's bucketing pass.
 class Emitter {
  public:
-  explicit Emitter(mem::RecordBatch& out) : out_(&out) {}
+  /// Receives one emitted record; `sink` is the pointer given at
+  /// construction.
+  using SinkFn = void (*)(void* sink, const std::byte* record);
+
+  Emitter(SinkFn fn, void* sink) : fn_(fn), sink_(sink) {}
+  explicit Emitter(mem::RecordBatch& out)
+      : Emitter(
+            [](void* batch, const std::byte* record) {
+              static_cast<mem::RecordBatch*>(batch)->append_raw(record);
+            },
+            &out) {}
 
   /// Emit a raw record laid out per the output descriptor (stride bytes).
   void emit_raw(const void* record) {
-    out_->append_raw(record);
+    fn_(sink_, static_cast<const std::byte*>(record));
     ++count_;
   }
 
@@ -48,7 +60,8 @@ class Emitter {
   std::uint64_t emitted() const { return count_; }
 
  private:
-  mem::RecordBatch* out_;
+  SinkFn fn_;
+  void* sink_;
   std::uint64_t count_ = 0;
 };
 

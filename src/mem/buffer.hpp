@@ -37,15 +37,27 @@ class AddressSpace {
   std::uint64_t next_;
 };
 
-/// A contiguous byte buffer with a simulated virtual address.
+/// A contiguous byte buffer with a simulated virtual address. It either
+/// owns its bytes or is a view of bytes someone else owns (a record batch's
+/// pages bound to a GPU block without a copy).
 class HBuffer {
  public:
+  /// An owning buffer of `size` zeroed bytes.
   HBuffer(std::size_t size, std::uint64_t address, bool off_heap = true)
-      : data_(size), address_(address), off_heap_(off_heap) {}
+      : storage_(size), data_(storage_.data()), size_(size), address_(address),
+        off_heap_(off_heap) {}
 
-  std::byte* data() { return data_.data(); }
-  const std::byte* data() const { return data_.data(); }
-  std::size_t size() const { return data_.size(); }
+  /// A non-owning off-heap view of `size` bytes at `data`. The owner of
+  /// those bytes must keep them alive, and in place, while the view lives.
+  HBuffer(std::byte* data, std::size_t size, std::uint64_t address)
+      : data_(data), size_(size), address_(address), off_heap_(true) {}
+
+  HBuffer(const HBuffer&) = delete;
+  HBuffer& operator=(const HBuffer&) = delete;
+
+  std::byte* data() { return data_; }
+  const std::byte* data() const { return data_; }
+  std::size_t size() const { return size_; }
   std::uint64_t address() const { return address_; }
 
   /// Off-heap buffers can be DMA'd directly; heap buffers need staging.
@@ -56,20 +68,20 @@ class HBuffer {
   bool pinned() const { return pinned_; }
   void set_pinned(bool pinned) { pinned_ = pinned; }
 
-  void fill(std::uint8_t byte) { std::memset(data_.data(), byte, data_.size()); }
-
   /// Copy helpers with bounds checks.
   void write(std::size_t offset, const void* src, std::size_t n) {
-    GFLINK_CHECK(offset + n <= data_.size());
-    std::memcpy(data_.data() + offset, src, n);
+    GFLINK_CHECK(offset + n <= size_);
+    std::memcpy(data_ + offset, src, n);
   }
   void read(std::size_t offset, void* dst, std::size_t n) const {
-    GFLINK_CHECK(offset + n <= data_.size());
-    std::memcpy(dst, data_.data() + offset, n);
+    GFLINK_CHECK(offset + n <= size_);
+    std::memcpy(dst, data_ + offset, n);
   }
 
  private:
-  std::vector<std::byte> data_;
+  std::vector<std::byte> storage_;  // empty for a view
+  std::byte* data_;
+  std::size_t size_;
   std::uint64_t address_;
   bool off_heap_;
   bool pinned_ = false;

@@ -20,7 +20,7 @@ class MemoryManager {
   static constexpr std::size_t kDefaultPageSize = 32 * 1024;
 
   MemoryManager(sim::Simulation& sim, std::size_t page_size, std::size_t total_pages)
-      : sim_(&sim), page_size_(page_size), total_pages_(total_pages), pages_(sim, total_pages) {}
+      : page_size_(page_size), total_pages_(total_pages), pages_(sim, total_pages) {}
 
   std::size_t page_size() const { return page_size_; }
   std::size_t total_pages() const { return total_pages_; }
@@ -35,14 +35,25 @@ class MemoryManager {
   sim::Co<HBufferPtr> allocate(std::size_t bytes, bool off_heap = true) {
     const std::size_t pages = pages_for(bytes);
     co_await pages_.acquire(static_cast<std::int64_t>(pages));
-    co_return wrap(bytes, pages, off_heap);
+    co_return wrap(new HBuffer(bytes, addresses_.allocate(bytes), off_heap), pages);
+  }
+
+  /// A pinned off-heap view of `bytes` bytes at `data` that owns no bytes
+  /// but is charged pages_for(budget) pages, waiting for them like
+  /// allocate(budget) would; they return when the last reference drops.
+  /// This is how a GPU block binds a partition's own pages without a copy.
+  /// The caller keeps `data` alive and in place while the view lives.
+  sim::Co<HBufferPtr> view(std::byte* data, std::size_t bytes, std::size_t budget) {
+    const std::size_t pages = pages_for(budget);
+    co_await pages_.acquire(static_cast<std::int64_t>(pages));
+    co_return wrap(new HBuffer(data, bytes, addresses_.allocate(budget)), pages);
   }
 
   /// Non-blocking allocation: nullptr if the budget does not cover it now.
   HBufferPtr try_allocate(std::size_t bytes, bool off_heap = true) {
     const std::size_t pages = pages_for(bytes);
     if (!pages_.try_acquire(static_cast<std::int64_t>(pages))) return nullptr;
-    return wrap(bytes, pages, off_heap);
+    return wrap(new HBuffer(bytes, addresses_.allocate(bytes), off_heap), pages);
   }
 
   /// Allocation that ignores the page budget — used for tiny metadata
@@ -54,13 +65,12 @@ class MemoryManager {
   }
 
  private:
-  HBufferPtr wrap(std::size_t bytes, std::size_t pages, bool off_heap) {
-    auto* raw = new HBuffer(bytes, addresses_.allocate(bytes), off_heap);
+  HBufferPtr wrap(HBuffer* raw, std::size_t pages) {
     // Off-heap segments are allocated page-locked (Flink's off-heap memory
     // is malloc'd outside the GC heap; GFlink registers it with the driver
     // at allocation so DMA always runs at full PCIe bandwidth instead of
     // paying the pageable-copy penalty).
-    if (off_heap) raw->set_pinned(true);
+    if (raw->off_heap()) raw->set_pinned(true);
     // Custom deleter returns the page budget; MemoryManager must outlive
     // all buffers it vends (owned by the worker, which owns the tasks).
     return HBufferPtr(raw, [this, pages](HBuffer* p) {
@@ -69,7 +79,6 @@ class MemoryManager {
     });
   }
 
-  sim::Simulation* sim_;
   std::size_t page_size_;
   std::size_t total_pages_;
   sim::Semaphore pages_;

@@ -46,6 +46,12 @@ void RecordBatch::reserve(std::size_t records) {
   bytes_.reserve(records * desc_->stride());
 }
 
+void RecordBatch::resize(std::size_t records) {
+  GFLINK_CHECK_MSG(layout_ == Layout::AoS, "resize requires AoS layout");
+  bytes_.resize(records * desc_->stride());
+  count_ = records;
+}
+
 void RecordBatch::append_raw(const void* record_bytes) { append_raw(record_bytes, 1); }
 
 void RecordBatch::append_raw(const void* records, std::size_t n) {

@@ -35,6 +35,10 @@ class RecordBatch {
   /// size is known grows once instead of by doubling. AoS only.
   void reserve(std::size_t records);
 
+  /// Grow an AoS batch to `records` records in one step, the new ones
+  /// zero-filled, so a writer can fill them in place.
+  void resize(std::size_t records);
+
   /// Append one record given its AoS-layout bytes (desc().stride() long).
   /// Only valid for AoS batches.
   void append_raw(const void* record_bytes);

@@ -1,22 +1,8 @@
 #include "shuffle/shuffle_service.hpp"
 
 #include <algorithm>
-#include <unordered_map>
-
-#include "sim/random.hpp"
 
 namespace gflink::shuffle {
-
-namespace {
-
-/// Spread shuffle keys over target partitions. The raw key is often a small
-/// integer (word id, page id), so mix it first.
-int target_partition(std::uint64_t key, int partitions) {
-  std::uint64_t s = key;
-  return static_cast<int>(sim::splitmix64(s) % static_cast<std::uint64_t>(partitions));
-}
-
-}  // namespace
 
 const char* shuffle_mode_name(ShuffleMode mode) {
   switch (mode) {
@@ -142,6 +128,27 @@ sim::Co<bool> ShuffleService::one_sided_write(int src, int dst, std::uint64_t of
   }
 }
 
+// ---- Bucketer ---------------------------------------------------------------
+
+Bucketer::Bucketer(int partitions, const mem::StructDesc* out_desc, const KeyFn* key,
+                   const CombineFn* combiner)
+    : key_(key), combiner_(combiner) {
+  GFLINK_CHECK(partitions >= 1);
+  GFLINK_CHECK_MSG(combiner == nullptr || key != nullptr, "a combiner needs a key");
+  buckets_.reserve(static_cast<std::size_t>(partitions));
+  for (int t = 0; t < partitions; ++t) buckets_.emplace_back(out_desc);
+  if (combiner_ != nullptr) index_.resize(static_cast<std::size_t>(partitions));
+}
+
+void Bucketer::reserve_keys(std::size_t keys) {
+  for (auto& index : index_) index.reserve(keys);
+}
+
+std::vector<mem::RecordBatch> Bucketer::take() {
+  index_ = {};
+  return std::move(buckets_);
+}
+
 // ---- ShuffleSession --------------------------------------------------------
 
 ShuffleSession::ShuffleSession(ShuffleService& service, int out_partitions, std::string label,
@@ -168,33 +175,9 @@ std::vector<mem::RecordBatch> ShuffleSession::partition(const mem::RecordBatch& 
                                                         const mem::StructDesc* out_desc,
                                                         const KeyFn& key,
                                                         const CombineFn* combiner) const {
-  std::vector<mem::RecordBatch> buckets;
-  buckets.reserve(static_cast<std::size_t>(out_partitions_));
-  for (int t = 0; t < out_partitions_; ++t) buckets.emplace_back(out_desc);
-  if (combiner != nullptr) {
-    // Map-side combine: per-bucket accumulator slots keyed by the record
-    // key, preserving first-occurrence order (deterministic).
-    std::vector<std::unordered_map<std::uint64_t, std::size_t>> index(
-        static_cast<std::size_t>(out_partitions_));
-    for (std::size_t i = 0; i < in.count(); ++i) {
-      const std::byte* rec = in.record_ptr(i);
-      const std::uint64_t k = key(rec);
-      const auto t = static_cast<std::size_t>(target_partition(k, out_partitions_));
-      auto [it, inserted] = index[t].try_emplace(k, buckets[t].count());
-      if (inserted) {
-        buckets[t].append_raw(rec);
-      } else {
-        (*combiner)(buckets[t].record_ptr(it->second), rec);
-      }
-    }
-  } else {
-    for (std::size_t i = 0; i < in.count(); ++i) {
-      const std::byte* rec = in.record_ptr(i);
-      buckets[static_cast<std::size_t>(target_partition(key(rec), out_partitions_))]
-          .append_raw(rec);
-    }
-  }
-  return buckets;
+  Bucketer bucketer(out_partitions_, out_desc, &key, combiner);
+  for (std::size_t i = 0; i < in.count(); ++i) bucketer.add(in.record_ptr(i));
+  return bucketer.take();
 }
 
 sim::Co<void> ShuffleSession::send(int src_worker, std::vector<mem::RecordBatch> buckets) {

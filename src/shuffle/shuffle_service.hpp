@@ -46,11 +46,13 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "dfs/gdfs.hpp"
 #include "mem/record_batch.hpp"
 #include "net/cluster.hpp"
+#include "sim/random.hpp"
 #include "sim/sync.hpp"
 #include "spill/spill_store.hpp"
 
@@ -107,6 +109,62 @@ struct ShuffleConfig {
 
 class ShuffleService;
 
+/// Buckets records for `partitions` targets as they arrive, one at a time:
+/// by key hash, or round-robin in arrival order when `key` is null (a
+/// rebalance). With a `combiner`, records sharing a key are folded together
+/// on arrival (map-side combine); each bucket keeps first-occurrence order,
+/// so the result is deterministic for a given input order. This is the one
+/// bucketing implementation: ShuffleSession::partition feeds it from a
+/// batch, a stage task from its fused record-op chain, and the ReduceByKey
+/// merge folds its deposits through a one-target Bucketer.
+class Bucketer {
+ public:
+  Bucketer(int partitions, const mem::StructDesc* out_desc, const KeyFn* key,
+           const CombineFn* combiner);
+
+  /// Bucket one record. Defined here so the per-record call inlines into
+  /// the emitting loop.
+  void add(const std::byte* record) {
+    if (key_ == nullptr) {
+      buckets_[next_++ % buckets_.size()].append_raw(record);
+      return;
+    }
+    const std::uint64_t k = (*key_)(record);
+    const std::size_t t = target(k);
+    if (combiner_ == nullptr) {
+      buckets_[t].append_raw(record);
+      return;
+    }
+    auto [it, inserted] = index_[t].try_emplace(k, buckets_[t].count());
+    if (inserted) {
+      buckets_[t].append_raw(record);
+    } else {
+      (*combiner_)(buckets_[t].record_ptr(it->second), record);
+    }
+  }
+
+  /// Size each target's combine index for `keys` keys up front.
+  void reserve_keys(std::size_t keys);
+
+  /// The buckets in target order. Frees the combine index.
+  std::vector<mem::RecordBatch> take();
+
+ private:
+  /// Spread keys over the targets. The raw key is often a small integer
+  /// (word id, page id), so mix it first.
+  std::size_t target(std::uint64_t key) const {
+    if (buckets_.size() == 1) return 0;
+    return static_cast<std::size_t>(sim::splitmix64(key) % buckets_.size());
+  }
+
+  const KeyFn* key_;
+  const CombineFn* combiner_;
+  std::vector<mem::RecordBatch> buckets_;
+  /// Combine only: per-bucket accumulator slot of each key.
+  std::vector<std::unordered_map<std::uint64_t, std::size_t>> index_;
+  std::size_t next_ = 0;  // round-robin cursor
+};
+
 /// One all-to-all exchange: `out_partitions` target buckets, each owned by
 /// the worker `owner(t)` says. Sessions are created per shuffling stage and
 /// must outlive their in-flight sends (await finish() before destruction).
@@ -124,10 +182,8 @@ class ShuffleSession {
   int out_partitions() const { return out_partitions_; }
   const std::string& label() const { return label_; }
 
-  /// Bucket `in` into out_partitions() batches by key hash. When `combiner`
-  /// is non-null, records sharing a key are folded together first (map-side
-  /// combine); the result preserves first-occurrence order, so it is
-  /// deterministic for a given input order.
+  /// Bucket `in` into out_partitions() batches by key hash through a
+  /// Bucketer; a non-null `combiner` folds records sharing a key.
   std::vector<mem::RecordBatch> partition(const mem::RecordBatch& in,
                                           const mem::StructDesc* out_desc, const KeyFn& key,
                                           const CombineFn* combiner) const;

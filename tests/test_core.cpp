@@ -1036,6 +1036,46 @@ TEST(Gdst, CacheEliminatesRepeatTransfers) {
   EXPECT_GT(runtime.total_cache_hits(), 0u);
 }
 
+TEST(Gdst, CachedPassesOverOnePartitionAreExactAndReturnEveryPage) {
+  register_test_kernels();
+  auto ecfg = engine_config(1);
+  ecfg.page_size = 1024;  // 64 KVs per block: 16 blocks, the last one partial
+  df::Engine e(ecfg);
+  core::GFlinkRuntime runtime(e, gpu_config());
+  std::vector<std::vector<KV>> passes;
+  std::uint64_t h2d_first = 0, h2d_second = 0;
+  e.run([&](df::Engine& eng) -> Co<void> {
+    df::Job job(eng, "t");
+    co_await job.submit();
+    core::GpuOpSpec spec;
+    spec.kernel = "core_double_kv";
+    spec.cache_input = true;
+    auto src = co_await iota(eng, 1, 1000).materialize(job);
+    for (int pass = 0; pass < 2; ++pass) {
+      auto ds = core::gpu_dataset_op<KV, KV>(df::DataSet<KV>::from_handle(eng, src), &kv_desc(),
+                                             "g", spec);
+      passes.push_back(co_await ds.collect(job));
+      if (pass == 0) h2d_first = runtime.total_bytes_h2d();
+    }
+    h2d_second = runtime.total_bytes_h2d() - h2d_first;
+    runtime.release_job(job.id());
+    job.finish();
+  });
+  // The second pass reads every input block from the GPU cache.
+  EXPECT_EQ(h2d_first, 1000 * sizeof(KV));
+  EXPECT_EQ(h2d_second, 0u);
+  ASSERT_EQ(passes.size(), 2u);
+  for (const std::vector<KV>& rows : passes) {
+    ASSERT_EQ(rows.size(), 1000u);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_EQ(rows[i].key, i);
+      EXPECT_EQ(rows[i].value, static_cast<std::int64_t>(2 * i));
+    }
+  }
+  const mem::MemoryManager& memory = e.worker_state(1).memory();
+  EXPECT_EQ(memory.pages_available(), memory.total_pages());
+}
+
 TEST(Gdst, AuxBuffersReachTheKernel) {
   register_test_kernels();
   df::Engine e(engine_config(1));

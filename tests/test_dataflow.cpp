@@ -564,3 +564,165 @@ INSTANTIATE_TEST_SUITE_P(Grid, ReducePropertyTest,
                          ::testing::Combine(::testing::Values(1, 3, 8),
                                             ::testing::Values(100ULL, 5000ULL),
                                             ::testing::Values(1ULL, 7ULL, 1000ULL)));
+
+// ---- Fused record-op chains --------------------------------------------------
+
+namespace {
+
+enum class Terminal { None, MapPartition, AsyncPartition, ReduceByKey, GroupReduce, Rebalance };
+
+constexpr OpCost kParseCost{8.0, 0.0};  // from_generator's default
+constexpr OpCost kMapCost{3.0, 16.0};
+constexpr OpCost kFilterCost{1.0, 16.0};
+constexpr OpCost kFlatCost{5.0, 32.0};
+constexpr OpCost kTerminalCost{4.0, 16.0};
+
+std::string terminal_name(const ::testing::TestParamInfo<Terminal>& info) {
+  static const char* const kNames[] = {"None",        "MapPartition", "AsyncPartition",
+                                       "ReduceByKey", "GroupReduce",  "Rebalance"};
+  return kNames[static_cast<int>(info.param)];
+}
+
+KV chain_map(const KV& kv) { return KV{kv.key % 7, kv.value * 3}; }
+bool chain_keep(const KV& kv) { return kv.value % 2 == 0; }
+// Emits key % 3 copies (zero, one or two) of each record.
+void chain_flat(const KV& kv, std::vector<KV>& out) {
+  for (std::uint64_t c = 0; c < kv.key % 3; ++c) {
+    out.push_back(KV{kv.key, kv.value + static_cast<std::int64_t>(c)});
+  }
+}
+
+std::map<std::uint64_t, std::int64_t> sums_by_key(const std::vector<KV>& rows) {
+  std::map<std::uint64_t, std::int64_t> sums;
+  for (const KV& kv : rows) sums[kv.key] += kv.value;
+  return sums;
+}
+
+}  // namespace
+
+// A map -> filter -> flat_map chain in front of every terminal kind, on one
+// partition of one worker whose master is co-located and whose control
+// overheads are zero, so the job's virtual time is exactly the sum of the
+// modelled record charges: each op pays for the records that entered it.
+class FusedChain : public ::testing::TestWithParam<Terminal> {};
+
+TEST_P(FusedChain, MatchesHostReferenceAndChargesEachOpItsInput) {
+  const Terminal terminal = GetParam();
+  constexpr std::uint64_t kN = 600;
+  df::EngineConfig cfg = fast_config(1);
+  cfg.cluster.colocated_master = true;
+  cfg.job_submit_overhead = 0;
+  cfg.job_schedule_overhead = 0;
+  Engine e(cfg);
+  std::vector<KV> rows;
+  sim::Duration job_time = 0;
+  e.run([&](Engine& eng) -> Co<void> {
+    Job job(eng, "chain");
+    co_await job.submit();
+    DataSet<KV> chained =
+        iota(eng, 1, kN, kN)
+            .map<KV>(&kv_desc(), "map", kMapCost, chain_map)
+            .filter("filter", kFilterCost, chain_keep)
+            .flat_map<KV>(&kv_desc(), "flat", kFlatCost,
+                          [](const KV& kv, df::FlatCollector<KV>& out) {
+                            std::vector<KV> copies;
+                            chain_flat(kv, copies);
+                            for (const KV& c : copies) out.add(c);
+                          });
+    DataSet<KV> result = chained;
+    switch (terminal) {
+      case Terminal::None:
+        break;
+      case Terminal::MapPartition:
+        result = chained.map_partition<KV>(&kv_desc(), "copy", kTerminalCost,
+                                           [](std::span<const KV> in, std::vector<KV>& out) {
+                                             out.assign(in.begin(), in.end());
+                                           });
+        break;
+      case Terminal::AsyncPartition:
+        result = chained.async_map_partition<KV>(
+            &kv_desc(), "asyncCopy",
+            [](df::TaskContext&, const mem::RecordBatch& in, mem::RecordBatch& out) -> Co<void> {
+              out.append(in);
+              co_return;
+            });
+        break;
+      case Terminal::ReduceByKey:
+        result = chained.reduce_by_key("sum", kTerminalCost, [](const KV& kv) { return kv.key; },
+                                       [](KV& acc, const KV& kv) { acc.value += kv.value; });
+        break;
+      case Terminal::GroupReduce:
+        result = chained.group_reduce<KV>(
+            &kv_desc(), "groupSum", kTerminalCost, [](const KV& kv) { return kv.key; },
+            [](const std::vector<const KV*>& group, df::FlatCollector<KV>& out) {
+              KV acc{group.front()->key, 0};
+              for (const KV* kv : group) acc.value += kv->value;
+              out.add(acc);
+            });
+        break;
+      case Terminal::Rebalance:
+        result = chained.rebalance();
+        break;
+    }
+    rows = co_await result.collect(job);
+    job.finish();
+    job_time = job.stats().total();
+  });
+
+  // Host reference: the chain one op at a time, counting each op's input.
+  std::vector<KV> mapped, kept, flat;
+  for (std::uint64_t i = 0; i < kN; ++i) {
+    mapped.push_back(chain_map(KV{i, static_cast<std::int64_t>(i)}));
+  }
+  for (const KV& kv : mapped) {
+    if (chain_keep(kv)) kept.push_back(kv);
+  }
+  for (const KV& kv : kept) chain_flat(kv, flat);
+  ASSERT_FALSE(flat.empty());
+  ASSERT_LT(flat.size(), kept.size() * 2);
+
+  const gflink::net::Node& node = e.cluster().node(1);
+  const auto rt = [&node](const OpCost& c) { return node.record_time(c.flops, c.bytes); };
+  const auto n = [](const std::vector<KV>& v) { return static_cast<sim::Duration>(v.size()); };
+  const auto stride = static_cast<double>(kv_desc().stride());
+  // The source's parse charge, then each op's charge for the records that
+  // entered it (kN enter the map, every mapped record enters the filter).
+  sim::Duration expected = static_cast<sim::Duration>(kN) * (rt(kParseCost) + rt(kMapCost)) +
+                           n(mapped) * rt(kFilterCost) + n(kept) * rt(kFlatCost);
+  const auto keys = static_cast<sim::Duration>(sums_by_key(flat).size());
+  if (terminal == Terminal::ReduceByKey || terminal == Terminal::GroupReduce) {
+    EXPECT_EQ(sums_by_key(rows), sums_by_key(flat));
+    EXPECT_EQ(static_cast<sim::Duration>(rows.size()), keys);
+  } else {
+    ASSERT_EQ(rows.size(), flat.size());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_EQ(rows[i].key, flat[i].key);
+      EXPECT_EQ(rows[i].value, flat[i].value);
+    }
+  }
+  switch (terminal) {
+    case Terminal::None:
+    case Terminal::AsyncPartition:
+      break;
+    case Terminal::MapPartition:
+      expected += n(flat) * rt(kTerminalCost);
+      break;
+    case Terminal::ReduceByKey:  // map-side combine, then the merge
+      expected += n(flat) * rt(kTerminalCost) + keys * rt(kTerminalCost);
+      break;
+    case Terminal::GroupReduce:  // raw records shipped; every record in, every group out
+      expected += n(flat) * node.record_time(kTerminalCost.flops, stride) +
+                  (n(flat) + keys) * rt(kTerminalCost);
+      break;
+    case Terminal::Rebalance:  // the dealing pass, then the merge's concatenation
+      expected += n(flat) * (node.record_time(2.0, stride) + node.record_time(1.0, stride));
+      break;
+  }
+  EXPECT_EQ(job_time, expected);
+}
+
+INSTANTIATE_TEST_SUITE_P(Terminals, FusedChain,
+                         ::testing::Values(Terminal::None, Terminal::MapPartition,
+                                           Terminal::AsyncPartition, Terminal::ReduceByKey,
+                                           Terminal::GroupReduce, Terminal::Rebalance),
+                         terminal_name);

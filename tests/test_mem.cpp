@@ -2,9 +2,11 @@
 // memory manager.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
+#include "gpu/device.hpp"
 #include "mem/buffer.hpp"
 #include "mem/gstruct.hpp"
 #include "mem/memory_manager.hpp"
@@ -276,6 +278,42 @@ TEST(MemoryManager, TryAllocateRespectsBudget) {
   EXPECT_EQ(mm.try_allocate(1), nullptr);
   a.reset();
   EXPECT_NE(mm.try_allocate(1), nullptr);
+}
+
+TEST(MemoryManager, ViewChargesItsBudgetAndAliasesTheOwnersBytes) {
+  Simulation s;
+  mem::MemoryManager mm(s, 1024, 8);
+  gflink::gpu::GpuDevice dev(s, "gpu0", gflink::gpu::DeviceSpec::c2050());
+  std::vector<std::byte> owner(4096);
+  for (std::size_t i = 0; i < owner.size(); ++i) owner[i] = static_cast<std::byte>(i * 7);
+  std::vector<std::byte> on_device;
+  s.spawn([](mem::MemoryManager& m, gflink::gpu::GpuDevice& d, std::vector<std::byte>& bytes,
+             std::vector<std::byte>& seen) -> Co<void> {
+    // 1000 bytes at offset 100, charged like a 2500-byte block: 3 pages.
+    mem::HBufferPtr in = co_await m.view(bytes.data() + 100, 1000, 2500);
+    EXPECT_EQ(m.pages_available(), 5u);
+    EXPECT_EQ(in->data(), bytes.data() + 100);
+    EXPECT_EQ(in->size(), 1000u);
+    EXPECT_TRUE(in->pinned());
+    // An output view of 1000 bytes at offset 2000: 1 page.
+    mem::HBufferPtr out = co_await m.view(bytes.data() + 2000, 1000, 1000);
+    EXPECT_EQ(m.pages_available(), 4u);
+    const auto p = d.memory().allocate(1000);
+    co_await d.copy_h2d(*in, 0, p, 1000);  // reads the owner's bytes
+    const std::byte* shadow = d.memory().shadow(p, 1000);
+    seen.assign(shadow, shadow + 1000);
+    co_await d.copy_d2h(p, *out, 0, 1000);  // writes the owner's bytes in place
+    d.memory().free(p);
+    in.reset();
+    EXPECT_EQ(m.pages_available(), 7u);
+    out.reset();
+    EXPECT_EQ(m.pages_available(), 8u);
+  }(mm, dev, owner, on_device));
+  s.run();
+  ASSERT_EQ(on_device.size(), 1000u);
+  EXPECT_TRUE(std::equal(on_device.begin(), on_device.end(), owner.begin() + 100));
+  EXPECT_TRUE(std::equal(owner.begin() + 2000, owner.begin() + 3000, owner.begin() + 100));
+  EXPECT_EQ(mm.pages_available(), 8u);
 }
 
 // Property sweep: every (alignment cap, field mix) produces offsets that

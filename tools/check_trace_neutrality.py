@@ -6,7 +6,10 @@
 Runs each case below twice: once plain (with only ``--report-out``), and
 once with ``--critical-path --trace-out --report-out``. PageRank exercises
 the iterative all-to-all exchange; WordCount exercises GDST output
-assembly, the padding filter and the ReduceByKey merge. Fails unless both
+assembly, the padding filter and the ReduceByKey merge; KMeans exercises
+the cached GDST path (input blocks bound in place, GPU-cache hits from the
+second iteration) and the map -> reduce chain fused into the combine
+pass. Fails unless both
 runs of a case print the same makespans, iteration times, checksums and
 speedup, and their run reports carry identical values for every metric
 whose name does not start with ``trace_`` (the critical-path and straggler
@@ -21,6 +24,7 @@ import sys
 CASES = [
     ["pagerank", "--mode", "both", "--workers", "4", "--size", "2", "--iterations", "3"],
     ["wordcount", "--mode", "both", "--workers", "4", "--size", "2"],
+    ["kmeans", "--mode", "both", "--workers", "4", "--size", "2", "--iterations", "3"],
 ]
 # Lines of the per-mode summary that carry modelled numbers.
 SUMMARY_KEYS = ("total", "submission", "iterations", "checksum", "speedup")
