@@ -55,12 +55,11 @@ struct ChunkCtx {
 /// i+1's H2D overlaps chunk i's kernel overlaps chunk i-1's D2H (the copy
 /// engines and the compute engine are independent FIFO resources).
 sim::Co<void> run_chunk(ChunkCtx& ctx, std::size_t c) {
-  const auto slot = co_await ctx.free_slots->recv();
-  GFLINK_CHECK(slot.has_value());
+  const int slot = co_await ctx.free_slots->recv();
   const std::size_t first = c * ctx.items_per_chunk;
   const std::size_t n = std::min(ctx.items_per_chunk, ctx.work->size - first);
   const gpu::DevicePtr slot_base =
-      ctx.ring_base + static_cast<gpu::DevicePtr>(*slot) * ctx.slot_stride;
+      ctx.ring_base + static_cast<gpu::DevicePtr>(slot) * ctx.slot_stride;
 
   std::vector<gpu::GpuDevice::BufferBinding> bindings;
   bindings.reserve(ctx.buffers.size());
@@ -111,7 +110,7 @@ sim::Co<void> run_chunk(ChunkCtx& ctx, std::size_t c) {
                       ctx.lane, ctx.node);
   }
 
-  const bool returned = ctx.free_slots->try_send(*slot);
+  const bool returned = ctx.free_slots->try_send(slot);
   GFLINK_CHECK(returned);
   ctx.wg->done();
 }
@@ -298,8 +297,8 @@ sim::Co<void> GStreamManager::worker_loop(StreamWorker* w) {
         w->inbox->try_send(nullptr);  // timeout sentinel
       }
     });
-    auto assigned = co_await w->inbox->recv();
-    if (!assigned.has_value() || *assigned == nullptr) {
+    GWorkPtr assigned = co_await w->inbox->recv();
+    if (assigned == nullptr) {
       // Timed out: free the thread.
       w->idle = false;
       w->freed = true;
@@ -307,7 +306,7 @@ sim::Co<void> GStreamManager::worker_loop(StreamWorker* w) {
       co_return;
     }
     w->idle = false;
-    co_await execute(w, *assigned);
+    co_await execute(w, assigned);
   }
 }
 

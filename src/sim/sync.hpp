@@ -154,8 +154,8 @@ class WaitGroup {
 
 /// FIFO channel of T with optional capacity bound.
 ///
-///   co_await ch.send(v);                       // blocks while full
-///   std::optional<T> v = co_await ch.recv();   // nullopt once closed+empty
+///   co_await ch.send(v);      // blocks while full
+///   T v = co_await ch.recv();  // blocks while empty
 ///
 /// Values pushed while a receiver is parked are handed to it directly, so a
 /// woken receiver can never lose its value to a concurrent try_recv.
@@ -173,26 +173,19 @@ class Channel {
 
   std::size_t size() const { return items_.size(); }
   bool empty() const { return items_.empty(); }
-  bool closed() const { return closed_; }
-  std::size_t parked_receivers() const { return recv_waiters_.size(); }
   std::size_t parked_senders() const { return send_waiters_.size(); }
 
   /// Awaitable send. For unbounded channels this never suspends.
-  auto send(T value) {
-    GFLINK_CHECK_MSG(!closed_, "send on closed channel");
-    return SendAwaiter{this, std::move(value), false};
-  }
+  auto send(T value) { return SendAwaiter{this, std::move(value), false}; }
 
   /// Non-suspending send; returns false if the channel is full.
   bool try_send(T value) {
-    GFLINK_CHECK_MSG(!closed_, "send on closed channel");
     if (!can_push() || !send_waiters_.empty()) return false;
     push(std::move(value));
     return true;
   }
 
-  /// Awaitable receive: a value, or nullopt when the channel is closed and
-  /// drained.
+  /// Awaitable receive: the next value, parking while the channel is empty.
   auto recv() { return RecvAwaiter{this}; }
 
   /// Non-suspending receive.
@@ -202,16 +195,6 @@ class Channel {
     items_.pop_front();
     admit_parked_sender();
     return v;
-  }
-
-  /// Close: wakes all parked receivers (they observe nullopt after drain).
-  /// Items already queued can still be received.
-  void close() {
-    closed_ = true;
-    for (auto& w : recv_waiters_) {
-      sim_->schedule_in(0, [h = w->h] { h.resume(); });
-    }
-    recv_waiters_.clear();
   }
 
  private:
@@ -227,13 +210,15 @@ class Channel {
         ch->admit_parked_sender();
         return true;
       }
-      return ch->closed_;  // closed + empty: resume with nullopt
+      return false;
     }
     void await_suspend(std::coroutine_handle<> handle) {
       h = handle;
       ch->recv_waiters_.push_back(this);
     }
-    std::optional<T> await_resume() noexcept { return std::move(value); }
+    // A value is always present here: either taken in await_ready or handed
+    // off by push() before this receiver was resumed.
+    T await_resume() noexcept { return std::move(*value); }
   };
 
   struct SendAwaiter {
@@ -282,7 +267,6 @@ class Channel {
 
   Simulation* sim_;
   std::size_t capacity_;
-  bool closed_ = false;
   std::deque<T> items_;
   std::deque<SendWaiter> send_waiters_;
   std::deque<RecvAwaiter*> recv_waiters_;

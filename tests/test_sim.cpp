@@ -295,18 +295,13 @@ TEST(Channel, UnboundedFifoDelivery) {
   sim::Channel<int> ch(s);
   std::vector<int> got;
   s.spawn([](sim::Channel<int>& c, std::vector<int>& g) -> Co<void> {
-    while (true) {
-      auto v = co_await c.recv();
-      if (!v) break;
-      g.push_back(*v);
-    }
+    for (int i = 0; i < 5; ++i) g.push_back(co_await c.recv());
   }(ch, got));
   s.spawn([](Simulation& sim, sim::Channel<int>& c) -> Co<void> {
     for (int i = 0; i < 5; ++i) {
       co_await c.send(i);
       co_await sim.delay(10);
     }
-    c.close();
   }(s, ch));
   s.run();
   EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3, 4}));
@@ -321,13 +316,11 @@ TEST(Channel, BoundedSendBlocksWhenFull) {
       co_await c.send(i);
       st.push_back(sim.now());
     }
-    c.close();
   }(s, ch, send_times));
   s.spawn([](Simulation& sim, sim::Channel<int>& c) -> Co<void> {
-    while (true) {
+    for (int received = 0; received < 4;) {
       co_await sim.delay(100);
-      auto v = c.try_recv();
-      if (!v && c.closed() && c.empty()) break;
+      if (c.try_recv()) ++received;
     }
   }(s, ch));
   s.run();
@@ -338,24 +331,6 @@ TEST(Channel, BoundedSendBlocksWhenFull) {
   EXPECT_EQ(send_times[1], 0);
   EXPECT_EQ(send_times[2], 100);
   EXPECT_EQ(send_times[3], 200);
-}
-
-TEST(Channel, CloseWakesBlockedReceiversWithNullopt) {
-  Simulation s;
-  sim::Channel<int> ch(s);
-  int nullopts = 0;
-  for (int i = 0; i < 3; ++i) {
-    s.spawn([](sim::Channel<int>& c, int& n) -> Co<void> {
-      auto v = co_await c.recv();
-      if (!v) ++n;
-    }(ch, nullopts));
-  }
-  s.spawn([](Simulation& sim, sim::Channel<int>& c) -> Co<void> {
-    co_await sim.delay(50);
-    c.close();
-  }(s, ch));
-  s.run();
-  EXPECT_EQ(nullopts, 3);
 }
 
 TEST(Channel, DirectHandoffBeatsTryRecvRace) {
@@ -501,26 +476,28 @@ TEST_P(ChannelPropertyTest, AllItemsDeliveredExactlyOnce) {
   sim::Channel<int> ch(s, static_cast<std::size_t>(capacity));
   const int per_producer = 50;
   std::vector<int> seen(producers * per_producer, 0);
-  int active_producers = producers;
+  // Consumers claim a receive before parking on it, so exactly one recv is
+  // made per item and every consumer stops once all items are claimed.
+  std::size_t claimed = 0;
 
   for (int p = 0; p < producers; ++p) {
-    s.spawn([](Simulation& sim, sim::Channel<int>& c, int base, int n, int& active) -> Co<void> {
+    s.spawn([](Simulation& sim, sim::Channel<int>& c, int base, int n) -> Co<void> {
       for (int i = 0; i < n; ++i) {
         co_await c.send(base + i);
         co_await sim.delay(i % 3);
       }
-      if (--active == 0) c.close();
-    }(s, ch, p * per_producer, per_producer, active_producers));
+    }(s, ch, p * per_producer, per_producer));
   }
   for (int c = 0; c < consumers; ++c) {
-    s.spawn([](Simulation& sim, sim::Channel<int>& chn, std::vector<int>& sn, int idx) -> Co<void> {
-      while (true) {
-        auto v = co_await chn.recv();
-        if (!v) break;
-        ++sn[static_cast<std::size_t>(*v)];
+    s.spawn([](Simulation& sim, sim::Channel<int>& chn, std::vector<int>& sn, std::size_t& claims,
+               int idx) -> Co<void> {
+      while (claims < sn.size()) {
+        ++claims;
+        const int v = co_await chn.recv();
+        ++sn[static_cast<std::size_t>(v)];
         co_await sim.delay(idx % 2 + 1);
       }
-    }(s, ch, seen, c));
+    }(s, ch, seen, claimed, c));
   }
   s.run();
   for (std::size_t i = 0; i < seen.size(); ++i) {
@@ -552,8 +529,8 @@ TEST(Determinism, RepeatedRunsIdentical) {
     }
     s.spawn([](sim::Channel<int>& c, std::uint64_t& sum) -> Co<void> {
       for (int i = 0; i < 80; ++i) {
-        auto v = co_await c.recv();
-        sum = sum * 31 + static_cast<std::uint64_t>(*v);
+        const int v = co_await c.recv();
+        sum = sum * 31 + static_cast<std::uint64_t>(v);
       }
     }(ch, checksum));
     Time end = s.run();

@@ -5,6 +5,7 @@
 
 0 workers, GPUs or streams used to abort the process through an internal
 check, and a negative size or iteration count silently became the default.
+A malformed --slo-ms used to switch the SLO burn-rate detector off quietly.
 """
 
 import subprocess
@@ -13,7 +14,8 @@ import sys
 CASES = [["--workers", "0"], ["--workers", "abc"], ["--workers", "4x"],
          ["--gpus", "0", "--mode", "gflink"], ["--streams", "0", "--mode", "gflink"],
          ["--iterations", "-3"], ["--size", "-5"], ["--size", "nan"],
-         ["--scale", "0"], ["--scale", "-1e-3"]]
+         ["--scale", "0"], ["--scale", "-1e-3"],
+         ["--slo-ms", "abc"], ["--slo-ms", "-5"], ["--slo-ms", "5x"]]
 
 
 def main():

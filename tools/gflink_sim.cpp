@@ -114,7 +114,7 @@ void print_usage() {
       "  --telemetry-period MS    sampling period in virtual milliseconds\n"
       "                           (default 1; also enables the plane)\n"
       "  --slo-ms X               tenant latency objective for the SLO burn-rate\n"
-      "                           detector (0 = detector off)\n");
+      "                           detector (default: detector off)\n");
 }
 
 // A numeric flag value must be the whole argument and in range ("abc", "4x"
@@ -248,9 +248,7 @@ bool parse(int argc, char** argv, Options& opt) {
     } else if (arg == "--telemetry-period") {
       if (!number_flag(arg, value(), false, &opt.telemetry_period_ms)) return false;
     } else if (arg == "--slo-ms") {
-      const char* v = value();
-      if (!v) return false;
-      opt.slo_ms = std::atof(v);
+      if (!number_flag(arg, value(), false, &opt.slo_ms)) return false;
     } else if (arg == "--help" || arg == "-h") {
       opt.help = true;
     } else {
