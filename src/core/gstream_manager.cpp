@@ -46,7 +46,7 @@ struct ChunkCtx {
   // Causal tracing (null/0 when the manager has no span store attached).
   obs::SpanStore* spans = nullptr;
   obs::SpanId gspan = 0;
-  std::string lane;
+  obs::StrId lane;
   int node = -1;
 };
 
@@ -130,6 +130,7 @@ GStreamManager::GStreamManager(sim::Simulation& sim, std::vector<gpu::CudaWrappe
     latency_hist_ = &registry->histogram(obs::Metric::GworkLatencyNs);
   }
   pool_.resize(wrappers_.size());
+  gpu_lanes_.resize(wrappers_.size());
   executed_.assign(wrappers_.size(), 0);
   bulks_.resize(wrappers_.size());
   for (std::size_t g = 0; g < wrappers_.size(); ++g) {
@@ -310,9 +311,19 @@ sim::Co<void> GStreamManager::worker_loop(StreamWorker* w) {
   }
 }
 
-std::string GStreamManager::gpu_lane(int gpu) const {
-  return (node_id_ >= 0 ? "node" + std::to_string(node_id_) + "/" : std::string()) + "gpu" +
-         std::to_string(gpu);
+obs::StrId GStreamManager::gpu_lane(int gpu) {
+  obs::StrId& id = gpu_lanes_[static_cast<std::size_t>(gpu)];
+  if (id.v == 0) {
+    id = spans_->intern((node_id_ >= 0 ? "node" + std::to_string(node_id_) + "/" : std::string()) +
+                        "gpu" + std::to_string(gpu));
+  }
+  return id;
+}
+
+obs::StrId GStreamManager::gwork_name(const std::string& execute_name) {
+  auto [it, fresh] = gwork_names_.try_emplace(execute_name);
+  if (fresh) it->second = spans_->intern("gwork:" + execute_name);
+  return it->second;
 }
 
 bool GStreamManager::chunk_plan(const GWork& work, ChunkPlan& plan) const {
@@ -377,7 +388,7 @@ sim::Co<bool> GStreamManager::execute_chunked(StreamWorker* w, const GWorkPtr& w
   ctx.label = label;
   ctx.spans = spans_;
   ctx.gspan = gspan;
-  ctx.lane = gpu_lane(gpu_index);
+  if (spans_ != nullptr) ctx.lane = gpu_lane(gpu_index);
   ctx.node = node_id_;
 
   std::vector<gpu::DevicePtr> temporaries;
@@ -538,8 +549,9 @@ sim::Co<void> GStreamManager::execute(StreamWorker* w, const GWorkPtr& work) {
 
   obs::SpanId gspan = 0;
   if (spans_ != nullptr) {
-    gspan = spans_->open("gwork:" + work->execute_name, obs::SpanCategory::Control, work->span,
-                        sim_->now(), gpu_lane(gpu_index), node_id_);
+    const obs::StrId name = gwork_name(work->execute_name);  // interned before the lane
+    gspan = spans_->open(name, obs::SpanCategory::Control, work->span, sim_->now(),
+                         gpu_lane(gpu_index), node_id_);
   }
 
   if (ChunkPlan plan; chunk_plan(*work, plan)) {
@@ -707,7 +719,7 @@ sim::Co<void> GStreamManager::execute(StreamWorker* w, const GWorkPtr& work) {
   stage_d2h_ns_ += sim_->now() - stage3_begin;
 
   if (spans_ != nullptr) {
-    const std::string lane = gpu_lane(gpu_index);
+    const obs::StrId lane = gpu_lane(gpu_index);
     if (stage2_begin > stage1_begin) {
       spans_->record("h2d", obs::SpanCategory::H2D, gspan, stage1_begin, stage2_begin, lane,
                      node_id_);

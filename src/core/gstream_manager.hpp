@@ -184,8 +184,11 @@ class GStreamManager {
   sim::Co<bool> execute_chunked(StreamWorker* w, const GWorkPtr& work, const ChunkPlan& plan,
                                 obs::SpanId gspan);
 
-  /// Lane causal spans of GPU `gpu` render on ("node3/gpu1").
-  std::string gpu_lane(int gpu) const;
+  /// Lane causal spans of GPU `gpu` render on ("node3/gpu1"), and the
+  /// "gwork:<kernel>" span name. Both are interned on first use, so building
+  /// a manager interns nothing and a GWork builds no strings.
+  obs::StrId gpu_lane(int gpu);
+  obs::StrId gwork_name(const std::string& execute_name);
 
   /// Completion bookkeeping shared by the mapped and pipelined paths.
   void finish(const GWorkPtr& work, int gpu_index);
@@ -196,6 +199,8 @@ class GStreamManager {
   GStreamConfig config_;
   obs::SpanStore* spans_ = nullptr;  // simulation-plane, like the scheduler state
   int node_id_ = -1;
+  std::vector<obs::StrId> gpu_lanes_;  // by GPU; 0 until gpu_lane() first runs
+  std::unordered_map<std::string, obs::StrId> gwork_names_;  // by execute_name
   sim::Rng rng_{0xC0FFEE};
   int round_robin_cursor_ = 0;
 

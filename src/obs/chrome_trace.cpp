@@ -63,7 +63,7 @@ std::map<std::string, LaneUtilization> lane_utilization(const SpanStore& store,
 void write_chrome_trace(std::ostream& os, const SpanStore& store,
                         const MetricsRegistry* metrics, sim::Time horizon) {
   if (horizon <= 0) horizon = latest_interval_end(store);
-  const std::vector<CausalSpan>& spans = store.spans();
+  const ChunkLog<CausalSpan>& spans = store.spans();
 
   // Stable pid/tid assignment: processes and threads numbered in first-seen
   // order over the (deterministic) interval and span sequences.

@@ -32,6 +32,7 @@ class Json {
   Json(std::int64_t i) : type_(Type::Number), num_(static_cast<double>(i)), is_int_(true) {}
   Json(std::uint64_t u) : type_(Type::Number), num_(static_cast<double>(u)), is_int_(true) {}
   Json(int i) : Json(static_cast<std::int64_t>(i)) {}
+  Json(std::uint32_t u) : Json(static_cast<std::uint64_t>(u)) {}
   Json(const char* s) : type_(Type::String), str_(s) {}
   Json(std::string s) : type_(Type::String), str_(std::move(s)) {}
 

@@ -1,6 +1,7 @@
 #include "obs/span.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "sim/util.hpp"
 
@@ -49,8 +50,10 @@ std::optional<StrId> SpanStore::find(std::string_view s) const {
 
 // ---- Causal spans ----------------------------------------------------------
 
-SpanId SpanStore::open(StrRef name, SpanCategory category, SpanId parent, sim::Time begin,
-                       StrRef lane, int node, std::uint64_t trace_id) {
+CausalSpan SpanStore::make_span(StrRef name, SpanCategory category, SpanId parent,
+                               sim::Time begin, StrRef lane, int node,
+                               std::uint64_t trace_id) {
+  GFLINK_CHECK_MSG(next_id_ != 0, "SpanStore: the span id counter passed 2^32-1");
   CausalSpan s;
   s.id = next_id_++;
   s.parent = parent;
@@ -58,7 +61,8 @@ SpanId SpanStore::open(StrRef name, SpanCategory category, SpanId parent, sim::T
   s.category = category;
   s.begin = begin;
   s.lane = intern(lane);
-  s.node = node;
+  GFLINK_CHECK_MSG(node >= INT16_MIN && node <= INT16_MAX, "SpanStore: node id out of range");
+  s.node = static_cast<std::int16_t>(node);
   if (parent != 0) {
     // Inherit the trace id from the parent if it is still open or retained;
     // a parent that was already dropped leaves the child's trace id at 0.
@@ -69,8 +73,15 @@ SpanId SpanStore::open(StrRef name, SpanCategory category, SpanId parent, sim::T
       s.trace_id = closed_[i].trace_id;
     }
   } else {
-    s.trace_id = trace_id;
+    GFLINK_CHECK_MSG(trace_id <= UINT32_MAX, "SpanStore::open: trace id does not fit in 32 bits");
+    s.trace_id = static_cast<std::uint32_t>(trace_id);
   }
+  return s;
+}
+
+SpanId SpanStore::open(StrRef name, SpanCategory category, SpanId parent, sim::Time begin,
+                       StrRef lane, int node, std::uint64_t trace_id) {
+  const CausalSpan s = make_span(name, category, parent, begin, lane, node, trace_id);
   open_.emplace(s.id, s);
   return s.id;
 }
@@ -87,28 +98,33 @@ void SpanStore::close(SpanId id, sim::Time end) {
   CausalSpan s = it->second;
   open_.erase(it);
   s.end = end;
-  ++recorded_;
-  category_ns_[idx(s.category)] += s.duration();
   SpanNotes notes;
   if (auto nit = open_notes_.find(id); nit != open_notes_.end()) {
     notes = std::move(nit->second);
     open_notes_.erase(nit);
   }
-  if (retain_) {
-    const auto slot = static_cast<std::uint32_t>(closed_.size());
-    for (const SpanNote& n : notes) closed_notes_.push_back(ClosedNote{slot, n});
-    if (slot_.size() <= id) slot_.resize(id + 1, 0);
-    slot_[id] = slot + 1;
-    closed_.push_back(s);
-  }
-  if (flight_ != nullptr) flight_->on_span_closed(*this, s, std::move(notes));
+  commit(s, std::move(notes));
 }
 
 SpanId SpanStore::record(StrRef name, SpanCategory category, SpanId parent, sim::Time begin,
                          sim::Time end, StrRef lane, int node) {
-  SpanId id = open(name, category, parent, begin, lane, node);
-  close(id, end);
-  return id;
+  CausalSpan s = make_span(name, category, parent, begin, lane, node, 0);
+  s.end = end;
+  commit(s, {});
+  return s.id;
+}
+
+void SpanStore::commit(const CausalSpan& s, SpanNotes notes) {
+  ++recorded_;
+  category_ns_[idx(s.category)] += s.duration();
+  if (retain_) {
+    const auto slot = static_cast<std::uint32_t>(closed_.size());
+    for (const SpanNote& n : notes) closed_notes_.push_back(ClosedNote{slot, n});
+    while (slot_.size() <= s.id) slot_.push_back(0);
+    slot_[s.id] = slot + 1;
+    closed_.push_back(s);
+  }
+  if (flight_ != nullptr) flight_->on_span_closed(*this, s, std::move(notes));
 }
 
 SpanNotes SpanStore::notes(SpanId id) const {
@@ -139,18 +155,6 @@ Json SpanStore::to_json(const CausalSpan& s, const SpanNotes& notes) const {
     j["notes"] = std::move(n);
   }
   return j;
-}
-
-void SpanStore::clear() {
-  open_.clear();
-  open_notes_.clear();
-  closed_.clear();
-  slot_.clear();
-  closed_notes_.clear();
-  lanes_.clear();
-  recorded_ = 0;
-  category_ns_.fill(0);
-  next_id_ = 1;
 }
 
 void SpanStore::export_metrics(MetricsRegistry& m) const {
@@ -244,7 +248,7 @@ struct ChildIndex {
   std::vector<std::uint32_t> roots;
 
   explicit ChildIndex(const SpanStore& store) {
-    const std::vector<CausalSpan>& spans = store.spans();
+    const ChunkLog<CausalSpan>& spans = store.spans();
     const std::size_t n = spans.size();
     offset.assign(n + 1, 0);
     for (std::size_t i = 0; i < n; ++i) {
@@ -281,7 +285,7 @@ struct RawSegment {
 /// frontier jumps to the child's begin. Whatever remains in front of the
 /// earliest child is S's own time too — so [lo, hi] is covered exactly once.
 struct CriticalPathWalker {
-  const std::vector<CausalSpan>& spans;
+  const ChunkLog<CausalSpan>& spans;
   const ChildIndex& children;
   CriticalPath& cp;
   std::vector<RawSegment>& segments;
@@ -314,7 +318,7 @@ struct CriticalPathWalker {
 
 CriticalPath extract_critical_path(const SpanStore& store) {
   CriticalPath cp;
-  const std::vector<CausalSpan>& spans = store.spans();
+  const ChunkLog<CausalSpan>& spans = store.spans();
   if (spans.empty()) return cp;
 
   ChildIndex children(store);
@@ -382,7 +386,7 @@ Json Straggler::to_json() const {
 }
 
 std::vector<Straggler> find_stragglers(const SpanStore& store, std::size_t min_group) {
-  const std::vector<CausalSpan>& spans = store.spans();
+  const ChunkLog<CausalSpan>& spans = store.spans();
   // Peer groups by name id, visited in name order (deterministic).
   std::vector<std::vector<std::uint32_t>> members(store.interned());
   for (std::size_t i = 0; i < spans.size(); ++i) {

@@ -10,10 +10,12 @@
 // Chrome-trace swimlanes.
 //
 // Both record kinds are fixed-size: names, lanes and labels are interned
-// once into the store's string table and held as 32-bit ids, and span notes
-// live in a side table keyed by span id. A retaining store therefore grows
-// by 56 B per span and 24 B per lane interval, and a store that does not
-// retain builds no strings for lane intervals at all.
+// once into the store's string table and held as 32-bit ids, span ids and
+// trace ids are 32-bit too, and span notes live in a side table keyed by
+// span id. A retaining store keeps both kinds in append-only chunked logs
+// (ChunkLog), so it grows by 40 B per span and 24 B per lane interval, with
+// no reallocation copies and at most one partly filled chunk of slack. A
+// store that does not retain builds no strings for lane intervals at all.
 //
 // On top of the DAG live the analyses that explain where time went:
 //
@@ -33,6 +35,8 @@
 #include <array>
 #include <cstdint>
 #include <deque>
+#include <iterator>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -51,7 +55,7 @@ class FlightRecorder;
 
 /// Span identity. 0 means "no span": APIs taking a parent treat 0 as
 /// "root" and data-plane call sites treat a 0 SpanLink as "don't record".
-using SpanId = std::uint64_t;
+using SpanId = std::uint32_t;
 
 /// An interned string: an index into one SpanStore's string table. The
 /// default id 0 is the empty string.
@@ -102,19 +106,19 @@ struct SpanLink {
 /// One causal span. `name` and `lane` are ids into the owning store's
 /// string table (SpanStore::str); its notes are in SpanStore::notes.
 struct CausalSpan {
-  SpanId id = 0;
-  SpanId parent = 0;           // 0 = root of a trace
-  std::uint64_t trace_id = 0;  // job id; inherited from the parent span
   sim::Time begin = 0;
   sim::Time end = 0;
+  SpanId id = 0;
+  SpanId parent = 0;           // 0 = root of a trace
+  std::uint32_t trace_id = 0;  // job id; inherited from the parent span
   StrId name;                  // peer-group key, e.g. "task:ranks" — no per-span ids
   StrId lane;                  // display lane, e.g. "node3/shuffle"; 0 = none
-  std::int32_t node = -1;      // owning node (flight-recorder ring key); -1 = master
+  std::int16_t node = -1;      // owning node (flight-recorder ring key); -1 = master
   SpanCategory category = SpanCategory::Control;
 
   sim::Duration duration() const { return end - begin; }
 };
-static_assert(sizeof(CausalSpan) <= 64, "a causal span must stay a compact fixed-size record");
+static_assert(sizeof(CausalSpan) == 40, "causal spans are 40-byte records");
 
 /// One key/value annotation of a span (the key is interned).
 struct SpanNote {
@@ -135,6 +139,67 @@ struct LaneInterval {
   bool overlaps(const LaneInterval& o) const { return begin < o.end && o.begin < end; }
 };
 static_assert(sizeof(LaneInterval) == 24, "lane intervals are 24-byte records");
+
+/// An append-only log of fixed-size records, kept in chunks of
+/// kChunkRecords that are allocated on first use. Records never move once
+/// appended: growth copies nothing and leaves at most one partly filled
+/// chunk of slack, where a doubling vector copies every record on each
+/// growth and keeps up to half its capacity unused.
+template <typename T>
+class ChunkLog {
+ public:
+  static constexpr std::size_t kChunkRecords = 4096;
+
+  class const_iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = T;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const T*;
+    using reference = const T&;
+
+    const_iterator() = default;
+    const_iterator(const ChunkLog* log, std::size_t i) : log_(log), i_(i) {}
+    const T& operator*() const { return (*log_)[i_]; }
+    const T* operator->() const { return &(*log_)[i_]; }
+    const_iterator& operator++() {
+      ++i_;
+      return *this;
+    }
+    const_iterator operator++(int) {
+      const_iterator old = *this;
+      ++i_;
+      return old;
+    }
+    friend bool operator==(const const_iterator& a, const const_iterator& b) {
+      return a.i_ == b.i_;
+    }
+
+   private:
+    const ChunkLog* log_ = nullptr;
+    std::size_t i_ = 0;
+  };
+
+  void push_back(const T& v) {
+    if (size_ % kChunkRecords == 0) chunks_.push_back(std::make_unique<T[]>(kChunkRecords));
+    chunks_.back()[size_ % kChunkRecords] = v;
+    ++size_;
+  }
+  T& operator[](std::size_t i) { return chunks_[i / kChunkRecords][i % kChunkRecords]; }
+  const T& operator[](std::size_t i) const {
+    return chunks_[i / kChunkRecords][i % kChunkRecords];
+  }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const T& front() const { return (*this)[0]; }
+  const T& back() const { return (*this)[size_ - 1]; }
+  const_iterator begin() const { return {this, 0}; }
+  const_iterator end() const { return {this, size_}; }
+
+ private:
+  std::vector<std::unique_ptr<T[]>> chunks_;
+  std::size_t size_ = 0;
+};
 
 class SpanStore {
  public:
@@ -165,8 +230,9 @@ class SpanStore {
   // ---- Causal spans --------------------------------------------------------
 
   /// Open a span. The trace id is inherited from the parent; for roots
-  /// (parent 0) pass the job id via `trace_id`. Times are explicit so the
-  /// store has no Simulation dependency (tests build DAGs by hand).
+  /// (parent 0) pass the job id via `trace_id`, which must fit in 32 bits.
+  /// Times are explicit so the store has no Simulation dependency (tests
+  /// build DAGs by hand).
   SpanId open(StrRef name, SpanCategory category, SpanId parent, sim::Time begin,
               StrRef lane = {}, int node = -1, std::uint64_t trace_id = 0);
 
@@ -175,13 +241,14 @@ class SpanStore {
 
   void close(SpanId id, sim::Time end);
 
-  /// One-shot open+close for spans whose extent is known at record time
-  /// (block transfers, waits). Returns the id so callers may parent to it.
+  /// One-shot span whose extent is known at record time (GPU stages,
+  /// waits): built closed, so it never enters the open-span map. Returns the
+  /// id so callers may parent to it.
   SpanId record(StrRef name, SpanCategory category, SpanId parent, sim::Time begin,
                 sim::Time end, StrRef lane = {}, int node = -1);
 
   /// Closed spans, in close order (deterministic). Empty unless retaining.
-  const std::vector<CausalSpan>& spans() const { return closed_; }
+  const ChunkLog<CausalSpan>& spans() const { return closed_; }
   /// Position of a retained closed span in spans(), or npos.
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
   std::size_t index_of(SpanId id) const {
@@ -196,8 +263,6 @@ class SpanStore {
 
   std::uint64_t recorded() const { return recorded_; }
   bool empty() const { return closed_.empty(); }
-  /// Drop every span and lane interval; the string table stays.
-  void clear();
 
   /// Aggregate counters: trace_spans_total and per-category
   /// trace_span_ns_total{category=...}.
@@ -211,7 +276,7 @@ class SpanStore {
     if (retain_) lanes_.push_back({lane, intern(label), begin, end});
   }
   /// Every lane interval, in recording order.
-  const std::vector<LaneInterval>& lane_intervals() const { return lanes_; }
+  const ChunkLog<LaneInterval>& lane_intervals() const { return lanes_; }
   /// The intervals on one lane, in recording order.
   std::vector<LaneInterval> lane(std::string_view name) const;
   /// Busy time on a lane: the union of its intervals.
@@ -227,6 +292,12 @@ class SpanStore {
     SpanNote note;
   };
 
+  /// A new span with its trace id resolved; `end` is left for the caller.
+  CausalSpan make_span(StrRef name, SpanCategory category, SpanId parent, sim::Time begin,
+                       StrRef lane, int node, std::uint64_t trace_id);
+  /// The one close path: count the span, retain it, stream it to the ring.
+  void commit(const CausalSpan& s, SpanNotes notes);
+
   bool retain_ = false;
   FlightRecorder* flight_ = nullptr;
   SpanId next_id_ = 1;
@@ -236,10 +307,10 @@ class SpanStore {
   std::unordered_map<std::string_view, StrId> string_index_;
   std::unordered_map<SpanId, CausalSpan> open_;
   std::unordered_map<SpanId, SpanNotes> open_notes_;
-  std::vector<CausalSpan> closed_;
-  std::vector<std::uint32_t> slot_;       // span id -> spans() index + 1 (0 = not retained)
+  ChunkLog<CausalSpan> closed_;
+  ChunkLog<std::uint32_t> slot_;          // span id -> spans() index + 1 (0 = not retained)
   std::vector<ClosedNote> closed_notes_;  // in close order, so sorted by slot
-  std::vector<LaneInterval> lanes_;
+  ChunkLog<LaneInterval> lanes_;
 };
 
 /// Length of the union of [begin, end) intervals (sorts them in place).

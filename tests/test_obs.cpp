@@ -497,7 +497,7 @@ TEST(Spans, ClosedParentTraceIdNeedsRetention) {
 }
 
 TEST(Spans, CompactRecordsInternNamesAndLanes) {
-  static_assert(sizeof(obs::CausalSpan) <= 64);
+  static_assert(sizeof(obs::CausalSpan) == 40);
   static_assert(sizeof(obs::LaneInterval) == 24);
   obs::FlightRecorder fr(/*ring_capacity=*/2);
   obs::SpanStore s;
@@ -535,6 +535,104 @@ TEST(Spans, CompactRecordsInternNamesAndLanes) {
   auto parsed = obs::Json::parse(dump.dump(2));
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->dump(), dump.dump());
+}
+
+TEST(Spans, ChunkBoundaries) {
+  // Two and a half chunks of spans and of lane intervals. A parent closes
+  // in the first chunk and its children land in the last one, so every
+  // reader has to follow ids and parents across chunk boundaries.
+  constexpr std::size_t kChunk = obs::ChunkLog<obs::CausalSpan>::kChunkRecords;
+  constexpr std::size_t kFiller = 2 * kChunk + kChunk / 2;
+  static_assert(obs::ChunkLog<obs::LaneInterval>::kChunkRecords == kChunk);
+  obs::SpanStore s;
+  s.set_retain(true);
+  const obs::SpanId job = s.open("job", obs::SpanCategory::Control, 0, 0, "master/job", -1, 9);
+  const obs::SpanId stage = s.open("stage:map", obs::SpanCategory::Control, job, 0, "node1/tasks", 1);
+  s.annotate(stage, "partitions", "8");
+  s.close(stage, 100);
+  for (std::size_t i = 0; i < kFiller; ++i) {
+    const auto t = static_cast<sim::Time>(100 + i);
+    s.record("filler", obs::SpanCategory::Control, job, t, t + 1, "node2/tasks", 2);
+  }
+  const obs::SpanId kernel =
+      s.record("kernel", obs::SpanCategory::Kernel, stage, 50, 90, "node1/gpu0", 1);
+  const obs::SpanId wait = s.record("wait:slot", obs::SpanCategory::Wait, stage, 10, 20);
+  const auto makespan = static_cast<sim::Time>(100 + kFiller);
+  s.close(job, makespan);
+
+  ASSERT_EQ(s.spans().size(), kFiller + 4);
+  EXPECT_EQ(s.index_of(stage), 0u);
+  EXPECT_EQ(s.index_of(kernel), kFiller + 1);
+  EXPECT_EQ(s.index_of(wait), kFiller + 2);
+  EXPECT_EQ(s.index_of(job), kFiller + 3);
+  EXPECT_EQ(s.index_of(kernel) / kChunk, 2u);  // the last chunk
+  for (const obs::SpanId id : {stage, kernel, wait, job}) {
+    EXPECT_EQ(s.spans()[s.index_of(id)].id, id);
+  }
+  const obs::SpanNotes notes = s.notes(stage);
+  ASSERT_EQ(notes.size(), 1u);
+  EXPECT_EQ(s.str(notes[0].key), "partitions");
+  EXPECT_EQ(notes[0].value, "8");
+  EXPECT_TRUE(s.notes(kernel).empty());
+  // The children inherit the trace id from their parent, closed long before.
+  EXPECT_EQ(s.spans()[s.index_of(kernel)].trace_id, 9u);
+  EXPECT_EQ(s.spans()[s.index_of(wait)].trace_id, 9u);
+  std::size_t spans_seen = 0;
+  for (const obs::CausalSpan& span : s.spans()) {
+    EXPECT_EQ(span.trace_id, 9u);
+    ++spans_seen;
+  }
+  EXPECT_EQ(spans_seen, s.spans().size());
+
+  const obs::CriticalPath cp = obs::extract_critical_path(s);
+  EXPECT_EQ(cp.total, makespan);
+  sim::Duration sum = 0;
+  for (auto d : cp.by_category) sum += d;
+  EXPECT_EQ(sum, cp.total);
+  EXPECT_EQ(category_ns(cp, obs::SpanCategory::Kernel), 40);
+  EXPECT_EQ(category_ns(cp, obs::SpanCategory::Wait), 10);
+
+  // Lane "a" tiles [i, i+2) intervals, each overlapping the next, so its
+  // busy time is one union that crosses every chunk boundary.
+  const obs::StrId a = s.intern("node1/a");
+  const obs::StrId b = s.intern("node1/b");
+  for (std::size_t i = 0; i < kFiller; ++i) {
+    const auto t = static_cast<sim::Time>(i);
+    s.record_lane(a, "x", t, t + 2);
+  }
+  s.record_lane(b, "y", static_cast<sim::Time>(kChunk) - 1, static_cast<sim::Time>(kChunk));
+  ASSERT_EQ(s.lane_intervals().size(), kFiller + 1);
+  EXPECT_EQ(s.lane_intervals()[kChunk].begin, static_cast<sim::Time>(kChunk));
+  EXPECT_EQ(s.lane("node1/a").size(), kFiller);
+  EXPECT_EQ(s.busy_time("node1/a"), static_cast<sim::Duration>(kFiller + 1));
+  EXPECT_EQ(s.busy_time("node1/b"), 1);
+  EXPECT_TRUE(s.lanes_overlap("node1/a", "node1/b"));
+
+  // The Chrome trace parses, and every link but the root's has exactly
+  // one flow start and one flow finish.
+  auto parsed = Json::parse(obs::chrome_trace_json(s, nullptr, makespan));
+  ASSERT_TRUE(parsed.has_value());
+  std::map<std::int64_t, int> starts, finishes;
+  for (const Json& e : parsed->find("traceEvents")->items()) {
+    const std::string ph = e.find("ph")->as_string();
+    if (ph == "s") ++starts[e.find("id")->as_int()];
+    if (ph == "f") ++finishes[e.find("id")->as_int()];
+  }
+  EXPECT_EQ(starts.size(), s.spans().size() - 1);
+  EXPECT_EQ(finishes.size(), starts.size());
+  for (const auto& [id, n] : starts) {
+    EXPECT_EQ(n, 1) << "flow id " << id;
+    EXPECT_EQ(finishes[id], 1) << "flow id " << id;
+  }
+  const Json* util = parsed->find("laneUtilization")->find("node1/a");
+  ASSERT_NE(util, nullptr);
+  EXPECT_EQ(util->find("busy_ns")->as_int(), static_cast<std::int64_t>(kFiller + 1));
+}
+
+TEST(SpansDeathTest, TraceIdPast32BitsAborts) {
+  obs::SpanStore s;
+  EXPECT_DEATH(s.open("job", obs::SpanCategory::Control, 0, 0, {}, 0, std::uint64_t{1} << 32),
+               "trace id does not fit in 32 bits");
 }
 
 TEST(ChromeTrace, FlowEventsFollowSpanLinks) {

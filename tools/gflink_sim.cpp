@@ -63,9 +63,10 @@ struct Options {
 };
 
 // Observability accumulation across the tool's runs (both modes feed one
-// report; the trace comes from the last traced engine).
+// report). Each traced engine streams its Chrome trace into --trace-out as
+// it is captured, so the last one wins; a failed write is reported at exit.
 obs::RunReport g_report;
-std::string g_trace_json;
+bool g_trace_failed = false;
 // The telemetry timeline spans both modes of a `--mode both` run: the
 // first engine truncates the file, the second appends to it. The
 // Prometheus snapshot keeps only the last (GFlink) run's series.
@@ -313,7 +314,10 @@ wl::RunResult run_driver(wl::Driver<ConfigT, ResultT> driver, const Options& opt
   session.report_into(g_report);
   const obs::SpanStore& spans = engine.cluster().spans();
   if (!opt.trace_out.empty()) {
-    g_trace_json = obs::chrome_trace_json(spans, &engine.cluster().metrics(), engine.now());
+    std::ofstream out(opt.trace_out, std::ios::binary);
+    if (out) obs::write_chrome_trace(out, spans, &engine.cluster().metrics(), engine.now());
+    out.close();
+    if (!out) g_trace_failed = true;
     g_report.capture_lanes(spans, engine.now());
   }
   if (spans.retain()) {
@@ -430,8 +434,7 @@ int run_workload(const Options& opt) {
   }
 
   if (!opt.trace_out.empty()) {
-    std::ofstream out(opt.trace_out, std::ios::binary);
-    if (!out || !(out << g_trace_json)) {
+    if (g_trace_failed) {
       std::fprintf(stderr, "error: could not write trace to %s\n", opt.trace_out.c_str());
       return 1;
     }
