@@ -14,8 +14,8 @@
 // A second sweep ablates the *intra-GWork* chunked pipeline on a single
 // stream (so cross-stream overlap cannot help): each GWork is split into
 // chunks driven through the device staging ring, H2D(i+1) ‖ kernel(i) ‖
-// D2H(i-1). tools/gen_pipeline_table.py renders the recorded gauges into
-// the EXPERIMENTS.md chunk-size table.
+// D2H(i-1). tools/bench_gate.py renders the recorded gauges into the
+// EXPERIMENTS.md chunk-size table.
 #include <benchmark/benchmark.h>
 
 #include "bench_report.hpp"

@@ -18,8 +18,9 @@
 // the skewed exchange moves fewer but more unbalanced buckets.
 //
 // Expected ordering (total job seconds, both distributions):
-// one_sided < pipelined < barrier. tools/gen_shuffle_table.py turns the
-// gauges recorded here into the EXPERIMENTS.md ablation table.
+// one_sided < pipelined < barrier. tools/bench_gate.py turns the gauges
+// recorded here into the EXPERIMENTS.md ablation table and checks the
+// ordering.
 #include "bench_common.hpp"
 #include "shuffle/shuffle_service.hpp"
 #include "workloads/pagerank.hpp"

@@ -20,7 +20,7 @@
 // carry real I/O. Runs are traced: the critical-path walk quantifies the
 // producer-visible spill stall (ablation_spill_stall_seconds), which is
 // the thing the async offload is designed to remove. Expected orderings
-// (tools/gen_spill_table.py re-checks in CI): async < sync within each
+// (tools/bench_gate.py re-checks in CI): async < sync within each
 // codec, and async+lz is the fastest cell overall.
 #include "bench_common.hpp"
 #include "workloads/pagerank.hpp"

@@ -5,9 +5,9 @@
 // Unlike the figure benches this one runs with tracing on: the engine's
 // SpanStore retains the causal span DAG, and capture_spans() extracts the
 // last-finisher critical path whose per-category breakdown sums to the
-// makespan exactly (the deterministic invariant tools/trace_critical_path.py
-// re-checks in CI). The trace_critical_path_seconds gauges recorded here
-// feed both the EXPERIMENTS.md breakdown table and the perf guard.
+// makespan exactly (the deterministic invariant tools/bench_gate.py
+// re-checks in CI, where it also renders the EXPERIMENTS.md breakdown
+// table from the report's critical_path section).
 #include "bench_common.hpp"
 #include "workloads/pagerank.hpp"
 

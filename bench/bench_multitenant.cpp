@@ -9,9 +9,10 @@
 // cache share must converge to its weight share (2:1:1 within 10%), while
 // the per-tenant p99 latency splits into queue wait vs. run.
 //
-// Gauges gate the aggregate jobs/sec in the CI perf guard and feed
-// tools/gen_tenant_table.py; the per-tenant fairness section lands in the
-// run report's `tenants` object (schema gflink.run_report/v3).
+// The gauges feed tools/bench_gate.py, which renders the EXPERIMENTS.md
+// fairness table and checks the shares; the per-tenant fairness section
+// lands in the run report's `tenants` object (schema
+// gflink.run_report/v3).
 #include "bench_common.hpp"
 #include "service/job_service.hpp"
 #include "sim/closed_loop.hpp"
@@ -130,10 +131,6 @@ void Multitenant_WeightedFairService(benchmark::State& state) {
     }
     auto& rep = bench_report();
     rep.metrics.gauge(Metric::MultitenantJobsPerSecond).set(jobs_per_second);
-    // The perf guard's gauge check is bigger-is-worse (durations), so gate
-    // aggregate throughput through its inverse.
-    rep.metrics.gauge(Metric::MultitenantSecondsPerJob)
-        .set(jobs_per_second > 0 ? 1.0 / jobs_per_second : 0.0);
     for (const auto& t : r.tenants) {
       const double weight_share = t.weight / total_weight;
       const double throughput_share =

@@ -31,8 +31,7 @@ inline std::string bench_report_path(const std::string& name) {
 }
 
 /// Replacement for BENCHMARK_MAIN(): run the benchmarks, then write the
-/// accumulated run report. A failed report write warns but does not fail
-/// the bench.
+/// accumulated run report. A failed report write fails the bench (exit 1).
 inline int bench_main(int argc, char** argv, const char* name) {
   const auto wall_begin = std::chrono::steady_clock::now();
   benchmark::Initialize(&argc, argv);
@@ -47,11 +46,11 @@ inline int bench_main(int argc, char** argv, const char* name) {
   rep.peak_rss_mb = obs::host_peak_rss_mb();
   obs::add_derived_gflink_metrics(rep.metrics);
   const std::string path = bench_report_path(name);
-  if (rep.write(path)) {
-    std::printf("run report: %s\n", path.c_str());
-  } else {
-    std::fprintf(stderr, "warning: could not write run report %s\n", path.c_str());
+  if (!rep.write(path)) {
+    std::fprintf(stderr, "error: could not write run report %s\n", path.c_str());
+    return 1;
   }
+  std::printf("run report: %s\n", path.c_str());
   return 0;
 }
 

@@ -17,8 +17,9 @@
 //     must fire for "prod".
 //
 // The scenario also streams the gflink.telemetry/v1 JSONL timeline to
-// telemetry_timeline.jsonl (uploaded as a CI artifact) and feeds
-// tools/gen_health_table.py through the health_* gauges below.
+// telemetry_timeline.jsonl in the working directory (uploaded with the CI
+// bench reports) and feeds tools/bench_gate.py through the health_*
+// gauges below.
 //
 // Case 2 (PagerankOverhead) runs the default Fig. 5b PageRank twice —
 // with and without the plane sampling every worker each millisecond —

@@ -119,8 +119,8 @@ enum class Metric : std::uint16_t {
   TelemetryShuffleInFlight, TelemetryGpuCacheUsedBytes, TelemetryGpuStagingBytes,
   TelemetryGstreamQueueDepth, TelemetryTenantQuotaUsedRatio, TelemetryServicePending,
   // Bench
-  BenchCases, MultitenantJobsPerSecond, MultitenantSecondsPerJob, MultitenantWeightShare,
-  MultitenantThroughputShare, MultitenantCacheShare, MultitenantP99LatencyS,
+  BenchCases, MultitenantJobsPerSecond, MultitenantWeightShare, MultitenantThroughputShare,
+  MultitenantCacheShare, MultitenantP99LatencyS,
   HealthStragglerDetectMs, HealthStragglerNode, HealthStragglerScore, HealthSloDetectMs,
   HealthSloBurnRate, HealthEventsEmitted, TelemetryScenarioPeriods, TelemetryPagerankBaseS,
   TelemetryPagerankSampledS, TelemetryOverheadRatio, AblationShuffleSeconds,
@@ -429,8 +429,6 @@ inline constexpr auto kMetricFamilies = [] {
                  "cases folded into a bench binary's report"},
     MetricFamily{M::MultitenantJobsPerSecond, "multitenant_jobs_per_second", Gauge, PerSecond,
                  Bench, none, no_alt, flat, "completed jobs per virtual second"},
-    MetricFamily{M::MultitenantSecondsPerJob, "multitenant_seconds_per_job", Gauge, Seconds,
-                 Bench, none, no_alt, flat, "inverse throughput (bigger is worse)"},
     MetricFamily{M::MultitenantWeightShare, "multitenant_weight_share", Gauge, Ratio, Bench,
                  {"tenant"}, no_alt, flat, "tenant weight / total weight"},
     MetricFamily{M::MultitenantThroughputShare, "multitenant_throughput_share", Gauge, Ratio,

@@ -3,9 +3,27 @@
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <cinttypes>
+#include <cstdio>
 #include <fstream>
 
 namespace gflink::obs {
+
+namespace {
+
+/// FNV-1a 64 as 16 hex characters (the hash perfbench's model digest uses).
+std::string fnv1a_hex(const std::string& bytes) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016" PRIx64, h);
+  return buf;
+}
+
+}  // namespace
 
 void RunReport::capture_spans(const SpanStore& spans) {
   const CriticalPath cp = extract_critical_path(spans);
@@ -22,8 +40,6 @@ Json RunReport::to_json() const {
   root["name"] = name;
   root["schema"] = "gflink.run_report/v3";
   root["config"] = config;
-  root["wall_seconds"] = wall_seconds;
-  root["peak_rss_mb"] = peak_rss_mb;
   root["virtual_ns"] = static_cast<std::int64_t>(virtual_ns);
   root["virtual_seconds"] = sim::to_seconds(virtual_ns);
   root["metrics"] = metrics.to_json();
@@ -39,6 +55,12 @@ Json RunReport::to_json() const {
   if (!critical_path.is_null()) root["critical_path"] = critical_path;
   if (!stragglers.is_null()) root["stragglers"] = stragglers;
   if (!tenants.is_null()) root["tenants"] = tenants;
+  // Everything above is modelled and deterministic, so its compact dump is
+  // the run's digest. The host measurements follow it, outside the digest.
+  const std::string digest = fnv1a_hex(root.dump());
+  root["digest"] = digest;
+  root["wall_seconds"] = wall_seconds;
+  root["peak_rss_mb"] = peak_rss_mb;
   return root;
 }
 

@@ -1,9 +1,11 @@
 // Machine-readable run reports: one JSON document per bench/sim run.
 //
 // A RunReport collects the run's configuration, wall and virtual time, host
-// peak RSS, a
-// metrics snapshot and per-lane utilization rollups, and serializes them
-// as the `BENCH_<name>.json` documents that populate the perf trajectory.
+// peak RSS, a metrics snapshot and per-lane utilization rollups, and
+// serializes them as the `BENCH_<name>.json` documents that populate the
+// perf trajectory. Each document carries a `digest` of its modelled fields
+// (everything but wall_seconds and peak_rss_mb); tools/bench_gate.py
+// compares it with bench/digests.json.
 #pragma once
 
 #include <map>
@@ -45,6 +47,9 @@ struct RunReport {
   /// critical_path and stragglers sections and the matching trace_* gauges.
   void capture_spans(const SpanStore& spans);
 
+  /// The report document. `digest` is FNV-1a 64 (16 hex characters) over
+  /// the compact dump of every member except wall_seconds, peak_rss_mb and
+  /// the digest itself, which come last.
   Json to_json() const;
 
   /// Write the pretty-printed JSON document; false on I/O failure.

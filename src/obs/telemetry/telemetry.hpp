@@ -41,7 +41,7 @@
 // ring append per series, and the per-node snapshot ships ~(64 + 12 *
 // series) bytes over the HCA once per period — small enough that a
 // telemetry-enabled PageRank run stays within 2% of the bare run (guarded
-// by bench_telemetry and bench/baselines.json).
+// by bench_telemetry and tools/bench_gate.py).
 //
 // The plane is simulation-thread state (sampler rings, aggregator series,
 // detector state), mutated between suspension points like the registry and

@@ -68,7 +68,7 @@ using CombineFn = std::function<void(std::byte*, const std::byte*)>;
 enum class ShuffleMode { Barrier, Pipelined, OneSided };
 
 /// Stable string keys ("barrier", "pipelined", "one_sided") shared by the
-/// CLI, the ablation bench and bench/baselines.json.
+/// CLI, the ablation bench and its EXPERIMENTS.md table.
 const char* shuffle_mode_name(ShuffleMode mode);
 /// Parse a stable string key; returns false (and leaves `out` alone) on an
 /// unknown key.

@@ -58,7 +58,7 @@ namespace gflink::spill {
 enum class SpillCodec { None, Lz };
 
 /// Stable string keys ("none", "lz") shared by the CLI, the ablation
-/// bench and bench/baselines.json.
+/// bench and its EXPERIMENTS.md table.
 const char* spill_codec_name(SpillCodec codec);
 bool parse_spill_codec(const std::string& text, SpillCodec* out);
 

@@ -804,6 +804,49 @@ TEST(RunReport, CarriesHostPeakRss) {
   EXPECT_DOUBLE_EQ(j.find("peak_rss_mb")->as_double(), rep.peak_rss_mb);
 }
 
+TEST(RunReport, DigestCoversModelledFieldsOnly) {
+  auto make = [](const char* gpu = "0") {
+    obs::RunReport rep;
+    rep.name = "unit";
+    rep.set_config("workers", Json(4));
+    rep.virtual_ns = sim::seconds(2);
+    rep.wall_seconds = 1.5;
+    rep.peak_rss_mb = 40.0;
+    rep.metrics.counter(obs::Metric::GpuCacheHits).inc(3);
+    rep.metrics.gauge(obs::Metric::GpuCopyComputeOverlapEfficiency, {{"gpu", gpu}}).set(0.5);
+    return rep;
+  };
+  auto digest = [](const obs::RunReport& rep) {
+    const Json j = rep.to_json();
+    const Json* d = j.find("digest");
+    EXPECT_NE(d, nullptr);
+    return d != nullptr ? d->as_string() : std::string();
+  };
+  const obs::RunReport base = make();
+  const std::string d0 = digest(base);
+  EXPECT_EQ(d0.size(), 16u);
+  EXPECT_EQ(d0.find_first_not_of("0123456789abcdef"), std::string::npos) << d0;
+
+  obs::RunReport host = make();  // host measurements are outside the digest
+  host.wall_seconds = 99.0;
+  host.peak_rss_mb = 1234.0;
+  EXPECT_EQ(digest(host), d0);
+
+  obs::RunReport vns = make();
+  vns.virtual_ns += 1;
+  EXPECT_NE(digest(vns), d0);
+
+  obs::RunReport counter = make();
+  counter.metrics.counter(obs::Metric::GpuCacheHits).inc(1);
+  EXPECT_NE(digest(counter), d0);
+
+  EXPECT_NE(digest(make("1")), d0);  // one gauge label
+
+  obs::RunReport config = make();
+  config.set_config("workers", Json(5));
+  EXPECT_NE(digest(config), d0);
+}
+
 TEST(RunReport, DerivedMetricsHandleEmptyRegistry) {
   obs::MetricsRegistry m;
   obs::add_derived_gflink_metrics(m);

@@ -15,14 +15,12 @@ the block (or a table change without a regenerate) fails the suite.
 from __future__ import annotations
 
 import argparse
-import difflib
 import os
 import subprocess
+import sys
 
 import tablelib
 
-BEGIN = "<!-- metric-catalog:begin -->"
-END = "<!-- metric-catalog:end -->"
 EXPERIMENTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                            "EXPERIMENTS.md")
 
@@ -33,20 +31,17 @@ def main() -> None:
     ap.add_argument("--check", action="store_true",
                     help="fail on drift instead of rewriting the catalog")
     args = ap.parse_args()
-    args.experiments = EXPERIMENTS
 
     body = subprocess.run([args.catalog_binary], check=True, capture_output=True,
                           text=True).stdout.rstrip("\n")
-
-    def compare(block):
-        if block == body + "\n":
-            return []
-        diff = difflib.unified_diff(block.splitlines(), body.splitlines(),
-                                    "committed", "generated", lineterm="", n=0)
-        return list(diff)
-
-    tablelib.check_or_write(args, BEGIN, END, body, compare, "metric catalog",
-                            "gen_metric_catalog.py")
+    diff = tablelib.sync_blocks(EXPERIMENTS, {"metric-catalog": body}, update=not args.check)
+    if not diff:
+        print("metric catalog matches the family table")
+    elif args.check:
+        sys.exit("EXPERIMENTS.md metric catalog drifted:\n" + "\n".join(diff)
+                 + "\nRegenerate with tools/gen_metric_catalog.py")
+    else:
+        print(f"updated {EXPERIMENTS}")
 
 
 if __name__ == "__main__":

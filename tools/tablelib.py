@@ -1,102 +1,40 @@
-"""Shared plumbing for the EXPERIMENTS.md table generators.
+"""Generated blocks in EXPERIMENTS.md.
 
-Every gen_*_table.py tool follows the same shape: read a
-gflink.run_report/v3 JSON written by a bench binary, render a markdown
-block between `<!-- name:begin -->` / `<!-- name:end -->` markers in
-EXPERIMENTS.md, and either rewrite the file in place or — with --check —
-fail when the committed numbers drift from the fresh run by more than a
-relative tolerance. This module owns that shape; the per-table scripts
-keep only what is genuinely theirs: gauge selection, acceptance
-invariants (orderings, fairness, budgets) and the table layout.
+A generated block sits between a `<!-- name:begin -->` line and a
+`<!-- name:end -->` marker. sync_blocks() compares the committed blocks with
+freshly rendered bodies byte for byte and, on request, rewrites them.
+tools/bench_gate.py (the bench tables) and tools/gen_metric_catalog.py (the
+metric catalog) share it.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
+import difflib
 import re
 import sys
 
 
-def make_parser(doc, default_report, default_tolerance=0.05):
-    """The common CLI: --report, --experiments, --tolerance, --check."""
-    ap = argparse.ArgumentParser(description=doc)
-    ap.add_argument("--report", default=default_report)
-    ap.add_argument("--experiments", default="EXPERIMENTS.md")
-    ap.add_argument("--tolerance", type=float, default=default_tolerance,
-                    help="allowed relative drift per cell in --check")
-    ap.add_argument("--check", action="store_true",
-                    help="fail on drift instead of rewriting the table")
-    return ap
+def sync_blocks(path, bodies, update):
+    """Compare each {name: body} with the committed block of that name.
 
-
-def load_json_report(report_path):
-    with open(report_path) as f:
-        return json.load(f)
-
-
-def iter_gauges(report):
-    """Yield (name, labels, value) for every gauge in a run report."""
-    for gauge in report.get("metrics", {}).get("gauges", []):
-        yield (gauge.get("name", ""), gauge.get("labels", {}),
-               float(gauge["value"]))
-
-
-def missing_cells_exit(report_path, missing, bench_name, what="cells"):
-    if missing:
-        sys.exit(f"error: {report_path} is missing {what} {missing}; "
-                 f"re-run {bench_name}")
-
-
-def extract_block(text, begin, end, experiments_path):
-    """-> (pattern, committed block text); exits if the markers are absent."""
-    pattern = re.compile(re.escape(begin) + r"\n(.*?)" + re.escape(end), re.S)
-    found = pattern.search(text)
-    if not found:
-        sys.exit(f"error: {experiments_path} lacks the {begin} ... {end} markers")
-    return pattern, found.group(1)
-
-
-def drift_failures(cells, tolerance, missing_what="cell"):
-    """Relative-drift check over [(label, committed|None, fresh, fmt), ...].
-
-    `committed` is None when the row/cell is absent from the committed
-    table; `fmt` is a format spec (e.g. ".2f") for the failure message.
+    Returns the unified diff (a list of lines, empty when every block is
+    equal). With `update`, a differing file is rewritten with the bodies.
     """
-    failures = []
-    for label, committed, fresh, fmt in cells:
-        if committed is None:
-            failures.append(f"{missing_what} '{label}' missing from committed table")
-            continue
-        scale = max(abs(fresh), 1e-12)
-        drift = abs(committed - fresh) / scale
-        if drift > tolerance:
-            failures.append(
-                f"{label}: committed {committed:{fmt}} vs measured "
-                f"{fresh:{fmt}} (drift {drift:.1%} > {tolerance:.0%})")
-    return failures
-
-
-def check_or_write(args, begin, end, body, compare, table_name, tool_name):
-    """The shared tail of every generator.
-
-    `body` is the freshly rendered block (without markers); `compare` maps
-    the committed block text to a list of failure strings (empty = clean).
-    """
-    with open(args.experiments) as f:
+    with open(path) as f:
         text = f.read()
-    pattern, block = extract_block(text, begin, end, args.experiments)
-
-    if args.check:
-        failures = compare(block)
-        if failures:
-            sys.exit(f"EXPERIMENTS.md {table_name} drifted:\n  "
-                     + "\n  ".join(failures)
-                     + f"\nRegenerate with tools/{tool_name}")
-        print(f"{table_name} matches the fresh run")
-        return
-
-    replacement = f"{begin}\n{body}\n{end}"
-    with open(args.experiments, "w") as f:
-        f.write(pattern.sub(lambda _: replacement, text))
-    print(f"updated {args.experiments}")
+    diff = []
+    for name, body in bodies.items():
+        begin, end = f"<!-- {name}:begin -->", f"<!-- {name}:end -->"
+        found = re.search(re.escape(begin) + r"\n(.*?)" + re.escape(end), text, re.S)
+        if not found:
+            sys.exit(f"error: {path} lacks the {begin} ... {end} markers")
+        committed, fresh = found.group(1), body + "\n"
+        if committed != fresh:
+            diff += difflib.unified_diff(committed.splitlines(), fresh.splitlines(),
+                                         f"{path} {name} (committed)",
+                                         f"{name} (rendered)", lineterm="")
+            text = text[:found.start(1)] + fresh + text[found.end(1):]
+    if update and diff:
+        with open(path, "w") as f:
+            f.write(text)
+    return diff
