@@ -5,13 +5,14 @@
 #include "core/gstream_manager.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 namespace gflink::core {
 
 namespace {
 
-/// One GWork buffer as seen by the chunked pipeline.
+/// One GWork buffer as seen by the chunked pipeline. Inputs are bound as
+/// their host bytes (the kernel reads them in place); their device
+/// placement only models capacity. Outputs ride the staging ring.
 struct ChunkBuf {
   mem::HBuffer* host = nullptr;
   std::uint64_t bytes = 0;   // full buffer size
@@ -21,9 +22,8 @@ struct ChunkBuf {
   gpu::DevicePtr device_base = 0;
   std::uint64_t ring_offset = 0;
   bool is_output = false;
-  bool h2d = false;          // chunk-wise H2D required (uncached or cache-fill)
+  bool h2d = false;          // chunk-wise H2D charged (uncached or cache-fill)
   bool upfront_h2d = false;  // indivisible: one whole transfer before the pipeline
-  bool prefill_shadow = false;  // cache fill: make the entry's bytes coherent now
 };
 
 /// Shared state of one chunked execution; owned by execute_chunked's frame,
@@ -65,21 +65,16 @@ sim::Co<void> run_chunk(ChunkCtx& ctx, std::size_t c) {
   bindings.reserve(ctx.buffers.size());
   const sim::Time h2d_begin = ctx.sim->now();
   for (const ChunkBuf& b : ctx.buffers) {
-    gpu::DevicePtr dptr = 0;
-    std::uint64_t len = 0;
-    if (b.stride == 0) {
-      dptr = b.device_base;  // indivisible: transferred upfront, bound whole
-      len = b.bytes;
-    } else {
-      const std::uint64_t off = static_cast<std::uint64_t>(first) * b.stride;
-      dptr = b.device_base != 0 ? b.device_base + off : slot_base + b.ring_offset;
-      len = static_cast<std::uint64_t>(n) * b.stride;
+    // This chunk's items, or the whole buffer when indivisible (transferred
+    // upfront).
+    const std::uint64_t off = static_cast<std::uint64_t>(first) * b.stride;
+    const std::uint64_t len = b.stride == 0 ? b.bytes : static_cast<std::uint64_t>(n) * b.stride;
+    if (b.is_output) {
+      bindings.push_back({slot_base + b.ring_offset, len});
+      continue;
     }
-    if (b.h2d) {
-      co_await ctx.api->memcpy_h2d(dptr, *b.host, static_cast<std::size_t>(first) * b.stride,
-                                   len, ctx.label);
-    }
-    bindings.push_back({dptr, len});
+    if (b.h2d) co_await ctx.api->charge_h2d(*b.host, off, len, ctx.label);
+    bindings.push_back({0, len, b.host->data() + off});
   }
 
   const sim::Time kernel_begin = ctx.sim->now();
@@ -407,7 +402,6 @@ sim::Co<bool> GStreamManager::execute_chunked(StreamWorker* w, const GWorkPtr& w
     b.bytes = in.bytes;
     b.stride = in.item_stride;
     bool cache_hit = false;
-    bool cache_fill = false;
     if (in.cache) {
       auto hit = memory_->lookup_pinned(gpu_index, work->job_id, in.cache_key);
       if (hit && hit->bytes >= in.bytes) {
@@ -418,7 +412,6 @@ sim::Co<bool> GStreamManager::execute_chunked(StreamWorker* w, const GWorkPtr& w
         if (hit) memory_->unpin(gpu_index, work->job_id, in.cache_key);  // undersized hit
         if (auto slot = memory_->insert(gpu_index, work->job_id, in.cache_key, in.bytes)) {
           b.device_base = slot->ptr;
-          cache_fill = true;
           pinned_keys.push_back(in.cache_key);
           inserted_keys.push_back(in.cache_key);
         }
@@ -442,7 +435,6 @@ sim::Co<bool> GStreamManager::execute_chunked(StreamWorker* w, const GWorkPtr& w
     if (!cache_hit) {
       b.upfront_h2d = b.stride == 0;
       b.h2d = b.stride != 0;  // chunk-wise H2D (into ring, cache slot, or temporary)
-      b.prefill_shadow = cache_fill && b.stride != 0;
     }
     ctx.buffers.push_back(b);
   }
@@ -464,19 +456,11 @@ sim::Co<bool> GStreamManager::execute_chunked(StreamWorker* w, const GWorkPtr& w
     co_return false;
   }
 
-  // Transfer pass: now that every placement is secured, move the upfront
-  // data.
-  for (ChunkBuf& b : ctx.buffers) {
-    if (b.upfront_h2d) {
-      // Indivisible (aux/broadcast): one whole transfer before the
-      // pipeline starts; every chunk kernel binds the full buffer.
-      co_await api.memcpy_h2d(b.device_base, *b.host, 0, b.bytes, label);
-    } else if (b.prefill_shadow) {
-      // The entry is visible to concurrent streams from the moment
-      // insert() returned; make its real bytes coherent now — the chunk
-      // DMAs below model the transfer *time* and rewrite the same bytes.
-      std::memcpy(api.device().memory().shadow(b.device_base, b.bytes), b.host->data(), b.bytes);
-    }
+  // Transfer pass: now that every placement is secured, charge the upfront
+  // transfers. Indivisible (aux/broadcast) inputs move whole before the
+  // pipeline starts; every chunk kernel binds the full buffer.
+  for (const ChunkBuf& b : ctx.buffers) {
+    if (b.upfront_h2d) co_await api.charge_h2d(*b.host, 0, b.bytes, label);
   }
   for (auto& out : work->outputs) {
     ChunkBuf b;
@@ -641,7 +625,9 @@ sim::Co<void> GStreamManager::execute(StreamWorker* w, const GWorkPtr& work) {
         }
         temporaries.push_back(dptr);
       }
-      bindings.push_back({dptr, in.bytes});
+      // The kernel reads the GWork's own host bytes in place; the device
+      // placement above models capacity and the cache.
+      bindings.push_back({dptr, in.bytes, in.host->data()});
       input_needs_transfer.push_back(need_transfer);
     }
     if (placed) {
@@ -688,11 +674,12 @@ sim::Co<void> GStreamManager::execute(StreamWorker* w, const GWorkPtr& work) {
     co_await sim_->delay(config_.oom_retry_backoff << std::min(attempt, 10));
   }
 
-  // Stage 1b: H2D input transfers into the placed buffers.
+  // Stage 1b: H2D input transfers into the placed buffers (charged, not
+  // copied: the kernel reads the inputs in place).
   for (std::size_t i = 0; i < work->inputs.size(); ++i) {
     if (!input_needs_transfer[i]) continue;
-    auto& in = work->inputs[i];
-    co_await api.memcpy_h2d(bindings[i].ptr, *in.host, 0, in.bytes, label);
+    const auto& in = work->inputs[i];
+    co_await api.charge_h2d(*in.host, 0, in.bytes, label);
   }
 
   // Stage 2: kernel execution.

@@ -65,6 +65,13 @@ class CudaStub {
     co_await device_->copy_h2d(src, src_offset, dst, bytes, label);
   }
 
+  /// The cost of memcpy_h2d for bytes a kernel reads in place from `src`
+  /// (GpuDevice::charge_h2d): no destination bytes are written.
+  sim::Co<void> charge_h2d(const mem::HBuffer& src, std::size_t src_offset, std::uint64_t bytes,
+                           const std::string& label = {}) {
+    co_await device_->charge_h2d(src, src_offset, bytes, label);
+  }
+
   /// cudaMemcpyD2H / cudaMemcpyD2HAsync.
   sim::Co<void> memcpy_d2h(mem::HBuffer& dst, std::size_t dst_offset, DevicePtr src,
                            std::uint64_t bytes, const std::string& label = {}) {
@@ -159,6 +166,11 @@ class CudaWrapper {
                            std::uint64_t bytes, const std::string& label = {}) {
     co_await jni();
     co_await stub_->memcpy_h2d(dst, src, src_offset, bytes, label);
+  }
+  sim::Co<void> charge_h2d(const mem::HBuffer& src, std::size_t src_offset, std::uint64_t bytes,
+                           const std::string& label = {}) {
+    co_await jni();
+    co_await stub_->charge_h2d(src, src_offset, bytes, label);
   }
   sim::Co<void> memcpy_d2h(mem::HBuffer& dst, std::size_t dst_offset, DevicePtr src,
                            std::uint64_t bytes, const std::string& label = {}) {

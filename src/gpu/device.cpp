@@ -73,8 +73,13 @@ sim::Co<void> GpuDevice::copy_h2d(const mem::HBuffer& src, std::size_t src_offse
   // simulated duration elapses afterwards (single-threaded determinism
   // makes the distinction unobservable to well-formed programs that await
   // the copy before launching kernels on it).
-  std::byte* shadow = memory_.shadow(dst, bytes);
-  std::memcpy(shadow, src.data() + src_offset, bytes);
+  std::memcpy(memory_.shadow(dst, bytes), src.data() + src_offset, bytes);
+  co_await charge_h2d(src, src_offset, bytes, label);
+}
+
+sim::Co<void> GpuDevice::charge_h2d(const mem::HBuffer& src, std::size_t src_offset,
+                                    std::uint64_t bytes, const std::string& label) {
+  GFLINK_CHECK(src_offset + bytes <= src.size());
   bytes_h2d_ += bytes;
   co_await dma(copy_a_, Lane::H2D, bytes, src.pinned(), src.off_heap(), label, h2d_busy_);
 }
@@ -107,10 +112,10 @@ sim::Co<void> GpuDevice::launch(const Kernel& kernel, const std::vector<BufferBi
   launch.params = params;
   launch.buffers.reserve(buffers.size());
   for (const auto& b : buffers) {
-    launch.buffers.emplace_back(memory_.shadow(b.ptr, b.len), b.len);
+    launch.buffers.emplace_back(b.host != nullptr ? b.host : memory_.shadow(b.ptr, b.len), b.len);
   }
 
-  kernel.fn(launch);  // real computation on the shadow memory
+  kernel.fn(launch);  // real computation on host inputs and output shadows
 
   sim::Duration dur = kernel_duration(kernel, spec_, items, layout);
   mark_engine(/*copy=*/false, +1);

@@ -3,8 +3,9 @@
 // reference parameter outlives each suspension; detached launches are
 // separately policed by gflint rules C2/C3.
 // GpuDevice: one simulated GPU board — device memory, DMA copy engines and
-// a compute engine, with real data movement into shadow memory and modelled
-// durations.
+// a compute engine, with modelled durations. copy_h2d/copy_d2h move real
+// bytes through shadow memory; charge_h2d models the same transfer for
+// bytes a kernel then reads in place from host memory.
 //
 // Engine model:
 //  * compute engine: kernels serialize FIFO (large data-parallel kernels
@@ -50,16 +51,25 @@ class GpuDevice {
   sim::Co<void> copy_h2d(const mem::HBuffer& src, std::size_t src_offset, DevicePtr dst,
                          std::uint64_t bytes, const std::string& label = {});
 
+  /// The H2D of copy_h2d with the same time, engine, lane interval and
+  /// bytes_h2d, but no destination bytes: the kernel reads `src` in place
+  /// through a host BufferBinding.
+  sim::Co<void> charge_h2d(const mem::HBuffer& src, std::size_t src_offset, std::uint64_t bytes,
+                           const std::string& label = {});
+
   /// Copy device memory back to a host buffer (occupies the D2H engine).
   sim::Co<void> copy_d2h(DevicePtr src, mem::HBuffer& dst, std::size_t dst_offset,
                          std::uint64_t bytes, const std::string& label = {});
 
   /// Run a kernel over device buffers (occupies the compute engine).
-  /// `buffers` are (ptr, len) pairs bound in order; `layout` is the actual
-  /// layout of the data, which scales effective memory bandwidth.
+  /// `buffers` are bound in order; `layout` is the actual layout of the
+  /// data, which scales effective memory bandwidth.
   struct BufferBinding {
-    DevicePtr ptr;
-    std::uint64_t len;
+    DevicePtr ptr = 0;
+    std::uint64_t len = 0;
+    /// When set, the kernel gets these `len` host bytes instead of the
+    /// shadow at `ptr`: an input whose H2D was charged, not copied.
+    std::byte* host = nullptr;
   };
   sim::Co<void> launch(const Kernel& kernel, const std::vector<BufferBinding>& buffers,
                        std::size_t items, mem::Layout layout, int block_size = 256,

@@ -32,10 +32,7 @@ DevicePtr DeviceMemory::allocate(std::uint64_t bytes) {
       std::uint64_t hole = it->second;
       free_list_.erase(it);
       if (hole > need) free_list_[ptr + need] = hole - need;
-      Allocation a;
-      a.size = need;
-      a.bytes.assign(bytes, std::byte{0});
-      allocations_.emplace(ptr, std::move(a));
+      allocations_.emplace(ptr, Allocation{need, bytes, {}});
       allocated_ += need;
       return ptr;
     }
@@ -47,6 +44,7 @@ void DeviceMemory::free(DevicePtr ptr) {
   auto it = allocations_.find(ptr);
   GFLINK_CHECK_MSG(it != allocations_.end(), "free of unknown device pointer");
   std::uint64_t size = it->second.size;
+  shadow_bytes_ -= it->second.bytes.size();
   allocations_.erase(it);
   allocated_ -= size;
 
@@ -75,25 +73,18 @@ std::uint64_t DeviceMemory::allocation_size(DevicePtr ptr) const {
   return it->second.size;
 }
 
-std::map<DevicePtr, DeviceMemory::Allocation>::const_iterator DeviceMemory::containing(
-    DevicePtr ptr, std::uint64_t len) const {
+std::byte* DeviceMemory::shadow(DevicePtr ptr, std::uint64_t len) {
   auto it = allocations_.upper_bound(ptr);
   GFLINK_CHECK_MSG(it != allocations_.begin(), "device pointer outside any allocation");
   --it;
-  GFLINK_CHECK_MSG(ptr >= it->first && ptr + len <= it->first + it->second.bytes.size(),
+  Allocation& alloc = it->second;
+  GFLINK_CHECK_MSG(ptr >= it->first && ptr + len <= it->first + alloc.requested,
                    "device access out of allocation bounds");
-  return it;
-}
-
-std::byte* DeviceMemory::shadow(DevicePtr ptr, std::uint64_t len) {
-  auto it = containing(ptr, len);
-  auto& alloc = const_cast<Allocation&>(it->second);
+  if (alloc.bytes.empty()) {
+    alloc.bytes.assign(alloc.requested, std::byte{0});
+    shadow_bytes_ += alloc.requested;
+  }
   return alloc.bytes.data() + (ptr - it->first);
-}
-
-const std::byte* DeviceMemory::shadow(DevicePtr ptr, std::uint64_t len) const {
-  auto it = containing(ptr, len);
-  return it->second.bytes.data() + (ptr - it->first);
 }
 
 }  // namespace gflink::gpu

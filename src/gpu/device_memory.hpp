@@ -1,10 +1,12 @@
 // Device memory: a first-fit free-list allocator over the GPU's address
-// range, with host-shadow storage for allocation contents.
+// range, with lazily created host-shadow storage for allocation contents.
 //
 // The simulator cannot (and need not) reserve real gigabytes: the address
-// arithmetic runs over the full virtual capacity, while actual bytes are
-// materialized per allocation ("shadow"), sized by what experiments really
-// ship. Kernels read and write these shadows, so results are real.
+// arithmetic runs over the full virtual capacity, and an allocation holds
+// no bytes until something touches its contents. The first shadow() call
+// on an allocation creates its zero-filled "shadow". Kernels write their
+// outputs into shadows, so results are real; GWork inputs are read in
+// place from host memory and never get one (core/gstream_manager.cpp).
 #pragma once
 
 #include <cstddef>
@@ -29,6 +31,7 @@ class DeviceMemory {
   std::uint64_t free_bytes() const { return capacity_ - allocated(); }
 
   /// First-fit allocation; returns 0 when no hole fits (cudaMalloc OOM).
+  /// Reserves the address range only: no shadow bytes exist yet.
   DevicePtr allocate(std::uint64_t bytes);
 
   /// Whether allocate(bytes) would succeed right now: a contiguous hole of
@@ -45,24 +48,27 @@ class DeviceMemory {
   std::uint64_t allocation_size(DevicePtr ptr) const;
 
   /// Host shadow bytes of the allocation containing [ptr, ptr+len). The
-  /// range must lie within a single live allocation.
+  /// range must lie within the requested size of a single live allocation.
+  /// The first call on an allocation creates its shadow, zero-filled and
+  /// contiguous over the whole requested size.
   std::byte* shadow(DevicePtr ptr, std::uint64_t len);
-  const std::byte* shadow(DevicePtr ptr, std::uint64_t len) const;
 
   std::size_t allocation_count() const { return allocations_.size(); }
 
+  /// Shadow bytes currently held across live allocations: the host memory
+  /// the device model costs.
+  std::uint64_t shadow_bytes() const { return shadow_bytes_; }
+
  private:
   struct Allocation {
-    std::uint64_t size;
-    std::vector<std::byte> bytes;
+    std::uint64_t size;       // aligned size carved from the address range
+    std::uint64_t requested;  // bytes the caller asked for: the bounds
+    std::vector<std::byte> bytes;  // empty until the first shadow() call
   };
-
-  // Returns iterator to the allocation containing ptr, or aborts.
-  std::map<DevicePtr, Allocation>::const_iterator containing(DevicePtr ptr,
-                                                            std::uint64_t len) const;
 
   std::uint64_t capacity_;
   std::uint64_t allocated_ = 0;
+  std::uint64_t shadow_bytes_ = 0;
   std::map<DevicePtr, Allocation> allocations_;   // keyed by base pointer
   std::map<DevicePtr, std::uint64_t> free_list_;  // base -> size, coalesced
 };

@@ -3,9 +3,10 @@
 //
 // In the real GFlink, users compile CUDA C to PTX and register its path;
 // GFlink resolves the function by name at submission (GWork.executeName).
-// Here a kernel is a host function that computes on device-shadow memory
-// (results are real and checked against the CPU path), and its *duration*
-// comes from the cost model evaluated against the executing device's spec.
+// Here a kernel is a host function that computes for real (results are
+// checked against the CPU path): it reads its inputs and writes its outputs
+// through the spans it is handed. Its *duration* comes from the cost model
+// evaluated against the executing device's spec.
 #pragma once
 
 #include <cstddef>
@@ -26,8 +27,9 @@ struct DeviceSpec;
 
 /// What one launched kernel instance sees.
 struct KernelLaunch {
-  /// Device buffers bound to the launch, in GWork order (inputs then
-  /// outputs). Spans alias the device shadow memory.
+  /// Buffers bound to the launch, in GWork order (inputs then outputs).
+  /// A GWork's inputs alias its own host bytes (read-only by contract: a
+  /// kernel must not write them); outputs alias device shadow memory.
   std::vector<std::span<std::byte>> buffers;
   /// Number of logical items (records) the launch covers.
   std::size_t items = 0;

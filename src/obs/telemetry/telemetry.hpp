@@ -8,7 +8,7 @@
 // Everything the rest of src/obs produces (run reports, span DAGs,
 // critical paths, flight dumps) is post-hoc: nothing is visible until the
 // run finishes. GFlink's evaluation reasons about per-node utilization and
-// load *over time*, and the ROADMAP's speculative re-execution item needs
+// load *over time*, and a speculative re-execution scheduler would need
 // live straggler/health signals, not an autopsy. The plane has three
 // layers:
 //
@@ -31,7 +31,8 @@
 //    agree on what "slower than the peers" means). Every firing emits a
 //    structured `HealthEvent`, appended to the flight recorder so a fault
 //    dump includes the health timeline leading up to it. The HealthEvent
-//    stream is the designed hook for speculative execution (ROADMAP 3).
+//    stream is the designed hook for speculative execution: a scheduler
+//    that re-runs a straggler's task would subscribe to it.
 //  * Export — a Prometheus-text renderer of the latest snapshot, and a
 //    JSONL timeline sink (`gflink.telemetry/v1`, one record per sample
 //    period). The CLI exposes --telemetry-out / --telemetry-prom /

@@ -6,7 +6,7 @@
 //
 // The paper's GFlink runs one job graph at a time; its north-star
 // deployment — an in-memory CPU-GPU cluster serving many users — is
-// multi-tenant (ROADMAP item 1). The JobService sits in front of the
+// multi-tenant. The JobService sits in front of the
 // dataflow Engine and:
 //  * admits a stream of job submissions from registered tenants into a
 //    bounded pending queue (FIFO within each tenant), rejecting overflow;

@@ -2,7 +2,8 @@
 // Coroutines in this file are co_awaited in the caller's scope, so every
 // reference parameter outlives each suspension; detached launches are
 // separately policed by gflint rules C2/C3.
-// The tiered, asynchronously-offloaded spill store (ROADMAP item 4).
+// The tiered, asynchronously-offloaded spill store: memory, disk and DFS
+// tiers behind a bounded offload queue.
 //
 // DShuffle's core observation (and the GC-vs-serialization paper's
 // quantified complaint) is that spill I/O and serde on the producing

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstring>
+#include <span>
 
 #include "core/gdst.hpp"
 #include "core/gmemory_manager.hpp"
@@ -39,6 +40,13 @@ const mem::StructDesc& kv_desc() {
                                        .field("value", mem::FieldType::I64, 1, offsetof(KV, value))
                                        .build();
   return d;
+}
+
+/// Input spans each "core_record_inputs" launch received, one entry per
+/// launch (every buffer but the last, which is the output).
+std::vector<std::vector<std::span<const std::byte>>>& recorded_inputs() {
+  static std::vector<std::vector<std::span<const std::byte>>> launches;
+  return launches;
 }
 
 // Kernel: out[i] = {in[i].key, 2 * in[i].value}. Buffers: [in, out].
@@ -82,6 +90,15 @@ void register_test_kernels() {
     out[0] = acc;
   };
   gpu::KernelRegistry::global().register_kernel(k3);
+
+  // core_double_kv that also records where its inputs live.
+  gpu::Kernel k4 = k;
+  k4.name = "core_record_inputs";
+  k4.fn = [double_kv = k.fn](gpu::KernelLaunch& launch) {
+    recorded_inputs().emplace_back(launch.buffers.begin(), launch.buffers.end() - 1);
+    double_kv(launch);
+  };
+  gpu::KernelRegistry::global().register_kernel(k4);
 }
 
 /// Standalone GPU fixture: two devices + wrappers + cache manager + streams.
@@ -897,6 +914,84 @@ TEST(ChunkedPipeline, StagingFailureFallsBackWithoutDeadlock) {
     ASSERT_EQ(result[i].value, static_cast<std::int64_t>(2 * i));
   }
 }
+
+namespace {
+
+/// Run a miss (uncached), a cache fill and a cache hit of one block plus
+/// an indivisible aux buffer, and check that every kernel launch read both
+/// inputs from the GWork's own host bytes: the block as contiguous tiles
+/// covering it, the aux buffer whole. No device shadow outlives a GWork,
+/// so the cache entries hold no bytes.
+void expect_inputs_read_in_place(std::uint64_t chunk_bytes) {
+  constexpr std::size_t kN = 4096;
+  core::GStreamConfig cfg;
+  cfg.chunk_bytes = chunk_bytes;
+  StreamFixture f(cfg);
+  const auto shadow_bytes = [&f] {
+    return f.dev0.memory().shadow_bytes() + f.dev1.memory().shadow_bytes();
+  };
+  const auto bytes_h2d = [&f] { return f.dev0.bytes_h2d() + f.dev1.bytes_h2d(); };
+
+  for (const char* step : {"miss", "fill", "hit"}) {
+    SCOPED_TRACE(step);
+    const bool cache = std::strcmp(step, "miss") != 0;
+    auto work = f.make_work(kN, cache, /*key=*/5);
+    work->execute_name = "core_record_inputs";
+    make_chunkable(*work);
+    auto aux = std::make_shared<mem::HBuffer>(sizeof(KV), f.addresses.allocate(sizeof(KV)));
+    aux->set_pinned(true);
+    GBuffer ab;
+    ab.host = aux;
+    ab.bytes = sizeof(KV);
+    ab.cache = cache;
+    ab.cache_key = 6;
+    ab.counts_for_locality = false;
+    work->inputs.push_back(ab);
+
+    recorded_inputs().clear();
+    const std::uint64_t hits_before = f.memory.hits();
+    const std::uint64_t h2d_before = bytes_h2d();
+    run_work(f.s, f.streams, work);
+
+    const bool chunked = chunk_bytes != 0;
+    EXPECT_EQ(work->executed_chunks > 1, chunked);
+    const mem::HBuffer& in = *work->inputs[0].host;
+    std::vector<std::span<const std::byte>> tiles;
+    for (const auto& launch : recorded_inputs()) {
+      ASSERT_EQ(launch.size(), 2u);
+      tiles.push_back(launch[0]);
+      EXPECT_EQ(launch[1].data(), aux->data());
+      EXPECT_EQ(launch[1].size(), sizeof(KV));
+    }
+    ASSERT_EQ(tiles.size(), work->executed_chunks);
+    std::sort(tiles.begin(), tiles.end(),
+              [](const auto& a, const auto& b) { return a.data() < b.data(); });
+    const std::byte* next = in.data();
+    for (const auto& t : tiles) {
+      EXPECT_EQ(t.data(), next);
+      next = t.data() + t.size();
+    }
+    EXPECT_EQ(next, in.data() + in.size());
+
+    // The hit reads its own bytes and transfers nothing; the miss and the
+    // fill still pay for every input byte.
+    const bool hit = std::strcmp(step, "hit") == 0;
+    EXPECT_EQ(f.memory.hits() - hits_before, hit ? 2u : 0u);
+    EXPECT_EQ(bytes_h2d() - h2d_before, hit ? 0u : in.size() + sizeof(KV));
+    const KV* result = reinterpret_cast<const KV*>(work->outputs[0].host->data());
+    for (std::size_t i = 0; i < kN; ++i) {
+      ASSERT_EQ(result[i].value, static_cast<std::int64_t>(2 * i));
+    }
+    EXPECT_EQ(f.memory.cached_bytes(work->executed_on_gpu, 1) > 0, cache);
+    EXPECT_EQ(shadow_bytes(), 0u);
+  }
+}
+
+}  // namespace
+
+TEST(GStreamManager, InputsAreReadInPlace) { expect_inputs_read_in_place(0); }
+
+TEST(ChunkedPipeline, InputsAreReadInPlace) { expect_inputs_read_in_place(16 << 10); }
 
 // ---- GDST / GpuManager end-to-end -------------------------------------------
 

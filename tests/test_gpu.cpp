@@ -2,6 +2,7 @@
 // kernel execution, overlap behaviour, and the two host API layers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "gpu/api.hpp"
@@ -105,6 +106,32 @@ TEST(DeviceMemory, ShadowIsReadableAndBoundsChecked) {
   EXPECT_EQ(m.shadow(a + 64, 64), s + 64);
 }
 
+TEST(DeviceMemory, ShadowsAreCreatedOnFirstTouch) {
+  // Allocation reserves address space only: the full C2050 capacity holds
+  // no host bytes.
+  const std::uint64_t capacity = gpu::DeviceSpec::c2050().device_memory;
+  gpu::DeviceMemory m(capacity);
+  const auto big = m.allocate(capacity - 4096);
+  const auto small = m.allocate(1000);
+  ASSERT_NE(big, 0u);
+  ASSERT_NE(small, 0u);
+  EXPECT_EQ(m.shadow_bytes(), 0u);
+
+  // The first touch creates the whole requested range, zeroed and
+  // contiguous, whichever interior range it asks for.
+  const std::byte* tail = m.shadow(small + 600, 400);
+  EXPECT_EQ(m.shadow_bytes(), 1000u);
+  const std::byte* head = m.shadow(small, 1000);
+  EXPECT_EQ(head + 600, tail);
+  EXPECT_TRUE(std::all_of(head, head + 1000, [](std::byte b) { return b == std::byte{0}; }));
+  EXPECT_EQ(m.shadow_bytes(), 1000u);
+
+  m.free(small);
+  EXPECT_EQ(m.shadow_bytes(), 0u);
+  m.free(big);
+  EXPECT_EQ(m.allocated(), 0u);
+}
+
 TEST(KernelCost, RooflineComputeVsMemoryBound) {
   auto spec = test_spec();
   gpu::Kernel k;
@@ -164,6 +191,55 @@ TEST(GpuDevice, H2dKernelD2hRoundTripComputesCorrectly) {
   EXPECT_EQ(dev.bytes_h2d(), 1024u);
   EXPECT_EQ(dev.bytes_d2h(), 1024u);
   EXPECT_EQ(dev.kernels_launched(), 1u);
+}
+
+TEST(GpuDevice, ChargedH2dCostsACopyButMovesNoBytes) {
+  // charge_h2d is copy_h2d without the destination write: same engine
+  // time, byte counter and lane interval, and the kernel then reads the
+  // host bytes in place through a host binding.
+  struct Run {
+    Time end = 0;
+    std::uint64_t shadow_after_h2d = 0;
+  };
+  const auto run = [](bool charge) {
+    Simulation s;
+    obs::SpanStore trace;
+    trace.set_retain(true);
+    gpu::GpuDevice dev(s, "gpu0", test_spec(), &trace);
+    mem::AddressSpace as;
+    mem::HBuffer host(1024, as.allocate(1024));
+    host.set_pinned(true);
+    auto* vals = reinterpret_cast<std::uint32_t*>(host.data());
+    for (std::uint32_t i = 0; i < 256; ++i) vals[i] = i;
+    auto k = double_kernel();
+    Run r;
+    s.spawn([](gpu::GpuDevice& d, mem::HBuffer& h, const gpu::Kernel& kern, bool charged,
+               Run& out) -> Co<void> {
+      const DevicePtr p = d.memory().allocate(1024);
+      if (charged) {
+        co_await d.charge_h2d(h, 0, 1024);
+      } else {
+        co_await d.copy_h2d(h, 0, p, 1024);
+      }
+      out.shadow_after_h2d = d.memory().shadow_bytes();
+      std::vector<gpu::GpuDevice::BufferBinding> bind{{p, 1024, charged ? h.data() : nullptr}};
+      co_await d.launch(kern, bind, 256, mem::Layout::SoA);
+      d.memory().free(p);
+    }(dev, host, k, charge, r));
+    s.run();
+    r.end = s.now();
+    EXPECT_EQ(dev.bytes_h2d(), 1024u);
+    EXPECT_EQ(dev.h2d_busy(), dev.dma_time(1024, /*pinned=*/true));
+    EXPECT_EQ(trace.lane_intervals().size(), 2u);  // one H2D, one kernel
+    // The in-place kernel doubled the host bytes; the copied one its shadow.
+    EXPECT_EQ(vals[255], charge ? 510u : 255u);
+    return r;
+  };
+  const Run copied = run(false);
+  const Run charged = run(true);
+  EXPECT_EQ(charged.end, copied.end);
+  EXPECT_EQ(copied.shadow_after_h2d, 1024u);
+  EXPECT_EQ(charged.shadow_after_h2d, 0u);
 }
 
 TEST(GpuDevice, DmaTimePinnedVsPageable) {

@@ -15,6 +15,7 @@
 
 namespace sim = gflink::sim;
 namespace obs = gflink::obs;
+namespace df = gflink::dataflow;
 namespace wl = gflink::workloads;
 using wl::Mode;
 using wl::Testbed;
@@ -349,6 +350,80 @@ TEST(Workloads, RunsAreDeterministic) {
   auto b = wl::run(&wl::kmeans::run, tb, Mode::Gpu, cfg);
   EXPECT_EQ(a.run.total, b.run.total);
   EXPECT_EQ(a.run.checksum, b.run.checksum);
+}
+
+// ---- Read-only kernel inputs --------------------------------------------------
+
+namespace {
+
+/// FNV-1a 64 over the record bytes of every partition of `data`.
+std::uint64_t record_hash(const df::DataHandle& data) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const auto& part : data->parts) {
+    for (const std::byte b : part.batch->bytes()) {
+      h = (h ^ static_cast<std::uint64_t>(b)) * 1099511628211ULL;
+    }
+  }
+  return h;
+}
+
+/// Materialize records gen(0..n) in a GFlink-mode session, run
+/// map(dataset, iteration) over them for iterations 0 and 1 (the second
+/// hits the GPU cache), and check the records hash the same afterwards:
+/// kernels read their inputs in place and must not write them.
+template <typename T, typename Gen, typename Map>
+void expect_gpu_mapper_leaves_input_intact(const gflink::mem::StructDesc* desc, std::uint64_t n,
+                                           Gen gen, Map map) {
+  wl::Session session(small_testbed(), Mode::Gpu);
+  std::uint64_t before = 0, after = 0;
+  session.engine().run([&](df::Engine& eng) -> sim::Co<void> {
+    df::Job job(eng, "read-only-inputs");
+    co_await job.submit();
+    const int parts = eng.default_parallelism();
+    auto src = df::DataSet<T>::from_generator(
+        eng, desc, parts, [n, parts, gen](int p, std::vector<T>& out) {
+          for (auto i = static_cast<std::uint64_t>(p); i < n;
+               i += static_cast<std::uint64_t>(parts)) {
+            out.push_back(gen(i));
+          }
+        });
+    const df::DataHandle data = co_await src.materialize(job);
+    before = record_hash(data);
+    for (std::uint64_t iteration = 0; iteration < 2; ++iteration) {
+      (void)co_await map(df::DataSet<T>::from_handle(eng, data), iteration).count(job);
+    }
+    after = record_hash(data);
+    session.runtime()->release_job(job.id());
+    job.finish();
+  });
+  EXPECT_GT(session.runtime()->total_cache_hits(), 0u);
+  EXPECT_EQ(after, before);
+}
+
+}  // namespace
+
+TEST(KMeans, GpuMapperLeavesCachedInputIntact) {
+  auto centers = std::make_shared<std::vector<wl::Point>>(wl::kClusters);
+  for (int c = 0; c < wl::kClusters; ++c) {
+    (*centers)[static_cast<std::size_t>(c)] =
+        wl::kmeans::point_at(static_cast<std::uint64_t>(c), 1);
+  }
+  expect_gpu_mapper_leaves_input_intact<wl::Point>(
+      &wl::point_desc(), 20'000, [](std::uint64_t i) { return wl::kmeans::point_at(i, 1); },
+      [centers](const df::DataSet<wl::Point>& points, std::uint64_t iteration) {
+        return wl::kmeans::mapper(points, Mode::Gpu, centers, iteration);
+      });
+}
+
+TEST(PageRank, GpuMapperLeavesCachedInputIntact) {
+  constexpr std::uint64_t kPages = 20'000;
+  auto ranks = std::make_shared<std::vector<float>>(kPages, 1.0f / kPages);
+  expect_gpu_mapper_leaves_input_intact<wl::Page>(
+      &wl::page_desc(), kPages,
+      [](std::uint64_t i) { return wl::pagerank::page_at(i, kPages, 23); },
+      [ranks](const df::DataSet<wl::Page>& pages, std::uint64_t iteration) {
+        return wl::pagerank::mapper(pages, Mode::Gpu, ranks, iteration);
+      });
 }
 
 // Property sweep: GPU speedup over CPU is positive for the compute-bound

@@ -19,6 +19,10 @@ orderings, a chunked pipeline beating monolithic, the critical path
 summing to the makespan, tenant shares on their weights, and the health
 detectors' attribution and overhead budget.
 
+After its verdict it prints a host ledger: each bench's wall_seconds and
+peak_rss_mb, sorted by RSS, with suite totals. The ledger gates nothing;
+host numbers are noisy.
+
 Usage (from a directory of fresh reports, e.g. GFLINK_BENCH_OUT=perf-reports):
   tools/bench_gate.py --reports perf-reports           # check
   tools/bench_gate.py --reports perf-reports --update  # rewrite the digests and tables
@@ -258,6 +262,21 @@ def load_reports(reports_dir, benches):
     return reports, failures
 
 
+def host_ledger(reports):
+    """-> the lines of the host ledger: wall time and peak RSS per bench."""
+    rows = sorted(((r.get("peak_rss_mb", 0.0), r.get("wall_seconds", 0.0), b)
+                   for b, r in reports.items()), reverse=True)
+    width = max([len(b) for _, _, b in rows] + [len("bench")])
+    lines = ["host ledger (not gated):",
+             f"  {'bench':<{width}}  {'wall_s':>8}  {'peak_rss_mb':>11}"]
+    lines += [f"  {b:<{width}}  {wall:8.2f}  {rss:11.1f}" for rss, wall, b in rows]
+    if rows:
+        total = f"total ({len(rows)})"
+        lines.append(f"  {total:<{width}}  {sum(w for _, w, _ in rows):8.2f}  "
+                     f"{'max ' + format(rows[0][0], '.1f'):>11}")
+    return lines
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -298,13 +317,12 @@ def main():
         if len(bodies) == len(TABLES):
             diff = tablelib.sync_blocks(EXPERIMENTS, bodies, update=False)
     if failures or diff:
-        sys.exit("bench gate failed:\n"
-                 + "".join(f"  {line}\n" for line in failures)
-                 + "".join(f"{line}\n" for line in diff)
-                 + "If a change is meant to move these numbers, re-run every bench and "
-                 "tools/bench_gate.py --update, and say why in the commit.")
-
-    if args.update:
+        print("bench gate failed:\n"
+              + "".join(f"  {line}\n" for line in failures)
+              + "".join(f"{line}\n" for line in diff)
+              + "If a change is meant to move these numbers, re-run every bench and "
+              "tools/bench_gate.py --update, and say why in the commit.", file=sys.stderr)
+    elif args.update:
         with open(DIGESTS, "w") as f:
             json.dump(fresh, f, indent=2, sort_keys=True)
             f.write("\n")
@@ -312,6 +330,9 @@ def main():
         print(f"updated {DIGESTS} and the {len(bodies)} EXPERIMENTS.md bench tables")
     else:
         print(f"bench gate passed: {len(fresh)} digests and {len(bodies)} tables exact")
+    print("\n".join(host_ledger(reports)), flush=True)
+    if failures or diff:
+        sys.exit(1)
 
 
 if __name__ == "__main__":
