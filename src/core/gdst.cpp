@@ -5,17 +5,17 @@
 #include "core/gdst.hpp"
 
 #include <deque>
+#include <utility>
 
 namespace gflink::core {
 
 namespace {
 
-/// Await the oldest in-flight block. Its output already sits in place in the
-/// task's output batch (the D2H wrote through the view); dropping the GWork
-/// releases the block's page budget. Bounding the in-flight window keeps the
-/// task's footprint independent of partition size (and free of budget
-/// deadlocks). A named coroutine instead of a capturing lambda (gflint C1);
-/// awaited in-scope.
+/// Await the oldest in-flight block. Its output already sits in place (the
+/// D2H wrote through the view); dropping the GWork releases the block's page
+/// budget. Bounding the in-flight window keeps the task's footprint
+/// independent of partition size (and free of budget deadlocks). A named
+/// coroutine instead of a capturing lambda (gflint C1); awaited in-scope.
 sim::Co<void> retire_oldest_block(std::deque<GWorkPtr>& in_flight) {
   GWorkPtr work = std::move(in_flight.front());
   in_flight.pop_front();
@@ -25,7 +25,7 @@ sim::Co<void> retire_oldest_block(std::deque<GWorkPtr>& in_flight) {
 }  // namespace
 
 sim::Co<void> gpu_map_partition_run(dataflow::TaskContext& ctx, const GpuOpSpec& spec,
-                                    const mem::RecordBatch& in, mem::RecordBatch& out) {
+                                    mem::RecordBatch& in, mem::RecordBatch& out) {
   GpuManager& mgr = GpuManager::of(ctx);
   if (in.count() == 0) co_return;
   GFLINK_CHECK_MSG(in.layout() == mem::Layout::AoS, "GDST blocks are built from AoS pages");
@@ -43,12 +43,21 @@ sim::Co<void> gpu_map_partition_run(dataflow::TaskContext& ctx, const GpuOpSpec&
   const auto block_out_records = [&](std::size_t n) {
     return spec.out_items ? spec.out_items(n) : n;
   };
-  // The output size is known before the first block is submitted: size the
-  // batch once, so each block's D2H lands in its own slot of it.
+  // The output size is known before the first block is submitted. If every
+  // block yields one record of the input's type per input record and the
+  // task owns its input, each block's D2H lands on the block's own input
+  // bytes and `out` takes the partition's storage at the end. Otherwise
+  // size `out` once, so each block's D2H lands in its own slot of it.
+  bool in_place = ctx.owns_input() && &out.desc() == &in.desc() && out.empty();
   std::size_t next_out = out.count();
   std::size_t total_out = next_out;
-  for (std::size_t b = 0; b < blocks; ++b) total_out += block_out_records(block_records(b));
-  out.resize(total_out);
+  for (std::size_t b = 0; b < blocks; ++b) {
+    const std::size_t n = block_records(b);
+    const std::size_t out_records = block_out_records(n);
+    in_place = in_place && out_records == n;
+    total_out += out_records;
+  }
+  if (!in_place) out.resize(total_out);
 
   // Task-level shared pieces: broadcast buffers and kernel parameters.
   std::vector<GBuffer> aux =
@@ -57,7 +66,7 @@ sim::Co<void> gpu_map_partition_run(dataflow::TaskContext& ctx, const GpuOpSpec&
 
   mem::MemoryManager& memory = ctx.worker_state().memory();
 
-  // Block buffers are views of `in` and `out`, so no block may outlive this
+  // Block buffers are views of `in` or `out`, so no block may outlive this
   // call. Every exit path below retires every submitted block: nothing
   // between a submit and the final drain throws (only the engine's
   // work_delay raises TaskFailed, and it is not called here).
@@ -74,12 +83,14 @@ sim::Co<void> gpu_map_partition_run(dataflow::TaskContext& ctx, const GpuOpSpec&
     const std::size_t out_records = block_out_records(n);
     const std::size_t out_bytes = out_records * out_stride;
 
-    // The input block is the partition's own off-heap page (zero copy);
-    // kernels and DMA only ever read input blocks.
-    mem::HBufferPtr in_buf = co_await memory.view(
-        const_cast<std::byte*>(in.record_ptr(first)), in_bytes, in_bytes);
-    mem::HBufferPtr out_buf = co_await memory.view(out.bytes().data() + next_out * out_stride,
-                                                   out_bytes, std::max<std::size_t>(out_bytes, 1));
+    // The input block is the partition's own off-heap page (zero copy).
+    // Kernels read it at launch and write a device buffer; only the D2H,
+    // after the block's (or chunk's) kernel ran, may write over it in place.
+    std::byte* const in_ptr = in.record_ptr(first);
+    mem::HBufferPtr in_buf = co_await memory.view(in_ptr, in_bytes, in_bytes);
+    std::byte* const out_ptr = in_place ? in_ptr : out.bytes().data() + next_out * out_stride;
+    mem::HBufferPtr out_buf =
+        co_await memory.view(out_ptr, out_bytes, std::max<std::size_t>(out_bytes, 1));
     next_out += out_records;
 
     auto work = std::make_shared<GWork>();
@@ -125,6 +136,9 @@ sim::Co<void> gpu_map_partition_run(dataflow::TaskContext& ctx, const GpuOpSpec&
   while (!in_flight.empty()) {
     co_await retire_oldest_block(in_flight);
   }
+  // Every block's output now sits on its input bytes: the output batch
+  // takes the partition's storage, and the consumed input is left empty.
+  if (in_place) std::swap(in, out);
 }
 
 }  // namespace gflink::core

@@ -11,13 +11,24 @@
 // spec into the engine's AsyncPartitionFn: at run time the partition is
 // split into page-sized blocks (§5.1 — a GStruct never straddles a page),
 // one GWork per block is submitted to the worker's GStreamManager, and each
-// block's output is written in place into the task's output batch.
+// block's output is written in place where it stays.
 //
 // Zero copy: a block's input buffer is a view of the partition's own record
-// bytes, and its output buffer is a view of the block's slot in the output
-// batch, sized once before the first submit. The H2D reads the partition
-// and the D2H writes the result where it stays; the page budget is charged
-// per block exactly as for a separately allocated block buffer.
+// bytes. Its output buffer is a view of where the block's result stays:
+// - If the task owns its input (TaskContext::owns_input), the op's output
+//   descriptor is the input's, and every block yields one output record per
+//   input record, the output view is the block's own input bytes. Once the
+//   last block retires, the output batch takes the partition's storage and
+//   the input is left empty: no second batch is allocated.
+// - Otherwise it is the block's slot in the output batch, sized once before
+//   the first submit. A dataset the caller holds is never written.
+// Writing over the input is safe because a kernel reads its inputs in place
+// at launch and writes a device buffer, the D2H copies that buffer back only
+// after the block's (or chunk's) kernel ran, and no other block reads those
+// bytes. The H2D reads the partition and the D2H writes the result where it
+// stays; both views are charged to the page budget per block exactly as
+// separately allocated block buffers would be, so the model is the same on
+// either path.
 //
 // Note on layouts: block buffers physically hold AoS GStruct bytes (the
 // zero-copy representation); GWork.layout declares the access pattern the
@@ -68,14 +79,15 @@ struct GpuOpSpec {
 
 /// Execute a GPU-based mapPartition over one partition: split into blocks,
 /// submit one GWork per block (they pipeline across streams) and await
-/// all. Block outputs land in `out` in block order.
+/// all. Block outputs land in `out` in block order; `in` is left empty if
+/// the blocks were written over it (see "Zero copy" above).
 sim::Co<void> gpu_map_partition_run(dataflow::TaskContext& ctx, const GpuOpSpec& spec,
-                                    const mem::RecordBatch& in, mem::RecordBatch& out);
+                                    mem::RecordBatch& in, mem::RecordBatch& out);
 
 /// Typed facade: build the AsyncPartitionFn for DataSet::async_map_partition.
 inline dataflow::AsyncPartitionFn gpu_map_partition(GpuOpSpec spec) {
   auto shared = std::make_shared<GpuOpSpec>(std::move(spec));
-  return [shared](dataflow::TaskContext& ctx, const mem::RecordBatch& in,
+  return [shared](dataflow::TaskContext& ctx, mem::RecordBatch& in,
                   mem::RecordBatch& out) -> sim::Co<void> {
     return gpu_map_partition_run(ctx, *shared, in, out);
   };

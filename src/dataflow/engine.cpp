@@ -247,8 +247,10 @@ sim::Co<DataHandle> Engine::run_plan(Job& job, const PlanNodePtr& sink) {
   auto chain = linearize(sink.get());
   DataHandle data = co_await run_source(job, chain.front()->source);
   auto stages = split_stages(chain);
+  // Each stage takes its input over: unless the caller keeps that dataset
+  // (a from_handle source), the stage holds its only reference.
   for (const Stage& stage : stages) {
-    data = co_await run_stage(job, stage, data);
+    data = co_await run_stage(job, stage, std::move(data));
   }
   co_return data;
 }
@@ -363,7 +365,7 @@ sim::Co<void> Engine::stage_task(Job& job, const Stage& stage, int part_index,
                                  const MaterializedDataSet::Part& in, MaterializedDataSet& out,
                                  shuffle::ShuffleSession* exchange, int out_partitions,
                                  StageStat& stat, obs::SpanId stage_span,
-                                 obs::StrId task_name) {
+                                 obs::StrId task_name, bool* consumed) {
   const int worker = in.worker;
   obs::SpanStore& sp = cluster_.spans();
   const obs::SpanId task_span = open_task(task_name, stage_span, worker);
@@ -399,7 +401,12 @@ sim::Co<void> Engine::stage_task(Job& job, const Stage& stage, int part_index,
       out.parts[static_cast<std::size_t>(part_index)] = {worker, std::move(result)};
     } else {
       auto result = std::make_shared<mem::RecordBatch>(terminal->out_desc);
-      TaskContext ctx(*this, job, worker, part_index, task_span);
+      // The task owns a batch its record ops built, and the stage's input
+      // partition if the stage owns that. From here on the function may
+      // write over its input.
+      const bool owns_batch = !ops.empty() || consumed != nullptr;
+      if (ops.empty() && consumed != nullptr) *consumed = true;
+      TaskContext ctx(*this, job, worker, part_index, task_span, owns_batch);
       co_await terminal->async_fn(ctx, *batch, *result);
       out.parts[static_cast<std::size_t>(part_index)] = {worker, std::move(result)};
     }
@@ -491,6 +498,12 @@ sim::Co<DataHandle> Engine::run_stage(Job& job, const Stage& stage, DataHandle i
       0);
   const obs::StrId task_name = cluster_.spans().intern("task:" + stat.name);
 
+  // The stage owns its input when it holds the only reference to it (see
+  // run_plan). Its tasks may then consume their partitions, and a consumed
+  // partition can never be re-run.
+  const bool owns_input = input.use_count() == 1;
+  auto consumed = std::make_unique<bool[]>(input->parts.size());
+
   const int out_partitions = static_cast<int>(input->parts.size());
   auto out = std::make_shared<MaterializedDataSet>();
   out->desc = stage.out_desc != nullptr ? stage.out_desc : input->desc;
@@ -519,10 +532,11 @@ sim::Co<DataHandle> Engine::run_stage(Job& job, const Stage& stage, DataHandle i
       sim_.spawn([](Engine& eng, Job& jb, const Stage& st, int idx,
                     MaterializedDataSet::Part part_in, MaterializedDataSet& result,
                     shuffle::ShuffleSession* ex, int nparts, StageStat& ss, obs::SpanId st_span,
-                    obs::StrId tname, std::shared_ptr<std::vector<int>> fails,
+                    obs::StrId tname, bool* consumed_flag, std::shared_ptr<std::vector<int>> fails,
                     sim::WaitGroup& join) -> sim::Co<void> {
         try {
-          co_await eng.stage_task(jb, st, idx, part_in, result, ex, nparts, ss, st_span, tname);
+          co_await eng.stage_task(jb, st, idx, part_in, result, ex, nparts, ss, st_span, tname,
+                                  consumed_flag);
         } catch (const TaskFailed&) {
           ++eng.tasks_failed_;
           ++jb.stats().tasks_failed;
@@ -530,7 +544,8 @@ sim::Co<DataHandle> Engine::run_stage(Job& job, const Stage& stage, DataHandle i
         }
         join.done();
       }(*this, job, stage, index, part, *out, exchange.get(), out_partitions,
-        stat, stage_span, task_name, failed, wg));
+        stat, stage_span, task_name,
+        owns_input ? &consumed[static_cast<std::size_t>(index)] : nullptr, failed, wg));
     }
     co_await wg.wait();
     pending.clear();
@@ -538,6 +553,10 @@ sim::Co<DataHandle> Engine::run_stage(Job& job, const Stage& stage, DataHandle i
       // Heartbeat timeout before the JobManager reacts, then reassignment.
       co_await sim_.delay(config_.failure_detection_delay);
       for (int idx : *failed) {
+        GFLINK_CHECK_MSG(!consumed[static_cast<std::size_t>(idx)],
+                         "run_stage: partition " + std::to_string(idx) + " of stage " +
+                             stat.name + " failed after it consumed its input, so it "
+                             "cannot be re-run");
         MaterializedDataSet::Part retry = input->parts[static_cast<std::size_t>(idx)];
         retry.worker = pick_alive_worker(retry.worker);
         ++tasks_retried_;

@@ -149,9 +149,9 @@ class Worker {
 class TaskContext {
  public:
   TaskContext(Engine& engine, Job& job, int worker_node, int partition_index,
-              obs::SpanId span = 0)
+              obs::SpanId span = 0, bool owns_input = false)
       : engine_(&engine), job_(&job), worker_node_(worker_node),
-        partition_index_(partition_index), span_(span) {}
+        partition_index_(partition_index), span_(span), owns_input_(owns_input) {}
 
   Engine& engine() { return *engine_; }
   Job& job() { return *job_; }
@@ -161,6 +161,10 @@ class TaskContext {
   int partition() const { return partition_index_; }
   /// The task's causal span — the parent for GPU-side GWork spans.
   obs::SpanId span() const { return span_; }
+  /// The task holds the only reference to its input batch, so it may write
+  /// over it: either the batch is one its record ops just built, or the
+  /// stage consumes its input (no dataset the caller keeps names it).
+  bool owns_input() const { return owns_input_; }
   sim::Simulation& sim();
   net::Node& node();
   Worker& worker_state();
@@ -172,6 +176,7 @@ class TaskContext {
   int worker_node_;
   int partition_index_;
   obs::SpanId span_;
+  bool owns_input_;
 };
 
 /// A submitted job: the accounting scope for Eq. (1)'s terms. Drivers
@@ -325,12 +330,14 @@ class Engine {
 
   // One stage task over one partition, its span named `task_name`. If the
   // stage ends in a shuffle, the task's buckets are sent through `exchange`;
-  // else it writes its output part directly.
+  // else it writes its output part directly. `consumed` is null unless the
+  // stage owns its input; then the task sets it before it hands that input
+  // to an AsyncPartition function, which may write over it.
   sim::Co<void> stage_task(Job& job, const Stage& stage, int part_index,
                            const MaterializedDataSet::Part& in,
                            MaterializedDataSet& out, shuffle::ShuffleSession* exchange,
                            int out_partitions, StageStat& stat, obs::SpanId stage_span,
-                           obs::StrId task_name);
+                           obs::StrId task_name, bool* consumed);
 
   // The prologue every task shares: open its span on the worker's tasks
   // lane, then (after any deployment steps) take a slot on that worker,

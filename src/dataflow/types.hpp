@@ -84,7 +84,14 @@ using PartitionFn = std::function<void(const mem::RecordBatch& in, mem::RecordBa
 
 /// Whole-partition asynchronous operator: the extension point the GFlink
 /// GPU layer plugs into (a GPU mapper submits GWork and awaits results).
-using AsyncPartitionFn = std::function<sim::Co<void>(TaskContext& ctx, const mem::RecordBatch& in,
+/// `in` is mutable so that a task may consume it: when ctx.owns_input(),
+/// no dataset anyone else holds shares `in`, and the function may write its
+/// output over it or move its storage into `out`. Otherwise `in` belongs to
+/// a dataset the caller keeps (a from_handle source) and must be left as
+/// it is. An AsyncPartition task cannot fail once its function starts (it
+/// never reaches the engine's work_delay), so a consumed input is never
+/// read again; the stage's retry path checks exactly that.
+using AsyncPartitionFn = std::function<sim::Co<void>(TaskContext& ctx, mem::RecordBatch& in,
                                                      mem::RecordBatch& out)>;
 
 /// Deterministic partition generator for synthetic sources.

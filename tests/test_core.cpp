@@ -91,14 +91,32 @@ void register_test_kernels() {
   };
   gpu::KernelRegistry::global().register_kernel(k3);
 
-  // core_double_kv that also records where its inputs live.
-  gpu::Kernel k4 = k;
-  k4.name = "core_record_inputs";
-  k4.fn = [double_kv = k.fn](gpu::KernelLaunch& launch) {
-    recorded_inputs().emplace_back(launch.buffers.begin(), launch.buffers.end() - 1);
-    double_kv(launch);
+  // Fan-out (PageRank-style): two output records per input record,
+  // {key, value} and {key, -value}.
+  gpu::Kernel k5;
+  k5.name = "core_fan_out";
+  k5.cost = {1.0, 48.0, 0.0};
+  k5.fn = [](gpu::KernelLaunch& launch) {
+    const KV* in = reinterpret_cast<const KV*>(launch.buffers[0].data());
+    KV* out = reinterpret_cast<KV*>(launch.buffers.back().data());
+    for (std::size_t i = 0; i < launch.items; ++i) {
+      out[2 * i] = in[i];
+      out[2 * i + 1] = KV{in[i].key, -in[i].value};
+    }
   };
-  gpu::KernelRegistry::global().register_kernel(k4);
+
+  // Variants that also record where their inputs live.
+  const auto recording = [](gpu::Kernel base, const char* name) {
+    base.name = name;
+    base.fn = [fn = base.fn](gpu::KernelLaunch& launch) {
+      recorded_inputs().emplace_back(launch.buffers.begin(), launch.buffers.end() - 1);
+      fn(launch);
+    };
+    return base;
+  };
+  gpu::KernelRegistry::global().register_kernel(recording(k, "core_record_inputs"));
+  gpu::KernelRegistry::global().register_kernel(recording(k3, "core_record_block_sum"));
+  gpu::KernelRegistry::global().register_kernel(recording(k5, "core_record_fan_out"));
 }
 
 /// Standalone GPU fixture: two devices + wrappers + cache manager + streams.
@@ -1243,6 +1261,200 @@ TEST(Gdst, DeterministicEndToEnd) {
     return end;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+// ---- GDST: a task that owns its input writes its output over it -----------
+
+namespace {
+
+/// The lowest input address any recorded launch read: block 0's first
+/// record, since a partition's blocks are consecutive.
+const std::byte* lowest_recorded_input() {
+  const std::byte* lowest = nullptr;
+  for (const auto& launch : recorded_inputs()) {
+    if (lowest == nullptr || launch[0].data() < lowest) lowest = launch[0].data();
+  }
+  return lowest;
+}
+
+/// FNV-1a over every partition's bytes: a held dataset must not change.
+std::uint64_t dataset_hash(const df::MaterializedDataSet& data) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const auto& part : data.parts) {
+    for (std::byte b : part.batch->bytes()) {
+      h = (h ^ static_cast<std::uint64_t>(b)) * 1099511628211ULL;
+    }
+  }
+  return h;
+}
+
+/// 16 blocks of 64 KVs (the last one partial) on one partition, recorded
+/// by core_record_inputs; a nonzero `chunk_bytes` splits each block into
+/// 16-record chunks of the chunked pipeline.
+core::GpuOpSpec recorded_double(std::uint64_t chunk_bytes) {
+  core::GpuOpSpec spec;
+  spec.kernel = "core_record_inputs";
+  spec.chunkable = chunk_bytes != 0;
+  spec.chunk_bytes = chunk_bytes;
+  return spec;
+}
+
+df::EngineConfig one_page_per_block_config() {
+  auto cfg = engine_config(1);
+  cfg.page_size = 1024;  // 64 KVs per block
+  return cfg;
+}
+
+void expect_doubled(const mem::RecordBatch& batch, std::uint64_t n) {
+  ASSERT_EQ(batch.count(), n);
+  const KV* rows = batch.aos_view<KV>();
+  for (std::uint64_t i = 0; i < n; ++i) {
+    ASSERT_EQ(rows[i].key, i);
+    ASSERT_EQ(rows[i].value, static_cast<std::int64_t>(2 * i));
+  }
+}
+
+/// A generated source feeds a same-type element-wise op: the stage owns its
+/// input, so the output batch is the partition's own storage, which the
+/// kernel read block 0 from, and it equals the CPU map's output.
+void expect_owned_input_written_in_place(std::uint64_t chunk_bytes) {
+  register_test_kernels();
+  df::Engine e(one_page_per_block_config());
+  core::GFlinkRuntime runtime(e, gpu_config());
+  recorded_inputs().clear();
+  df::DataHandle on_gpu, on_cpu;
+  e.run([&](df::Engine& eng) -> Co<void> {
+    df::Job job(eng, "t");
+    co_await job.submit();
+    on_gpu = co_await core::gpu_dataset_op<KV, KV>(iota(eng, 1, 1000), &kv_desc(), "g",
+                                                   recorded_double(chunk_bytes))
+                 .materialize(job);
+    on_cpu = co_await iota(eng, 1, 1000)
+                 .map<KV>(&kv_desc(), "cpuDouble", df::OpCost{4.0, 32.0},
+                          [](const KV& kv) { return KV{kv.key, 2 * kv.value}; })
+                 .materialize(job);
+    job.finish();
+  });
+  const mem::RecordBatch& out = *on_gpu->parts.at(0).batch;
+  expect_doubled(out, 1000);
+  EXPECT_EQ(out.bytes(), on_cpu->parts.at(0).batch->bytes());
+  EXPECT_EQ(out.bytes().data(), lowest_recorded_input());
+  // Monolithic: one launch per block; chunked: 4 per full block, 3 for the
+  // 40-record tail.
+  EXPECT_EQ(recorded_inputs().size(), chunk_bytes == 0 ? 16u : 15u * 4 + 3);
+  const mem::MemoryManager& memory = e.worker_state(1).memory();
+  EXPECT_EQ(memory.pages_available(), memory.total_pages());
+}
+
+}  // namespace
+
+TEST(Gdst, OwnedInputIsWrittenInPlace) { expect_owned_input_written_in_place(0); }
+
+TEST(Gdst, OwnedInputIsWrittenInPlaceChunked) {
+  expect_owned_input_written_in_place(16 * 2 * sizeof(KV));  // 16 records in + out
+}
+
+TEST(Gdst, HeldDatasetIsNeverWritten) {
+  register_test_kernels();
+  df::Engine e(engine_config(2));
+  core::GFlinkRuntime runtime(e, gpu_config());
+  df::DataHandle src;
+  std::uint64_t hash_before = 0;
+  std::vector<std::vector<KV>> passes;
+  e.run([&](df::Engine& eng) -> Co<void> {
+    df::Job job(eng, "t");
+    co_await job.submit();
+    src = co_await iota(eng, 4, 1000).materialize(job);
+    hash_before = dataset_hash(*src);
+    core::GpuOpSpec spec;
+    spec.kernel = "core_double_kv";
+    for (int pass = 0; pass < 2; ++pass) {
+      passes.push_back(co_await core::gpu_dataset_op<KV, KV>(
+                           df::DataSet<KV>::from_handle(eng, src), &kv_desc(), "g", spec)
+                           .collect(job));
+    }
+    job.finish();
+  });
+  EXPECT_EQ(dataset_hash(*src), hash_before);
+  EXPECT_EQ(src->total_records(), 1000u);
+  for (std::vector<KV>& rows : passes) {
+    ASSERT_EQ(rows.size(), 1000u);
+    std::sort(rows.begin(), rows.end(), [](const KV& a, const KV& b) { return a.key < b.key; });
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_EQ(rows[i].key, i);
+      EXPECT_EQ(rows[i].value, static_cast<std::int64_t>(2 * i));
+    }
+  }
+}
+
+TEST(Gdst, RecordOpsBatchIsWrittenInPlace) {
+  // The held dataset is read by a map; the fresh batch the map builds
+  // belongs to the task, so the GPU op writes over that batch.
+  register_test_kernels();
+  df::Engine e(one_page_per_block_config());
+  core::GFlinkRuntime runtime(e, gpu_config());
+  recorded_inputs().clear();
+  df::DataHandle src, out;
+  std::uint64_t hash_before = 0;
+  e.run([&](df::Engine& eng) -> Co<void> {
+    df::Job job(eng, "t");
+    co_await job.submit();
+    src = co_await iota(eng, 1, 1000).materialize(job);
+    hash_before = dataset_hash(*src);
+    auto copied = df::DataSet<KV>::from_handle(eng, src).map<KV>(
+        &kv_desc(), "copy", df::OpCost{1.0, 16.0}, [](const KV& kv) { return kv; });
+    out = co_await core::gpu_dataset_op<KV, KV>(copied, &kv_desc(), "g", recorded_double(0))
+              .materialize(job);
+    job.finish();
+  });
+  EXPECT_EQ(dataset_hash(*src), hash_before);
+  const mem::RecordBatch& batch = *out->parts.at(0).batch;
+  expect_doubled(batch, 1000);
+  EXPECT_EQ(batch.bytes().data(), lowest_recorded_input());
+  EXPECT_NE(batch.bytes().data(), src->parts.at(0).batch->bytes().data());
+}
+
+TEST(Gdst, SizeChangingOpsKeepASeparateOutput) {
+  // A block reducer (KMeans-style) and a fan-out (PageRank-style) own their
+  // input too, but their blocks do not map onto their own bytes.
+  register_test_kernels();
+  df::Engine e(one_page_per_block_config());
+  core::GFlinkRuntime runtime(e, gpu_config());
+  df::DataHandle reduced, fanned;
+  const std::byte *reduce_in = nullptr, *fan_in = nullptr;
+  e.run([&](df::Engine& eng) -> Co<void> {
+    df::Job job(eng, "t");
+    co_await job.submit();
+    core::GpuOpSpec spec;
+    spec.kernel = "core_record_block_sum";
+    spec.out_items = [](std::size_t) { return std::size_t{1}; };
+    recorded_inputs().clear();
+    reduced = co_await core::gpu_dataset_op<KV, KV>(iota(eng, 1, 1000), &kv_desc(), "r", spec)
+                  .materialize(job);
+    reduce_in = lowest_recorded_input();
+    spec.kernel = "core_record_fan_out";
+    spec.out_items = [](std::size_t n) { return 2 * n; };
+    spec.chunkable = true;
+    recorded_inputs().clear();
+    fanned = co_await core::gpu_dataset_op<KV, KV>(iota(eng, 1, 1000), &kv_desc(), "f", spec)
+                 .materialize(job);
+    fan_in = lowest_recorded_input();
+    job.finish();
+  });
+  const mem::RecordBatch& sums = *reduced->parts.at(0).batch;
+  ASSERT_EQ(sums.count(), 16u);
+  std::int64_t total = 0;
+  for (std::size_t b = 0; b < sums.count(); ++b) total += sums.aos_view<KV>()[b].value;
+  EXPECT_EQ(total, 999 * 1000 / 2);
+  EXPECT_NE(sums.bytes().data(), reduce_in);
+
+  const mem::RecordBatch& pairs = *fanned->parts.at(0).batch;
+  ASSERT_EQ(pairs.count(), 2000u);
+  for (std::size_t i = 0; i < 1000; ++i) {
+    EXPECT_EQ(pairs.aos_view<KV>()[2 * i].value, static_cast<std::int64_t>(i));
+    EXPECT_EQ(pairs.aos_view<KV>()[2 * i + 1].value, -static_cast<std::int64_t>(i));
+  }
+  EXPECT_NE(pairs.bytes().data(), fan_in);
 }
 
 // Property sweep: the GPU path conserves record counts for any block size

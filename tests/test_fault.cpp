@@ -13,6 +13,7 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/json.hpp"
 #include "workloads/kmeans.hpp"
+#include "workloads/wordcount.hpp"
 
 namespace sim = gflink::sim;
 namespace mem = gflink::mem;
@@ -298,6 +299,80 @@ TEST(Fault, WorkerFailureLandsInFlightRing) {
   // and task failures are in the event rings for a later dump_now().
   EXPECT_GE(e.cluster().flight().faults(), 1u);
   EXPECT_EQ(e.cluster().flight().dumps(), 0u);
+}
+
+TEST(Fault, GpuStageRetriesAroundWorkerDownAtDeploy) {
+  // Worker 2 is lost as GFlink WordCount's GPU stage starts, before any of
+  // its tasks deploy. Its partitions were not consumed, so they retry on
+  // the other workers and write over their inputs there.
+  wl::Testbed tb;
+  tb.workers = 3;
+  tb.scale = 1e-3;
+  wl::wordcount::Config cfg;
+  cfg.text_bytes = 64ULL << 20;
+  cfg.write_output = false;
+  const auto gpu_stage = [](const wl::wordcount::Result& r) {
+    for (const df::StageStat& stage : r.run.stats.stages) {
+      if (stage.name == "gpuWordcountBlock") return stage;
+    }
+    ADD_FAILURE() << "no GPU stage";
+    return df::StageStat{};
+  };
+  const auto cpu = wl::run(&wl::wordcount::run, tb, wl::Mode::Cpu, cfg);
+  wl::Session healthy(tb, wl::Mode::Gpu);
+  const df::StageStat ok = gpu_stage(healthy.run(&wl::wordcount::run, cfg));
+
+  wl::Session faulty(tb, wl::Mode::Gpu);
+  faulty.engine().schedule_worker_failure(2, ok.begin);
+  const auto r = faulty.run(&wl::wordcount::run, cfg);
+  EXPECT_EQ(r.total_words, cpu.total_words);
+  EXPECT_EQ(r.distinct_words, cpu.distinct_words);
+  EXPECT_GT(faulty.engine().tasks_retried(), 0u);
+  // The GPU stage itself waited out the failure detector before its retry.
+  const df::StageStat stage = gpu_stage(r);
+  EXPECT_EQ(stage.begin, ok.begin);
+  EXPECT_GE(stage.end - stage.begin,
+            ok.end - ok.begin + faulty.engine().config().failure_detection_delay);
+}
+
+namespace {
+
+/// Count a 4-partition dataset through an AsyncPartition copy whose first
+/// run of partition 0 fails after it started. `held` keeps the source as a
+/// materialized dataset, so the stage does not own its input.
+std::uint64_t count_through_failing_copy(bool held) {
+  Engine e(fault_config());
+  std::uint64_t n = 0;
+  e.run([held, &n](Engine& eng) -> Co<void> {
+    Job job(eng, "failOnce");
+    co_await job.submit();
+    DataSet<KV> src = iota(eng, 4, 100);
+    if (held) {
+      df::DataHandle handle = co_await src.materialize(job);
+      src = DataSet<KV>::from_handle(eng, handle);
+    }
+    auto failures = std::make_shared<int>(0);
+    df::AsyncPartitionFn copy = [failures](df::TaskContext& ctx, mem::RecordBatch& in,
+                                           mem::RecordBatch& out) -> Co<void> {
+      if (ctx.partition() == 0 && (*failures)++ == 0) throw df::TaskFailed{ctx.worker()};
+      out.append(in);
+      co_return;
+    };
+    DataSet<KV> copied = src.async_map_partition<KV>(&kv_desc(), "copy", std::move(copy));
+    n = co_await copied.count(job);
+    job.finish();
+  });
+  return n;
+}
+
+}  // namespace
+
+TEST(FaultDeathTest, ConsumedPartitionIsNeverRerun) {
+  // A held input was not consumed: the failed partition simply reruns.
+  EXPECT_EQ(count_through_failing_copy(true), 100u);
+  // An owned input may have been written over once the function started,
+  // so a failure after that point must not be retried.
+  EXPECT_DEATH(count_through_failing_copy(false), "failed after it consumed its input");
 }
 
 // Property sweep: for any single-failure time, the job completes with the

@@ -325,6 +325,37 @@ TEST(PointAdd, CpuAndGpuAgree) {
   EXPECT_EQ(cpu.run.checksum, gpu.run.checksum);
 }
 
+TEST(PointAdd, GeneratedSourceMapsInPlaceLikeCpu) {
+  // The map's stage owns a generated source, so GFlink mode writes the
+  // points over their own storage; they must equal Flink mode's points.
+  const auto collect = [](Mode mode) {
+    wl::Session session(small_testbed(), mode);
+    std::vector<wl::Pt> rows;
+    session.engine().run([&](df::Engine& eng) -> sim::Co<void> {
+      df::Job job(eng, "pointadd");
+      co_await job.submit();
+      auto src = df::DataSet<wl::Pt>::from_generator(
+          eng, &wl::pt_desc(), 8, [](int part, std::vector<wl::Pt>& out) {
+            for (std::uint64_t i = static_cast<std::uint64_t>(part); i < 20000; i += 8) {
+              out.push_back(wl::pointadd::pt_at(i, 7));
+            }
+          });
+      rows = co_await wl::pointadd::mapper(src, mode, 0).collect(job);
+      job.finish();
+      if (session.runtime() != nullptr) session.runtime()->release_job(job.id());
+    });
+    return rows;
+  };
+  const std::vector<wl::Pt> cpu = collect(Mode::Cpu);
+  const std::vector<wl::Pt> gpu = collect(Mode::Gpu);
+  ASSERT_EQ(cpu.size(), 20000u);
+  ASSERT_EQ(gpu.size(), cpu.size());
+  for (std::size_t i = 0; i < cpu.size(); ++i) {
+    ASSERT_EQ(gpu[i].x, cpu[i].x) << i;
+    ASSERT_EQ(gpu[i].y, cpu[i].y) << i;
+  }
+}
+
 // ---- Cross-cutting ----------------------------------------------------------------
 
 TEST(Workloads, GeneratorsAreDeterministic) {
