@@ -368,10 +368,10 @@ class Engine {
   shuffle::ShuffleService shuffle_;  // must follow sim_/cluster_/dfs_ (ctor order)
   std::vector<std::unique_ptr<Worker>> workers_;  // index 0 unused (master)
   /// Per-worker `engine.task_busy_ns` counter handles (index 0 unused),
-  /// cached at construction so work_delay() pays one atomic add per chunk
-  /// instead of a keyed registry lookup. The per-period *delta* of this
-  /// counter is the live telemetry plane's straggler signal: a node whose
-  /// busy time stays high while its peers go idle is behind.
+  /// cached at construction so work_delay() pays one add per chunk instead
+  /// of a keyed registry lookup. The per-period *delta* of this counter is
+  /// telemetry's straggler signal: a node whose busy time stays high while
+  /// its peers go idle is behind.
   std::vector<obs::Counter*> task_busy_ns_;
   int default_parallelism_;
   std::uint64_t next_job_id_ = 1;

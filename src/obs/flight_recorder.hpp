@@ -5,9 +5,9 @@
 // see the work surrounding the failure.
 //
 // The recorder is simulation-thread state (docs/ARCHITECTURE.md,
-// "Single-threaded by construction"): spans, eviction and fault events and
-// the telemetry aggregator's health events all arrive on that thread, and
-// dumps and exports read it there or after the run.
+// "Single-threaded by construction"): spans, eviction and fault events all
+// arrive on that thread, and dumps and exports read it there or after the
+// run.
 #pragma once
 
 #include <cstdint>

@@ -76,7 +76,7 @@ constexpr bool subsystem_carries(Subsystem subsystem, std::string_view key) {
   return true;
 }
 
-/// The telemetry-plane naming rule: a Prometheus-style suffix that says
+/// The telemetry naming rule: a Prometheus-style suffix that says
 /// the unit (`_total` for counts, `_bytes[_total]`, `_ns[_total]`,
 /// `_ratio`); no other unit is allowed on the plane.
 constexpr bool suffix_matches_unit(const MetricFamily& f) {
@@ -109,7 +109,7 @@ static_assert(subsystem_carries(Subsystem::Spill, "tier"),
 static_assert(subsystem_carries(Subsystem::Service, "tenant"),
               "every service family must carry a tenant label");
 static_assert(telemetry_suffixes_match_units(),
-              "a telemetry-plane family's name suffix must match its unit "
+              "a telemetry family's name suffix must match its unit "
               "(_total, _bytes, _ns or _ratio)");
 
 const char* metric_kind_name(MetricKind kind) {
@@ -149,7 +149,7 @@ const char* subsystem_title(Subsystem subsystem) {
     case Subsystem::Service: return "JobService (`src/service`; every family carries tenant)";
     case Subsystem::Trace: return "Causal tracing & flight recorder (`src/obs`)";
     case Subsystem::Telemetry:
-      return "Telemetry plane (`src/obs/telemetry`; sampled series also carry node on export)";
+      return "Telemetry (`src/obs/telemetry`; sampled series also carry node on export)";
     case Subsystem::Bench: return "Bench report gauges (`bench/`)";
   }
   return "?";

@@ -8,13 +8,13 @@
 //  * MetricsRegistry registers a series only through a `Metric`, and checks
 //    the kind and label-key set when the series is created (a mismatch is
 //    a GFLINK_CHECK programmer error naming the family and its keys);
-//  * NodeSampler registers telemetry probes the same way;
+//  * Telemetry::add_probe registers probe series the same way;
 //  * the EXPERIMENTS.md metric catalog is rendered from the table
 //    (render_metric_catalog) and drift-checked by a ctest;
 //  * metric_families.cpp static_asserts the table's invariants: one entry
 //    per enum value in enum order, unique names, sorted keys, a tier key
 //    on every spill family, a tenant key on every service family, and a
-//    units suffix on every telemetry-plane family that matches its unit.
+//    units suffix on every telemetry family that matches its unit.
 //
 // Names are a stable machine interface (run reports, perfbench and the
 // table generators read them), so an entry's name never changes in place.
@@ -30,8 +30,8 @@
 namespace gflink::obs {
 
 /// How a family's series behave. Counter/Gauge/Histogram live in a
-/// MetricsRegistry; Sampled* are telemetry-plane probe series (a sampled
-/// counter reports its per-period delta).
+/// MetricsRegistry; Sampled* are telemetry probe series (a sampled counter
+/// reports its per-period delta).
 enum class MetricKind : std::uint8_t { Counter, Gauge, Histogram, SampledGauge, SampledCounter };
 
 enum class Unit : std::uint8_t {
@@ -114,16 +114,15 @@ enum class Metric : std::uint16_t {
   TraceSpans, TraceSpanNs, TraceCriticalPathSeconds, TraceStragglers, FlightSpans,
   FlightEvents, FlightFaults, FlightDumps,
   // Telemetry
-  TelemetrySamples, TelemetrySnapshotBytes, TelemetryRingDownsamples, TelemetryPeriods,
-  HealthEvents, TelemetryTaskBusyNs, TelemetryShuffleResidentBytes, TelemetrySpillQueueDepth,
-  TelemetryShuffleInFlight, TelemetryGpuCacheUsedBytes, TelemetryGpuStagingBytes,
-  TelemetryGstreamQueueDepth, TelemetryTenantQuotaUsedRatio, TelemetryServicePending,
+  TelemetryPeriods, HealthEvents, TelemetryTaskBusyNs, TelemetryShuffleResidentBytes,
+  TelemetrySpillQueueDepth, TelemetryShuffleInFlight, TelemetryGpuCacheUsedBytes,
+  TelemetryGpuStagingBytes, TelemetryGstreamQueueDepth, TelemetryTenantQuotaUsedRatio,
+  TelemetryServicePending,
   // Bench
   BenchCases, MultitenantJobsPerSecond, MultitenantWeightShare, MultitenantThroughputShare,
   MultitenantCacheShare, MultitenantP99LatencyS,
   HealthStragglerDetectMs, HealthStragglerNode, HealthStragglerScore, HealthSloDetectMs,
-  HealthSloBurnRate, HealthEventsEmitted, TelemetryScenarioPeriods, TelemetryPagerankBaseS,
-  TelemetryPagerankSampledS, TelemetryOverheadRatio, AblationShuffleSeconds,
+  HealthSloBurnRate, HealthEventsEmitted, TelemetryScenarioPeriods, AblationShuffleSeconds,
   AblationShuffleChecksum, AblationPipelineSeconds, AblationPipelineOverlapEfficiency,
   AblationPipelineChunksPerWork, AblationPipelineGain, AblationSpillSeconds,
   AblationSpillStallSeconds, AblationSpillChecksum,
@@ -387,19 +386,12 @@ inline constexpr auto kMetricFamilies = [] {
                  flat, "faults noted (worker failures, injected transfer faults)"},
     MetricFamily{M::FlightDumps, "flight_dumps_total", Counter, Count, Trace, none, no_alt, flat,
                  "flight dumps written (auto on first fault, or at exit via --flight-dump)"},
-    // ---- Telemetry plane: every name carries a suffix matching its unit ---
-    MetricFamily{M::TelemetrySamples, "telemetry_samples_total", Counter, Count, Telemetry,
-                 {"node"}, no_alt, flat, "sampler ticks taken"},
-    MetricFamily{M::TelemetrySnapshotBytes, "telemetry_snapshot_bytes_total", Counter, Bytes,
-                 Telemetry, {"node"}, no_alt, flat,
-                 "snapshot bytes shipped to the master over the node's pipe"},
-    MetricFamily{M::TelemetryRingDownsamples, "telemetry_ring_downsamples_total", Counter, Count,
-                 Telemetry, {"node"}, no_alt, flat,
-                 "ring-buffer wrap events that halved a series' resolution"},
+    // ---- Telemetry: every name carries a suffix matching its unit ---------
     MetricFamily{M::TelemetryPeriods, "telemetry_periods_total", Counter, Count, Telemetry, none,
-                 no_alt, flat, "aggregation periods the master merged across all nodes"},
+                 no_alt, flat, "sampling periods taken (Prometheus export only)"},
     MetricFamily{M::HealthEvents, "health_events_total", Counter, Count, Telemetry,
-                 {"detector", "node"}, no_alt, flat, "HealthEvents emitted"},
+                 {"detector", "node"}, no_alt, flat,
+                 "HealthEvents emitted (Prometheus export only)"},
     MetricFamily{M::TelemetryTaskBusyNs, "telemetry_task_busy_ns", SampledCounter, Nanoseconds,
                  Telemetry, none, no_alt, flat,
                  "per-worker task busy time per period (the straggler signal)"},
@@ -450,13 +442,7 @@ inline constexpr auto kMetricFamilies = [] {
     MetricFamily{M::HealthEventsEmitted, "health_events_emitted", Gauge, Count, Bench, none,
                  no_alt, flat, "HealthEvents emitted by the scenario"},
     MetricFamily{M::TelemetryScenarioPeriods, "telemetry_scenario_periods", Gauge, Count, Bench,
-                 none, no_alt, flat, "aggregation periods in the detection scenario"},
-    MetricFamily{M::TelemetryPagerankBaseS, "telemetry_pagerank_base_s", Gauge, Seconds, Bench,
-                 none, no_alt, flat, "PageRank makespan without telemetry"},
-    MetricFamily{M::TelemetryPagerankSampledS, "telemetry_pagerank_sampled_s", Gauge, Seconds,
-                 Bench, none, no_alt, flat, "PageRank makespan with telemetry sampling"},
-    MetricFamily{M::TelemetryOverheadRatio, "telemetry_overhead_ratio", Gauge, Ratio, Bench,
-                 none, no_alt, flat, "(sampled - base) / base makespan"},
+                 none, no_alt, flat, "sampling periods in the detection scenario"},
     MetricFamily{M::AblationShuffleSeconds, "ablation_shuffle_seconds", Gauge, Seconds, Bench,
                  {"dist", "mode"}, no_alt, flat, "PageRank makespan per shuffle mode"},
     MetricFamily{M::AblationShuffleChecksum, "ablation_shuffle_checksum", Gauge, None, Bench,

@@ -350,10 +350,10 @@ void export_critical_path_metrics(const CriticalPath& cp, MetricsRegistry& m);
 
 /// Nearest-rank p95 over a peer group: sort ascending and take the value at
 /// index floor(0.95 * (n - 1)). This is the single definition of "the peer
-/// group's p95" — find_stragglers() (post-hoc span report) and the live
-/// telemetry straggler detector both call it, so an offline straggler and a
-/// live straggler agree on what "slower than the peers" means. Empty input
-/// returns a default-constructed T.
+/// group's p95" — find_stragglers() (post-hoc span report) and telemetry's
+/// straggler detector (sampled during the run) both call it, so an offline
+/// straggler and a live one agree on what "slower than the peers" means.
+/// Empty input returns a default-constructed T.
 template <typename T>
 T nearest_rank_p95(std::vector<T> values) {
   if (values.empty()) return T{};

@@ -127,8 +127,8 @@ class JobService {
   sim::Co<void> drain();
 
   std::size_t pending() const { return pending_count_; }
-  /// Depth of one tenant's admission queue (0 for unknown tenants) — the
-  /// live telemetry plane samples this each period.
+  /// Depth of one tenant's admission queue (0 for unknown tenants) —
+  /// telemetry samples this each period.
   std::size_t tenant_pending(const std::string& name) const;
   /// Registered tenant names in deterministic DRR order (telemetry wiring).
   std::vector<std::string> tenant_names() const;
@@ -160,8 +160,8 @@ class JobService {
   obs::Json fairness_json() const;
 
   /// Called on every job completion with the tenant and the end-to-end
-  /// latency (enqueue -> completion). The telemetry aggregator's SLO
-  /// burn-rate detector feeds on this; it runs synchronously on the
+  /// latency (enqueue -> completion). Telemetry's SLO burn-rate detector
+  /// feeds on this; it runs synchronously on the
   /// simulation thread, so keep it cheap.
   using CompletionObserver = std::function<void(const std::string& tenant, sim::Duration latency)>;
   void set_completion_observer(CompletionObserver observer) { observer_ = std::move(observer); }

@@ -300,8 +300,8 @@ class ShuffleService {
   /// credit window bounds (diagnostic for tests/benches).
   std::int64_t max_blocks_in_flight() const { return max_in_flight_; }
 
-  /// Blocks in flight right now (sent, not yet deposited) — the live
-  /// telemetry plane samples this each period.
+  /// Blocks in flight right now (sent, not yet deposited) — telemetry
+  /// samples this each period.
   std::int64_t blocks_in_flight() const { return in_flight_; }
 
   /// Bytes currently resident in `worker`'s exchange buffer (deposited, not

@@ -12,6 +12,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <queue>
 #include <vector>
 
@@ -47,6 +49,14 @@ class Simulation {
   /// Run events with timestamp <= t. The clock ends at exactly `t` even if
   /// the queue empties earlier. Returns the number of events processed.
   std::uint64_t run_until(Time t);
+
+  /// Install the one period observer: run() and run_until() call
+  /// `fn(tick)` at every tick = now() + k * period (k >= 1) that the clock
+  /// crosses, before the events of that instant run, with now() == tick.
+  /// The observer reads state and must not schedule events, so a run with
+  /// one executes the same events in the same order and ends at the same
+  /// time as a run without. A null `fn` removes it.
+  void set_period_observer(Duration period, std::function<void(Time)> fn);
 
   /// True if no events are pending.
   bool idle() const { return queue_.empty(); }
@@ -107,12 +117,19 @@ class Simulation {
     };
   };
   DetachedTask drive(Co<void> co);
+  // Call the period observer for every tick <= t.
+  void observe_through(Time t);
+
+  static constexpr Time kNoTick = std::numeric_limits<Time>::max();
 
   std::priority_queue<Event, std::vector<Event>, EventLater> queue_;
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;
   int live_processes_ = 0;
+  std::function<void(Time)> observer_;
+  Duration period_ = 0;
+  Time next_tick_ = kNoTick;
 };
 
 }  // namespace gflink::sim

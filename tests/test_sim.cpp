@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "obs/span.hpp"
@@ -71,6 +72,41 @@ TEST(Simulation, RunUntilStopsAtDeadline) {
   EXPECT_EQ(s.now(), 20);
   s.run();
   EXPECT_EQ(fired, 3);
+}
+
+TEST(Simulation, PeriodObserverTicksBeforeThatInstantsEvents) {
+  Simulation s;
+  std::vector<std::pair<char, Time>> seen;
+  s.schedule_in(10, [&] { seen.emplace_back('e', s.now()); });
+  s.schedule_in(25, [&] { seen.emplace_back('e', s.now()); });
+  s.set_period_observer(10, [&](Time t) {
+    EXPECT_EQ(s.now(), t);
+    seen.emplace_back('t', t);
+  });
+  // Ticks at 10 and 20; the clock never crosses 30, so the run still ends
+  // at the last event, with the same event count as without an observer.
+  EXPECT_EQ(s.run(), 25);
+  EXPECT_EQ(seen,
+            (std::vector<std::pair<char, Time>>{{'t', 10}, {'e', 10}, {'t', 20}, {'e', 25}}));
+  EXPECT_EQ(s.events_processed(), 2u);
+}
+
+TEST(Simulation, RunUntilTicksThroughTheDeadline) {
+  Simulation s;
+  std::vector<Time> ticks;
+  s.set_period_observer(4, [&](Time t) { ticks.push_back(t); });
+  EXPECT_EQ(s.run_until(12), 0u);
+  EXPECT_EQ(ticks, (std::vector<Time>{4, 8, 12}));
+  EXPECT_EQ(s.now(), 12);
+  s.set_period_observer(0, nullptr);
+  s.run_until(40);
+  EXPECT_EQ(ticks.size(), 3u);
+}
+
+TEST(SimulationDeathTest, PeriodObserverMustNotScheduleEvents) {
+  Simulation s;
+  s.set_period_observer(5, [&](Time) { s.schedule_in(1, [] {}); });
+  EXPECT_DEATH(s.run_until(5), "must not schedule events");
 }
 
 TEST(Simulation, DelayAdvancesClock) {

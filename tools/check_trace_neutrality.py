@@ -1,19 +1,23 @@
 #!/usr/bin/env python3
-"""Tracing must not change what it measures.
+"""Tracing and telemetry must not change what they measure.
 
     check_trace_neutrality.py <gflink binary> <work dir>
 
-Runs each case below twice: once plain (with only ``--report-out``), and
-once with ``--critical-path --trace-out --report-out``. PageRank exercises
-the iterative all-to-all exchange; WordCount exercises GDST output
-assembly, the padding filter and the ReduceByKey merge; KMeans exercises
-the cached GDST path (input blocks bound in place, GPU-cache hits from the
-second iteration) and the map -> reduce chain fused into the combine
-pass. Fails unless both
-runs of a case print the same makespans, iteration times, checksums and
-speedup, and their run reports carry identical values for every metric
-whose name does not start with ``trace_`` (the critical-path and straggler
-gauges exist only in the traced report).
+Runs each case below three times: plain (with only ``--report-out``),
+traced (``--critical-path --trace-out --report-out``) and sampled
+(``--telemetry-out --telemetry-prom --telemetry-period 0.01 --slo-ms 5
+--report-out``; at that period the queue-anomaly detector fires on PageRank
+and WordCount). PageRank
+exercises the iterative all-to-all exchange; WordCount exercises GDST
+output assembly, the padding filter and the ReduceByKey merge; KMeans
+exercises the cached GDST path (input blocks bound in place, GPU-cache hits
+from the second iteration) and the map -> reduce chain fused into the
+combine pass. Fails unless the traced run prints the same makespans,
+iteration times, checksums and speedup as the plain run, ends at the same
+``virtual_ns``, and reports identical values for every metric whose name
+does not start with ``trace_`` (the critical-path and straggler gauges
+exist only in the traced report); and unless the sampled run prints the
+same summary and its report's ``digest`` equals the plain run's.
 """
 
 import json
@@ -39,9 +43,12 @@ def run(binary, args, extra):
             if line.strip().startswith(SUMMARY_KEYS)]
 
 
-def metrics(path):
+def load(path):
     with open(path) as f:
-        report = json.load(f)
+        return json.load(f)
+
+
+def metrics(report):
     out = {}
     for kind, series in report["metrics"].items():
         for s in series:
@@ -55,23 +62,39 @@ def metrics(path):
 def check(binary, work, args):
     """The errors of one case, and its summary-line and metric-series counts."""
     name = args[0]
-    plain_report = os.path.join(work, "neutrality_%s_plain_report.json" % name)
-    traced_report = os.path.join(work, "neutrality_%s_traced_report.json" % name)
-    plain = run(binary, args, ["--report-out", plain_report])
-    traced = run(binary, args, ["--critical-path", "--trace-out",
-                                os.path.join(work, "neutrality_%s_trace.json" % name),
-                                "--report-out", traced_report])
+
+    def out(what):
+        return os.path.join(work, "neutrality_%s_%s" % (name, what))
+
+    plain = run(binary, args, ["--report-out", out("plain_report.json")])
+    traced = run(binary, args, ["--critical-path", "--trace-out", out("trace.json"),
+                                "--report-out", out("traced_report.json")])
+    sampled = run(binary, args, ["--telemetry-out", out("telemetry.jsonl"),
+                                 "--telemetry-prom", out("telemetry.prom"),
+                                 "--telemetry-period", "0.01", "--slo-ms", "5",
+                                 "--report-out", out("sampled_report.json")])
+    plain_report = load(out("plain_report.json"))
+    traced_report = load(out("traced_report.json"))
+    sampled_report = load(out("sampled_report.json"))
     errors = []
     if not plain:
         errors.append("%s: no summary lines in the plain run's output" % name)
-    if plain != traced:
-        errors.append("%s: printed summaries differ:\n  plain:  %s\n  traced: %s"
-                      % (name, "\n          ".join(plain), "\n          ".join(traced)))
+    for what, lines in (("traced", traced), ("sampled", sampled)):
+        if plain != lines:
+            errors.append("%s: printed summaries differ:\n  plain:  %s\n  %s: %s"
+                          % (name, "\n          ".join(plain), what,
+                             "\n          ".join(lines)))
+    if traced_report["virtual_ns"] != plain_report["virtual_ns"]:
+        errors.append("%s: virtual_ns: plain %d, traced %d"
+                      % (name, plain_report["virtual_ns"], traced_report["virtual_ns"]))
     a, b = metrics(plain_report), metrics(traced_report)
     for key in sorted(set(a) | set(b)):
         if a.get(key) != b.get(key):
             errors.append("%s: metric %s %s%s: plain %s, traced %s"
                           % (name, key[0], key[1], key[2], a.get(key), b.get(key)))
+    if sampled_report["digest"] != plain_report["digest"]:
+        errors.append("%s: report digest: plain %s, sampled %s"
+                      % (name, plain_report["digest"], sampled_report["digest"]))
     return errors, len(plain), len(a)
 
 
@@ -85,10 +108,10 @@ def main():
         case_errors, lines, series = check(binary, work, args)
         errors += case_errors
         if not case_errors:
-            print("trace-neutral %s: %d summary lines and %d metric series identical"
-                  % (args[0], lines, series))
+            print("neutral %s: %d summary lines and %d metric series identical traced, "
+                  "report digest identical sampled" % (args[0], lines, series))
     if errors:
-        sys.exit("tracing changed the run:\n" + "\n".join(errors))
+        sys.exit("an instrument changed the run:\n" + "\n".join(errors))
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <string>
 
 #include "obs/chrome_trace.hpp"
@@ -64,13 +65,15 @@ struct Options {
 
 // Observability accumulation across the tool's runs (both modes feed one
 // report). Each traced engine streams its Chrome trace into --trace-out as
-// it is captured, so the last one wins; a failed write is reported at exit.
+// it is captured, so the last one wins; a failed write is reported at exit,
+// and so is a failed flight dump.
 obs::RunReport g_report;
 bool g_trace_failed = false;
-// The telemetry timeline spans both modes of a `--mode both` run: the
-// first engine truncates the file, the second appends to it. The
-// Prometheus snapshot keeps only the last (GFlink) run's series.
-bool g_timeline_started = false;
+bool g_flight_failed = false;
+// The telemetry timeline spans both modes of a `--mode both` run: it is
+// opened once, before the first engine runs. The Prometheus snapshot keeps
+// only the last (GFlink) run's series.
+std::ofstream g_timeline;
 std::string g_prometheus_text;
 
 void print_usage() {
@@ -106,14 +109,14 @@ void print_usage() {
       "                           first injected fault, else at exit)\n"
       "  --critical-path          print the critical-path category breakdown\n"
       "                           (implies span tracing)\n"
-      "  --telemetry-out FILE     stream the live telemetry timeline to FILE\n"
+      "  --telemetry-out FILE     stream the telemetry timeline to FILE\n"
       "                           (gflink.telemetry/v1, one JSONL record per\n"
-      "                           sample period; enables the telemetry plane)\n"
+      "                           sample period; enables telemetry)\n"
       "  --telemetry-prom FILE    write a Prometheus text-format snapshot of the\n"
-      "                           merged cluster series at exit (enables the\n"
-      "                           telemetry plane; 'both' keeps the GFlink run)\n"
-      "  --telemetry-period MS    sampling period in virtual milliseconds\n"
-      "                           (default 1; also enables the plane)\n"
+      "                           sampled series at exit (enables telemetry;\n"
+      "                           'both' keeps the GFlink run)\n"
+      "  --telemetry-period MS    sampling period in virtual milliseconds, at\n"
+      "                           least 1e-6 (default 1; also enables telemetry)\n"
       "  --slo-ms X               tenant latency objective for the SLO burn-rate\n"
       "                           detector (default: detector off)\n");
 }
@@ -247,7 +250,14 @@ bool parse(int argc, char** argv, Options& opt) {
     } else if (arg == "--telemetry-prom") {
       if (!text(opt.telemetry_prom)) return false;
     } else if (arg == "--telemetry-period") {
-      if (!number_flag(arg, value(), false, &opt.telemetry_period_ms)) return false;
+      const char* v = value();
+      if (!number_flag(arg, v, false, &opt.telemetry_period_ms)) return false;
+      // The period runs on the integer nanosecond clock.
+      if (opt.telemetry_period_ms * 1e6 < 1 || opt.telemetry_period_ms > 1e12) {
+        std::fprintf(stderr, "invalid value for %s: '%s' (want 1e-6 to 1e12 ms)\n",
+                     arg.c_str(), v);
+        return false;
+      }
     } else if (arg == "--slo-ms") {
       if (!number_flag(arg, value(), false, &opt.slo_ms)) return false;
     } else if (arg == "--help" || arg == "-h") {
@@ -272,38 +282,22 @@ wl::RunResult run_driver(wl::Driver<ConfigT, ResultT> driver, const Options& opt
   }
 
   namespace tel = gflink::obs::telemetry;
-  std::unique_ptr<tel::TelemetryPlane> plane;
-  std::ofstream timeline;
+  std::unique_ptr<tel::Telemetry> telemetry;
   if (opt.telemetry_enabled()) {
     tel::TelemetryConfig tcfg;
     const double period_ms = opt.telemetry_period_ms > 0 ? opt.telemetry_period_ms : 1.0;
     tcfg.period = static_cast<sim::Duration>(period_ms * 1e6);
     tcfg.slo_ms = opt.slo_ms;
-    plane = std::make_unique<tel::TelemetryPlane>(engine.sim(), engine.cluster(), tcfg);
-    tel::install_engine_probes(*plane, engine);
-    if (runtime) tel::install_runtime_probes(*plane, *runtime);
-    plane->attach_flight(&engine.cluster().flight());
-    if (!opt.telemetry_out.empty()) {
-      timeline.open(opt.telemetry_out,
-                    g_timeline_started ? std::ios::app : std::ios::trunc);
-      if (!timeline) {
-        std::fprintf(stderr, "error: could not open %s\n", opt.telemetry_out.c_str());
-      } else {
-        plane->set_timeline_sink(&timeline);
-        g_timeline_started = true;
-      }
-    }
+    telemetry = std::make_unique<tel::Telemetry>(engine.sim(), tcfg);
+    tel::install_engine_probes(*telemetry, engine);
+    if (runtime) tel::install_runtime_probes(*telemetry, *runtime);
+    if (g_timeline.is_open()) telemetry->set_timeline_sink(&g_timeline);
   }
 
-  ResultT result{};
-  engine.run([&](df::Engine& eng) -> sim::Co<void> {
-    if (plane) plane->start();
-    result = co_await driver(eng, runtime, opt.testbed, mode, cfg);
-    if (plane) plane->stop();
-  });
-  if (plane) {
-    if (!opt.telemetry_prom.empty()) g_prometheus_text = plane->prometheus_text();
-    for (const auto& ev : plane->aggregator().events()) {
+  const ResultT result = session.run(driver, cfg);
+  if (telemetry) {
+    if (!opt.telemetry_prom.empty()) g_prometheus_text = telemetry->prometheus_text();
+    for (const auto& ev : telemetry->events()) {
       std::printf("[%s] health event @%.3f ms: %s node=%d %s%s%s value=%.2f\n",
                   wl::mode_name(mode), static_cast<double>(ev.at) / 1e6, ev.detector.c_str(),
                   ev.node, ev.series.c_str(), ev.tenant.empty() ? "" : " tenant=",
@@ -341,11 +335,8 @@ wl::RunResult run_driver(wl::Driver<ConfigT, ResultT> driver, const Options& opt
   // A fault already snapshotted the rings; otherwise dump the final state
   // so the artifact exists for healthy runs too.
   obs::FlightRecorder& flight = engine.cluster().flight();
-  if (!opt.flight_dump.empty() && flight.dumps() == 0) {
-    if (!flight.dump_now(opt.flight_dump)) {
-      std::fprintf(stderr, "error: could not write flight dump to %s\n",
-                   opt.flight_dump.c_str());
-    }
+  if (!opt.flight_dump.empty() && flight.dumps() == 0 && !flight.dump_now(opt.flight_dump)) {
+    g_flight_failed = true;
   }
   return result.run;
 }
@@ -382,6 +373,13 @@ int run_workload(const Options& opt) {
   else {
     std::fprintf(stderr, "unknown mode: %s\n", opt.mode.c_str());
     return 2;
+  }
+  if (!opt.telemetry_out.empty()) {
+    g_timeline.open(opt.telemetry_out, std::ios::binary);
+    if (!g_timeline) {
+      std::fprintf(stderr, "error: could not open %s\n", opt.telemetry_out.c_str());
+      return 1;
+    }
   }
   std::vector<double> totals;
   for (wl::Mode mode : to_run) {
@@ -460,9 +458,20 @@ int run_workload(const Options& opt) {
     std::printf("run report written: %s\n", opt.report_out.c_str());
   }
   if (!opt.flight_dump.empty()) {
+    if (g_flight_failed) {
+      std::fprintf(stderr, "error: could not write flight dump to %s\n",
+                   opt.flight_dump.c_str());
+      return 1;
+    }
     std::printf("flight dump written: %s\n", opt.flight_dump.c_str());
   }
-  if (!opt.telemetry_out.empty() && g_timeline_started) {
+  if (!opt.telemetry_out.empty()) {
+    g_timeline.close();
+    if (!g_timeline) {
+      std::fprintf(stderr, "error: could not write telemetry timeline to %s\n",
+                   opt.telemetry_out.c_str());
+      return 1;
+    }
     std::printf("telemetry timeline written: %s\n", opt.telemetry_out.c_str());
   }
   if (!opt.telemetry_prom.empty()) {
