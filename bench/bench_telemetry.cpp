@@ -79,7 +79,7 @@ ScenarioResult run_health_scenario() {
   tel::install_service_probes(telemetry, service);
 
   std::ofstream timeline("telemetry_timeline.jsonl");
-  telemetry.set_timeline_sink(&timeline);
+  telemetry.set_timeline_sink(&timeline, "flink");
 
   engine.run([&](df::Engine& eng) -> Co<void> {
     gflink::sim::WaitGroup wg(eng.sim());

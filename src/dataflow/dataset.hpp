@@ -271,8 +271,12 @@ class DataSet {
     co_return rows;
   }
 
+  /// The number of records. Reads sizes only: if the last stage is a chain
+  /// of record ops, it counts their output without building it.
   sim::Co<std::uint64_t> count(Job& job) const { return engine_->count(job, node_); }
 
+  /// Write the records to `path.part<worker>` on the DFS. Reads sizes only,
+  /// so a last stage of record ops streams as in count().
   sim::Co<void> write_dfs(Job& job, const std::string& path) const {
     return engine_->write_dfs(job, node_, path);
   }

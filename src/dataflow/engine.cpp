@@ -242,15 +242,24 @@ sim::Time Engine::run(std::function<sim::Co<void>(Engine&)> driver) {
 
 // ---- Plan execution --------------------------------------------------------
 
-sim::Co<DataHandle> Engine::run_plan(Job& job, const PlanNodePtr& sink) {
+sim::Co<DataHandle> Engine::run_plan(Job& job, const PlanNodePtr& sink,
+                                     std::vector<PartSize>* sizes) {
   GFLINK_CHECK_MSG(job.submitted(), "action on a job that was never submitted");
   auto chain = linearize(sink.get());
   DataHandle data = co_await run_source(job, chain.front()->source);
   auto stages = split_stages(chain);
   // Each stage takes its input over: unless the caller keeps that dataset
   // (a from_handle source), the stage holds its only reference.
-  for (const Stage& stage : stages) {
-    data = co_await run_stage(job, stage, std::move(data));
+  for (std::size_t s = 0; s < stages.size(); ++s) {
+    data = co_await run_stage(job, stages[s], std::move(data),
+                              s + 1 == stages.size() ? sizes : nullptr);
+  }
+  if (sizes != nullptr && data) {
+    // The last stage materialized: measure what it built.
+    for (const auto& part : data->parts) {
+      if (part.batch) sizes->push_back({part.worker, part.batch->count(), part.batch->byte_size()});
+    }
+    data.reset();
   }
   co_return data;
 }
@@ -365,7 +374,7 @@ sim::Co<void> Engine::stage_task(Job& job, const Stage& stage, int part_index,
                                  const MaterializedDataSet::Part& in, MaterializedDataSet& out,
                                  shuffle::ShuffleSession* exchange, int out_partitions,
                                  StageStat& stat, obs::SpanId stage_span,
-                                 obs::StrId task_name, bool* consumed) {
+                                 obs::StrId task_name, bool* consumed, PartSize* size) {
   const int worker = in.worker;
   obs::SpanStore& sp = cluster_.spans();
   const obs::SpanId task_span = open_task(task_name, stage_span, worker);
@@ -381,8 +390,14 @@ sim::Co<void> Engine::stage_task(Job& job, const Stage& stage, int part_index,
   const OpNode* terminal = stage.terminal;
 
   try {
-  if (terminal == nullptr || terminal->kind == OpKind::MapPartition ||
-      terminal->kind == OpKind::AsyncPartition) {
+  if (size != nullptr) {
+    // A size-only action reads nothing but the count: the ops' output goes
+    // nowhere, so no batch is built.
+    Emitter sink([](void*, const std::byte*) {}, nullptr);
+    co_await work_delay(worker, run_record_ops(ops, node, *in.batch, sink));
+    *size = {worker, sink.emitted(), sink.emitted() * stage.out_desc->stride()};
+  } else if (terminal == nullptr || terminal->kind == OpKind::MapPartition ||
+             terminal->kind == OpKind::AsyncPartition) {
     // The record ops' output is the stage's output or the terminal's input.
     std::shared_ptr<mem::RecordBatch> batch = in.batch;
     if (!ops.empty()) {
@@ -477,8 +492,11 @@ sim::Co<void> Engine::scatter_partition(const MaterializedDataSet::Part& part, c
   cluster_.spans().close(task_span, now());
 }
 
-sim::Co<DataHandle> Engine::run_stage(Job& job, const Stage& stage, DataHandle input) {
+sim::Co<DataHandle> Engine::run_stage(Job& job, const Stage& stage, DataHandle input,
+                                      std::vector<PartSize>* sizes) {
   if (stage.record_ops.empty() && stage.terminal == nullptr) co_return input;
+  // Only a stage of record ops streams; a terminal builds its own output.
+  if (stage.terminal != nullptr) sizes = nullptr;
 
   const OpNode* terminal = stage.terminal;
   const bool shuffles =
@@ -507,7 +525,11 @@ sim::Co<DataHandle> Engine::run_stage(Job& job, const Stage& stage, DataHandle i
   const int out_partitions = static_cast<int>(input->parts.size());
   auto out = std::make_shared<MaterializedDataSet>();
   out->desc = stage.out_desc != nullptr ? stage.out_desc : input->desc;
-  out->parts.resize(static_cast<std::size_t>(out_partitions));
+  if (sizes != nullptr) {
+    sizes->assign(static_cast<std::size_t>(out_partitions), {});
+  } else {
+    out->parts.resize(static_cast<std::size_t>(out_partitions));
+  }
 
   std::unique_ptr<shuffle::ShuffleSession> exchange;
   if (shuffles) {
@@ -532,11 +554,11 @@ sim::Co<DataHandle> Engine::run_stage(Job& job, const Stage& stage, DataHandle i
       sim_.spawn([](Engine& eng, Job& jb, const Stage& st, int idx,
                     MaterializedDataSet::Part part_in, MaterializedDataSet& result,
                     shuffle::ShuffleSession* ex, int nparts, StageStat& ss, obs::SpanId st_span,
-                    obs::StrId tname, bool* consumed_flag, std::shared_ptr<std::vector<int>> fails,
-                    sim::WaitGroup& join) -> sim::Co<void> {
+                    obs::StrId tname, bool* consumed_flag, PartSize* size,
+                    std::shared_ptr<std::vector<int>> fails, sim::WaitGroup& join) -> sim::Co<void> {
         try {
           co_await eng.stage_task(jb, st, idx, part_in, result, ex, nparts, ss, st_span, tname,
-                                  consumed_flag);
+                                  consumed_flag, size);
         } catch (const TaskFailed&) {
           ++eng.tasks_failed_;
           ++jb.stats().tasks_failed;
@@ -545,7 +567,8 @@ sim::Co<DataHandle> Engine::run_stage(Job& job, const Stage& stage, DataHandle i
         join.done();
       }(*this, job, stage, index, part, *out, exchange.get(), out_partitions,
         stat, stage_span, task_name,
-        owns_input ? &consumed[static_cast<std::size_t>(index)] : nullptr, failed, wg));
+        owns_input ? &consumed[static_cast<std::size_t>(index)] : nullptr,
+        sizes != nullptr ? &(*sizes)[static_cast<std::size_t>(index)] : nullptr, failed, wg));
     }
     co_await wg.wait();
     pending.clear();
@@ -638,6 +661,10 @@ sim::Co<DataHandle> Engine::run_stage(Job& job, const Stage& stage, DataHandle i
 
   stat.end = now();
   stat.records_out = out->total_records();
+  if (sizes != nullptr) {
+    for (const PartSize& part : *sizes) stat.records_out += part.records;
+    out.reset();
+  }
   cluster_.spans().close(stage_span, stat.end);
   job.stats().shuffle_bytes += stat.shuffle_bytes;
   note_stage(stat);
@@ -682,31 +709,35 @@ sim::Co<std::shared_ptr<mem::RecordBatch>> Engine::collect(Job& job, PlanNodePtr
 }
 
 sim::Co<std::uint64_t> Engine::count(Job& job, PlanNodePtr sink) {
-  DataHandle data = co_await run_plan(job, sink);
+  std::vector<PartSize> sizes;
+  co_await run_plan(job, sink, &sizes);
   // Count is metadata-only: one message per worker that owns partitions.
   std::vector<bool> seen(static_cast<std::size_t>(num_workers()) + 1, false);
-  for (const auto& part : data->parts) {
-    if (part.batch && !seen[static_cast<std::size_t>(part.worker)]) {
+  std::uint64_t records = 0;
+  for (const PartSize& part : sizes) {
+    records += part.records;
+    if (!seen[static_cast<std::size_t>(part.worker)]) {
       seen[static_cast<std::size_t>(part.worker)] = true;
       co_await cluster_.message(part.worker, 0);
     }
   }
-  co_return data->total_records();
+  co_return records;
 }
 
 sim::Co<void> Engine::write_dfs(Job& job, PlanNodePtr sink, const std::string& path) {
-  DataHandle data = co_await run_plan(job, sink);
+  std::vector<PartSize> sizes;
+  co_await run_plan(job, sink, &sizes);
   sim::WaitGroup wg(sim_);
-  for (const auto& part : data->parts) {
-    if (!part.batch || part.batch->empty()) continue;
+  for (const PartSize& part : sizes) {
+    if (part.records == 0) continue;
     wg.add();
-    job.stats().io_bytes_written += part.batch->byte_size();
-    sim_.spawn([](Engine& eng, const MaterializedDataSet::Part& p, std::string file,
+    job.stats().io_bytes_written += part.bytes;
+    sim_.spawn([](Engine& eng, int worker, std::uint64_t bytes, std::string file,
                   obs::SpanId job_span, sim::WaitGroup& join) -> sim::Co<void> {
-      co_await eng.dfs().write(p.worker, file + ".part" + std::to_string(p.worker),
-                               p.batch->byte_size(), {job_span, obs::SpanCategory::Control});
+      co_await eng.dfs().write(worker, file + ".part" + std::to_string(worker), bytes,
+                               {job_span, obs::SpanCategory::Control});
       join.done();
-    }(*this, part, path, job.span(), wg));
+    }(*this, part.worker, part.bytes, path, job.span(), wg));
   }
   co_await wg.wait();
 }

@@ -279,10 +279,14 @@ class Engine {
   /// Execute and gather all records to the master (driver).
   sim::Co<std::shared_ptr<mem::RecordBatch>> collect(Job& job, PlanNodePtr sink);
 
-  /// Execute and return only the record count.
+  /// Execute and return only the record count: one message per worker that
+  /// owns an output partition. Needs sizes only, so a last stage of record
+  /// ops streams into a counter and builds no batch (see run_plan).
   sim::Co<std::uint64_t> count(Job& job, PlanNodePtr sink);
 
-  /// Execute and write the result to a DFS file (replicated).
+  /// Execute and write the result to a DFS file (replicated): one
+  /// `path.part<worker>` write per non-empty partition, of its byte size.
+  /// Needs sizes only, so it streams its last stage as count() does.
   sim::Co<void> write_dfs(Job& job, PlanNodePtr sink, const std::string& path);
 
   // ---- Handle-level operations ------------------------------------------
@@ -324,20 +328,38 @@ class Engine {
  private:
   friend class TaskContext;
 
-  sim::Co<DataHandle> run_plan(Job& job, const PlanNodePtr& sink);
+  /// One output partition as a size-only action sees it.
+  struct PartSize {
+    int worker = 0;
+    std::uint64_t records = 0;
+    std::uint64_t bytes = 0;
+  };
+
+  // Run the plan. With `sizes`, the caller needs only the size of each
+  // output partition: run_plan fills `sizes` with the partitions present,
+  // in order, and returns null. A last stage of record ops with no
+  // terminal then streams into a counter and builds no batch; any other
+  // last stage materializes and is measured.
+  sim::Co<DataHandle> run_plan(Job& job, const PlanNodePtr& sink,
+                               std::vector<PartSize>* sizes = nullptr);
   sim::Co<DataHandle> run_source(Job& job, const SourceSpec& source);
-  sim::Co<DataHandle> run_stage(Job& job, const Stage& stage, DataHandle input);
+  // Run one stage. With `sizes` and a stage of record ops only, each task
+  // reports its partition's size there instead of building it, and the
+  // stage returns null.
+  sim::Co<DataHandle> run_stage(Job& job, const Stage& stage, DataHandle input,
+                                std::vector<PartSize>* sizes);
 
   // One stage task over one partition, its span named `task_name`. If the
   // stage ends in a shuffle, the task's buckets are sent through `exchange`;
-  // else it writes its output part directly. `consumed` is null unless the
-  // stage owns its input; then the task sets it before it hands that input
-  // to an AsyncPartition function, which may write over it.
+  // if `size` is set, it only counts its output records into it; else it
+  // writes its output part directly. `consumed` is null unless the stage
+  // owns its input; then the task sets it before it hands that input to an
+  // AsyncPartition function, which may write over it.
   sim::Co<void> stage_task(Job& job, const Stage& stage, int part_index,
                            const MaterializedDataSet::Part& in,
                            MaterializedDataSet& out, shuffle::ShuffleSession* exchange,
                            int out_partitions, StageStat& stat, obs::SpanId stage_span,
-                           obs::StrId task_name, bool* consumed);
+                           obs::StrId task_name, bool* consumed, PartSize* size);
 
   // The prologue every task shares: open its span on the worker's tasks
   // lane, then (after any deployment steps) take a slot on that worker,

@@ -183,6 +183,7 @@ void Telemetry::detect_slo_burn(sim::Time at) {
 void Telemetry::write_timeline_record(sim::Time at, std::size_t first_event) {
   Json j = Json::object();
   j["schema"] = "gflink.telemetry/v1";
+  j["run"] = timeline_run_;
   j["period"] = periods_;
   j["at_ns"] = static_cast<std::int64_t>(at);
   Json series = Json::array();

@@ -154,8 +154,13 @@ class Telemetry {
   /// per-tick delta of the cumulative value the probe returns.
   void add_probe(int node, Metric family, Labels labels, Probe probe);
 
-  /// One JSON record per tick is written here when set.
-  void set_timeline_sink(std::ostream* out) { timeline_ = out; }
+  /// One JSON record per tick is written here when set, each naming `run`
+  /// ("flink" or "gflink"), so one file can hold the timelines of several
+  /// runs.
+  void set_timeline_sink(std::ostream* out, std::string run) {
+    timeline_ = out;
+    timeline_run_ = std::move(run);
+  }
 
   /// SLO feed: one job completion (JobService::set_completion_observer).
   void observe_completion(const std::string& tenant, sim::Duration latency);
@@ -188,6 +193,7 @@ class Telemetry {
   sim::Simulation* sim_;
   TelemetryConfig config_;
   std::ostream* timeline_ = nullptr;
+  std::string timeline_run_;
   std::vector<Series> series_;  // registration order (deterministic)
   std::vector<double> scratch_;  // straggler p95 peer buffer
   std::map<std::string, TenantSlo> slo_;  // ordered: deterministic detection

@@ -204,7 +204,7 @@ sim::Co<void> ShuffleSession::send(int src_worker, std::vector<mem::RecordBatch>
 }
 
 void ShuffleSession::deposit_local(int t, mem::RecordBatch bucket) {
-  buckets_[static_cast<std::size_t>(t)].push_back(Deposit{std::move(bucket)});
+  buckets_[static_cast<std::size_t>(t)].push_back(Deposit(std::move(bucket)));
 }
 
 sim::Co<void> ShuffleSession::send_bucket(int src, int t, mem::RecordBatch bucket) {
@@ -421,7 +421,7 @@ sim::Co<void> ShuffleSession::one_sided_barrier() {
 sim::Co<void> ShuffleSession::deposit(int t, int dst, mem::RecordBatch bucket) {
   const ShuffleConfig& cfg = service_->config();
   const std::uint64_t bytes = bucket.byte_size();
-  Deposit d{std::move(bucket)};
+  Deposit d(std::move(bucket));
   if (cfg.spill_enabled && bytes > 0 &&
       service_->resident_bytes(dst) + bytes > cfg.receiver_budget_bytes) {
     d.spilled = true;

@@ -224,6 +224,7 @@ class ShuffleSession {
 
  private:
   struct Deposit {
+    explicit Deposit(mem::RecordBatch bucket) : batch(std::move(bucket)) {}
     mem::RecordBatch batch;
     bool spilled = false;
     bool counted_resident = false;  // held exchange-budget bytes until taken

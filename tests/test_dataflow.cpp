@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <functional>
 #include <map>
 #include <numeric>
 
@@ -422,6 +423,213 @@ TEST(Engine, WriteDfsReplicates) {
   });
   EXPECT_EQ(written, 3000u * 16u);
   EXPECT_DOUBLE_EQ(dfs_written, 3000.0 * 16.0);
+}
+
+// ---- Size-only actions stream their last stage ---------------------------
+//
+// write_dfs and count read only the size of each output partition, so a
+// last stage of record ops runs into a counting sink instead of a batch.
+// Every modelled number must match the materializing path: materialize(),
+// then write (or count) what was built.
+
+namespace {
+
+/// A map -> filter chain whose partitions keep different record counts.
+DataSet<KV> labelled(Engine& eng, int partitions, std::uint64_t n, OpCost map_cost) {
+  return iota(eng, partitions, n, n)
+      .map<KV>(&kv_desc(), "label", map_cost,
+               [](const KV& kv) { return KV{kv.key % 7, kv.value * 2}; })
+      .filter("keep", OpCost{1.0, 16.0}, [](const KV& kv) { return kv.key != 3; });
+}
+
+/// Everything a write of `ds` to "/out" leaves behind.
+struct WriteFacts {
+  std::vector<std::uint64_t> file_bytes;  // "/out.part<w>" size, 0 if absent
+  std::uint64_t io_bytes_written = 0;
+  std::uint64_t records_out = 0;
+  std::uint64_t spans = 0;
+  std::uint64_t tasks_retried = 0;
+  sim::Time end = 0;
+};
+
+/// Write `make(eng)` to "/out" with write_dfs, or (`reference`) by
+/// materializing it and writing each part's byte_size() the way write_dfs
+/// did before it streamed.
+WriteFacts write_out(Engine& e, bool reference,
+                     const std::function<DataSet<KV>(Engine&)>& make) {
+  WriteFacts f;
+  f.end = e.run([&](Engine& eng) -> Co<void> {
+    Job job(eng, "t");
+    co_await job.submit();
+    if (reference) {
+      df::DataHandle data = co_await make(eng).materialize(job);
+      gflink::sim::WaitGroup wg(eng.sim());
+      for (const auto& part : data->parts) {
+        if (part.batch->empty()) continue;
+        wg.add();
+        job.stats().io_bytes_written += part.batch->byte_size();
+        eng.sim().spawn([](Engine& en, int worker, std::uint64_t bytes, gflink::obs::SpanId span,
+                           gflink::sim::WaitGroup& join) -> Co<void> {
+          co_await en.dfs().write(worker, "/out.part" + std::to_string(worker), bytes,
+                                  {span, gflink::obs::SpanCategory::Control});
+          join.done();
+        }(eng, part.worker, part.batch->byte_size(), job.span(), wg));
+      }
+      co_await wg.wait();
+    } else {
+      co_await make(eng).write_dfs(job, "/out");
+    }
+    job.finish();
+    f.io_bytes_written = job.stats().io_bytes_written;
+    f.records_out = job.stats().stages.back().records_out;
+  });
+  for (int w = 1; w <= e.num_workers(); ++w) {
+    const gflink::dfs::FileInfo* file = e.dfs().stat("/out.part" + std::to_string(w));
+    f.file_bytes.push_back(file != nullptr ? file->size : 0);
+  }
+  f.spans = e.cluster().spans().recorded();
+  f.tasks_retried = e.tasks_retried();
+  return f;
+}
+
+void expect_same_write(const WriteFacts& streamed, const WriteFacts& reference) {
+  EXPECT_EQ(streamed.file_bytes, reference.file_bytes);
+  EXPECT_EQ(streamed.io_bytes_written, reference.io_bytes_written);
+  EXPECT_EQ(streamed.records_out, reference.records_out);
+  EXPECT_EQ(streamed.spans, reference.spans);
+  EXPECT_EQ(streamed.end, reference.end);
+}
+
+}  // namespace
+
+TEST(SizeOnlyAction, WriteDfsStreamsLikeMaterializeThenWrite) {
+  const auto make = [](Engine& eng) { return labelled(eng, 3, 3000, OpCost{50.0, 16.0}); };
+  Engine streamed_engine(fast_config(3));
+  Engine reference_engine(fast_config(3));
+  const WriteFacts streamed = write_out(streamed_engine, false, make);
+  const WriteFacts reference = write_out(reference_engine, true, make);
+  expect_same_write(streamed, reference);
+  // The filter drops key 3: 3000 records, of which those with i % 7 == 3.
+  std::uint64_t kept = 0;
+  for (std::uint64_t i = 0; i < 3000; ++i) kept += i % 7 != 3 ? 1 : 0;
+  EXPECT_EQ(streamed.records_out, kept);
+  EXPECT_EQ(streamed.io_bytes_written, kept * sizeof(KV));
+}
+
+TEST(SizeOnlyAction, EmptyPartitionsWriteNoFile) {
+  // Partition p holds i = p mod 3, so the filter keeps partition 0 only.
+  const auto make = [](Engine& eng) {
+    return iota(eng, 3, 300, 300).filter("p0", OpCost{1.0, 16.0},
+                                         [](const KV& kv) { return kv.value % 3 == 0; });
+  };
+  Engine e(fast_config(3));
+  const WriteFacts f = write_out(e, false, make);
+  EXPECT_EQ(f.file_bytes, (std::vector<std::uint64_t>{100 * sizeof(KV), 0, 0}));
+  EXPECT_FALSE(e.dfs().exists("/out.part2"));
+  EXPECT_FALSE(e.dfs().exists("/out.part3"));
+  EXPECT_EQ(f.io_bytes_written, 100 * sizeof(KV));
+  EXPECT_EQ(f.records_out, 100u);
+}
+
+TEST(SizeOnlyAction, CountOverFilterMatchesMaterialize) {
+  const auto run = [](bool reference, std::uint64_t& n, std::uint64_t& records_out) {
+    Engine e(fast_config(3));
+    return e.run([&](Engine& eng) -> Co<void> {
+      Job job(eng, "t");
+      co_await job.submit();
+      auto ds = iota(eng, 4, 1000, 1000).filter("evens", OpCost{1.0, 8.0}, [](const KV& kv) {
+        return kv.value % 2 == 0;
+      });
+      if (reference) {
+        // count()'s rule on a materialized result: one message per worker
+        // that owns a partition, then the summed records.
+        df::DataHandle data = co_await ds.materialize(job);
+        std::vector<bool> seen(static_cast<std::size_t>(eng.num_workers()) + 1, false);
+        for (const auto& part : data->parts) {
+          if (seen[static_cast<std::size_t>(part.worker)]) continue;
+          seen[static_cast<std::size_t>(part.worker)] = true;
+          co_await eng.cluster().message(part.worker, 0);
+        }
+        n = data->total_records();
+      } else {
+        n = co_await ds.count(job);
+      }
+      job.finish();
+      records_out = job.stats().stages.back().records_out;
+    });
+  };
+  std::uint64_t counted = 0, counted_out = 0, materialized = 0, materialized_out = 0;
+  const sim::Time counted_end = run(false, counted, counted_out);
+  const sim::Time materialized_end = run(true, materialized, materialized_out);
+  EXPECT_EQ(counted, 500u);
+  EXPECT_EQ(counted, materialized);
+  EXPECT_EQ(counted_out, materialized_out);
+  EXPECT_EQ(counted_end, materialized_end);
+}
+
+TEST(SizeOnlyAction, TerminalLastStageStillMaterializes) {
+  // A reduce_by_key or an AsyncPartition (the GPU ops' kind) last stage
+  // builds its output, and the action sizes what the terminal built.
+  Engine e(fast_config(3));
+  std::uint64_t keys = 0, doubled = 0, reduced_bytes = 0, doubled_bytes = 0;
+  int async_calls = 0;
+  e.run([&](Engine& eng) -> Co<void> {
+    Job job(eng, "t");
+    co_await job.submit();
+    auto reduced = iota(eng, 3, 1000, 10)
+                       .map<KV>(&kv_desc(), "id", OpCost{1.0, 16.0}, [](const KV& kv) { return kv; })
+                       .reduce_by_key(
+                           "sum", OpCost{4.0, 16.0}, [](const KV& kv) { return kv.key; },
+                           [](KV& acc, const KV& kv) { acc.value += kv.value; });
+    keys = co_await reduced.count(job);
+    co_await reduced.write_dfs(job, "/reduced");
+    reduced_bytes = job.stats().io_bytes_written;
+
+    auto twice = iota(eng, 3, 300, 300).async_map_partition<KV>(
+        &kv_desc(), "twice",
+        [&async_calls](df::TaskContext& ctx, const mem::RecordBatch& in,
+                       mem::RecordBatch& out) -> Co<void> {
+          ++async_calls;
+          co_await ctx.sim().delay(sim::micros(5));
+          for (std::size_t i = 0; i < in.count(); ++i) {
+            out.append_raw(in.record_ptr(i));
+            out.append_raw(in.record_ptr(i));
+          }
+        });
+    doubled = co_await twice.count(job);
+    co_await twice.write_dfs(job, "/twice");
+    doubled_bytes = job.stats().io_bytes_written - reduced_bytes;
+    job.finish();
+  });
+  EXPECT_EQ(keys, 10u);
+  EXPECT_EQ(reduced_bytes, 10 * sizeof(KV));
+  EXPECT_EQ(doubled, 600u);
+  EXPECT_EQ(doubled_bytes, 600 * sizeof(KV));
+  EXPECT_EQ(async_calls, 6);  // three partitions, two actions
+}
+
+TEST(SizeOnlyAction, WorkerLostDuringStreamedStageRetriesExactly) {
+  // A costly map so the stage spans milliseconds; worker 2 dies midway.
+  const auto make = [](Engine& eng) { return labelled(eng, 3, 3000, OpCost{4.0e5, 16.0}); };
+  Engine healthy(fast_config(3));
+  const WriteFacts ok = write_out(healthy, false, make);
+
+  Engine streamed_engine(fast_config(3));
+  Engine reference_engine(fast_config(3));
+  const sim::Time mid = ok.end / 2;
+  streamed_engine.schedule_worker_failure(2, mid);
+  reference_engine.schedule_worker_failure(2, mid);
+  const WriteFacts streamed = write_out(streamed_engine, false, make);
+  const WriteFacts reference = write_out(reference_engine, true, make);
+
+  EXPECT_GT(streamed.tasks_retried, 0u);
+  EXPECT_EQ(streamed.tasks_retried, reference.tasks_retried);
+  EXPECT_EQ(streamed.io_bytes_written, ok.io_bytes_written);
+  std::uint64_t on_dfs = 0;
+  for (std::uint64_t b : streamed.file_bytes) on_dfs += b;
+  EXPECT_EQ(on_dfs, ok.io_bytes_written);
+  EXPECT_EQ(streamed.file_bytes[1], 0u);  // the lost worker wrote nothing
+  expect_same_write(streamed, reference);
 }
 
 TEST(Engine, JoinMatchesKeys) {

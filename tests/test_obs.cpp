@@ -91,7 +91,7 @@ TEST(Metrics, LabelSemantics) {
 
   obs::MetricId id{"bytes", {{"pipe", "a"}}};
   EXPECT_EQ(id.to_string(), "bytes{pipe=\"a\"}");
-  EXPECT_EQ((obs::MetricId{"plain"}.to_string()), "plain");
+  EXPECT_EQ((obs::MetricId{"plain", {}}.to_string()), "plain");
 }
 
 TEST(Metrics, HandlesAreStable) {

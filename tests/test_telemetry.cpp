@@ -212,13 +212,13 @@ TEST(TelemetryExport, TimelineWritesOneRecordPerPeriod) {
                 [w] { return static_cast<double>(w); });
   }
   std::ostringstream sink;
-  t.set_timeline_sink(&sink);
+  t.set_timeline_sink(&sink, "flink");
   run_periods(s, 7);
   std::istringstream lines(sink.str());
   std::string line;
   int records = 0;
   while (std::getline(lines, line)) {
-    EXPECT_EQ(line.rfind("{\"schema\":\"gflink.telemetry/v1\"", 0), 0u) << line;
+    EXPECT_EQ(line.rfind("{\"schema\":\"gflink.telemetry/v1\",\"run\":\"flink\"", 0), 0u) << line;
     EXPECT_NE(line.find("telemetry_spill_queue_depth_total"), std::string::npos);
     ++records;
   }
@@ -296,7 +296,7 @@ RunFacts pagerank_run(bool sampled) {
     t = std::make_unique<telemetry::Telemetry>(session.engine().sim(), tcfg);
     telemetry::install_engine_probes(*t, session.engine());
     telemetry::install_runtime_probes(*t, *session.runtime());
-    t->set_timeline_sink(&timeline);
+    t->set_timeline_sink(&timeline, "gflink");
   }
   session.run(&wl::pagerank::run, cfg);
   obs::RunReport report;

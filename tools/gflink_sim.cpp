@@ -71,8 +71,8 @@ obs::RunReport g_report;
 bool g_trace_failed = false;
 bool g_flight_failed = false;
 // The telemetry timeline spans both modes of a `--mode both` run: it is
-// opened once, before the first engine runs. The Prometheus snapshot keeps
-// only the last (GFlink) run's series.
+// opened once, before the first engine runs, and each record names its run.
+// The Prometheus snapshot keeps only the last (GFlink) run's series.
 std::ofstream g_timeline;
 std::string g_prometheus_text;
 
@@ -291,7 +291,9 @@ wl::RunResult run_driver(wl::Driver<ConfigT, ResultT> driver, const Options& opt
     telemetry = std::make_unique<tel::Telemetry>(engine.sim(), tcfg);
     tel::install_engine_probes(*telemetry, engine);
     if (runtime) tel::install_runtime_probes(*telemetry, *runtime);
-    if (g_timeline.is_open()) telemetry->set_timeline_sink(&g_timeline);
+    if (g_timeline.is_open()) {
+      telemetry->set_timeline_sink(&g_timeline, mode == wl::Mode::Cpu ? "flink" : "gflink");
+    }
   }
 
   const ResultT result = session.run(driver, cfg);
