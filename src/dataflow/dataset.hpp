@@ -330,7 +330,8 @@ sim::Co<DataHandle> co_group(
       host_layout_desc<O>(out_desc), cost, partitions, name);
 }
 
-/// Hash join of two typed datasets.
+/// Hash join of two typed datasets: a coGroup whose group function calls
+/// `join_fn` on every left x right pair of a key. Output comes in key order.
 template <typename L, typename R, typename O>
 sim::Co<DataHandle> join(Job& job, const DataHandle& left, const DataHandle& right,
                          std::function<std::uint64_t(const L&)> left_key,
@@ -338,19 +339,15 @@ sim::Co<DataHandle> join(Job& job, const DataHandle& left, const DataHandle& rig
                          std::function<void(const L&, const R&, FlatCollector<O>&)> join_fn,
                          const mem::StructDesc* out_desc, OpCost cost, int partitions = 0,
                          const std::string& name = "join") {
-  return job.engine().join(
-      job, left, right,
-      [left_key = std::move(left_key)](const std::byte* rec) {
-        return left_key(*reinterpret_cast<const L*>(rec));
+  return co_group<L, R, O>(
+      job, left, right, std::move(left_key), std::move(right_key),
+      [join_fn = std::move(join_fn)](const std::vector<const L*>& ls,
+                                     const std::vector<const R*>& rs, FlatCollector<O>& out) {
+        for (const L* l : ls) {
+          for (const R* r : rs) join_fn(*l, *r, out);
+        }
       },
-      [right_key = std::move(right_key)](const std::byte* rec) {
-        return right_key(*reinterpret_cast<const R*>(rec));
-      },
-      [join_fn = std::move(join_fn)](const std::byte* l, const std::byte* r, Emitter& out) {
-        FlatCollector<O> collector(out);
-        join_fn(*reinterpret_cast<const L*>(l), *reinterpret_cast<const R*>(r), collector);
-      },
-      host_layout_desc<O>(out_desc), cost, partitions, name);
+      out_desc, cost, partitions, name);
 }
 
 }  // namespace gflink::dataflow

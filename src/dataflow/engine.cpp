@@ -5,6 +5,7 @@
 #include "dataflow/engine.hpp"
 
 #include <map>
+#include <numeric>
 
 namespace gflink::dataflow {
 
@@ -52,6 +53,43 @@ sim::Duration run_record_ops(const std::vector<const OpNode*>& ops, const net::N
              node.record_time(ops[i]->cost.flops, ops[i]->cost.bytes);
   }
   return total;
+}
+
+/// What a shuffle stage's receiver makes of one target partition's
+/// deposits: GroupReduce groups them by key and calls the group function
+/// per key, ReduceByKey combines them, Rebalance concatenates them. Returns
+/// the modelled time on `node`.
+sim::Duration merge_deposits(const OpNode& term, const net::Node& node,
+                             const std::vector<mem::RecordBatch>& deposited,
+                             mem::RecordBatch& merged) {
+  std::uint64_t n = 0;
+  for (const auto& b : deposited) n += b.count();
+  if (term.kind == OpKind::GroupReduce) {
+    std::map<std::uint64_t, std::vector<const std::byte*>> groups;
+    for (const auto& b : deposited) {
+      for (std::size_t i = 0; i < b.count(); ++i) {
+        groups[term.key_fn(b.record_ptr(i))].push_back(b.record_ptr(i));
+      }
+    }
+    Emitter emitter(merged);
+    for (const auto& [key, group] : groups) term.group_fn(group, emitter);
+    return static_cast<sim::Duration>(n + emitter.emitted()) *
+           node.record_time(term.cost.flops, term.cost.bytes);
+  }
+  if (term.kind == OpKind::ReduceByKey) {
+    shuffle::Bucketer combine(1, term.out_desc, &term.key_fn, &term.combine_fn);
+    combine.reserve_keys(n);
+    for (const auto& b : deposited) {
+      for (std::size_t i = 0; i < b.count(); ++i) combine.add(b.record_ptr(i));
+    }
+    merged = std::move(combine.take().front());
+    return static_cast<sim::Duration>(n) * node.record_time(term.cost.flops, term.cost.bytes);
+  }
+  // Rebalance: concatenation plus the deferred transfers.
+  merged.reserve(n);
+  for (const auto& b : deposited) merged.append(b);
+  return static_cast<sim::Duration>(n) *
+         node.record_time(1.0, static_cast<double>(term.out_desc->stride()));
 }
 
 }  // namespace
@@ -214,16 +252,6 @@ sim::Co<Worker*> Engine::acquire_slot(int node, obs::SpanId task_span) {
   co_return &w;
 }
 
-void Engine::note_stage(const StageStat& stat) {
-  obs::MetricsRegistry& m = cluster_.metrics();
-  m.inc(obs::Metric::EngineStages);
-  m.inc(obs::Metric::EngineStageTasks, static_cast<double>(stat.tasks));
-  m.inc(obs::Metric::EngineRecordsIn, static_cast<double>(stat.records_in));
-  m.inc(obs::Metric::EngineRecordsOut, static_cast<double>(stat.records_out));
-  m.inc(obs::Metric::EngineShuffleBytes, static_cast<double>(stat.shuffle_bytes));
-  m.histogram(obs::Metric::EngineStageDurationNs).add(static_cast<double>(stat.end - stat.begin));
-}
-
 void Engine::export_metrics(obs::MetricsRegistry& out) const {
   cluster_.export_metrics(out);
   out.counter(obs::Metric::EngineTasksFailed).inc(static_cast<double>(tasks_failed_));
@@ -264,6 +292,131 @@ sim::Co<DataHandle> Engine::run_plan(Job& job, const PlanNodePtr& sink,
   co_return data;
 }
 
+sim::Co<Engine::StageScope> Engine::open_stage(Job& job, std::string name, int tasks,
+                                               const std::function<void(obs::SpanId)>& prepare) {
+  StageScope scope;
+  scope.stat.name = std::move(name);
+  scope.stat.begin = now();
+  scope.stat.tasks = tasks;
+  scope.span = cluster_.spans().open("stage:" + scope.stat.name, obs::SpanCategory::Control,
+                                     job.span(), scope.stat.begin, "master/stages", 0);
+  if (prepare) prepare(scope.span);
+  co_await sim_.delay(config_.stage_schedule_overhead);
+  co_return scope;
+}
+
+void Engine::close_stage(Job& job, StageScope& scope, std::uint64_t records_out) {
+  StageStat& stat = scope.stat;
+  stat.end = now();
+  stat.records_out = records_out;
+  cluster_.spans().close(scope.span, stat.end);
+  job.stats().shuffle_bytes += stat.shuffle_bytes;
+  obs::MetricsRegistry& m = cluster_.metrics();
+  m.inc(obs::Metric::EngineStages);
+  m.inc(obs::Metric::EngineStageTasks, static_cast<double>(stat.tasks));
+  m.inc(obs::Metric::EngineRecordsIn, static_cast<double>(stat.records_in));
+  m.inc(obs::Metric::EngineRecordsOut, static_cast<double>(stat.records_out));
+  m.inc(obs::Metric::EngineShuffleBytes, static_cast<double>(stat.shuffle_bytes));
+  m.histogram(obs::Metric::EngineStageDurationNs).add(static_cast<double>(stat.end - stat.begin));
+  job.stats().stages.push_back(std::move(stat));
+}
+
+sim::Co<void> Engine::run_waves(Job& job, const StageScope& scope, std::vector<int> placement,
+                                const std::vector<int>& home, const bool* consumed,
+                                const TaskBody& body) {
+  const obs::StrId task_name = cluster_.spans().intern("task:" + scope.stat.name);
+  std::vector<int> pending(placement.size());
+  std::iota(pending.begin(), pending.end(), 0);
+  while (!pending.empty()) {
+    sim::WaitGroup wg(sim_);
+    std::vector<int> failed;
+    for (int index : pending) {
+      wg.add();
+      // The deployed-task skeleton: deploy to the worker, take a slot, run
+      // the body. A worker lost on the way fails the task, not the stage.
+      sim_.spawn([](Engine& eng, Job& jb, const StageScope& st, obs::StrId tname, int idx,
+                    int node, const TaskBody& run, std::vector<int>& fails,
+                    sim::WaitGroup& join) -> sim::Co<void> {
+        obs::SpanStore& sp = eng.cluster().spans();
+        const obs::SpanId task_span = eng.open_task(tname, st.span, node);
+        Worker* held = nullptr;
+        try {
+          if (!eng.worker_alive(node)) throw TaskFailed{node};
+          co_await eng.cluster().message(0, node);  // task deployment RPC
+          co_await eng.sim().delay(eng.config().task_deploy_overhead);
+          held = co_await eng.acquire_slot(node, task_span);
+          co_await run(idx, node, task_span);
+          held->slots().release();
+          sp.close(task_span, eng.now());
+        } catch (const TaskFailed&) {
+          // The physical slot is gone with the node, but keep the
+          // accounting balanced for a rejoin.
+          if (held != nullptr) held->slots().release();
+          sp.annotate(task_span, "failed", "worker_lost");
+          sp.close(task_span, eng.now());
+          eng.cluster().flight().note_event(eng.now(), node, "task_failed",
+                                            st.stat.name + " partition " + std::to_string(idx));
+          ++eng.tasks_failed_;
+          ++jb.stats().tasks_failed;
+          fails.push_back(idx);
+        }
+        join.done();
+      }(*this, job, scope, task_name, index, placement[static_cast<std::size_t>(index)], body,
+        failed, wg));
+    }
+    co_await wg.wait();
+    if (failed.empty()) break;
+    // Heartbeat timeout before the JobManager reacts, then reassignment
+    // (Flink's restart-from-failure behaviour).
+    co_await sim_.delay(config_.failure_detection_delay);
+    for (int idx : failed) {
+      GFLINK_CHECK_MSG(consumed == nullptr || !consumed[idx],
+                       "partition " + std::to_string(idx) + " of stage " + scope.stat.name +
+                           " failed after it consumed its input, so it cannot be re-run");
+      const auto p = static_cast<std::size_t>(idx);
+      placement[p] = pick_alive_worker(home[p]);
+      ++tasks_retried_;
+      ++job.stats().tasks_retried;
+    }
+    pending = std::move(failed);
+  }
+}
+
+sim::Co<void> Engine::run_receivers(obs::SpanId stage_span, obs::StrRef task_name,
+                                    std::vector<shuffle::ShuffleSession*> sessions,
+                                    MaterializedDataSet& out, const ReceiveFn& receive) {
+  const obs::StrId name = cluster_.spans().intern(task_name);
+  sim::WaitGroup wg(sim_);
+  for (std::size_t t = 0; t < out.parts.size(); ++t) {
+    wg.add();
+    sim_.spawn([](Engine& eng, obs::SpanId st_span, obs::StrId tname,
+                  const std::vector<shuffle::ShuffleSession*>& from, MaterializedDataSet& result,
+                  const ReceiveFn& fn, int t_index, sim::WaitGroup& join) -> sim::Co<void> {
+      const int node = eng.owner_of_partition(t_index);
+      const obs::SpanId task_span = eng.open_task(tname, st_span, node);
+      Worker& w = *co_await eng.acquire_slot(node, task_span);
+      // Reads spilled deposits back from the DFS.
+      std::vector<std::vector<mem::RecordBatch>> deposits;
+      for (shuffle::ShuffleSession* session : from) {
+        std::vector<mem::RecordBatch> taken =
+            co_await session->take(t_index, node, {task_span, obs::SpanCategory::Spill});
+        deposits.push_back(std::move(taken));
+      }
+      auto part = std::make_shared<mem::RecordBatch>(result.desc);
+      const sim::Duration busy = fn(eng.cluster().node(node), deposits, *part);
+      // Free the deposits before the modelled time elapses: the other
+      // receivers run meanwhile.
+      deposits = {};
+      co_await eng.sim().delay(busy);
+      result.parts[static_cast<std::size_t>(t_index)] = {node, std::move(part)};
+      w.slots().release();
+      eng.cluster().spans().close(task_span, eng.now());
+      join.done();
+    }(*this, stage_span, name, sessions, out, receive, static_cast<int>(t), wg));
+  }
+  co_await wg.wait();
+}
+
 sim::Co<DataHandle> Engine::run_source(Job& job, const SourceSpec& source) {
   if (source.handle) co_return source.handle;  // cached in cluster memory
   GFLINK_CHECK_MSG(source.desc != nullptr, "source needs a record descriptor");
@@ -280,130 +433,68 @@ sim::Co<DataHandle> Engine::run_source(Job& job, const SourceSpec& source) {
     GFLINK_CHECK_MSG(file != nullptr, "source file missing: " + source.dfs_path);
   }
 
-  StageStat stat;
-  stat.name = "source";
-  stat.begin = now();
-  stat.tasks = partitions;
-
-  const obs::SpanId stage_span = cluster_.spans().open(
-      "stage:source", obs::SpanCategory::Control, job.span(), stat.begin, "master/stages", 0);
-
-  co_await sim_.delay(config_.stage_schedule_overhead);
-  std::vector<std::pair<int, int>> pending;  // (partition, assigned worker)
+  StageScope scope = co_await open_stage(job, "source", partitions);
+  // Input-split locality: a partition is first scheduled on the worker
+  // holding the primary replica of its first block; a retry starts from
+  // the partition's owner.
+  std::vector<int> placement, home;
   for (int p = 0; p < partitions; ++p) {
-    // Input-split locality: a partition is scheduled on the worker holding
-    // the primary replica of its first block.
-    int owner = owner_of_partition(p);
-    if (file != nullptr && static_cast<std::size_t>(p) < file->blocks.size()) {
-      owner = file->blocks[static_cast<std::size_t>(p)].replicas.front();
-    }
-    pending.emplace_back(p, owner);
+    home.push_back(owner_of_partition(p));
+    const bool has_block = file != nullptr && static_cast<std::size_t>(p) < file->blocks.size();
+    placement.push_back(has_block ? file->blocks[static_cast<std::size_t>(p)].replicas.front()
+                                  : home.back());
   }
-  while (!pending.empty()) {
-    sim::WaitGroup wg(sim_);
-    auto failed = std::make_shared<std::vector<int>>();
-    for (auto& [part, owner] : pending) {
-      wg.add();
-      sim_.spawn([](Engine& eng, Job& jb, const SourceSpec& src, const dfs::FileInfo* fi,
-                    MaterializedDataSet& result, int part_idx, int node, int nparts,
-                    obs::SpanId st_span, std::shared_ptr<std::vector<int>> fails,
-                    sim::WaitGroup& join) -> sim::Co<void> {
-        obs::SpanStore& sp = eng.cluster().spans();
-        const obs::SpanId task_span = eng.open_task("task:source", st_span, node);
-        try {
-          if (!eng.worker_alive(node)) throw TaskFailed{node};
-          co_await eng.cluster().message(0, node);
-          co_await eng.sim().delay(eng.config().task_deploy_overhead);
-          Worker& w = *co_await eng.acquire_slot(node, task_span);
-          try {
-            // Read this partition's share of blocks (round-robin).
-            if (fi != nullptr) {
-              for (std::size_t b = static_cast<std::size_t>(part_idx); b < fi->blocks.size();
-                   b += static_cast<std::size_t>(nparts)) {
-                co_await eng.dfs().read_block(node, fi->blocks[b],
-                                              {task_span, obs::SpanCategory::Control});
-                jb.stats().io_bytes_read += fi->blocks[b].bytes;
-              }
-            }
-            auto batch = std::make_shared<mem::RecordBatch>(src.desc);
-            src.generate(part_idx, *batch);
-            const auto n = static_cast<sim::Duration>(batch->count());
-            co_await eng.work_delay(
-                node, n * eng.cluster().node(node).record_time(src.parse_cost.flops,
-                                                               src.parse_cost.bytes));
-            result.parts[static_cast<std::size_t>(part_idx)] = {node, std::move(batch)};
-          } catch (const TaskFailed&) {
-            w.slots().release();
-            throw;
-          }
-          w.slots().release();
-          sp.close(task_span, eng.now());
-        } catch (const TaskFailed&) {
-          sp.annotate(task_span, "failed", "worker_lost");
-          sp.close(task_span, eng.now());
-          eng.cluster().flight().note_event(eng.now(), node, "task_failed",
-                                            "source partition " + std::to_string(part_idx));
-          ++eng.tasks_failed_;
-          ++jb.stats().tasks_failed;
-          fails->push_back(part_idx);
-        }
-        join.done();
-      }(*this, job, source, file, *out, part, owner, partitions, stage_span, failed, wg));
-    }
-    co_await wg.wait();
-    pending.clear();
-    if (!failed->empty()) {
-      co_await sim_.delay(config_.failure_detection_delay);
-      for (int idx : *failed) {
-        pending.emplace_back(idx, pick_alive_worker(owner_of_partition(idx)));
-        ++tasks_retried_;
-        ++job.stats().tasks_retried;
-      }
-    }
-  }
-
-  stat.end = now();
-  stat.records_out = out->total_records();
-  cluster_.spans().close(stage_span, stat.end);
-  note_stage(stat);
-  job.stats().stages.push_back(std::move(stat));
+  const TaskBody body = [&](int index, int worker, obs::SpanId task_span) {
+    return source_task(job, source, file, index, worker, task_span, *out);
+  };
+  co_await run_waves(job, scope, std::move(placement), home, nullptr, body);
+  close_stage(job, scope, out->total_records());
   co_return out;
 }
 
-sim::Co<void> Engine::stage_task(Job& job, const Stage& stage, int part_index,
-                                 const MaterializedDataSet::Part& in, MaterializedDataSet& out,
-                                 shuffle::ShuffleSession* exchange, int out_partitions,
-                                 StageStat& stat, obs::SpanId stage_span,
-                                 obs::StrId task_name, bool* consumed, PartSize* size) {
-  const int worker = in.worker;
-  obs::SpanStore& sp = cluster_.spans();
-  const obs::SpanId task_span = open_task(task_name, stage_span, worker);
-  try {
-  if (!worker_alive(worker)) throw TaskFailed{worker};
-  co_await cluster_.message(0, worker);  // task deployment RPC
-  co_await sim_.delay(config_.task_deploy_overhead);
-  Worker& w = *co_await acquire_slot(worker, task_span);
+sim::Co<void> Engine::source_task(Job& job, const SourceSpec& source, const dfs::FileInfo* file,
+                                  int part_index, int worker, obs::SpanId task_span,
+                                  MaterializedDataSet& out) {
+  // Read this partition's share of blocks (round-robin).
+  if (file != nullptr) {
+    for (std::size_t b = static_cast<std::size_t>(part_index); b < file->blocks.size();
+         b += out.parts.size()) {
+      co_await dfs_.read_block(worker, file->blocks[b], {task_span, obs::SpanCategory::Control});
+      job.stats().io_bytes_read += file->blocks[b].bytes;
+    }
+  }
+  auto batch = std::make_shared<mem::RecordBatch>(source.desc);
+  source.generate(part_index, *batch);
+  const auto n = static_cast<sim::Duration>(batch->count());
+  co_await work_delay(worker, n * cluster_.node(worker).record_time(source.parse_cost.flops,
+                                                                    source.parse_cost.bytes));
+  out.parts[static_cast<std::size_t>(part_index)] = {worker, std::move(batch)};
+}
 
-  stat.records_in += in.batch ? in.batch->count() : 0;
+sim::Co<void> Engine::stage_task(Job& job, const Stage& stage, int part_index, int worker,
+                                 obs::SpanId task_span,
+                                 const std::shared_ptr<mem::RecordBatch>& in,
+                                 MaterializedDataSet& out, shuffle::ShuffleSession* exchange,
+                                 StageStat& stat, bool* consumed, PartSize* size) {
+  stat.records_in += in ? in->count() : 0;
   const net::Node& node = cluster_.node(worker);
   const std::vector<const OpNode*>& ops = stage.record_ops;
   const OpNode* terminal = stage.terminal;
 
-  try {
   if (size != nullptr) {
     // A size-only action reads nothing but the count: the ops' output goes
     // nowhere, so no batch is built.
     Emitter sink([](void*, const std::byte*) {}, nullptr);
-    co_await work_delay(worker, run_record_ops(ops, node, *in.batch, sink));
+    co_await work_delay(worker, run_record_ops(ops, node, *in, sink));
     *size = {worker, sink.emitted(), sink.emitted() * stage.out_desc->stride()};
   } else if (terminal == nullptr || terminal->kind == OpKind::MapPartition ||
              terminal->kind == OpKind::AsyncPartition) {
     // The record ops' output is the stage's output or the terminal's input.
-    std::shared_ptr<mem::RecordBatch> batch = in.batch;
+    std::shared_ptr<mem::RecordBatch> batch = in;
     if (!ops.empty()) {
       batch = std::make_shared<mem::RecordBatch>(ops.back()->out_desc);
       Emitter sink(*batch);
-      co_await work_delay(worker, run_record_ops(ops, node, *in.batch, sink));
+      co_await work_delay(worker, run_record_ops(ops, node, *in, sink));
     }
     if (terminal == nullptr) {
       out.parts[static_cast<std::size_t>(part_index)] = {worker, std::move(batch)};
@@ -431,14 +522,15 @@ sim::Co<void> Engine::stage_task(Job& job, const Stage& stage, int part_index,
     // records (its function need not be associative); Rebalance deals them
     // round-robin.
     const OpKind kind = terminal->kind;
-    const mem::StructDesc& record_desc = ops.empty() ? in.batch->desc() : *ops.back()->out_desc;
+    const int out_partitions = exchange->out_partitions();
+    const mem::StructDesc& record_desc = ops.empty() ? in->desc() : *ops.back()->out_desc;
     shuffle::Bucketer bucketer(out_partitions, &record_desc,
                                kind == OpKind::Rebalance ? nullptr : &terminal->key_fn,
                                kind == OpKind::ReduceByKey ? &terminal->combine_fn : nullptr);
     Emitter sink(
         [](void* b, const std::byte* record) { static_cast<shuffle::Bucketer*>(b)->add(record); },
         &bucketer);
-    const sim::Duration ops_time = run_record_ops(ops, node, *in.batch, sink);
+    const sim::Duration ops_time = run_record_ops(ops, node, *in, sink);
     const auto n = static_cast<sim::Duration>(sink.emitted());
     std::vector<mem::RecordBatch> buckets = bucketer.take();
     // Failure points: nothing has been sent through the exchange yet, so a
@@ -459,20 +551,6 @@ sim::Co<void> Engine::stage_task(Job& job, const Stage& stage, int part_index,
       co_await work_delay(worker, n * node.record_time(terminal->cost.flops, bytes));
       co_await exchange->send(worker, std::move(buckets));
     }
-  }
-  } catch (const TaskFailed&) {
-    w.slots().release();  // the physical slot is gone with the node, but
-    throw;                // keep the accounting balanced for a rejoin
-  }
-
-  w.slots().release();
-  sp.close(task_span, now());
-  } catch (const TaskFailed&) {
-    sp.annotate(task_span, "failed", "worker_lost");
-    sp.close(task_span, now());
-    cluster_.flight().note_event(now(), worker, "task_failed",
-                                 stat.name + " partition " + std::to_string(part_index));
-    throw;
   }
 }
 
@@ -504,171 +582,64 @@ sim::Co<DataHandle> Engine::run_stage(Job& job, const Stage& stage, DataHandle i
       (terminal->kind == OpKind::ReduceByKey || terminal->kind == OpKind::GroupReduce ||
        terminal->kind == OpKind::Rebalance);
 
-  StageStat stat;
-  stat.name = terminal != nullptr
-                  ? terminal->name
-                  : (stage.record_ops.empty() ? "identity" : stage.record_ops.back()->name);
-  stat.begin = now();
-  stat.tasks = static_cast<int>(input->parts.size());
-
-  const obs::SpanId stage_span = cluster_.spans().open(
-      "stage:" + stat.name, obs::SpanCategory::Control, job.span(), stat.begin, "master/stages",
-      0);
-  const obs::StrId task_name = cluster_.spans().intern("task:" + stat.name);
-
   // The stage owns its input when it holds the only reference to it (see
   // run_plan). Its tasks may then consume their partitions, and a consumed
   // partition can never be re-run.
   const bool owns_input = input.use_count() == 1;
   auto consumed = std::make_unique<bool[]>(input->parts.size());
 
-  const int out_partitions = static_cast<int>(input->parts.size());
+  const int partitions = static_cast<int>(input->parts.size());
   auto out = std::make_shared<MaterializedDataSet>();
   out->desc = stage.out_desc != nullptr ? stage.out_desc : input->desc;
   if (sizes != nullptr) {
-    sizes->assign(static_cast<std::size_t>(out_partitions), {});
+    sizes->assign(static_cast<std::size_t>(partitions), {});
   } else {
-    out->parts.resize(static_cast<std::size_t>(out_partitions));
+    out->parts.resize(static_cast<std::size_t>(partitions));
   }
 
+  std::string name = terminal != nullptr ? terminal->name
+                     : stage.record_ops.empty() ? "identity"
+                                                : stage.record_ops.back()->name;
   std::unique_ptr<shuffle::ShuffleSession> exchange;
-  if (shuffles) {
-    exchange = std::make_unique<shuffle::ShuffleSession>(shuffle_, out_partitions, "shuffle",
-                                                         stage_span);
-  }
+  const std::function<void(obs::SpanId)> open_exchange = [&](obs::SpanId stage_span) {
+    if (shuffles) {
+      exchange =
+          std::make_unique<shuffle::ShuffleSession>(shuffle_, partitions, "shuffle", stage_span);
+    }
+  };
+  StageScope scope = co_await open_stage(job, std::move(name), partitions, open_exchange);
 
-  co_await sim_.delay(config_.stage_schedule_overhead);
-  // Run a wave of tasks; workers that die mid-task surface as failed
-  // partitions, which are retried on healthy nodes after the JobManager's
-  // detection delay (Flink's restart-from-failure behaviour).
-  std::vector<std::pair<int, MaterializedDataSet::Part>> pending;
-  pending.reserve(input->parts.size());
-  for (std::size_t p = 0; p < input->parts.size(); ++p) {
-    pending.emplace_back(static_cast<int>(p), input->parts[p]);
-  }
-  while (!pending.empty()) {
-    sim::WaitGroup wg(sim_);
-    auto failed = std::make_shared<std::vector<int>>();
-    for (auto& [index, part] : pending) {
-      wg.add();
-      sim_.spawn([](Engine& eng, Job& jb, const Stage& st, int idx,
-                    MaterializedDataSet::Part part_in, MaterializedDataSet& result,
-                    shuffle::ShuffleSession* ex, int nparts, StageStat& ss, obs::SpanId st_span,
-                    obs::StrId tname, bool* consumed_flag, PartSize* size,
-                    std::shared_ptr<std::vector<int>> fails, sim::WaitGroup& join) -> sim::Co<void> {
-        try {
-          co_await eng.stage_task(jb, st, idx, part_in, result, ex, nparts, ss, st_span, tname,
-                                  consumed_flag, size);
-        } catch (const TaskFailed&) {
-          ++eng.tasks_failed_;
-          ++jb.stats().tasks_failed;
-          fails->push_back(idx);
-        }
-        join.done();
-      }(*this, job, stage, index, part, *out, exchange.get(), out_partitions,
-        stat, stage_span, task_name,
-        owns_input ? &consumed[static_cast<std::size_t>(index)] : nullptr,
-        sizes != nullptr ? &(*sizes)[static_cast<std::size_t>(index)] : nullptr, failed, wg));
-    }
-    co_await wg.wait();
-    pending.clear();
-    if (!failed->empty()) {
-      // Heartbeat timeout before the JobManager reacts, then reassignment.
-      co_await sim_.delay(config_.failure_detection_delay);
-      for (int idx : *failed) {
-        GFLINK_CHECK_MSG(!consumed[static_cast<std::size_t>(idx)],
-                         "run_stage: partition " + std::to_string(idx) + " of stage " +
-                             stat.name + " failed after it consumed its input, so it "
-                             "cannot be re-run");
-        MaterializedDataSet::Part retry = input->parts[static_cast<std::size_t>(idx)];
-        retry.worker = pick_alive_worker(retry.worker);
-        ++tasks_retried_;
-        ++job.stats().tasks_retried;
-        pending.emplace_back(idx, retry);
-      }
-    }
-  }
+  std::vector<int> placement;
+  for (const auto& part : input->parts) placement.push_back(part.worker);
+  const TaskBody body = [&](int index, int worker, obs::SpanId task_span) {
+    const auto p = static_cast<std::size_t>(index);
+    return stage_task(job, stage, index, worker, task_span, input->parts[p].batch, *out,
+                      exchange.get(), scope.stat, owns_input ? &consumed[p] : nullptr,
+                      sizes != nullptr ? &(*sizes)[p] : nullptr);
+  };
+  co_await run_waves(job, scope, placement, placement, consumed.get(), body);
 
   if (shuffles) {
     // Drain in-flight pipelined sends before any receiver starts merging,
     // then account the stage's network traffic in one place (the session).
     co_await exchange->finish();
-    stat.shuffle_bytes = exchange->network_bytes();
+    scope.stat.shuffle_bytes = exchange->network_bytes();
     // Merge deposited buckets on their target workers.
-    sim::WaitGroup merge_wg(sim_);
-    for (int t = 0; t < out_partitions; ++t) {
-      merge_wg.add();
-      sim_.spawn([](Engine& eng, const Stage& st, shuffle::ShuffleSession& ex,
-                    MaterializedDataSet& result, int t_index, obs::SpanId st_span,
-                    sim::WaitGroup& join) -> sim::Co<void> {
-        const int node = eng.owner_of_partition(t_index);
-        obs::SpanStore& sp = eng.cluster().spans();
-        const obs::SpanId task_span = eng.open_task("task:merge", st_span, node);
-        Worker& w = *co_await eng.acquire_slot(node, task_span);
-        const OpNode* term = st.terminal;
-        // Reads spilled deposits back from the DFS before merging.
-        std::vector<mem::RecordBatch> deposited =
-            co_await ex.take(t_index, node, {task_span, obs::SpanCategory::Spill});
-        std::uint64_t n = 0;
-        for (const auto& b : deposited) n += b.count();
-        auto merged = std::make_shared<mem::RecordBatch>(term->out_desc);
-        if (term->kind == OpKind::GroupReduce) {
-          std::map<std::uint64_t, std::vector<const std::byte*>> groups;
-          std::uint64_t n_in = 0;
-          for (const auto& b : deposited) {
-            for (std::size_t i = 0; i < b.count(); ++i) {
-              groups[term->key_fn(b.record_ptr(i))].push_back(b.record_ptr(i));
-              ++n_in;
-            }
-          }
-          Emitter emitter(*merged);
-          for (const auto& [key, group] : groups) {
-            term->group_fn(group, emitter);
-          }
-          co_await eng.sim().delay(
-              static_cast<sim::Duration>(n_in + emitter.emitted()) *
-              eng.cluster().node(node).record_time(term->cost.flops, term->cost.bytes));
-        } else if (term->kind == OpKind::ReduceByKey) {
-          shuffle::Bucketer combine(1, term->out_desc, &term->key_fn, &term->combine_fn);
-          combine.reserve_keys(n);
-          for (const auto& b : deposited) {
-            for (std::size_t i = 0; i < b.count(); ++i) combine.add(b.record_ptr(i));
-          }
-          *merged = std::move(combine.take().front());
-          // Free the deposits before the merge's modelled time elapses:
-          // the other merge tasks run meanwhile.
-          deposited = {};
-          co_await eng.sim().delay(
-              static_cast<sim::Duration>(n) *
-              eng.cluster().node(node).record_time(term->cost.flops, term->cost.bytes));
-        } else {  // Rebalance: concatenation plus the deferred transfers
-          merged->reserve(n);
-          for (const auto& b : deposited) merged->append(b);
-          deposited = {};
-          co_await eng.sim().delay(
-              static_cast<sim::Duration>(n) *
-              eng.cluster().node(node).record_time(1.0, static_cast<double>(
-                                                            term->out_desc->stride())));
-        }
-        result.parts[static_cast<std::size_t>(t_index)] = {node, std::move(merged)};
-        w.slots().release();
-        sp.close(task_span, eng.now());
-        join.done();
-      }(*this, stage, *exchange, *out, t, stage_span, merge_wg));
-    }
-    co_await merge_wg.wait();
+    const ReceiveFn merge = [terminal](const net::Node& node,
+                                       const std::vector<std::vector<mem::RecordBatch>>& deposits,
+                                       mem::RecordBatch& merged) {
+      return merge_deposits(*terminal, node, deposits.front(), merged);
+    };
+    std::vector<shuffle::ShuffleSession*> from{exchange.get()};
+    co_await run_receivers(scope.span, "task:merge", std::move(from), *out, merge);
   }
 
-  stat.end = now();
-  stat.records_out = out->total_records();
+  std::uint64_t records_out = out->total_records();
   if (sizes != nullptr) {
-    for (const PartSize& part : *sizes) stat.records_out += part.records;
+    for (const PartSize& part : *sizes) records_out += part.records;
     out.reset();
   }
-  cluster_.spans().close(stage_span, stat.end);
-  job.stats().shuffle_bytes += stat.shuffle_bytes;
-  note_stage(stat);
-  job.stats().stages.push_back(std::move(stat));
+  close_stage(job, scope, records_out);
   co_return out;
 }
 
@@ -744,104 +715,6 @@ sim::Co<void> Engine::write_dfs(Job& job, PlanNodePtr sink, const std::string& p
 
 // ---- Handle-level operations -------------------------------------------------
 
-sim::Co<DataHandle> Engine::join(Job& job, const DataHandle& left, const DataHandle& right,
-                                 KeyFn left_key, KeyFn right_key, JoinFn join_fn,
-                                 const mem::StructDesc* out_desc, OpCost cost, int partitions,
-                                 const std::string& name) {
-  GFLINK_CHECK(job.submitted());
-  const int nparts = partitions > 0 ? partitions : default_parallelism_;
-
-  StageStat stat;
-  stat.name = name;
-  stat.begin = now();
-  stat.tasks = static_cast<int>(left->parts.size() + right->parts.size());
-
-  const obs::SpanId stage_span = cluster_.spans().open(
-      "stage:" + stat.name, obs::SpanCategory::Control, job.span(), stat.begin, "master/stages",
-      0);
-
-  co_await sim_.delay(config_.stage_schedule_overhead);
-
-  // Phase 1: co-partition both inputs by key hash.
-  shuffle::ShuffleSession lex(shuffle_, nparts, "join-shuffle", stage_span);
-  shuffle::ShuffleSession rex(shuffle_, nparts, "join-shuffle", stage_span);
-  sim::WaitGroup wg(sim_);
-  auto scatter = [&](const DataHandle& side, const KeyFn& key, shuffle::ShuffleSession& ex) {
-    for (const auto& part : side->parts) {
-      if (!part.batch) continue;
-      wg.add();
-      sim_.spawn([](Engine& eng, const MaterializedDataSet::Part& p, const KeyFn& kf,
-                    shuffle::ShuffleSession& e, obs::SpanId st_span,
-                    sim::WaitGroup& join) -> sim::Co<void> {
-        co_await eng.scatter_partition(p, kf, e, st_span);
-        join.done();
-      }(*this, part, key, ex, stage_span, wg));
-    }
-  };
-  scatter(left, left_key, lex);
-  scatter(right, right_key, rex);
-  co_await wg.wait();
-  co_await lex.finish();
-  co_await rex.finish();
-  stat.shuffle_bytes = lex.network_bytes() + rex.network_bytes();
-
-  // Phase 2: per-partition hash join (build on left, probe with right).
-  auto out = std::make_shared<MaterializedDataSet>();
-  out->desc = out_desc;
-  out->parts.resize(static_cast<std::size_t>(nparts));
-  sim::WaitGroup jg(sim_);
-  for (int t = 0; t < nparts; ++t) {
-    jg.add();
-    sim_.spawn([](Engine& eng, shuffle::ShuffleSession& le, shuffle::ShuffleSession& re,
-                  MaterializedDataSet& result, const KeyFn& lk, const KeyFn& rk,
-                  const JoinFn& jf, OpCost c, int t_index, obs::SpanId st_span,
-                  sim::WaitGroup& join) -> sim::Co<void> {
-      const int node = eng.owner_of_partition(t_index);
-      obs::SpanStore& sp = eng.cluster().spans();
-      const obs::SpanId task_span = eng.open_task("task:join", st_span, node);
-      Worker& w = *co_await eng.acquire_slot(node, task_span);
-      std::vector<mem::RecordBatch> lbs =
-          co_await le.take(t_index, node, {task_span, obs::SpanCategory::Spill});
-      std::vector<mem::RecordBatch> rbs =
-          co_await re.take(t_index, node, {task_span, obs::SpanCategory::Spill});
-      std::unordered_multimap<std::uint64_t, const std::byte*> table;
-      std::uint64_t nl = 0, nr = 0;
-      for (const auto& b : lbs) {
-        for (std::size_t i = 0; i < b.count(); ++i) {
-          table.emplace(lk(b.record_ptr(i)), b.record_ptr(i));
-          ++nl;
-        }
-      }
-      auto merged = std::make_shared<mem::RecordBatch>(result.desc);
-      Emitter emitter(*merged);
-      for (const auto& b : rbs) {
-        for (std::size_t i = 0; i < b.count(); ++i) {
-          const std::byte* rec = b.record_ptr(i);
-          auto [lo, hi] = table.equal_range(rk(rec));
-          for (auto it = lo; it != hi; ++it) jf(it->second, rec, emitter);
-          ++nr;
-        }
-      }
-      co_await eng.sim().delay(
-          static_cast<sim::Duration>(nl + nr + emitter.emitted()) *
-          eng.cluster().node(node).record_time(c.flops, c.bytes));
-      result.parts[static_cast<std::size_t>(t_index)] = {node, std::move(merged)};
-      w.slots().release();
-      sp.close(task_span, eng.now());
-      join.done();
-    }(*this, lex, rex, *out, left_key, right_key, join_fn, cost, t, stage_span, jg));
-  }
-  co_await jg.wait();
-
-  stat.end = now();
-  stat.records_out = out->total_records();
-  cluster_.spans().close(stage_span, stat.end);
-  job.stats().shuffle_bytes += stat.shuffle_bytes;
-  note_stage(stat);
-  job.stats().stages.push_back(std::move(stat));
-  co_return out;
-}
-
 sim::Co<void> Engine::checkpoint(Job& job, const std::string& name, std::uint64_t bytes) {
   // Keyed by job id, not just name: concurrent jobs running the same
   // program (multi-tenant service) must not clobber each other's snapshots.
@@ -857,21 +730,12 @@ sim::Co<DataHandle> Engine::co_group(Job& job, const DataHandle& left,
                                      OpCost cost, int partitions, const std::string& name) {
   GFLINK_CHECK(job.submitted());
   const int nparts = partitions > 0 ? partitions : default_parallelism_;
+  StageScope scope =
+      co_await open_stage(job, name, static_cast<int>(left->parts.size() + right->parts.size()));
 
-  StageStat stat;
-  stat.name = name;
-  stat.begin = now();
-  stat.tasks = static_cast<int>(left->parts.size() + right->parts.size());
-
-  const obs::SpanId stage_span = cluster_.spans().open(
-      "stage:" + stat.name, obs::SpanCategory::Control, job.span(), stat.begin, "master/stages",
-      0);
-
-  co_await sim_.delay(config_.stage_schedule_overhead);
-
-  // Phase 1: co-partition both sides by key hash (same as join).
-  shuffle::ShuffleSession lex(shuffle_, nparts, "cogroup-shuffle", stage_span);
-  shuffle::ShuffleSession rex(shuffle_, nparts, "cogroup-shuffle", stage_span);
+  // Phase 1: co-partition both sides by key hash.
+  shuffle::ShuffleSession lex(shuffle_, nparts, "cogroup-shuffle", scope.span);
+  shuffle::ShuffleSession rex(shuffle_, nparts, "cogroup-shuffle", scope.span);
   sim::WaitGroup wg(sim_);
   auto scatter = [&](const DataHandle& side, const KeyFn& key, shuffle::ShuffleSession& ex) {
     for (const auto& part : side->parts) {
@@ -882,7 +746,7 @@ sim::Co<DataHandle> Engine::co_group(Job& job, const DataHandle& left,
                     sim::WaitGroup& join) -> sim::Co<void> {
         co_await eng.scatter_partition(p, kf, e, st_span);
         join.done();
-      }(*this, part, key, ex, stage_span, wg));
+      }(*this, part, key, ex, scope.span, wg));
     }
   };
   scatter(left, left_key, lex);
@@ -890,64 +754,40 @@ sim::Co<DataHandle> Engine::co_group(Job& job, const DataHandle& left,
   co_await wg.wait();
   co_await lex.finish();
   co_await rex.finish();
-  stat.shuffle_bytes = lex.network_bytes() + rex.network_bytes();
+  scope.stat.shuffle_bytes = lex.network_bytes() + rex.network_bytes();
 
   // Phase 2: per-partition grouping, then one group_fn call per key.
   auto out = std::make_shared<MaterializedDataSet>();
   out->desc = out_desc;
   out->parts.resize(static_cast<std::size_t>(nparts));
-  sim::WaitGroup gg(sim_);
-  for (int t = 0; t < nparts; ++t) {
-    gg.add();
-    sim_.spawn([](Engine& eng, shuffle::ShuffleSession& le, shuffle::ShuffleSession& re,
-                  MaterializedDataSet& result, const KeyFn& lk, const KeyFn& rk,
-                  const CoGroupFn& gf, OpCost c, int t_index, obs::SpanId st_span,
-                  sim::WaitGroup& join) -> sim::Co<void> {
-      const int node = eng.owner_of_partition(t_index);
-      obs::SpanStore& sp = eng.cluster().spans();
-      const obs::SpanId task_span = eng.open_task("task:cogroup", st_span, node);
-      Worker& w = *co_await eng.acquire_slot(node, task_span);
-      std::vector<mem::RecordBatch> lbs =
-          co_await le.take(t_index, node, {task_span, obs::SpanCategory::Spill});
-      std::vector<mem::RecordBatch> rbs =
-          co_await re.take(t_index, node, {task_span, obs::SpanCategory::Spill});
-      std::map<std::uint64_t, std::pair<std::vector<const std::byte*>,
-                                        std::vector<const std::byte*>>>
-          groups;
-      std::uint64_t n = 0;
-      for (const auto& b : lbs) {
-        for (std::size_t i = 0; i < b.count(); ++i) {
-          groups[lk(b.record_ptr(i))].first.push_back(b.record_ptr(i));
-          ++n;
-        }
+  const ReceiveFn group = [&](const net::Node& node,
+                              const std::vector<std::vector<mem::RecordBatch>>& deposits,
+                              mem::RecordBatch& grouped) {
+    std::map<std::uint64_t,
+             std::pair<std::vector<const std::byte*>, std::vector<const std::byte*>>>
+        groups;
+    std::uint64_t n = 0;
+    for (const auto& b : deposits[0]) {
+      for (std::size_t i = 0; i < b.count(); ++i) {
+        groups[left_key(b.record_ptr(i))].first.push_back(b.record_ptr(i));
       }
-      for (const auto& b : rbs) {
-        for (std::size_t i = 0; i < b.count(); ++i) {
-          groups[rk(b.record_ptr(i))].second.push_back(b.record_ptr(i));
-          ++n;
-        }
+      n += b.count();
+    }
+    for (const auto& b : deposits[1]) {
+      for (std::size_t i = 0; i < b.count(); ++i) {
+        groups[right_key(b.record_ptr(i))].second.push_back(b.record_ptr(i));
       }
-      auto merged = std::make_shared<mem::RecordBatch>(result.desc);
-      Emitter emitter(*merged);
-      for (const auto& [key, group] : groups) {
-        gf(group.first, group.second, emitter);
-      }
-      co_await eng.sim().delay(static_cast<sim::Duration>(n + emitter.emitted()) *
-                               eng.cluster().node(node).record_time(c.flops, c.bytes));
-      result.parts[static_cast<std::size_t>(t_index)] = {node, std::move(merged)};
-      w.slots().release();
-      sp.close(task_span, eng.now());
-      join.done();
-    }(*this, lex, rex, *out, left_key, right_key, group_fn, cost, t, stage_span, gg));
-  }
-  co_await gg.wait();
+      n += b.count();
+    }
+    Emitter emitter(grouped);
+    for (const auto& [key, group] : groups) group_fn(group.first, group.second, emitter);
+    return static_cast<sim::Duration>(n + emitter.emitted()) *
+           node.record_time(cost.flops, cost.bytes);
+  };
+  std::vector<shuffle::ShuffleSession*> from{&lex, &rex};
+  co_await run_receivers(scope.span, "task:cogroup", std::move(from), *out, group);
 
-  stat.end = now();
-  stat.records_out = out->total_records();
-  cluster_.spans().close(stage_span, stat.end);
-  job.stats().shuffle_bytes += stat.shuffle_bytes;
-  note_stage(stat);
-  job.stats().stages.push_back(std::move(stat));
+  close_stage(job, scope, out->total_records());
   co_return out;
 }
 

@@ -291,15 +291,11 @@ class Engine {
 
   // ---- Handle-level operations ------------------------------------------
 
-  /// Repartitioning hash join of two materialized datasets.
-  sim::Co<DataHandle> join(Job& job, const DataHandle& left, const DataHandle& right,
-                           KeyFn left_key, KeyFn right_key, JoinFn join_fn,
-                           const mem::StructDesc* out_desc, OpCost cost, int partitions = 0,
-                           const std::string& name = "join");
-
   /// Group records sharing a key from both sides and hand the full groups
-  /// to `group_fn` (Flink's coGroup). Same co-partitioning machinery as
-  /// join; the function sees all left then all right records of one key.
+  /// to `group_fn` (Flink's coGroup), one call per key in key order; the
+  /// function sees all left then all right records of one key. Charged
+  /// (left + right + emitted) x record_time(cost). df::join is a coGroup
+  /// whose function emits each key's left x right pairs.
   using CoGroupFn = std::function<void(const std::vector<const std::byte*>& left,
                                        const std::vector<const std::byte*>& right,
                                        Emitter& out)>;
@@ -349,17 +345,61 @@ class Engine {
   sim::Co<DataHandle> run_stage(Job& job, const Stage& stage, DataHandle input,
                                 std::vector<PartSize>* sizes);
 
-  // One stage task over one partition, its span named `task_name`. If the
-  // stage ends in a shuffle, the task's buckets are sent through `exchange`;
-  // if `size` is set, it only counts its output records into it; else it
-  // writes its output part directly. `consumed` is null unless the stage
-  // owns its input; then the task sets it before it hands that input to an
+  // A stage on the JobManager: its stats and its span on master/stages.
+  struct StageScope {
+    StageStat stat;
+    obs::SpanId span = 0;
+  };
+  // Open a stage of `tasks` tasks: stamp its begin and open its span, let
+  // `prepare` open what must begin with the stage (a stage's exchange),
+  // then charge the JobManager's per-stage scheduling work.
+  sim::Co<StageScope> open_stage(Job& job, std::string name, int tasks,
+                                 const std::function<void(obs::SpanId)>& prepare = nullptr);
+  // Close a stage that produced `records_out` records: stamp its end, close
+  // its span, and fold its stats into the job and into the registry
+  // (duration histogram plus stage/record/shuffle counters).
+  void close_stage(Job& job, StageScope& scope, std::uint64_t records_out);
+
+  // The work of one deployed task: partition `index` on `worker`.
+  using TaskBody = std::function<sim::Co<void>(int index, int worker, obs::SpanId task_span)>;
+  // Run a stage as waves of tasks "task:<stage>", partition p first on
+  // `placement[p]`, each running `body` inside the one deployed-task
+  // skeleton (deployment RPC and overhead, then a slot). After a wave the
+  // failure detection delay elapses once, and each partition p whose
+  // worker was lost reruns on the first alive worker from `home[p]`. A
+  // partition set in `consumed` (null: none) may never be re-run.
+  sim::Co<void> run_waves(Job& job, const StageScope& scope, std::vector<int> placement,
+                          const std::vector<int>& home, const bool* consumed,
+                          const TaskBody& body);
+
+  // What a receiver makes of one partition's deposits (one list per
+  // session): it fills `out` and returns the modelled time on `node`.
+  using ReceiveFn = std::function<sim::Duration(
+      const net::Node& node, const std::vector<std::vector<mem::RecordBatch>>& deposits,
+      mem::RecordBatch& out)>;
+  // One receiver task per partition of `out`, on its owner: take a slot,
+  // take the partition's deposits from each session in order, run
+  // `receive` and let its time elapse. Shuffle merges and coGroup share it.
+  sim::Co<void> run_receivers(obs::SpanId stage_span, obs::StrRef task_name,
+                              std::vector<shuffle::ShuffleSession*> sessions,
+                              MaterializedDataSet& out, const ReceiveFn& receive);
+
+  // A source task's body: read the partition's share of the DFS file (if
+  // any), generate its records and charge their parse cost.
+  sim::Co<void> source_task(Job& job, const SourceSpec& source, const dfs::FileInfo* file,
+                            int part_index, int worker, obs::SpanId task_span,
+                            MaterializedDataSet& out);
+
+  // A stage task's body over input batch `in`. If the stage ends in a
+  // shuffle, the task's buckets are sent through `exchange`; if `size` is
+  // set, it only counts its output records into it; else it writes its
+  // output part directly. `consumed` is null unless the stage owns its
+  // input; then the task sets it before it hands that input to an
   // AsyncPartition function, which may write over it.
-  sim::Co<void> stage_task(Job& job, const Stage& stage, int part_index,
-                           const MaterializedDataSet::Part& in,
+  sim::Co<void> stage_task(Job& job, const Stage& stage, int part_index, int worker,
+                           obs::SpanId task_span, const std::shared_ptr<mem::RecordBatch>& in,
                            MaterializedDataSet& out, shuffle::ShuffleSession* exchange,
-                           int out_partitions, StageStat& stat, obs::SpanId stage_span,
-                           obs::StrId task_name, bool* consumed, PartSize* size);
+                           StageStat& stat, bool* consumed, PartSize* size);
 
   // The prologue every task shares: open its span on the worker's tasks
   // lane, then (after any deployment steps) take a slot on that worker,
@@ -367,20 +407,15 @@ class Engine {
   obs::SpanId open_task(obs::StrRef name, obs::SpanId parent, int node);
   sim::Co<Worker*> acquire_slot(int node, obs::SpanId task_span);
 
-  // Map side of join/coGroup co-partitioning: bucket one partition by key
-  // hash (charging the bucketing CPU) and ship the buckets through
-  // `session` — the single copy of the per-bucket send loop.
+  // Map side of coGroup co-partitioning: bucket one partition by key hash
+  // (charging the bucketing CPU) and ship the buckets through `session`.
   sim::Co<void> scatter_partition(const MaterializedDataSet::Part& part, const KeyFn& key,
                                   shuffle::ShuffleSession& session, obs::SpanId stage_span);
 
   int owner_of_partition(int index) const { return 1 + index % num_workers(); }
 
-  /// Fold one completed stage's stats into the registry (duration
-  /// histogram plus stage/record/shuffle counters).
-  void note_stage(const StageStat& stat);
-
-  /// A healthy worker to retry a failed partition on (round-robin from the
-  /// failed node). Aborts if the whole cluster is dead.
+  /// A healthy worker to retry a failed partition on (round-robin from
+  /// `preferred`). Aborts if the whole cluster is dead.
   int pick_alive_worker(int preferred) const;
 
   EngineConfig config_;

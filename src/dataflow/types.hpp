@@ -97,9 +97,6 @@ using AsyncPartitionFn = std::function<sim::Co<void>(TaskContext& ctx, mem::Reco
 /// Deterministic partition generator for synthetic sources.
 using GeneratorFn = std::function<void(int partition, mem::RecordBatch& out)>;
 
-/// Join record constructor: build output records from a (left, right) pair.
-using JoinFn = std::function<void(const std::byte* left, const std::byte* right, Emitter& out)>;
-
 /// A materialized distributed dataset: partitions pinned to workers.
 /// This is what Flink calls an intermediate result; handles staying alive
 /// across jobs are the "in-memory computing" the paper builds on.

@@ -2,6 +2,7 @@
 // actions, joins, locality, slots and job accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <map>
@@ -635,7 +636,7 @@ TEST(SizeOnlyAction, WorkerLostDuringStreamedStageRetriesExactly) {
 TEST(Engine, JoinMatchesKeys) {
   Engine e(fast_config(3));
   std::vector<KV> rows;
-  e.run([&rows](Engine& eng) -> Co<void> {
+  const sim::Time end = e.run([&rows](Engine& eng) -> Co<void> {
     Job job(eng, "t");
     co_await job.submit();
     auto left = co_await iota(eng, 3, 10, 10).materialize(job);
@@ -651,8 +652,25 @@ TEST(Engine, JoinMatchesKeys) {
     rows = co_await ds.collect(job);
     job.finish();
   });
-  // Every left key matches exactly two right records.
-  EXPECT_EQ(rows.size(), 20u);
+  // The same pairs as a host nested-loop join over the two sources; the
+  // engine's output order is its own, so both sides are sorted.
+  std::vector<KV> expected;
+  for (std::uint64_t l = 0; l < 10; ++l) {
+    for (std::uint64_t r = 0; r < 20; ++r) {
+      if (l % 10 == r % 10) expected.push_back(KV{l, static_cast<std::int64_t>(l + r)});
+    }
+  }
+  const auto by_key_value = [](const KV& a, const KV& b) {
+    return a.key != b.key ? a.key < b.key : a.value < b.value;
+  };
+  std::sort(rows.begin(), rows.end(), by_key_value);
+  std::sort(expected.begin(), expected.end(), by_key_value);
+  ASSERT_EQ(rows.size(), expected.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i].key, expected[i].key) << i;
+    EXPECT_EQ(rows[i].value, expected[i].value) << i;
+  }
+  EXPECT_EQ(end, 1'019'842);
 }
 
 TEST(Engine, MaterializedHandleReusedWithoutIo) {

@@ -4,6 +4,7 @@
 // names as the reason for building GFlink on Flink (§1.1).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -194,6 +195,118 @@ TEST(Fault, DfsBackedSourceSurvivesFailure) {
     job.finish();
   });
   EXPECT_EQ(count, 400u);
+}
+
+namespace {
+
+/// Where each `name` task ran, in the order the tasks were deployed: its
+/// node's tasks lane, marked " lost" when its worker died under it.
+std::vector<std::string> task_placements(Engine& e, const std::string& name) {
+  const gflink::obs::SpanStore& store = e.cluster().spans();
+  std::vector<const gflink::obs::CausalSpan*> tasks;
+  for (const auto& span : store.spans()) {
+    if (store.str(span.name) == name) tasks.push_back(&span);
+  }
+  std::sort(tasks.begin(), tasks.end(), [](const auto* a, const auto* b) { return a->id < b->id; });
+  std::vector<std::string> placements;
+  for (const auto* span : tasks) {
+    std::string where = store.str(span->lane);
+    for (const auto& note : store.notes(span->id)) {
+      if (store.str(note.key) == "failed") where += " lost";
+    }
+    placements.push_back(where);
+  }
+  return placements;
+}
+
+/// fault_config() with spans retained, so task placements can be read back.
+df::EngineConfig traced_fault_config() {
+  auto cfg = fault_config();
+  cfg.dfs.block_size = 16384;
+  cfg.trace = true;
+  return cfg;
+}
+
+/// The input file of DfsBackedSourceSurvivesFailure, placed one worker off:
+/// a one-block file created first puts block p's primary replica on worker
+/// 1 + (p + 1) % 4, while partition p's owner is worker 1 + p % 4.
+void place_shifted_input(Engine& e) {
+  e.dfs().create_file("/shift", 16384);
+  e.dfs().create_file("/in", 8 * 16384);
+}
+
+/// The source of DfsBackedSourceSurvivesFailure over that file.
+DataSet<KV> shifted_source(Engine& e, int records_per_part) {
+  return DataSet<KV>::from_generator(
+      e, &kv_desc(), 8,
+      [records_per_part](int part, std::vector<KV>& out) {
+        for (int i = 0; i < records_per_part; ++i) {
+          out.push_back(KV{static_cast<std::uint64_t>(part), i});
+        }
+      },
+      df::OpCost{5000.0, 16.0}, "/in");
+}
+
+}  // namespace
+
+TEST(Fault, SourceRetryRunsOnFirstAliveWorkerFromPartitionOwner) {
+  // Each source partition first runs where its block's primary lives; a
+  // partition lost with worker 2 reruns on the first alive worker counting
+  // from its owner.
+  Engine e(traced_fault_config());
+  place_shifted_input(e);
+  e.schedule_worker_failure(2, sim::micros(100));
+  std::uint64_t count = 0;
+  const sim::Time end = e.run([&count](Engine& eng) -> Co<void> {
+    Job job(eng, "src");
+    co_await job.submit();
+    count = co_await shifted_source(eng, 50).count(job);
+    job.finish();
+  });
+  EXPECT_EQ(count, 400u);
+  EXPECT_EQ(e.tasks_retried(), 2u);
+  // Partitions 0 and 4 start on worker 2 and retry on worker 1, their owner.
+  const std::vector<std::string> placements = {
+      "node2/tasks lost", "node3/tasks", "node4/tasks", "node1/tasks", "node2/tasks lost",
+      "node3/tasks",      "node4/tasks", "node1/tasks", "node1/tasks", "node1/tasks"};
+  EXPECT_EQ(task_placements(e, "task:source"), placements);
+  EXPECT_EQ(end, 22'901'972);
+}
+
+TEST(Fault, RecordStageRetryRunsOnFirstAliveWorkerFromInputOwner) {
+  // Worker 2 dies halfway through a map stage over the shifted source: each
+  // of its partitions reruns on the first alive worker counting from the
+  // worker that holds its input, not from the partition's owner.
+  const auto run_map = [](Engine& e, std::uint64_t& count) {
+    df::StageStat work;
+    const sim::Time end = e.run([&count, &work](Engine& eng) -> Co<void> {
+      Job job(eng, "stage");
+      co_await job.submit();
+      auto ds = shifted_source(eng, 2500).map<KV>(&kv_desc(), "work", OpCost{400.0, 16.0},
+                                                  [](const KV& kv) { return kv; });
+      count = (co_await ds.collect(job)).size();
+      job.finish();
+      work = job.stats().stages.back();
+    });
+    return std::make_pair(end, work);
+  };
+  std::uint64_t count = 0;
+  Engine healthy(traced_fault_config());
+  place_shifted_input(healthy);
+  const df::StageStat work = run_map(healthy, count).second;
+  Engine e(traced_fault_config());
+  place_shifted_input(e);
+  e.schedule_worker_failure(2, (work.begin + work.end) / 2);
+  const sim::Time end = run_map(e, count).first;
+  EXPECT_EQ(count, 8u * 2500);
+  EXPECT_EQ(e.tasks_retried(), 2u);
+  // Partitions 0 and 4 hold their input on worker 2 and retry on worker 3,
+  // the next alive worker; their owner is worker 1.
+  const std::vector<std::string> placements = {
+      "node2/tasks lost", "node3/tasks", "node4/tasks", "node1/tasks", "node2/tasks lost",
+      "node3/tasks",      "node4/tasks", "node1/tasks", "node3/tasks", "node3/tasks"};
+  EXPECT_EQ(task_placements(e, "task:work"), placements);
+  EXPECT_EQ(end, 27'638'494);
 }
 
 TEST(Fault, IterativeWorkloadRecoversWithSameChecksum) {

@@ -41,7 +41,9 @@ mem::StructDesc random_desc(sim::Rng& rng) {
   const int fields = 1 + static_cast<int>(rng.next_below(7));
   for (int f = 0; f < fields; ++f) {
     const std::size_t array_len = 1 + rng.next_below(5);
-    builder.field("f" + std::to_string(f), random_type(rng), array_len);
+    std::string name = "f";
+    name += std::to_string(f);
+    builder.field(name, random_type(rng), array_len);
   }
   return builder.build();
 }

@@ -98,7 +98,9 @@ TEST(Metrics, HandlesAreStable) {
   obs::MetricsRegistry m;
   obs::Counter& c = m.counter(obs::Metric::NetBytes);
   for (int i = 0; i < 100; ++i) {
-    m.counter(obs::Metric::NetPipeBytes, {{"pipe", "p" + std::to_string(i)}});
+    std::string pipe = "p";
+    pipe += std::to_string(i);
+    m.counter(obs::Metric::NetPipeBytes, {{"pipe", pipe}});
   }
   c.inc(7);
   EXPECT_DOUBLE_EQ(m.counter_value("net.bytes"), 7.0);

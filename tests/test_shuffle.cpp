@@ -96,7 +96,8 @@ std::vector<KV> skewed_rows(int n) {
 }
 
 TEST(Shuffle, PartitionWithCombineIsExactAndDeterministic) {
-  Harness h(sh::ShuffleConfig{});
+  const sh::ShuffleConfig cfg;
+  Harness h(cfg);
   sh::ShuffleSession session(h.service, 4, "t");
   const std::vector<KV> rows = skewed_rows(500);
   mem::RecordBatch in = make_batch(rows);

@@ -163,18 +163,6 @@ PUNCTS = sorted(
 STRING_PREFIX_RE = re.compile(r'(u8|u|U|L)?(R)?"')
 
 
-class Finding:
-    def __init__(self, rule: str, rel: str, line: int, message: str):
-        self.rule = rule
-        self.rel = rel  # path relative to --root (posix)
-        self.line = line
-        self.message = message
-
-    def __str__(self) -> str:
-        loc = f"{self.rel}:{self.line}" if self.line else self.rel
-        return f"{loc}: [{self.rule}] {self.message}"
-
-
 # ---- Lexer -----------------------------------------------------------------
 
 
@@ -348,9 +336,6 @@ class FileModel:
                     self.match[i] = j
                 if text == "}" and brace_stack:
                     brace_stack.pop()
-
-    def line_at(self, si: int) -> int:
-        return self.sig[si][2] if 0 <= si < len(self.sig) else 0
 
     def line_of_offset(self, pos: int) -> int:
         return self.text.count("\n", 0, pos) + 1
