@@ -800,30 +800,17 @@ DataHandle Engine::union_of(const DataHandle& a, const DataHandle& b) const {
   return out;
 }
 
-sim::Co<void> Engine::broadcast(Job& job, std::uint64_t bytes) {
+sim::Co<void> Engine::tree_collective(std::uint64_t bytes) {
   // Flink distributes broadcast variables worker-to-worker (a binomial
   // tree), not through the master's single NIC: each round every holder
   // forwards to one new node, so latency is ceil(log2(W+1)) transfer times.
-  (void)job;
+  // A gather is the mirror: a binomial combining tree toward the master.
   if (config_.cluster.colocated_master) co_return;
   const net::NicSpec& nic = config_.cluster.worker.nic;
   const int rounds = tree_rounds(num_workers());
   const sim::Duration per_round = nic.latency * 2 + sim::transfer_time(bytes, nic.bandwidth);
   cluster_.metrics().inc(obs::Metric::NetBytes,
                          static_cast<double>(bytes) * static_cast<double>(num_workers()));
-  co_await sim_.delay(static_cast<sim::Duration>(rounds) * per_round);
-}
-
-sim::Co<void> Engine::gather(Job& job, std::uint64_t bytes_per_worker) {
-  // Mirror of broadcast: a binomial combining tree toward the master.
-  (void)job;
-  if (config_.cluster.colocated_master) co_return;
-  const net::NicSpec& nic = config_.cluster.worker.nic;
-  const int rounds = tree_rounds(num_workers());
-  const sim::Duration per_round =
-      nic.latency * 2 + sim::transfer_time(bytes_per_worker, nic.bandwidth);
-  cluster_.metrics().inc(obs::Metric::NetBytes, static_cast<double>(bytes_per_worker) *
-                                          static_cast<double>(num_workers()));
   co_await sim_.delay(static_cast<sim::Duration>(rounds) * per_round);
 }
 

@@ -310,10 +310,10 @@ class Engine {
 
   /// Send `bytes` from the master to every worker (broadcast variables,
   /// e.g. the KMeans centers each superstep).
-  sim::Co<void> broadcast(Job& job, std::uint64_t bytes);
+  sim::Co<void> broadcast(std::uint64_t bytes) { return tree_collective(bytes); }
 
   /// Gather `bytes_per_worker` from every worker to the master.
-  sim::Co<void> gather(Job& job, std::uint64_t bytes_per_worker);
+  sim::Co<void> gather(std::uint64_t bytes_per_worker) { return tree_collective(bytes_per_worker); }
 
   /// Persist a driver-side snapshot of iterative state to the DFS
   /// (replicated) — the lightweight-checkpoint hook of Flink's fault
@@ -413,6 +413,10 @@ class Engine {
                                   shuffle::ShuffleSession& session, obs::SpanId stage_span);
 
   int owner_of_partition(int index) const { return 1 + index % num_workers(); }
+
+  // Broadcast and gather: a binomial tree over the workers that moves
+  // `bytes` per worker.
+  sim::Co<void> tree_collective(std::uint64_t bytes);
 
   /// A healthy worker to retry a failed partition on (round-robin from
   /// `preferred`). Aborts if the whole cluster is dead.

@@ -139,8 +139,10 @@ sim::Co<void> Gdfs::write(int writer, const std::string& path, std::uint64_t byt
   }
   auto& metrics = cluster_->metrics();
   metrics.inc(obs::Metric::DfsBytesWritten, static_cast<double>(bytes));
-  // Pipelined replica writes: the writer streams to the primary (network if
-  // remote), each replica persists to disk and forwards to the next.
+  // Serial replica writes: for each block in turn, the writer sends it to
+  // the first replica (network if remote), which writes it to disk before
+  // it goes on to the next replica. No two hops overlap, unlike HDFS's
+  // packet-streamed pipeline.
   for (const Span& s : spans) {
     int prev = writer;
     for (int replica : s.replicas) {

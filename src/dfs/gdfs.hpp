@@ -7,7 +7,8 @@
 // Files are split into fixed-size blocks, each replicated on `replication`
 // worker nodes. Reads prefer a local replica (data locality — the property
 // Flink's scheduler exploits); remote reads pay the replica's disk plus a
-// network transfer. Writes pipeline through all replicas.
+// network transfer. Writes go down the replica chain one hop at a time:
+// HDFS overlaps the hops by streaming packets, this model does not.
 //
 // GDFS stores no payload bytes: datasets are regenerated deterministically
 // by sources. The file system charges virtual I/O time for the byte counts
@@ -85,9 +86,10 @@ class Gdfs {
   /// drivers; parallel readers issue per-block reads themselves).
   sim::Co<void> read_file(int reader, const std::string& path, obs::SpanLink link = {});
 
-  /// Append `bytes` to a (possibly new) file from `writer`: pipelined
-  /// replica writes — local disk write plus transfer+disk at each remote
-  /// replica. `link` parents the disk/NIC causal spans.
+  /// Append `bytes` to a (possibly new) file from `writer`. Each block is
+  /// written hop by hop down its replica chain, and the blocks one after
+  /// another: at each replica, a transfer from the previous holder (if
+  /// remote), then its disk write. `link` parents the disk/NIC causal spans.
   sim::Co<void> write(int writer, const std::string& path, std::uint64_t bytes,
                       obs::SpanLink link = {});
 

@@ -63,7 +63,7 @@ std::map<std::string, LaneUtilization> lane_utilization(const SpanStore& store,
 void write_chrome_trace(std::ostream& os, const SpanStore& store,
                         const MetricsRegistry* metrics, sim::Time horizon) {
   if (horizon <= 0) horizon = latest_interval_end(store);
-  const ChunkLog<CausalSpan>& spans = store.spans();
+  const SpanStore::ClosedSpans spans = store.spans();
 
   // Stable pid/tid assignment: processes and threads numbered in first-seen
   // order over the (deterministic) interval and span sequences.
@@ -127,7 +127,7 @@ void write_chrome_trace(std::ostream& os, const SpanStore& store,
   for (const auto& s : spans) {
     const std::size_t parent = store.index_of(s.parent);
     if (parent == SpanStore::npos) continue;
-    const CausalSpan& p = spans[parent];
+    const CausalSpan p = spans[parent];
     const std::string plane = causal_lane(store, p);
     const std::string clane = causal_lane(store, s);
     const auto [pproc, pthread] = split_lane(plane);

@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <string>
 
 namespace gflink::obs {
 
@@ -72,6 +74,15 @@ bool RunReport::write(const std::string& path) const {
 }
 
 double host_peak_rss_mb() {
+  // VmHWM is this process's own peak. ru_maxrss is not: Linux carries it
+  // across exec, so a process launched from a larger parent would report
+  // the parent's peak. It is the fallback where /proc is missing.
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::strtod(line.c_str() + 6, nullptr) / 1024.0;  // VmHWM is in kB
+    }
+  }
   rusage ru{};
   getrusage(RUSAGE_SELF, &ru);
   return static_cast<double>(ru.ru_maxrss) / 1024.0;  // ru_maxrss is KiB on Linux

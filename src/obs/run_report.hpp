@@ -56,7 +56,8 @@ struct RunReport {
   bool write(const std::string& path) const;
 };
 
-/// Peak resident set size of this process so far, in MiB (getrusage).
+/// Peak resident set size of this process so far, in MiB: VmHWM from
+/// /proc/self/status, or getrusage's ru_maxrss where that is missing.
 double host_peak_rss_mb();
 
 /// Derive the headline GFlink ratios from the raw counters and make sure

@@ -66,12 +66,7 @@ CausalSpan SpanStore::make_span(StrRef name, SpanCategory category, SpanId paren
   if (parent != 0) {
     // Inherit the trace id from the parent if it is still open or retained;
     // a parent that was already dropped leaves the child's trace id at 0.
-    auto it = open_.find(parent);
-    if (it != open_.end()) {
-      s.trace_id = it->second.trace_id;
-    } else if (const std::size_t i = index_of(parent); retain_ && i != npos) {
-      s.trace_id = closed_[i].trace_id;
-    }
+    s.trace_id = SpanStore::trace_id(parent);
   } else {
     GFLINK_CHECK_MSG(trace_id <= UINT32_MAX, "SpanStore::open: trace id does not fit in 32 bits");
     s.trace_id = static_cast<std::uint32_t>(trace_id);
@@ -118,23 +113,73 @@ void SpanStore::commit(const CausalSpan& s, SpanNotes notes) {
   ++recorded_;
   category_ns_[idx(s.category)] += s.duration();
   if (retain_) {
-    const auto slot = static_cast<std::uint32_t>(closed_.size());
-    for (const SpanNote& n : notes) closed_notes_.push_back(ClosedNote{slot, n});
-    while (slot_.size() <= s.id) slot_.push_back(0);
-    slot_[s.id] = slot + 1;
-    closed_.push_back(s);
+    if (closed_.size() < s.id) closed_.grow(s.id);
+    closed_[s.id - 1] = {s.begin, s.end, s.parent, s.name, s.lane, s.node, s.category, true};
+    ++retained_;
+    if (s.parent == 0 && s.trace_id != 0) root_trace_.emplace(s.id, s.trace_id);
+    for (const SpanNote& n : notes) {
+      if (!closed_notes_.empty() && closed_notes_.back().id > s.id) notes_sorted_ = false;
+      closed_notes_.push_back({s.id, n.key, intern(n.value)});
+    }
   }
   if (flight_ != nullptr) flight_->on_span_closed(*this, s, std::move(notes));
 }
 
+std::uint32_t SpanStore::trace_id(SpanId id) const {
+  // Parents have lower ids than their children, so the walk ends; a parent
+  // id that is not lower was never a real parent.
+  for (std::size_t i = index_of(id); i != npos; i = index_of(id)) {
+    const SpanId parent = closed_[i].parent;
+    if (parent == 0) {
+      auto it = root_trace_.find(id);
+      return it != root_trace_.end() ? it->second : 0;
+    }
+    if (parent >= id) return 0;
+    id = parent;
+  }
+  auto it = open_.find(id);
+  return it != open_.end() ? it->second.trace_id : 0;
+}
+
+CausalSpan SpanStore::span_at(std::size_t i) const {
+  const RetainedSpan& r = closed_[i];
+  CausalSpan s;
+  s.begin = r.begin;
+  s.end = r.end;
+  s.id = static_cast<SpanId>(i + 1);
+  s.parent = r.parent;
+  s.trace_id = trace_id(s.id);
+  s.name = r.name;
+  s.lane = r.lane;
+  s.node = r.node;
+  s.category = r.category;
+  return s;
+}
+
 SpanNotes SpanStore::notes(SpanId id) const {
   SpanNotes out;
-  const std::size_t slot = index_of(id);
-  if (slot == npos) return out;
-  auto it = std::lower_bound(
-      closed_notes_.begin(), closed_notes_.end(), slot,
-      [](const ClosedNote& n, std::size_t s) { return n.slot < s; });
-  for (; it != closed_notes_.end() && it->slot == slot; ++it) out.push_back(it->note);
+  if (index_of(id) == npos) return out;
+  if (!notes_sorted_) {
+    std::vector<RetainedNote> sorted(closed_notes_.begin(), closed_notes_.end());
+    std::stable_sort(sorted.begin(), sorted.end(),
+                     [](const RetainedNote& a, const RetainedNote& b) { return a.id < b.id; });
+    for (std::size_t i = 0; i < sorted.size(); ++i) closed_notes_[i] = sorted[i];
+    notes_sorted_ = true;
+  }
+  // Binary search for the span's first note.
+  std::size_t lo = 0;
+  std::size_t hi = closed_notes_.size();
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (closed_notes_[mid].id < id) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  for (; lo < closed_notes_.size() && closed_notes_[lo].id == id; ++lo) {
+    out.push_back(SpanNote{closed_notes_[lo].key, str(closed_notes_[lo].value)});
+  }
   return out;
 }
 
@@ -239,19 +284,21 @@ Json CriticalPath::to_json() const {
 
 namespace {
 
-/// The children of every retained span, as one offset array over spans()
-/// indices: the children of spans()[i] are kids[offset[i] .. offset[i+1]),
-/// in close order. Spans whose parent is 0 or not retained go to `roots`.
+/// The children of every retained span, as one offset array over
+/// records() indices: the children of records()[i] are
+/// kids[offset[i] .. offset[i+1]), in id order. Spans whose parent is 0 or
+/// not retained go to `roots`.
 struct ChildIndex {
   std::vector<std::uint32_t> offset;
   std::vector<std::uint32_t> kids;
   std::vector<std::uint32_t> roots;
 
   explicit ChildIndex(const SpanStore& store) {
-    const ChunkLog<CausalSpan>& spans = store.spans();
+    const ChunkLog<RetainedSpan>& spans = store.records();
     const std::size_t n = spans.size();
     offset.assign(n + 1, 0);
     for (std::size_t i = 0; i < n; ++i) {
+      if (!spans[i].closed) continue;
       const std::size_t p = store.index_of(spans[i].parent);
       if (p != SpanStore::npos) {
         ++offset[p + 1];
@@ -262,8 +309,9 @@ struct ChildIndex {
     for (std::size_t i = 0; i < n; ++i) offset[i + 1] += offset[i];
     kids.resize(offset[n]);
     // Fill forward with offset[p] as the cursor, then shift the offsets
-    // back by one slot: each child list keeps close order.
+    // back by one slot: each child list keeps id order.
     for (std::size_t i = 0; i < n; ++i) {
+      if (!spans[i].closed) continue;
       const std::size_t p = store.index_of(spans[i].parent);
       if (p != SpanStore::npos) kids[offset[p]++] = static_cast<std::uint32_t>(i);
     }
@@ -272,7 +320,7 @@ struct ChildIndex {
   }
 };
 
-/// A critical-path hop before names are rendered: `span` indexes spans().
+/// A critical-path hop before names are rendered: `span` indexes records().
 struct RawSegment {
   std::uint32_t span;
   sim::Time begin;
@@ -285,7 +333,7 @@ struct RawSegment {
 /// frontier jumps to the child's begin. Whatever remains in front of the
 /// earliest child is S's own time too — so [lo, hi] is covered exactly once.
 struct CriticalPathWalker {
-  const ChunkLog<CausalSpan>& spans;
+  const ChunkLog<RetainedSpan>& spans;
   const ChildIndex& children;
   CriticalPath& cp;
   std::vector<RawSegment>& segments;
@@ -296,13 +344,13 @@ struct CriticalPathWalker {
   }
 
   void walk(std::uint32_t i, sim::Time lo, sim::Time hi) {
-    const CausalSpan& s = spans[i];
+    const RetainedSpan& s = spans[i];
     const sim::Time floor = std::max(s.begin, lo);
     sim::Time t = hi;
     for (std::uint32_t k = children.offset[i]; k < children.offset[i + 1]; ++k) {
       if (t <= floor) break;
       const std::uint32_t ci = children.kids[k];
-      const CausalSpan& c = spans[ci];
+      const RetainedSpan& c = spans[ci];
       const sim::Time ce = std::min(c.end, t);
       const sim::Time cb = std::max(c.begin, floor);
       if (ce <= cb) continue;
@@ -318,23 +366,23 @@ struct CriticalPathWalker {
 
 CriticalPath extract_critical_path(const SpanStore& store) {
   CriticalPath cp;
-  const ChunkLog<CausalSpan>& spans = store.spans();
-  if (spans.empty()) return cp;
+  const ChunkLog<RetainedSpan>& spans = store.records();
+  if (store.empty()) return cp;
 
   ChildIndex children(store);
-  // Latest finisher first; the higher id breaks ties.
+  // Latest finisher first; the higher id (index) breaks ties.
   for (std::size_t i = 0; i < spans.size(); ++i) {
     std::sort(children.kids.begin() + children.offset[i],
               children.kids.begin() + children.offset[i + 1],
               [&spans](std::uint32_t a, std::uint32_t b) {
                 if (spans[a].end != spans[b].end) return spans[a].end > spans[b].end;
-                return spans[a].id > spans[b].id;
+                return a > b;
               });
   }
   std::sort(children.roots.begin(), children.roots.end(),
             [&spans](std::uint32_t a, std::uint32_t b) {
               if (spans[a].begin != spans[b].begin) return spans[a].begin < spans[b].begin;
-              return spans[a].id < spans[b].id;
+              return a < b;
             });
 
   std::vector<RawSegment> raw;
@@ -357,8 +405,8 @@ CriticalPath extract_critical_path(const SpanStore& store) {
   }
   cp.segments.reserve(merged.size());
   for (const RawSegment& seg : merged) {
-    const CausalSpan& s = spans[seg.span];
-    cp.segments.push_back({s.id, store.str(s.name), s.category, seg.begin, seg.end});
+    const RetainedSpan& s = spans[seg.span];
+    cp.segments.push_back({seg.span + 1, store.str(s.name), s.category, seg.begin, seg.end});
   }
   return cp;
 }
@@ -386,11 +434,11 @@ Json Straggler::to_json() const {
 }
 
 std::vector<Straggler> find_stragglers(const SpanStore& store, std::size_t min_group) {
-  const ChunkLog<CausalSpan>& spans = store.spans();
+  const ChunkLog<RetainedSpan>& spans = store.records();
   // Peer groups by name id, visited in name order (deterministic).
   std::vector<std::vector<std::uint32_t>> members(store.interned());
   for (std::size_t i = 0; i < spans.size(); ++i) {
-    members[spans[i].name.v].push_back(static_cast<std::uint32_t>(i));
+    if (spans[i].closed) members[spans[i].name.v].push_back(static_cast<std::uint32_t>(i));
   }
   std::vector<std::uint32_t> names;
   for (std::uint32_t n = 0; n < members.size(); ++n) {
@@ -402,24 +450,27 @@ std::vector<Straggler> find_stragglers(const SpanStore& store, std::size_t min_g
 
   const ChildIndex children(store);
   // The resource a straggler waited on: its longest Wait-category
-  // descendant, rendered as "<name> on <lane>".
+  // descendant (the lowest id among equals, so the walk order does not
+  // matter), rendered as "<name> on <lane>".
   auto waited_on = [&](std::uint32_t top) -> std::string {
-    const CausalSpan* longest = nullptr;
+    std::size_t longest = SpanStore::npos;
     std::vector<std::uint32_t> stack{top};
     while (!stack.empty()) {
       const std::uint32_t i = stack.back();
       stack.pop_back();
-      const CausalSpan& s = spans[i];
+      const RetainedSpan& s = spans[i];
       if (i != top && s.category == SpanCategory::Wait &&
-          (longest == nullptr || s.duration() > longest->duration())) {
-        longest = &s;
+          (longest == SpanStore::npos || s.duration() > spans[longest].duration() ||
+           (s.duration() == spans[longest].duration() && i < longest))) {
+        longest = i;
       }
       stack.insert(stack.end(), children.kids.begin() + children.offset[i],
                    children.kids.begin() + children.offset[i + 1]);
     }
-    if (longest == nullptr) return {};
-    if (longest->lane.v == 0) return store.str(longest->name);
-    return store.str(longest->name) + " on " + store.str(longest->lane);
+    if (longest == SpanStore::npos) return {};
+    const RetainedSpan& w = spans[longest];
+    if (w.lane.v == 0) return store.str(w.name);
+    return store.str(w.name) + " on " + store.str(w.lane);
   };
 
   std::vector<Straggler> out;
@@ -431,10 +482,10 @@ std::vector<Straggler> find_stragglers(const SpanStore& store, std::size_t min_g
     for (std::uint32_t i : group) durations.push_back(spans[i].duration());
     const sim::Duration p95 = nearest_rank_p95(std::move(durations));
     for (std::uint32_t i : group) {
-      const CausalSpan& s = spans[i];
+      const RetainedSpan& s = spans[i];
       if (s.duration() <= p95) continue;
       Straggler st;
-      st.span = s.id;
+      st.span = i + 1;
       st.name = store.str(s.name);
       st.lane = store.str(s.lane);
       st.duration = s.duration();

@@ -9,13 +9,15 @@
 // shuffle sender was busy with — which feed the utilization rollups and the
 // Chrome-trace swimlanes.
 //
-// Both record kinds are fixed-size: names, lanes and labels are interned
-// once into the store's string table and held as 32-bit ids, span ids and
-// trace ids are 32-bit too, and span notes live in a side table keyed by
-// span id. A retaining store keeps both kinds in append-only chunked logs
-// (ChunkLog), so it grows by 40 B per span and 24 B per lane interval, with
-// no reallocation copies and at most one partly filled chunk of slack. A
-// store that does not retain builds no strings for lane intervals at all.
+// Every record is fixed-size: names, lanes, labels and note keys and values
+// are interned once into the store's string table and held as 32-bit ids.
+// A retaining store keeps closed spans in an append-only chunked log
+// (ChunkLog) indexed by span id, so a span's id is its position and costs
+// nothing; its trace id is its parent's, so only roots keep one, in a small
+// side table. That makes a retained span 32 B, a note 12 B and a lane
+// interval 24 B, with no reallocation copies and at most one partly filled
+// chunk of slack per log. A store that does not retain builds no strings
+// for lane intervals and interns no note values.
 //
 // On top of the DAG live the analyses that explain where time went:
 //
@@ -103,8 +105,9 @@ struct SpanLink {
   SpanCategory category = SpanCategory::Control;
 };
 
-/// One causal span. `name` and `lane` are ids into the owning store's
-/// string table (SpanStore::str); its notes are in SpanStore::notes.
+/// One causal span, as an open span, a flight-recorder entry and a read of
+/// SpanStore::spans() carry it. `name` and `lane` are ids into the owning
+/// store's string table (SpanStore::str); its notes are in SpanStore::notes.
 struct CausalSpan {
   sim::Time begin = 0;
   sim::Time end = 0;
@@ -119,6 +122,24 @@ struct CausalSpan {
   sim::Duration duration() const { return end - begin; }
 };
 static_assert(sizeof(CausalSpan) == 40, "causal spans are 40-byte records");
+
+/// A closed span as a retaining store keeps it: a CausalSpan without the id
+/// (its position in the log, plus one) and the trace id (its parent's, or a
+/// root's own from the store's root table). A slot whose span has not
+/// closed yet is a default record with `closed` false.
+struct RetainedSpan {
+  sim::Time begin = 0;
+  sim::Time end = 0;
+  SpanId parent = 0;
+  StrId name;
+  StrId lane;
+  std::int16_t node = -1;
+  SpanCategory category = SpanCategory::Control;
+  bool closed = false;
+
+  sim::Duration duration() const { return end - begin; }
+};
+static_assert(sizeof(RetainedSpan) == 32, "retained spans are 32-byte records");
 
 /// One key/value annotation of a span (the key is interned).
 struct SpanNote {
@@ -185,6 +206,13 @@ class ChunkLog {
     chunks_.back()[size_ % kChunkRecords] = v;
     ++size_;
   }
+  /// Extend the log with default records until it holds `n`.
+  void grow(std::size_t n) {
+    while (chunks_.size() * kChunkRecords < n) {
+      chunks_.push_back(std::make_unique<T[]>(kChunkRecords));
+    }
+    size_ = std::max(size_, n);
+  }
   T& operator[](std::size_t i) { return chunks_[i / kChunkRecords][i % kChunkRecords]; }
   const T& operator[](std::size_t i) const {
     return chunks_[i / kChunkRecords][i % kChunkRecords];
@@ -203,6 +231,60 @@ class ChunkLog {
 
 class SpanStore {
  public:
+  /// The retained closed spans in id order, read as CausalSpan values: a
+  /// view over the store's log that skips the slots of spans not closed
+  /// yet and rebuilds each span's id and trace id.
+  class ClosedSpans {
+   public:
+    class const_iterator {
+     public:
+      using iterator_category = std::forward_iterator_tag;
+      using value_type = CausalSpan;
+      using difference_type = std::ptrdiff_t;
+      using pointer = void;
+      using reference = CausalSpan;
+
+      const_iterator() = default;
+      const_iterator(const SpanStore* store, std::size_t i) : store_(store), i_(i) { skip_open(); }
+      CausalSpan operator*() const { return store_->span_at(i_); }
+      const_iterator& operator++() {
+        ++i_;
+        skip_open();
+        return *this;
+      }
+      const_iterator operator++(int) {
+        const_iterator old = *this;
+        ++*this;
+        return old;
+      }
+      friend bool operator==(const const_iterator& a, const const_iterator& b) {
+        return a.i_ == b.i_;
+      }
+
+     private:
+      void skip_open() {
+        while (i_ < store_->closed_.size() && !store_->closed_[i_].closed) ++i_;
+      }
+
+      const SpanStore* store_ = nullptr;
+      std::size_t i_ = 0;
+    };
+
+    explicit ClosedSpans(const SpanStore& store) : store_(&store) {}
+    std::size_t size() const { return store_->retained_; }
+    bool empty() const { return size() == 0; }
+    /// The span at position `i` (SpanStore::index_of).
+    CausalSpan operator[](std::size_t i) const { return store_->span_at(i); }
+    CausalSpan front() const { return *begin(); }
+    /// The closed span with the highest id: the log ends with its slot.
+    CausalSpan back() const { return store_->span_at(store_->closed_.size() - 1); }
+    const_iterator begin() const { return {store_, 0}; }
+    const_iterator end() const { return {store_, store_->closed_.size()}; }
+
+   private:
+    const SpanStore* store_;
+  };
+
   SpanStore();
   SpanStore(const SpanStore&) = delete;
   SpanStore& operator=(const SpanStore&) = delete;
@@ -210,7 +292,9 @@ class SpanStore {
   /// When retaining, closed spans and lane intervals are kept for analysis
   /// and export; when not (the default), spans only feed the
   /// flight-recorder ring and the aggregate counters, and lane intervals
-  /// are dropped, keeping memory bounded on untraced runs.
+  /// are dropped, keeping memory bounded on untraced runs. Set it before
+  /// the first span opens: a retained span reads its trace id through its
+  /// parents, so a parent that closes unretained cuts its children off.
   void set_retain(bool retain) { retain_ = retain; }
   bool retain() const { return retain_; }
 
@@ -247,13 +331,22 @@ class SpanStore {
   SpanId record(StrRef name, SpanCategory category, SpanId parent, sim::Time begin,
                 sim::Time end, StrRef lane = {}, int node = -1);
 
-  /// Closed spans, in close order (deterministic). Empty unless retaining.
-  const ChunkLog<CausalSpan>& spans() const { return closed_; }
-  /// Position of a retained closed span in spans(), or npos.
+  /// Closed spans, in id order (deterministic). Empty unless retaining.
+  ClosedSpans spans() const { return ClosedSpans(*this); }
+  /// The retained log itself, indexed by span id - 1: records()[i] is
+  /// spans()[i] without its id and trace id, and a slot whose span has not
+  /// closed holds a placeholder (`closed` false). The analyses read it.
+  const ChunkLog<RetainedSpan>& records() const { return closed_; }
+  /// Position of a retained closed span in spans() and records() — its id
+  /// minus one — or npos.
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
   std::size_t index_of(SpanId id) const {
-    return id < slot_.size() && slot_[id] != 0 ? slot_[id] - 1 : npos;
+    return id != 0 && id <= closed_.size() && closed_[id - 1].closed ? id - 1 : npos;
   }
+  /// The trace id of an open or retained span: a root's own, any other
+  /// span's parent's. 0 when the parent chain reaches a span the store does
+  /// not hold (never seen, or closed while not retaining).
+  std::uint32_t trace_id(SpanId id) const;
   /// Notes of a retained closed span (empty if it has none).
   SpanNotes notes(SpanId id) const;
   /// {"id", "parent", "trace_id", "name", "category", "begin_ns", "end_ns",
@@ -262,7 +355,7 @@ class SpanStore {
   Json to_json(const CausalSpan& s) const { return to_json(s, notes(s.id)); }
 
   std::uint64_t recorded() const { return recorded_; }
-  bool empty() const { return closed_.empty(); }
+  bool empty() const { return retained_ == 0; }
 
   /// Aggregate counters: trace_spans_total and per-category
   /// trace_span_ns_total{category=...}.
@@ -286,17 +379,21 @@ class SpanStore {
   bool lanes_overlap(std::string_view a, std::string_view b) const;
 
  private:
-  /// Notes of one retained closed span: `slot` is its spans() index.
-  struct ClosedNote {
-    std::uint32_t slot = 0;
-    SpanNote note;
+  /// One note of a retained closed span, key and value interned.
+  struct RetainedNote {
+    SpanId id = 0;
+    StrId key;
+    StrId value;
   };
+  static_assert(sizeof(RetainedNote) <= 16, "a retained note costs at most 16 bytes");
 
   /// A new span with its trace id resolved; `end` is left for the caller.
   CausalSpan make_span(StrRef name, SpanCategory category, SpanId parent, sim::Time begin,
                        StrRef lane, int node, std::uint64_t trace_id);
   /// The one close path: count the span, retain it, stream it to the ring.
   void commit(const CausalSpan& s, SpanNotes notes);
+  /// spans()[i], its id and trace id rebuilt.
+  CausalSpan span_at(std::size_t i) const;
 
   bool retain_ = false;
   FlightRecorder* flight_ = nullptr;
@@ -307,9 +404,13 @@ class SpanStore {
   std::unordered_map<std::string_view, StrId> string_index_;
   std::unordered_map<SpanId, CausalSpan> open_;
   std::unordered_map<SpanId, SpanNotes> open_notes_;
-  ChunkLog<CausalSpan> closed_;
-  ChunkLog<std::uint32_t> slot_;          // span id -> spans() index + 1 (0 = not retained)
-  std::vector<ClosedNote> closed_notes_;  // in close order, so sorted by slot
+  ChunkLog<RetainedSpan> closed_;  // indexed by span id - 1
+  std::size_t retained_ = 0;       // closed slots in closed_
+  std::unordered_map<SpanId, std::uint32_t> root_trace_;  // retained roots' nonzero trace ids
+  // Notes in close order; notes() sorts them by span id on first read (a
+  // stable sort keeps each span's notes in annotation order).
+  mutable ChunkLog<RetainedNote> closed_notes_;
+  mutable bool notes_sorted_ = true;
   ChunkLog<LaneInterval> lanes_;
 };
 

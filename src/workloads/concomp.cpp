@@ -137,7 +137,7 @@ sim::Co<Result> run(df::Engine& engine, core::GFlinkRuntime* runtime, const Test
     for (const auto& u : updates) {
       (*labels)[u.vertex] = std::min((*labels)[u.vertex], u.label);
     }
-    co_await engine.broadcast(job, n * sizeof(std::uint32_t));
+    co_await engine.broadcast(n * sizeof(std::uint32_t));
 
     if (iter == config.iterations - 1 && config.write_output) {
       co_await engine.dfs().write(0, "/out/concomp-" + std::to_string(n),

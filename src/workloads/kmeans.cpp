@@ -167,7 +167,7 @@ sim::Co<Result> run(df::Engine& engine, core::GFlinkRuntime* runtime, const Test
     }
     // Broadcast the new centers to every worker (the per-superstep shuffle
     // the paper notes is KMeans' only shuffle).
-    co_await engine.broadcast(job, kClusters * sizeof(Point));
+    co_await engine.broadcast(kClusters * sizeof(Point));
 
     if (config.checkpoint_interval > 0 && (iter + 1) % config.checkpoint_interval == 0) {
       co_await engine.checkpoint(job, "iter-" + std::to_string(iter),

@@ -130,7 +130,7 @@ sim::Co<Result> run(df::Engine& engine, core::GFlinkRuntime* runtime, const Test
             config.learning_rate * g.g[j] / static_cast<double>(g.count);
       }
     }
-    co_await engine.broadcast(job, (kDim + 1) * sizeof(double));
+    co_await engine.broadcast((kDim + 1) * sizeof(double));
 
     if (iter == config.iterations - 1 && config.write_output) {
       // Write per-sample predictions (one VecEntry per sample).

@@ -143,7 +143,7 @@ sim::Co<Result> run(df::Engine& engine, core::GFlinkRuntime* runtime, const Test
     for (const auto& c : contributions) {
       (*ranks)[c.page] = base + static_cast<float>(config.damping) * c.rank;
     }
-    co_await engine.broadcast(job, n * sizeof(float));
+    co_await engine.broadcast(n * sizeof(float));
 
     if (iter == config.iterations - 1 && config.write_output) {
       co_await engine.dfs().write(0, "/out/pagerank-" + std::to_string(n), n * sizeof(float));

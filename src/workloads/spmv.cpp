@@ -135,7 +135,7 @@ sim::Co<Result> run(df::Engine& engine, core::GFlinkRuntime* runtime, const Test
     if (iter == 0) {
       rows = co_await source.materialize(job);  // DFS read of the matrix
       // Distribute the vector to the workers once.
-      co_await engine.broadcast(job, n_cols * sizeof(float));
+      co_await engine.broadcast(n_cols * sizeof(float));
     }
     auto ds = df::DataSet<CsrRow>::from_handle(engine, rows);
     // The vector is static: cache key 0 on every iteration (one transfer

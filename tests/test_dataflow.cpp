@@ -709,8 +709,8 @@ TEST(Engine, BroadcastAndGatherChargeNetwork) {
   e.run([&bytes](Engine& eng) -> Co<void> {
     Job job(eng, "t");
     co_await job.submit();
-    co_await eng.broadcast(job, 1 << 20);
-    co_await eng.gather(job, 1 << 10);
+    co_await eng.broadcast(1 << 20);
+    co_await eng.gather(1 << 10);
     job.finish();
     bytes = eng.cluster().metrics().counter_value("net.bytes");
   });

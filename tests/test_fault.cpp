@@ -203,15 +203,11 @@ namespace {
 /// node's tasks lane, marked " lost" when its worker died under it.
 std::vector<std::string> task_placements(Engine& e, const std::string& name) {
   const gflink::obs::SpanStore& store = e.cluster().spans();
-  std::vector<const gflink::obs::CausalSpan*> tasks;
-  for (const auto& span : store.spans()) {
-    if (store.str(span.name) == name) tasks.push_back(&span);
-  }
-  std::sort(tasks.begin(), tasks.end(), [](const auto* a, const auto* b) { return a->id < b->id; });
   std::vector<std::string> placements;
-  for (const auto* span : tasks) {
-    std::string where = store.str(span->lane);
-    for (const auto& note : store.notes(span->id)) {
+  for (const gflink::obs::CausalSpan span : store.spans()) {  // id order: deploy order
+    if (store.str(span.name) != name) continue;
+    std::string where = store.str(span.lane);
+    for (const auto& note : store.notes(span.id)) {
       if (store.str(note.key) == "failed") where += " lost";
     }
     placements.push_back(where);

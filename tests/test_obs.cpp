@@ -482,11 +482,59 @@ TEST(Spans, ClosedParentTraceIdNeedsRetention) {
       const obs::CausalSpan& late = s.spans().back();
       EXPECT_EQ(s.str(late.name), "late");
       EXPECT_EQ(late.trace_id, 42u);
-      EXPECT_EQ(s.index_of(job), 100u);  // closed after the 100 fillers
+      EXPECT_EQ(s.index_of(job), 0u);  // id order: closed after its 100 fillers, still first
     } else {
       EXPECT_TRUE(s.empty());
       EXPECT_EQ(s.index_of(job), obs::SpanStore::npos);
     }
+  }
+  {
+    // Two roots with their own trace ids, and children of a closed parent,
+    // of a still-open parent and of a parent the store never saw. Every
+    // expected value below was taken from the close-ordered store this
+    // id-indexed one replaced.
+    obs::SpanStore s;
+    s.set_retain(true);
+    const obs::SpanId job = s.open("job", obs::SpanCategory::Control, 0, 0, {}, 0, 42);
+    for (int i = 0; i < 100; ++i) s.record("filler", obs::SpanCategory::Control, job, i, i + 1);
+    s.close(job, 200);
+    const obs::SpanId late = s.record("late", obs::SpanCategory::Control, job, 300, 400);
+    const obs::SpanId other = s.open("job", obs::SpanCategory::Control, 0, 250, {}, 0, 43);
+    const obs::SpanId child = s.record("task", obs::SpanCategory::Control, other, 260, 270);
+    EXPECT_EQ(s.trace_id(child), 43u);  // read through the open parent
+    const obs::SpanId orphan = s.record("orphan", obs::SpanCategory::Control, 1'000'000, 280, 290);
+    s.close(other, 500);
+    EXPECT_EQ(s.spans().size(), 105u);
+    EXPECT_EQ(s.trace_id(job), 42u);
+    EXPECT_EQ(s.trace_id(late), 42u);
+    EXPECT_EQ(s.trace_id(other), 43u);
+    EXPECT_EQ(s.trace_id(child), 43u);
+    EXPECT_EQ(s.trace_id(orphan), 0u);
+    EXPECT_EQ(s.spans()[s.index_of(orphan)].parent, 1'000'000u);
+    EXPECT_EQ(s.spans()[s.index_of(orphan)].trace_id, 0u);
+    EXPECT_EQ(s.to_json(s.spans()[s.index_of(child)]).find("trace_id")->as_int(), 43);
+    obs::SpanId prev = 0;
+    for (const obs::CausalSpan& span : s.spans()) {
+      EXPECT_GT(span.id, prev);  // id order
+      prev = span.id;
+      EXPECT_EQ(span.trace_id, s.trace_id(span.id));
+    }
+
+    // Roots are visited by begin time; the orphan is a root of its own.
+    const obs::CriticalPath cp = obs::extract_critical_path(s);
+    EXPECT_EQ(cp.total, 460);
+    EXPECT_EQ(category_ns(cp, obs::SpanCategory::Control), 460);
+    ASSERT_EQ(cp.segments.size(), 105u);
+    const std::pair<obs::SpanId, const char*> head[] = {
+        {orphan, "orphan"}, {other, "job"}, {child, "task"}, {other, "job"}, {2, "filler"}};
+    for (std::size_t i = 0; i < std::size(head); ++i) {
+      EXPECT_EQ(cp.segments[i].span, head[i].first) << "segment " << i;
+      EXPECT_EQ(cp.segments[i].name, head[i].second) << "segment " << i;
+    }
+    EXPECT_EQ(cp.segments.back().span, job);
+    EXPECT_EQ(cp.segments.back().begin, 100);
+    EXPECT_EQ(cp.segments.back().end, 200);
+    EXPECT_TRUE(obs::find_stragglers(s).empty());
   }
   obs::FlightRecorder fr;
   obs::SpanStore s;
@@ -500,6 +548,7 @@ TEST(Spans, ClosedParentTraceIdNeedsRetention) {
 
 TEST(Spans, CompactRecordsInternNamesAndLanes) {
   static_assert(sizeof(obs::CausalSpan) == 40);
+  static_assert(sizeof(obs::RetainedSpan) == 32);
   static_assert(sizeof(obs::LaneInterval) == 24);
   obs::FlightRecorder fr(/*ring_capacity=*/2);
   obs::SpanStore s;
@@ -520,14 +569,14 @@ TEST(Spans, CompactRecordsInternNamesAndLanes) {
   s.annotate(root, "chunks", "3");
   s.close(root, 100'000);
   ASSERT_EQ(s.spans().size(), 100'001u);
-  const obs::CausalSpan& last = s.spans().back();
-  ASSERT_EQ(last.id, root);
-  const obs::Json j = s.to_json(last);
+  const obs::CausalSpan& first = s.spans().front();  // id order: the root comes first
+  ASSERT_EQ(first.id, root);
+  const obs::Json j = s.to_json(first);
   EXPECT_EQ(j.find("name")->as_string(), "task:map");
   EXPECT_EQ(j.find("lane")->as_string(), "node1/tasks");
   EXPECT_EQ(j.find("notes")->find("failed")->as_string(), "worker_lost");
   EXPECT_EQ(j.find("notes")->find("chunks")->as_string(), "3");
-  EXPECT_EQ(s.to_json(s.spans().front()).find("notes"), nullptr);
+  EXPECT_EQ(s.to_json(s.spans().back()).find("notes"), nullptr);
 
   const obs::Json dump = fr.to_json();
   const obs::Json& ring = *dump.find("nodes")->items()[0].find("spans");
@@ -540,59 +589,132 @@ TEST(Spans, CompactRecordsInternNamesAndLanes) {
 }
 
 TEST(Spans, ChunkBoundaries) {
-  // Two and a half chunks of spans and of lane intervals. A parent closes
-  // in the first chunk and its children land in the last one, so every
-  // reader has to follow ids and parents across chunk boundaries.
-  constexpr std::size_t kChunk = obs::ChunkLog<obs::CausalSpan>::kChunkRecords;
+  // Two and a half chunks of spans and of lane intervals. Spans close out of
+  // id order across the chunk boundaries: a parent closes in the first chunk
+  // and its children land in the last one, a stage opened before the
+  // fillers closes after them, the job closes last, and one stage never
+  // closes. Every reader has to follow ids and parents across chunks. The
+  // trace ids, notes, critical path and stragglers pinned below were taken
+  // from the close-ordered store this id-indexed one replaced.
+  constexpr std::size_t kChunk = obs::ChunkLog<obs::RetainedSpan>::kChunkRecords;
   constexpr std::size_t kFiller = 2 * kChunk + kChunk / 2;
   static_assert(obs::ChunkLog<obs::LaneInterval>::kChunkRecords == kChunk);
   obs::SpanStore s;
   s.set_retain(true);
   const obs::SpanId job = s.open("job", obs::SpanCategory::Control, 0, 0, "master/job", -1, 9);
+  s.annotate(job, "name", "wordcount");
   const obs::SpanId stage = s.open("stage:map", obs::SpanCategory::Control, job, 0, "node1/tasks", 1);
   s.annotate(stage, "partitions", "8");
   s.close(stage, 100);
+  const obs::SpanId straddle =
+      s.open("stage:reduce", obs::SpanCategory::Shuffle, job, 100, "node2/tasks", 2);
+  s.annotate(straddle, "partitions", "4");
+  const obs::SpanId dangling = s.open("stage:dangling", obs::SpanCategory::Control, job, 100);
+  // Every 1024th filler runs 4 ns and waits 2 ns of it on a credit.
+  std::vector<obs::SpanId> slow;
   for (std::size_t i = 0; i < kFiller; ++i) {
     const auto t = static_cast<sim::Time>(100 + i);
-    s.record("filler", obs::SpanCategory::Control, job, t, t + 1, "node2/tasks", 2);
+    const bool is_slow = i % 1024 == 1023;
+    const obs::SpanId f = s.record("filler", obs::SpanCategory::Control, straddle, t,
+                                   t + (is_slow ? 4 : 1), "node2/tasks", 2);
+    if (!is_slow) continue;
+    slow.push_back(f);
+    s.record("wait:credit", obs::SpanCategory::Wait, f, t + 1, t + 3, "node2/shuffle", 2);
   }
   const obs::SpanId kernel =
       s.record("kernel", obs::SpanCategory::Kernel, stage, 50, 90, "node1/gpu0", 1);
   const obs::SpanId wait = s.record("wait:slot", obs::SpanCategory::Wait, stage, 10, 20);
-  const auto makespan = static_cast<sim::Time>(100 + kFiller);
-  s.close(job, makespan);
+  const obs::SpanId under_open =
+      s.record("wait:slot", obs::SpanCategory::Wait, dangling, 100, 130, "node3/slots", 3);
+  const auto end = static_cast<sim::Time>(100 + kFiller);
+  const obs::SpanId late = s.open("task:late", obs::SpanCategory::Kernel, straddle, end,
+                                  "node2/gpu0", 2);
+  s.annotate(late, "chunks", "3");
+  s.annotate(late, "cache_hits", "0");
+  s.close(late, end + 50);
+  s.close(straddle, end + 60);
+  s.close(job, end + 100);
 
-  ASSERT_EQ(s.spans().size(), kFiller + 4);
-  EXPECT_EQ(s.index_of(stage), 0u);
-  EXPECT_EQ(s.index_of(kernel), kFiller + 1);
-  EXPECT_EQ(s.index_of(wait), kFiller + 2);
-  EXPECT_EQ(s.index_of(job), kFiller + 3);
-  EXPECT_EQ(s.index_of(kernel) / kChunk, 2u);  // the last chunk
-  for (const obs::SpanId id : {stage, kernel, wait, job}) {
+  // Ids: job 1, stage 2, straddle 3, dangling 4, then the fillers and their
+  // waits; the spans recorded after them land in the last chunk.
+  ASSERT_EQ(slow.size(), 10u);
+  EXPECT_EQ(kernel, kFiller + slow.size() + 5);
+  EXPECT_EQ(late, kernel + 3);
+  ASSERT_EQ(s.spans().size(), kFiller + slow.size() + 7);  // all but the dangling stage
+  for (const obs::SpanId id : {job, stage, straddle, kernel, wait, under_open, late}) {
+    EXPECT_EQ(s.index_of(id), id - 1);  // id order
     EXPECT_EQ(s.spans()[s.index_of(id)].id, id);
   }
-  const obs::SpanNotes notes = s.notes(stage);
-  ASSERT_EQ(notes.size(), 1u);
-  EXPECT_EQ(s.str(notes[0].key), "partitions");
-  EXPECT_EQ(notes[0].value, "8");
+  EXPECT_EQ(s.index_of(kernel) / kChunk, 2u);  // the last chunk
+  EXPECT_EQ(s.index_of(dangling), obs::SpanStore::npos);
+  EXPECT_EQ(s.records().size(), late);  // the log ends at the highest closed id
+  EXPECT_FALSE(s.records()[dangling - 1].closed);
+
+  // Notes of spans in the first and the last chunk, closed out of id order.
+  auto note_pairs = [&s](obs::SpanId id) {
+    std::vector<std::pair<std::string, std::string>> out;
+    for (const obs::SpanNote& n : s.notes(id)) out.emplace_back(s.str(n.key), n.value);
+    return out;
+  };
+  using Notes = std::vector<std::pair<std::string, std::string>>;
+  EXPECT_EQ(note_pairs(late), (Notes{{"chunks", "3"}, {"cache_hits", "0"}}));
+  EXPECT_EQ(note_pairs(job), (Notes{{"name", "wordcount"}}));
+  EXPECT_EQ(note_pairs(stage), (Notes{{"partitions", "8"}}));
+  EXPECT_EQ(note_pairs(straddle), (Notes{{"partitions", "4"}}));
   EXPECT_TRUE(s.notes(kernel).empty());
-  // The children inherit the trace id from their parent, closed long before.
+  EXPECT_TRUE(s.notes(dangling).empty());  // open spans have no retained notes
+
+  // Every span inherits trace id 9: the children of the stage closed long
+  // before, and the wait under the still-open dangling stage.
   EXPECT_EQ(s.spans()[s.index_of(kernel)].trace_id, 9u);
   EXPECT_EQ(s.spans()[s.index_of(wait)].trace_id, 9u);
+  EXPECT_EQ(s.trace_id(under_open), 9u);
   std::size_t spans_seen = 0;
+  obs::SpanId prev = 0;
   for (const obs::CausalSpan& span : s.spans()) {
     EXPECT_EQ(span.trace_id, 9u);
+    EXPECT_GT(span.id, prev);
+    EXPECT_NE(span.id, dangling);
+    prev = span.id;
     ++spans_seen;
   }
   EXPECT_EQ(spans_seen, s.spans().size());
 
+  // The wait under the dangling stage is a root of its own: its parent is
+  // not retained.
   const obs::CriticalPath cp = obs::extract_critical_path(s);
-  EXPECT_EQ(cp.total, makespan);
+  EXPECT_EQ(cp.total, static_cast<sim::Duration>(end + 100 + 30));
   sim::Duration sum = 0;
   for (auto d : cp.by_category) sum += d;
   EXPECT_EQ(sum, cp.total);
-  EXPECT_EQ(category_ns(cp, obs::SpanCategory::Kernel), 40);
-  EXPECT_EQ(category_ns(cp, obs::SpanCategory::Wait), 10);
+  EXPECT_EQ(category_ns(cp, obs::SpanCategory::Control), 10312);
+  EXPECT_EQ(category_ns(cp, obs::SpanCategory::Kernel), 90);
+  EXPECT_EQ(category_ns(cp, obs::SpanCategory::Shuffle), 10);
+  EXPECT_EQ(category_ns(cp, obs::SpanCategory::Wait), 58);
+  ASSERT_EQ(cp.segments.size(), 10240u);
+  EXPECT_EQ(cp.segments[0].span, under_open);
+  EXPECT_EQ(cp.segments[4].span, kernel);
+  EXPECT_EQ(cp.segments[1029].span, slow[0]);
+  EXPECT_EQ(cp.segments[1030].span, slow[0] + 1);  // its wait:credit
+  EXPECT_EQ(cp.segments[1030].begin, 1124);
+  EXPECT_EQ(cp.segments[1030].end, 1126);
+  const obs::SpanId tail[] = {slow.back(), late, straddle, job};
+  for (std::size_t i = 0; i < std::size(tail); ++i) {
+    EXPECT_EQ(cp.segments[cp.segments.size() - std::size(tail) + i].span, tail[i]) << i;
+  }
+  EXPECT_EQ(cp.segments.back().begin, end + 60);
+  EXPECT_EQ(cp.segments.back().end, end + 100);
+
+  // The ten slow fillers exceed their group's 1 ns p95 and waited on the
+  // credit; equal excess, so they come out in id order.
+  const std::vector<obs::Straggler> stragglers = obs::find_stragglers(s);
+  ASSERT_EQ(stragglers.size(), slow.size());
+  for (std::size_t i = 0; i < slow.size(); ++i) {
+    EXPECT_EQ(stragglers[i].span, slow[i]);
+    EXPECT_EQ(stragglers[i].duration, 4);
+    EXPECT_EQ(stragglers[i].p95, 1);
+    EXPECT_EQ(stragglers[i].waited_on, "wait:credit on node2/shuffle");
+  }
 
   // Lane "a" tiles [i, i+2) intervals, each overlapping the next, so its
   // busy time is one union that crosses every chunk boundary.
@@ -610,9 +732,9 @@ TEST(Spans, ChunkBoundaries) {
   EXPECT_EQ(s.busy_time("node1/b"), 1);
   EXPECT_TRUE(s.lanes_overlap("node1/a", "node1/b"));
 
-  // The Chrome trace parses, and every link but the root's has exactly
+  // The Chrome trace parses, and every link but the two roots' has exactly
   // one flow start and one flow finish.
-  auto parsed = Json::parse(obs::chrome_trace_json(s, nullptr, makespan));
+  auto parsed = Json::parse(obs::chrome_trace_json(s, nullptr, end + 100));
   ASSERT_TRUE(parsed.has_value());
   std::map<std::int64_t, int> starts, finishes;
   for (const Json& e : parsed->find("traceEvents")->items()) {
@@ -620,7 +742,7 @@ TEST(Spans, ChunkBoundaries) {
     if (ph == "s") ++starts[e.find("id")->as_int()];
     if (ph == "f") ++finishes[e.find("id")->as_int()];
   }
-  EXPECT_EQ(starts.size(), s.spans().size() - 1);
+  EXPECT_EQ(starts.size(), s.spans().size() - 2);
   EXPECT_EQ(finishes.size(), starts.size());
   for (const auto& [id, n] : starts) {
     EXPECT_EQ(n, 1) << "flow id " << id;
