@@ -66,12 +66,9 @@ double measure(Op op, wl::Mode mode, const wl::Testbed& tb) {
     switch (op) {
       case Op::KmeansMapper: {
         auto src = df::DataSet<wl::Point>::from_generator(
-            eng, &wl::point_desc(), parts, [n, parts](int p, std::vector<wl::Point>& out) {
-              for (std::uint64_t i = static_cast<std::uint64_t>(p); i < n;
-                   i += static_cast<std::uint64_t>(parts)) {
-                out.push_back(wl::kmeans::point_at(i, 1));
-              }
-            });
+            eng, &wl::point_desc(), parts,
+            wl::striped<wl::Point>(n, parts,
+                                   [](std::uint64_t i) { return wl::kmeans::point_at(i, 1); }));
         auto handle = co_await src.materialize(job);
         auto centers = std::make_shared<std::vector<wl::Point>>(wl::kClusters);
         for (int c = 0; c < wl::kClusters; ++c) {
@@ -88,12 +85,9 @@ double measure(Op op, wl::Mode mode, const wl::Testbed& tb) {
       case Op::SpmvMapper: {
         const std::uint64_t rows = n / 8;  // CsrRow records are heavy
         auto src = df::DataSet<wl::CsrRow>::from_generator(
-            eng, &wl::csr_row_desc(), parts, [rows, parts](int p, std::vector<wl::CsrRow>& out) {
-              for (std::uint64_t i = static_cast<std::uint64_t>(p); i < rows;
-                   i += static_cast<std::uint64_t>(parts)) {
-                out.push_back(wl::spmv::row_at(i, 65536, 1));
-              }
-            });
+            eng, &wl::csr_row_desc(), parts,
+            wl::striped<wl::CsrRow>(
+                rows, parts, [](std::uint64_t i) { return wl::spmv::row_at(i, 65536, 1); }));
         auto handle = co_await src.materialize(job);
         auto x = std::make_shared<std::vector<float>>(65536, 1.0f);
         auto mapped = wl::spmv::mapper(df::DataSet<wl::CsrRow>::from_handle(eng, handle), mode,
@@ -105,14 +99,11 @@ double measure(Op op, wl::Mode mode, const wl::Testbed& tb) {
       }
       case Op::PointAddMapper: {
         auto src = df::DataSet<wl::Pt>::from_generator(
-            eng, &wl::pt_desc(), parts, [n, parts](int p, std::vector<wl::Pt>& out) {
-              for (std::uint64_t i = static_cast<std::uint64_t>(p); i < n;
-                   i += static_cast<std::uint64_t>(parts)) {
-                out.push_back(wl::pointadd::pt_at(i, 1));
-              }
-            });
+            eng, &wl::pt_desc(), parts,
+            wl::striped<wl::Pt>(n, parts,
+                                [](std::uint64_t i) { return wl::pointadd::pt_at(i, 1); }));
         auto handle = co_await src.materialize(job);
-        auto mapped = wl::pointadd::mapper(df::DataSet<wl::Pt>::from_handle(eng, handle), mode, 0);
+        auto mapped = wl::pointadd::mapper(df::DataSet<wl::Pt>::from_handle(eng, handle), mode);
         (void)co_await mapped.count(job);
         seconds = stage_seconds(job.stats(), "addPoint", tb) +
                   stage_seconds(job.stats(), "AddPoint", tb);
@@ -120,12 +111,9 @@ double measure(Op op, wl::Mode mode, const wl::Testbed& tb) {
       }
       case Op::SumReducer: {
         auto src = df::DataSet<wl::VecEntry>::from_generator(
-            eng, &wl::vec_entry_desc(), parts, [n, parts](int p, std::vector<wl::VecEntry>& out) {
-              for (std::uint64_t i = static_cast<std::uint64_t>(p); i < n;
-                   i += static_cast<std::uint64_t>(parts)) {
-                out.push_back(wl::VecEntry{i, 1.0f});
-              }
-            });
+            eng, &wl::vec_entry_desc(), parts,
+            wl::striped<wl::VecEntry>(n, parts,
+                                      [](std::uint64_t i) { return wl::VecEntry{i, 1.0f}; }));
         auto handle = co_await src.materialize(job);
         auto ds = df::DataSet<wl::VecEntry>::from_handle(eng, handle);
         if (mode == wl::Mode::Cpu) {

@@ -75,13 +75,10 @@ CaseResult run_case(const wl::Testbed& tb, const std::vector<TenantLoad>& loads,
                   1.0, [&e, n, parts](df::Job& job) -> Co<void> {
                     auto src = df::DataSet<Pt>::from_generator(
                         e, &wl::pt_desc(), parts,
-                        [n, parts](int part, std::vector<Pt>& rows) {
-                          for (std::uint64_t i = static_cast<std::uint64_t>(part); i < n;
-                               i += static_cast<std::uint64_t>(parts)) {
-                            rows.push_back(wl::pointadd::pt_at(i, 7));
-                          }
-                        });
-                    auto added = wl::pointadd::mapper(src, wl::Mode::Gpu, 0);
+                        wl::striped<Pt>(n, parts, [](std::uint64_t i) {
+                          return wl::pointadd::pt_at(i, 7);
+                        }));
+                    auto added = wl::pointadd::mapper(src, wl::Mode::Gpu);
                     co_await added.count(job);
                   });
               co_await ticket->wait();

@@ -59,10 +59,9 @@ sim::Co<void> gpu_map_partition_run(dataflow::TaskContext& ctx, const GpuOpSpec&
   }
   if (!in_place) out.resize(total_out);
 
-  // Task-level shared pieces: broadcast buffers and kernel parameters.
+  // Task-level shared piece: the broadcast buffers.
   std::vector<GBuffer> aux =
       spec.make_aux ? spec.make_aux(ctx) : std::vector<GBuffer>{};
-  std::shared_ptr<void> params = spec.make_params ? spec.make_params(ctx) : nullptr;
 
   mem::MemoryManager& memory = ctx.worker_state().memory();
 
@@ -102,7 +101,6 @@ sim::Co<void> gpu_map_partition_run(dataflow::TaskContext& ctx, const GpuOpSpec&
     work->job_id = ctx.job().id();
     work->tenant = ctx.job().tenant();
     work->span = ctx.span();
-    work->params = params;
     work->chunkable = spec.chunkable;
     work->chunk_bytes = spec.chunk_bytes;
     GBuffer in_binding;

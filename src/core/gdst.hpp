@@ -70,9 +70,6 @@ struct GpuOpSpec {
   /// KMeans centers). Built once per task. Entries may set `cache`.
   std::function<std::vector<GBuffer>(dataflow::TaskContext&)> make_aux;
 
-  /// Kernel argument block, built once per task.
-  std::function<std::shared_ptr<void>(dataflow::TaskContext&)> make_params;
-
   int block_size = 256;      // CUDA threads per block
   std::size_t block_bytes = 0;  // data block size; 0 = the engine page size
 };

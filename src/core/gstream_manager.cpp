@@ -84,8 +84,7 @@ sim::Co<void> run_chunk(ChunkCtx& ctx, std::size_t c) {
                       ctx.lane, ctx.node);
   }
   co_await ctx.api->launch_kernel(*ctx.kernel, bindings, n, ctx.work->layout,
-                                  ctx.work->block_size, /*grid_size=*/0, ctx.work->params.get(),
-                                  ctx.label);
+                                  ctx.work->block_size, /*grid_size=*/0, ctx.label);
 
   const sim::Time d2h_begin = ctx.sim->now();
   ctx.kernel_ns += d2h_begin - kernel_begin;
@@ -686,7 +685,7 @@ sim::Co<void> GStreamManager::execute(StreamWorker* w, const GWorkPtr& work) {
   const sim::Time stage2_begin = sim_->now();
   stage_h2d_ns_ += stage2_begin - stage1_begin;
   co_await api.launch_kernel(work->execute_name, bindings, work->size, work->layout,
-                             work->block_size, work->grid_size, work->params.get(), label);
+                             work->block_size, work->grid_size, label);
 
   // Stage 3: D2H result transfers.
   const sim::Time stage3_begin = sim_->now();

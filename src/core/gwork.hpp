@@ -92,9 +92,6 @@ struct GWork {
   /// before detached pipeline stages retire.
   std::uint64_t span = 0;
 
-  /// Small by-value kernel argument block (kept alive by shared ownership).
-  std::shared_ptr<void> params;
-
   /// Fired by the stream worker once outputs are back in host memory.
   std::shared_ptr<sim::Trigger> done;
 

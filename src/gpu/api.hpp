@@ -82,10 +82,9 @@ class CudaStub {
   sim::Co<void> launch_kernel(const std::string& name,
                               const std::vector<GpuDevice::BufferBinding>& buffers,
                               std::size_t items, mem::Layout layout, int block_size = 256,
-                              int grid_size = 0, const void* params = nullptr,
-                              const std::string& label = {}) {
+                              int grid_size = 0, const std::string& label = {}) {
     const Kernel& k = KernelRegistry::global().lookup(name);
-    co_await device_->launch(k, buffers, items, layout, block_size, grid_size, params, label);
+    co_await device_->launch(k, buffers, items, layout, block_size, grid_size, label);
   }
 
   /// Chunk-granular launch: the caller resolved the Kernel once and issues
@@ -93,10 +92,8 @@ class CudaStub {
   sim::Co<void> launch_kernel(const Kernel& kernel,
                               const std::vector<GpuDevice::BufferBinding>& buffers,
                               std::size_t items, mem::Layout layout, int block_size = 256,
-                              int grid_size = 0, const void* params = nullptr,
-                              const std::string& label = {}) {
-    co_await device_->launch(kernel, buffers, items, layout, block_size, grid_size, params,
-                             label);
+                              int grid_size = 0, const std::string& label = {}) {
+    co_await device_->launch(kernel, buffers, items, layout, block_size, grid_size, label);
   }
 
  private:
@@ -180,20 +177,16 @@ class CudaWrapper {
   sim::Co<void> launch_kernel(const std::string& name,
                               const std::vector<GpuDevice::BufferBinding>& buffers,
                               std::size_t items, mem::Layout layout, int block_size = 256,
-                              int grid_size = 0, const void* params = nullptr,
-                              const std::string& label = {}) {
+                              int grid_size = 0, const std::string& label = {}) {
     co_await jni();
-    co_await stub_->launch_kernel(name, buffers, items, layout, block_size, grid_size, params,
-                                  label);
+    co_await stub_->launch_kernel(name, buffers, items, layout, block_size, grid_size, label);
   }
   sim::Co<void> launch_kernel(const Kernel& kernel,
                               const std::vector<GpuDevice::BufferBinding>& buffers,
                               std::size_t items, mem::Layout layout, int block_size = 256,
-                              int grid_size = 0, const void* params = nullptr,
-                              const std::string& label = {}) {
+                              int grid_size = 0, const std::string& label = {}) {
     co_await jni();
-    co_await stub_->launch_kernel(kernel, buffers, items, layout, block_size, grid_size, params,
-                                  label);
+    co_await stub_->launch_kernel(kernel, buffers, items, layout, block_size, grid_size, label);
   }
 
  private:

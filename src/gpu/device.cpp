@@ -98,7 +98,7 @@ sim::Co<void> GpuDevice::copy_d2h(DevicePtr src, mem::HBuffer& dst, std::size_t 
 
 sim::Co<void> GpuDevice::launch(const Kernel& kernel, const std::vector<BufferBinding>& buffers,
                                 std::size_t items, mem::Layout layout, int block_size,
-                                int grid_size, const void* params, const std::string& label) {
+                                int grid_size, const std::string& label) {
   co_await compute_.lock();
   sim::Time begin = sim_->now();
 
@@ -109,7 +109,6 @@ sim::Co<void> GpuDevice::launch(const Kernel& kernel, const std::vector<BufferBi
       grid_size > 0 ? grid_size
                     : static_cast<int>((items + static_cast<std::size_t>(block_size) - 1) /
                                        static_cast<std::size_t>(block_size));
-  launch.params = params;
   launch.buffers.reserve(buffers.size());
   for (const auto& b : buffers) {
     launch.buffers.emplace_back(b.host != nullptr ? b.host : memory_.shadow(b.ptr, b.len), b.len);

@@ -73,8 +73,7 @@ class GpuDevice {
   };
   sim::Co<void> launch(const Kernel& kernel, const std::vector<BufferBinding>& buffers,
                        std::size_t items, mem::Layout layout, int block_size = 256,
-                       int grid_size = 0, const void* params = nullptr,
-                       const std::string& label = {});
+                       int grid_size = 0, const std::string& label = {});
 
   /// Run a kernel over *device-mapped host memory* (paper §4.1.2): the SMs
   /// read the host buffers across PCIe during execution, so there is no

@@ -36,9 +36,6 @@ struct KernelLaunch {
   /// Grid geometry, carried for fidelity/reporting.
   int block_size = 256;
   int grid_size = 0;
-  /// Opaque kernel parameters (small by-value argument block, like CUDA
-  /// kernel arguments). May be null.
-  const void* params = nullptr;
 };
 
 using KernelFn = std::function<void(KernelLaunch&)>;

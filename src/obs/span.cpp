@@ -68,7 +68,7 @@ CausalSpan SpanStore::make_span(StrRef name, SpanCategory category, SpanId paren
     // a parent that was already dropped leaves the child's trace id at 0.
     s.trace_id = SpanStore::trace_id(parent);
   } else {
-    GFLINK_CHECK_MSG(trace_id <= UINT32_MAX, "SpanStore::open: trace id does not fit in 32 bits");
+    GFLINK_CHECK_MSG(trace_id <= UINT32_MAX, "SpanStore: trace id does not fit in 32 bits");
     s.trace_id = static_cast<std::uint32_t>(trace_id);
   }
   return s;
@@ -102,8 +102,8 @@ void SpanStore::close(SpanId id, sim::Time end) {
 }
 
 SpanId SpanStore::record(StrRef name, SpanCategory category, SpanId parent, sim::Time begin,
-                         sim::Time end, StrRef lane, int node) {
-  CausalSpan s = make_span(name, category, parent, begin, lane, node, 0);
+                         sim::Time end, StrRef lane, int node, std::uint64_t trace_id) {
+  CausalSpan s = make_span(name, category, parent, begin, lane, node, trace_id);
   s.end = end;
   commit(s, {});
   return s.id;

@@ -327,9 +327,9 @@ class SpanStore {
 
   /// One-shot span whose extent is known at record time (GPU stages,
   /// waits): built closed, so it never enters the open-span map. Returns the
-  /// id so callers may parent to it.
+  /// id so callers may parent to it. `trace_id` is as for open().
   SpanId record(StrRef name, SpanCategory category, SpanId parent, sim::Time begin,
-                sim::Time end, StrRef lane = {}, int node = -1);
+                sim::Time end, StrRef lane = {}, int node = -1, std::uint64_t trace_id = 0);
 
   /// Closed spans, in id order (deterministic). Empty unless retaining.
   ClosedSpans spans() const { return ClosedSpans(*this); }

@@ -217,9 +217,11 @@ void JobService::dispatch(Tenant& t, const TicketPtr& ticket) {
 sim::Co<void> JobService::run_job(Tenant& t, TicketPtr ticket) {
   const auto queue_wait = static_cast<double>(ticket->dispatched_at - ticket->enqueued_at);
   if (ticket->dispatched_at > ticket->enqueued_at) {
+    // A root (parent 0), so the critical path counts the wait once, tagged
+    // with the trace id of the job it delayed.
     engine_->cluster().spans().record("service_queue_wait", obs::SpanCategory::Wait, 0,
                                       ticket->enqueued_at, ticket->dispatched_at,
-                                      tenant_lane(t), 0);
+                                      tenant_lane(t), 0, ticket->job_->id());
   }
   engine_->metrics()
       .histogram(obs::Metric::ServiceQueueWaitNs, {{"tenant", t.config.name}})

@@ -1,10 +1,14 @@
 #include "workloads/common.hpp"
 
-#include <cstring>
-#include <unordered_map>
-
 #include "obs/run_report.hpp"
+#include "workloads/concomp.hpp"
+#include "workloads/kmeans.hpp"
+#include "workloads/linreg.hpp"
+#include "workloads/pagerank.hpp"
+#include "workloads/pointadd.hpp"
 #include "workloads/records.hpp"
+#include "workloads/spmv.hpp"
+#include "workloads/wordcount.hpp"
 
 namespace gflink::workloads {
 
@@ -130,221 +134,58 @@ void Session::report_into(obs::RunReport& report) const {
   if (runtime_) runtime_->export_metrics(report.metrics);
 }
 
+DriverInput prepare_input(df::Engine& engine, const core::GFlinkRuntime* runtime, Mode mode,
+                          int partitions, const char* name, std::uint64_t size_key,
+                          std::uint64_t bytes) {
+  GFLINK_CHECK_MSG(mode == Mode::Cpu || runtime != nullptr, "GPU mode needs a GFlinkRuntime");
+  DriverInput input;
+  input.partitions = partitions > 0 ? partitions : engine.default_parallelism();
+  input.path = std::string("/data/") + name + "-" + std::to_string(size_key);
+  if (!engine.dfs().exists(input.path)) engine.dfs().create_file(input.path, bytes);
+  return input;
+}
+
+void finish_run(df::Job& job, core::GFlinkRuntime* runtime, RunResult& run) {
+  job.finish();
+  if (runtime != nullptr) runtime->release_job(job.id());
+  run.stats = job.stats();
+  run.total = job.stats().total();
+}
+
 namespace {
 
-// Kernel parameter blocks (shared_ptr-held; see GWork::params).
-struct KmeansParams {
-  int k;
-  int dim;
-};
-struct LinregParams {
-  int dim;
-};
-struct GraphParams {
-  std::uint64_t num_nodes;
-  double damping;
-};
-
-void register_all_kernels() {
-  auto& reg = gpu::KernelRegistry::global();
-
-  // --- KMeans assignment + per-block partial sums ---------------------------
-  // Buffers: [points, centers, out(k ClusterAgg)].
-  {
-    gpu::Kernel k;
-    k.name = "cudaKmeansAssign";
-    k.preferred_layout = mem::Layout::SoA;
-    k.cost.flops_per_item = 3.0 * kClusters * kDim;  // distance to every center
-    k.cost.dram_bytes_per_item = sizeof(Point);
-    k.cost.fixed_flops = 2.0 * kClusters * kDim;     // block-level reduction tail
-    k.fn = [](gpu::KernelLaunch& launch) {
-      const auto* pts = reinterpret_cast<const Point*>(launch.buffers[0].data());
-      const auto* centers = reinterpret_cast<const Point*>(launch.buffers[1].data());
-      auto* out = reinterpret_cast<ClusterAgg*>(launch.buffers.back().data());
-      for (int c = 0; c < kClusters; ++c) {
-        out[c].cluster = static_cast<std::uint64_t>(c);
-        std::memset(out[c].sum, 0, sizeof(out[c].sum));
-        out[c].count = 0;
-      }
-      for (std::size_t i = 0; i < launch.items; ++i) {
-        int best = 0;
-        float best_d = 1e30f;
-        for (int c = 0; c < kClusters; ++c) {
-          float d = 0;
-          for (int j = 0; j < kDim; ++j) {
-            const float diff = pts[i].x[j] - centers[c].x[j];
-            d += diff * diff;
-          }
-          if (d < best_d) {
-            best_d = d;
-            best = c;
-          }
-        }
-        for (int j = 0; j < kDim; ++j) out[best].sum[j] += pts[i].x[j];
-        ++out[best].count;
-      }
-    };
-    reg.register_kernel(k);
-  }
-
-  // --- LinearRegression per-block gradient ----------------------------------
-  // Buffers: [samples, weights(dim+1 doubles), out(1 Gradient)].
-  {
-    gpu::Kernel k;
-    k.name = "cudaLinregGradient";
-    k.preferred_layout = mem::Layout::SoA;
-    k.cost.flops_per_item = 5.0 * kDim;  // fused dot + scaled accumulate
-    k.cost.dram_bytes_per_item = sizeof(Sample);
-    k.fn = [](gpu::KernelLaunch& launch) {
-      const auto* samples = reinterpret_cast<const Sample*>(launch.buffers[0].data());
-      const auto* w = reinterpret_cast<const double*>(launch.buffers[1].data());
-      auto* out = reinterpret_cast<Gradient*>(launch.buffers.back().data());
-      std::memset(out, 0, sizeof(Gradient));
-      for (std::size_t i = 0; i < launch.items; ++i) {
-        double pred = w[kDim];  // bias
-        for (int j = 0; j < kDim; ++j) pred += w[j] * samples[i].x[j];
-        const double err = pred - samples[i].y;
-        for (int j = 0; j < kDim; ++j) out->g[j] += err * samples[i].x[j];
-        out->g[kDim] += err;
-        ++out->count;
-      }
-    };
-    reg.register_kernel(k);
-  }
-
-  // --- SpMV: y_block = A_block * x ------------------------------------------
-  // Buffers: [rows, x(vector of floats), out(n VecEntry)]. This is the
-  // cuBLAS/cuSPARSE-quality path the paper uses, hence SoA efficiency.
-  {
-    gpu::Kernel k;
-    k.name = "cudaSpmvRow";
-    k.preferred_layout = mem::Layout::SoA;
-    k.cost.flops_per_item = 2.0 * kNnzPerRow;
-    k.cost.dram_bytes_per_item = sizeof(CsrRow) + 4.0 * kNnzPerRow;  // row + gathered x
-    k.fn = [](gpu::KernelLaunch& launch) {
-      const auto* rows = reinterpret_cast<const CsrRow*>(launch.buffers[0].data());
-      const auto* x = reinterpret_cast<const float*>(launch.buffers[1].data());
-      auto* out = reinterpret_cast<VecEntry*>(launch.buffers.back().data());
-      for (std::size_t i = 0; i < launch.items; ++i) {
-        float acc = 0;
-        for (int j = 0; j < kNnzPerRow; ++j) acc += rows[i].val[j] * x[rows[i].col[j]];
-        out[i] = VecEntry{rows[i].row, acc};
-      }
-    };
-    reg.register_kernel(k);
-  }
-
-  // --- PageRank contributions ------------------------------------------------
-  // Buffers: [pages, ranks(dense doubles), out(kOutDegree per page)].
-  {
-    gpu::Kernel k;
-    k.name = "cudaPagerankContrib";
-    k.preferred_layout = mem::Layout::SoA;
-    k.cost.flops_per_item = 4.0 * kOutDegree;
-    k.cost.dram_bytes_per_item = sizeof(Page) + sizeof(RankMsg) * kOutDegree;
-    k.fn = [](gpu::KernelLaunch& launch) {
-      const auto* pages = reinterpret_cast<const Page*>(launch.buffers[0].data());
-      const auto* ranks = reinterpret_cast<const float*>(launch.buffers[1].data());
-      auto* out = reinterpret_cast<RankMsg*>(launch.buffers.back().data());
-      for (std::size_t i = 0; i < launch.items; ++i) {
-        const float share = ranks[pages[i].id] / kOutDegree;
-        for (int j = 0; j < kOutDegree; ++j) {
-          out[i * kOutDegree + j] =
-              RankMsg{static_cast<std::uint32_t>(pages[i].out[j]), share};
-        }
-      }
-    };
-    reg.register_kernel(k);
-  }
-
-  // --- ConnectedComponents label messages ------------------------------------
-  // Buffers: [vertices, labels(dense u64), out((kOutDegree+1) per vertex)].
-  {
-    gpu::Kernel k;
-    k.name = "cudaConcompMsgs";
-    k.preferred_layout = mem::Layout::SoA;
-    k.cost.flops_per_item = 2.0 * (kOutDegree + 1);
-    k.cost.dram_bytes_per_item = sizeof(Vertex) + sizeof(LabelMsg) * (kOutDegree + 1);
-    k.fn = [](gpu::KernelLaunch& launch) {
-      const auto* verts = reinterpret_cast<const Vertex*>(launch.buffers[0].data());
-      const auto* labels = reinterpret_cast<const std::uint32_t*>(launch.buffers[1].data());
-      auto* out = reinterpret_cast<LabelMsg*>(launch.buffers.back().data());
-      std::size_t o = 0;
-      for (std::size_t i = 0; i < launch.items; ++i) {
-        const std::uint32_t own = labels[verts[i].id];
-        out[o++] = LabelMsg{static_cast<std::uint32_t>(verts[i].id), own};
-        for (int j = 0; j < kOutDegree; ++j) {
-          out[o++] = LabelMsg{static_cast<std::uint32_t>(verts[i].neighbour[j]), own};
-        }
-      }
-    };
-    reg.register_kernel(k);
-  }
-
-  // --- WordCount per-block combine -------------------------------------------
-  // Buffers: [words, out(n WordCount, padded with word = UINT64_MAX)].
-  {
-    gpu::Kernel k;
-    k.name = "cudaWordcountBlock";
-    k.preferred_layout = mem::Layout::SoA;
-    k.cost.flops_per_item = 12.0;  // hash + probe
-    k.cost.dram_bytes_per_item = 2.0 * sizeof(WordCount);
-    k.fn = [](gpu::KernelLaunch& launch) {
-      const auto* in = reinterpret_cast<const WordCount*>(launch.buffers[0].data());
-      auto* out = reinterpret_cast<WordCount*>(launch.buffers.back().data());
-      std::unordered_map<std::uint64_t, std::uint64_t> counts;
-      counts.reserve(launch.items);
-      for (std::size_t i = 0; i < launch.items; ++i) counts[in[i].word] += in[i].count;
-      std::size_t o = 0;
-      for (const auto& [word, count] : counts) out[o++] = WordCount{word, count};
-      for (; o < launch.items; ++o) out[o] = WordCount{~0ULL, 0};
-    };
-    reg.register_kernel(k);
-  }
-
-  // --- Generic block-sum reducer (the GReducer of Fig. 8b) --------------------
-  // Buffers: [entries, out(1 VecEntry)]. Deliberately not compute-intensive:
-  // one add per item — the paper notes GReducers gain little from GPUs.
-  {
-    gpu::Kernel k;
-    k.name = "cudaSumVec";
-    k.preferred_layout = mem::Layout::SoA;
-    k.cost.flops_per_item = 1.0;
-    k.cost.dram_bytes_per_item = sizeof(VecEntry);
-    k.fn = [](gpu::KernelLaunch& launch) {
-      const auto* in = reinterpret_cast<const VecEntry*>(launch.buffers[0].data());
-      auto* out = reinterpret_cast<VecEntry*>(launch.buffers.back().data());
-      VecEntry acc{0, 0.0f};
-      for (std::size_t i = 0; i < launch.items; ++i) acc.value += in[i].value;
-      out[0] = acc;
-    };
-    reg.register_kernel(k);
-  }
-
-  // --- PointAdd (the paper's Algorithm 3.1 example) ---------------------------
-  // Buffers: [points, out(n Pt)].
-  {
-    gpu::Kernel k;
-    k.name = "cudaAddPoint";
-    k.preferred_layout = mem::Layout::AoS;  // the paper's example uses AoS
-    k.cost.flops_per_item = 2.0;
-    k.cost.dram_bytes_per_item = 2.0 * sizeof(Pt);
-    k.fn = [](gpu::KernelLaunch& launch) {
-      const auto* in = reinterpret_cast<const Pt*>(launch.buffers[0].data());
-      auto* out = reinterpret_cast<Pt*>(launch.buffers.back().data());
-      for (std::size_t i = 0; i < launch.items; ++i) {
-        out[i] = Pt{in[i].x + in[i].y, in[i].y};
-      }
-    };
-    reg.register_kernel(k);
-  }
+// The generic block-sum reducer (the GReducer of Fig. 8b). Buffers:
+// [entries, out(1 VecEntry)]. Deliberately not compute-intensive: one add
+// per item — the paper notes GReducers gain little from GPUs.
+void register_sum_kernel(gpu::KernelRegistry& registry) {
+  gpu::Kernel k;
+  k.name = "cudaSumVec";
+  k.preferred_layout = mem::Layout::SoA;
+  k.cost.flops_per_item = 1.0;
+  k.cost.dram_bytes_per_item = sizeof(VecEntry);
+  k.fn = [](gpu::KernelLaunch& launch) {
+    const auto* in = reinterpret_cast<const VecEntry*>(launch.buffers[0].data());
+    auto* out = reinterpret_cast<VecEntry*>(launch.buffers.back().data());
+    VecEntry acc{0, 0.0f};
+    for (std::size_t i = 0; i < launch.items; ++i) acc.value += in[i].value;
+    out[0] = acc;
+  };
+  registry.register_kernel(std::move(k));
 }
 
 }  // namespace
 
 void ensure_kernels_registered() {
   static const bool once = [] {
-    register_all_kernels();
+    auto& registry = gpu::KernelRegistry::global();
+    kmeans::register_kernels(registry);
+    linreg::register_kernels(registry);
+    spmv::register_kernels(registry);
+    pagerank::register_kernels(registry);
+    concomp::register_kernels(registry);
+    wordcount::register_kernels(registry);
+    register_sum_kernel(registry);
+    pointadd::register_kernels(registry);
     return true;
   }();
   (void)once;

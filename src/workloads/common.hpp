@@ -26,7 +26,9 @@
 // paper's Table 2 (2.97 GB/s plateau, ~1.8 us setup, ~0.2 us JNI).
 #pragma once
 
+#include <functional>
 #include <memory>
+#include <string>
 
 #include "core/gpu_manager.hpp"
 #include "dataflow/dataset.hpp"
@@ -90,7 +92,9 @@ df::EngineConfig make_engine_config(const Testbed& tb);
 /// Build the GFlink GPU-layer config for a testbed.
 core::GpuManagerConfig make_gpu_config(const Testbed& tb);
 
-/// Register all workload kernels in the global registry (idempotent).
+/// Register all workload kernels in the global registry (idempotent). Each
+/// workload's `register_kernels` adds its own kernels, whose host functions
+/// call the same per-record body as the workload's Flink-mode UDF.
 void ensure_kernels_registered();
 
 /// Result of one workload run.
@@ -175,6 +179,61 @@ ResultT run(Driver<ConfigT, ResultT> driver, const Testbed& tb, Mode mode,
             const ConfigT& config) {
   Session session(tb, mode);
   return session.run(driver, config);
+}
+
+// ---- Driver scaffolding -----------------------------------------------------
+
+/// Where a driver's source reads from and how many producer tasks it runs.
+struct DriverInput {
+  int partitions = 0;
+  std::string path;
+};
+
+/// The start of every driver: GFlink mode needs a runtime; producer tasks
+/// run at full slot parallelism in both modes unless `partitions` is set
+/// (GWork production is cheap, and the job's CPU-side stages need the
+/// slots either way); and the input file "/data/<name>-<size_key>" of
+/// `bytes` exists on the DFS.
+DriverInput prepare_input(df::Engine& engine, const core::GFlinkRuntime* runtime, Mode mode,
+                          int partitions, const char* name, std::uint64_t size_key,
+                          std::uint64_t bytes);
+
+/// The end of every driver: finish `job`, release its GPU cache, and copy
+/// its stats and makespan into `run`.
+void finish_run(df::Job& job, core::GFlinkRuntime* runtime, RunResult& run);
+
+/// A source generator that stripes records over partitions: partition
+/// `part` of `parts` yields gen(i) for i = part, part + parts, ... < n, so
+/// any partitioning yields the same multiset of records.
+template <typename T, typename Gen>
+std::function<void(int, std::vector<T>&)> striped(std::uint64_t n, int parts, Gen gen) {
+  return [n, parts, gen = std::move(gen)](int part, std::vector<T>& out) {
+    for (auto i = static_cast<std::uint64_t>(part); i < n;
+         i += static_cast<std::uint64_t>(parts)) {
+      out.push_back(gen(i));
+    }
+  };
+}
+
+/// A GpuOpSpec::make_aux whose one broadcast buffer is a pinned off-heap
+/// copy of `*values`, taken when each task runs. With `cache`, the buffer
+/// is cached on each device under the iteration's key, so it crosses PCIe
+/// once per device per iteration. It is not input data, so it does not
+/// steer locality.
+template <typename T>
+std::function<std::vector<core::GBuffer>(df::TaskContext&)> broadcast_aux(
+    std::shared_ptr<std::vector<T>> values, std::uint64_t iteration, bool cache = true) {
+  return [values = std::move(values), iteration, cache](df::TaskContext& ctx) {
+    const std::uint64_t bytes = values->size() * sizeof(T);
+    core::GBuffer aux;
+    aux.host = ctx.worker_state().memory().allocate_unbudgeted(bytes);
+    aux.host->write(0, values->data(), bytes);
+    aux.bytes = bytes;
+    aux.cache = cache;
+    aux.cache_key = core::make_cache_key(100, 0, static_cast<std::uint32_t>(iteration));
+    aux.counts_for_locality = false;
+    return std::vector<core::GBuffer>{std::move(aux)};
+  };
 }
 
 }  // namespace gflink::workloads

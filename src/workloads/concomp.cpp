@@ -25,7 +25,37 @@ const df::OpCost kScatterCost{11400.0,
 const df::OpCost kMinCostCpu{1350.0, 2.0 * sizeof(LabelMsg)};
 const df::OpCost kMinCostGpu{60.0, 2.0 * sizeof(LabelMsg)};
 
+// The scatter body, shared by the Flink UDF and cudaConcompMsgs: vertex `v`
+// offers its label to itself and to each of its kOutDegree neighbours.
+template <typename Emit>
+inline void scatter(const Vertex& v, const std::uint32_t* labels, Emit&& emit) {
+  const std::uint32_t own = labels[v.id];
+  emit(LabelMsg{static_cast<std::uint32_t>(v.id), own});
+  for (int j = 0; j < kOutDegree; ++j) {
+    emit(LabelMsg{static_cast<std::uint32_t>(v.neighbour[j]), own});
+  }
+}
+
 }  // namespace
+
+void register_kernels(gpu::KernelRegistry& registry) {
+  // Label messages. Buffers: [vertices, labels(dense u32),
+  // out((kOutDegree+1) per vertex)].
+  gpu::Kernel k;
+  k.name = "cudaConcompMsgs";
+  k.preferred_layout = mem::Layout::SoA;
+  k.cost.flops_per_item = 2.0 * (kOutDegree + 1);
+  k.cost.dram_bytes_per_item = sizeof(Vertex) + sizeof(LabelMsg) * (kOutDegree + 1);
+  k.fn = [](gpu::KernelLaunch& launch) {
+    const auto* verts = reinterpret_cast<const Vertex*>(launch.buffers[0].data());
+    const auto* labels = reinterpret_cast<const std::uint32_t*>(launch.buffers[1].data());
+    auto* out = reinterpret_cast<LabelMsg*>(launch.buffers.back().data());
+    for (std::size_t i = 0; i < launch.items; ++i) {
+      scatter(verts[i], labels, [&out](const LabelMsg& m) { *out++ = m; });
+    }
+  };
+  registry.register_kernel(std::move(k));
+}
 
 Vertex vertex_at(std::uint64_t id, std::uint64_t n, std::uint64_t components,
                  std::uint64_t seed) {
@@ -54,11 +84,7 @@ df::DataSet<LabelMsg> mapper(const df::DataSet<Vertex>& vertices, Mode mode,
     return vertices.flat_map<LabelMsg>(
         &label_msg_desc(), "concompScatter", kScatterCost,
         [labels](const Vertex& v, df::FlatCollector<LabelMsg>& out) {
-          const std::uint32_t own = (*labels)[v.id];
-          out.add(LabelMsg{static_cast<std::uint32_t>(v.id), own});
-          for (int j = 0; j < kOutDegree; ++j) {
-            out.add(LabelMsg{static_cast<std::uint32_t>(v.neighbour[j]), own});
-          }
+          scatter(v, labels->data(), [&out](const LabelMsg& m) { out.add(m); });
         });
   }
   ensure_kernels_registered();
@@ -70,37 +96,18 @@ df::DataSet<LabelMsg> mapper(const df::DataSet<Vertex>& vertices, Mode mode,
   spec.chunkable = true;  // label messages are element-wise per vertex
   spec.cache_namespace = 1;
   spec.out_items = [](std::size_t n) { return n * (kOutDegree + 1); };
-  spec.make_aux = [labels, iteration](df::TaskContext& ctx) {
-    const std::uint64_t bytes = labels->size() * sizeof(std::uint32_t);
-    auto buf = ctx.worker_state().memory().allocate_unbudgeted(bytes);  // pinned off-heap
-    buf->write(0, labels->data(), bytes);
-    core::GBuffer aux;
-    aux.host = std::move(buf);
-    aux.bytes = bytes;
-    aux.cache = true;
-    aux.cache_key = core::make_cache_key(100, 0, static_cast<std::uint32_t>(iteration));
-    aux.counts_for_locality = false;
-    return std::vector<core::GBuffer>{aux};
-  };
+  spec.make_aux = broadcast_aux(std::move(labels), iteration);
   return core::gpu_dataset_op<Vertex, LabelMsg>(vertices, &label_msg_desc(), "gpuConcompScatter",
                                                 std::move(spec));
 }
 
 sim::Co<Result> run(df::Engine& engine, core::GFlinkRuntime* runtime, const Testbed& tb,
                     Mode mode, const Config& config) {
-  GFLINK_CHECK_MSG(mode == Mode::Cpu || runtime != nullptr, "GPU mode needs a GFlinkRuntime");
   const auto n = std::max<std::uint64_t>(
       1, static_cast<std::uint64_t>(static_cast<double>(config.vertices) * tb.scale));
   const std::uint64_t components = std::min(config.components, n);
-  // Producer tasks run at full slot parallelism in both modes: GWork
-  // production is cheap, and the job's CPU-side stages (reduce, labelling,
-  // writes) need the slots either way.
-  const int partitions =
-      config.partitions > 0 ? config.partitions : engine.default_parallelism();
-  const std::string path = "/data/concomp-" + std::to_string(n);
-  if (!engine.dfs().exists(path)) {
-    engine.dfs().create_file(path, n * sizeof(Vertex));
-  }
+  const DriverInput input =
+      prepare_input(engine, runtime, mode, config.partitions, "concomp", n, n * sizeof(Vertex));
 
   Result result;
   auto labels = std::make_shared<std::vector<std::uint32_t>>(n);
@@ -110,14 +117,12 @@ sim::Co<Result> run(df::Engine& engine, core::GFlinkRuntime* runtime, const Test
   co_await job.submit();
 
   auto source = df::DataSet<Vertex>::from_generator(
-      engine, &vertex_desc(), partitions,
-      [n, components, partitions, seed = config.seed](int part, std::vector<Vertex>& out) {
-        for (std::uint64_t i = static_cast<std::uint64_t>(part); i < n;
-             i += static_cast<std::uint64_t>(partitions)) {
-          out.push_back(vertex_at(i, n, components, seed));
-        }
-      },
-      df::OpCost{10.0, sizeof(Vertex)}, path);
+      engine, &vertex_desc(), input.partitions,
+      striped<Vertex>(n, input.partitions,
+                      [n, components, seed = config.seed](std::uint64_t i) {
+                        return vertex_at(i, n, components, seed);
+                      }),
+      df::OpCost{10.0, sizeof(Vertex)}, input.path);
 
   df::DataHandle vertices;
   for (int iter = 0; iter < config.iterations; ++iter) {
@@ -140,17 +145,14 @@ sim::Co<Result> run(df::Engine& engine, core::GFlinkRuntime* runtime, const Test
     co_await engine.broadcast(n * sizeof(std::uint32_t));
 
     if (iter == config.iterations - 1 && config.write_output) {
-      co_await engine.dfs().write(0, "/out/concomp-" + std::to_string(n),
-                                  n * sizeof(std::uint32_t));
+      const std::string out_path = "/out/concomp-" + std::to_string(n);
+      co_await engine.dfs().write(0, out_path, n * sizeof(std::uint32_t));
       job.stats().io_bytes_written += n * sizeof(std::uint32_t);
     }
     result.run.iterations.push_back(engine.now() - t0);
   }
 
-  job.finish();
-  if (runtime != nullptr) runtime->release_job(job.id());
-  result.run.stats = job.stats();
-  result.run.total = job.stats().total();
+  finish_run(job, runtime, result.run);
   std::set<std::uint32_t> distinct(labels->begin(), labels->end());
   result.distinct_labels = distinct.size();
   result.run.checksum = static_cast<double>(result.distinct_labels);

@@ -37,6 +37,9 @@ df::DataSet<LabelMsg> mapper(const df::DataSet<Vertex>& vertices, Mode mode,
                              std::shared_ptr<std::vector<std::uint32_t>> labels,
                              std::uint64_t iteration);
 
+/// Register cudaConcompMsgs (see ensure_kernels_registered).
+void register_kernels(gpu::KernelRegistry& registry);
+
 sim::Co<Result> run(df::Engine& engine, core::GFlinkRuntime* runtime, const Testbed& tb,
                     Mode mode, const Config& config);
 

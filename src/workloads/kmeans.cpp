@@ -27,10 +27,12 @@ const df::OpCost kAssignCost{1300.0, sizeof(Point) + sizeof(ClusterAgg)};
 // Combine of two aggregates.
 const df::OpCost kCombineCost{2.0 * kDim, 2.0 * sizeof(ClusterAgg)};
 
-int nearest_center(const Point& p, const std::vector<Point>& centers) {
+// The assignment body, shared by the Flink UDFs and cudaKmeansAssign: the
+// index of the center (of kClusters) nearest to `p`.
+inline int nearest_center(const Point& p, const Point* centers) {
   int best = 0;
   float best_d = 1e30f;
-  for (std::size_t c = 0; c < centers.size(); ++c) {
+  for (int c = 0; c < kClusters; ++c) {
     float d = 0;
     for (int j = 0; j < kDim; ++j) {
       const float diff = p.x[j] - centers[c].x[j];
@@ -38,7 +40,7 @@ int nearest_center(const Point& p, const std::vector<Point>& centers) {
     }
     if (d < best_d) {
       best_d = d;
-      best = static_cast<int>(c);
+      best = c;
     }
   }
   return best;
@@ -55,6 +57,29 @@ std::vector<Point> initial_centers(std::uint64_t seed) {
 }
 
 }  // namespace
+
+void register_kernels(gpu::KernelRegistry& registry) {
+  // Assignment plus per-block partial sums. Buffers: [points, centers,
+  // out(k ClusterAgg)].
+  gpu::Kernel k;
+  k.name = "cudaKmeansAssign";
+  k.preferred_layout = mem::Layout::SoA;
+  k.cost.flops_per_item = 3.0 * kClusters * kDim;  // distance to every center
+  k.cost.dram_bytes_per_item = sizeof(Point);
+  k.cost.fixed_flops = 2.0 * kClusters * kDim;     // block-level reduction tail
+  k.fn = [](gpu::KernelLaunch& launch) {
+    const auto* pts = reinterpret_cast<const Point*>(launch.buffers[0].data());
+    const auto* centers = reinterpret_cast<const Point*>(launch.buffers[1].data());
+    auto* out = reinterpret_cast<ClusterAgg*>(launch.buffers.back().data());
+    for (int c = 0; c < kClusters; ++c) out[c] = ClusterAgg{static_cast<std::uint64_t>(c), {}, 0};
+    for (std::size_t i = 0; i < launch.items; ++i) {
+      const int best = nearest_center(pts[i], centers);
+      for (int j = 0; j < kDim; ++j) out[best].sum[j] += pts[i].x[j];
+      ++out[best].count;
+    }
+  };
+  registry.register_kernel(std::move(k));
+}
 
 Point point_at(std::uint64_t i, std::uint64_t seed) {
   // Cluster ground truth: k well-separated centers, Gaussian-ish noise via
@@ -80,9 +105,8 @@ df::DataSet<ClusterAgg> mapper(const df::DataSet<Point>& points, Mode mode,
     return points.map<ClusterAgg>(
         &cluster_agg_desc(), "kmeansAssign", kAssignCost,
         [centers](const Point& p) {
-          const int c = nearest_center(p, *centers);
           ClusterAgg agg{};
-          agg.cluster = static_cast<std::uint64_t>(c);
+          agg.cluster = static_cast<std::uint64_t>(nearest_center(p, centers->data()));
           for (int j = 0; j < kDim; ++j) agg.sum[j] = p.x[j];
           agg.count = 1;
           return agg;
@@ -96,36 +120,16 @@ df::DataSet<ClusterAgg> mapper(const df::DataSet<Point>& points, Mode mode,
   spec.cache_input = true;  // points are static across iterations
   spec.cache_namespace = 1;
   spec.out_items = [](std::size_t) { return static_cast<std::size_t>(kClusters); };
-  spec.make_aux = [centers, iteration](df::TaskContext& ctx) {
-    const std::uint64_t bytes = kClusters * sizeof(Point);
-    auto buf = ctx.worker_state().memory().allocate_unbudgeted(bytes);  // pinned off-heap
-    buf->write(0, centers->data(), bytes);
-    core::GBuffer aux;
-    aux.host = std::move(buf);
-    aux.bytes = bytes;
-    aux.cache = true;  // one H2D per device per iteration
-    aux.cache_key = core::make_cache_key(100, 0, static_cast<std::uint32_t>(iteration));
-    aux.counts_for_locality = false;
-    return std::vector<core::GBuffer>{aux};
-  };
+  spec.make_aux = broadcast_aux(std::move(centers), iteration);
   return core::gpu_dataset_op<Point, ClusterAgg>(points, &cluster_agg_desc(), "gpuKmeansAssign",
                                                  std::move(spec));
 }
 
 sim::Co<Result> run(df::Engine& engine, core::GFlinkRuntime* runtime, const Testbed& tb,
                     Mode mode, const Config& config) {
-  GFLINK_CHECK_MSG(mode == Mode::Cpu || runtime != nullptr, "GPU mode needs a GFlinkRuntime");
   const auto n = static_cast<std::uint64_t>(static_cast<double>(config.points) * tb.scale);
-  // Producer tasks run at full slot parallelism in both modes: GWork
-  // production is cheap, and the job's CPU-side stages (reduce, labelling,
-  // writes) need the slots either way.
-  const int partitions =
-      config.partitions > 0 ? config.partitions : engine.default_parallelism();
-
-  const std::string path = "/data/kmeans-" + std::to_string(n);
-  if (!engine.dfs().exists(path)) {
-    engine.dfs().create_file(path, n * sizeof(Point));
-  }
+  const DriverInput input =
+      prepare_input(engine, runtime, mode, config.partitions, "kmeans", n, n * sizeof(Point));
 
   Result result;
   auto centers = std::make_shared<std::vector<Point>>(initial_centers(config.seed));
@@ -134,14 +138,10 @@ sim::Co<Result> run(df::Engine& engine, core::GFlinkRuntime* runtime, const Test
   co_await job.submit();
 
   auto source = df::DataSet<Point>::from_generator(
-      engine, &point_desc(), partitions,
-      [n, partitions, seed = config.seed](int part, std::vector<Point>& out) {
-        for (std::uint64_t i = static_cast<std::uint64_t>(part); i < n;
-             i += static_cast<std::uint64_t>(partitions)) {
-          out.push_back(point_at(i, seed));
-        }
-      },
-      df::OpCost{8.0, sizeof(Point)}, path);
+      engine, &point_desc(), input.partitions,
+      striped<Point>(n, input.partitions,
+                     [seed = config.seed](std::uint64_t i) { return point_at(i, seed); }),
+      df::OpCost{8.0, sizeof(Point)}, input.path);
 
   df::DataHandle points;
   for (int iter = 0; iter < config.iterations; ++iter) {
@@ -170,8 +170,8 @@ sim::Co<Result> run(df::Engine& engine, core::GFlinkRuntime* runtime, const Test
     co_await engine.broadcast(kClusters * sizeof(Point));
 
     if (config.checkpoint_interval > 0 && (iter + 1) % config.checkpoint_interval == 0) {
-      co_await engine.checkpoint(job, "iter-" + std::to_string(iter),
-                                 kClusters * sizeof(Point));
+      const std::string name = "iter-" + std::to_string(iter);
+      co_await engine.checkpoint(job, name, kClusters * sizeof(Point));
     }
 
     if (iter == config.iterations - 1 && config.write_output) {
@@ -181,19 +181,17 @@ sim::Co<Result> run(df::Engine& engine, core::GFlinkRuntime* runtime, const Test
                           .map<VecEntry>(&vec_entry_desc(), "kmeansLabel",
                                          df::OpCost{800.0, sizeof(Point)},
                                          [centers](const Point& p) {
-                                           const int c = nearest_center(p, *centers);
-                                           return VecEntry{static_cast<std::uint64_t>(c),
+                                           return VecEntry{static_cast<std::uint64_t>(
+                                                               nearest_center(p, centers->data())),
                                                            p.x[0]};
                                          });
-      co_await labelled.write_dfs(job, "/out/kmeans");
+      const std::string out_path = "/out/kmeans";
+      co_await labelled.write_dfs(job, out_path);
     }
     result.run.iterations.push_back(engine.now() - t0);
   }
 
-  job.finish();
-  if (runtime != nullptr) runtime->release_job(job.id());
-  result.run.stats = job.stats();
-  result.run.total = job.stats().total();
+  finish_run(job, runtime, result.run);
   result.centers = *centers;
   for (const auto& c : result.centers) {
     for (int j = 0; j < kDim; ++j) result.run.checksum += c.x[j];

@@ -36,10 +36,14 @@ struct Result {
 Point point_at(std::uint64_t i, std::uint64_t seed);
 
 /// The assignment mapper as a dataset transformation (used by the
-/// operator-level benches of Fig. 8b). `centers` is read at task run time.
+/// operator-level benches of Fig. 8b). `centers` (kClusters of them) is read
+/// at task run time.
 df::DataSet<ClusterAgg> mapper(const df::DataSet<Point>& points, Mode mode,
                                std::shared_ptr<std::vector<Point>> centers,
                                std::uint64_t iteration);
+
+/// Register cudaKmeansAssign (see ensure_kernels_registered).
+void register_kernels(gpu::KernelRegistry& registry);
 
 /// Run the full workload. `runtime` may be null in CPU mode.
 sim::Co<Result> run(df::Engine& engine, core::GFlinkRuntime* runtime, const Testbed& tb,

@@ -23,7 +23,40 @@ namespace {
 const df::OpCost kGradientCost{1850.0, sizeof(Sample) + sizeof(Gradient)};
 const df::OpCost kCombineCost{2.0 * (kDim + 1), 2.0 * sizeof(Gradient)};
 
+// The model's prediction for `s` under weights `w` (kDim weights, bias
+// last), shared by the Flink UDFs and cudaLinregGradient.
+inline double predict(const Sample& s, const double* w) {
+  double pred = w[kDim];
+  for (int j = 0; j < kDim; ++j) pred += w[j] * s.x[j];
+  return pred;
+}
+
+inline double residual(const Sample& s, const double* w) { return predict(s, w) - s.y; }
+
 }  // namespace
+
+void register_kernels(gpu::KernelRegistry& registry) {
+  // Per-block gradient. Buffers: [samples, weights(dim+1 doubles),
+  // out(1 Gradient)].
+  gpu::Kernel k;
+  k.name = "cudaLinregGradient";
+  k.preferred_layout = mem::Layout::SoA;
+  k.cost.flops_per_item = 5.0 * kDim;  // fused dot + scaled accumulate
+  k.cost.dram_bytes_per_item = sizeof(Sample);
+  k.fn = [](gpu::KernelLaunch& launch) {
+    const auto* samples = reinterpret_cast<const Sample*>(launch.buffers[0].data());
+    const auto* w = reinterpret_cast<const double*>(launch.buffers[1].data());
+    auto* out = reinterpret_cast<Gradient*>(launch.buffers.back().data());
+    *out = Gradient{};
+    for (std::size_t i = 0; i < launch.items; ++i) {
+      const double err = residual(samples[i], w);
+      for (int j = 0; j < kDim; ++j) out->g[j] += err * samples[i].x[j];
+      out->g[kDim] += err;
+      ++out->count;
+    }
+  };
+  registry.register_kernel(std::move(k));
+}
 
 Sample sample_at(std::uint64_t i, std::uint64_t seed) {
   std::uint64_t h = i * 0x9e3779b97f4a7c15ULL + seed;
@@ -45,10 +78,7 @@ df::DataSet<Gradient> mapper(const df::DataSet<Sample>& samples, Mode mode,
   if (mode == Mode::Cpu) {
     return samples.map<Gradient>(
         &gradient_desc(), "linregGradient", kGradientCost, [weights](const Sample& s) {
-          const auto& w = *weights;
-          double pred = w[kDim];
-          for (int j = 0; j < kDim; ++j) pred += w[j] * s.x[j];
-          const double err = pred - s.y;
+          const double err = residual(s, weights->data());
           Gradient g{};
           for (int j = 0; j < kDim; ++j) g.g[j] = err * s.x[j];
           g.g[kDim] = err;
@@ -63,35 +93,16 @@ df::DataSet<Gradient> mapper(const df::DataSet<Sample>& samples, Mode mode,
   spec.layout = mem::Layout::SoA;
   spec.cache_input = true;
   spec.cache_namespace = 1;
-  spec.make_aux = [weights, iteration](df::TaskContext& ctx) {
-    const std::uint64_t bytes = (kDim + 1) * sizeof(double);
-    auto buf = ctx.worker_state().memory().allocate_unbudgeted(bytes);  // pinned off-heap
-    buf->write(0, weights->data(), bytes);
-    core::GBuffer aux;
-    aux.host = std::move(buf);
-    aux.bytes = bytes;
-    aux.cache = true;
-    aux.cache_key = core::make_cache_key(100, 0, static_cast<std::uint32_t>(iteration));
-    aux.counts_for_locality = false;
-    return std::vector<core::GBuffer>{aux};
-  };
+  spec.make_aux = broadcast_aux(std::move(weights), iteration);
   return core::gpu_reduce_op<Sample, Gradient>(samples, &gradient_desc(), "gpuLinregGradient",
                                                std::move(spec));
 }
 
 sim::Co<Result> run(df::Engine& engine, core::GFlinkRuntime* runtime, const Testbed& tb,
                     Mode mode, const Config& config) {
-  GFLINK_CHECK_MSG(mode == Mode::Cpu || runtime != nullptr, "GPU mode needs a GFlinkRuntime");
   const auto n = static_cast<std::uint64_t>(static_cast<double>(config.samples) * tb.scale);
-  // Producer tasks run at full slot parallelism in both modes: GWork
-  // production is cheap, and the job's CPU-side stages (reduce, labelling,
-  // writes) need the slots either way.
-  const int partitions =
-      config.partitions > 0 ? config.partitions : engine.default_parallelism();
-  const std::string path = "/data/linreg-" + std::to_string(n);
-  if (!engine.dfs().exists(path)) {
-    engine.dfs().create_file(path, n * sizeof(Sample));
-  }
+  const DriverInput input =
+      prepare_input(engine, runtime, mode, config.partitions, "linreg", n, n * sizeof(Sample));
 
   Result result;
   auto weights = std::make_shared<std::vector<double>>(kDim + 1, 0.0);
@@ -100,14 +111,10 @@ sim::Co<Result> run(df::Engine& engine, core::GFlinkRuntime* runtime, const Test
   co_await job.submit();
 
   auto source = df::DataSet<Sample>::from_generator(
-      engine, &sample_desc(), partitions,
-      [n, partitions, seed = config.seed](int part, std::vector<Sample>& out) {
-        for (std::uint64_t i = static_cast<std::uint64_t>(part); i < n;
-             i += static_cast<std::uint64_t>(partitions)) {
-          out.push_back(sample_at(i, seed));
-        }
-      },
-      df::OpCost{8.0, sizeof(Sample)}, path);
+      engine, &sample_desc(), input.partitions,
+      striped<Sample>(n, input.partitions,
+                      [seed = config.seed](std::uint64_t i) { return sample_at(i, seed); }),
+      df::OpCost{8.0, sizeof(Sample)}, input.path);
 
   df::DataHandle samples;
   for (int iter = 0; iter < config.iterations; ++iter) {
@@ -138,21 +145,16 @@ sim::Co<Result> run(df::Engine& engine, core::GFlinkRuntime* runtime, const Test
                              .map<VecEntry>(&vec_entry_desc(), "linregPredict",
                                             df::OpCost{2.0 * kDim, sizeof(Sample)},
                                             [weights](const Sample& s) {
-                                              double pred = (*weights)[kDim];
-                                              for (int j = 0; j < kDim; ++j) {
-                                                pred += (*weights)[j] * s.x[j];
-                                              }
-                                              return VecEntry{0, static_cast<float>(pred)};
+                                              return VecEntry{0, static_cast<float>(predict(
+                                                                     s, weights->data()))};
                                             });
-      co_await predictions.write_dfs(job, "/out/linreg");
+      const std::string out_path = "/out/linreg";
+      co_await predictions.write_dfs(job, out_path);
     }
     result.run.iterations.push_back(engine.now() - t0);
   }
 
-  job.finish();
-  if (runtime != nullptr) runtime->release_job(job.id());
-  result.run.stats = job.stats();
-  result.run.total = job.stats().total();
+  finish_run(job, runtime, result.run);
   result.weights = *weights;
   for (double w : result.weights) result.run.checksum += w;
   co_return result;

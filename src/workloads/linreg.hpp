@@ -35,6 +35,9 @@ df::DataSet<Gradient> mapper(const df::DataSet<Sample>& samples, Mode mode,
                              std::shared_ptr<std::vector<double>> weights,
                              std::uint64_t iteration);
 
+/// Register cudaLinregGradient (see ensure_kernels_registered).
+void register_kernels(gpu::KernelRegistry& registry);
+
 sim::Co<Result> run(df::Engine& engine, core::GFlinkRuntime* runtime, const Testbed& tb,
                     Mode mode, const Config& config);
 

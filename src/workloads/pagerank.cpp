@@ -26,7 +26,36 @@ const df::OpCost kScatterCost{8300.0, sizeof(Page) + kOutDegree * sizeof(RankMsg
 const df::OpCost kCombineCostCpu{900.0, 2.0 * sizeof(RankMsg)};
 const df::OpCost kCombineCostGpu{60.0, 2.0 * sizeof(RankMsg)};
 
+// The scatter body, shared by the Flink UDF and cudaPagerankContrib: page
+// `p` emits rank/out-degree to each of its kOutDegree targets.
+template <typename Emit>
+inline void scatter(const Page& p, const float* ranks, Emit&& emit) {
+  const float share = ranks[p.id] / kOutDegree;
+  for (int j = 0; j < kOutDegree; ++j) {
+    emit(RankMsg{static_cast<std::uint32_t>(p.out[j]), share});
+  }
+}
+
 }  // namespace
+
+void register_kernels(gpu::KernelRegistry& registry) {
+  // Rank contributions. Buffers: [pages, ranks(dense floats),
+  // out(kOutDegree per page)].
+  gpu::Kernel k;
+  k.name = "cudaPagerankContrib";
+  k.preferred_layout = mem::Layout::SoA;
+  k.cost.flops_per_item = 4.0 * kOutDegree;
+  k.cost.dram_bytes_per_item = sizeof(Page) + sizeof(RankMsg) * kOutDegree;
+  k.fn = [](gpu::KernelLaunch& launch) {
+    const auto* pages = reinterpret_cast<const Page*>(launch.buffers[0].data());
+    const auto* ranks = reinterpret_cast<const float*>(launch.buffers[1].data());
+    auto* out = reinterpret_cast<RankMsg*>(launch.buffers.back().data());
+    for (std::size_t i = 0; i < launch.items; ++i) {
+      scatter(pages[i], ranks, [&out](const RankMsg& m) { *out++ = m; });
+    }
+  };
+  registry.register_kernel(std::move(k));
+}
 
 Page page_at(std::uint64_t id, std::uint64_t n, std::uint64_t seed, int zipf_shift) {
   Page p;
@@ -61,10 +90,7 @@ df::DataSet<RankMsg> mapper(const df::DataSet<Page>& pages, Mode mode,
     return pages.flat_map<RankMsg>(
         &rank_msg_desc(), "pagerankScatter", kScatterCost,
         [ranks](const Page& p, df::FlatCollector<RankMsg>& out) {
-          const float share = (*ranks)[p.id] / kOutDegree;
-          for (int j = 0; j < kOutDegree; ++j) {
-            out.add(RankMsg{static_cast<std::uint32_t>(p.out[j]), share});
-          }
+          scatter(p, ranks->data(), [&out](const RankMsg& m) { out.add(m); });
         });
   }
   ensure_kernels_registered();
@@ -76,36 +102,17 @@ df::DataSet<RankMsg> mapper(const df::DataSet<Page>& pages, Mode mode,
   spec.chunkable = true;    // contributions are element-wise per page
   spec.cache_namespace = 1;
   spec.out_items = [](std::size_t n) { return n * kOutDegree; };
-  spec.make_aux = [ranks, iteration](df::TaskContext& ctx) {
-    const std::uint64_t bytes = ranks->size() * sizeof(float);
-    auto buf = ctx.worker_state().memory().allocate_unbudgeted(bytes);  // pinned off-heap
-    buf->write(0, ranks->data(), bytes);
-    core::GBuffer aux;
-    aux.host = std::move(buf);
-    aux.bytes = bytes;
-    aux.cache = true;
-    aux.cache_key = core::make_cache_key(100, 0, static_cast<std::uint32_t>(iteration));
-    aux.counts_for_locality = false;
-    return std::vector<core::GBuffer>{aux};
-  };
+  spec.make_aux = broadcast_aux(std::move(ranks), iteration);
   return core::gpu_dataset_op<Page, RankMsg>(pages, &rank_msg_desc(), "gpuPagerankScatter",
                                              std::move(spec));
 }
 
 sim::Co<Result> run(df::Engine& engine, core::GFlinkRuntime* runtime, const Testbed& tb,
                     Mode mode, const Config& config) {
-  GFLINK_CHECK_MSG(mode == Mode::Cpu || runtime != nullptr, "GPU mode needs a GFlinkRuntime");
   const auto n = std::max<std::uint64_t>(
       1, static_cast<std::uint64_t>(static_cast<double>(config.pages) * tb.scale));
-  // Producer tasks run at full slot parallelism in both modes: GWork
-  // production is cheap, and the job's CPU-side stages (reduce, labelling,
-  // writes) need the slots either way.
-  const int partitions =
-      config.partitions > 0 ? config.partitions : engine.default_parallelism();
-  const std::string path = "/data/pagerank-" + std::to_string(n);
-  if (!engine.dfs().exists(path)) {
-    engine.dfs().create_file(path, n * sizeof(Page));
-  }
+  const DriverInput input =
+      prepare_input(engine, runtime, mode, config.partitions, "pagerank", n, n * sizeof(Page));
 
   Result result;
   auto ranks = std::make_shared<std::vector<float>>(
@@ -115,15 +122,12 @@ sim::Co<Result> run(df::Engine& engine, core::GFlinkRuntime* runtime, const Test
   co_await job.submit();
 
   auto source = df::DataSet<Page>::from_generator(
-      engine, &page_desc(), partitions,
-      [n, partitions, seed = config.seed, zipf = config.zipf_shift](int part,
-                                                                    std::vector<Page>& out) {
-        for (std::uint64_t i = static_cast<std::uint64_t>(part); i < n;
-             i += static_cast<std::uint64_t>(partitions)) {
-          out.push_back(page_at(i, n, seed, zipf));
-        }
-      },
-      df::OpCost{10.0, sizeof(Page)}, path);
+      engine, &page_desc(), input.partitions,
+      striped<Page>(n, input.partitions,
+                    [n, seed = config.seed, zipf = config.zipf_shift](std::uint64_t i) {
+                      return page_at(i, n, seed, zipf);
+                    }),
+      df::OpCost{10.0, sizeof(Page)}, input.path);
 
   df::DataHandle pages;
   for (int iter = 0; iter < config.iterations; ++iter) {
@@ -146,16 +150,14 @@ sim::Co<Result> run(df::Engine& engine, core::GFlinkRuntime* runtime, const Test
     co_await engine.broadcast(n * sizeof(float));
 
     if (iter == config.iterations - 1 && config.write_output) {
-      co_await engine.dfs().write(0, "/out/pagerank-" + std::to_string(n), n * sizeof(float));
+      const std::string out_path = "/out/pagerank-" + std::to_string(n);
+      co_await engine.dfs().write(0, out_path, n * sizeof(float));
       job.stats().io_bytes_written += n * sizeof(float);
     }
     result.run.iterations.push_back(engine.now() - t0);
   }
 
-  job.finish();
-  if (runtime != nullptr) runtime->release_job(job.id());
-  result.run.stats = job.stats();
-  result.run.total = job.stats().total();
+  finish_run(job, runtime, result.run);
   for (std::uint64_t i = 0; i < std::min<std::uint64_t>(n, 64); ++i) {
     result.ranks.push_back((*ranks)[i]);
     result.run.checksum += (*ranks)[i];

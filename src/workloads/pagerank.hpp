@@ -41,6 +41,9 @@ df::DataSet<RankMsg> mapper(const df::DataSet<Page>& pages, Mode mode,
                             std::shared_ptr<std::vector<float>> ranks,
                             std::uint64_t iteration);
 
+/// Register cudaPagerankContrib (see ensure_kernels_registered).
+void register_kernels(gpu::KernelRegistry& registry);
+
 sim::Co<Result> run(df::Engine& engine, core::GFlinkRuntime* runtime, const Testbed& tb,
                     Mode mode, const Config& config);
 

@@ -16,7 +16,25 @@ namespace {
 
 const df::OpCost kAddCost{60.0, 2.0 * sizeof(Pt)};
 
+// The paper's Algorithm 3.1 body, shared by the Flink UDF and cudaAddPoint.
+inline Pt add_point(const Pt& p) { return Pt{p.x + p.y, p.y}; }
+
 }  // namespace
+
+void register_kernels(gpu::KernelRegistry& registry) {
+  // Buffers: [points, out(n Pt)].
+  gpu::Kernel k;
+  k.name = "cudaAddPoint";
+  k.preferred_layout = mem::Layout::AoS;  // the paper's example uses AoS
+  k.cost.flops_per_item = 2.0;
+  k.cost.dram_bytes_per_item = 2.0 * sizeof(Pt);
+  k.fn = [](gpu::KernelLaunch& launch) {
+    const auto* in = reinterpret_cast<const Pt*>(launch.buffers[0].data());
+    auto* out = reinterpret_cast<Pt*>(launch.buffers.back().data());
+    for (std::size_t i = 0; i < launch.items; ++i) out[i] = add_point(in[i]);
+  };
+  registry.register_kernel(std::move(k));
+}
 
 Pt pt_at(std::uint64_t i, std::uint64_t seed) {
   std::uint64_t h = i * 0x9e3779b97f4a7c15ULL + seed;
@@ -27,10 +45,10 @@ Pt pt_at(std::uint64_t i, std::uint64_t seed) {
   return p;
 }
 
-df::DataSet<Pt> mapper(const df::DataSet<Pt>& points, Mode mode, std::uint64_t iteration) {
+df::DataSet<Pt> mapper(const df::DataSet<Pt>& points, Mode mode, std::uint64_t /*iteration*/) {
   if (mode == Mode::Cpu) {
     return points.map<Pt>(&pt_desc(), "addPoint", kAddCost,
-                          [](const Pt& p) { return Pt{p.x + p.y, p.y}; });
+                          [](const Pt& p) { return add_point(p); });
   }
   ensure_kernels_registered();
   core::GpuOpSpec spec;
@@ -39,38 +57,26 @@ df::DataSet<Pt> mapper(const df::DataSet<Pt>& points, Mode mode, std::uint64_t i
   spec.layout = mem::Layout::AoS;
   spec.cache_input = true;
   spec.chunkable = true;  // Algorithm 3.1's map is purely element-wise
-  spec.cache_namespace = static_cast<std::uint32_t>(1 + iteration * 0);  // static data
+  spec.cache_namespace = 1;  // static data
   return core::gpu_dataset_op<Pt, Pt>(points, &pt_desc(), "gpuAddPoint", std::move(spec));
 }
 
 sim::Co<Result> run(df::Engine& engine, core::GFlinkRuntime* runtime, const Testbed& tb,
                     Mode mode, const Config& config) {
-  GFLINK_CHECK_MSG(mode == Mode::Cpu || runtime != nullptr, "GPU mode needs a GFlinkRuntime");
   const auto n = std::max<std::uint64_t>(
       1, static_cast<std::uint64_t>(static_cast<double>(config.points) * tb.scale));
-  // Producer tasks run at full slot parallelism in both modes: GWork
-  // production is cheap, and the job's CPU-side stages (reduce, labelling,
-  // writes) need the slots either way.
-  const int partitions =
-      config.partitions > 0 ? config.partitions : engine.default_parallelism();
-  const std::string path = "/data/pointadd-" + std::to_string(n);
-  if (!engine.dfs().exists(path)) {
-    engine.dfs().create_file(path, n * sizeof(Pt));
-  }
+  const DriverInput input =
+      prepare_input(engine, runtime, mode, config.partitions, "pointadd", n, n * sizeof(Pt));
 
   Result result;
   df::Job job(engine, "pointadd");
   co_await job.submit();
 
   auto source = df::DataSet<Pt>::from_generator(
-      engine, &pt_desc(), partitions,
-      [n, partitions, seed = config.seed](int part, std::vector<Pt>& out) {
-        for (std::uint64_t i = static_cast<std::uint64_t>(part); i < n;
-             i += static_cast<std::uint64_t>(partitions)) {
-          out.push_back(pt_at(i, seed));
-        }
-      },
-      df::OpCost{8.0, sizeof(Pt)}, path);
+      engine, &pt_desc(), input.partitions,
+      striped<Pt>(n, input.partitions,
+                  [seed = config.seed](std::uint64_t i) { return pt_at(i, seed); }),
+      df::OpCost{8.0, sizeof(Pt)}, input.path);
 
   df::DataHandle points;
   double sum = 0;
@@ -80,17 +86,14 @@ sim::Co<Result> run(df::Engine& engine, core::GFlinkRuntime* runtime, const Test
       points = co_await source.materialize(job);
     }
     auto ds = df::DataSet<Pt>::from_handle(engine, points);
-    auto added = co_await mapper(ds, mode, static_cast<std::uint64_t>(iter)).materialize(job);
+    auto added = co_await mapper(ds, mode).materialize(job);
     // Probe: count as the action (the example's driver just runs the map).
     auto handle_ds = df::DataSet<Pt>::from_handle(engine, added);
     sum += static_cast<double>(co_await handle_ds.count(job));
     result.run.iterations.push_back(engine.now() - t0);
   }
 
-  job.finish();
-  if (runtime != nullptr) runtime->release_job(job.id());
-  result.run.stats = job.stats();
-  result.run.total = job.stats().total();
+  finish_run(job, runtime, result.run);
   result.run.checksum = sum;
   co_return result;
 }

@@ -25,7 +25,13 @@ struct Result {
 
 Pt pt_at(std::uint64_t i, std::uint64_t seed);
 
-df::DataSet<Pt> mapper(const df::DataSet<Pt>& points, Mode mode, std::uint64_t iteration);
+/// The PointAdd map. Its data is static, so no iteration keys anything:
+/// `iteration` is ignored, and stays only because perfbench's tenants
+/// workload passes it.
+df::DataSet<Pt> mapper(const df::DataSet<Pt>& points, Mode mode, std::uint64_t iteration = 0);
+
+/// Register cudaAddPoint (see ensure_kernels_registered).
+void register_kernels(gpu::KernelRegistry& registry);
 
 sim::Co<Result> run(df::Engine& engine, core::GFlinkRuntime* runtime, const Testbed& tb,
                     Mode mode, const Config& config);

@@ -29,7 +29,33 @@ std::uint64_t vector_bytes_for(std::uint64_t matrix_bytes) {
   return std::min<std::uint64_t>(matrix_bytes / 8, 256ULL << 20);
 }
 
+// The row body, shared by the Flink UDF and cudaSpmvRow: one entry of
+// y = A x.
+inline VecEntry row_dot(const CsrRow& row, const float* x) {
+  float acc = 0;
+  for (int j = 0; j < kNnzPerRow; ++j) acc += row.val[j] * x[row.col[j]];
+  return VecEntry{row.row, acc};
+}
+
 }  // namespace
+
+void register_kernels(gpu::KernelRegistry& registry) {
+  // y_block = A_block * x. Buffers: [rows, x(vector of floats), out(n
+  // VecEntry)]. This is the cuBLAS/cuSPARSE-quality path the paper uses,
+  // hence SoA efficiency.
+  gpu::Kernel k;
+  k.name = "cudaSpmvRow";
+  k.preferred_layout = mem::Layout::SoA;
+  k.cost.flops_per_item = 2.0 * kNnzPerRow;
+  k.cost.dram_bytes_per_item = sizeof(CsrRow) + 4.0 * kNnzPerRow;  // row + gathered x
+  k.fn = [](gpu::KernelLaunch& launch) {
+    const auto* rows = reinterpret_cast<const CsrRow*>(launch.buffers[0].data());
+    const auto* x = reinterpret_cast<const float*>(launch.buffers[1].data());
+    auto* out = reinterpret_cast<VecEntry*>(launch.buffers.back().data());
+    for (std::size_t i = 0; i < launch.items; ++i) out[i] = row_dot(rows[i], x);
+  };
+  registry.register_kernel(std::move(k));
+}
 
 std::uint64_t rows_for(std::uint64_t matrix_bytes, double scale) {
   return std::max<std::uint64_t>(
@@ -60,13 +86,7 @@ df::DataSet<VecEntry> mapper(const df::DataSet<CsrRow>& rows, Mode mode,
                              bool gpu_cache) {
   if (mode == Mode::Cpu) {
     return rows.map<VecEntry>(&vec_entry_desc(), "spmvRow", kRowCost,
-                              [x](const CsrRow& row) {
-                                float acc = 0;
-                                for (int j = 0; j < kNnzPerRow; ++j) {
-                                  acc += row.val[j] * (*x)[row.col[j]];
-                                }
-                                return VecEntry{row.row, acc};
-                              });
+                              [x](const CsrRow& row) { return row_dot(row, x->data()); });
   }
   ensure_kernels_registered();
   core::GpuOpSpec spec;
@@ -76,36 +96,17 @@ df::DataSet<VecEntry> mapper(const df::DataSet<CsrRow>& rows, Mode mode,
   spec.cache_input = gpu_cache;    // the matrix is cached on first touch
   spec.chunkable = true;           // one output row per input row
   spec.cache_namespace = 1;
-  spec.make_aux = [x, iteration, gpu_cache](df::TaskContext& ctx) {
-    const std::uint64_t bytes = x->size() * sizeof(float);
-    auto buf = ctx.worker_state().memory().allocate_unbudgeted(bytes);  // pinned off-heap
-    buf->write(0, x->data(), bytes);
-    core::GBuffer aux;
-    aux.host = std::move(buf);
-    aux.bytes = bytes;
-    aux.cache = gpu_cache;  // one vector transfer per device per iteration
-    aux.cache_key = core::make_cache_key(100, 0, static_cast<std::uint32_t>(iteration));
-    aux.counts_for_locality = false;
-    return std::vector<core::GBuffer>{aux};
-  };
+  spec.make_aux = broadcast_aux(std::move(x), iteration, gpu_cache);
   return core::gpu_dataset_op<CsrRow, VecEntry>(rows, &vec_entry_desc(), "gpuSpmvRow",
                                                 std::move(spec));
 }
 
 sim::Co<Result> run(df::Engine& engine, core::GFlinkRuntime* runtime, const Testbed& tb,
                     Mode mode, const Config& config) {
-  GFLINK_CHECK_MSG(mode == Mode::Cpu || runtime != nullptr, "GPU mode needs a GFlinkRuntime");
   const std::uint64_t n_rows = rows_for(config.matrix_bytes, tb.scale);
   const std::uint64_t n_cols = cols_for(config.matrix_bytes, tb.scale);
-  // Producer tasks run at full slot parallelism in both modes: GWork
-  // production is cheap, and the job's CPU-side stages (reduce, labelling,
-  // writes) need the slots either way.
-  const int partitions =
-      config.partitions > 0 ? config.partitions : engine.default_parallelism();
-  const std::string path = "/data/spmv-" + std::to_string(n_rows);
-  if (!engine.dfs().exists(path)) {
-    engine.dfs().create_file(path, n_rows * sizeof(CsrRow));
-  }
+  const DriverInput input = prepare_input(engine, runtime, mode, config.partitions, "spmv",
+                                          n_rows, n_rows * sizeof(CsrRow));
 
   Result result;
   result.rows = n_rows;
@@ -116,14 +117,12 @@ sim::Co<Result> run(df::Engine& engine, core::GFlinkRuntime* runtime, const Test
   co_await job.submit();
 
   auto source = df::DataSet<CsrRow>::from_generator(
-      engine, &csr_row_desc(), partitions,
-      [n_rows, n_cols, partitions, seed = config.seed](int part, std::vector<CsrRow>& out) {
-        for (std::uint64_t r = static_cast<std::uint64_t>(part); r < n_rows;
-             r += static_cast<std::uint64_t>(partitions)) {
-          out.push_back(row_at(r, n_cols, seed));
-        }
-      },
-      df::OpCost{16.0, sizeof(CsrRow)}, path);
+      engine, &csr_row_desc(), input.partitions,
+      striped<CsrRow>(n_rows, input.partitions,
+                      [n_cols, seed = config.seed](std::uint64_t r) {
+                        return row_at(r, n_cols, seed);
+                      }),
+      df::OpCost{16.0, sizeof(CsrRow)}, input.path);
 
   // The benchmark repeatedly applies the static matrix to the static input
   // vector (the paper's setup: the matrix is cached on the GPUs after the
@@ -145,8 +144,8 @@ sim::Co<Result> run(df::Engine& engine, core::GFlinkRuntime* runtime, const Test
       // Last iteration: pull the result vector to the driver and persist it.
       y_entries = co_await y.collect(job);
       if (config.write_output) {
-        co_await engine.dfs().write(0, "/out/spmv-" + std::to_string(n_rows),
-                                    n_rows * sizeof(float));
+        const std::string out_path = "/out/spmv-" + std::to_string(n_rows);
+        co_await engine.dfs().write(0, out_path, n_rows * sizeof(float));
         job.stats().io_bytes_written += n_rows * sizeof(float);
       }
     } else {
@@ -155,10 +154,7 @@ sim::Co<Result> run(df::Engine& engine, core::GFlinkRuntime* runtime, const Test
     result.run.iterations.push_back(engine.now() - t0);
   }
 
-  job.finish();
-  if (runtime != nullptr) runtime->release_job(job.id());
-  result.run.stats = job.stats();
-  result.run.total = job.stats().total();
+  finish_run(job, runtime, result.run);
   for (const auto& e : y_entries) {
     if (e.index < 1024) result.run.checksum += e.value;
   }

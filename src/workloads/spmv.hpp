@@ -43,6 +43,9 @@ df::DataSet<VecEntry> mapper(const df::DataSet<CsrRow>& rows, Mode mode,
                              std::shared_ptr<std::vector<float>> x, std::uint64_t iteration,
                              bool gpu_cache = true);
 
+/// Register cudaSpmvRow (see ensure_kernels_registered).
+void register_kernels(gpu::KernelRegistry& registry);
+
 sim::Co<Result> run(df::Engine& engine, core::GFlinkRuntime* runtime, const Testbed& tb,
                     Mode mode, const Config& config);
 

@@ -4,6 +4,8 @@
 // separately policed by gflint rules C2/C3.
 #include "workloads/wordcount.hpp"
 
+#include <unordered_map>
+
 #include "core/gdst.hpp"
 #include "sim/random.hpp"
 
@@ -20,24 +22,48 @@ namespace {
 const df::OpCost kCountCostCpu{400.0, 2.0 * sizeof(WordCount)};
 const df::OpCost kCountCostGpu{310.0, 2.0 * sizeof(WordCount)};
 
+// The count body, shared by the reduce in both modes and by
+// cudaWordcountBlock's per-block combine: records of one word add up.
+constexpr auto word_key = [](const WordCount& w) { return w.word; };
+constexpr auto add_count = [](WordCount& acc, const WordCount& w) { acc.count += w.count; };
+
+// Fills the tail of a combined block's output (never a hashed word).
+constexpr std::uint64_t kPadding = ~0ULL;
+
 }  // namespace
+
+void register_kernels(gpu::KernelRegistry& registry) {
+  // Per-block combine. Buffers: [words, out(n WordCount, padded with
+  // word = kPadding)].
+  gpu::Kernel k;
+  k.name = "cudaWordcountBlock";
+  k.preferred_layout = mem::Layout::SoA;
+  k.cost.flops_per_item = 12.0;  // hash + probe
+  k.cost.dram_bytes_per_item = 2.0 * sizeof(WordCount);
+  k.fn = [](gpu::KernelLaunch& launch) {
+    const auto* in = reinterpret_cast<const WordCount*>(launch.buffers[0].data());
+    auto* out = reinterpret_cast<WordCount*>(launch.buffers.back().data());
+    std::unordered_map<std::uint64_t, WordCount> counts;
+    counts.reserve(launch.items);
+    for (std::size_t i = 0; i < launch.items; ++i) {
+      auto [it, fresh] = counts.try_emplace(word_key(in[i]), in[i]);
+      if (!fresh) add_count(it->second, in[i]);
+    }
+    std::size_t o = 0;
+    for (const auto& entry : counts) out[o++] = entry.second;
+    for (; o < launch.items; ++o) out[o] = WordCount{kPadding, 0};
+  };
+  registry.register_kernel(std::move(k));
+}
 
 sim::Co<Result> run(df::Engine& engine, core::GFlinkRuntime* runtime, const Testbed& tb,
                     Mode mode, const Config& config) {
-  GFLINK_CHECK_MSG(mode == Mode::Cpu || runtime != nullptr, "GPU mode needs a GFlinkRuntime");
   const auto bytes = static_cast<std::uint64_t>(static_cast<double>(config.text_bytes) * tb.scale);
   const auto n_words =
       std::max<std::uint64_t>(1, static_cast<std::uint64_t>(
                                      static_cast<double>(bytes) / config.bytes_per_word));
-  // Producer tasks run at full slot parallelism in both modes: GWork
-  // production is cheap, and the job's CPU-side stages (reduce, labelling,
-  // writes) need the slots either way.
-  const int partitions =
-      config.partitions > 0 ? config.partitions : engine.default_parallelism();
-  const std::string path = "/data/wordcount-" + std::to_string(bytes);
-  if (!engine.dfs().exists(path)) {
-    engine.dfs().create_file(path, bytes);
-  }
+  const DriverInput input =
+      prepare_input(engine, runtime, mode, config.partitions, "wordcount", bytes, bytes);
 
   Result result;
   df::Job job(engine, "wordcount");
@@ -46,28 +72,23 @@ sim::Co<Result> run(df::Engine& engine, core::GFlinkRuntime* runtime, const Test
   // Shared Zipf table (deterministic; sampling is per-partition seeded).
   auto zipf = std::make_shared<sim::ZipfTable>(config.vocabulary, config.zipf_s);
 
-  auto source = df::DataSet<WordCount>::from_generator(
-      engine, &word_count_desc(), partitions,
-      [n_words, partitions, zipf, seed = config.seed](int part, std::vector<WordCount>& out) {
-        for (std::uint64_t i = static_cast<std::uint64_t>(part); i < n_words;
-             i += static_cast<std::uint64_t>(partitions)) {
-          // Word choice depends only on the global token index, so any
-          // partitioning yields the same multiset of words.
-          std::uint64_t h = i * 1000003 + seed;
-          const double u = static_cast<double>(sim::splitmix64(h) >> 11) * 0x1.0p-53;
-          out.push_back(WordCount{static_cast<std::uint64_t>(zipf->sample_u(u)), 1});
-        }
-      },
+  auto words = df::DataSet<WordCount>::from_generator(
+      engine, &word_count_desc(), input.partitions,
+      // Word choice depends only on the global token index.
+      striped<WordCount>(n_words, input.partitions,
+                         [zipf, seed = config.seed](std::uint64_t i) {
+                           std::uint64_t h = i * 1000003 + seed;
+                           const double u =
+                               static_cast<double>(sim::splitmix64(h) >> 11) * 0x1.0p-53;
+                           return WordCount{static_cast<std::uint64_t>(zipf->sample_u(u)), 1};
+                         }),
       // Tokenizing ~12 bytes of text per record: split + hash (JVM string
       // handling dominates WordCount's CPU cost).
-      df::OpCost{120.0, 24.0}, path);
+      df::OpCost{120.0, 24.0}, input.path);
 
-  df::DataSet<WordCount> counted = [&] {
-    if (mode == Mode::Cpu) {
-      return source.reduce_by_key("wordcountReduce", kCountCostCpu,
-                                  [](const WordCount& w) { return w.word; },
-                                  [](WordCount& acc, const WordCount& w) { acc.count += w.count; });
-    }
+  if (mode == Mode::Gpu) {
+    // Each block is combined on the GPU first; its padding is dropped
+    // before the reduce.
     ensure_kernels_registered();
     core::GpuOpSpec spec;
     spec.kernel = "cudaWordcountBlock";
@@ -76,15 +97,14 @@ sim::Co<Result> run(df::Engine& engine, core::GFlinkRuntime* runtime, const Test
     // One pass: caching buys nothing (the paper's stated reason WordCount
     // barely speeds up).
     spec.cache_input = false;
-    auto partials = core::gpu_dataset_op<WordCount, WordCount>(source, &word_count_desc(),
-                                                               "gpuWordcountBlock", spec);
-    return partials
-        .filter("dropPadding", df::OpCost{2.0, sizeof(WordCount)},
-                [](const WordCount& w) { return w.word != ~0ULL; })
-        .reduce_by_key("wordcountReduce", kCountCostGpu,
-                       [](const WordCount& w) { return w.word; },
-                       [](WordCount& acc, const WordCount& w) { acc.count += w.count; });
-  }();
+    words = core::gpu_dataset_op<WordCount, WordCount>(words, &word_count_desc(),
+                                                       "gpuWordcountBlock", std::move(spec))
+                .filter("dropPadding", df::OpCost{2.0, sizeof(WordCount)},
+                        [](const WordCount& w) { return w.word != kPadding; });
+  }
+  auto counted = words.reduce_by_key("wordcountReduce",
+                                     mode == Mode::Cpu ? kCountCostCpu : kCountCostGpu, word_key,
+                                     add_count);
 
   auto counts = co_await counted.collect(job);
   result.total_words = 0;
@@ -92,14 +112,12 @@ sim::Co<Result> run(df::Engine& engine, core::GFlinkRuntime* runtime, const Test
   result.distinct_words = counts.size();
 
   if (config.write_output) {
-    co_await engine.dfs().write(0, "/out/wordcount", counts.size() * sizeof(WordCount));
+    const std::string out_path = "/out/wordcount";
+    co_await engine.dfs().write(0, out_path, counts.size() * sizeof(WordCount));
     job.stats().io_bytes_written += counts.size() * sizeof(WordCount);
   }
 
-  job.finish();
-  if (runtime != nullptr) runtime->release_job(job.id());
-  result.run.stats = job.stats();
-  result.run.total = job.stats().total();
+  finish_run(job, runtime, result.run);
   result.run.iterations.push_back(result.run.total);
   result.run.checksum =
       static_cast<double>(result.total_words) + static_cast<double>(result.distinct_words);

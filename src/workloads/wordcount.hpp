@@ -31,6 +31,9 @@ struct Result {
   std::uint64_t distinct_words = 0;
 };
 
+/// Register cudaWordcountBlock (see ensure_kernels_registered).
+void register_kernels(gpu::KernelRegistry& registry);
+
 sim::Co<Result> run(df::Engine& engine, core::GFlinkRuntime* runtime, const Testbed& tb,
                     Mode mode, const Config& config);
 

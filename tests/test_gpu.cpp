@@ -338,10 +338,10 @@ TEST(GpuDevice, CopyOverlapsKernelThreeStagePipeline) {
     s.spawn([](gpu::GpuDevice& d, mem::HBuffer& hb, const gpu::Kernel& k, sim::WaitGroup& w,
                int stream) -> Co<void> {
       DevicePtr p = d.memory().allocate(1'000'000);
-      co_await d.copy_h2d(hb, 0, p, 1'000'000, "s" + std::to_string(stream));
+      const std::string label = "s" + std::to_string(stream);
+      co_await d.copy_h2d(hb, 0, p, 1'000'000, label);
       std::vector<gpu::GpuDevice::BufferBinding> bind{{p, 1'000'000}};
-      co_await d.launch(k, bind, 1000, mem::Layout::SoA, 256, 0, nullptr,
-                        "s" + std::to_string(stream));
+      co_await d.launch(k, bind, 1000, mem::Layout::SoA, 256, 0, label);
       d.memory().free(p);
       w.done();
     }(traced, h, slow, wg, st));

@@ -317,6 +317,54 @@ TEST(JobService, QueueWaitSpansLandOnTenantLanes) {
             nullptr);
 }
 
+TEST(JobService, QueueWaitSpansCarryTheirJobsTraceId) {
+  auto cfg_engine = fast_engine_config();
+  cfg_engine.trace = true;  // retain spans
+  Engine engine(cfg_engine);
+  svc::ServiceConfig cfg;
+  cfg.max_total_in_flight = 1;  // every job but the first waits
+  svc::JobService service(engine, nullptr, cfg);
+  service.add_tenant({.name = "a", .weight = 2.0});
+  service.add_tenant({.name = "b"});
+
+  std::vector<svc::TicketPtr> tickets;
+  engine.run([&](Engine&) -> Co<void> {
+    for (int i = 0; i < 4; ++i) {
+      tickets.push_back(service.submit("a", "a", 1.0, delay_body(sim::millis(1 + i))));
+      tickets.push_back(service.submit("b", "b", 1.0, delay_body(sim::millis(2))));
+    }
+    co_await service.drain();
+  });
+
+  std::map<std::uint64_t, svc::TicketPtr> by_job;
+  sim::Duration latency = 0;
+  std::size_t waited = 0;
+  for (const auto& t : tickets) {
+    ASSERT_EQ(t->state(), svc::TicketState::Completed);
+    by_job[t->job().id()] = t;
+    latency += t->completed_at - t->enqueued_at;
+    waited += t->dispatched_at > t->enqueued_at ? 1 : 0;
+  }
+  ASSERT_GT(waited, 0u);
+
+  const gflink::obs::SpanStore& store = engine.cluster().spans();
+  std::size_t waits = 0;
+  for (const auto& span : store.spans()) {
+    if (store.str(span.name) != "service_queue_wait") continue;
+    ++waits;
+    EXPECT_EQ(span.parent, 0u);  // still a root
+    const auto it = by_job.find(store.trace_id(span.id));
+    ASSERT_NE(it, by_job.end()) << "queue wait " << span.id << " names no job";
+    EXPECT_EQ(span.begin, it->second->enqueued_at);
+    EXPECT_EQ(span.end, it->second->dispatched_at);
+    by_job.erase(it);  // one wait per job
+  }
+  EXPECT_EQ(waits, waited);
+  // Each job's latency is its queue wait plus its run, and each lands on
+  // the critical path once.
+  EXPECT_EQ(gflink::obs::extract_critical_path(store).total, latency);
+}
+
 TEST(JobService, FairnessSnapshotReportsSharesAndPercentiles) {
   Engine engine(fast_engine_config());
   svc::ServiceConfig cfg;

@@ -2,7 +2,11 @@
 // convergence behaviour, generator determinism, and run accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <map>
+#include <span>
 
 #include "obs/run_report.hpp"
 #include "workloads/concomp.hpp"
@@ -335,12 +339,9 @@ TEST(PointAdd, GeneratedSourceMapsInPlaceLikeCpu) {
       df::Job job(eng, "pointadd");
       co_await job.submit();
       auto src = df::DataSet<wl::Pt>::from_generator(
-          eng, &wl::pt_desc(), 8, [](int part, std::vector<wl::Pt>& out) {
-            for (std::uint64_t i = static_cast<std::uint64_t>(part); i < 20000; i += 8) {
-              out.push_back(wl::pointadd::pt_at(i, 7));
-            }
-          });
-      rows = co_await wl::pointadd::mapper(src, mode, 0).collect(job);
+          eng, &wl::pt_desc(), 8,
+          wl::striped<wl::Pt>(20000, 8, [](std::uint64_t i) { return wl::pointadd::pt_at(i, 7); }));
+      rows = co_await wl::pointadd::mapper(src, mode).collect(job);
       job.finish();
       if (session.runtime() != nullptr) session.runtime()->release_job(job.id());
     });
@@ -353,6 +354,190 @@ TEST(PointAdd, GeneratedSourceMapsInPlaceLikeCpu) {
   for (std::size_t i = 0; i < cpu.size(); ++i) {
     ASSERT_EQ(gpu[i].x, cpu[i].x) << i;
     ASSERT_EQ(gpu[i].y, cpu[i].y) << i;
+  }
+}
+
+// ---- Kernels ----------------------------------------------------------------------
+
+namespace {
+
+/// The records `map(dataset)`, a Flink-mode mapper, yields for gen(0 .. n-1) held in
+/// one partition, in index order: the Flink-mode UDF's own output.
+template <typename U, typename T, typename Gen, typename Map>
+std::vector<U> cpu_udf_records(const gflink::mem::StructDesc* desc, std::uint64_t n, Gen gen,
+                               Map map) {
+  wl::Session session(small_testbed(), Mode::Cpu);
+  std::vector<U> rows;
+  session.engine().run([&](df::Engine& eng) -> sim::Co<void> {
+    df::Job job(eng, "cpu-udf");
+    co_await job.submit();
+    auto src = df::DataSet<T>::from_generator(eng, desc, 1, wl::striped<T>(n, 1, gen));
+    rows = co_await map(src).collect(job);
+    job.finish();
+  });
+  return rows;
+}
+
+template <typename V>
+std::span<std::byte> bytes_of(V& v) {
+  return std::as_writable_bytes(std::span(v));
+}
+
+/// Call the registered kernel `name`'s host function directly, on one
+/// block of `items` records bound as [in, aux..., out].
+void launch_host_function(const char* name, std::size_t items,
+                          std::vector<std::span<std::byte>> buffers) {
+  wl::ensure_kernels_registered();
+  gflink::gpu::KernelLaunch launch;
+  launch.items = items;
+  launch.buffers = std::move(buffers);
+  gflink::gpu::KernelRegistry::global().lookup(name).fn(launch);
+}
+
+/// Every field of every record bit for bit (padding bytes excluded).
+template <typename U>
+void expect_bit_identical(const gflink::mem::StructDesc& desc, const std::vector<U>& kernel,
+                          const std::vector<U>& udf) {
+  ASSERT_EQ(kernel.size(), udf.size()) << desc.name();
+  for (std::size_t i = 0; i < udf.size(); ++i) {
+    const auto* a = reinterpret_cast<const std::byte*>(&kernel[i]);
+    const auto* b = reinterpret_cast<const std::byte*>(&udf[i]);
+    for (const auto& f : desc.fields()) {
+      ASSERT_EQ(std::memcmp(a + f.offset, b + f.offset, f.byte_size()), 0)
+          << desc.name() << " record " << i << " field " << f.name;
+    }
+  }
+}
+
+}  // namespace
+
+// Each kernel's host function and its workload's Flink-mode UDF share one
+// per-record body, so their results agree bit for bit: element-wise
+// kernels record for record, fold kernels with the UDF's records folded in
+// index order. (CpuAndGpu*Agree compare whole runs within a tolerance.)
+TEST(Kernels, HostFunctionMatchesCpuUdf) {
+  constexpr std::uint64_t n = 1000;
+
+  {  // KMeans: cudaKmeansAssign folds kmeansAssign's per-point aggregates.
+    const auto gen = [](std::uint64_t i) { return wl::kmeans::point_at(i, 42); };
+    auto centers = std::make_shared<std::vector<wl::Point>>();
+    for (int c = 0; c < wl::kClusters; ++c) centers->push_back(gen(97 * c + 5));
+    const auto udf = cpu_udf_records<wl::ClusterAgg, wl::Point>(
+        &wl::point_desc(), n, gen, [&](const df::DataSet<wl::Point>& ds) {
+          return wl::kmeans::mapper(ds, Mode::Cpu, centers, 0);
+        });
+    std::vector<wl::ClusterAgg> folded(wl::kClusters);
+    for (int c = 0; c < wl::kClusters; ++c) folded[c].cluster = static_cast<std::uint64_t>(c);
+    for (const auto& rec : udf) {
+      for (int j = 0; j < wl::kDim; ++j) folded[rec.cluster].sum[j] += rec.sum[j];
+      folded[rec.cluster].count += rec.count;
+    }
+    std::vector<wl::Point> in;
+    for (std::uint64_t i = 0; i < n; ++i) in.push_back(gen(i));
+    std::vector<wl::ClusterAgg> out(wl::kClusters);
+    launch_host_function("cudaKmeansAssign", n, {bytes_of(in), bytes_of(*centers), bytes_of(out)});
+    expect_bit_identical(wl::cluster_agg_desc(), out, folded);
+  }
+
+  {  // LinReg: cudaLinregGradient folds linregGradient's per-sample terms.
+    const auto gen = [](std::uint64_t i) { return wl::linreg::sample_at(i, 11); };
+    auto weights = std::make_shared<std::vector<double>>();
+    for (int j = 0; j <= wl::kDim; ++j) weights->push_back(0.1 * (j + 1) - 0.7);
+    const auto udf = cpu_udf_records<wl::Gradient, wl::Sample>(
+        &wl::sample_desc(), n, gen, [&](const df::DataSet<wl::Sample>& ds) {
+          return wl::linreg::mapper(ds, Mode::Cpu, weights, 0);
+        });
+    std::vector<wl::Gradient> folded(1);
+    for (const auto& rec : udf) {
+      for (int j = 0; j <= wl::kDim; ++j) folded[0].g[j] += rec.g[j];
+      folded[0].count += rec.count;
+    }
+    std::vector<wl::Sample> in;
+    for (std::uint64_t i = 0; i < n; ++i) in.push_back(gen(i));
+    std::vector<wl::Gradient> out(1);
+    launch_host_function("cudaLinregGradient", n,
+                         {bytes_of(in), bytes_of(*weights), bytes_of(out)});
+    expect_bit_identical(wl::gradient_desc(), out, folded);
+  }
+
+  {  // SpMV: cudaSpmvRow against spmvRow, row for row.
+    constexpr std::uint64_t cols = 4096;
+    const auto gen = [](std::uint64_t i) { return wl::spmv::row_at(i, cols, 5); };
+    auto x = std::make_shared<std::vector<float>>();
+    for (std::uint64_t c = 0; c < cols; ++c) {
+      x->push_back(1.0f + 0.37f * static_cast<float>(c % 11));
+    }
+    const auto udf = cpu_udf_records<wl::VecEntry, wl::CsrRow>(
+        &wl::csr_row_desc(), n, gen, [&](const df::DataSet<wl::CsrRow>& ds) {
+          return wl::spmv::mapper(ds, Mode::Cpu, x, 0);
+        });
+    std::vector<wl::CsrRow> in;
+    for (std::uint64_t i = 0; i < n; ++i) in.push_back(gen(i));
+    std::vector<wl::VecEntry> out(n);
+    launch_host_function("cudaSpmvRow", n, {bytes_of(in), bytes_of(*x), bytes_of(out)});
+    expect_bit_identical(wl::vec_entry_desc(), out, udf);
+  }
+
+  {  // PageRank: cudaPagerankContrib against pagerankScatter's messages.
+    const auto gen = [](std::uint64_t i) { return wl::pagerank::page_at(i, n, 23); };
+    auto ranks = std::make_shared<std::vector<float>>();
+    for (std::uint64_t i = 0; i < n; ++i) ranks->push_back(1.0f / static_cast<float>(i + 3));
+    const auto udf = cpu_udf_records<wl::RankMsg, wl::Page>(
+        &wl::page_desc(), n, gen, [&](const df::DataSet<wl::Page>& ds) {
+          return wl::pagerank::mapper(ds, Mode::Cpu, ranks, 0);
+        });
+    std::vector<wl::Page> in;
+    for (std::uint64_t i = 0; i < n; ++i) in.push_back(gen(i));
+    std::vector<wl::RankMsg> out(n * wl::kOutDegree);
+    launch_host_function("cudaPagerankContrib", n, {bytes_of(in), bytes_of(*ranks), bytes_of(out)});
+    expect_bit_identical(wl::rank_msg_desc(), out, udf);
+  }
+
+  {  // ConComp: cudaConcompMsgs against concompScatter's messages.
+    const auto gen = [](std::uint64_t i) { return wl::concomp::vertex_at(i, n, 32, 31); };
+    auto labels = std::make_shared<std::vector<std::uint32_t>>();
+    for (std::uint64_t i = 0; i < n; ++i) labels->push_back(static_cast<std::uint32_t>(i * 7 % n));
+    const auto udf = cpu_udf_records<wl::LabelMsg, wl::Vertex>(
+        &wl::vertex_desc(), n, gen, [&](const df::DataSet<wl::Vertex>& ds) {
+          return wl::concomp::mapper(ds, Mode::Cpu, labels, 0);
+        });
+    std::vector<wl::Vertex> in;
+    for (std::uint64_t i = 0; i < n; ++i) in.push_back(gen(i));
+    std::vector<wl::LabelMsg> out(n * (wl::kOutDegree + 1));
+    launch_host_function("cudaConcompMsgs", n, {bytes_of(in), bytes_of(*labels), bytes_of(out)});
+    expect_bit_identical(wl::label_msg_desc(), out, udf);
+  }
+
+  {  // WordCount: cudaWordcountBlock against the words combined by word in
+     // index order, in word order; the tail of the block is padding.
+    std::vector<wl::WordCount> in;
+    for (std::uint64_t i = 0; i < n; ++i) in.push_back(wl::WordCount{i * i % 97, 1 + i % 3});
+    std::map<std::uint64_t, wl::WordCount> combined;
+    for (const auto& w : in) {
+      auto [it, fresh] = combined.try_emplace(w.word, w);
+      if (!fresh) it->second.count += w.count;
+    }
+    std::vector<wl::WordCount> out(n);
+    launch_host_function("cudaWordcountBlock", n, {bytes_of(in), bytes_of(out)});
+    std::vector<wl::WordCount> expected;
+    for (const auto& [word, w] : combined) expected.push_back(w);
+    std::vector<wl::WordCount> counted(out.begin(), out.begin() + combined.size());
+    std::sort(counted.begin(), counted.end(),
+              [](const wl::WordCount& a, const wl::WordCount& b) { return a.word < b.word; });
+    expect_bit_identical(wl::word_count_desc(), counted, expected);
+    for (std::size_t o = combined.size(); o < n; ++o) EXPECT_EQ(out[o].word, ~0ULL) << o;
+  }
+
+  {  // PointAdd: cudaAddPoint against addPoint, point for point.
+    const auto gen = [](std::uint64_t i) { return wl::pointadd::pt_at(i, 3); };
+    const auto udf = cpu_udf_records<wl::Pt, wl::Pt>(
+        &wl::pt_desc(), n, gen,
+        [](const df::DataSet<wl::Pt>& ds) { return wl::pointadd::mapper(ds, Mode::Cpu); });
+    std::vector<wl::Pt> in;
+    for (std::uint64_t i = 0; i < n; ++i) in.push_back(gen(i));
+    std::vector<wl::Pt> out(n);
+    launch_host_function("cudaAddPoint", n, {bytes_of(in), bytes_of(out)});
+    expect_bit_identical(wl::pt_desc(), out, udf);
   }
 }
 
@@ -411,13 +596,7 @@ void expect_gpu_mapper_leaves_input_intact(const gflink::mem::StructDesc* desc, 
     df::Job job(eng, "read-only-inputs");
     co_await job.submit();
     const int parts = eng.default_parallelism();
-    auto src = df::DataSet<T>::from_generator(
-        eng, desc, parts, [n, parts, gen](int p, std::vector<T>& out) {
-          for (auto i = static_cast<std::uint64_t>(p); i < n;
-               i += static_cast<std::uint64_t>(parts)) {
-            out.push_back(gen(i));
-          }
-        });
+    auto src = df::DataSet<T>::from_generator(eng, desc, parts, wl::striped<T>(n, parts, gen));
     const df::DataHandle data = co_await src.materialize(job);
     before = record_hash(data);
     for (std::uint64_t iteration = 0; iteration < 2; ++iteration) {

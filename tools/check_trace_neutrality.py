@@ -12,12 +12,18 @@ exercises the iterative all-to-all exchange; WordCount exercises GDST
 output assembly, the padding filter and the ReduceByKey merge; KMeans
 exercises the cached GDST path (input blocks bound in place, GPU-cache hits
 from the second iteration) and the map -> reduce chain fused into the
-combine pass. Fails unless the traced run prints the same makespans,
-iteration times, checksums and speedup as the plain run, ends at the same
-``virtual_ns``, and reports identical values for every metric whose name
-does not start with ``trace_`` (the critical-path and straggler gauges
-exist only in the traced report); and unless the sampled run prints the
-same summary and its report's ``digest`` equals the plain run's.
+combine pass; LinReg, ConComp, SpMV and PointAdd cover the remaining CLI
+workloads (a block reducer, a flat-map scatter, a cached broadcast vector
+and an element-wise map written over its own input). Fails unless the
+traced run prints the same makespans, iteration times, checksums and
+speedup as the plain run, ends at the same ``virtual_ns``, and reports
+identical values for every metric whose name does not start with
+``trace_`` (the critical-path and straggler gauges exist only in the traced
+report); unless the sampled run prints the same summary and its report's
+``digest`` equals the plain run's; and unless the plain run's digest equals
+the one pinned in DIGESTS. The model is the same in every build mode, so
+Release and sanitizer builds must all reach the pinned digests; a change
+that means to move a modelled number updates them.
 """
 
 import json
@@ -29,7 +35,22 @@ CASES = [
     ["pagerank", "--mode", "both", "--workers", "4", "--size", "2", "--iterations", "3"],
     ["wordcount", "--mode", "both", "--workers", "4", "--size", "2"],
     ["kmeans", "--mode", "both", "--workers", "4", "--size", "2", "--iterations", "3"],
+    ["linreg", "--mode", "both", "--workers", "4", "--size", "2", "--iterations", "3"],
+    ["concomp", "--mode", "both", "--workers", "4", "--size", "2", "--iterations", "3"],
+    ["spmv", "--mode", "both", "--workers", "4", "--size", "2", "--iterations", "3"],
+    ["pointadd", "--mode", "both", "--workers", "4", "--size", "2", "--iterations", "2"],
 ]
+# The plain run's report digest of each case (RunReport::to_json's FNV-1a
+# over every member but wall_seconds and peak_rss_mb).
+DIGESTS = {
+    "pagerank": "a3505478c78c8d5e",
+    "wordcount": "b34677344f5ed20f",
+    "kmeans": "ce7fd95759cb283b",
+    "linreg": "53a772f53ad39cea",
+    "concomp": "1a85db975b7cdcf3",
+    "spmv": "35d2a13db07fc5c5",
+    "pointadd": "089a88abf49ddb52",
+}
 # Lines of the per-mode summary that carry modelled numbers.
 SUMMARY_KEYS = ("total", "submission", "iterations", "checksum", "speedup")
 
@@ -95,6 +116,9 @@ def check(binary, work, args):
     if sampled_report["digest"] != plain_report["digest"]:
         errors.append("%s: report digest: plain %s, sampled %s"
                       % (name, plain_report["digest"], sampled_report["digest"]))
+    if plain_report["digest"] != DIGESTS[name]:
+        errors.append("%s: report digest: plain %s, pinned %s"
+                      % (name, plain_report["digest"], DIGESTS[name]))
     return errors, len(plain), len(a)
 
 
@@ -109,9 +133,10 @@ def main():
         errors += case_errors
         if not case_errors:
             print("neutral %s: %d summary lines and %d metric series identical traced, "
-                  "report digest identical sampled" % (args[0], lines, series))
+                  "report digest identical sampled and pinned" % (args[0], lines, series))
     if errors:
-        sys.exit("an instrument changed the run:\n" + "\n".join(errors))
+        sys.exit("a run left its pinned digest, or an instrument changed it:\n"
+                 + "\n".join(errors))
 
 
 if __name__ == "__main__":
