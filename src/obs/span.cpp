@@ -1,7 +1,10 @@
 #include "obs/span.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 
 #include "sim/util.hpp"
 
@@ -12,6 +15,31 @@ namespace gflink::obs {
 namespace {
 
 constexpr std::size_t idx(SpanCategory c) { return static_cast<std::size_t>(c); }
+
+std::uint8_t* put_varint(std::uint8_t* p, std::uint64_t v) {
+  for (; v >= 0x80; v >>= 7) *p++ = static_cast<std::uint8_t>(v | 0x80);
+  *p++ = static_cast<std::uint8_t>(v);
+  return p;
+}
+
+std::uint64_t get_varint(const std::uint8_t*& p) {
+  std::uint64_t v = 0;
+  for (unsigned shift = 0;; shift += 7) {
+    const std::uint8_t b = *p++;
+    v |= std::uint64_t{b & 0x7fU} << shift;
+    if (b < 0x80) return v;
+  }
+}
+
+/// Zigzag coding maps small differences of either sign to small unsigned
+/// values. Differences are taken modulo 2^64, so any two times round-trip.
+std::uint64_t zigzag(sim::Time a, sim::Time b) {  // of a - b
+  const auto d =
+      static_cast<std::int64_t>(static_cast<std::uint64_t>(a) - static_cast<std::uint64_t>(b));
+  return (static_cast<std::uint64_t>(d) << 1) ^ static_cast<std::uint64_t>(d >> 63);
+}
+
+std::uint64_t unzigzag(std::uint64_t z) { return (z >> 1) ^ (0 - (z & 1)); }
 
 }  // namespace
 
@@ -114,7 +142,7 @@ void SpanStore::commit(const CausalSpan& s, SpanNotes notes) {
   category_ns_[idx(s.category)] += s.duration();
   if (retain_) {
     if (closed_.size() < s.id) closed_.grow(s.id);
-    closed_[s.id - 1] = {s.begin, s.end, s.parent, s.name, s.lane, s.node, s.category, true};
+    closed_[s.id - 1] = {s.begin, s.end, s.parent, intern_kind(s)};
     ++retained_;
     if (s.parent == 0 && s.trace_id != 0) root_trace_.emplace(s.id, s.trace_id);
     for (const SpanNote& n : notes) {
@@ -123,6 +151,13 @@ void SpanStore::commit(const CausalSpan& s, SpanNotes notes) {
     }
   }
   if (flight_ != nullptr) flight_->on_span_closed(*this, s, std::move(notes));
+}
+
+std::uint32_t SpanStore::intern_kind(const CausalSpan& s) {
+  const SpanKind k{s.name, s.lane, s.node, s.category};
+  auto [it, added] = kind_index_.try_emplace(k, static_cast<std::uint32_t>(kinds_.size()));
+  if (added) kinds_.push_back(k);
+  return it->second;
 }
 
 std::uint32_t SpanStore::trace_id(SpanId id) const {
@@ -143,16 +178,17 @@ std::uint32_t SpanStore::trace_id(SpanId id) const {
 
 CausalSpan SpanStore::span_at(std::size_t i) const {
   const RetainedSpan& r = closed_[i];
+  const SpanKind& k = kind(r.kind);
   CausalSpan s;
   s.begin = r.begin;
   s.end = r.end;
   s.id = static_cast<SpanId>(i + 1);
   s.parent = r.parent;
   s.trace_id = trace_id(s.id);
-  s.name = r.name;
-  s.lane = r.lane;
-  s.node = r.node;
-  s.category = r.category;
+  s.name = k.name;
+  s.lane = k.lane;
+  s.node = k.node;
+  s.category = k.category;
   return s;
 }
 
@@ -211,6 +247,39 @@ void SpanStore::export_metrics(MetricsRegistry& m) const {
 }
 
 // ---- Lane intervals --------------------------------------------------------
+
+void LaneLog::push_back(const LaneInterval& l) {
+  std::uint8_t rec[kMaxRecordBytes];
+  std::uint8_t* p = put_varint(rec, l.lane.v);
+  p = put_varint(p, l.label.v);
+  p = put_varint(p, zigzag(l.end, last_end_));
+  p = put_varint(p, zigzag(l.end, l.begin));
+  const auto n = static_cast<std::size_t>(p - rec);
+  if (blocks_.empty() || used_.back() + n > kBlockBytes) {
+    blocks_.push_back(std::make_unique<std::uint8_t[]>(kBlockBytes));
+    used_.push_back(0);
+  }
+  std::memcpy(blocks_.back().get() + used_.back(), rec, n);
+  used_.back() += static_cast<std::uint32_t>(n);
+  last_end_ = l.end;
+  ++size_;
+}
+
+void LaneLog::const_iterator::load() {
+  if (i_ >= log_->size_) return;
+  if (off_ == log_->used_[block_]) {
+    ++block_;
+    off_ = 0;
+  }
+  const std::uint8_t* const start = log_->blocks_[block_].get() + off_;
+  const std::uint8_t* p = start;
+  cur_.lane = StrId{static_cast<std::uint32_t>(get_varint(p))};
+  cur_.label = StrId{static_cast<std::uint32_t>(get_varint(p))};
+  const std::uint64_t end = static_cast<std::uint64_t>(cur_.end) + unzigzag(get_varint(p));
+  cur_.end = static_cast<sim::Time>(end);
+  cur_.begin = static_cast<sim::Time>(end - unzigzag(get_varint(p)));
+  off_ += static_cast<std::size_t>(p - start);
+}
 
 std::vector<LaneInterval> SpanStore::lane(std::string_view name) const {
   std::vector<LaneInterval> out;
@@ -284,11 +353,22 @@ Json CriticalPath::to_json() const {
 
 namespace {
 
-/// The children of every retained span, as one offset array over
-/// records() indices: the children of records()[i] are
-/// kids[offset[i] .. offset[i+1]), in id order. Spans whose parent is 0 or
-/// not retained go to `roots`.
+/// popcount of every byte value.
+constexpr std::array<std::uint8_t, 256> kBitsSet = [] {
+  std::array<std::uint8_t, 256> t{};
+  for (unsigned v = 0; v < t.size(); ++v) t[v] = static_cast<std::uint8_t>(std::popcount(v));
+  return t;
+}();
+
+/// The children of every retained span, in id order. Only spans that
+/// have children keep an offset: a bit per records() index says whether
+/// that span has any, and a count per 8 indices turns the bit into the
+/// span's rank among them, so the children of the parent of rank r are
+/// kids[offset[r] .. offset[r+1]). Spans whose parent is 0 or not retained
+/// go to `roots`.
 struct ChildIndex {
+  std::vector<std::uint8_t> has_kids;    // bit i % 8 of byte i / 8
+  std::vector<std::uint32_t> rank_base;  // parents below each byte's first index
   std::vector<std::uint32_t> offset;
   std::vector<std::uint32_t> kids;
   std::vector<std::uint32_t> roots;
@@ -296,27 +376,62 @@ struct ChildIndex {
   explicit ChildIndex(const SpanStore& store) {
     const ChunkLog<RetainedSpan>& spans = store.records();
     const std::size_t n = spans.size();
-    offset.assign(n + 1, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!spans[i].closed) continue;
-      const std::size_t p = store.index_of(spans[i].parent);
-      if (p != SpanStore::npos) {
-        ++offset[p + 1];
-      } else {
-        roots.push_back(static_cast<std::uint32_t>(i));
+    has_kids.resize((n + 7) / 8);
+    rank_base.resize(has_kids.size());
+    {
+      // Children per span: a transient array, released before kids is
+      // allocated, so the index never holds two arrays of n.
+      std::vector<std::uint32_t> count(n, 0);
+      spans.for_each([&](std::size_t i, const RetainedSpan& s) {
+        if (!s.closed()) return;
+        const std::size_t p = store.index_of(s.parent);
+        if (p != SpanStore::npos) {
+          ++count[p];
+        } else {
+          roots.push_back(static_cast<std::uint32_t>(i));
+        }
+      });
+      std::uint32_t parents = 0;
+      for (std::size_t b = 0; b < has_kids.size(); ++b) {
+        const std::size_t m = std::min<std::size_t>(8, n - b * 8);
+        unsigned bits = 0;
+        for (std::size_t j = 0; j < m; ++j) bits |= unsigned{count[b * 8 + j] != 0} << j;
+        has_kids[b] = static_cast<std::uint8_t>(bits);
+        rank_base[b] = parents;
+        parents += kBitsSet[bits];
+      }
+      offset.resize(parents + 1);
+      std::uint32_t r = 0;
+      for (std::size_t b = 0; b < has_kids.size(); ++b) {
+        for (unsigned bits = has_kids[b]; bits != 0; bits &= bits - 1, ++r) {
+          offset[r + 1] = offset[r] + count[b * 8 + std::countr_zero(bits)];
+        }
       }
     }
-    for (std::size_t i = 0; i < n; ++i) offset[i + 1] += offset[i];
-    kids.resize(offset[n]);
-    // Fill forward with offset[p] as the cursor, then shift the offsets
-    // back by one slot: each child list keeps id order.
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!spans[i].closed) continue;
-      const std::size_t p = store.index_of(spans[i].parent);
-      if (p != SpanStore::npos) kids[offset[p]++] = static_cast<std::uint32_t>(i);
-    }
-    for (std::size_t i = n; i > 0; --i) offset[i] = offset[i - 1];
+    kids.resize(offset.back());
+    // Fill forward with offset[r] as the cursor, then shift the offsets
+    // back by one slot: each child list keeps id order. A closed span's
+    // parent is retained exactly when that parent's bit is set.
+    spans.for_each([&](std::size_t i, const RetainedSpan& s) {
+      if (!s.closed() || s.parent == 0) return;
+      const std::size_t p = s.parent - 1;
+      if (p < n && has(p)) kids[offset[rank(p)]++] = static_cast<std::uint32_t>(i);
+    });
+    for (std::size_t r = offset.size() - 1; r > 0; --r) offset[r] = offset[r - 1];
     offset[0] = 0;
+  }
+
+  /// Whether records()[i] has children.
+  bool has(std::size_t i) const { return (has_kids[i / 8] >> (i % 8) & 1) != 0; }
+  /// Rank of records()[i] among the spans that have children.
+  std::uint32_t rank(std::size_t i) const {
+    return rank_base[i / 8] + kBitsSet[has_kids[i / 8] & ((1U << (i % 8)) - 1)];
+  }
+  /// The children of records()[i]: [first, last) into kids.
+  std::pair<std::uint32_t, std::uint32_t> of(std::size_t i) const {
+    if (!has(i)) return {0, 0};
+    const std::uint32_t r = rank(i);
+    return {offset[r], offset[r + 1]};
   }
 };
 
@@ -333,13 +448,14 @@ struct RawSegment {
 /// frontier jumps to the child's begin. Whatever remains in front of the
 /// earliest child is S's own time too — so [lo, hi] is covered exactly once.
 struct CriticalPathWalker {
+  const SpanStore& store;
   const ChunkLog<RetainedSpan>& spans;
   const ChildIndex& children;
   CriticalPath& cp;
   std::vector<RawSegment>& segments;
 
   void attribute(std::uint32_t i, sim::Time b, sim::Time e) {
-    cp.by_category[idx(spans[i].category)] += e - b;
+    cp.by_category[idx(store.kind(spans[i].kind).category)] += e - b;
     segments.push_back({i, b, e});
   }
 
@@ -347,7 +463,8 @@ struct CriticalPathWalker {
     const RetainedSpan& s = spans[i];
     const sim::Time floor = std::max(s.begin, lo);
     sim::Time t = hi;
-    for (std::uint32_t k = children.offset[i]; k < children.offset[i + 1]; ++k) {
+    const auto [first, last] = children.of(i);
+    for (std::uint32_t k = first; k < last; ++k) {
       if (t <= floor) break;
       const std::uint32_t ci = children.kids[k];
       const RetainedSpan& c = spans[ci];
@@ -371,9 +488,9 @@ CriticalPath extract_critical_path(const SpanStore& store) {
 
   ChildIndex children(store);
   // Latest finisher first; the higher id (index) breaks ties.
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    std::sort(children.kids.begin() + children.offset[i],
-              children.kids.begin() + children.offset[i + 1],
+  for (std::size_t r = 0; r + 1 < children.offset.size(); ++r) {
+    std::sort(children.kids.begin() + children.offset[r],
+              children.kids.begin() + children.offset[r + 1],
               [&spans](std::uint32_t a, std::uint32_t b) {
                 if (spans[a].end != spans[b].end) return spans[a].end > spans[b].end;
                 return a > b;
@@ -386,7 +503,7 @@ CriticalPath extract_critical_path(const SpanStore& store) {
             });
 
   std::vector<RawSegment> raw;
-  CriticalPathWalker walker{spans, children, cp, raw};
+  CriticalPathWalker walker{store, spans, children, cp, raw};
   for (std::uint32_t root : children.roots) {
     cp.total += spans[root].duration();
     walker.walk(root, spans[root].begin, spans[root].end);
@@ -405,8 +522,8 @@ CriticalPath extract_critical_path(const SpanStore& store) {
   }
   cp.segments.reserve(merged.size());
   for (const RawSegment& seg : merged) {
-    const RetainedSpan& s = spans[seg.span];
-    cp.segments.push_back({seg.span + 1, store.str(s.name), s.category, seg.begin, seg.end});
+    const SpanKind& k = store.kind(spans[seg.span].kind);
+    cp.segments.push_back({seg.span + 1, store.str(k.name), k.category, seg.begin, seg.end});
   }
   return cp;
 }
@@ -438,7 +555,9 @@ std::vector<Straggler> find_stragglers(const SpanStore& store, std::size_t min_g
   // Peer groups by name id, visited in name order (deterministic).
   std::vector<std::vector<std::uint32_t>> members(store.interned());
   for (std::size_t i = 0; i < spans.size(); ++i) {
-    if (spans[i].closed) members[spans[i].name.v].push_back(static_cast<std::uint32_t>(i));
+    if (spans[i].closed()) {
+      members[store.kind(spans[i].kind).name.v].push_back(static_cast<std::uint32_t>(i));
+    }
   }
   std::vector<std::uint32_t> names;
   for (std::uint32_t n = 0; n < members.size(); ++n) {
@@ -459,16 +578,16 @@ std::vector<Straggler> find_stragglers(const SpanStore& store, std::size_t min_g
       const std::uint32_t i = stack.back();
       stack.pop_back();
       const RetainedSpan& s = spans[i];
-      if (i != top && s.category == SpanCategory::Wait &&
+      if (i != top && store.kind(s.kind).category == SpanCategory::Wait &&
           (longest == SpanStore::npos || s.duration() > spans[longest].duration() ||
            (s.duration() == spans[longest].duration() && i < longest))) {
         longest = i;
       }
-      stack.insert(stack.end(), children.kids.begin() + children.offset[i],
-                   children.kids.begin() + children.offset[i + 1]);
+      const auto [first, last] = children.of(i);
+      stack.insert(stack.end(), children.kids.begin() + first, children.kids.begin() + last);
     }
     if (longest == SpanStore::npos) return {};
-    const RetainedSpan& w = spans[longest];
+    const SpanKind& w = store.kind(spans[longest].kind);
     if (w.lane.v == 0) return store.str(w.name);
     return store.str(w.name) + " on " + store.str(w.lane);
   };
@@ -484,10 +603,11 @@ std::vector<Straggler> find_stragglers(const SpanStore& store, std::size_t min_g
     for (std::uint32_t i : group) {
       const RetainedSpan& s = spans[i];
       if (s.duration() <= p95) continue;
+      const SpanKind& k = store.kind(s.kind);
       Straggler st;
       st.span = i + 1;
-      st.name = store.str(s.name);
-      st.lane = store.str(s.lane);
+      st.name = store.str(k.name);
+      st.lane = store.str(k.lane);
       st.duration = s.duration();
       st.p95 = p95;
       st.waited_on = waited_on(i);

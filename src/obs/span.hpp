@@ -9,15 +9,18 @@
 // shuffle sender was busy with — which feed the utilization rollups and the
 // Chrome-trace swimlanes.
 //
-// Every record is fixed-size: names, lanes, labels and note keys and values
-// are interned once into the store's string table and held as 32-bit ids.
-// A retaining store keeps closed spans in an append-only chunked log
-// (ChunkLog) indexed by span id, so a span's id is its position and costs
-// nothing; its trace id is its parent's, so only roots keep one, in a small
-// side table. That makes a retained span 32 B, a note 12 B and a lane
-// interval 24 B, with no reallocation copies and at most one partly filled
-// chunk of slack per log. A store that does not retain builds no strings
-// for lane intervals and interns no note values.
+// Names, lanes, labels and note keys and values are interned once into the
+// store's string table and held as 32-bit ids. A retaining store keeps
+// closed spans in an append-only chunked log (ChunkLog) indexed by span id,
+// so a span's id is its position and costs nothing; its trace id is its
+// parent's, so only roots keep one, in a small side table; and its name,
+// lane, node and category, which few distinct spans differ in, are one
+// interned SpanKind. That makes a retained span 24 B and a note 12 B, with
+// no reallocation copies and at most one partly filled chunk of slack per
+// log. Lane intervals are varint-coded in recording order (LaneLog): a few
+// bytes each, since lane and label ids are small and each interval's end
+// is a delta from the previous one's. A store that does not retain builds
+// no strings for lane intervals and interns no note values.
 //
 // On top of the DAG live the analyses that explain where time went:
 //
@@ -123,23 +126,33 @@ struct CausalSpan {
 };
 static_assert(sizeof(CausalSpan) == 40, "causal spans are 40-byte records");
 
-/// A closed span as a retaining store keeps it: a CausalSpan without the id
-/// (its position in the log, plus one) and the trace id (its parent's, or a
-/// root's own from the store's root table). A slot whose span has not
-/// closed yet is a default record with `closed` false.
-struct RetainedSpan {
-  sim::Time begin = 0;
-  sim::Time end = 0;
-  SpanId parent = 0;
+/// The fields a retained span shares with its peers, interned once per
+/// store (SpanStore::kind): a run has millions of spans but few distinct
+/// kinds.
+struct SpanKind {
   StrId name;
   StrId lane;
   std::int16_t node = -1;
   SpanCategory category = SpanCategory::Control;
-  bool closed = false;
 
+  friend bool operator==(const SpanKind&, const SpanKind&) = default;
+};
+
+/// A closed span as a retaining store keeps it: a CausalSpan without the id
+/// (its position in the log, plus one), the trace id (its parent's, or a
+/// root's own from the store's root table), and its name, lane, node and
+/// category, which `kind` indexes. A slot whose span has not closed yet is
+/// a default record: kind 0.
+struct RetainedSpan {
+  sim::Time begin = 0;
+  sim::Time end = 0;
+  SpanId parent = 0;
+  std::uint32_t kind = 0;
+
+  bool closed() const { return kind != 0; }
   sim::Duration duration() const { return end - begin; }
 };
-static_assert(sizeof(RetainedSpan) == 32, "retained spans are 32-byte records");
+static_assert(sizeof(RetainedSpan) == 24, "retained spans are 24-byte records");
 
 /// One key/value annotation of a span (the key is interned).
 struct SpanNote {
@@ -159,7 +172,69 @@ struct LaneInterval {
   sim::Duration duration() const { return end - begin; }
   bool overlaps(const LaneInterval& o) const { return begin < o.end && o.begin < end; }
 };
-static_assert(sizeof(LaneInterval) == 24, "lane intervals are 24-byte records");
+
+/// An append-only log of lane intervals, read in recording order. Each
+/// record is four LEB128 varints: the lane id, the label id, the zigzag
+/// delta of its end from the previous record's end, and its zigzag
+/// duration. Ends mostly rise, so a record takes a few bytes where the
+/// LaneInterval it decodes to takes 24. The bytes go into blocks of
+/// kBlockBytes, allocated on first use; a record never straddles two.
+class LaneLog {
+ public:
+  static constexpr std::size_t kBlockBytes = 64 * 1024;
+  /// Two 32-bit varints of at most 5 bytes and two 64-bit ones of at most 10.
+  static constexpr std::size_t kMaxRecordBytes = 30;
+
+  class const_iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = LaneInterval;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = LaneInterval;
+
+    const_iterator() = default;
+    const_iterator(const LaneLog* log, std::size_t i) : log_(log), i_(i) { load(); }
+    LaneInterval operator*() const { return cur_; }
+    const_iterator& operator++() {
+      ++i_;
+      load();
+      return *this;
+    }
+    const_iterator operator++(int) {
+      const_iterator old = *this;
+      ++*this;
+      return old;
+    }
+    friend bool operator==(const const_iterator& a, const const_iterator& b) {
+      return a.i_ == b.i_;
+    }
+
+   private:
+    /// Decode record i_, which starts at (block_, off_).
+    void load();
+
+    const LaneLog* log_ = nullptr;
+    std::size_t i_ = 0;
+    std::size_t block_ = 0;
+    std::size_t off_ = 0;
+    LaneInterval cur_;  // record i_ once loaded; its end is the next delta's base
+  };
+
+  void push_back(const LaneInterval& l);
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const_iterator begin() const { return {this, 0}; }
+  const_iterator end() const { return {this, size_}; }
+  /// Bytes of the allocated blocks.
+  std::size_t capacity_bytes() const { return blocks_.size() * kBlockBytes; }
+
+ private:
+  std::vector<std::unique_ptr<std::uint8_t[]>> blocks_;
+  std::vector<std::uint32_t> used_;  // bytes written to each block
+  std::size_t size_ = 0;
+  sim::Time last_end_ = 0;
+};
 
 /// An append-only log of fixed-size records, kept in chunks of
 /// kChunkRecords that are allocated on first use. Records never move once
@@ -223,6 +298,15 @@ class ChunkLog {
   const T& back() const { return (*this)[size_ - 1]; }
   const_iterator begin() const { return {this, 0}; }
   const_iterator end() const { return {this, size_}; }
+  /// Call f(i, record) for every record in order, a chunk at a time.
+  template <typename F>
+  void for_each(F&& f) const {
+    for (std::size_t base = 0; base < size_; base += kChunkRecords) {
+      const T* chunk = chunks_[base / kChunkRecords].get();
+      const std::size_t m = std::min(kChunkRecords, size_ - base);
+      for (std::size_t j = 0; j < m; ++j) f(base + j, chunk[j]);
+    }
+  }
 
  private:
   std::vector<std::unique_ptr<T[]>> chunks_;
@@ -263,7 +347,7 @@ class SpanStore {
 
      private:
       void skip_open() {
-        while (i_ < store_->closed_.size() && !store_->closed_[i_].closed) ++i_;
+        while (i_ < store_->closed_.size() && !store_->closed_[i_].closed()) ++i_;
       }
 
       const SpanStore* store_ = nullptr;
@@ -334,14 +418,19 @@ class SpanStore {
   /// Closed spans, in id order (deterministic). Empty unless retaining.
   ClosedSpans spans() const { return ClosedSpans(*this); }
   /// The retained log itself, indexed by span id - 1: records()[i] is
-  /// spans()[i] without its id and trace id, and a slot whose span has not
-  /// closed holds a placeholder (`closed` false). The analyses read it.
+  /// spans()[i] without its id and trace id, its peer fields behind kind(),
+  /// and a slot whose span has not closed holds a placeholder (kind 0).
+  /// The analyses read it.
   const ChunkLog<RetainedSpan>& records() const { return closed_; }
+  /// The name, lane, node and category of a retained span's kind.
+  const SpanKind& kind(std::uint32_t k) const { return kinds_[k]; }
+  /// Number of kinds in the table (the placeholder kind 0 included).
+  std::size_t kinds() const { return kinds_.size(); }
   /// Position of a retained closed span in spans() and records() — its id
   /// minus one — or npos.
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
   std::size_t index_of(SpanId id) const {
-    return id != 0 && id <= closed_.size() && closed_[id - 1].closed ? id - 1 : npos;
+    return id != 0 && id <= closed_.size() && closed_[id - 1].closed() ? id - 1 : npos;
   }
   /// The trace id of an open or retained span: a root's own, any other
   /// span's parent's. 0 when the parent chain reaches a span the store does
@@ -369,7 +458,7 @@ class SpanStore {
     if (retain_) lanes_.push_back({lane, intern(label), begin, end});
   }
   /// Every lane interval, in recording order.
-  const ChunkLog<LaneInterval>& lane_intervals() const { return lanes_; }
+  const LaneLog& lane_intervals() const { return lanes_; }
   /// The intervals on one lane, in recording order.
   std::vector<LaneInterval> lane(std::string_view name) const;
   /// Busy time on a lane: the union of its intervals.
@@ -387,12 +476,23 @@ class SpanStore {
   };
   static_assert(sizeof(RetainedNote) <= 16, "a retained note costs at most 16 bytes");
 
+  struct SpanKindHash {
+    std::size_t operator()(const SpanKind& k) const {
+      const std::uint64_t peers = (std::uint64_t{k.name.v} << 32) | k.lane.v;
+      const std::uint64_t rest = (std::uint64_t{static_cast<std::uint16_t>(k.node)} << 8) |
+                                 static_cast<std::uint8_t>(k.category);
+      return std::hash<std::uint64_t>{}(peers * 0x9e3779b97f4a7c15ULL ^ rest);
+    }
+  };
+
   /// A new span with its trace id resolved; `end` is left for the caller.
   CausalSpan make_span(StrRef name, SpanCategory category, SpanId parent, sim::Time begin,
                        StrRef lane, int node, std::uint64_t trace_id);
   /// The one close path: count the span, retain it, stream it to the ring.
   void commit(const CausalSpan& s, SpanNotes notes);
-  /// spans()[i], its id and trace id rebuilt.
+  /// The kind of `s`'s peer fields, adding it to the table on first use.
+  std::uint32_t intern_kind(const CausalSpan& s);
+  /// spans()[i], its id, trace id and peer fields rebuilt.
   CausalSpan span_at(std::size_t i) const;
 
   bool retain_ = false;
@@ -405,13 +505,15 @@ class SpanStore {
   std::unordered_map<SpanId, CausalSpan> open_;
   std::unordered_map<SpanId, SpanNotes> open_notes_;
   ChunkLog<RetainedSpan> closed_;  // indexed by span id - 1
+  std::vector<SpanKind> kinds_{SpanKind{}};  // kinds_[0] marks an open slot
+  std::unordered_map<SpanKind, std::uint32_t, SpanKindHash> kind_index_;
   std::size_t retained_ = 0;       // closed slots in closed_
   std::unordered_map<SpanId, std::uint32_t> root_trace_;  // retained roots' nonzero trace ids
   // Notes in close order; notes() sorts them by span id on first read (a
   // stable sort keeps each span's notes in annotation order).
   mutable ChunkLog<RetainedNote> closed_notes_;
   mutable bool notes_sorted_ = true;
-  ChunkLog<LaneInterval> lanes_;
+  LaneLog lanes_;
 };
 
 /// Length of the union of [begin, end) intervals (sorts them in place).

@@ -3,11 +3,15 @@
 // document), lane utilization rollups, and run reports.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "obs/chrome_trace.hpp"
@@ -548,8 +552,7 @@ TEST(Spans, ClosedParentTraceIdNeedsRetention) {
 
 TEST(Spans, CompactRecordsInternNamesAndLanes) {
   static_assert(sizeof(obs::CausalSpan) == 40);
-  static_assert(sizeof(obs::RetainedSpan) == 32);
-  static_assert(sizeof(obs::LaneInterval) == 24);
+  static_assert(sizeof(obs::RetainedSpan) == 24);
   obs::FlightRecorder fr(/*ring_capacity=*/2);
   obs::SpanStore s;
   s.set_retain(true);
@@ -598,7 +601,6 @@ TEST(Spans, ChunkBoundaries) {
   // from the close-ordered store this id-indexed one replaced.
   constexpr std::size_t kChunk = obs::ChunkLog<obs::RetainedSpan>::kChunkRecords;
   constexpr std::size_t kFiller = 2 * kChunk + kChunk / 2;
-  static_assert(obs::ChunkLog<obs::LaneInterval>::kChunkRecords == kChunk);
   obs::SpanStore s;
   s.set_retain(true);
   const obs::SpanId job = s.open("job", obs::SpanCategory::Control, 0, 0, "master/job", -1, 9);
@@ -648,7 +650,7 @@ TEST(Spans, ChunkBoundaries) {
   EXPECT_EQ(s.index_of(kernel) / kChunk, 2u);  // the last chunk
   EXPECT_EQ(s.index_of(dangling), obs::SpanStore::npos);
   EXPECT_EQ(s.records().size(), late);  // the log ends at the highest closed id
-  EXPECT_FALSE(s.records()[dangling - 1].closed);
+  EXPECT_FALSE(s.records()[dangling - 1].closed());
 
   // Notes of spans in the first and the last chunk, closed out of id order.
   auto note_pairs = [&s](obs::SpanId id) {
@@ -726,7 +728,14 @@ TEST(Spans, ChunkBoundaries) {
   }
   s.record_lane(b, "y", static_cast<sim::Time>(kChunk) - 1, static_cast<sim::Time>(kChunk));
   ASSERT_EQ(s.lane_intervals().size(), kFiller + 1);
-  EXPECT_EQ(s.lane_intervals()[kChunk].begin, static_cast<sim::Time>(kChunk));
+  std::size_t at = 0;
+  for (const obs::LaneInterval& l : s.lane_intervals()) {
+    const bool last = at == kFiller;
+    EXPECT_EQ(l.lane, last ? b : a) << at;
+    EXPECT_EQ(l.begin, static_cast<sim::Time>(last ? kChunk - 1 : at)) << at;
+    ++at;
+  }
+  EXPECT_EQ(at, kFiller + 1);
   EXPECT_EQ(s.lane("node1/a").size(), kFiller);
   EXPECT_EQ(s.busy_time("node1/a"), static_cast<sim::Duration>(kFiller + 1));
   EXPECT_EQ(s.busy_time("node1/b"), 1);
@@ -751,6 +760,145 @@ TEST(Spans, ChunkBoundaries) {
   const Json* util = parsed->find("laneUtilization")->find("node1/a");
   ASSERT_NE(util, nullptr);
   EXPECT_EQ(util->find("busy_ns")->as_int(), static_cast<std::int64_t>(kFiller + 1));
+}
+
+TEST(Spans, LaneLogRoundTrips) {
+  // Every record the log takes comes back, in order, as a plain vector kept
+  // beside it holds it: ends that fall as well as rise (negative deltas),
+  // zero-length intervals, intervals of 2^32 ns and more, label 0, ids past
+  // one varint byte, and the extremes of the time range. Enough records to
+  // fill several 64 KiB blocks, so some land at a block's end.
+  constexpr sim::Time kMax = std::numeric_limits<sim::Time>::max();
+  constexpr sim::Time kMin = std::numeric_limits<sim::Time>::min();
+  std::vector<obs::LaneInterval> want;
+  std::uint64_t x = 0x243f6a8885a308d3ULL;
+  auto next = [&x] {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    return x >> 17;
+  };
+  sim::Time end = 0;
+  for (std::size_t i = 0; i < 30'000; ++i) {
+    obs::LaneInterval l;
+    l.lane = obs::StrId{static_cast<std::uint32_t>(next() % (i % 7 == 0 ? 1u << 31 : 9))};
+    l.label = obs::StrId{static_cast<std::uint32_t>(i % 5 == 0 ? 0 : next() % 300)};
+    switch (i % 6) {
+      case 0: end -= static_cast<sim::Time>(next() % 5000); break;  // out of order
+      case 1: break;                                                  // same end
+      case 2: end += static_cast<sim::Time>(next() % (std::uint64_t{1} << 40)); break;
+      default: end += static_cast<sim::Time>(next() % 200); break;
+    }
+    l.end = end;
+    switch (i % 4) {
+      case 0: l.begin = end; break;                                 // zero length
+      case 1: l.begin = end - (sim::Time{1} << 32) - 7; break;      // >= 2^32 ns
+      default: l.begin = end - static_cast<sim::Time>(next() % 1000); break;
+    }
+    want.push_back(l);
+  }
+  want.push_back({obs::StrId{UINT32_MAX}, obs::StrId{UINT32_MAX}, kMin, kMax});
+  want.push_back({obs::StrId{}, obs::StrId{}, kMax, kMin});
+  want.push_back({obs::StrId{1}, obs::StrId{}, 0, 0});
+
+  obs::LaneLog log;
+  for (const obs::LaneInterval& l : want) log.push_back(l);
+  ASSERT_EQ(log.size(), want.size());
+  EXPECT_GT(log.capacity_bytes(), 2 * obs::LaneLog::kBlockBytes);
+  std::size_t i = 0;
+  for (const obs::LaneInterval& got : log) {
+    ASSERT_LT(i, want.size());
+    EXPECT_EQ(got.lane, want[i].lane) << i;
+    EXPECT_EQ(got.label, want[i].label) << i;
+    EXPECT_EQ(got.begin, want[i].begin) << i;
+    EXPECT_EQ(got.end, want[i].end) << i;
+    ++i;
+  }
+  EXPECT_EQ(i, want.size());
+  EXPECT_TRUE(obs::LaneLog{}.empty());
+  EXPECT_TRUE(obs::LaneLog{}.begin() == obs::LaneLog{}.end());
+
+  // The worst case: ends that swing between 0 and the least time make
+  // every record the full 30 bytes, so a block holds kBlockBytes / 30 of
+  // them and the next one starts a new block.
+  obs::LaneLog wide;
+  const std::size_t per_block = obs::LaneLog::kBlockBytes / obs::LaneLog::kMaxRecordBytes;
+  for (std::size_t k = 0; k <= per_block; ++k) {
+    wide.push_back({obs::StrId{UINT32_MAX}, obs::StrId{UINT32_MAX}, k % 2 == 0 ? 0 : kMin,
+                    k % 2 == 0 ? kMin : 0});
+    EXPECT_EQ(wide.capacity_bytes(), (k < per_block ? 1 : 2) * obs::LaneLog::kBlockBytes) << k;
+  }
+  std::size_t k = 0;
+  for (const obs::LaneInterval& got : wide) {
+    EXPECT_EQ(got.begin, k % 2 == 0 ? 0 : kMin) << k;
+    EXPECT_EQ(got.end, k % 2 == 0 ? kMin : 0) << k;
+    ++k;
+  }
+  EXPECT_EQ(k, per_block + 1);
+}
+
+TEST(Spans, PeerFieldsShareOneKind) {
+  // Spans that agree on name, lane, node and category share one kind,
+  // whatever their times and parents; spans() rebuilds each one as it was
+  // recorded; and a slot whose span has not closed stays a placeholder.
+  obs::SpanStore s;
+  s.set_retain(true);
+  const obs::SpanId job = s.open("job", obs::SpanCategory::Control, 0, 0, {}, -1, 5);
+  const obs::SpanId open = s.open("stage:open", obs::SpanCategory::Control, job, 1);
+  std::vector<obs::CausalSpan> want;
+  const obs::SpanCategory cats[] = {obs::SpanCategory::H2D, obs::SpanCategory::Kernel};
+  for (int i = 0; i < 60; ++i) {
+    obs::CausalSpan c;
+    c.begin = i;
+    c.end = i + 1 + i % 3;
+    c.parent = i % 2 == 0 ? job : open;
+    c.trace_id = 5;
+    c.name = s.intern(i % 3 == 0 ? "h2d:chunk" : "kernel:chunk");
+    c.lane = s.intern(i % 5 == 0 ? "" : "node1/gpu0");
+    c.node = static_cast<std::int16_t>(i % 4 == 0 ? -1 : 1);
+    c.category = cats[i % 2];
+    c.id = s.record(c.name, c.category, c.parent, c.begin, c.end, c.lane, c.node);
+    want.push_back(c);
+  }
+  // One kind per distinct (name, lane, node, category) among the 60, plus
+  // the placeholder and nothing yet for the open job.
+  std::set<std::tuple<std::uint32_t, std::uint32_t, int, int>> distinct;
+  for (const obs::CausalSpan& c : want) {
+    distinct.emplace(c.name.v, c.lane.v, c.node, static_cast<int>(c.category));
+  }
+  EXPECT_EQ(s.kinds(), distinct.size() + 1);
+  for (std::size_t i = 0; i + 1 < want.size(); ++i) {
+    for (std::size_t j = i + 1; j < want.size(); ++j) {
+      const bool same = want[i].name == want[j].name && want[i].lane == want[j].lane &&
+                        want[i].node == want[j].node && want[i].category == want[j].category;
+      EXPECT_EQ(s.records()[want[i].id - 1].kind == s.records()[want[j].id - 1].kind, same);
+    }
+  }
+  EXPECT_EQ(s.kind(0), obs::SpanKind{});
+
+  // The open stage's slot stays a placeholder: kind 0, not indexed, and
+  // skipped by spans(); the job closes and takes a new kind.
+  s.close(job, 100);
+  EXPECT_EQ(s.kinds(), distinct.size() + 2);
+  EXPECT_FALSE(s.records()[open - 1].closed());
+  EXPECT_EQ(s.records()[open - 1].kind, 0u);
+  EXPECT_EQ(s.index_of(open), obs::SpanStore::npos);
+  ASSERT_EQ(s.spans().size(), want.size() + 1);
+  auto it = s.spans().begin();
+  EXPECT_EQ((*it).id, job);
+  EXPECT_EQ((*it).end, 100);
+  for (const obs::CausalSpan& c : want) {
+    ++it;
+    const obs::CausalSpan got = *it;
+    EXPECT_EQ(got.id, c.id);
+    EXPECT_EQ(got.begin, c.begin);
+    EXPECT_EQ(got.end, c.end);
+    EXPECT_EQ(got.parent, c.parent);
+    EXPECT_EQ(got.trace_id, c.trace_id);
+    EXPECT_EQ(got.name, c.name);
+    EXPECT_EQ(got.lane, c.lane);
+    EXPECT_EQ(got.node, c.node);
+    EXPECT_EQ(got.category, c.category);
+  }
+  EXPECT_TRUE(++it == s.spans().end());
 }
 
 TEST(SpansDeathTest, TraceIdPast32BitsAborts) {

@@ -20,10 +20,13 @@ speedup as the plain run, ends at the same ``virtual_ns``, and reports
 identical values for every metric whose name does not start with
 ``trace_`` (the critical-path and straggler gauges exist only in the traced
 report); unless the sampled run prints the same summary and its report's
-``digest`` equals the plain run's; and unless the plain run's digest equals
-the one pinned in DIGESTS. The model is the same in every build mode, so
-Release and sanitizer builds must all reach the pinned digests; a change
-that means to move a modelled number updates them.
+``digest`` equals the plain run's; and unless the plain run's digest, the
+traced run's digest (which also covers ``critical_path``, ``stragglers`` and
+``lane_utilization``) and the FNV-1a digest of the ``--trace-out`` file
+equal the ones pinned in DIGESTS. The model and the trace store are the same
+in every build mode, so Release and sanitizer builds must all reach the
+pinned digests; a change that means to move a modelled number, or what the
+trace store records, updates them.
 """
 
 import json
@@ -40,16 +43,17 @@ CASES = [
     ["spmv", "--mode", "both", "--workers", "4", "--size", "2", "--iterations", "3"],
     ["pointadd", "--mode", "both", "--workers", "4", "--size", "2", "--iterations", "2"],
 ]
-# The plain run's report digest of each case (RunReport::to_json's FNV-1a
-# over every member but wall_seconds and peak_rss_mb).
+# Per case: the plain and the traced run's report digest (RunReport::to_json's
+# FNV-1a over every member but wall_seconds and peak_rss_mb), and the FNV-1a
+# of the traced run's Chrome trace file.
 DIGESTS = {
-    "pagerank": "a3505478c78c8d5e",
-    "wordcount": "b34677344f5ed20f",
-    "kmeans": "ce7fd95759cb283b",
-    "linreg": "53a772f53ad39cea",
-    "concomp": "1a85db975b7cdcf3",
-    "spmv": "35d2a13db07fc5c5",
-    "pointadd": "089a88abf49ddb52",
+    "pagerank": ("a3505478c78c8d5e", "79c51187e7068034", "e797ac3642a7eba9"),
+    "wordcount": ("b34677344f5ed20f", "fa3321e7f9c37ca3", "4aca6f7dc4606722"),
+    "kmeans": ("ce7fd95759cb283b", "fe3510fccab69241", "d1c0111c912ecb45"),
+    "linreg": ("53a772f53ad39cea", "82687ddcb2af28e5", "5d912aa7cf61d652"),
+    "concomp": ("1a85db975b7cdcf3", "8db536044c5fd223", "ff0bb8dd05cd6772"),
+    "spmv": ("35d2a13db07fc5c5", "adee7ed91f1da84e", "45967e1b39b6807b"),
+    "pointadd": ("089a88abf49ddb52", "98c9ec48e0369c6c", "2a7a77512afe1d33"),
 }
 # Lines of the per-mode summary that carry modelled numbers.
 SUMMARY_KEYS = ("total", "submission", "iterations", "checksum", "speedup")
@@ -67,6 +71,15 @@ def run(binary, args, extra):
 def load(path):
     with open(path) as f:
         return json.load(f)
+
+
+def fnv1a(path):
+    """FNV-1a 64 of a file's bytes, as 16 hex characters."""
+    h = 1469598103934665603
+    with open(path, "rb") as f:
+        for byte in f.read():
+            h = ((h ^ byte) * 1099511628211) & 0xFFFFFFFFFFFFFFFF
+    return "%016x" % h
 
 
 def metrics(report):
@@ -116,9 +129,11 @@ def check(binary, work, args):
     if sampled_report["digest"] != plain_report["digest"]:
         errors.append("%s: report digest: plain %s, sampled %s"
                       % (name, plain_report["digest"], sampled_report["digest"]))
-    if plain_report["digest"] != DIGESTS[name]:
-        errors.append("%s: report digest: plain %s, pinned %s"
-                      % (name, plain_report["digest"], DIGESTS[name]))
+    got = (plain_report["digest"], traced_report["digest"], fnv1a(out("trace.json")))
+    for what, have, pinned in zip(("plain report", "traced report", "trace file"), got,
+                                  DIGESTS[name]):
+        if have != pinned:
+            errors.append("%s: %s digest %s, pinned %s" % (name, what, have, pinned))
     return errors, len(plain), len(a)
 
 
@@ -133,7 +148,8 @@ def main():
         errors += case_errors
         if not case_errors:
             print("neutral %s: %d summary lines and %d metric series identical traced, "
-                  "report digest identical sampled and pinned" % (args[0], lines, series))
+                  "report digest identical sampled, report and trace digests pinned"
+                  % (args[0], lines, series))
     if errors:
         sys.exit("a run left its pinned digest, or an instrument changed it:\n"
                  + "\n".join(errors))
