@@ -25,6 +25,7 @@ void CriticalPath_PageRank(benchmark::State& state) {
 
     gflink::obs::RunReport& rep = report_case(session);
     rep.capture_spans(session.engine().cluster().spans());
+    rep.trace_store_bytes = session.engine().cluster().spans().retained_bytes();
     // The table generator extrapolates breakdown_ns to full-scale seconds.
     rep.set_config("scale", tb.scale);
 

@@ -28,13 +28,12 @@ std::string fnv1a_hex(const std::string& bytes) {
 }  // namespace
 
 void RunReport::capture_spans(const SpanStore& spans) {
-  const CriticalPath cp = extract_critical_path(spans);
-  critical_path = cp.to_json();
-  export_critical_path_metrics(cp, metrics);
-  const std::vector<Straggler> slow = find_stragglers(spans);
+  SpanAnalysis analysis = analyze_spans(spans);
+  export_critical_path_metrics(analysis.critical_path, metrics);
+  critical_path = std::move(analysis.critical_path);
   stragglers = Json::array();
-  for (const auto& s : slow) stragglers.push_back(s.to_json());
-  export_straggler_metrics(slow, metrics);
+  for (const auto& s : analysis.stragglers) stragglers.push_back(s.to_json());
+  export_straggler_metrics(analysis.stragglers, metrics);
 }
 
 Json RunReport::to_json() const {
@@ -54,7 +53,7 @@ Json RunReport::to_json() const {
     lanes_json[lane] = std::move(entry);
   }
   root["lane_utilization"] = std::move(lanes_json);
-  if (!critical_path.is_null()) root["critical_path"] = critical_path;
+  if (critical_path) root["critical_path"] = critical_path->to_json();
   if (!stragglers.is_null()) root["stragglers"] = stragglers;
   if (!tenants.is_null()) root["tenants"] = tenants;
   // Everything above is modelled and deterministic, so its compact dump is
@@ -63,6 +62,7 @@ Json RunReport::to_json() const {
   root["digest"] = digest;
   root["wall_seconds"] = wall_seconds;
   root["peak_rss_mb"] = peak_rss_mb;
+  root["trace_store_bytes"] = trace_store_bytes;
   return root;
 }
 

@@ -4,11 +4,12 @@
 // peak RSS, a metrics snapshot and per-lane utilization rollups, and
 // serializes them as the `BENCH_<name>.json` documents that populate the
 // perf trajectory. Each document carries a `digest` of its modelled fields
-// (everything but wall_seconds and peak_rss_mb); tools/bench_gate.py
-// compares it with bench/digests.json.
+// (everything but wall_seconds, peak_rss_mb and trace_store_bytes);
+// tools/bench_gate.py compares it with bench/digests.json.
 #pragma once
 
 #include <map>
+#include <optional>
 #include <string>
 
 #include "sim/time.hpp"
@@ -25,10 +26,11 @@ struct RunReport {
   Json config = Json::object();    // free-form run configuration
   double wall_seconds = 0.0;       // host wall-clock of the whole run
   double peak_rss_mb = 0.0;        // host peak resident set (host_peak_rss_mb())
+  std::uint64_t trace_store_bytes = 0;  // SpanStore::retained_bytes() of the last traced run
   sim::Time virtual_ns = 0;        // simulated time (summed across cases)
   MetricsRegistry metrics;         // accumulated metric snapshot
   std::map<std::string, LaneUtilization> lanes;  // from the last traced run
-  Json critical_path;              // CriticalPath::to_json(); Null when untraced
+  std::optional<CriticalPath> critical_path;  // empty when untraced
   Json stragglers;                 // array of Straggler::to_json(); Null when untraced
   /// Per-tenant fairness section (schema v3): filled from
   /// service::JobService::fairness_json() on multi-tenant runs, Null
@@ -43,13 +45,14 @@ struct RunReport {
     lanes = lane_utilization(store, horizon);
   }
 
-  /// Run the DAG analyses over a retaining span store: fills the
-  /// critical_path and stragglers sections and the matching trace_* gauges.
+  /// Run the DAG analyses over a retaining span store, over one child
+  /// index: fills critical_path, the stragglers section and the matching
+  /// trace_* gauges.
   void capture_spans(const SpanStore& spans);
 
   /// The report document. `digest` is FNV-1a 64 (16 hex characters) over
-  /// the compact dump of every member except wall_seconds, peak_rss_mb and
-  /// the digest itself, which come last.
+  /// the compact dump of every member except wall_seconds, peak_rss_mb,
+  /// trace_store_bytes and the digest itself, which come last.
   Json to_json() const;
 
   /// Write the pretty-printed JSON document; false on I/O failure.

@@ -5,6 +5,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 
 #include "sim/util.hpp"
 
@@ -40,6 +41,27 @@ std::uint64_t zigzag(sim::Time a, sim::Time b) {  // of a - b
 }
 
 std::uint64_t unzigzag(std::uint64_t z) { return (z >> 1) ^ (0 - (z & 1)); }
+
+/// Bit packing: a field of `width` bits (at most 64) at bit `bit` of an
+/// array of 64-bit words, low bits first within and across words.
+/// put_bits ORs into zeroed words. get_bits reads the two words from the
+/// field's first without a branch, so both must be readable.
+void put_bits(std::uint64_t* words, std::size_t bit, unsigned width, std::uint64_t v) {
+  if (width == 0) return;
+  const unsigned off = bit % 64;
+  words[bit / 64] |= v << off;
+  if (off + width > 64) words[bit / 64 + 1] |= v >> (64 - off);
+}
+
+std::uint64_t get_bits(const std::uint64_t* words, std::size_t bit, unsigned width) {
+  const unsigned off = bit % 64;
+  // Two shifts of at most 63 move the next word's bits above the field's;
+  // a field that fits in one word (off + width <= 64) masks them off.
+  const std::uint64_t v = words[bit / 64] >> off | words[bit / 64 + 1] << 1 << (63 - off);
+  const std::uint64_t mask =
+      ((std::uint64_t{1} << width % 64) - 1) | (0 - std::uint64_t{width / 64});
+  return v & mask;
+}
 
 }  // namespace
 
@@ -126,23 +148,40 @@ void SpanStore::close(SpanId id, sim::Time end) {
     notes = std::move(nit->second);
     open_notes_.erase(nit);
   }
-  commit(s, std::move(notes));
+  commit(s, std::move(notes), false);
 }
 
 SpanId SpanStore::record(StrRef name, SpanCategory category, SpanId parent, sim::Time begin,
                          sim::Time end, StrRef lane, int node, std::uint64_t trace_id) {
   CausalSpan s = make_span(name, category, parent, begin, lane, node, trace_id);
   s.end = end;
-  commit(s, {});
+  commit(s, {}, true);
   return s.id;
 }
 
-void SpanStore::commit(const CausalSpan& s, SpanNotes notes) {
+void SpanStore::commit(const CausalSpan& s, SpanNotes notes, bool built_closed) {
   ++recorded_;
   category_ns_[idx(s.category)] += s.duration();
   if (retain_) {
-    if (closed_.size() < s.id) closed_.grow(s.id);
-    closed_[s.id - 1] = {s.begin, s.end, s.parent, intern_kind(s)};
+    const RetainedSpan r{s.begin, s.end, s.parent, intern_kind(s)};
+    // Map every id up to this one. A word's running count is final when
+    // the next word is added: a span built closed takes the highest id yet.
+    const std::size_t word = (s.id - 1) / 64;
+    while (shot_bits_.size() <= word) {
+      const auto below = shot_bits_.empty() ? 0 : std::popcount(shot_bits_.back());
+      shot_rank_.push_back((shot_rank_.empty() ? 0 : shot_rank_.back()) +
+                           static_cast<std::uint32_t>(below));
+      shot_bits_.push_back(0);
+    }
+    last_id_ = std::max(last_id_, s.id);
+    if (built_closed) {
+      shot_bits_[word] |= std::uint64_t{1} << ((s.id - 1) % 64);
+      shots_.push_back(s.id, r);
+    } else {
+      const std::size_t slot = s.id - 1 - shots_below(s.id);
+      if (opened_.size() <= slot) opened_.grow(slot + 1);
+      opened_[slot] = r;
+    }
     ++retained_;
     if (s.parent == 0 && s.trace_id != 0) root_trace_.emplace(s.id, s.trace_id);
     for (const SpanNote& n : notes) {
@@ -163,8 +202,8 @@ std::uint32_t SpanStore::intern_kind(const CausalSpan& s) {
 std::uint32_t SpanStore::trace_id(SpanId id) const {
   // Parents have lower ids than their children, so the walk ends; a parent
   // id that is not lower was never a real parent.
-  for (std::size_t i = index_of(id); i != npos; i = index_of(id)) {
-    const SpanId parent = closed_[i].parent;
+  for (RetainedSpan r = retained(id); r.closed(); r = retained(id)) {
+    const SpanId parent = r.parent;
     if (parent == 0) {
       auto it = root_trace_.find(id);
       return it != root_trace_.end() ? it->second : 0;
@@ -176,13 +215,30 @@ std::uint32_t SpanStore::trace_id(SpanId id) const {
   return it != open_.end() ? it->second.trace_id : 0;
 }
 
+RetainedSpan SpanStore::retained(SpanId id) const {
+  if (id == 0 || id > last_id_) return {};
+  const std::size_t shots = shots_below(id);
+  if (built_closed(id)) return shots_.at(shots, id);
+  const std::size_t slot = id - 1 - shots;
+  return slot < opened_.size() ? opened_[slot] : RetainedSpan{};
+}
+
+std::size_t SpanStore::retained_bytes() const {
+  return opened_.capacity_bytes() + shots_.capacity_bytes() +
+         shot_bits_.capacity() * sizeof(std::uint64_t) +
+         shot_rank_.capacity() * sizeof(std::uint32_t) + lanes_.capacity_bytes() +
+         closed_notes_.capacity_bytes() +
+         (kinds_.capacity() - 1) * sizeof(SpanKind);  // beyond the placeholder
+}
+
 CausalSpan SpanStore::span_at(std::size_t i) const {
-  const RetainedSpan& r = closed_[i];
+  const auto id = static_cast<SpanId>(i + 1);
+  const RetainedSpan r = retained(id);
   const SpanKind& k = kind(r.kind);
   CausalSpan s;
   s.begin = r.begin;
   s.end = r.end;
-  s.id = static_cast<SpanId>(i + 1);
+  s.id = id;
   s.parent = r.parent;
   s.trace_id = trace_id(s.id);
   s.name = k.name;
@@ -244,6 +300,156 @@ void SpanStore::export_metrics(MetricsRegistry& m) const {
     m.counter(Metric::TraceSpanNs, {{"category", span_category_name(static_cast<SpanCategory>(i))}})
         .inc(static_cast<double>(category_ns_[i]));
   }
+}
+
+// ---- Spans built closed ----------------------------------------------------
+
+namespace {
+
+/// A packed block, read through its header: three words (the least begin;
+/// the least parent distance and, above it, the least kind; the four field
+/// widths, a byte each), then the records, each its fields' bits in a row:
+/// parent distance, kind, begin offset, duration. A record's fields share
+/// a cache line or two, so reading one by id touches few.
+class PackedBlock {
+ public:
+  explicit PackedBlock(const std::uint64_t* p) : p_(p) {
+    for (std::size_t f = 0; f < width_.size(); ++f) {
+      width_[f] = static_cast<unsigned>(p[2] >> (8 * f) & 0xff);
+      shift_[f] = record_bits_;
+      mask_[f] = width_[f] == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << width_[f]) - 1;
+      record_bits_ += width_[f];
+    }
+  }
+
+  /// Record k, its parent field holding the parent distance.
+  RetainedSpan record(std::size_t k) const {
+    const std::uint64_t* bits = p_ + 3;
+    const std::size_t at = k * record_bits_;
+    std::array<std::uint64_t, 4> f;
+    if (record_bits_ <= 64) {
+      // The whole record in one read, cut into its fields. Only a field
+      // of no bits can start at bit 64, and its mask is 0.
+      const std::uint64_t v = get_bits(bits, at, record_bits_);
+      for (std::size_t i = 0; i < f.size(); ++i) f[i] = v >> shift_[i] % 64 & mask_[i];
+    } else {
+      for (std::size_t i = 0; i < f.size(); ++i) f[i] = get_bits(bits, at + shift_[i], width_[i]);
+    }
+    RetainedSpan r;
+    r.parent = static_cast<SpanId>(p_[1]) + static_cast<SpanId>(f[0]);
+    r.kind = static_cast<std::uint32_t>(p_[1] >> 32) + static_cast<std::uint32_t>(f[1]);
+    const std::uint64_t begin = p_[0] + f[2];
+    r.begin = static_cast<sim::Time>(begin);
+    r.end = static_cast<sim::Time>(begin + f[3]);
+    return r;
+  }
+
+ private:
+  const std::uint64_t* p_;
+  std::array<unsigned, 4> width_{};  // parent distance, kind, begin offset, duration
+  std::array<unsigned, 4> shift_{};  // each field's first bit within a record
+  std::array<std::uint64_t, 4> mask_{};
+  unsigned record_bits_ = 0;
+};
+
+}  // namespace
+
+void OneShotLog::push_back(SpanId id, const RetainedSpan& s) {
+  if (tail_.empty()) tail_.reserve(kBlockRecords);
+  tail_.push_back({s.begin, s.end, id - s.parent, s.kind});
+  if (tail_.size() == kBlockRecords) pack();
+}
+
+void OneShotLog::pack() {
+  // The block's bases, each field's least value, and the widths that hold
+  // every offset from them: those of the largest offset.
+  auto offset = [](sim::Time a, sim::Time b) {  // a - b, modulo 2^64
+    return static_cast<std::uint64_t>(a) - static_cast<std::uint64_t>(b);
+  };
+  sim::Time begin = tail_[0].begin;
+  sim::Time last_begin = begin;
+  SpanId distance = tail_[0].parent;
+  SpanId far = distance;
+  std::uint32_t kind = tail_[0].kind;
+  std::uint32_t last_kind = kind;
+  std::uint64_t any_duration = 0;
+  for (const RetainedSpan& r : tail_) {
+    begin = std::min(begin, r.begin);
+    last_begin = std::max(last_begin, r.begin);
+    distance = std::min(distance, r.parent);
+    far = std::max(far, r.parent);
+    kind = std::min(kind, r.kind);
+    last_kind = std::max(last_kind, r.kind);
+    any_duration |= offset(r.end, r.begin);
+  }
+  const std::array<unsigned, 4> width = {
+      static_cast<unsigned>(std::bit_width(far - distance)),
+      static_cast<unsigned>(std::bit_width(last_kind - kind)),
+      static_cast<unsigned>(std::bit_width(offset(last_begin, begin))),
+      static_cast<unsigned>(std::bit_width(any_duration))};
+  // Three header words, then 64 records of record_bits each: exactly
+  // record_bits words.
+  const unsigned record_bits = width[0] + width[1] + width[2] + width[3];
+  const std::size_t words = 3 + record_bits;
+  if (chunks_.empty() || used_ + words > kChunkWords) {
+    // Two words of padding: get_bits reads two words from a field's
+    // start, even for a field of no bits at the end of a block.
+    chunks_.push_back(std::make_unique<std::uint64_t[]>(kChunkWords + 2));
+    used_ = 0;
+  }
+  const std::size_t first = (chunks_.size() - 1) * kChunkWords + used_;
+  GFLINK_CHECK_MSG(first <= UINT32_MAX, "OneShotLog: the packed log passed 2^32 words");
+  std::uint64_t* p = chunks_.back().get() + used_;
+  p[0] = static_cast<std::uint64_t>(begin);
+  p[1] = distance | std::uint64_t{kind} << 32;
+  p[2] = width[0] | width[1] << 8 | width[2] << 16 | width[3] << 24;
+  const std::array<unsigned, 4> shift = {0, width[0], width[0] + width[1],
+                                         width[0] + width[1] + width[2]};
+  for (std::size_t k = 0; k < kBlockRecords; ++k) {
+    const RetainedSpan& r = tail_[k];
+    const std::array<std::uint64_t, 4> f = {r.parent - distance, r.kind - kind,
+                                            offset(r.begin, begin), offset(r.end, r.begin)};
+    if (record_bits <= 64) {
+      // The whole record in one write, as PackedBlock::record reads it. A
+      // field that starts at bit 64 has no bits and is 0.
+      std::uint64_t v = 0;
+      for (std::size_t i = 0; i < f.size(); ++i) v |= f[i] << shift[i] % 64;
+      put_bits(p + 3, k * record_bits, record_bits, v);
+    } else {
+      for (std::size_t i = 0; i < f.size(); ++i) {
+        put_bits(p + 3, k * record_bits + shift[i], width[i], f[i]);
+      }
+    }
+  }
+  used_ += words;
+  blocks_.push_back(static_cast<std::uint32_t>(first));
+  tail_.clear();
+}
+
+const std::uint64_t* OneShotLog::block_words(std::size_t b) const {
+  return chunks_[blocks_[b] / kChunkWords].get() + blocks_[b] % kChunkWords;
+}
+
+RetainedSpan OneShotLog::at(std::size_t i, SpanId id) const {
+  const std::size_t b = i / kBlockRecords;
+  RetainedSpan r = b == blocks_.size() ? tail_[i % kBlockRecords]
+                                       : PackedBlock(block_words(b)).record(i % kBlockRecords);
+  r.parent = id - r.parent;
+  return r;
+}
+
+void OneShotLog::unpack(std::size_t b, std::array<RetainedSpan, kBlockRecords>& out) const {
+  if (b == blocks_.size()) {
+    std::copy(tail_.begin(), tail_.end(), out.begin());
+    return;
+  }
+  const PackedBlock block(block_words(b));
+  for (std::size_t k = 0; k < kBlockRecords; ++k) out[k] = block.record(k);
+}
+
+std::size_t OneShotLog::capacity_bytes() const {
+  return chunks_.size() * (kChunkWords + 2) * sizeof(std::uint64_t) +
+         blocks_.capacity() * sizeof(std::uint32_t) + tail_.capacity() * sizeof(RetainedSpan);
 }
 
 // ---- Lane intervals --------------------------------------------------------
@@ -360,8 +566,9 @@ constexpr std::array<std::uint8_t, 256> kBitsSet = [] {
   return t;
 }();
 
-/// The children of every retained span, in id order. Only spans that
-/// have children keep an offset: a bit per records() index says whether
+/// The children of every retained span, in the order of
+/// SpanStore::for_each_retained (the walk sorts what it reads). Only spans
+/// that have children keep an offset: a bit per span index (id - 1) says whether
 /// that span has any, and a count per 8 indices turns the bit into the
 /// span's rank among them, so the children of the parent of rank r are
 /// kids[offset[r] .. offset[r+1]). Spans whose parent is 0 or not retained
@@ -374,28 +581,25 @@ struct ChildIndex {
   std::vector<std::uint32_t> roots;
 
   explicit ChildIndex(const SpanStore& store) {
-    const ChunkLog<RetainedSpan>& spans = store.records();
-    const std::size_t n = spans.size();
+    const std::size_t n = store.last_id();
     has_kids.resize((n + 7) / 8);
     rank_base.resize(has_kids.size());
     {
       // Children per span: a transient array, released before kids is
-      // allocated, so the index never holds two arrays of n.
+      // allocated, so the index never holds two arrays of n. has_kids
+      // first marks the spans retained closed: a span named as a parent
+      // counts as one only if it is.
       std::vector<std::uint32_t> count(n, 0);
-      spans.for_each([&](std::size_t i, const RetainedSpan& s) {
-        if (!s.closed()) return;
-        const std::size_t p = store.index_of(s.parent);
-        if (p != SpanStore::npos) {
-          ++count[p];
-        } else {
-          roots.push_back(static_cast<std::uint32_t>(i));
-        }
+      store.for_each_retained([&](SpanId id, const RetainedSpan& s) {
+        has_kids[(id - 1) / 8] |= static_cast<std::uint8_t>(1U << ((id - 1) % 8));
+        if (s.parent != 0 && s.parent <= n) ++count[s.parent - 1];
       });
       std::uint32_t parents = 0;
       for (std::size_t b = 0; b < has_kids.size(); ++b) {
         const std::size_t m = std::min<std::size_t>(8, n - b * 8);
         unsigned bits = 0;
         for (std::size_t j = 0; j < m; ++j) bits |= unsigned{count[b * 8 + j] != 0} << j;
+        bits &= has_kids[b];
         has_kids[b] = static_cast<std::uint8_t>(bits);
         rank_base[b] = parents;
         parents += kBitsSet[bits];
@@ -410,24 +614,27 @@ struct ChildIndex {
     }
     kids.resize(offset.back());
     // Fill forward with offset[r] as the cursor, then shift the offsets
-    // back by one slot: each child list keeps id order. A closed span's
-    // parent is retained exactly when that parent's bit is set.
-    spans.for_each([&](std::size_t i, const RetainedSpan& s) {
-      if (!s.closed() || s.parent == 0) return;
-      const std::size_t p = s.parent - 1;
-      if (p < n && has(p)) kids[offset[rank(p)]++] = static_cast<std::uint32_t>(i);
+    // back by one slot. A closed span's parent is retained exactly when
+    // that parent's bit is set.
+    store.for_each_retained([&](SpanId id, const RetainedSpan& s) {
+      const std::size_t p = s.parent - std::size_t{1};  // npos for a root
+      if (p < n && has(p)) {
+        kids[offset[rank(p)]++] = id - 1;
+      } else {
+        roots.push_back(id - 1);
+      }
     });
     for (std::size_t r = offset.size() - 1; r > 0; --r) offset[r] = offset[r - 1];
     offset[0] = 0;
   }
 
-  /// Whether records()[i] has children.
+  /// Whether span index i has children.
   bool has(std::size_t i) const { return (has_kids[i / 8] >> (i % 8) & 1) != 0; }
-  /// Rank of records()[i] among the spans that have children.
+  /// Rank of span index i among the spans that have children.
   std::uint32_t rank(std::size_t i) const {
     return rank_base[i / 8] + kBitsSet[has_kids[i / 8] & ((1U << (i % 8)) - 1)];
   }
-  /// The children of records()[i]: [first, last) into kids.
+  /// The children of span index i: [first, last) into kids.
   std::pair<std::uint32_t, std::uint32_t> of(std::size_t i) const {
     if (!has(i)) return {0, 0};
     const std::uint32_t r = rank(i);
@@ -435,7 +642,7 @@ struct ChildIndex {
   }
 };
 
-/// A critical-path hop before names are rendered: `span` indexes records().
+/// A critical-path hop before names are rendered: `span` is a span index.
 struct RawSegment {
   std::uint32_t span;
   sim::Time begin;
@@ -447,66 +654,71 @@ struct RawSegment {
 /// child's end is S's own time, the child's interval recurses, and the
 /// frontier jumps to the child's begin. Whatever remains in front of the
 /// earliest child is S's own time too — so [lo, hi] is covered exactly once.
+/// A span is walked at most once, so only the child lists of the spans
+/// walked are sorted, as they are reached.
 struct CriticalPathWalker {
   const SpanStore& store;
-  const ChunkLog<RetainedSpan>& spans;
-  const ChildIndex& children;
+  ChildIndex& children;
   CriticalPath& cp;
   std::vector<RawSegment>& segments;
+  std::vector<std::pair<sim::Time, std::uint32_t>> order{};  // sort buffer
 
-  void attribute(std::uint32_t i, sim::Time b, sim::Time e) {
-    cp.by_category[idx(store.kind(spans[i].kind).category)] += e - b;
+  /// Sort kids[first, last) latest finisher first; the higher index breaks
+  /// ties.
+  void sort_children(std::uint32_t first, std::uint32_t last) {
+    if (last - first < 2) return;
+    order.clear();
+    for (std::uint32_t k = first; k < last; ++k) {
+      order.emplace_back(store.retained(children.kids[k] + 1).end, children.kids[k]);
+    }
+    std::sort(order.begin(), order.end(), std::greater<>());
+    for (std::uint32_t k = first; k < last; ++k) children.kids[k] = order[k - first].second;
+  }
+
+  void attribute(std::uint32_t i, SpanCategory category, sim::Time b, sim::Time e) {
+    cp.by_category[idx(category)] += e - b;
     segments.push_back({i, b, e});
   }
 
-  void walk(std::uint32_t i, sim::Time lo, sim::Time hi) {
-    const RetainedSpan& s = spans[i];
+  void walk(std::uint32_t i, const RetainedSpan& s, sim::Time lo, sim::Time hi) {
+    const SpanCategory category = store.kind(s.kind).category;
     const sim::Time floor = std::max(s.begin, lo);
     sim::Time t = hi;
     const auto [first, last] = children.of(i);
+    sort_children(first, last);
     for (std::uint32_t k = first; k < last; ++k) {
       if (t <= floor) break;
       const std::uint32_t ci = children.kids[k];
-      const RetainedSpan& c = spans[ci];
+      const RetainedSpan c = store.retained(ci + 1);
       const sim::Time ce = std::min(c.end, t);
       const sim::Time cb = std::max(c.begin, floor);
       if (ce <= cb) continue;
-      if (ce < t) attribute(i, ce, t);
-      walk(ci, cb, ce);
+      if (ce < t) attribute(i, category, ce, t);
+      walk(ci, c, cb, ce);
       t = cb;
     }
-    if (t > floor) attribute(i, floor, t);
+    if (t > floor) attribute(i, category, floor, t);
   }
 };
 
-}  // namespace
-
-CriticalPath extract_critical_path(const SpanStore& store) {
+/// The critical path over an index of the store's children, whose child
+/// lists it sorts latest finisher first as the walk reaches them.
+CriticalPath critical_path_over(const SpanStore& store, ChildIndex& children) {
   CriticalPath cp;
-  const ChunkLog<RetainedSpan>& spans = store.records();
-  if (store.empty()) return cp;
-
-  ChildIndex children(store);
-  // Latest finisher first; the higher id (index) breaks ties.
-  for (std::size_t r = 0; r + 1 < children.offset.size(); ++r) {
-    std::sort(children.kids.begin() + children.offset[r],
-              children.kids.begin() + children.offset[r + 1],
-              [&spans](std::uint32_t a, std::uint32_t b) {
-                if (spans[a].end != spans[b].end) return spans[a].end > spans[b].end;
-                return a > b;
-              });
+  // Roots by begin; the lower index breaks ties.
+  std::vector<std::pair<sim::Time, std::uint32_t>> roots;
+  roots.reserve(children.roots.size());
+  for (std::uint32_t root : children.roots) {
+    roots.emplace_back(store.retained(root + 1).begin, root);
   }
-  std::sort(children.roots.begin(), children.roots.end(),
-            [&spans](std::uint32_t a, std::uint32_t b) {
-              if (spans[a].begin != spans[b].begin) return spans[a].begin < spans[b].begin;
-              return a < b;
-            });
+  std::sort(roots.begin(), roots.end());
 
   std::vector<RawSegment> raw;
-  CriticalPathWalker walker{store, spans, children, cp, raw};
-  for (std::uint32_t root : children.roots) {
-    cp.total += spans[root].duration();
-    walker.walk(root, spans[root].begin, spans[root].end);
+  CriticalPathWalker walker{store, children, cp, raw};
+  for (const auto& [begin, root] : roots) {
+    const RetainedSpan s = store.retained(root + 1);
+    cp.total += s.duration();
+    walker.walk(root, s, s.begin, s.end);
   }
 
   // The walk emits segments latest-first; restore chronological order and
@@ -522,10 +734,18 @@ CriticalPath extract_critical_path(const SpanStore& store) {
   }
   cp.segments.reserve(merged.size());
   for (const RawSegment& seg : merged) {
-    const SpanKind& k = store.kind(spans[seg.span].kind);
+    const SpanKind& k = store.kind(store.retained(seg.span + 1).kind);
     cp.segments.push_back({seg.span + 1, store.str(k.name), k.category, seg.begin, seg.end});
   }
   return cp;
+}
+
+}  // namespace
+
+CriticalPath extract_critical_path(const SpanStore& store) {
+  if (store.empty()) return {};
+  ChildIndex children(store);
+  return critical_path_over(store, children);
 }
 
 void export_critical_path_metrics(const CriticalPath& cp, MetricsRegistry& m) {
@@ -550,15 +770,19 @@ Json Straggler::to_json() const {
   return j;
 }
 
-std::vector<Straggler> find_stragglers(const SpanStore& store, std::size_t min_group) {
-  const ChunkLog<RetainedSpan>& spans = store.records();
+namespace {
+
+/// Peer groups smaller than this have no meaningful p95, so none of their
+/// spans is a straggler.
+constexpr std::size_t kMinPeerGroup = 4;
+
+/// The stragglers, over an index of the store's children in any order.
+std::vector<Straggler> stragglers_over(const SpanStore& store, const ChildIndex& children) {
   // Peer groups by name id, visited in name order (deterministic).
   std::vector<std::vector<std::uint32_t>> members(store.interned());
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    if (spans[i].closed()) {
-      members[store.kind(spans[i].kind).name.v].push_back(static_cast<std::uint32_t>(i));
-    }
-  }
+  store.for_each_retained([&](SpanId id, const RetainedSpan& s) {
+    members[store.kind(s.kind).name.v].push_back(id - 1);
+  });
   std::vector<std::uint32_t> names;
   for (std::uint32_t n = 0; n < members.size(); ++n) {
     if (!members[n].empty()) names.push_back(n);
@@ -567,27 +791,30 @@ std::vector<Straggler> find_stragglers(const SpanStore& store, std::size_t min_g
     return store.str(StrId{a}) < store.str(StrId{b});
   });
 
-  const ChildIndex children(store);
   // The resource a straggler waited on: its longest Wait-category
   // descendant (the lowest id among equals, so the walk order does not
   // matter), rendered as "<name> on <lane>".
   auto waited_on = [&](std::uint32_t top) -> std::string {
     std::size_t longest = SpanStore::npos;
+    sim::Duration longest_duration = 0;
+    std::uint32_t longest_kind = 0;
     std::vector<std::uint32_t> stack{top};
     while (!stack.empty()) {
       const std::uint32_t i = stack.back();
       stack.pop_back();
-      const RetainedSpan& s = spans[i];
+      const RetainedSpan s = store.retained(i + 1);
       if (i != top && store.kind(s.kind).category == SpanCategory::Wait &&
-          (longest == SpanStore::npos || s.duration() > spans[longest].duration() ||
-           (s.duration() == spans[longest].duration() && i < longest))) {
+          (longest == SpanStore::npos || s.duration() > longest_duration ||
+           (s.duration() == longest_duration && i < longest))) {
         longest = i;
+        longest_duration = s.duration();
+        longest_kind = s.kind;
       }
       const auto [first, last] = children.of(i);
       stack.insert(stack.end(), children.kids.begin() + first, children.kids.begin() + last);
     }
     if (longest == SpanStore::npos) return {};
-    const SpanKind& w = store.kind(spans[longest].kind);
+    const SpanKind& w = store.kind(longest_kind);
     if (w.lane.v == 0) return store.str(w.name);
     return store.str(w.name) + " on " + store.str(w.lane);
   };
@@ -595,13 +822,13 @@ std::vector<Straggler> find_stragglers(const SpanStore& store, std::size_t min_g
   std::vector<Straggler> out;
   for (std::uint32_t name : names) {
     const std::vector<std::uint32_t>& group = members[name];
-    if (group.size() < min_group) continue;
+    if (group.size() < kMinPeerGroup) continue;
     std::vector<sim::Duration> durations;
     durations.reserve(group.size());
-    for (std::uint32_t i : group) durations.push_back(spans[i].duration());
+    for (std::uint32_t i : group) durations.push_back(store.retained(i + 1).duration());
     const sim::Duration p95 = nearest_rank_p95(std::move(durations));
     for (std::uint32_t i : group) {
-      const RetainedSpan& s = spans[i];
+      const RetainedSpan s = store.retained(i + 1);
       if (s.duration() <= p95) continue;
       const SpanKind& k = store.kind(s.kind);
       Straggler st;
@@ -621,6 +848,18 @@ std::vector<Straggler> find_stragglers(const SpanStore& store, std::size_t min_g
     if (ea != eb) return ea > eb;
     return a.span < b.span;
   });
+  return out;
+}
+
+}  // namespace
+
+SpanAnalysis analyze_spans(const SpanStore& store) {
+  SpanAnalysis out;
+  ChildIndex children(store);
+  // The critical path sorts the child lists; the stragglers read them in
+  // any order.
+  if (!store.empty()) out.critical_path = critical_path_over(store, children);
+  out.stragglers = stragglers_over(store, children);
   return out;
 }
 

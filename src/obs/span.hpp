@@ -11,16 +11,22 @@
 //
 // Names, lanes, labels and note keys and values are interned once into the
 // store's string table and held as 32-bit ids. A retaining store keeps
-// closed spans in an append-only chunked log (ChunkLog) indexed by span id,
-// so a span's id is its position and costs nothing; its trace id is its
-// parent's, so only roots keep one, in a small side table; and its name,
-// lane, node and category, which few distinct spans differ in, are one
-// interned SpanKind. That makes a retained span 24 B and a note 12 B, with
-// no reallocation copies and at most one partly filled chunk of slack per
-// log. Lane intervals are varint-coded in recording order (LaneLog): a few
+// closed spans in two logs, read by span id. Spans built closed
+// (record(): per-chunk GPU stages, waits), which are most of a run, are
+// appended in id order to a bit-packed log (OneShotLog): each block of 64
+// keeps its least begin, parent distance and kind, and each record its
+// offsets from them and its duration at the block's fewest bits, a few
+// bytes a span. Spans opened and closed later keep a 24-byte RetainedSpan
+// slot in an append-only chunked log (ChunkLog). One bit per id says which
+// log holds a span, and a running count per 64 ids turns the bit into its
+// position there. A span's trace id is its parent's, so only roots keep
+// one, in a small side table; and its name, lane, node and category, which
+// few distinct spans differ in, are one interned SpanKind. A note is 12 B.
+// Lane intervals are varint-coded in recording order (LaneLog): a few
 // bytes each, since lane and label ids are small and each interval's end
-// is a delta from the previous one's. A store that does not retain builds
-// no strings for lane intervals and interns no note values.
+// is a delta from the previous one's. A store that does not retain
+// allocates none of these logs, builds no strings for lane intervals and
+// interns no note values.
 //
 // On top of the DAG live the analyses that explain where time went:
 //
@@ -28,8 +34,8 @@
 //    ("last finisher" rule) and attributes every instant of the root's
 //    duration to exactly one category, so the per-category breakdown sums
 //    to the makespan exactly;
-//  * find_stragglers() flags spans whose duration exceeds the p95 of their
-//    name peer group and names the resource the straggler waited on.
+//  * analyze_spans() adds the stragglers: spans whose duration exceeds the
+//    p95 of their name peer group, each with the resource it waited on.
 //
 // The SpanStore is simulation-thread state, mutated between suspension
 // points like everything else (docs/ARCHITECTURE.md, "Single-threaded by
@@ -38,6 +44,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <iterator>
@@ -139,9 +146,9 @@ struct SpanKind {
 };
 
 /// A closed span as a retaining store keeps it: a CausalSpan without the id
-/// (its position in the log, plus one), the trace id (its parent's, or a
-/// root's own from the store's root table), and its name, lane, node and
-/// category, which `kind` indexes. A slot whose span has not closed yet is
+/// (by which the store finds it), the trace id (its parent's, or a root's
+/// own from the store's root table), and its name, lane, node and
+/// category, which `kind` indexes. A span that has not closed yet reads as
 /// a default record: kind 0.
 struct RetainedSpan {
   sim::Time begin = 0;
@@ -236,6 +243,44 @@ class LaneLog {
   sim::Time last_end_ = 0;
 };
 
+/// The spans built closed (SpanStore::record), appended in id order and
+/// read by position. Every kBlockRecords records make a block, packed when
+/// it fills: a header keeps the block's least begin, least parent distance
+/// (id - parent, modulo 2^32) and least kind, and each record keeps its
+/// offsets from those and its duration (end - begin, modulo 2^64), each
+/// field at the fewest bits that hold the block's largest. Every record of
+/// a block has the same width, so one decodes from its position alone, and
+/// takes a few bytes where a RetainedSpan takes 24. The block being filled stays unpacked. Packed
+/// blocks go into chunks of kChunkWords 64-bit words, allocated on first
+/// use; a block never straddles two.
+class OneShotLog {
+ public:
+  static constexpr std::size_t kBlockRecords = 64;
+  static constexpr std::size_t kChunkWords = 2048;  // 16 KiB
+
+  /// Append span `id`'s record; `id` is above every id appended before.
+  void push_back(SpanId id, const RetainedSpan& s);
+  /// The record at position `i`, which is span `id`'s.
+  RetainedSpan at(std::size_t i, SpanId id) const;
+  /// The records of block `b` (positions b * kBlockRecords and on; the
+  /// unpacked block when b is the last), each parent field holding the
+  /// parent distance: the sequential read.
+  void unpack(std::size_t b, std::array<RetainedSpan, kBlockRecords>& out) const;
+  /// Bytes of the allocated chunks, block index and unpacked block.
+  std::size_t capacity_bytes() const;
+
+ private:
+  /// Pack the full tail_ into a block.
+  void pack();
+  /// The header word of packed block `b`.
+  const std::uint64_t* block_words(std::size_t b) const;
+
+  std::vector<std::unique_ptr<std::uint64_t[]>> chunks_;
+  std::size_t used_ = 0;               // words written to the last chunk
+  std::vector<std::uint32_t> blocks_;  // first word of each packed block
+  std::vector<RetainedSpan> tail_;     // the block being filled; parent holds the distance
+};
+
 /// An append-only log of fixed-size records, kept in chunks of
 /// kChunkRecords that are allocated on first use. Records never move once
 /// appended: growth copies nothing and leaves at most one partly filled
@@ -244,7 +289,7 @@ class LaneLog {
 template <typename T>
 class ChunkLog {
  public:
-  static constexpr std::size_t kChunkRecords = 4096;
+  static constexpr std::size_t kChunkRecords = 1024;
 
   class const_iterator {
    public:
@@ -294,19 +339,11 @@ class ChunkLog {
   }
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-  const T& front() const { return (*this)[0]; }
   const T& back() const { return (*this)[size_ - 1]; }
   const_iterator begin() const { return {this, 0}; }
   const_iterator end() const { return {this, size_}; }
-  /// Call f(i, record) for every record in order, a chunk at a time.
-  template <typename F>
-  void for_each(F&& f) const {
-    for (std::size_t base = 0; base < size_; base += kChunkRecords) {
-      const T* chunk = chunks_[base / kChunkRecords].get();
-      const std::size_t m = std::min(kChunkRecords, size_ - base);
-      for (std::size_t j = 0; j < m; ++j) f(base + j, chunk[j]);
-    }
-  }
+  /// Bytes of the allocated chunks.
+  std::size_t capacity_bytes() const { return chunks_.size() * kChunkRecords * sizeof(T); }
 
  private:
   std::vector<std::unique_ptr<T[]>> chunks_;
@@ -316,7 +353,7 @@ class ChunkLog {
 class SpanStore {
  public:
   /// The retained closed spans in id order, read as CausalSpan values: a
-  /// view over the store's log that skips the slots of spans not closed
+  /// view over the store's two logs that skips the ids of spans not closed
   /// yet and rebuilds each span's id and trace id.
   class ClosedSpans {
    public:
@@ -347,7 +384,9 @@ class SpanStore {
 
      private:
       void skip_open() {
-        while (i_ < store_->closed_.size() && !store_->closed_[i_].closed()) ++i_;
+        while (i_ < store_->last_id_ && store_->index_of(static_cast<SpanId>(i_ + 1)) == npos) {
+          ++i_;
+        }
       }
 
       const SpanStore* store_ = nullptr;
@@ -360,10 +399,10 @@ class SpanStore {
     /// The span at position `i` (SpanStore::index_of).
     CausalSpan operator[](std::size_t i) const { return store_->span_at(i); }
     CausalSpan front() const { return *begin(); }
-    /// The closed span with the highest id: the log ends with its slot.
-    CausalSpan back() const { return store_->span_at(store_->closed_.size() - 1); }
+    /// The closed span with the highest id.
+    CausalSpan back() const { return store_->span_at(store_->last_id_ - 1); }
     const_iterator begin() const { return {store_, 0}; }
-    const_iterator end() const { return {store_, store_->closed_.size()}; }
+    const_iterator end() const { return {store_, store_->last_id_}; }
 
    private:
     const SpanStore* store_;
@@ -417,20 +456,30 @@ class SpanStore {
 
   /// Closed spans, in id order (deterministic). Empty unless retaining.
   ClosedSpans spans() const { return ClosedSpans(*this); }
-  /// The retained log itself, indexed by span id - 1: records()[i] is
-  /// spans()[i] without its id and trace id, its peer fields behind kind(),
-  /// and a slot whose span has not closed holds a placeholder (kind 0).
-  /// The analyses read it.
-  const ChunkLog<RetainedSpan>& records() const { return closed_; }
+  /// The retained record of span `id`: spans()[index_of(id)] without its id
+  /// and trace id, its peer fields behind kind(). A span that is not
+  /// retained, or has not closed, reads as a placeholder (kind 0). The
+  /// analyses read it.
+  RetainedSpan retained(SpanId id) const;
+  /// Call f(id, record) for every retained closed span: first the spans
+  /// built closed, in id order, then the others, in id order. Each log is
+  /// read straight through.
+  template <typename F>
+  void for_each_retained(F&& f) const;
+  /// The highest id of a retained closed span (0 when there is none).
+  SpanId last_id() const { return last_id_; }
   /// The name, lane, node and category of a retained span's kind.
   const SpanKind& kind(std::uint32_t k) const { return kinds_[k]; }
   /// Number of kinds in the table (the placeholder kind 0 included).
   std::size_t kinds() const { return kinds_.size(); }
-  /// Position of a retained closed span in spans() and records() — its id
-  /// minus one — or npos.
+  /// Position of a retained closed span in spans() — its id minus one — or
+  /// npos.
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
   std::size_t index_of(SpanId id) const {
-    return id != 0 && id <= closed_.size() && closed_[id - 1].closed() ? id - 1 : npos;
+    if (id == 0 || id > last_id_) return npos;
+    if (built_closed(id)) return id - 1;
+    const std::size_t slot = id - 1 - shots_below(id);
+    return slot < opened_.size() && opened_[slot].closed() ? id - 1 : npos;
   }
   /// The trace id of an open or retained span: a root's own, any other
   /// span's parent's. 0 when the parent chain reaches a span the store does
@@ -445,6 +494,10 @@ class SpanStore {
 
   std::uint64_t recorded() const { return recorded_; }
   bool empty() const { return retained_ == 0; }
+  /// Host bytes of what the store retains: both span logs, the id map, the
+  /// lane log, the notes and the kind table beyond its placeholder. 0 on a
+  /// store that does not retain.
+  std::size_t retained_bytes() const;
 
   /// Aggregate counters: trace_spans_total and per-category
   /// trace_span_ns_total{category=...}.
@@ -488,12 +541,29 @@ class SpanStore {
   /// A new span with its trace id resolved; `end` is left for the caller.
   CausalSpan make_span(StrRef name, SpanCategory category, SpanId parent, sim::Time begin,
                        StrRef lane, int node, std::uint64_t trace_id);
-  /// The one close path: count the span, retain it, stream it to the ring.
-  void commit(const CausalSpan& s, SpanNotes notes);
+  /// The one close path: count the span, retain it (in the one-shot log
+  /// when it was built closed), stream it to the ring.
+  void commit(const CausalSpan& s, SpanNotes notes, bool built_closed);
   /// The kind of `s`'s peer fields, adding it to the table on first use.
   std::uint32_t intern_kind(const CausalSpan& s);
   /// spans()[i], its id, trace id and peer fields rebuilt.
   CausalSpan span_at(std::size_t i) const;
+  /// Whether span `id` (at most last_id_) was built closed.
+  bool built_closed(SpanId id) const {
+    return (shot_bits_[(id - 1) / 64] >> ((id - 1) % 64) & 1) != 0;
+  }
+  /// Walk the retained closed ids: call shot(id, position in shots_) for
+  /// every span built closed, then opened(id, record) for every other, each
+  /// in id order.
+  template <typename Shot, typename Opened>
+  void for_each_id(Shot&& shot, Opened&& opened) const;
+  /// How many spans below `id` (at most last_id_) were built closed: its
+  /// position in shots_, or with id - 1 - it, in opened_.
+  std::size_t shots_below(SpanId id) const {
+    const std::size_t i = id - 1;
+    const std::uint64_t below = shot_bits_[i / 64] & ((std::uint64_t{1} << (i % 64)) - 1);
+    return shot_rank_[i / 64] + static_cast<std::size_t>(std::popcount(below));
+  }
 
   bool retain_ = false;
   FlightRecorder* flight_ = nullptr;
@@ -504,10 +574,19 @@ class SpanStore {
   std::unordered_map<std::string_view, StrId> string_index_;
   std::unordered_map<SpanId, CausalSpan> open_;
   std::unordered_map<SpanId, SpanNotes> open_notes_;
-  ChunkLog<RetainedSpan> closed_;  // indexed by span id - 1
+  // Spans opened and closed apart, by their rank among the ids not built
+  // closed; a slot whose span has not closed holds a placeholder.
+  ChunkLog<RetainedSpan> opened_;
+  OneShotLog shots_;  // spans built closed, in id order
+  // The id map: bit (id - 1) % 64 of shot_bits_[(id - 1) / 64] is set when
+  // span id was built closed, and shot_rank_ counts the set bits of the
+  // words before. Words cover every id up to last_id_.
+  std::vector<std::uint64_t> shot_bits_;
+  std::vector<std::uint32_t> shot_rank_;
+  SpanId last_id_ = 0;
   std::vector<SpanKind> kinds_{SpanKind{}};  // kinds_[0] marks an open slot
   std::unordered_map<SpanKind, std::uint32_t, SpanKindHash> kind_index_;
-  std::size_t retained_ = 0;       // closed slots in closed_
+  std::size_t retained_ = 0;       // retained closed spans
   std::unordered_map<SpanId, std::uint32_t> root_trace_;  // retained roots' nonzero trace ids
   // Notes in close order; notes() sorts them by span id on first read (a
   // stable sort keeps each span's notes in annotation order).
@@ -515,6 +594,41 @@ class SpanStore {
   mutable bool notes_sorted_ = true;
   LaneLog lanes_;
 };
+
+template <typename Shot, typename Opened>
+void SpanStore::for_each_id(Shot&& shot, Opened&& opened) const {
+  // The set bits of the id map, then its clear ones: one sweep per log, so
+  // no branch turns on which log an id is in.
+  std::size_t pos = 0;
+  for (std::size_t w = 0; w < shot_bits_.size(); ++w) {
+    for (std::uint64_t bits = shot_bits_[w]; bits != 0; bits &= bits - 1) {
+      shot(static_cast<SpanId>(w * 64 + std::countr_zero(bits) + 1), pos++);
+    }
+  }
+  // Ids past last_id_ have slots past the end of opened_.
+  std::size_t slot = 0;
+  for (std::size_t w = 0; w < shot_bits_.size() && slot < opened_.size(); ++w) {
+    for (std::uint64_t bits = ~shot_bits_[w]; bits != 0 && slot < opened_.size();
+         bits &= bits - 1, ++slot) {
+      const RetainedSpan& r = opened_[slot];
+      if (r.closed()) opened(static_cast<SpanId>(w * 64 + std::countr_zero(bits) + 1), r);
+    }
+  }
+}
+
+template <typename F>
+void SpanStore::for_each_retained(F&& f) const {
+  std::array<RetainedSpan, OneShotLog::kBlockRecords> block;
+  for_each_id(
+      [&](SpanId id, std::size_t pos) {
+        const std::size_t k = pos % OneShotLog::kBlockRecords;
+        if (k == 0) shots_.unpack(pos / OneShotLog::kBlockRecords, block);
+        RetainedSpan r = block[k];
+        r.parent = id - r.parent;
+        f(id, r);
+      },
+      f);
+}
 
 /// Length of the union of [begin, end) intervals (sorts them in place).
 sim::Duration union_length(std::vector<std::pair<sim::Time, sim::Time>>& intervals);
@@ -553,7 +667,7 @@ void export_critical_path_metrics(const CriticalPath& cp, MetricsRegistry& m);
 
 /// Nearest-rank p95 over a peer group: sort ascending and take the value at
 /// index floor(0.95 * (n - 1)). This is the single definition of "the peer
-/// group's p95" — find_stragglers() (post-hoc span report) and telemetry's
+/// group's p95" — analyze_spans() (post-hoc span report) and telemetry's
 /// straggler detector (sampled during the run) both call it, so an offline
 /// straggler and a live one agree on what "slower than the peers" means.
 /// Empty input returns a default-constructed T.
@@ -576,14 +690,19 @@ struct Straggler {
   Json to_json() const;
 };
 
-/// Group closed spans by name; within groups of at least `min_group`
-/// members, flag spans strictly slower than the group's p95 duration
-/// (nearest-rank over the sorted peer durations). `waited_on` names the
-/// straggler's longest Wait-category descendant — the resource it was
-/// actually blocked on.
-std::vector<Straggler> find_stragglers(const SpanStore& store, std::size_t min_group = 4);
-
 /// Gauge export: trace_stragglers_total.
 void export_straggler_metrics(const std::vector<Straggler>& stragglers, MetricsRegistry& m);
+
+/// Both analyses of one store, over one child index built for the two:
+/// extract_critical_path(), and the stragglers. Closed spans are grouped by
+/// name; within groups of at least 4 members, a span strictly slower than
+/// the group's p95 duration (nearest-rank over the sorted peer durations)
+/// is a straggler, and its `waited_on` names its longest Wait-category
+/// descendant — the resource it was actually blocked on.
+struct SpanAnalysis {
+  CriticalPath critical_path;
+  std::vector<Straggler> stragglers;
+};
+SpanAnalysis analyze_spans(const SpanStore& store);
 
 }  // namespace gflink::obs

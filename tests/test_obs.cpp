@@ -3,6 +3,7 @@
 // document), lane utilization rollups, and run reports.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -444,7 +445,7 @@ TEST(Spans, StragglerFlagsKnownOutlierAndNamesWaitedResource) {
   s.record("task:tiny", obs::SpanCategory::Control, 0, 0, 5000);
   s.record("task:tiny", obs::SpanCategory::Control, 0, 0, 1);
 
-  const std::vector<obs::Straggler> out = obs::find_stragglers(s);
+  const std::vector<obs::Straggler> out = obs::analyze_spans(s).stragglers;
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].span, slow);
   EXPECT_EQ(out[0].name, "task:rank");
@@ -463,8 +464,11 @@ TEST(Spans, UntracedStoreStaysEmptyButCounts) {
   obs::SpanStore s;  // retain off: the default for untraced runs
   const obs::SpanId id = s.open("task:x", obs::SpanCategory::Control, 0, 0);
   s.close(id, 10);
+  s.record("wait:slot", obs::SpanCategory::Wait, id, 2, 4);
+  s.record_lane(s.intern("node1/a"), "x", 0, 1);
   EXPECT_TRUE(s.empty());
-  EXPECT_EQ(s.recorded(), 1u);
+  EXPECT_EQ(s.recorded(), 2u);
+  EXPECT_EQ(s.retained_bytes(), 0u);  // it allocates none of its logs
   EXPECT_EQ(obs::extract_critical_path(s).total, 0);
   // Id 0 is the "no span" sentinel everywhere.
   s.annotate(0, "k", "v");
@@ -538,7 +542,7 @@ TEST(Spans, ClosedParentTraceIdNeedsRetention) {
     EXPECT_EQ(cp.segments.back().span, job);
     EXPECT_EQ(cp.segments.back().begin, 100);
     EXPECT_EQ(cp.segments.back().end, 200);
-    EXPECT_TRUE(obs::find_stragglers(s).empty());
+    EXPECT_TRUE(obs::analyze_spans(s).stragglers.empty());
   }
   obs::FlightRecorder fr;
   obs::SpanStore s;
@@ -592,14 +596,16 @@ TEST(Spans, CompactRecordsInternNamesAndLanes) {
 }
 
 TEST(Spans, ChunkBoundaries) {
-  // Two and a half chunks of spans and of lane intervals. Spans close out of
-  // id order across the chunk boundaries: a parent closes in the first chunk
-  // and its children land in the last one, a stage opened before the
-  // fillers closes after them, the job closes last, and one stage never
-  // closes. Every reader has to follow ids and parents across chunks. The
-  // trace ids, notes, critical path and stragglers pinned below were taken
-  // from the close-ordered store this id-indexed one replaced.
-  constexpr std::size_t kChunk = obs::ChunkLog<obs::RetainedSpan>::kChunkRecords;
+  // Two and a half "chunks" of 4096 span ids and of lane intervals: 160
+  // words of the id map, 160 packed blocks of spans built closed, and
+  // several chunks of either log. Spans close out of id order across those
+  // boundaries: a parent closes in the first chunk and its children land in
+  // the last one, a stage opened before the fillers closes after them, the
+  // job closes last, and one stage never closes. Every reader has to follow
+  // ids and parents across them. The trace ids, notes, critical path and
+  // stragglers pinned below were taken from the close-ordered store this
+  // id-indexed one replaced.
+  constexpr std::size_t kChunk = 4096;
   constexpr std::size_t kFiller = 2 * kChunk + kChunk / 2;
   obs::SpanStore s;
   s.set_retain(true);
@@ -649,8 +655,8 @@ TEST(Spans, ChunkBoundaries) {
   }
   EXPECT_EQ(s.index_of(kernel) / kChunk, 2u);  // the last chunk
   EXPECT_EQ(s.index_of(dangling), obs::SpanStore::npos);
-  EXPECT_EQ(s.records().size(), late);  // the log ends at the highest closed id
-  EXPECT_FALSE(s.records()[dangling - 1].closed());
+  EXPECT_EQ(s.last_id(), late);  // the highest closed id
+  EXPECT_FALSE(s.retained(dangling).closed());
 
   // Notes of spans in the first and the last chunk, closed out of id order.
   auto note_pairs = [&s](obs::SpanId id) {
@@ -709,7 +715,7 @@ TEST(Spans, ChunkBoundaries) {
 
   // The ten slow fillers exceed their group's 1 ns p95 and waited on the
   // credit; equal excess, so they come out in id order.
-  const std::vector<obs::Straggler> stragglers = obs::find_stragglers(s);
+  const std::vector<obs::Straggler> stragglers = obs::analyze_spans(s).stragglers;
   ASSERT_EQ(stragglers.size(), slow.size());
   for (std::size_t i = 0; i < slow.size(); ++i) {
     EXPECT_EQ(stragglers[i].span, slow[i]);
@@ -869,7 +875,7 @@ TEST(Spans, PeerFieldsShareOneKind) {
     for (std::size_t j = i + 1; j < want.size(); ++j) {
       const bool same = want[i].name == want[j].name && want[i].lane == want[j].lane &&
                         want[i].node == want[j].node && want[i].category == want[j].category;
-      EXPECT_EQ(s.records()[want[i].id - 1].kind == s.records()[want[j].id - 1].kind, same);
+      EXPECT_EQ(s.retained(want[i].id).kind == s.retained(want[j].id).kind, same);
     }
   }
   EXPECT_EQ(s.kind(0), obs::SpanKind{});
@@ -878,8 +884,8 @@ TEST(Spans, PeerFieldsShareOneKind) {
   // skipped by spans(); the job closes and takes a new kind.
   s.close(job, 100);
   EXPECT_EQ(s.kinds(), distinct.size() + 2);
-  EXPECT_FALSE(s.records()[open - 1].closed());
-  EXPECT_EQ(s.records()[open - 1].kind, 0u);
+  EXPECT_FALSE(s.retained(open).closed());
+  EXPECT_EQ(s.retained(open).kind, 0u);
   EXPECT_EQ(s.index_of(open), obs::SpanStore::npos);
   ASSERT_EQ(s.spans().size(), want.size() + 1);
   auto it = s.spans().begin();
@@ -899,6 +905,325 @@ TEST(Spans, PeerFieldsShareOneKind) {
     EXPECT_EQ(got.category, c.category);
   }
   EXPECT_TRUE(++it == s.spans().end());
+}
+
+namespace {
+
+/// A span of the reference store the two-log tests keep beside a
+/// SpanStore: a plain vector of CausalSpans indexed by id - 1.
+struct RefSpan {
+  obs::CausalSpan span;
+  bool closed = false;
+  std::vector<std::pair<std::string, std::string>> notes;
+};
+
+/// Replay one randomized DAG into `s`, and into `ref` when given. Spans
+/// opened and closed apart interleave with spans built closed; when
+/// `shots_opened` is set, each of the latter is opened and closed at once
+/// instead of recorded, which must give the same ids and the same DAG.
+/// The DAG has roots with and without trace ids, spans built closed that
+/// later get children, children of spans still open and of ids the store
+/// never held, notes, one span that never closes, begins that go backwards
+/// and lie 2^62 apart (so a block's begin offsets need 64 bits), and
+/// negative durations (so its durations need 64 bits).
+void replay_random_dag(obs::SpanStore& s, bool shots_opened, std::vector<RefSpan>* ref) {
+  std::uint64_t x = 0x9e3779b97f4a7c15ULL;
+  auto next = [&x] {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    return x >> 17;
+  };
+  const char* names[] = {"h2d", "kernel", "d2h", "wait:slot", "task:map", "gwork"};
+  const char* lanes[] = {"", "node1.gpu0/h2d", "node1.gpu0/kernel", "node2/tasks"};
+  const obs::SpanCategory cats[] = {obs::SpanCategory::H2D, obs::SpanCategory::Kernel,
+                                    obs::SpanCategory::D2H, obs::SpanCategory::Wait,
+                                    obs::SpanCategory::Control};
+  std::vector<obs::SpanId> open;  // ids open now, the never-closing one first
+  std::vector<sim::Time> begins;  // by id - 1: a span ends near its own begin
+  sim::Time now = 0;
+  auto pick_parent = [&](obs::SpanId newest) -> obs::SpanId {
+    switch (next() % 8) {
+      case 0: return 0;                                      // a root
+      case 1: return newest + 1'000'000;                     // never held
+      case 2: return open.empty() ? 0 : open[next() % open.size()];
+      default: return newest == 0 ? 0 : static_cast<obs::SpanId>(1 + next() % newest);
+    }
+  };
+  auto add = [&](obs::SpanId id, obs::SpanId parent, std::uint64_t trace, sim::Time begin,
+                 const char* name, const char* lane, int node, obs::SpanCategory cat) {
+    begins.push_back(begin);
+    if (ref == nullptr) return;
+    ASSERT_EQ(id, ref->size() + 1);
+    RefSpan r;
+    r.span.id = id;
+    r.span.parent = parent;
+    r.span.begin = begin;
+    r.span.name = s.intern(name);
+    r.span.lane = s.intern(lane);
+    r.span.node = static_cast<std::int16_t>(node);
+    r.span.category = cat;
+    if (parent == 0) {
+      r.span.trace_id = static_cast<std::uint32_t>(trace);
+    } else if (parent < id) {
+      r.span.trace_id = (*ref)[parent - 1].span.trace_id;
+    }
+    ref->push_back(r);
+  };
+  obs::SpanId newest = 0;
+  for (int op = 0; op < 6000; ++op) {
+    // Mostly rising times with short spans; now and then a jump back, a
+    // begin near +-2^62, or an end before the begin.
+    sim::Time begin = now + static_cast<sim::Time>(next() % 50);
+    switch (next() % 40) {
+      case 0: begin -= static_cast<sim::Time>(next() % 100'000); break;
+      case 1: begin = (sim::Time{1} << 62) - static_cast<sim::Time>(next() % 1000); break;
+      case 2: begin = -(sim::Time{1} << 62) + static_cast<sim::Time>(next() % 1000); break;
+      default: now = begin; break;
+    }
+    const sim::Time length = static_cast<sim::Time>(next() % 3000) - (next() % 50 == 0 ? 5000 : 0);
+    const char* name = names[next() % 6];
+    const char* lane = lanes[next() % 4];
+    const int node = static_cast<int>(next() % 3) - 1;
+    const obs::SpanCategory cat = cats[next() % 5];
+    const std::uint64_t trace = next() % 3 == 0 ? 0 : 1 + next() % 1000;
+    const std::uint64_t what = next() % 100;
+    if (what < 12 || open.empty()) {  // open a span
+      const obs::SpanId parent = pick_parent(newest);
+      const obs::SpanId id = s.open(name, cat, parent, begin, lane, node, trace);
+      add(id, parent, trace, begin, name, lane, node, cat);
+      newest = id;
+      open.push_back(id);
+    } else if (what < 24 && open.size() > 1) {  // close one; open[0] never closes
+      const std::size_t k = 1 + next() % (open.size() - 1);
+      const obs::SpanId id = open[k];
+      open.erase(open.begin() + static_cast<std::ptrdiff_t>(k));
+      const sim::Time end = begins[id - 1] + length;
+      s.close(id, end);
+      if (ref != nullptr) {
+        (*ref)[id - 1].span.end = end;
+        (*ref)[id - 1].closed = true;
+      }
+    } else if (what < 28) {  // annotate an open span
+      const obs::SpanId id = open[next() % open.size()];
+      const std::string key = next() % 2 == 0 ? "chunks" : "failed";
+      const std::string value = std::to_string(next() % 7);
+      s.annotate(id, key, value);
+      if (ref != nullptr) (*ref)[id - 1].notes.emplace_back(key, value);
+    } else {  // a span built closed
+      const obs::SpanId parent = pick_parent(newest);
+      const sim::Time end = begin + length;
+      obs::SpanId id = 0;
+      if (shots_opened) {
+        id = s.open(name, cat, parent, begin, lane, node, trace);
+        s.close(id, end);
+      } else {
+        id = s.record(name, cat, parent, begin, end, lane, node, trace);
+      }
+      add(id, parent, trace, begin, name, lane, node, cat);
+      if (ref != nullptr) {
+        ref->back().span.end = end;
+        ref->back().closed = true;
+      }
+      newest = id;
+    }
+  }
+  for (std::size_t k = 1; k < open.size(); ++k) {
+    const sim::Time end = begins[open[k] - 1] + 1;
+    s.close(open[k], end);
+    if (ref != nullptr) {
+      (*ref)[open[k] - 1].span.end = end;
+      (*ref)[open[k] - 1].closed = true;
+    }
+  }
+}
+
+}  // namespace
+
+TEST(Spans, TwoLogsRoundTripARandomDag) {
+  // Every span of a randomized DAG comes back through spans(), index_of,
+  // trace_id and notes as a plain vector of CausalSpans kept beside the
+  // store holds it. About 6,000 ids cross many id-map words and packed
+  // blocks, the opened log's first chunk and several chunks of packed
+  // words.
+  obs::SpanStore s;
+  s.set_retain(true);
+  std::vector<RefSpan> ref;
+  replay_random_dag(s, false, &ref);
+  ASSERT_GT(ref.size(), 4000u);
+  std::size_t closed = 0;
+  obs::SpanId last_closed = 0;
+  for (const RefSpan& r : ref) {
+    closed += r.closed ? 1 : 0;
+    if (r.closed) last_closed = r.span.id;
+  }
+  EXPECT_GT(closed, 3000u);
+  EXPECT_LT(closed, ref.size());  // the never-closing span at least
+  ASSERT_EQ(s.spans().size(), closed);
+  auto it = s.spans().begin();
+  for (const RefSpan& r : ref) {
+    const obs::SpanId id = r.span.id;
+    EXPECT_EQ(s.trace_id(id), r.span.trace_id) << id;
+    if (!r.closed) {
+      EXPECT_EQ(s.index_of(id), obs::SpanStore::npos) << id;
+      EXPECT_FALSE(s.retained(id).closed()) << id;
+      EXPECT_TRUE(s.notes(id).empty()) << id;
+      continue;
+    }
+    ASSERT_EQ(s.index_of(id), id - 1u) << id;
+    const obs::CausalSpan got = *it++;
+    const obs::CausalSpan& want = r.span;
+    EXPECT_EQ(got.id, want.id);
+    EXPECT_EQ(got.begin, want.begin) << id;
+    EXPECT_EQ(got.end, want.end) << id;
+    EXPECT_EQ(got.parent, want.parent) << id;
+    EXPECT_EQ(got.trace_id, want.trace_id) << id;
+    EXPECT_EQ(got.name, want.name) << id;
+    EXPECT_EQ(got.lane, want.lane) << id;
+    EXPECT_EQ(got.node, want.node) << id;
+    EXPECT_EQ(got.category, want.category) << id;
+    const obs::CausalSpan at = s.spans()[s.index_of(id)];
+    EXPECT_EQ(at.begin, want.begin) << id;
+    EXPECT_EQ(at.end, want.end) << id;
+    std::vector<std::pair<std::string, std::string>> notes;
+    for (const obs::SpanNote& n : s.notes(id)) notes.emplace_back(s.str(n.key), n.value);
+    EXPECT_EQ(notes, r.notes) << id;
+  }
+  EXPECT_TRUE(it == s.spans().end());
+  EXPECT_EQ(s.last_id(), last_closed);
+  EXPECT_EQ(s.index_of(0), obs::SpanStore::npos);
+  EXPECT_EQ(s.index_of(static_cast<obs::SpanId>(ref.size() + 1)), obs::SpanStore::npos);
+  EXPECT_FALSE(s.retained(static_cast<obs::SpanId>(ref.size() + 1)).closed());
+
+  // for_each_retained visits every retained closed span once.
+  std::vector<obs::SpanId> visited;
+  s.for_each_retained([&](obs::SpanId id, const obs::RetainedSpan& r) {
+    visited.push_back(id);
+    EXPECT_EQ(r.begin, ref[id - 1].span.begin) << id;
+    EXPECT_EQ(r.end, ref[id - 1].span.end) << id;
+    EXPECT_EQ(r.parent, ref[id - 1].span.parent) << id;
+  });
+  EXPECT_EQ(visited.size(), closed);
+  std::sort(visited.begin(), visited.end());
+  EXPECT_TRUE(std::adjacent_find(visited.begin(), visited.end()) == visited.end());
+}
+
+TEST(Spans, OneShotRecordsAtTheWordWidth) {
+  // A chain of one-shot spans (each the previous one's parent, so every
+  // parent distance is 1) of one kind, in three packed blocks whose fields
+  // are the begin offset and the duration alone. Block 0: begins need all
+  // 64 bits and no span lasts, so a record is 64 bits and its empty
+  // duration field starts at bit 64. Block 1: one span lasts 1 ns, so a
+  // record is 65 bits and straddles words. Block 2: begins need 63 bits
+  // and one span lasts 1 ns, so a record is 64 bits again, the duration's
+  // bit its last.
+  obs::SpanStore s;
+  s.set_retain(true);
+  constexpr std::size_t kBlock = obs::OneShotLog::kBlockRecords;
+  constexpr sim::Time kMin = std::numeric_limits<sim::Time>::min();
+  constexpr sim::Time kMax = std::numeric_limits<sim::Time>::max();
+  const std::size_t lasting[] = {kBlock + 5, 2 * kBlock + 4};
+  std::vector<obs::RetainedSpan> want;
+  obs::SpanId parent = 0;
+  for (std::size_t i = 0; i < 3 * kBlock; ++i) {
+    const bool odd = i % 2 != 0;
+    const sim::Time begin = i < 2 * kBlock ? (odd ? kMax - 1 : kMin) : (odd ? kMax : 0);
+    const bool lasts = std::find(std::begin(lasting), std::end(lasting), i) != std::end(lasting);
+    const sim::Time end = lasts ? begin + 1 : begin;
+    want.push_back({begin, end, parent, 0});
+    parent = s.record("step", obs::SpanCategory::Control, parent, begin, end, "lane", 1);
+  }
+  for (obs::SpanId id = 1; id <= want.size(); ++id) {
+    const obs::RetainedSpan r = s.retained(id);
+    EXPECT_EQ(r.begin, want[id - 1].begin) << id;
+    EXPECT_EQ(r.end, want[id - 1].end) << id;
+    EXPECT_EQ(r.parent, want[id - 1].parent) << id;
+    EXPECT_EQ(s.str(s.kind(r.kind).name), "step") << id;
+  }
+}
+
+TEST(Spans, BuiltClosedAndOpenedSpansAnalyseAlike) {
+  // The same DAG with its one-shot spans recorded, and opened and closed
+  // at once: the same ids, spans, critical path and stragglers, whichever
+  // log holds them.
+  obs::SpanStore shots;
+  shots.set_retain(true);
+  replay_random_dag(shots, false, nullptr);
+  obs::SpanStore opened;
+  opened.set_retain(true);
+  replay_random_dag(opened, true, nullptr);
+  ASSERT_EQ(shots.spans().size(), opened.spans().size());
+  ASSERT_EQ(shots.last_id(), opened.last_id());
+  auto a = shots.spans().begin();
+  for (const obs::CausalSpan& b : opened.spans()) {
+    const obs::CausalSpan got = *a++;
+    EXPECT_EQ(got.id, b.id);
+    EXPECT_EQ(got.begin, b.begin) << b.id;
+    EXPECT_EQ(got.end, b.end) << b.id;
+    EXPECT_EQ(got.parent, b.parent) << b.id;
+    EXPECT_EQ(got.trace_id, b.trace_id) << b.id;
+    EXPECT_EQ(shots.str(got.name), opened.str(b.name)) << b.id;
+  }
+
+  const obs::CriticalPath cp = obs::extract_critical_path(shots);
+  const obs::CriticalPath want = obs::extract_critical_path(opened);
+  EXPECT_NE(cp.total, 0);
+  EXPECT_EQ(cp.total, want.total);
+  EXPECT_EQ(cp.by_category, want.by_category);
+  ASSERT_EQ(cp.segments.size(), want.segments.size());
+  for (std::size_t i = 0; i < cp.segments.size(); ++i) {
+    EXPECT_EQ(cp.segments[i].span, want.segments[i].span) << i;
+    EXPECT_EQ(cp.segments[i].name, want.segments[i].name) << i;
+    EXPECT_EQ(cp.segments[i].category, want.segments[i].category) << i;
+    EXPECT_EQ(cp.segments[i].begin, want.segments[i].begin) << i;
+    EXPECT_EQ(cp.segments[i].end, want.segments[i].end) << i;
+  }
+  const std::vector<obs::Straggler> slow = obs::analyze_spans(shots).stragglers;
+  const std::vector<obs::Straggler> want_slow = obs::analyze_spans(opened).stragglers;
+  EXPECT_FALSE(slow.empty());
+  ASSERT_EQ(slow.size(), want_slow.size());
+  for (std::size_t i = 0; i < slow.size(); ++i) {
+    EXPECT_EQ(slow[i].to_json().dump(), want_slow[i].to_json().dump()) << i;
+  }
+
+  // The critical path that analyze_spans walks over the index it shares
+  // with the stragglers is the one extract_critical_path finds alone.
+  EXPECT_EQ(obs::analyze_spans(shots).critical_path.to_json().dump(), cp.to_json().dump());
+}
+
+TEST(Spans, GWorkGroupsCostAFewBytesPerChild) {
+  // 1,000 GWork-like groups: an opened span with 24 recorded children, the
+  // H2D, kernel and D2H of 8 chunks. The whole store, slack included,
+  // costs at most 9 bytes per child; a store that does not retain, none.
+  for (const bool retain : {true, false}) {
+    obs::SpanStore s;
+    s.set_retain(retain);
+    const obs::StrId h2d = s.intern("h2d");
+    const obs::StrId kernel = s.intern("kernel");
+    const obs::StrId d2h = s.intern("d2h");
+    const obs::StrId lanes[] = {s.intern("node1.gpu0/h2d"), s.intern("node1.gpu0/kernel"),
+                                s.intern("node1.gpu0/d2h")};
+    constexpr int kGroups = 1000;
+    constexpr int kChunks = 8;
+    for (int g = 0; g < kGroups; ++g) {
+      const sim::Time t = sim::Time{g} * 40'000;
+      const obs::SpanId gwork = s.open("gwork", obs::SpanCategory::Control, 0, t, "node1/gpu0", 1,
+                                       static_cast<std::uint64_t>(g + 1));
+      for (int c = 0; c < kChunks; ++c) {
+        const sim::Time b = t + c * 1'500 + g % 7 * 13;
+        s.record(h2d, obs::SpanCategory::H2D, gwork, b, b + 1'200 + c * 3, lanes[0], 1);
+        s.record(kernel, obs::SpanCategory::Kernel, gwork, b + 1'200, b + 2'400 + g % 11, lanes[1],
+                 1);
+        s.record(d2h, obs::SpanCategory::D2H, gwork, b + 2'400, b + 2'900, lanes[2], 1);
+      }
+      s.close(gwork, t + kChunks * 1'500 + 3'000);
+    }
+    const std::size_t children = std::size_t{kGroups} * kChunks * 3;
+    if (retain) {
+      ASSERT_EQ(s.spans().size(), children + kGroups);
+      EXPECT_LE(s.retained_bytes(), 9 * children) << s.retained_bytes();
+    } else {
+      EXPECT_EQ(s.retained_bytes(), 0u);
+    }
+  }
 }
 
 TEST(SpansDeathTest, TraceIdPast32BitsAborts) {
@@ -1102,7 +1427,9 @@ TEST(RunReport, DigestCoversModelledFieldsOnly) {
   obs::RunReport host = make();  // host measurements are outside the digest
   host.wall_seconds = 99.0;
   host.peak_rss_mb = 1234.0;
+  host.trace_store_bytes = 4096;
   EXPECT_EQ(digest(host), d0);
+  EXPECT_EQ(host.to_json().find("trace_store_bytes")->as_int(), 4096);
 
   obs::RunReport vns = make();
   vns.virtual_ns += 1;

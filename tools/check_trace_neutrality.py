@@ -23,7 +23,9 @@ report); unless the sampled run prints the same summary and its report's
 ``digest`` equals the plain run's; and unless the plain run's digest, the
 traced run's digest (which also covers ``critical_path``, ``stragglers`` and
 ``lane_utilization``) and the FNV-1a digest of the ``--trace-out`` file
-equal the ones pinned in DIGESTS. The model and the trace store are the same
+equal the ones pinned in DIGESTS; and unless the plain run's report shows a
+``trace_store_bytes`` of 0 (an untraced store holds nothing) and the traced
+run's a nonzero one. The model and the trace store are the same
 in every build mode, so Release and sanitizer builds must all reach the
 pinned digests; a change that means to move a modelled number, or what the
 trace store records, updates them.
@@ -44,8 +46,9 @@ CASES = [
     ["pointadd", "--mode", "both", "--workers", "4", "--size", "2", "--iterations", "2"],
 ]
 # Per case: the plain and the traced run's report digest (RunReport::to_json's
-# FNV-1a over every member but wall_seconds and peak_rss_mb), and the FNV-1a
-# of the traced run's Chrome trace file.
+# FNV-1a over every member but the host measurements wall_seconds,
+# peak_rss_mb and trace_store_bytes), and the FNV-1a of the traced run's
+# Chrome trace file.
 DIGESTS = {
     "pagerank": ("a3505478c78c8d5e", "79c51187e7068034", "e797ac3642a7eba9"),
     "wordcount": ("b34677344f5ed20f", "fa3321e7f9c37ca3", "4aca6f7dc4606722"),
@@ -129,6 +132,12 @@ def check(binary, work, args):
     if sampled_report["digest"] != plain_report["digest"]:
         errors.append("%s: report digest: plain %s, sampled %s"
                       % (name, plain_report["digest"], sampled_report["digest"]))
+    if plain_report["trace_store_bytes"] != 0:
+        errors.append("%s: trace_store_bytes %d untraced, want 0"
+                      % (name, plain_report["trace_store_bytes"]))
+    if not traced_report["trace_store_bytes"] > 0:
+        errors.append("%s: trace_store_bytes %d traced, want more than 0"
+                      % (name, traced_report["trace_store_bytes"]))
     got = (plain_report["digest"], traced_report["digest"], fnv1a(out("trace.json")))
     for what, have, pinned in zip(("plain report", "traced report", "trace file"), got,
                                   DIGESTS[name]):
@@ -148,7 +157,8 @@ def main():
         errors += case_errors
         if not case_errors:
             print("neutral %s: %d summary lines and %d metric series identical traced, "
-                  "report digest identical sampled, report and trace digests pinned"
+                  "report digest identical sampled, report and trace digests pinned, "
+                  "trace store bytes 0 plain and nonzero traced"
                   % (args[0], lines, series))
     if errors:
         sys.exit("a run left its pinned digest, or an instrument changed it:\n"

@@ -319,8 +319,9 @@ wl::RunResult run_driver(wl::Driver<ConfigT, ResultT> driver, const Options& opt
   if (spans.retain()) {
     // Both modes run the analyses; the report keeps the last (GFlink) pass.
     g_report.capture_spans(spans);
+    g_report.trace_store_bytes = spans.retained_bytes();
     if (opt.critical_path) {
-      const obs::CriticalPath cp = obs::extract_critical_path(spans);
+      const obs::CriticalPath& cp = *g_report.critical_path;
       std::printf("\n[%s] critical path: %.2f s full-scale\n", wl::mode_name(mode),
                   wl::RunResult::full_seconds(cp.total, opt.testbed.scale));
       for (std::size_t c = 0; c < obs::kSpanCategories; ++c) {
