@@ -66,7 +66,7 @@ double measure(Op op, wl::Mode mode, const wl::Testbed& tb) {
     switch (op) {
       case Op::KmeansMapper: {
         auto src = df::DataSet<wl::Point>::from_generator(
-            eng, &wl::point_desc(), parts,
+            eng, &wl::point_desc(),
             wl::striped<wl::Point>(n, parts,
                                    [](std::uint64_t i) { return wl::kmeans::point_at(i, 1); }));
         auto handle = co_await src.materialize(job);
@@ -85,7 +85,7 @@ double measure(Op op, wl::Mode mode, const wl::Testbed& tb) {
       case Op::SpmvMapper: {
         const std::uint64_t rows = n / 8;  // CsrRow records are heavy
         auto src = df::DataSet<wl::CsrRow>::from_generator(
-            eng, &wl::csr_row_desc(), parts,
+            eng, &wl::csr_row_desc(),
             wl::striped<wl::CsrRow>(
                 rows, parts, [](std::uint64_t i) { return wl::spmv::row_at(i, 65536, 1); }));
         auto handle = co_await src.materialize(job);
@@ -99,7 +99,7 @@ double measure(Op op, wl::Mode mode, const wl::Testbed& tb) {
       }
       case Op::PointAddMapper: {
         auto src = df::DataSet<wl::Pt>::from_generator(
-            eng, &wl::pt_desc(), parts,
+            eng, &wl::pt_desc(),
             wl::striped<wl::Pt>(n, parts,
                                 [](std::uint64_t i) { return wl::pointadd::pt_at(i, 1); }));
         auto handle = co_await src.materialize(job);
@@ -111,7 +111,7 @@ double measure(Op op, wl::Mode mode, const wl::Testbed& tb) {
       }
       case Op::SumReducer: {
         auto src = df::DataSet<wl::VecEntry>::from_generator(
-            eng, &wl::vec_entry_desc(), parts,
+            eng, &wl::vec_entry_desc(),
             wl::striped<wl::VecEntry>(n, parts,
                                       [](std::uint64_t i) { return wl::VecEntry{i, 1.0f}; }));
         auto handle = co_await src.materialize(job);

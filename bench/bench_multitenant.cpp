@@ -74,7 +74,7 @@ CaseResult run_case(const wl::Testbed& tb, const std::vector<TenantLoad>& loads,
                       std::to_string(c.request),
                   1.0, [&e, n, parts](df::Job& job) -> Co<void> {
                     auto src = df::DataSet<Pt>::from_generator(
-                        e, &wl::pt_desc(), parts,
+                        e, &wl::pt_desc(),
                         wl::striped<Pt>(n, parts, [](std::uint64_t i) {
                           return wl::pointadd::pt_at(i, 7);
                         }));

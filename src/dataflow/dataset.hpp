@@ -12,6 +12,7 @@
 // paper's central data-representation idea.
 #pragma once
 
+#include <cstring>
 #include <functional>
 #include <span>
 #include <string>
@@ -42,6 +43,17 @@ class FlatCollector {
   Emitter* emitter_;
 };
 
+/// A source whose record i is a function of i alone, striped over
+/// partitions: partition `part` of `parts` holds record_at(i) for i = part,
+/// part + parts, ... < n, so any partitioning yields the same multiset of
+/// records (wl::striped builds one).
+template <typename T>
+struct IndexedGenerator {
+  std::uint64_t n = 0;
+  int parts = 1;
+  std::function<T(std::uint64_t)> record_at;
+};
+
 template <typename T>
 class DataSet {
  public:
@@ -55,19 +67,33 @@ class DataSet {
                                 std::function<void(int, std::vector<T>&)> generate,
                                 OpCost parse_cost = OpCost{8.0, 0.0},
                                 std::string dfs_path = {}) {
-    auto node = std::make_shared<OpNode>();
-    node->kind = OpKind::Source;
-    node->name = "source";
-    node->out_desc = host_layout_desc<T>(desc);
-    node->source.desc = desc;
-    node->source.partitions = partitions;
-    node->source.parse_cost = parse_cost;
-    node->source.dfs_path = std::move(dfs_path);
+    auto node = source_node(desc, partitions, parse_cost, std::move(dfs_path));
     node->source.generate = [generate = std::move(generate)](int part, mem::RecordBatch& out) {
       std::vector<T> rows;
       generate(part, rows);
       out.reserve(rows.size());
       out.append_raw(rows.data(), rows.size());
+    };
+    return DataSet(&engine, std::move(node));
+  }
+
+  /// A synthetic source of one partition per stripe of `generator`. Each
+  /// partition's batch is sized once and its records are written in place.
+  static DataSet from_generator(Engine& engine, const mem::StructDesc* desc,
+                                IndexedGenerator<T> generator,
+                                OpCost parse_cost = OpCost{8.0, 0.0},
+                                std::string dfs_path = {}) {
+    GFLINK_CHECK_MSG(generator.parts > 0, "an indexed generator needs a partition");
+    auto node = source_node(desc, generator.parts, parse_cost, std::move(dfs_path));
+    node->source.generate = [g = std::move(generator)](int part, mem::RecordBatch& out) {
+      const auto first = static_cast<std::uint64_t>(part);
+      const auto stride = static_cast<std::uint64_t>(g.parts);
+      const std::uint64_t count = first < g.n ? (g.n - first + stride - 1) / stride : 0;
+      out.resize(count);
+      for (std::uint64_t k = 0; k < count; ++k) {
+        const T record = g.record_at(first + k * stride);
+        std::memcpy(out.record_ptr(k), &record, sizeof(T));
+      }
     };
     return DataSet(&engine, std::move(node));
   }
@@ -282,6 +308,20 @@ class DataSet {
   }
 
  private:
+  /// A source node without its generator.
+  static std::shared_ptr<OpNode> source_node(const mem::StructDesc* desc, int partitions,
+                                             OpCost parse_cost, std::string dfs_path) {
+    auto node = std::make_shared<OpNode>();
+    node->kind = OpKind::Source;
+    node->name = "source";
+    node->out_desc = host_layout_desc<T>(desc);
+    node->source.desc = desc;
+    node->source.partitions = partitions;
+    node->source.parse_cost = parse_cost;
+    node->source.dfs_path = std::move(dfs_path);
+    return node;
+  }
+
   PlanNodePtr record_node(const mem::StructDesc* out_desc, std::string name, OpCost cost) const {
     auto n = std::make_shared<OpNode>();
     n->kind = OpKind::Record;

@@ -34,6 +34,7 @@ void RunReport::capture_spans(const SpanStore& spans) {
   stragglers = Json::array();
   for (const auto& s : analysis.stragglers) stragglers.push_back(s.to_json());
   export_straggler_metrics(analysis.stragglers, metrics);
+  span_index_bytes = analysis.index_bytes;
 }
 
 Json RunReport::to_json() const {
@@ -63,6 +64,7 @@ Json RunReport::to_json() const {
   root["wall_seconds"] = wall_seconds;
   root["peak_rss_mb"] = peak_rss_mb;
   root["trace_store_bytes"] = trace_store_bytes;
+  root["span_index_bytes"] = span_index_bytes;
   return root;
 }
 

@@ -4,7 +4,8 @@
 // peak RSS, a metrics snapshot and per-lane utilization rollups, and
 // serializes them as the `BENCH_<name>.json` documents that populate the
 // perf trajectory. Each document carries a `digest` of its modelled fields
-// (everything but wall_seconds, peak_rss_mb and trace_store_bytes);
+// (everything but wall_seconds, peak_rss_mb, trace_store_bytes and
+// span_index_bytes);
 // tools/bench_gate.py compares it with bench/digests.json.
 #pragma once
 
@@ -27,6 +28,7 @@ struct RunReport {
   double wall_seconds = 0.0;       // host wall-clock of the whole run
   double peak_rss_mb = 0.0;        // host peak resident set (host_peak_rss_mb())
   std::uint64_t trace_store_bytes = 0;  // SpanStore::retained_bytes() of the last traced run
+  std::uint64_t span_index_bytes = 0;   // the child index capture_spans() walked
   sim::Time virtual_ns = 0;        // simulated time (summed across cases)
   MetricsRegistry metrics;         // accumulated metric snapshot
   std::map<std::string, LaneUtilization> lanes;  // from the last traced run
@@ -46,13 +48,14 @@ struct RunReport {
   }
 
   /// Run the DAG analyses over a retaining span store, over one child
-  /// index: fills critical_path, the stragglers section and the matching
-  /// trace_* gauges.
+  /// index: fills critical_path, the stragglers section, the matching
+  /// trace_* gauges and span_index_bytes.
   void capture_spans(const SpanStore& spans);
 
   /// The report document. `digest` is FNV-1a 64 (16 hex characters) over
   /// the compact dump of every member except wall_seconds, peak_rss_mb,
-  /// trace_store_bytes and the digest itself, which come last.
+  /// trace_store_bytes, span_index_bytes and the digest itself, which come
+  /// last.
   Json to_json() const;
 
   /// Write the pretty-printed JSON document; false on I/O failure.

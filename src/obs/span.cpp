@@ -5,7 +5,6 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
-#include <functional>
 
 #include "sim/util.hpp"
 
@@ -566,81 +565,155 @@ constexpr std::array<std::uint8_t, 256> kBitsSet = [] {
   return t;
 }();
 
-/// The children of every retained span, in the order of
-/// SpanStore::for_each_retained (the walk sorts what it reads). Only spans
-/// that have children keep an offset: a bit per span index (id - 1) says whether
-/// that span has any, and a count per 8 indices turns the bit into the
-/// span's rank among them, so the children of the parent of rank r are
-/// kids[offset[r] .. offset[r+1]). Spans whose parent is 0 or not retained
-/// go to `roots`.
-struct ChildIndex {
-  std::vector<std::uint8_t> has_kids;    // bit i % 8 of byte i / 8
-  std::vector<std::uint32_t> rank_base;  // parents below each byte's first index
-  std::vector<std::uint32_t> offset;
-  std::vector<std::uint32_t> kids;
-  std::vector<std::uint32_t> roots;
+/// Bytes of v as a varint.
+std::uint32_t varint_bytes(std::uint64_t v) {
+  return static_cast<std::uint32_t>(std::bit_width(v | 1) + 6) / 7;
+}
 
-  explicit ChildIndex(const SpanStore& store) {
-    const std::size_t n = store.last_id();
-    has_kids.resize((n + 7) / 8);
-    rank_base.resize(has_kids.size());
-    {
-      // Children per span: a transient array, released before kids is
-      // allocated, so the index never holds two arrays of n. has_kids
-      // first marks the spans retained closed: a span named as a parent
-      // counts as one only if it is.
-      std::vector<std::uint32_t> count(n, 0);
-      store.for_each_retained([&](SpanId id, const RetainedSpan& s) {
-        has_kids[(id - 1) / 8] |= static_cast<std::uint8_t>(1U << ((id - 1) % 8));
-        if (s.parent != 0 && s.parent <= n) ++count[s.parent - 1];
-      });
-      std::uint32_t parents = 0;
-      for (std::size_t b = 0; b < has_kids.size(); ++b) {
-        const std::size_t m = std::min<std::size_t>(8, n - b * 8);
-        unsigned bits = 0;
-        for (std::size_t j = 0; j < m; ++j) bits |= unsigned{count[b * 8 + j] != 0} << j;
-        bits &= has_kids[b];
-        has_kids[b] = static_cast<std::uint8_t>(bits);
-        rank_base[b] = parents;
-        parents += kBitsSet[bits];
-      }
-      offset.resize(parents + 1);
-      std::uint32_t r = 0;
-      for (std::size_t b = 0; b < has_kids.size(); ++b) {
-        for (unsigned bits = has_kids[b]; bits != 0; bits &= bits - 1, ++r) {
-          offset[r + 1] = offset[r] + count[b * 8 + std::countr_zero(bits)];
-        }
-      }
-    }
-    kids.resize(offset.back());
-    // Fill forward with offset[r] as the cursor, then shift the offsets
-    // back by one slot. A closed span's parent is retained exactly when
-    // that parent's bit is set.
-    store.for_each_retained([&](SpanId id, const RetainedSpan& s) {
-      const std::size_t p = s.parent - std::size_t{1};  // npos for a root
-      if (p < n && has(p)) {
-        kids[offset[rank(p)]++] = id - 1;
-      } else {
-        roots.push_back(id - 1);
-      }
-    });
-    for (std::size_t r = offset.size() - 1; r > 0; --r) offset[r] = offset[r - 1];
-    offset[0] = 0;
+/// The children of every retained span, byte-coded. A bit per span index
+/// (id - 1) says whether that span has children, and running counts turn
+/// the bit into the span's rank among the spans that do: one per 64
+/// indices, and a byte's count within its 64. (A table lookup per byte, as
+/// this build has no popcount instruction.) The children of the span of
+/// rank r are the bytes lists_[offset_[r] .. offset_[r + 1]): a zigzag
+/// varint per child, each the difference of its index from the one
+/// before, the first from the parent's. A child's id is higher than its
+/// parent's and siblings are mostly a few ids apart, so a child takes
+/// about a byte. Each list is in the order of SpanStore::for_each_retained
+/// (the walk sorts what it reads). Spans with no parent in the index go to
+/// roots().
+class ChildIndex {
+ public:
+  /// Three passes over the store: mark the parents, size each list, fill.
+  explicit ChildIndex(const SpanStore& store);
+
+  /// Whether span `id`'s parent is in the index: a retained closed span
+  /// with a lower id. A parent id that is not lower was never a real
+  /// parent (SpanStore::trace_id reads it so too), so such a span is a
+  /// root.
+  bool linked(SpanId id, const RetainedSpan& s) const {
+    return s.parent != 0 && s.parent < id && has(s.parent - 1);
   }
-
   /// Whether span index i has children.
-  bool has(std::size_t i) const { return (has_kids[i / 8] >> (i % 8) & 1) != 0; }
+  bool has(std::size_t i) const { return (has_kids_[i / 8] >> (i % 8) & 1) != 0; }
   /// Rank of span index i among the spans that have children.
   std::uint32_t rank(std::size_t i) const {
-    return rank_base[i / 8] + kBitsSet[has_kids[i / 8] & ((1U << (i % 8)) - 1)];
+    return rank_base_[i / 64] + byte_rank_[i / 8] +
+           kBitsSet[has_kids_[i / 8] & ((1U << (i % 8)) - 1)];
   }
-  /// The children of span index i: [first, last) into kids.
-  std::pair<std::uint32_t, std::uint32_t> of(std::size_t i) const {
-    if (!has(i)) return {0, 0};
+  /// Number of spans that have children.
+  std::size_t parents() const { return offset_.size() - 1; }
+  /// Call f(child index) for every child of span index i.
+  template <typename F>
+  void for_each_child(std::uint32_t i, F&& f) const {
+    if (!has(i)) return;
     const std::uint32_t r = rank(i);
-    return {offset[r], offset[r + 1]};
+    const std::uint8_t* p = lists_.data() + offset_[r];
+    const std::uint8_t* const end = lists_.data() + offset_[r + 1];
+    for (std::uint64_t c = i; p < end;) {
+      c += unzigzag(get_varint(p));
+      f(static_cast<std::uint32_t>(c));
+    }
   }
+  /// Call f(index) for every span that has children, from the highest
+  /// index down.
+  template <typename F>
+  void for_each_parent_from_last(F&& f) const {
+    for (std::size_t b = has_kids_.size(); b-- > 0;) {
+      for (unsigned bits = has_kids_[b]; bits != 0; bits &= ~(1U << (std::bit_width(bits) - 1))) {
+        f(static_cast<std::uint32_t>(b * 8 + std::bit_width(bits) - 1));
+      }
+    }
+  }
+  const std::vector<std::uint32_t>& roots() const { return roots_; }
+  /// Host bytes of the index.
+  std::size_t bytes() const {
+    return has_kids_.capacity() + byte_rank_.capacity() +
+           (rank_base_.capacity() + offset_.capacity() + roots_.capacity()) *
+               sizeof(std::uint32_t) +
+           lists_.capacity();
+  }
+
+ private:
+  /// The delta that codes child index c after index `last` of its list.
+  static std::uint64_t delta(std::uint32_t c, std::uint32_t last) {
+    return zigzag(static_cast<sim::Time>(c), static_cast<sim::Time>(last));
+  }
+
+  std::vector<std::uint8_t> has_kids_;    // bit i % 8 of byte i / 8
+  std::vector<std::uint32_t> rank_base_;  // parents below index i / 64 * 64
+  std::vector<std::uint8_t> byte_rank_;   // parents from there up to index i / 8 * 8
+  std::vector<std::uint32_t> offset_;     // each list's first byte, by rank; then the end
+  std::vector<std::uint8_t> lists_;
+  std::vector<std::uint32_t> roots_;
 };
+
+ChildIndex::ChildIndex(const SpanStore& store) {
+  const std::size_t n = store.last_id();
+  const std::size_t bytes = (n + 7) / 8;
+  has_kids_.assign(bytes, 0);
+  byte_rank_.resize(bytes);
+  rank_base_.resize((n + 63) / 64);
+  {
+    // Mark every span named as a parent, then keep the marks of the spans
+    // retained closed: only those are parents.
+    std::vector<std::uint8_t> retained(bytes, 0);
+    store.for_each_retained([&](SpanId id, const RetainedSpan& s) {
+      retained[(id - 1) / 8] |= static_cast<std::uint8_t>(1U << ((id - 1) % 8));
+      if (s.parent != 0 && s.parent < id) {
+        has_kids_[(s.parent - 1) / 8] |= static_cast<std::uint8_t>(1U << ((s.parent - 1) % 8));
+      }
+    });
+    std::uint32_t parents = 0;
+    for (std::size_t b = 0; b < bytes; ++b) {
+      has_kids_[b] &= retained[b];
+      if (b % 8 == 0) rank_base_[b / 8] = parents;
+      byte_rank_[b] = static_cast<std::uint8_t>(parents - rank_base_[b / 8]);
+      parents += kBitsSet[has_kids_[b]];
+    }
+    offset_.assign(std::size_t{parents} + 1, 0);
+  }
+  // Each list's last child index so far, first its parent's.
+  std::vector<std::uint32_t> last(parents());
+  auto restart = [&] {
+    std::size_t r = 0;
+    for (std::size_t b = 0; b < bytes; ++b) {
+      for (unsigned bits = has_kids_[b]; bits != 0; bits &= bits - 1) {
+        last[r++] = static_cast<std::uint32_t>(b * 8 + std::countr_zero(bits));
+      }
+    }
+  };
+  // Size each list: offset_[r + 1] its length, then its end.
+  restart();
+  store.for_each_retained([&](SpanId id, const RetainedSpan& s) {
+    if (!linked(id, s)) return;
+    const std::uint32_t r = rank(s.parent - 1);
+    offset_[r + 1] += varint_bytes(delta(id - 1, last[r]));
+    last[r] = id - 1;
+  });
+  std::uint64_t total = 0;
+  for (std::uint32_t& o : offset_) {
+    total += o;
+    GFLINK_CHECK_MSG(total <= UINT32_MAX, "ChildIndex: the child lists passed 2^32 bytes");
+    o = static_cast<std::uint32_t>(total);
+  }
+  lists_.resize(offset_.back());
+  // Fill forward with offset_[r] as the cursor, then shift the offsets
+  // back by one slot.
+  restart();
+  store.for_each_retained([&](SpanId id, const RetainedSpan& s) {
+    if (!linked(id, s)) {
+      roots_.push_back(id - 1);
+      return;
+    }
+    const std::uint32_t r = rank(s.parent - 1);
+    const std::uint8_t* const end = put_varint(lists_.data() + offset_[r], delta(id - 1, last[r]));
+    offset_[r] = static_cast<std::uint32_t>(end - lists_.data());
+    last[r] = id - 1;
+  });
+  for (std::size_t r = offset_.size() - 1; r > 0; --r) offset_[r] = offset_[r - 1];
+  offset_[0] = 0;
+}
 
 /// A critical-path hop before names are rendered: `span` is a span index.
 struct RawSegment {
@@ -649,91 +722,99 @@ struct RawSegment {
   sim::Time end;
 };
 
+/// A child as the walk sorts it: its index and the fields the walk reads.
+struct WalkChild {
+  sim::Time begin;
+  sim::Time end;
+  std::uint32_t index;
+  std::uint32_t kind;
+};
+
 /// Backwards "last finisher" walk. For span S over [lo, hi]: children are
 /// visited in decreasing end order, the gap between the frontier and a
 /// child's end is S's own time, the child's interval recurses, and the
 /// frontier jumps to the child's begin. Whatever remains in front of the
 /// earliest child is S's own time too — so [lo, hi] is covered exactly once.
 /// A span is walked at most once, so only the child lists of the spans
-/// walked are sorted, as they are reached.
+/// walked are decoded, as they are reached.
 struct CriticalPathWalker {
   const SpanStore& store;
-  ChildIndex& children;
+  const ChildIndex& children;
   CriticalPath& cp;
   std::vector<RawSegment>& segments;
-  std::vector<std::pair<sim::Time, std::uint32_t>> order{};  // sort buffer
-
-  /// Sort kids[first, last) latest finisher first; the higher index breaks
-  /// ties.
-  void sort_children(std::uint32_t first, std::uint32_t last) {
-    if (last - first < 2) return;
-    order.clear();
-    for (std::uint32_t k = first; k < last; ++k) {
-      order.emplace_back(store.retained(children.kids[k] + 1).end, children.kids[k]);
-    }
-    std::sort(order.begin(), order.end(), std::greater<>());
-    for (std::uint32_t k = first; k < last; ++k) children.kids[k] = order[k - first].second;
-  }
+  // The sorted children of every span on the path being walked, each
+  // span's above its parent's: one buffer for every depth.
+  std::vector<WalkChild> stack{};
 
   void attribute(std::uint32_t i, SpanCategory category, sim::Time b, sim::Time e) {
     cp.by_category[idx(category)] += e - b;
     segments.push_back({i, b, e});
   }
 
-  void walk(std::uint32_t i, const RetainedSpan& s, sim::Time lo, sim::Time hi) {
-    const SpanCategory category = store.kind(s.kind).category;
-    const sim::Time floor = std::max(s.begin, lo);
+  void walk(std::uint32_t i, std::uint32_t kind, sim::Time begin, sim::Time lo, sim::Time hi) {
+    const SpanCategory category = store.kind(kind).category;
+    const sim::Time floor = std::max(begin, lo);
     sim::Time t = hi;
-    const auto [first, last] = children.of(i);
-    sort_children(first, last);
-    for (std::uint32_t k = first; k < last; ++k) {
-      if (t <= floor) break;
-      const std::uint32_t ci = children.kids[k];
+    const std::size_t first = stack.size();
+    children.for_each_child(i, [&](std::uint32_t ci) {
       const RetainedSpan c = store.retained(ci + 1);
+      stack.push_back({c.begin, c.end, ci, c.kind});
+    });
+    const std::size_t last = stack.size();
+    // Latest finisher first; the higher index breaks ties.
+    std::sort(stack.begin() + static_cast<std::ptrdiff_t>(first), stack.end(),
+              [](const WalkChild& a, const WalkChild& b) {
+                return a.end != b.end ? a.end > b.end : a.index > b.index;
+              });
+    for (std::size_t k = first; k < last && t > floor; ++k) {
+      const WalkChild c = stack[k];  // the walk below may move the buffer
       const sim::Time ce = std::min(c.end, t);
       const sim::Time cb = std::max(c.begin, floor);
       if (ce <= cb) continue;
       if (ce < t) attribute(i, category, ce, t);
-      walk(ci, c, cb, ce);
+      walk(c.index, c.kind, c.begin, cb, ce);
       t = cb;
     }
+    stack.resize(first);
     if (t > floor) attribute(i, category, floor, t);
   }
 };
 
-/// The critical path over an index of the store's children, whose child
-/// lists it sorts latest finisher first as the walk reaches them.
-CriticalPath critical_path_over(const SpanStore& store, ChildIndex& children) {
+/// The critical path over an index of the store's children.
+CriticalPath critical_path_over(const SpanStore& store, const ChildIndex& children) {
   CriticalPath cp;
   // Roots by begin; the lower index breaks ties.
   std::vector<std::pair<sim::Time, std::uint32_t>> roots;
-  roots.reserve(children.roots.size());
-  for (std::uint32_t root : children.roots) {
+  roots.reserve(children.roots().size());
+  for (std::uint32_t root : children.roots()) {
     roots.emplace_back(store.retained(root + 1).begin, root);
   }
   std::sort(roots.begin(), roots.end());
 
   std::vector<RawSegment> raw;
-  CriticalPathWalker walker{store, children, cp, raw};
-  for (const auto& [begin, root] : roots) {
-    const RetainedSpan s = store.retained(root + 1);
-    cp.total += s.duration();
-    walker.walk(root, s, s.begin, s.end);
+  {
+    CriticalPathWalker walker{store, children, cp, raw};
+    for (const auto& [begin, root] : roots) {
+      const RetainedSpan s = store.retained(root + 1);
+      cp.total += s.duration();
+      walker.walk(root, s.kind, s.begin, s.begin, s.end);
+    }
   }
 
   // The walk emits segments latest-first; restore chronological order and
-  // coalesce adjacent segments of the same span.
+  // coalesce adjacent segments of the same span, in place.
   std::reverse(raw.begin(), raw.end());
-  std::vector<RawSegment> merged;
-  for (const RawSegment& seg : raw) {
-    if (!merged.empty() && merged.back().span == seg.span && merged.back().end == seg.begin) {
-      merged.back().end = seg.end;
+  std::size_t kept = 0;
+  for (std::size_t k = 0; k < raw.size(); ++k) {
+    if (kept > 0 && raw[kept - 1].span == raw[k].span && raw[kept - 1].end == raw[k].begin) {
+      raw[kept - 1].end = raw[k].end;
     } else {
-      merged.push_back(seg);
+      raw[kept++] = raw[k];
     }
   }
-  cp.segments.reserve(merged.size());
-  for (const RawSegment& seg : merged) {
+  raw.resize(kept);
+  cp.segments.reserve(raw.size());
+  for (const RawSegment& seg : raw) {
     const SpanKind& k = store.kind(store.retained(seg.span + 1).kind);
     cp.segments.push_back({seg.span + 1, store.str(k.name), k.category, seg.begin, seg.end});
   }
@@ -744,8 +825,7 @@ CriticalPath critical_path_over(const SpanStore& store, ChildIndex& children) {
 
 CriticalPath extract_critical_path(const SpanStore& store) {
   if (store.empty()) return {};
-  ChildIndex children(store);
-  return critical_path_over(store, children);
+  return critical_path_over(store, ChildIndex(store));
 }
 
 void export_critical_path_metrics(const CriticalPath& cp, MetricsRegistry& m) {
@@ -776,12 +856,34 @@ namespace {
 /// spans is a straggler.
 constexpr std::size_t kMinPeerGroup = 4;
 
-/// The stragglers, over an index of the store's children in any order.
+/// A span's longest Wait-category descendant so far: index kNone while it
+/// has none.
+struct WaitedOn {
+  static constexpr std::uint32_t kNone = UINT32_MAX;  // above every span index
+  sim::Duration duration = 0;
+  std::uint32_t index = kNone;
+  std::uint32_t kind = 0;
+};
+
+/// The longer of two, the lower index among equals.
+const WaitedOn& longer(const WaitedOn& a, const WaitedOn& b) {
+  if (b.index == WaitedOn::kNone) return a;
+  if (a.index == WaitedOn::kNone || b.duration > a.duration) return b;
+  return b.duration == a.duration && b.index < a.index ? b : a;
+}
+
+/// The stragglers, over an index of the store's children.
 std::vector<Straggler> stragglers_over(const SpanStore& store, const ChildIndex& children) {
-  // Peer groups by name id, visited in name order (deterministic).
+  // Peer groups by name id, visited in name order (deterministic), and a
+  // bit per span index that marks the Wait-category spans.
   std::vector<std::vector<std::uint32_t>> members(store.interned());
+  std::vector<std::uint8_t> waits((store.last_id() + 7) / 8, 0);
   store.for_each_retained([&](SpanId id, const RetainedSpan& s) {
-    members[store.kind(s.kind).name.v].push_back(id - 1);
+    const SpanKind& k = store.kind(s.kind);
+    members[k.name.v].push_back(id - 1);
+    if (k.category == SpanCategory::Wait) {
+      waits[(id - 1) / 8] |= static_cast<std::uint8_t>(1U << ((id - 1) % 8));
+    }
   });
   std::vector<std::uint32_t> names;
   for (std::uint32_t n = 0; n < members.size(); ++n) {
@@ -792,31 +894,29 @@ std::vector<Straggler> stragglers_over(const SpanStore& store, const ChildIndex&
   });
 
   // The resource a straggler waited on: its longest Wait-category
-  // descendant (the lowest id among equals, so the walk order does not
-  // matter), rendered as "<name> on <lane>".
-  auto waited_on = [&](std::uint32_t top) -> std::string {
-    std::size_t longest = SpanStore::npos;
-    sim::Duration longest_duration = 0;
-    std::uint32_t longest_kind = 0;
-    std::vector<std::uint32_t> stack{top};
-    while (!stack.empty()) {
-      const std::uint32_t i = stack.back();
-      stack.pop_back();
-      const RetainedSpan s = store.retained(i + 1);
-      if (i != top && store.kind(s.kind).category == SpanCategory::Wait &&
-          (longest == SpanStore::npos || s.duration() > longest_duration ||
-           (s.duration() == longest_duration && i < longest))) {
-        longest = i;
-        longest_duration = s.duration();
-        longest_kind = s.kind;
+  // descendant, the lowest id among equals, rendered as "<name> on <lane>".
+  // Kept for the spans that have children, by rank, and found in one pass
+  // over them from the highest id down: a child's id is higher than its
+  // parent's, so every child's entry is final when its parent is reached.
+  std::vector<WaitedOn> waited(children.parents());
+  children.for_each_parent_from_last([&](std::uint32_t p) {
+    WaitedOn w;
+    children.for_each_child(p, [&](std::uint32_t c) {
+      if ((waits[c / 8] >> (c % 8) & 1) != 0) {
+        const RetainedSpan s = store.retained(c + 1);
+        w = longer(w, WaitedOn{s.duration(), c, s.kind});
       }
-      const auto [first, last] = children.of(i);
-      stack.insert(stack.end(), children.kids.begin() + first, children.kids.begin() + last);
-    }
-    if (longest == SpanStore::npos) return {};
-    const SpanKind& w = store.kind(longest_kind);
-    if (w.lane.v == 0) return store.str(w.name);
-    return store.str(w.name) + " on " + store.str(w.lane);
+      if (children.has(c)) w = longer(w, waited[children.rank(c)]);
+    });
+    waited[children.rank(p)] = w;
+  });
+  auto waited_on = [&](std::uint32_t i) -> std::string {
+    if (!children.has(i)) return {};
+    const WaitedOn& w = waited[children.rank(i)];
+    if (w.index == WaitedOn::kNone) return {};
+    const SpanKind& k = store.kind(w.kind);
+    if (k.lane.v == 0) return store.str(k.name);
+    return store.str(k.name) + " on " + store.str(k.lane);
   };
 
   std::vector<Straggler> out;
@@ -855,11 +955,10 @@ std::vector<Straggler> stragglers_over(const SpanStore& store, const ChildIndex&
 
 SpanAnalysis analyze_spans(const SpanStore& store) {
   SpanAnalysis out;
-  ChildIndex children(store);
-  // The critical path sorts the child lists; the stragglers read them in
-  // any order.
+  const ChildIndex children(store);
   if (!store.empty()) out.critical_path = critical_path_over(store, children);
   out.stragglers = stragglers_over(store, children);
+  out.index_bytes = children.bytes();
   return out;
 }
 

@@ -33,7 +33,9 @@
 //  * extract_critical_path() walks the DAG backwards from each root span
 //    ("last finisher" rule) and attributes every instant of the root's
 //    duration to exactly one category, so the per-category breakdown sums
-//    to the makespan exactly;
+//    to the makespan exactly. It reads the DAG through a child index built
+//    for the walk: per parent, its children's ids as varint deltas, about
+//    a byte each;
 //  * analyze_spans() adds the stragglers: spans whose duration exceeds the
 //    p95 of their name peer group, each with the resource it waited on.
 //
@@ -702,6 +704,7 @@ void export_straggler_metrics(const std::vector<Straggler>& stragglers, MetricsR
 struct SpanAnalysis {
   CriticalPath critical_path;
   std::vector<Straggler> stragglers;
+  std::size_t index_bytes = 0;  // host bytes of the child index, about 1-2 per linked span
 };
 SpanAnalysis analyze_spans(const SpanStore& store);
 

@@ -206,13 +206,8 @@ void finish_run(df::Job& job, core::GFlinkRuntime* runtime, RunResult& run);
 /// `part` of `parts` yields gen(i) for i = part, part + parts, ... < n, so
 /// any partitioning yields the same multiset of records.
 template <typename T, typename Gen>
-std::function<void(int, std::vector<T>&)> striped(std::uint64_t n, int parts, Gen gen) {
-  return [n, parts, gen = std::move(gen)](int part, std::vector<T>& out) {
-    for (auto i = static_cast<std::uint64_t>(part); i < n;
-         i += static_cast<std::uint64_t>(parts)) {
-      out.push_back(gen(i));
-    }
-  };
+df::IndexedGenerator<T> striped(std::uint64_t n, int parts, Gen gen) {
+  return {n, parts, std::move(gen)};
 }
 
 /// A GpuOpSpec::make_aux whose one broadcast buffer is a pinned off-heap

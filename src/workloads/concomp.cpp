@@ -117,7 +117,7 @@ sim::Co<Result> run(df::Engine& engine, core::GFlinkRuntime* runtime, const Test
   co_await job.submit();
 
   auto source = df::DataSet<Vertex>::from_generator(
-      engine, &vertex_desc(), input.partitions,
+      engine, &vertex_desc(),
       striped<Vertex>(n, input.partitions,
                       [n, components, seed = config.seed](std::uint64_t i) {
                         return vertex_at(i, n, components, seed);

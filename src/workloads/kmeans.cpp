@@ -138,7 +138,7 @@ sim::Co<Result> run(df::Engine& engine, core::GFlinkRuntime* runtime, const Test
   co_await job.submit();
 
   auto source = df::DataSet<Point>::from_generator(
-      engine, &point_desc(), input.partitions,
+      engine, &point_desc(),
       striped<Point>(n, input.partitions,
                      [seed = config.seed](std::uint64_t i) { return point_at(i, seed); }),
       df::OpCost{8.0, sizeof(Point)}, input.path);

@@ -111,7 +111,7 @@ sim::Co<Result> run(df::Engine& engine, core::GFlinkRuntime* runtime, const Test
   co_await job.submit();
 
   auto source = df::DataSet<Sample>::from_generator(
-      engine, &sample_desc(), input.partitions,
+      engine, &sample_desc(),
       striped<Sample>(n, input.partitions,
                       [seed = config.seed](std::uint64_t i) { return sample_at(i, seed); }),
       df::OpCost{8.0, sizeof(Sample)}, input.path);

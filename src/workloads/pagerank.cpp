@@ -122,7 +122,7 @@ sim::Co<Result> run(df::Engine& engine, core::GFlinkRuntime* runtime, const Test
   co_await job.submit();
 
   auto source = df::DataSet<Page>::from_generator(
-      engine, &page_desc(), input.partitions,
+      engine, &page_desc(),
       striped<Page>(n, input.partitions,
                     [n, seed = config.seed, zipf = config.zipf_shift](std::uint64_t i) {
                       return page_at(i, n, seed, zipf);

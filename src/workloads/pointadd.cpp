@@ -73,7 +73,7 @@ sim::Co<Result> run(df::Engine& engine, core::GFlinkRuntime* runtime, const Test
   co_await job.submit();
 
   auto source = df::DataSet<Pt>::from_generator(
-      engine, &pt_desc(), input.partitions,
+      engine, &pt_desc(),
       striped<Pt>(n, input.partitions,
                   [seed = config.seed](std::uint64_t i) { return pt_at(i, seed); }),
       df::OpCost{8.0, sizeof(Pt)}, input.path);

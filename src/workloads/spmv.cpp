@@ -117,7 +117,7 @@ sim::Co<Result> run(df::Engine& engine, core::GFlinkRuntime* runtime, const Test
   co_await job.submit();
 
   auto source = df::DataSet<CsrRow>::from_generator(
-      engine, &csr_row_desc(), input.partitions,
+      engine, &csr_row_desc(),
       striped<CsrRow>(n_rows, input.partitions,
                       [n_cols, seed = config.seed](std::uint64_t r) {
                         return row_at(r, n_cols, seed);

@@ -73,7 +73,7 @@ sim::Co<Result> run(df::Engine& engine, core::GFlinkRuntime* runtime, const Test
   auto zipf = std::make_shared<sim::ZipfTable>(config.vocabulary, config.zipf_s);
 
   auto words = df::DataSet<WordCount>::from_generator(
-      engine, &word_count_desc(), input.partitions,
+      engine, &word_count_desc(),
       // Word choice depends only on the global token index.
       striped<WordCount>(n_words, input.partitions,
                          [zipf, seed = config.seed](std::uint64_t i) {

@@ -247,6 +247,38 @@ TEST(Engine, KnownSizeBatchesHaveNoSlack) {
   EXPECT_EQ(sum, 999 * 1000 / 2);
 }
 
+TEST(Engine, IndexedSourceWritesEachStripeInPlace) {
+  // Partition p holds records p, p + parts, ... in order, in a batch sized
+  // once: 1000 records over 3 partitions, and 2 over 4, two of them empty.
+  for (const auto& [n, parts] : {std::pair<std::uint64_t, int>{1000, 3}, {2, 4}}) {
+    Engine e(fast_config());
+    df::DataHandle source;
+    e.run([&, n = n, parts = parts](Engine& eng) -> Co<void> {
+      Job job(eng, "t");
+      co_await job.submit();
+      const df::IndexedGenerator<KV> gen{n, parts, [](std::uint64_t i) {
+                                           return KV{i % 7, static_cast<std::int64_t>(i)};
+                                         }};
+      source = co_await DataSet<KV>::from_generator(eng, &kv_desc(), gen).materialize(job);
+      job.finish();
+    });
+    ASSERT_EQ(source->parts.size(), static_cast<std::size_t>(parts));
+    std::uint64_t total = 0;
+    for (std::size_t p = 0; p < source->parts.size(); ++p) {
+      const mem::RecordBatch& batch = *source->parts[p].batch;
+      EXPECT_EQ(batch.bytes().capacity(), batch.bytes().size());
+      const KV* rows = batch.aos_view<KV>();
+      for (std::size_t k = 0; k < batch.count(); ++k) {
+        const std::uint64_t i = p + k * static_cast<std::uint64_t>(parts);
+        EXPECT_EQ(rows[k].key, i % 7);
+        EXPECT_EQ(rows[k].value, static_cast<std::int64_t>(i));
+      }
+      total += batch.count();
+    }
+    EXPECT_EQ(total, n);
+  }
+}
+
 TEST(DataSetDeathTest, MismatchedDescriptorAbortsWhenTheNodeIsBuilt) {
   // Same fields as KV but no host offsets recorded, so the descriptor
   // cannot match KV's host layout.

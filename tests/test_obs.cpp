@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <map>
 #include <set>
@@ -1187,6 +1188,297 @@ TEST(Spans, BuiltClosedAndOpenedSpansAnalyseAlike) {
   // The critical path that analyze_spans walks over the index it shares
   // with the stragglers is the one extract_critical_path finds alone.
   EXPECT_EQ(obs::analyze_spans(shots).critical_path.to_json().dump(), cp.to_json().dump());
+}
+
+namespace {
+
+/// A span as the child-index property test keeps it beside the store.
+struct PlainSpan {
+  obs::SpanId parent = 0;
+  sim::Time begin = 0;
+  sim::Time end = 0;
+  std::string name;
+  std::string lane;
+  obs::SpanCategory category = obs::SpanCategory::Control;
+  bool retained = false;  // closed while the store retained
+};
+
+/// The critical path and stragglers of `spans` (by id - 1), found by brute
+/// force over a plain uint32_t child list per span: every list sorted
+/// whole, and a depth-first search per straggler.
+obs::SpanAnalysis plain_analysis(const std::vector<PlainSpan>& spans) {
+  const auto n = static_cast<std::uint32_t>(spans.size());
+  auto at = [&spans](std::uint32_t id) -> const PlainSpan& { return spans[id - 1]; };
+  std::vector<std::vector<std::uint32_t>> kids(n + 1);  // by id
+  std::vector<std::uint32_t> roots;
+  for (std::uint32_t id = 1; id <= n; ++id) {
+    if (!at(id).retained) continue;
+    const obs::SpanId p = at(id).parent;
+    if (p != 0 && p < id && at(p).retained) {
+      kids[p].push_back(id);
+    } else {
+      roots.push_back(id);
+    }
+  }
+  for (std::vector<std::uint32_t>& k : kids) {
+    std::sort(k.begin(), k.end(), [&](std::uint32_t a, std::uint32_t b) {
+      return std::make_pair(at(a).end, a) > std::make_pair(at(b).end, b);
+    });
+  }
+
+  obs::SpanAnalysis out;
+  obs::CriticalPath& cp = out.critical_path;
+  std::vector<obs::CriticalPathSegment> latest_first;
+  std::function<void(std::uint32_t, sim::Time, sim::Time)> walk = [&](std::uint32_t id,
+                                                                      sim::Time lo, sim::Time hi) {
+    const PlainSpan& s = at(id);
+    auto own = [&](sim::Time b, sim::Time e) {
+      cp.by_category[static_cast<std::size_t>(s.category)] += e - b;
+      latest_first.push_back({id, s.name, s.category, b, e});
+    };
+    const sim::Time floor = std::max(s.begin, lo);
+    sim::Time t = hi;
+    for (std::uint32_t c : kids[id]) {
+      if (t <= floor) break;
+      const sim::Time ce = std::min(at(c).end, t);
+      const sim::Time cb = std::max(at(c).begin, floor);
+      if (ce <= cb) continue;
+      if (ce < t) own(ce, t);
+      walk(c, cb, ce);
+      t = cb;
+    }
+    if (t > floor) own(floor, t);
+  };
+  std::sort(roots.begin(), roots.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return std::make_pair(at(a).begin, a) < std::make_pair(at(b).begin, b);
+  });
+  for (std::uint32_t root : roots) {
+    cp.total += at(root).end - at(root).begin;
+    walk(root, at(root).begin, at(root).end);
+  }
+  for (auto it = latest_first.rbegin(); it != latest_first.rend(); ++it) {
+    if (!cp.segments.empty() && cp.segments.back().span == it->span &&
+        cp.segments.back().end == it->begin) {
+      cp.segments.back().end = it->end;
+    } else {
+      cp.segments.push_back(*it);
+    }
+  }
+
+  std::map<std::string, std::vector<std::uint32_t>> groups;
+  for (std::uint32_t id = 1; id <= n; ++id) {
+    if (at(id).retained) groups[at(id).name].push_back(id);
+  }
+  for (const auto& [name, group] : groups) {
+    if (group.size() < 4) continue;
+    std::vector<sim::Duration> durations;
+    for (std::uint32_t id : group) durations.push_back(at(id).end - at(id).begin);
+    const sim::Duration p95 = obs::nearest_rank_p95(durations);
+    for (std::uint32_t id : group) {
+      const sim::Duration d = at(id).end - at(id).begin;
+      if (d <= p95) continue;
+      obs::Straggler st;
+      st.span = id;
+      st.name = name;
+      st.lane = at(id).lane;
+      st.duration = d;
+      st.p95 = p95;
+      std::uint32_t longest = 0;
+      std::vector<std::uint32_t> stack(kids[id].begin(), kids[id].end());
+      while (!stack.empty()) {
+        const std::uint32_t c = stack.back();
+        stack.pop_back();
+        stack.insert(stack.end(), kids[c].begin(), kids[c].end());
+        if (at(c).category != obs::SpanCategory::Wait) continue;
+        const sim::Duration dc = at(c).end - at(c).begin;
+        const sim::Duration dl = longest == 0 ? 0 : at(longest).end - at(longest).begin;
+        if (longest == 0 || dc > dl || (dc == dl && c < longest)) longest = c;
+      }
+      if (longest != 0) {
+        st.waited_on = at(longest).name;
+        if (!at(longest).lane.empty()) st.waited_on += " on " + at(longest).lane;
+      }
+      out.stragglers.push_back(st);
+    }
+  }
+  std::sort(out.stragglers.begin(), out.stragglers.end(),
+            [](const obs::Straggler& a, const obs::Straggler& b) {
+              return std::make_pair(b.duration - b.p95, a.span) <
+                     std::make_pair(a.duration - a.p95, b.span);
+            });
+  return out;
+}
+
+/// A random span forest replayed into `s` and kept as plain spans: spans
+/// opened and closed apart interleaved with spans built closed; parents
+/// still open, or closed while the store did not retain; ends on a coarse
+/// grid, so many are equal; zero-length spans; and one chain 1,500 deep,
+/// each link opened under the one before and closed in reverse.
+std::vector<PlainSpan> random_forest(obs::SpanStore& s, std::uint64_t seed) {
+  std::uint64_t x = seed;
+  auto next = [&x] {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    return x >> 17;
+  };
+  const char* names[] = {"task", "gwork", "h2d", "wait:slot", "shuffle"};
+  const char* lanes[] = {"", "node1.gpu0/h2d", "node2/tasks"};
+  std::vector<PlainSpan> spans;
+  std::vector<obs::SpanId> open;
+  sim::Time now = 0;
+  auto pick_parent = [&]() -> obs::SpanId {
+    switch (next() % 4) {
+      case 0: return 0;
+      case 1: return open.empty() ? 0 : open[next() % open.size()];
+      default: return spans.empty() ? 0 : static_cast<obs::SpanId>(1 + next() % spans.size());
+    }
+  };
+  auto end_after = [&](sim::Time begin) -> sim::Time {
+    if (next() % 8 == 0) return begin;  // zero length
+    return (begin + static_cast<sim::Time>(next() % 400)) / 32 * 32 + 32;
+  };
+  auto start = [&](obs::SpanId parent, sim::Time begin) {
+    PlainSpan p;
+    p.parent = parent;
+    p.begin = begin;
+    p.name = names[next() % 5];
+    p.lane = lanes[next() % 3];
+    p.category = static_cast<obs::SpanCategory>(next() % obs::kSpanCategories);
+    const obs::SpanId id = s.open(p.name, p.category, parent, begin, p.lane, 1, 1 + next() % 9);
+    EXPECT_EQ(id, spans.size() + 1);
+    spans.push_back(p);
+    open.push_back(id);
+    return id;
+  };
+  auto finish = [&](obs::SpanId id, sim::Time end) {
+    const bool retain = next() % 10 != 0;
+    s.set_retain(retain);
+    s.close(id, end);
+    s.set_retain(true);
+    spans[id - 1].end = end;
+    spans[id - 1].retained = retain;
+    open.erase(std::find(open.begin(), open.end(), id));
+  };
+  for (int op = 0; op < 4000; ++op) {
+    now += static_cast<sim::Time>(next() % 40);
+    const std::uint64_t what = next() % 10;
+    if (what < 3) {
+      start(pick_parent(), now);
+    } else if (what < 5 && !open.empty()) {
+      const obs::SpanId id = open[next() % open.size()];
+      finish(id, std::max(end_after(spans[id - 1].begin), now));
+    } else {
+      PlainSpan p;
+      p.parent = pick_parent();
+      p.begin = now;
+      p.end = end_after(now);
+      p.name = names[next() % 5];
+      p.lane = lanes[next() % 3];
+      p.category = static_cast<obs::SpanCategory>(next() % obs::kSpanCategories);
+      p.retained = next() % 10 != 0;
+      s.set_retain(p.retained);
+      const obs::SpanId id =
+          s.record(p.name, p.category, p.parent, p.begin, p.end, p.lane, 1, 1 + next() % 9);
+      s.set_retain(true);
+      EXPECT_EQ(id, spans.size() + 1);
+      spans.push_back(p);
+    }
+    if (op == 2000) {
+      std::vector<obs::SpanId> chain{start(0, now)};
+      for (int depth = 1; depth < 1500; ++depth) chain.push_back(start(chain.back(), now + depth));
+      for (std::size_t k = chain.size(); k-- > 0;) {
+        const sim::Time end = now + 4000 - static_cast<sim::Time>(k);
+        const bool retain = next() % 50 != 0;
+        s.set_retain(retain);
+        s.close(chain[k], end);
+        s.set_retain(true);
+        spans[chain[k] - 1].end = end;
+        spans[chain[k] - 1].retained = retain;
+        open.erase(std::find(open.begin(), open.end(), chain[k]));
+      }
+    }
+  }
+  return spans;  // what is still open stays open
+}
+
+}  // namespace
+
+TEST(Spans, ChildIndexAnalysesMatchPlainChildLists) {
+  // The critical path and stragglers read through the byte-coded child
+  // index equal those found over plain child lists, on random forests.
+  for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+    obs::SpanStore s;
+    s.set_retain(true);
+    const std::vector<PlainSpan> spans = random_forest(s, seed);
+    std::size_t retained = 0;
+    for (const PlainSpan& p : spans) retained += p.retained ? 1 : 0;
+    ASSERT_EQ(s.spans().size(), retained) << seed;
+    ASSERT_LT(retained, spans.size()) << seed;
+
+    const obs::SpanAnalysis want = plain_analysis(spans);
+    const obs::SpanAnalysis got = obs::analyze_spans(s);
+    EXPECT_NE(want.critical_path.total, 0) << seed;
+    EXPECT_GT(want.critical_path.segments.size(), 1500u) << seed;  // the chain at least
+    EXPECT_EQ(got.critical_path.to_json().dump(), want.critical_path.to_json().dump()) << seed;
+    EXPECT_EQ(obs::extract_critical_path(s).to_json().dump(),
+              want.critical_path.to_json().dump())
+        << seed;
+    EXPECT_FALSE(want.stragglers.empty()) << seed;
+    const bool waited = std::any_of(want.stragglers.begin(), want.stragglers.end(),
+                                    [](const obs::Straggler& st) { return !st.waited_on.empty(); });
+    EXPECT_TRUE(waited) << seed;
+    ASSERT_EQ(got.stragglers.size(), want.stragglers.size()) << seed;
+    for (std::size_t i = 0; i < got.stragglers.size(); ++i) {
+      EXPECT_EQ(got.stragglers[i].to_json().dump(), want.stragglers[i].to_json().dump())
+          << seed << " " << i;
+    }
+  }
+}
+
+TEST(Spans, ChildIndexCostsAtMostTwoBytesPerLinkedSpan) {
+  // A GStream-like store: jobs of stages of four concurrent tasks, each
+  // task running GWorks of 8 chunks (an H2D, a kernel and a D2H each) and
+  // waiting for a slot before each. The four tasks' spans interleave in id
+  // order, as concurrent slots interleave them.
+  obs::SpanStore s;
+  s.set_retain(true);
+  for (int job = 0; job < 8; ++job) {
+    sim::Time t = sim::Time{job} * 10'000'000;
+    const obs::SpanId root = s.open("job", obs::SpanCategory::Control, 0, t, {}, -1,
+                                    static_cast<std::uint64_t>(job + 1));
+    for (int stage = 0; stage < 4; ++stage) {
+      const obs::SpanId st = s.open("stage:map", obs::SpanCategory::Control, root, t);
+      std::vector<obs::SpanId> tasks;
+      for (int k = 0; k < 4; ++k) {
+        tasks.push_back(s.open("task:map", obs::SpanCategory::Control, st, t, "node1/tasks", 1));
+      }
+      for (int g = 0; g < 6; ++g) {
+        for (const obs::SpanId task : tasks) {
+          s.record("wait:slot", obs::SpanCategory::Wait, task, t, t + 100, "node1/slots", 1);
+          const obs::SpanId gwork =
+              s.open("gwork", obs::SpanCategory::Control, task, t + 100, "node1/gpu0", 1);
+          for (int c = 0; c < 8; ++c) {
+            const sim::Time b = t + 100 + c * 1'500;
+            s.record("h2d", obs::SpanCategory::H2D, gwork, b, b + 1'200, "node1.gpu0/h2d", 1);
+            s.record("kernel", obs::SpanCategory::Kernel, gwork, b + 1'200, b + 2'400,
+                     "node1.gpu0/kernel", 1);
+            s.record("d2h", obs::SpanCategory::D2H, gwork, b + 2'400, b + 2'900,
+                     "node1.gpu0/d2h", 1);
+          }
+          s.close(gwork, t + 100 + 8 * 1'500 + 2'000);
+        }
+        t += 15'000;
+      }
+      for (const obs::SpanId task : tasks) s.close(task, t);
+      s.close(st, t);
+    }
+    s.close(root, t);
+  }
+  std::size_t linked = 0;
+  s.for_each_retained([&](obs::SpanId, const obs::RetainedSpan& r) { linked += r.parent != 0; });
+  ASSERT_GT(linked, 20'000u);
+  const obs::SpanAnalysis a = obs::analyze_spans(s);
+  EXPECT_GT(a.index_bytes, 0u);
+  EXPECT_LE(a.index_bytes, 2 * linked) << a.index_bytes << " bytes for " << linked;
 }
 
 TEST(Spans, GWorkGroupsCostAFewBytesPerChild) {

@@ -339,7 +339,7 @@ TEST(PointAdd, GeneratedSourceMapsInPlaceLikeCpu) {
       df::Job job(eng, "pointadd");
       co_await job.submit();
       auto src = df::DataSet<wl::Pt>::from_generator(
-          eng, &wl::pt_desc(), 8,
+          eng, &wl::pt_desc(),
           wl::striped<wl::Pt>(20000, 8, [](std::uint64_t i) { return wl::pointadd::pt_at(i, 7); }));
       rows = co_await wl::pointadd::mapper(src, mode).collect(job);
       job.finish();
@@ -371,7 +371,7 @@ std::vector<U> cpu_udf_records(const gflink::mem::StructDesc* desc, std::uint64_
   session.engine().run([&](df::Engine& eng) -> sim::Co<void> {
     df::Job job(eng, "cpu-udf");
     co_await job.submit();
-    auto src = df::DataSet<T>::from_generator(eng, desc, 1, wl::striped<T>(n, 1, gen));
+    auto src = df::DataSet<T>::from_generator(eng, desc, wl::striped<T>(n, 1, gen));
     rows = co_await map(src).collect(job);
     job.finish();
   });
@@ -596,7 +596,7 @@ void expect_gpu_mapper_leaves_input_intact(const gflink::mem::StructDesc* desc, 
     df::Job job(eng, "read-only-inputs");
     co_await job.submit();
     const int parts = eng.default_parallelism();
-    auto src = df::DataSet<T>::from_generator(eng, desc, parts, wl::striped<T>(n, parts, gen));
+    auto src = df::DataSet<T>::from_generator(eng, desc, wl::striped<T>(n, parts, gen));
     const df::DataHandle data = co_await src.materialize(job);
     before = record_hash(data);
     for (std::uint64_t iteration = 0; iteration < 2; ++iteration) {

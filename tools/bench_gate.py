@@ -5,11 +5,11 @@ digests and EXPERIMENTS.md tables exactly.
 The simulator is deterministic, so every modelled number in a bench's
 BENCH_<name>.json run report is reproducible to the last bit in any build
 mode. Each report stamps a `digest`: FNV-1a 64 over its compact JSON with
-the host measurements (wall_seconds, peak_rss_mb, trace_store_bytes) left
-out. The gate recomputes that digest from the report's contents, and fails
-when a bench under bench/ has no report, when the stamped digest disagrees
-with the contents, or when it differs from bench/digests.json. It names
-every bench that moved.
+the host measurements (wall_seconds, peak_rss_mb, trace_store_bytes,
+span_index_bytes) left out. The gate recomputes that digest from the
+report's contents, and fails when a bench under bench/ has no report, when
+the stamped digest disagrees with the contents, or when it differs from
+bench/digests.json. It names every bench that moved.
 
 It then renders the six bench tables of EXPERIMENTS.md from the reports
 and requires each to equal its committed block byte for byte, printing a
@@ -41,7 +41,8 @@ import tablelib
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DIGESTS = os.path.join(ROOT, "bench", "digests.json")
 EXPERIMENTS = os.path.join(ROOT, "EXPERIMENTS.md")
-HOST_FIELDS = ("digest", "wall_seconds", "peak_rss_mb", "trace_store_bytes")
+HOST_FIELDS = ("digest", "wall_seconds", "peak_rss_mb", "trace_store_bytes",
+               "span_index_bytes")
 
 FAIRNESS_TOLERANCE = 0.10  # tenant shares vs. weight shares (relative)
 

@@ -47,8 +47,8 @@ CASES = [
 ]
 # Per case: the plain and the traced run's report digest (RunReport::to_json's
 # FNV-1a over every member but the host measurements wall_seconds,
-# peak_rss_mb and trace_store_bytes), and the FNV-1a of the traced run's
-# Chrome trace file.
+# peak_rss_mb, trace_store_bytes and span_index_bytes), and the FNV-1a of
+# the traced run's Chrome trace file.
 DIGESTS = {
     "pagerank": ("a3505478c78c8d5e", "79c51187e7068034", "e797ac3642a7eba9"),
     "wordcount": ("b34677344f5ed20f", "fa3321e7f9c37ca3", "4aca6f7dc4606722"),
