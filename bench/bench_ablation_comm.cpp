@@ -12,8 +12,6 @@
 //
 // Expected ordering (effective H2D bandwidth, 4 MiB blocks):
 //   off-heap+pinned > off-heap pageable > heap staging >> RPC.
-#include <benchmark/benchmark.h>
-
 #include "bench_report.hpp"
 
 #include "gpu/api.hpp"
@@ -75,19 +73,16 @@ double measure(Strategy strategy) {
   return static_cast<double>(kBlockBytes) / sim::to_seconds(elapsed);
 }
 
-void Ablation_Communication(benchmark::State& state) {
-  const auto strategy = static_cast<Strategy>(state.range(0));
-  for (auto _ : state) {
-    const double bw = measure(strategy);
-    state.SetIterationTime(static_cast<double>(kBlockBytes) / bw);
-    state.counters["MBps"] = bw / 1e6;
-  }
-  state.SetLabel(strategy_name(strategy));
+void Ablation_Communication(gflink::bench::CaseState& state) {
+  const auto strategy = static_cast<Strategy>(state.args[0]);
+  state.counters["MBps"] = measure(strategy) / 1e6;
+  state.label = strategy_name(strategy);
 }
-BENCHMARK(Ablation_Communication)
-    ->Arg(0)->Arg(1)->Arg(2)->Arg(3)
-    ->UseManualTime()->Unit(benchmark::kMicrosecond)->Iterations(1);
+
+const gflink::bench::Case kCases[] = {
+    {"Ablation_Communication", Ablation_Communication, {{0}, {1}, {2}, {3}}},
+};
 
 }  // namespace
 
-GFLINK_BENCH_MAIN(ablation_comm);
+GFLINK_BENCH_MAIN(ablation_comm, kCases);

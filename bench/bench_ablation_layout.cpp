@@ -7,9 +7,8 @@
 //     coalescing); the compute-bound kernel barely notices.
 //  2. Batch-level: the real CPU cost of transforming a RecordBatch between
 //     layouts (what a system pays to present SoA to the device when the
-//     host holds AoS pages).
-#include <benchmark/benchmark.h>
-
+//     host holds AoS pages). This one is wall-clock, so it stays out of
+//     the run report; its case line prints it.
 #include "bench_report.hpp"
 
 #include <chrono>
@@ -27,31 +26,25 @@ namespace gpu = gflink::gpu;
 namespace mem = gflink::mem;
 namespace wl = gflink::workloads;
 
-void Ablation_KernelLayout(benchmark::State& state) {
+void Ablation_KernelLayout(gflink::bench::CaseState& state) {
   wl::ensure_kernels_registered();
-  const auto layout = static_cast<mem::Layout>(state.range(1));
-  const bool memory_bound = state.range(0) == 0;
+  const auto layout = static_cast<mem::Layout>(state.args[1]);
+  const bool memory_bound = state.args[0] == 0;
   const auto& kernel = gpu::KernelRegistry::global().lookup(
       memory_bound ? "cudaSpmvRow" : "cudaKmeansAssign");
   const auto spec = gpu::DeviceSpec::c2050();
   constexpr std::size_t kItems = 1'000'000;
-  for (auto _ : state) {
-    const sim::Duration d = gpu::kernel_duration(kernel, spec, kItems, layout);
-    state.SetIterationTime(sim::to_seconds(d));
-    state.counters["kernel_ms"] = sim::to_millis(d);
-    // The roofline duration is modelled time: the report's virtual clock.
-    gflink::bench::bench_report().virtual_ns += d;
-  }
-  state.SetLabel(std::string(memory_bound ? "SpMV(memory-bound) " : "KMeans(compute-bound) ") +
-                 mem::layout_name(layout));
+  const sim::Duration d = gpu::kernel_duration(kernel, spec, kItems, layout);
+  state.counters["kernel_ms"] = sim::to_millis(d);
+  // The roofline duration is modelled time: the report's virtual clock.
+  gflink::bench::bench_report().virtual_ns += d;
+  state.label = std::string(memory_bound ? "SpMV(memory-bound) " : "KMeans(compute-bound) ") +
+                mem::layout_name(layout);
 }
-BENCHMARK(Ablation_KernelLayout)
-    ->ArgsProduct({{0, 1}, {0, 1, 2}})
-    ->UseManualTime()->Unit(benchmark::kMillisecond)->Iterations(1);
 
-void Ablation_LayoutTransformCost(benchmark::State& state) {
-  // Real (wall-clock) cost of the AoS -> target transform for 64k points.
-  const auto target = static_cast<mem::Layout>(state.range(0));
+void Ablation_LayoutTransformCost(gflink::bench::CaseState& state) {
+  // Real (wall-clock) cost of one AoS -> target transform of 64k points.
+  const auto target = static_cast<mem::Layout>(state.args[0]);
   mem::RecordBatch batch(&wl::point_desc(), 65536, mem::Layout::AoS);
   for (std::size_t r = 0; r < batch.count(); ++r) {
     for (int j = 0; j < wl::kDim; ++j) {
@@ -59,19 +52,22 @@ void Ablation_LayoutTransformCost(benchmark::State& state) {
                        static_cast<std::size_t>(j));
     }
   }
-  for (auto _ : state) {
-    auto t0 = std::chrono::steady_clock::now();
-    auto transformed = batch.to_layout(target);
-    benchmark::DoNotOptimize(transformed);
-    auto dt = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    state.SetIterationTime(dt);
-  }
-  state.SetLabel(std::string("AoS->") + mem::layout_name(target));
+  const auto t0 = std::chrono::steady_clock::now();
+  const mem::RecordBatch transformed = batch.to_layout(target);
+  state.counters["wall_ms"] =
+      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
+  // Printing a transformed value keeps the transform from being optimized away.
+  state.counters["last_x"] = transformed.get<float>(0, batch.count() - 1, wl::kDim - 1);
+  state.label = std::string("AoS->") + mem::layout_name(target);
 }
-BENCHMARK(Ablation_LayoutTransformCost)
-    ->Arg(1)->Arg(2)
-    ->UseManualTime()->Unit(benchmark::kMillisecond);
+
+// The kernel sweep lists {bound, layout} with the bound fastest.
+const gflink::bench::Case kCases[] = {
+    {"Ablation_KernelLayout", Ablation_KernelLayout,
+     {{0, 0}, {1, 0}, {0, 1}, {1, 1}, {0, 2}, {1, 2}}},
+    {"Ablation_LayoutTransformCost", Ablation_LayoutTransformCost, {{1}, {2}}},
+};
 
 }  // namespace
 
-GFLINK_BENCH_MAIN(ablation_layout);
+GFLINK_BENCH_MAIN(ablation_layout, kCases);

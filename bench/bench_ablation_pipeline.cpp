@@ -16,8 +16,6 @@
 // chunks driven through the device staging ring, H2D(i+1) ‖ kernel(i) ‖
 // D2H(i-1). tools/bench_gate.py renders the recorded gauges into the
 // EXPERIMENTS.md chunk-size table.
-#include <benchmark/benchmark.h>
-
 #include "bench_report.hpp"
 
 #include "core/gmemory_manager.hpp"
@@ -173,55 +171,47 @@ std::string chunk_key(std::uint64_t chunk_bytes) {
   return std::to_string(chunk_bytes >> 10) + "KB";
 }
 
-void Ablation_ChunkedPipeline(benchmark::State& state) {
-  const auto chunk_bytes = static_cast<std::uint64_t>(state.range(0));
+void Ablation_ChunkedPipeline(gflink::bench::CaseState& state) {
+  const auto chunk_bytes = static_cast<std::uint64_t>(state.args[0]);
   static double monolithic_baseline = 0;
-  for (auto _ : state) {
-    const ChunkRun r = run_with_chunks(chunk_bytes);
-    if (chunk_bytes == 0) monolithic_baseline = r.seconds;
-    state.SetIterationTime(r.seconds);
-    state.counters["makespan_s"] = r.seconds;
-    state.counters["overlap_eff"] = r.overlap_efficiency;
-    if (monolithic_baseline > 0) {
-      state.counters["gain_vs_monolithic"] = monolithic_baseline / r.seconds;
-    }
-    const std::string key = chunk_key(chunk_bytes);
-    auto& rep = gflink::bench::bench_report();
-    rep.metrics.gauge(Metric::AblationPipelineSeconds, {{"chunk", key}}).set(r.seconds);
-    rep.metrics.gauge(Metric::AblationPipelineOverlapEfficiency, {{"chunk", key}})
-        .set(r.overlap_efficiency);
-    rep.metrics.gauge(Metric::AblationPipelineChunksPerWork, {{"chunk", key}})
-        .set(static_cast<double>(r.chunks_per_work));
-    if (monolithic_baseline > 0) {
-      rep.metrics.gauge(Metric::AblationPipelineGain, {{"chunk", key}})
-          .set(monolithic_baseline / r.seconds);
-    }
+  const ChunkRun r = run_with_chunks(chunk_bytes);
+  if (chunk_bytes == 0) monolithic_baseline = r.seconds;
+  state.counters["makespan_s"] = r.seconds;
+  state.counters["overlap_eff"] = r.overlap_efficiency;
+  if (monolithic_baseline > 0) {
+    state.counters["gain_vs_monolithic"] = monolithic_baseline / r.seconds;
   }
-  state.SetLabel("chunk=" + chunk_key(chunk_bytes));
+  const std::string key = chunk_key(chunk_bytes);
+  auto& rep = gflink::bench::bench_report();
+  rep.metrics.gauge(Metric::AblationPipelineSeconds, {{"chunk", key}}).set(r.seconds);
+  rep.metrics.gauge(Metric::AblationPipelineOverlapEfficiency, {{"chunk", key}})
+      .set(r.overlap_efficiency);
+  rep.metrics.gauge(Metric::AblationPipelineChunksPerWork, {{"chunk", key}})
+      .set(static_cast<double>(r.chunks_per_work));
+  if (monolithic_baseline > 0) {
+    rep.metrics.gauge(Metric::AblationPipelineGain, {{"chunk", key}})
+        .set(monolithic_baseline / r.seconds);
+  }
+  state.label = "chunk=" + key;
 }
-BENCHMARK(Ablation_ChunkedPipeline)
-    ->Arg(0)                 // monolithic baseline
-    ->Arg(256 << 10)
-    ->Arg(1 << 20)
-    ->Arg(4 << 20)
-    ->UseManualTime()->Unit(benchmark::kMillisecond)->Iterations(1);
 
-void Ablation_Pipeline(benchmark::State& state) {
-  const int streams = static_cast<int>(state.range(0));
+void Ablation_Pipeline(gflink::bench::CaseState& state) {
+  const int streams = static_cast<int>(state.args[0]);
   static double serial_baseline = 0;
-  for (auto _ : state) {
-    const double seconds = run_with_streams(streams);
-    if (streams == 1) serial_baseline = seconds;
-    state.SetIterationTime(seconds);
-    state.counters["makespan_s"] = seconds;
-    if (serial_baseline > 0) state.counters["gain_vs_serial"] = serial_baseline / seconds;
-  }
-  state.SetLabel("streams/gpu=" + std::to_string(streams));
+  const double seconds = run_with_streams(streams);
+  if (streams == 1) serial_baseline = seconds;
+  state.counters["makespan_s"] = seconds;
+  if (serial_baseline > 0) state.counters["gain_vs_serial"] = serial_baseline / seconds;
+  state.label = "streams/gpu=" + std::to_string(streams);
 }
-BENCHMARK(Ablation_Pipeline)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->UseManualTime()->Unit(benchmark::kMillisecond)->Iterations(1);
+
+// Each sweep's baseline (monolithic, one stream) runs first.
+const gflink::bench::Case kCases[] = {
+    {"Ablation_ChunkedPipeline", Ablation_ChunkedPipeline,
+     {{0}, {256 << 10}, {1 << 20}, {4 << 20}}},
+    {"Ablation_Pipeline", Ablation_Pipeline, {{1}, {2}, {4}, {8}}},
+};
 
 }  // namespace
 
-GFLINK_BENCH_MAIN(ablation_pipeline);
+GFLINK_BENCH_MAIN(ablation_pipeline, kCases);

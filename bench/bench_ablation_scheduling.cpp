@@ -63,23 +63,20 @@ Outcome run_with_policy(core::SchedulingPolicy policy) {
   return out;
 }
 
-void Ablation_Scheduling(benchmark::State& state) {
-  const auto policy = static_cast<core::SchedulingPolicy>(state.range(0));
-  wl::Testbed tb;
-  for (auto _ : state) {
-    Outcome out = run_with_policy(policy);
-    state.SetIterationTime(out.seconds * tb.scale);
-    state.counters["total_s"] = out.seconds;
-    state.counters["cache_hits"] = static_cast<double>(out.cache_hits);
-    state.counters["h2d_MB"] = static_cast<double>(out.h2d_bytes) / 1e6;
-    state.counters["steals"] = static_cast<double>(out.steals);
-  }
-  state.SetLabel(policy_name(policy));
+void Ablation_Scheduling(CaseState& state) {
+  const auto policy = static_cast<core::SchedulingPolicy>(state.args[0]);
+  const Outcome out = run_with_policy(policy);
+  state.counters["total_s"] = out.seconds;
+  state.counters["cache_hits"] = static_cast<double>(out.cache_hits);
+  state.counters["h2d_MB"] = static_cast<double>(out.h2d_bytes) / 1e6;
+  state.counters["steals"] = static_cast<double>(out.steals);
+  state.label = policy_name(policy);
 }
-BENCHMARK(Ablation_Scheduling)
-    ->Arg(0)->Arg(1)->Arg(2)
-    ->UseManualTime()->Unit(benchmark::kMillisecond)->Iterations(1);
+
+const Case kCases[] = {
+    {"Ablation_Scheduling", Ablation_Scheduling, {{0}, {1}, {2}}},
+};
 
 }  // namespace
 
-GFLINK_BENCH_MAIN(ablation_scheduling);
+GFLINK_BENCH_MAIN(ablation_scheduling, kCases);

@@ -55,22 +55,17 @@ double measure(sh::ShuffleMode mode, bool skewed) {
   return secs;
 }
 
-void Ablation_Shuffle(benchmark::State& state) {
-  const auto mode = kModes[state.range(0)];
-  const bool skewed = state.range(1) != 0;
-  for (auto _ : state) {
-    const double secs = measure(mode, skewed);
-    wl::Testbed tb;
-    state.SetIterationTime(secs * tb.scale);  // simulated seconds
-    state.counters["full_s"] = secs;
-  }
-  state.SetLabel(std::string(sh::shuffle_mode_name(mode)) + "/" + kDists[skewed ? 1 : 0]);
+void Ablation_Shuffle(CaseState& state) {
+  const auto mode = kModes[state.args[0]];
+  const bool skewed = state.args[1] != 0;
+  state.counters["full_s"] = measure(mode, skewed);
+  state.label = std::string(sh::shuffle_mode_name(mode)) + "/" + kDists[skewed ? 1 : 0];
 }
-BENCHMARK(Ablation_Shuffle)
-    ->Args({0, 0})->Args({1, 0})->Args({2, 0})
-    ->Args({0, 1})->Args({1, 1})->Args({2, 1})
-    ->UseManualTime()->Unit(benchmark::kMillisecond)->Iterations(1);
+
+const Case kCases[] = {
+    {"Ablation_Shuffle", Ablation_Shuffle, {{0, 0}, {1, 0}, {2, 0}, {0, 1}, {1, 1}, {2, 1}}},
+};
 
 }  // namespace
 
-GFLINK_BENCH_MAIN(ablation_shuffle);
+GFLINK_BENCH_MAIN(ablation_shuffle, kCases);

@@ -68,22 +68,17 @@ double measure(bool async_path, sp::SpillCodec codec) {
   return secs;
 }
 
-void Ablation_Spill(benchmark::State& state) {
-  const bool async_path = state.range(0) != 0;
-  const auto codec = kCodecs[state.range(1)];
-  for (auto _ : state) {
-    const double secs = measure(async_path, codec);
-    wl::Testbed tb;
-    state.SetIterationTime(secs * tb.scale);  // simulated seconds
-    state.counters["full_s"] = secs;
-  }
-  state.SetLabel(std::string(kPaths[async_path ? 1 : 0]) + "/" +
-                 sp::spill_codec_name(codec));
+void Ablation_Spill(CaseState& state) {
+  const bool async_path = state.args[0] != 0;
+  const auto codec = kCodecs[state.args[1]];
+  state.counters["full_s"] = measure(async_path, codec);
+  state.label = std::string(kPaths[async_path ? 1 : 0]) + "/" + sp::spill_codec_name(codec);
 }
-BENCHMARK(Ablation_Spill)
-    ->Args({0, 0})->Args({0, 1})->Args({1, 0})->Args({1, 1})
-    ->UseManualTime()->Unit(benchmark::kMillisecond)->Iterations(1);
+
+const Case kCases[] = {
+    {"Ablation_Spill", Ablation_Spill, {{0, 0}, {0, 1}, {1, 0}, {1, 1}}},
+};
 
 }  // namespace
 
-GFLINK_BENCH_MAIN(ablation_spill);
+GFLINK_BENCH_MAIN(ablation_spill, kCases);

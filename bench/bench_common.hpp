@@ -4,12 +4,9 @@
 // builds a fresh simulated testbed per case, runs the workload driver(s)
 // to completion on the virtual clock, and reports *extrapolated full-scale
 // seconds* (simulated seconds divided by the scale factor; see
-// workloads/common.hpp for the scaling model). Benchmarks use
-// google-benchmark's manual-time mode: the time column is virtual, not
-// wall-clock, and runs are deterministic so a single iteration is exact.
+// workloads/common.hpp for the scaling model). Each binary's case table
+// runs through GFLINK_BENCH_MAIN (bench_report.hpp).
 #pragma once
-
-#include <benchmark/benchmark.h>
 
 #include <cstdio>
 
@@ -50,11 +47,8 @@ inline double full_seconds(sim::Duration d, const wl::Testbed& tb) {
   return sim::to_seconds(d) / tb.scale;
 }
 
-/// Report one CPU-vs-GFlink pair through google-benchmark: the manual time
-/// is the GFlink run; counters carry both times and the speedup.
-inline void report_pair(benchmark::State& state, double cpu_seconds, double gflink_seconds,
-                        const wl::Testbed& tb) {
-  state.SetIterationTime(gflink_seconds * tb.scale);  // simulated seconds
+/// Report one CPU-vs-GFlink pair: counters carry both times and the speedup.
+inline void report_pair(CaseState& state, double cpu_seconds, double gflink_seconds) {
   state.counters["cpu_s"] = cpu_seconds;
   state.counters["gflink_s"] = gflink_seconds;
   state.counters["speedup"] = cpu_seconds / gflink_seconds;
@@ -62,11 +56,11 @@ inline void report_pair(benchmark::State& state, double cpu_seconds, double gfli
 
 /// Run `driver` as stock Flink, then as GFlink, and report the pair.
 template <typename ConfigT, typename ResultT>
-void run_pair(benchmark::State& state, wl::Driver<ConfigT, ResultT> driver,
-              const wl::Testbed& tb, const ConfigT& config) {
+void run_pair(CaseState& state, wl::Driver<ConfigT, ResultT> driver, const wl::Testbed& tb,
+              const ConfigT& config) {
   const auto cpu = run_workload(driver, tb, wl::Mode::Cpu, config);
   const auto gpu = run_workload(driver, tb, wl::Mode::Gpu, config);
-  report_pair(state, full_seconds(cpu.run.total, tb), full_seconds(gpu.run.total, tb), tb);
+  report_pair(state, full_seconds(cpu.run.total, tb), full_seconds(gpu.run.total, tb));
 }
 
 }  // namespace gflink::bench

@@ -15,28 +15,26 @@ namespace {
 
 using namespace gflink::bench;
 
-void CriticalPath_PageRank(benchmark::State& state) {
-  for (auto _ : state) {
-    wl::Testbed tb;
-    tb.trace = true;  // retain the span DAG for the critical-path walk
-    wl::Session session(tb, wl::Mode::Gpu);
-    wl::pagerank::Config pcfg;  // defaults: 10 M pages, 5 iterations
-    const auto result = session.run(&wl::pagerank::run, pcfg);
+void CriticalPath_PageRank(CaseState& state) {
+  wl::Testbed tb;
+  tb.trace = true;  // retain the span DAG for the critical-path walk
+  wl::Session session(tb, wl::Mode::Gpu);
+  wl::pagerank::Config pcfg;  // defaults: 10 M pages, 5 iterations
+  const auto result = session.run(&wl::pagerank::run, pcfg);
 
-    gflink::obs::RunReport& rep = report_case(session);
-    rep.capture_spans(session.engine().cluster().spans());
-    rep.trace_store_bytes = session.engine().cluster().spans().retained_bytes();
-    // The table generator extrapolates breakdown_ns to full-scale seconds.
-    rep.set_config("scale", tb.scale);
+  gflink::obs::RunReport& rep = report_case(session);
+  rep.capture_spans(session.engine().cluster().spans());
+  rep.trace_store_bytes = session.engine().cluster().spans().retained_bytes();
+  // The table generator extrapolates breakdown_ns to full-scale seconds.
+  rep.set_config("scale", tb.scale);
 
-    const double secs = full_seconds(result.run.total, tb);
-    state.SetIterationTime(secs * tb.scale);  // simulated seconds
-    state.counters["full_s"] = secs;
-  }
+  state.counters["full_s"] = full_seconds(result.run.total, tb);
 }
-BENCHMARK(CriticalPath_PageRank)
-    ->UseManualTime()->Unit(benchmark::kMillisecond)->Iterations(1);
+
+const Case kCases[] = {
+    {"CriticalPath_PageRank", CriticalPath_PageRank, {}},
+};
 
 }  // namespace
 
-GFLINK_BENCH_MAIN(critical_path);
+GFLINK_BENCH_MAIN(critical_path, kCases);

@@ -28,27 +28,25 @@ double run_with_failure(const wl::Testbed& tb, gflink::sim::Time kill_at,
   return full_seconds(result.run.total, tb);
 }
 
-void Fault_RecoveryOverhead(benchmark::State& state) {
+void Fault_RecoveryOverhead(CaseState& state) {
   wl::Testbed tb;
-  const auto kill_ms = state.range(0);  // virtual ms; 0 = no failure
+  const auto kill_ms = state.args[0];  // virtual ms; 0 = no failure
   static double baseline = 0;
-  for (auto _ : state) {
-    std::uint64_t retried = 0;
-    const double seconds =
-        run_with_failure(tb, gflink::sim::millis(static_cast<double>(kill_ms)), &retried);
-    if (kill_ms == 0) baseline = seconds;
-    state.SetIterationTime(seconds * tb.scale);
-    state.counters["total_s"] = seconds;
-    state.counters["tasks_retried"] = static_cast<double>(retried);
-    if (baseline > 0) state.counters["overhead_pct"] = 100.0 * (seconds / baseline - 1.0);
-  }
-  state.SetLabel(kill_ms == 0 ? "no failure"
-                              : "worker killed at t=" + std::to_string(kill_ms) + "ms(sim)");
+  std::uint64_t retried = 0;
+  const double seconds =
+      run_with_failure(tb, gflink::sim::millis(static_cast<double>(kill_ms)), &retried);
+  if (kill_ms == 0) baseline = seconds;
+  state.counters["total_s"] = seconds;
+  state.counters["tasks_retried"] = static_cast<double>(retried);
+  if (baseline > 0) state.counters["overhead_pct"] = 100.0 * (seconds / baseline - 1.0);
+  state.label = kill_ms == 0 ? "no failure"
+                             : "worker killed at t=" + std::to_string(kill_ms) + "ms(sim)";
 }
-BENCHMARK(Fault_RecoveryOverhead)
-    ->Arg(0)->Arg(3)->Arg(10)->Arg(20)->Arg(30)
-    ->UseManualTime()->Unit(benchmark::kMillisecond)->Iterations(1);
+
+const Case kCases[] = {
+    {"Fault_RecoveryOverhead", Fault_RecoveryOverhead, {{0}, {3}, {10}, {20}, {30}}},
+};
 
 }  // namespace
 
-GFLINK_BENCH_MAIN(fault_recovery);
+GFLINK_BENCH_MAIN(fault_recovery, kCases);

@@ -13,45 +13,36 @@ namespace {
 
 using namespace gflink::bench;
 
-void Fig5a_KMeans(benchmark::State& state) {
+void Fig5a_KMeans(CaseState& state) {
   wl::Testbed tb;  // 10 workers x 2 C2050
   wl::kmeans::Config cfg;
-  cfg.points = static_cast<std::uint64_t>(state.range(0)) * 1'000'000ULL;
-  for (auto _ : state) {
-    run_pair(state, &wl::kmeans::run, tb, cfg);
-  }
-  state.SetLabel("Fig5a points(M)=" + std::to_string(state.range(0)));
+  cfg.points = static_cast<std::uint64_t>(state.args[0]) * 1'000'000ULL;
+  run_pair(state, &wl::kmeans::run, tb, cfg);
+  state.label = "Fig5a points(M)=" + std::to_string(state.args[0]);
 }
-BENCHMARK(Fig5a_KMeans)
-    ->Arg(150)->Arg(180)->Arg(210)->Arg(240)->Arg(270)
-    ->UseManualTime()->Unit(benchmark::kMillisecond)->Iterations(1);
 
-void Fig5b_PageRank(benchmark::State& state) {
+void Fig5b_PageRank(CaseState& state) {
   wl::Testbed tb;
   wl::pagerank::Config cfg;
-  cfg.pages = static_cast<std::uint64_t>(state.range(0)) * 1'000'000ULL;
-  for (auto _ : state) {
-    run_pair(state, &wl::pagerank::run, tb, cfg);
-  }
-  state.SetLabel("Fig5b pages(M)=" + std::to_string(state.range(0)));
+  cfg.pages = static_cast<std::uint64_t>(state.args[0]) * 1'000'000ULL;
+  run_pair(state, &wl::pagerank::run, tb, cfg);
+  state.label = "Fig5b pages(M)=" + std::to_string(state.args[0]);
 }
-BENCHMARK(Fig5b_PageRank)
-    ->Arg(5)->Arg(10)->Arg(15)->Arg(20)->Arg(25)
-    ->UseManualTime()->Unit(benchmark::kMillisecond)->Iterations(1);
 
-void Fig5c_WordCount(benchmark::State& state) {
+void Fig5c_WordCount(CaseState& state) {
   wl::Testbed tb;
   wl::wordcount::Config cfg;
-  cfg.text_bytes = static_cast<std::uint64_t>(state.range(0)) << 30;
-  for (auto _ : state) {
-    run_pair(state, &wl::wordcount::run, tb, cfg);
-  }
-  state.SetLabel("Fig5c text(GB)=" + std::to_string(state.range(0)));
+  cfg.text_bytes = static_cast<std::uint64_t>(state.args[0]) << 30;
+  run_pair(state, &wl::wordcount::run, tb, cfg);
+  state.label = "Fig5c text(GB)=" + std::to_string(state.args[0]);
 }
-BENCHMARK(Fig5c_WordCount)
-    ->Arg(24)->Arg(32)->Arg(40)->Arg(48)->Arg(56)
-    ->UseManualTime()->Unit(benchmark::kMillisecond)->Iterations(1);
+
+const Case kCases[] = {
+    {"Fig5a_KMeans", Fig5a_KMeans, {{150}, {180}, {210}, {240}, {270}}},
+    {"Fig5b_PageRank", Fig5b_PageRank, {{5}, {10}, {15}, {20}, {25}}},
+    {"Fig5c_WordCount", Fig5c_WordCount, {{24}, {32}, {40}, {48}, {56}}},
+};
 
 }  // namespace
 
-GFLINK_BENCH_MAIN(fig5_overview);
+GFLINK_BENCH_MAIN(fig5_overview, kCases);

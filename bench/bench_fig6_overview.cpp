@@ -13,45 +13,36 @@ namespace {
 
 using namespace gflink::bench;
 
-void Fig6a_SpMV(benchmark::State& state) {
+void Fig6a_SpMV(CaseState& state) {
   wl::Testbed tb;
   wl::spmv::Config cfg;
-  cfg.matrix_bytes = static_cast<std::uint64_t>(state.range(0)) << 30;
-  for (auto _ : state) {
-    run_pair(state, &wl::spmv::run, tb, cfg);
-  }
-  state.SetLabel("Fig6a matrix(GB)=" + std::to_string(state.range(0)));
+  cfg.matrix_bytes = static_cast<std::uint64_t>(state.args[0]) << 30;
+  run_pair(state, &wl::spmv::run, tb, cfg);
+  state.label = "Fig6a matrix(GB)=" + std::to_string(state.args[0]);
 }
-BENCHMARK(Fig6a_SpMV)
-    ->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Arg(32)
-    ->UseManualTime()->Unit(benchmark::kMillisecond)->Iterations(1);
 
-void Fig6b_LinearRegression(benchmark::State& state) {
+void Fig6b_LinearRegression(CaseState& state) {
   wl::Testbed tb;
   wl::linreg::Config cfg;
-  cfg.samples = static_cast<std::uint64_t>(state.range(0)) * 1'000'000ULL;
-  for (auto _ : state) {
-    run_pair(state, &wl::linreg::run, tb, cfg);
-  }
-  state.SetLabel("Fig6b samples(M)=" + std::to_string(state.range(0)));
+  cfg.samples = static_cast<std::uint64_t>(state.args[0]) * 1'000'000ULL;
+  run_pair(state, &wl::linreg::run, tb, cfg);
+  state.label = "Fig6b samples(M)=" + std::to_string(state.args[0]);
 }
-BENCHMARK(Fig6b_LinearRegression)
-    ->Arg(150)->Arg(180)->Arg(210)->Arg(240)->Arg(270)
-    ->UseManualTime()->Unit(benchmark::kMillisecond)->Iterations(1);
 
-void Fig6c_ConnectedComponents(benchmark::State& state) {
+void Fig6c_ConnectedComponents(CaseState& state) {
   wl::Testbed tb;
   wl::concomp::Config cfg;
-  cfg.vertices = static_cast<std::uint64_t>(state.range(0)) * 1'000'000ULL;
-  for (auto _ : state) {
-    run_pair(state, &wl::concomp::run, tb, cfg);
-  }
-  state.SetLabel("Fig6c pages(M)=" + std::to_string(state.range(0)));
+  cfg.vertices = static_cast<std::uint64_t>(state.args[0]) * 1'000'000ULL;
+  run_pair(state, &wl::concomp::run, tb, cfg);
+  state.label = "Fig6c pages(M)=" + std::to_string(state.args[0]);
 }
-BENCHMARK(Fig6c_ConnectedComponents)
-    ->Arg(5)->Arg(10)->Arg(15)->Arg(20)->Arg(25)
-    ->UseManualTime()->Unit(benchmark::kMillisecond)->Iterations(1);
+
+const Case kCases[] = {
+    {"Fig6a_SpMV", Fig6a_SpMV, {{2}, {4}, {8}, {16}, {32}}},
+    {"Fig6b_LinearRegression", Fig6b_LinearRegression, {{150}, {180}, {210}, {240}, {270}}},
+    {"Fig6c_ConnectedComponents", Fig6c_ConnectedComponents, {{5}, {10}, {15}, {20}, {25}}},
+};
 
 }  // namespace
 
-GFLINK_BENCH_MAIN(fig6_overview);
+GFLINK_BENCH_MAIN(fig6_overview, kCases);

@@ -8,8 +8,8 @@
 //      ~2.5x speedup in the first iteration, ~10x afterwards (matrix
 //      cached on the GPU), and 2 GPUs beating 1 on the middle iterations.
 //
-// Each case's manual time is the *middle* (steady-state) iteration; the
-// full per-iteration series is printed to stdout.
+// Each case's counters carry the first, *middle* (steady-state) and last
+// iteration; the full per-iteration series is printed to stdout.
 #include "bench_common.hpp"
 #include "workloads/kmeans.hpp"
 #include "workloads/spmv.hpp"
@@ -29,53 +29,46 @@ double middle_iteration(const std::vector<gflink::sim::Duration>& iters, const w
   return full_seconds(iters[iters.size() / 2], tb);
 }
 
-void Fig7a_KMeansIterations(benchmark::State& state) {
+void Fig7a_KMeansIterations(CaseState& state) {
   wl::Testbed tb;
   tb.workers = 3;
-  tb.gpus_per_worker = static_cast<int>(state.range(0));  // 0 = CPU
+  tb.gpus_per_worker = static_cast<int>(state.args[0]);  // 0 = CPU
   wl::kmeans::Config cfg;
   cfg.points = 210'000'000;
   cfg.iterations = 8;
-  const bool gpu = state.range(0) > 0;
+  const bool gpu = state.args[0] > 0;
   if (!gpu) tb.gpus_per_worker = 2;  // unused
-  for (auto _ : state) {
-    auto r = run_workload(&wl::kmeans::run, tb, gpu ? wl::Mode::Gpu : wl::Mode::Cpu, cfg);
-    state.SetIterationTime(middle_iteration(r.run.iterations, tb) * tb.scale);
-    state.counters["first_iter_s"] = full_seconds(r.run.iterations.front(), tb);
-    state.counters["middle_iter_s"] = middle_iteration(r.run.iterations, tb);
-    state.counters["last_iter_s"] = full_seconds(r.run.iterations.back(), tb);
-    print_series(gpu ? (state.range(0) == 1 ? "Fig7a GFlink 1 GPU/node" : "Fig7a GFlink 2 GPU/node")
-                     : "Fig7a Flink CPU",
-                 r.run.iterations, tb);
-  }
+  auto r = run_workload(&wl::kmeans::run, tb, gpu ? wl::Mode::Gpu : wl::Mode::Cpu, cfg);
+  state.counters["first_iter_s"] = full_seconds(r.run.iterations.front(), tb);
+  state.counters["middle_iter_s"] = middle_iteration(r.run.iterations, tb);
+  state.counters["last_iter_s"] = full_seconds(r.run.iterations.back(), tb);
+  print_series(gpu ? (state.args[0] == 1 ? "Fig7a GFlink 1 GPU/node" : "Fig7a GFlink 2 GPU/node")
+                   : "Fig7a Flink CPU",
+               r.run.iterations, tb);
 }
-BENCHMARK(Fig7a_KMeansIterations)
-    ->Arg(0)->Arg(1)->Arg(2)
-    ->UseManualTime()->Unit(benchmark::kMillisecond)->Iterations(1);
 
-void Fig7b_SpmvIterations(benchmark::State& state) {
+void Fig7b_SpmvIterations(CaseState& state) {
   wl::Testbed tb;
   tb.workers = 1;  // single machine, colocated master
-  tb.gpus_per_worker = state.range(0) > 0 ? static_cast<int>(state.range(0)) : 2;
+  tb.gpus_per_worker = state.args[0] > 0 ? static_cast<int>(state.args[0]) : 2;
   wl::spmv::Config cfg;
   cfg.matrix_bytes = 1ULL << 30;  // 1.0 GB matrix, 123 MB-class vector
   cfg.iterations = 8;
-  const bool gpu = state.range(0) > 0;
-  for (auto _ : state) {
-    auto r = run_workload(&wl::spmv::run, tb, gpu ? wl::Mode::Gpu : wl::Mode::Cpu, cfg);
-    state.SetIterationTime(middle_iteration(r.run.iterations, tb) * tb.scale);
-    state.counters["first_iter_s"] = full_seconds(r.run.iterations.front(), tb);
-    state.counters["middle_iter_s"] = middle_iteration(r.run.iterations, tb);
-    state.counters["last_iter_s"] = full_seconds(r.run.iterations.back(), tb);
-    print_series(gpu ? (state.range(0) == 1 ? "Fig7b GFlink 1 GPU" : "Fig7b GFlink 2 GPUs")
-                     : "Fig7b Flink CPU",
-                 r.run.iterations, tb);
-  }
+  const bool gpu = state.args[0] > 0;
+  auto r = run_workload(&wl::spmv::run, tb, gpu ? wl::Mode::Gpu : wl::Mode::Cpu, cfg);
+  state.counters["first_iter_s"] = full_seconds(r.run.iterations.front(), tb);
+  state.counters["middle_iter_s"] = middle_iteration(r.run.iterations, tb);
+  state.counters["last_iter_s"] = full_seconds(r.run.iterations.back(), tb);
+  print_series(gpu ? (state.args[0] == 1 ? "Fig7b GFlink 1 GPU" : "Fig7b GFlink 2 GPUs")
+                   : "Fig7b Flink CPU",
+               r.run.iterations, tb);
 }
-BENCHMARK(Fig7b_SpmvIterations)
-    ->Arg(0)->Arg(1)->Arg(2)
-    ->UseManualTime()->Unit(benchmark::kMillisecond)->Iterations(1);
+
+const Case kCases[] = {
+    {"Fig7a_KMeansIterations", Fig7a_KMeansIterations, {{0}, {1}, {2}}},
+    {"Fig7b_SpmvIterations", Fig7b_SpmvIterations, {{0}, {1}, {2}}},
+};
 
 }  // namespace
 
-GFLINK_BENCH_MAIN(fig7_iterations);
+GFLINK_BENCH_MAIN(fig7_iterations, kCases);

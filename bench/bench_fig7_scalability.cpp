@@ -13,34 +13,29 @@ namespace {
 
 using namespace gflink::bench;
 
-void Fig7c_KMeansScalability(benchmark::State& state) {
+void Fig7c_KMeansScalability(CaseState& state) {
   wl::Testbed tb;
-  tb.workers = static_cast<int>(state.range(0));
+  tb.workers = static_cast<int>(state.args[0]);
   wl::kmeans::Config cfg;
   cfg.points = 150'000'000;  // ~10 GB of Point records
-  for (auto _ : state) {
-    run_pair(state, &wl::kmeans::run, tb, cfg);
-  }
-  state.SetLabel("Fig7c slaves=" + std::to_string(state.range(0)));
+  run_pair(state, &wl::kmeans::run, tb, cfg);
+  state.label = "Fig7c slaves=" + std::to_string(state.args[0]);
 }
-BENCHMARK(Fig7c_KMeansScalability)
-    ->Arg(2)->Arg(4)->Arg(6)->Arg(8)->Arg(10)
-    ->UseManualTime()->Unit(benchmark::kMillisecond)->Iterations(1);
 
-void Fig7d_SpmvScalability(benchmark::State& state) {
+void Fig7d_SpmvScalability(CaseState& state) {
   wl::Testbed tb;
-  tb.workers = static_cast<int>(state.range(0));
+  tb.workers = static_cast<int>(state.args[0]);
   wl::spmv::Config cfg;
   cfg.matrix_bytes = 10ULL << 30;  // the paper's 10 GB matrix
-  for (auto _ : state) {
-    run_pair(state, &wl::spmv::run, tb, cfg);
-  }
-  state.SetLabel("Fig7d slaves=" + std::to_string(state.range(0)));
+  run_pair(state, &wl::spmv::run, tb, cfg);
+  state.label = "Fig7d slaves=" + std::to_string(state.args[0]);
 }
-BENCHMARK(Fig7d_SpmvScalability)
-    ->Arg(2)->Arg(4)->Arg(6)->Arg(8)->Arg(10)
-    ->UseManualTime()->Unit(benchmark::kMillisecond)->Iterations(1);
+
+const Case kCases[] = {
+    {"Fig7c_KMeansScalability", Fig7c_KMeansScalability, {{2}, {4}, {6}, {8}, {10}}},
+    {"Fig7d_SpmvScalability", Fig7d_SpmvScalability, {{2}, {4}, {6}, {8}, {10}}},
+};
 
 }  // namespace
 
-GFLINK_BENCH_MAIN(fig7_scalability);
+GFLINK_BENCH_MAIN(fig7_scalability, kCases);

@@ -11,30 +11,27 @@ namespace {
 
 using namespace gflink::bench;
 
-void Fig8a_CacheScheme(benchmark::State& state) {
-  const bool cached = state.range(0) != 0;
+void Fig8a_CacheScheme(CaseState& state) {
+  const bool cached = state.args[0] != 0;
   wl::Testbed tb;
   tb.workers = 1;
   wl::spmv::Config cfg;
   cfg.matrix_bytes = 1ULL << 30;
   cfg.iterations = 8;
   cfg.gpu_cache = cached;
-  for (auto _ : state) {
-    auto r = run_workload(&wl::spmv::run, tb, wl::Mode::Gpu, cfg);
-    const double middle = full_seconds(r.run.iterations[cfg.iterations / 2], tb);
-    state.SetIterationTime(middle * tb.scale);
-    state.counters["middle_iter_s"] = middle;
-    state.counters["total_s"] = full_seconds(r.run.total, tb);
-    std::printf("%-24s per-iteration seconds:", cached ? "Fig8a cache ON" : "Fig8a cache OFF");
-    for (auto d : r.run.iterations) std::printf(" %7.2f", full_seconds(d, tb));
-    std::printf("\n");
-  }
-  state.SetLabel(cached ? "cache=on" : "cache=off");
+  auto r = run_workload(&wl::spmv::run, tb, wl::Mode::Gpu, cfg);
+  state.counters["middle_iter_s"] = full_seconds(r.run.iterations[cfg.iterations / 2], tb);
+  state.counters["total_s"] = full_seconds(r.run.total, tb);
+  std::printf("%-24s per-iteration seconds:", cached ? "Fig8a cache ON" : "Fig8a cache OFF");
+  for (auto d : r.run.iterations) std::printf(" %7.2f", full_seconds(d, tb));
+  std::printf("\n");
+  state.label = cached ? "cache=on" : "cache=off";
 }
-BENCHMARK(Fig8a_CacheScheme)
-    ->Arg(1)->Arg(0)
-    ->UseManualTime()->Unit(benchmark::kMillisecond)->Iterations(1);
+
+const Case kCases[] = {
+    {"Fig8a_CacheScheme", Fig8a_CacheScheme, {{1}, {0}}},
+};
 
 }  // namespace
 
-GFLINK_BENCH_MAIN(fig8_cache);
+GFLINK_BENCH_MAIN(fig8_cache, kCases);

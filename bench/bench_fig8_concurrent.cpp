@@ -83,47 +83,44 @@ std::array<double, 4> run_concurrent(const wl::Testbed& tb, const Apps& apps) {
   return out;
 }
 
-void run_case(benchmark::State& state, const wl::Testbed& tb, int parallelism,
-              const char* figure) {
+void run_case(CaseState& state, const wl::Testbed& tb, int parallelism, const char* figure) {
   const Apps apps = make_apps(parallelism);
-  for (auto _ : state) {
-    auto exclusive = run_exclusive(tb, apps);
-    auto concurrent = run_concurrent(tb, apps);
-    const double exclusive_sum = exclusive[0] + exclusive[1] + exclusive[2];
-    state.SetIterationTime(concurrent[3] * tb.scale);
-    state.counters["excl_kmeans_s"] = exclusive[0];
-    state.counters["excl_spmv_s"] = exclusive[1];
-    state.counters["excl_pointadd_s"] = exclusive[2];
-    state.counters["conc_kmeans_s"] = concurrent[0];
-    state.counters["conc_spmv_s"] = concurrent[1];
-    state.counters["conc_pointadd_s"] = concurrent[2];
-    state.counters["exclusive_sum_s"] = exclusive_sum;
-    state.counters["concurrent_makespan_s"] = concurrent[3];
-    state.counters["makespan_vs_sum"] = concurrent[3] / exclusive_sum;
-    std::printf(
-        "%s exclusive: kmeans=%.1f spmv=%.1f pointadd=%.1f (sum %.1f) | "
-        "concurrent: kmeans=%.1f spmv=%.1f pointadd=%.1f (makespan %.1f)\n",
-        figure, exclusive[0], exclusive[1], exclusive[2], exclusive_sum, concurrent[0],
-        concurrent[1], concurrent[2], concurrent[3]);
-  }
-  state.SetLabel(figure);
+  auto exclusive = run_exclusive(tb, apps);
+  auto concurrent = run_concurrent(tb, apps);
+  const double exclusive_sum = exclusive[0] + exclusive[1] + exclusive[2];
+  state.counters["excl_kmeans_s"] = exclusive[0];
+  state.counters["excl_spmv_s"] = exclusive[1];
+  state.counters["excl_pointadd_s"] = exclusive[2];
+  state.counters["conc_kmeans_s"] = concurrent[0];
+  state.counters["conc_spmv_s"] = concurrent[1];
+  state.counters["conc_pointadd_s"] = concurrent[2];
+  state.counters["exclusive_sum_s"] = exclusive_sum;
+  state.counters["concurrent_makespan_s"] = concurrent[3];
+  state.counters["makespan_vs_sum"] = concurrent[3] / exclusive_sum;
+  std::printf(
+      "%s exclusive: kmeans=%.1f spmv=%.1f pointadd=%.1f (sum %.1f) | "
+      "concurrent: kmeans=%.1f spmv=%.1f pointadd=%.1f (makespan %.1f)\n",
+      figure, exclusive[0], exclusive[1], exclusive[2], exclusive_sum, concurrent[0],
+      concurrent[1], concurrent[2], concurrent[3]);
+  state.label = figure;
 }
 
-void Fig8c_ConcurrentSingleNode(benchmark::State& state) {
+void Fig8c_ConcurrentSingleNode(CaseState& state) {
   wl::Testbed tb;
   tb.workers = 1;
   run_case(state, tb, 1, "Fig8c single-node");
 }
-BENCHMARK(Fig8c_ConcurrentSingleNode)
-    ->UseManualTime()->Unit(benchmark::kMillisecond)->Iterations(1);
 
-void Fig8d_ConcurrentCluster(benchmark::State& state) {
+void Fig8d_ConcurrentCluster(CaseState& state) {
   wl::Testbed tb;  // 10 workers
   run_case(state, tb, 10, "Fig8d cluster");
 }
-BENCHMARK(Fig8d_ConcurrentCluster)
-    ->UseManualTime()->Unit(benchmark::kMillisecond)->Iterations(1);
+
+const Case kCases[] = {
+    {"Fig8c_ConcurrentSingleNode", Fig8c_ConcurrentSingleNode, {}},
+    {"Fig8d_ConcurrentCluster", Fig8d_ConcurrentCluster, {}},
+};
 
 }  // namespace
 
-GFLINK_BENCH_MAIN(fig8_concurrent);
+GFLINK_BENCH_MAIN(fig8_concurrent, kCases);

@@ -147,23 +147,25 @@ double measure(Op op, wl::Mode mode, const wl::Testbed& tb) {
   return seconds;
 }
 
-void Fig8b_OperatorSpeedup(benchmark::State& state) {
-  const Op op = static_cast<Op>(state.range(0));
+void Fig8b_OperatorSpeedup(CaseState& state) {
+  const Op op = static_cast<Op>(state.args[0]);
   wl::Testbed tb;
   tb.workers = 1;
   tb.gpus_per_worker = 1;
-  tb.gpu_spec = preset(static_cast<int>(state.range(1)));
-  for (auto _ : state) {
-    const double cpu_s = measure(op, wl::Mode::Cpu, tb);
-    const double gpu_s = measure(op, wl::Mode::Gpu, tb);
-    report_pair(state, cpu_s, gpu_s, tb);
-  }
-  state.SetLabel(std::string(op_name(op)) + " on " + tb.gpu_spec.name);
+  tb.gpu_spec = preset(static_cast<int>(state.args[1]));
+  const double cpu_s = measure(op, wl::Mode::Cpu, tb);
+  const double gpu_s = measure(op, wl::Mode::Gpu, tb);
+  report_pair(state, cpu_s, gpu_s);
+  state.label = std::string(op_name(op)) + " on " + tb.gpu_spec.name;
 }
-BENCHMARK(Fig8b_OperatorSpeedup)
-    ->ArgsProduct({{0, 1, 2, 3}, {0, 1, 2, 3}})
-    ->UseManualTime()->Unit(benchmark::kMillisecond)->Iterations(1);
+
+// Every operator on every device, operator fastest.
+const Case kCases[] = {
+    {"Fig8b_OperatorSpeedup", Fig8b_OperatorSpeedup,
+     {{0, 0}, {1, 0}, {2, 0}, {3, 0}, {0, 1}, {1, 1}, {2, 1}, {3, 1},
+      {0, 2}, {1, 2}, {2, 2}, {3, 2}, {0, 3}, {1, 3}, {2, 3}, {3, 3}}},
+};
 
 }  // namespace
 
-GFLINK_BENCH_MAIN(fig8_kernels);
+GFLINK_BENCH_MAIN(fig8_kernels, kCases);

@@ -100,7 +100,7 @@ CaseResult run_case(const wl::Testbed& tb, const std::vector<TenantLoad>& loads,
   return out;
 }
 
-void Multitenant_WeightedFairService(benchmark::State& state) {
+void Multitenant_WeightedFairService(CaseState& state) {
   wl::Testbed tb;
   tb.workers = 2;
   // Gold pays for twice the share: double DRR weight, double GPU cache
@@ -112,49 +112,48 @@ void Multitenant_WeightedFairService(benchmark::State& state) {
       {svc::TenantConfig{"bronze", 1.0, 0, quota, 0}, 2},
   };
 
-  for (auto _ : state) {
-    CaseResult r = run_case(tb, loads, sim::millis(40));
-    state.SetIterationTime(r.virtual_seconds);
-    const double jobs_per_second =
-        r.virtual_seconds > 0 ? static_cast<double>(r.completed) / r.virtual_seconds : 0.0;
-    state.counters["jobs_total"] = static_cast<double>(r.completed);
-    state.counters["jobs_per_second"] = jobs_per_second;
+  CaseResult r = run_case(tb, loads, sim::millis(40));
+  const double jobs_per_second =
+      r.virtual_seconds > 0 ? static_cast<double>(r.completed) / r.virtual_seconds : 0.0;
+  state.counters["virtual_s"] = r.virtual_seconds;
+  state.counters["jobs_total"] = static_cast<double>(r.completed);
+  state.counters["jobs_per_second"] = jobs_per_second;
 
-    double total_weight = 0.0, total_completed = 0.0, total_cache = 0.0;
-    for (const auto& t : r.tenants) {
-      total_weight += t.weight;
-      total_completed += static_cast<double>(t.completed);
-      total_cache += static_cast<double>(t.cache_inserted_bytes);
-    }
-    auto& rep = bench_report();
-    rep.metrics.gauge(Metric::MultitenantJobsPerSecond).set(jobs_per_second);
-    for (const auto& t : r.tenants) {
-      const double weight_share = t.weight / total_weight;
-      const double throughput_share =
-          total_completed > 0 ? static_cast<double>(t.completed) / total_completed : 0.0;
-      const double cache_share =
-          total_cache > 0 ? static_cast<double>(t.cache_inserted_bytes) / total_cache : 0.0;
-      const double p99_s = t.latency_ns.p99 / 1e9;
-      rep.metrics.gauge(Metric::MultitenantWeightShare, {{"tenant", t.name}}).set(weight_share);
-      rep.metrics.gauge(Metric::MultitenantThroughputShare, {{"tenant", t.name}})
-          .set(throughput_share);
-      rep.metrics.gauge(Metric::MultitenantCacheShare, {{"tenant", t.name}}).set(cache_share);
-      rep.metrics.gauge(Metric::MultitenantP99LatencyS, {{"tenant", t.name}}).set(p99_s);
-      state.counters["share_" + t.name] = throughput_share;
-      std::printf(
-          "%-6s weight=%.0f completed=%llu share=%.3f (want %.3f) cache=%.3f p99=%.4fs\n",
-          t.name.c_str(), t.weight, static_cast<unsigned long long>(t.completed),
-          throughput_share, weight_share, cache_share, p99_s);
-    }
-    std::printf("aggregate: %llu jobs in %.3f simulated s (%.1f jobs/s)\n",
-                static_cast<unsigned long long>(r.completed), r.virtual_seconds,
-                jobs_per_second);
+  double total_weight = 0.0, total_completed = 0.0, total_cache = 0.0;
+  for (const auto& t : r.tenants) {
+    total_weight += t.weight;
+    total_completed += static_cast<double>(t.completed);
+    total_cache += static_cast<double>(t.cache_inserted_bytes);
   }
-  state.SetLabel("multi-tenant weighted fair service");
+  auto& rep = bench_report();
+  rep.metrics.gauge(Metric::MultitenantJobsPerSecond).set(jobs_per_second);
+  for (const auto& t : r.tenants) {
+    const double weight_share = t.weight / total_weight;
+    const double throughput_share =
+        total_completed > 0 ? static_cast<double>(t.completed) / total_completed : 0.0;
+    const double cache_share =
+        total_cache > 0 ? static_cast<double>(t.cache_inserted_bytes) / total_cache : 0.0;
+    const double p99_s = t.latency_ns.p99 / 1e9;
+    rep.metrics.gauge(Metric::MultitenantWeightShare, {{"tenant", t.name}}).set(weight_share);
+    rep.metrics.gauge(Metric::MultitenantThroughputShare, {{"tenant", t.name}})
+        .set(throughput_share);
+    rep.metrics.gauge(Metric::MultitenantCacheShare, {{"tenant", t.name}}).set(cache_share);
+    rep.metrics.gauge(Metric::MultitenantP99LatencyS, {{"tenant", t.name}}).set(p99_s);
+    state.counters["share_" + t.name] = throughput_share;
+    std::printf(
+        "%-6s weight=%.0f completed=%llu share=%.3f (want %.3f) cache=%.3f p99=%.4fs\n",
+        t.name.c_str(), t.weight, static_cast<unsigned long long>(t.completed),
+        throughput_share, weight_share, cache_share, p99_s);
+  }
+  std::printf("aggregate: %llu jobs in %.3f simulated s (%.1f jobs/s)\n",
+              static_cast<unsigned long long>(r.completed), r.virtual_seconds, jobs_per_second);
+  state.label = "multi-tenant weighted fair service";
 }
-BENCHMARK(Multitenant_WeightedFairService)
-    ->UseManualTime()->Unit(benchmark::kMillisecond)->Iterations(1);
+
+const Case kCases[] = {
+    {"Multitenant_WeightedFairService", Multitenant_WeightedFairService, {}},
+};
 
 }  // namespace
 
-GFLINK_BENCH_MAIN(multitenant);
+GFLINK_BENCH_MAIN(multitenant, kCases);

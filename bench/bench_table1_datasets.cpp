@@ -2,8 +2,6 @@
 // input sizes per workload; this binary regenerates the inventory and
 // verifies each generator's record counts and byte volumes at simulation
 // scale (the numbers every other bench consumes).
-#include <benchmark/benchmark.h>
-
 #include "bench_report.hpp"
 
 #include <cstdio>
@@ -33,29 +31,20 @@ constexpr Row kTable1[] = {
     {"SpMV", "2, 4, 8, 16, 32", "GB", sizeof(CsrRow)},
 };
 
-void Table1_Datasets(benchmark::State& state) {
-  const Row& row = kTable1[state.range(0)];
+void Table1_Datasets(gflink::bench::CaseState& state) {
+  const Row& row = kTable1[state.args[0]];
   // An inventory: its report's virtual_ns of 0 is not a missing clock.
   gflink::bench::bench_report().set_config("model", "none (dataset inventory, no simulation)");
-  for (auto _ : state) {
-    state.SetIterationTime(1e-9);  // inventory only; no simulated work
-    state.counters["record_bytes"] = static_cast<double>(row.record_bytes);
-  }
+  state.counters["record_bytes"] = static_cast<double>(row.record_bytes);
   std::printf("Table1 %-18s sizes: %-24s (%s), record = %zu B\n", row.workload, row.sizes,
               row.unit, row.record_bytes);
-  state.SetLabel(row.workload);
+  state.label = row.workload;
 }
-BENCHMARK(Table1_Datasets)
-    ->DenseRange(0, 5)
-    ->UseManualTime()->Unit(benchmark::kNanosecond)->Iterations(1);
 
 // Generator spot-checks: the scaled record counts that feed the other
 // benches must match the Table-1 sizes under the scaling model.
-void Table1_GeneratorCounts(benchmark::State& state) {
+void Table1_GeneratorCounts(gflink::bench::CaseState& state) {
   Testbed tb;
-  for (auto _ : state) {
-    state.SetIterationTime(1e-9);
-  }
   const auto kmeans_points =
       static_cast<std::uint64_t>(210e6 * tb.scale);
   const auto spmv_rows = spmv::rows_for(8ULL << 30, tb.scale);
@@ -65,10 +54,14 @@ void Table1_GeneratorCounts(benchmark::State& state) {
       tb.scale, static_cast<unsigned long long>(kmeans_points),
       static_cast<unsigned long long>(spmv_rows), sizeof(CsrRow),
       static_cast<double>(spmv_rows * sizeof(CsrRow)) / 1e6);
-  state.SetLabel("scaled-counts");
+  state.label = "scaled-counts";
 }
-BENCHMARK(Table1_GeneratorCounts)->UseManualTime()->Unit(benchmark::kNanosecond)->Iterations(1);
+
+const gflink::bench::Case kCases[] = {
+    {"Table1_Datasets", Table1_Datasets, {{0}, {1}, {2}, {3}, {4}, {5}}},
+    {"Table1_GeneratorCounts", Table1_GeneratorCounts, {}},
+};
 
 }  // namespace
 
-GFLINK_BENCH_MAIN(table1_datasets);
+GFLINK_BENCH_MAIN(table1_datasets, kCases);

@@ -6,8 +6,6 @@
 // measurement. Expected shape: identical asymptotes near 2.97 GB/s, the
 // native path slightly ahead for small transfers (the JNI redirect is a
 // fixed per-call cost), and both saturating by 256 KiB.
-#include <benchmark/benchmark.h>
-
 #include "bench_report.hpp"
 
 #include <cstdio>
@@ -61,16 +59,12 @@ double measure_bandwidth(std::uint64_t bytes, bool native) {
   return static_cast<double>(bytes) / sim::to_seconds(elapsed);  // bytes/s
 }
 
-void Table2_TransferChannel(benchmark::State& state) {
-  const auto bytes = static_cast<std::uint64_t>(state.range(0));
-  double gflink_mbps = 0, native_mbps = 0;
-  for (auto _ : state) {
-    gflink_mbps = measure_bandwidth(bytes, false) / 1e6;
-    native_mbps = measure_bandwidth(bytes, true) / 1e6;
-    state.SetIterationTime(static_cast<double>(bytes) / (gflink_mbps * 1e6));
-    state.counters["gflink_MBps"] = gflink_mbps;
-    state.counters["native_MBps"] = native_mbps;
-  }
+void Table2_TransferChannel(gflink::bench::CaseState& state) {
+  const auto bytes = static_cast<std::uint64_t>(state.args[0]);
+  const double gflink_mbps = measure_bandwidth(bytes, false) / 1e6;
+  const double native_mbps = measure_bandwidth(bytes, true) / 1e6;
+  state.counters["gflink_MBps"] = gflink_mbps;
+  state.counters["native_MBps"] = native_mbps;
   for (const auto& row : kPaperRows) {
     if (row.bytes == bytes) {
       std::printf(
@@ -80,13 +74,14 @@ void Table2_TransferChannel(benchmark::State& state) {
           row.native);
     }
   }
-  state.SetLabel(std::to_string(bytes) + " bytes");
+  state.label = std::to_string(bytes) + " bytes";
 }
-BENCHMARK(Table2_TransferChannel)
-    ->Arg(2048)->Arg(4096)->Arg(16384)->Arg(32768)
-    ->Arg(131072)->Arg(262144)->Arg(524288)->Arg(1048576)
-    ->UseManualTime()->Unit(benchmark::kMicrosecond)->Iterations(1);
+
+const gflink::bench::Case kCases[] = {
+    {"Table2_TransferChannel", Table2_TransferChannel,
+     {{2048}, {4096}, {16384}, {32768}, {131072}, {262144}, {524288}, {1048576}}},
+};
 
 }  // namespace
 
-GFLINK_BENCH_MAIN(table2_bandwidth);
+GFLINK_BENCH_MAIN(table2_bandwidth, kCases);

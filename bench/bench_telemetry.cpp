@@ -142,49 +142,49 @@ const tel::HealthEvent* first_event(const ScenarioResult& r, const std::string& 
   return nullptr;
 }
 
-void Telemetry_HealthScenario(benchmark::State& state) {
-  for (auto _ : state) {
-    ScenarioResult r = run_health_scenario();
-    state.SetIterationTime(r.virtual_seconds);
+void Telemetry_HealthScenario(CaseState& state) {
+  ScenarioResult r = run_health_scenario();
 
-    for (const auto& ev : r.events) {
-      std::printf("health event @%8.3f ms  %-14s node=%d %s%s value=%.2f (threshold %.2f)\n",
-                  static_cast<double>(ev.at) / 1e6, ev.detector.c_str(), ev.node,
-                  ev.series.c_str(), ev.tenant.empty() ? "" : (" tenant=" + ev.tenant).c_str(),
-                  ev.value, ev.threshold);
-    }
-
-    const tel::HealthEvent* straggler = first_event(r, "straggler");
-    const tel::HealthEvent* burn = first_event(r, "slo_burn");
-    GFLINK_CHECK_MSG(straggler != nullptr, "straggler detector never fired");
-    GFLINK_CHECK_MSG(burn != nullptr, "slo_burn detector never fired");
-    // Golden sim-times: the run is bit-deterministic, so the detectors
-    // must call the injected faults at exactly these instants.
-    GFLINK_CHECK_MSG(straggler->node == 4, "straggler flagged the wrong node");
-    GFLINK_CHECK_MSG(straggler->at == sim::millis(14), "straggler detection time drifted");
-    GFLINK_CHECK_MSG(burn->tenant == "prod", "slo_burn flagged the wrong tenant");
-    GFLINK_CHECK_MSG(burn->at == sim::millis(26), "slo_burn detection time drifted");
-
-    auto& rep = bench_report();
-    rep.metrics.gauge(Metric::HealthStragglerDetectMs)
-        .set(static_cast<double>(straggler->at) / 1e6);
-    rep.metrics.gauge(Metric::HealthStragglerNode).set(static_cast<double>(straggler->node));
-    rep.metrics.gauge(Metric::HealthStragglerScore).set(straggler->value);
-    rep.metrics.gauge(Metric::HealthSloDetectMs).set(static_cast<double>(burn->at) / 1e6);
-    rep.metrics.gauge(Metric::HealthSloBurnRate).set(burn->value);
-    rep.metrics.gauge(Metric::HealthEventsEmitted).set(static_cast<double>(r.events.size()));
-    rep.metrics.gauge(Metric::TelemetryScenarioPeriods).set(static_cast<double>(r.periods));
-
-    state.counters["events"] = static_cast<double>(r.events.size());
-    state.counters["straggler_ms"] = static_cast<double>(straggler->at) / 1e6;
-    state.counters["slo_ms"] = static_cast<double>(burn->at) / 1e6;
-    state.counters["jobs"] = static_cast<double>(r.jobs_completed);
+  for (const auto& ev : r.events) {
+    std::printf("health event @%8.3f ms  %-14s node=%d %s%s value=%.2f (threshold %.2f)\n",
+                static_cast<double>(ev.at) / 1e6, ev.detector.c_str(), ev.node,
+                ev.series.c_str(), ev.tenant.empty() ? "" : (" tenant=" + ev.tenant).c_str(),
+                ev.value, ev.threshold);
   }
-  state.SetLabel("injected straggler + tenant SLO breach");
+
+  const tel::HealthEvent* straggler = first_event(r, "straggler");
+  const tel::HealthEvent* burn = first_event(r, "slo_burn");
+  GFLINK_CHECK_MSG(straggler != nullptr, "straggler detector never fired");
+  GFLINK_CHECK_MSG(burn != nullptr, "slo_burn detector never fired");
+  // Golden sim-times: the run is bit-deterministic, so the detectors
+  // must call the injected faults at exactly these instants.
+  GFLINK_CHECK_MSG(straggler->node == 4, "straggler flagged the wrong node");
+  GFLINK_CHECK_MSG(straggler->at == sim::millis(14), "straggler detection time drifted");
+  GFLINK_CHECK_MSG(burn->tenant == "prod", "slo_burn flagged the wrong tenant");
+  GFLINK_CHECK_MSG(burn->at == sim::millis(26), "slo_burn detection time drifted");
+
+  auto& rep = bench_report();
+  rep.metrics.gauge(Metric::HealthStragglerDetectMs)
+      .set(static_cast<double>(straggler->at) / 1e6);
+  rep.metrics.gauge(Metric::HealthStragglerNode).set(static_cast<double>(straggler->node));
+  rep.metrics.gauge(Metric::HealthStragglerScore).set(straggler->value);
+  rep.metrics.gauge(Metric::HealthSloDetectMs).set(static_cast<double>(burn->at) / 1e6);
+  rep.metrics.gauge(Metric::HealthSloBurnRate).set(burn->value);
+  rep.metrics.gauge(Metric::HealthEventsEmitted).set(static_cast<double>(r.events.size()));
+  rep.metrics.gauge(Metric::TelemetryScenarioPeriods).set(static_cast<double>(r.periods));
+
+  state.counters["virtual_s"] = r.virtual_seconds;
+  state.counters["events"] = static_cast<double>(r.events.size());
+  state.counters["straggler_ms"] = static_cast<double>(straggler->at) / 1e6;
+  state.counters["slo_ms"] = static_cast<double>(burn->at) / 1e6;
+  state.counters["jobs"] = static_cast<double>(r.jobs_completed);
+  state.label = "injected straggler + tenant SLO breach";
 }
-BENCHMARK(Telemetry_HealthScenario)
-    ->UseManualTime()->Unit(benchmark::kMillisecond)->Iterations(1);
+
+const Case kCases[] = {
+    {"Telemetry_HealthScenario", Telemetry_HealthScenario, {}},
+};
 
 }  // namespace
 
-GFLINK_BENCH_MAIN(telemetry);
+GFLINK_BENCH_MAIN(telemetry, kCases);

@@ -54,9 +54,7 @@ justification text is mandatory (A1 otherwise).
 Exit status: 0 when clean, 1 when any finding is reported, 2 on usage or
 environment errors (missing root, unreadable files).
 
-`--sarif PATH` writes findings as SARIF 2.1.0 for inline PR annotation;
-`--stats` prints a per-rule findings/runtime summary; `--jobs N` scans
-files in parallel.
+`--sarif PATH` writes findings as SARIF 2.1.0 for inline PR annotation.
 Directories named `build*` are never scanned, so a stray in-tree build
 cannot pollute findings.
 """
@@ -65,10 +63,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
-import time
 from pathlib import Path
 
 # ---- Rule configuration ----------------------------------------------------
@@ -810,82 +806,64 @@ def extract_spawn_sites(model):
     return sites
 
 
-# ---- Per-file scan (worker entry; parallel-safe, picklable result) ---------
+# ---- Per-file scan ---------------------------------------------------------
 
 
-def scan_file(task):
-    root_str, rel = task
-    path = Path(root_str) / "src" / rel
+def scan_file(root: Path, rel):
+    path = root / "src" / rel
     relp = f"src/{rel}"
     try:
         text = path.read_text()
     except OSError as exc:
         return {"rel": rel, "error": f"{path}: {exc}"}
-    t0 = time.perf_counter()
     model = FileModel(rel, text)
-    parse_ms = (time.perf_counter() - t0) * 1000.0
-
     findings = []
-    rule_ms = {}
 
-    def timed(rule, fn):
-        s = time.perf_counter()
-        fn()
-        rule_ms[rule] = rule_ms.get(rule, 0.0) + (time.perf_counter() - s) * 1000.0
-
-    def r1():
-        if rel not in RAW_ALLOC_ALLOWED:
-            for m in RAW_ALLOC_RE.finditer(model.code):
-                findings.append((
-                    "R1", relp, model.line_of_offset(m.start()),
-                    f"raw device allocator call '.memory().{m.group(1)}()' outside "
-                    "GMemoryManager/CudaWrapper — route allocation through "
-                    "GMemoryManager (insert/reserve_staging) or the CudaWrapper API"))
-        if rel not in CUDA_ALLOC_ALLOWED_FILES and not rel.startswith(CUDA_ALLOC_ALLOWED_DIRS):
-            for m in CUDA_ALLOC_RE.finditer(model.code):
-                findings.append((
-                    "R1", relp, model.line_of_offset(m.start()),
-                    f"cuda_{m.group(1)}() call outside the GStream engine — GFlink's "
-                    "automatic memory management owns device allocation lifetimes"))
-
-    def r2():
-        why = ("the simulator is single-threaded by construction; model "
-               "contention with sim::Mutex/sim::Semaphore, and run whole "
-               "Simulations per process for parallelism")
-        for m in HOST_CONCURRENCY_INCLUDE_RE.finditer(model.code):
+    # R1: device allocation outside its owners.
+    if rel not in RAW_ALLOC_ALLOWED:
+        for m in RAW_ALLOC_RE.finditer(model.code):
             findings.append((
-                "R2", relp, model.line_of_offset(m.start()),
-                f"#include <{m.group(1)}> — {why}"))
-        for m in HOST_CONCURRENCY_RE.finditer(model.code):
+                "R1", relp, model.line_of_offset(m.start()),
+                f"raw device allocator call '.memory().{m.group(1)}()' outside "
+                "GMemoryManager/CudaWrapper — route allocation through "
+                "GMemoryManager (insert/reserve_staging) or the CudaWrapper API"))
+    if rel not in CUDA_ALLOC_ALLOWED_FILES and not rel.startswith(CUDA_ALLOC_ALLOWED_DIRS):
+        for m in CUDA_ALLOC_RE.finditer(model.code):
             findings.append((
-                "R2", relp, model.line_of_offset(m.start()),
-                f"{m.group(0)} — {why}"))
+                "R1", relp, model.line_of_offset(m.start()),
+                f"cuda_{m.group(1)}() call outside the GStream engine — GFlink's "
+                "automatic memory management owns device allocation lifetimes"))
 
-    def c1():
-        for lam in model.lambdas:
-            if lam["captures"].strip() and lam["body_co"]:
-                cap = lam["captures"].replace(" ", "")
-                findings.append((
-                    "C1", relp, lam["line"],
-                    f"capturing lambda [{cap}] is a coroutine — the closure object "
-                    "dies with the enclosing scope while the frame lives on, so "
-                    "every capture is read through a dangling pointer at resume; "
-                    "hoist the body into a named function (or static member) and "
-                    "pass state as parameters (PR-8 bug class)"))
+    # R2: host concurrency under src/.
+    why = ("the simulator is single-threaded by construction; model "
+           "contention with sim::Mutex/sim::Semaphore, and run whole "
+           "Simulations per process for parallelism")
+    for m in HOST_CONCURRENCY_INCLUDE_RE.finditer(model.code):
+        findings.append((
+            "R2", relp, model.line_of_offset(m.start()),
+            f"#include <{m.group(1)}> — {why}"))
+    for m in HOST_CONCURRENCY_RE.finditer(model.code):
+        findings.append((
+            "R2", relp, model.line_of_offset(m.start()),
+            f"{m.group(0)} — {why}"))
 
-    t0 = time.perf_counter()
+    # C1: a capturing lambda that is a coroutine.
+    for lam in model.lambdas:
+        if lam["captures"].strip() and lam["body_co"]:
+            cap = lam["captures"].replace(" ", "")
+            findings.append((
+                "C1", relp, lam["line"],
+                f"capturing lambda [{cap}] is a coroutine — the closure object "
+                "dies with the enclosing scope while the frame lives on, so "
+                "every capture is read through a dangling pointer at resume; "
+                "hoist the body into a named function (or static member) and "
+                "pass state as parameters (PR-8 bug class)"))
+
     spawn = extract_spawn_sites(model)
-    rule_ms["facts"] = (time.perf_counter() - t0) * 1000.0
-
-    timed("R1", r1)
-    timed("R2", r2)
-    timed("C1", c1)
 
     return {
         "rel": rel,
         "error": None,
-        "parse_ms": parse_ms,
-        "rule_ms": rule_ms,
         "findings": findings,
         "suppressions": [
             {"lines": list(s["lines"]), "rules": sorted(s["rules"]),
@@ -903,7 +881,7 @@ def scan_file(task):
     }
 
 
-# ---- Global rules (run in the main process over the merged facts) ----------
+# ---- Global rules (over the merged facts of every file) --------------------
 
 
 def build_coro_registry(results):
@@ -988,22 +966,17 @@ def rule_coro_detach(results):
     return findings
 
 
-# ---- Suppressions, SARIF, stats, driver ------------------------------------
+# ---- Suppressions, SARIF, driver -------------------------------------------
 
 
-def apply_suppressions(findings, supp_by_rel, suppressed_counts):
+def apply_suppressions(findings, supp_by_rel):
     kept = []
     for f in findings:
         rule, relp, line, _msg = f
-        hit = None
-        if rule != "A1":  # suppression hygiene is itself unsuppressible
-            for s in supp_by_rel.get(relp, ()):
-                if s["reason"] and rule in s["rules"] and line in s["lines"]:
-                    hit = s
-                    break
-        if hit:
-            suppressed_counts[rule] = suppressed_counts.get(rule, 0) + 1
-        else:
+        # Suppression hygiene (A1) is itself unsuppressible.
+        if rule == "A1" or not any(
+                s["reason"] and rule in s["rules"] and line in s["lines"]
+                for s in supp_by_rel.get(relp, ())):
             kept.append(f)
     return kept
 
@@ -1064,30 +1037,6 @@ def collect_files(src: Path):
     return sorted(rels)
 
 
-def print_stats(results, findings, global_ms, suppressed, rules, jobs):
-    parse_ms = sum(r["parse_ms"] for r in results)
-    per_rule_ms = dict(global_ms)
-    for r in results:
-        for rule, ms in r["rule_ms"].items():
-            if rule == "facts":
-                per_rule_ms["C2/C3 facts"] = per_rule_ms.get("C2/C3 facts", 0.0) + ms
-            else:
-                per_rule_ms[rule] = per_rule_ms.get(rule, 0.0) + ms
-    counts = {}
-    for (rule, _relp, _line, _msg) in findings:
-        counts[rule] = counts.get(rule, 0) + 1
-    print(f"gflint stats: {len(results)} file(s), "
-          f"{parse_ms:.1f} ms tokenize+parse (shared across all rules), "
-          f"jobs={jobs}", file=sys.stderr)
-    shown = [r for r in sorted(set(rules) | set(counts) | set(per_rule_ms)
-                               | set(suppressed))
-             if r in RULE_DESCRIPTIONS or "/" in r]
-    for rule in shown:
-        print(f"  {rule:<14} {counts.get(rule, 0):3d} finding(s)  "
-              f"{suppressed.get(rule, 0):3d} suppressed  "
-              f"{per_rule_ms.get(rule, 0.0):8.1f} ms", file=sys.stderr)
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path,
@@ -1096,12 +1045,8 @@ def main() -> int:
                              "default: the checkout this script lives in")
     parser.add_argument("--rules", default=",".join(ALL_RULES),
                         help="comma-separated subset of rules to run (default: all)")
-    parser.add_argument("--jobs", type=int, default=0,
-                        help="parallel scan workers (default: min(8, cpu count))")
     parser.add_argument("--sarif", type=Path, default=None,
                         help="write findings as SARIF 2.1.0 to this path")
-    parser.add_argument("--stats", action="store_true",
-                        help="print a per-rule findings/runtime summary to stderr")
     args = parser.parse_args()
 
     src = args.root / "src"
@@ -1117,14 +1062,7 @@ def main() -> int:
         return 2
 
     files = collect_files(src)
-    jobs = args.jobs if args.jobs > 0 else min(8, os.cpu_count() or 1)
-    tasks = [(str(args.root), rel) for rel in files]
-    if jobs > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(scan_file, tasks, chunksize=4))
-    else:
-        results = [scan_file(t) for t in tasks]
+    results = [scan_file(args.root, rel) for rel in files]
 
     errors = [r for r in results if r.get("error")]
     if errors:
@@ -1136,17 +1074,9 @@ def main() -> int:
     for r in results:
         findings.extend(f for f in r["findings"] if f[0] in rules)
 
-    global_ms = {}
-
-    def timed_global(rule, fn):
-        s = time.perf_counter()
-        out = fn()
-        global_ms[rule] = (time.perf_counter() - s) * 1000.0
-        return out
-
     global_findings = []
     if rules & {"C2", "C3"}:
-        detach = timed_global("C2/C3", lambda: rule_coro_detach(results))
+        detach = rule_coro_detach(results)
         global_findings += [f for f in detach if f[0] in rules]
     global_findings += rule_allow_hygiene(results)
     findings.extend(global_findings)
@@ -1155,8 +1085,7 @@ def main() -> int:
     for r in results:
         if r["suppressions"]:
             supp_by_rel[f"src/{r['rel']}"] = r["suppressions"]
-    suppressed_counts = {}
-    findings = apply_suppressions(findings, supp_by_rel, suppressed_counts)
+    findings = apply_suppressions(findings, supp_by_rel)
     findings.sort(key=lambda f: (f[1], f[2], f[0]))
 
     for (rule, relp, line, msg) in findings:
@@ -1165,10 +1094,6 @@ def main() -> int:
 
     if args.sarif is not None:
         write_sarif(args.sarif, findings, rules)
-
-    if args.stats:
-        print_stats(results, findings, global_ms, suppressed_counts,
-                    rules, jobs)
 
     if findings:
         print(f"gflint: {len(findings)} finding(s)", file=sys.stderr)
