@@ -103,7 +103,6 @@ inline int bench_main(int argc, char** argv, const char* name, std::span<const C
   rep.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_begin).count();
   rep.peak_rss_mb = obs::host_peak_rss_mb();
-  obs::add_derived_gflink_metrics(rep.metrics);
   const std::string path = bench_report_path(name);
   if (!rep.write(path)) {
     std::fprintf(stderr, "error: could not write run report %s\n", path.c_str());

@@ -128,12 +128,19 @@ int main() {
   obs::MetricsRegistry snapshot;
   engine.export_metrics(snapshot);
   runtime.export_metrics(snapshot);
-  obs::add_derived_gflink_metrics(snapshot);
+  // A hit ratio is hits / (hits + misses), 0 when there were no lookups.
+  const auto hit_ratio = [&snapshot](const char* hits, const char* misses) {
+    const double h = snapshot.counter_value(hits);
+    const double lookups = h + snapshot.counter_value(misses);
+    return lookups > 0 ? h / lookups : 0.0;
+  };
   std::printf("\n-- metrics summary --\n");
   std::printf("kernels launched:      %.0f\n", snapshot.counter_sum("gpu_kernels_total"));
   std::printf("H2D bytes:             %.0f\n", snapshot.counter_sum("gpu_bytes_h2d_total"));
-  std::printf("GPU cache hit ratio:   %.2f\n", snapshot.gauge_value("cache_hit_ratio"));
-  std::printf("locality hit ratio:    %.2f\n", snapshot.gauge_value("locality_hit_ratio"));
+  std::printf("GPU cache hit ratio:   %.2f\n",
+              hit_ratio("gpu_cache_hits_total", "gpu_cache_misses_total"));
+  std::printf("locality hit ratio:    %.2f\n",
+              hit_ratio("gstream_locality_hits_total", "gstream_locality_misses_total"));
   std::printf("stage busy (h2d/kernel/d2h): %.2f / %.2f / %.2f ms\n",
               snapshot.counter_value("gpu_stage_busy_ns", {{"stage", "h2d"}}) / 1e6,
               snapshot.counter_value("gpu_stage_busy_ns", {{"stage", "kernel"}}) / 1e6,

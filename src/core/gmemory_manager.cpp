@@ -35,7 +35,6 @@ std::optional<GMemoryManager::CacheEntry> GMemoryManager::lookup_pinned(int devi
   if (it == r->table.end()) return std::nullopt;
   ++hits_;
   ++it->second.pins;
-  ++pins_;
   return it->second.entry;
 }
 
@@ -103,7 +102,6 @@ std::optional<GMemoryManager::CacheEntry> GMemoryManager::insert(int device, std
   slot.entry = CacheEntry{ptr, bytes};
   slot.pins = 1;  // returned pinned for the inserting GWork
   slot.seq = next_seq_++;
-  ++pins_;
   r.table.emplace(key, slot);
   r.fifo.push_back(key);
   r.used += bytes;
@@ -245,7 +243,6 @@ gpu::DevicePtr GMemoryManager::reserve_staging(int device, std::uint64_t job,
     note_flight("staging_failure", device, bytes);
     return 0;
   }
-  ++staging_reservations_;
   staging_bytes_.at(static_cast<std::size_t>(device)) += dev.memory().allocation_size(ptr);
   return ptr;
 }

@@ -149,8 +149,6 @@ class GMemoryManager {
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
   std::uint64_t evictions() const { return evictions_; }
-  std::uint64_t pins() const { return pins_; }
-  std::uint64_t staging_reservations() const { return staging_reservations_; }
   std::uint64_t staging_failures() const { return staging_failures_; }
   std::uint64_t cached_bytes(int device, std::uint64_t job) const;
   /// Bytes currently occupied by cache regions on `device`, across jobs.
@@ -216,8 +214,6 @@ class GMemoryManager {
   mutable std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t evictions_ = 0;
-  std::uint64_t pins_ = 0;
-  std::uint64_t staging_reservations_ = 0;
   std::uint64_t staging_failures_ = 0;
   std::uint64_t cross_tenant_evictions_ = 0;
 };

@@ -34,25 +34,15 @@ void GpuManager::export_metrics(obs::MetricsRegistry& out) const {
     out.counter(obs::Metric::GpuH2dBusyNs, l).inc(static_cast<double>(dev.h2d_busy()));
     out.counter(obs::Metric::GpuD2hBusyNs, l).inc(static_cast<double>(dev.d2h_busy()));
     out.counter(obs::Metric::GpuBytesH2d, l).inc(static_cast<double>(dev.bytes_h2d()));
-    out.counter(obs::Metric::GpuBytesD2h, l).inc(static_cast<double>(dev.bytes_d2h()));
     out.counter(obs::Metric::GpuCopyComputeOverlapNs, l)
         .inc(static_cast<double>(dev.copy_compute_overlap()));
     out.gauge(obs::Metric::GpuCopyComputeOverlapEfficiency, l).set(dev.overlap_efficiency());
-    out.gauge(obs::Metric::GpuCacheRegionUsedBytes, l)
-        .set(static_cast<double>(memory_->region_used(static_cast<int>(i))));
-    out.gauge(obs::Metric::GpuStagingRingBytes, l)
-        .set(static_cast<double>(memory_->staging_bytes(static_cast<int>(i))));
   }
   out.counter(obs::Metric::GpuCacheHits).inc(static_cast<double>(memory_->hits()));
   out.counter(obs::Metric::GpuCacheMisses).inc(static_cast<double>(memory_->misses()));
   out.counter(obs::Metric::GpuCacheEvictions).inc(static_cast<double>(memory_->evictions()));
   out.counter(obs::Metric::GpuCacheCrossTenantEvictions)
       .inc(static_cast<double>(memory_->cross_tenant_evictions()));
-  out.counter(obs::Metric::GpuCachePins).inc(static_cast<double>(memory_->pins()));
-  out.counter(obs::Metric::GpuStagingReservations)
-      .inc(static_cast<double>(memory_->staging_reservations()));
-  out.counter(obs::Metric::GpuStagingFailures)
-      .inc(static_cast<double>(memory_->staging_failures()));
   streams_->export_metrics(out);
 }
 

@@ -125,7 +125,6 @@ GStreamManager::GStreamManager(sim::Simulation& sim, std::vector<gpu::CudaWrappe
   }
   pool_.resize(wrappers_.size());
   gpu_lanes_.resize(wrappers_.size());
-  executed_.assign(wrappers_.size(), 0);
   bulks_.resize(wrappers_.size());
   for (std::size_t g = 0; g < wrappers_.size(); ++g) {
     for (int s = 0; s < config_.streams_per_gpu; ++s) {
@@ -183,12 +182,6 @@ GStreamManager::StreamWorker* GStreamManager::select_stream(int preferred_gpu) {
   // Algorithm 5.1, lines 2-10.
   if (preferred_gpu >= 0) {
     if (StreamWorker* w = idle_stream_in_bulk(preferred_gpu)) return w;
-    const int most_idle = bulk_with_most_idle();
-    if (most_idle >= 0) {
-      ++cross_bulk_;
-      return idle_stream_in_bulk(most_idle);
-    }
-    return nullptr;
   }
   const int most_idle = bulk_with_most_idle();
   return most_idle >= 0 ? idle_stream_in_bulk(most_idle) : nullptr;
@@ -520,7 +513,7 @@ sim::Co<bool> GStreamManager::execute_chunked(StreamWorker* w, const GWorkPtr& w
                      std::to_string(pinned_keys.size() - inserted_keys.size()));
     spans_->annotate(gspan, "cache_misses", std::to_string(inserted_keys.size()));
   }
-  finish(work, gpu_index);
+  finish(work);
   co_return true;
 }
 
@@ -570,7 +563,7 @@ sim::Co<void> GStreamManager::execute(StreamWorker* w, const GWorkPtr& work) {
       spans_->annotate(gspan, "mapped_memory", "1");
       spans_->close(gspan, sim_->now());
     }
-    finish(work, gpu_index);
+    finish(work);
     co_return;
   }
 
@@ -727,11 +720,10 @@ sim::Co<void> GStreamManager::execute(StreamWorker* w, const GWorkPtr& work) {
     spans_->close(gspan, sim_->now());
   }
 
-  finish(work, gpu_index);
+  finish(work);
 }
 
-void GStreamManager::finish(const GWorkPtr& work, int gpu_index) {
-  ++executed_[static_cast<std::size_t>(gpu_index)];
+void GStreamManager::finish(const GWorkPtr& work) {
   work->finished_at = sim_->now();
   if (work->preferred_gpu >= 0) {
     if (work->executed_on_gpu == work->preferred_gpu) {
@@ -747,18 +739,9 @@ void GStreamManager::finish(const GWorkPtr& work, int gpu_index) {
 }
 
 void GStreamManager::export_metrics(obs::MetricsRegistry& out) const {
-  for (std::size_t g = 0; g < executed_.size(); ++g) {
-    out.counter(obs::Metric::GstreamExecuted, {{"gpu", std::to_string(g)}})
-        .inc(static_cast<double>(executed_[g]));
-  }
   out.counter(obs::Metric::GstreamSteals).inc(static_cast<double>(steals_));
-  out.counter(obs::Metric::GstreamPriorityBypass).inc(static_cast<double>(priority_bypasses_));
-  out.counter(obs::Metric::GstreamCrossBulk).inc(static_cast<double>(cross_bulk_));
-  out.counter(obs::Metric::GstreamFreedStreams).inc(static_cast<double>(freed_count_));
   out.counter(obs::Metric::GstreamLocalityHits).inc(static_cast<double>(locality_hits_));
   out.counter(obs::Metric::GstreamLocalityMisses).inc(static_cast<double>(locality_misses_));
-  out.counter(obs::Metric::GstreamChunkedWorks).inc(static_cast<double>(chunked_works_));
-  out.counter(obs::Metric::GstreamChunks).inc(static_cast<double>(chunks_total_));
   out.counter(obs::Metric::GstreamChunkFallbacks).inc(static_cast<double>(chunk_fallbacks_));
   out.counter(obs::Metric::GstreamOomRetries).inc(static_cast<double>(oom_retries_));
   out.counter(obs::Metric::GpuStageBusyNs, {{"stage", "h2d"}})

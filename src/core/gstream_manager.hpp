@@ -99,12 +99,10 @@ class GStreamManager {
   }
 
   // Statistics for load-balance and stealing tests.
-  std::uint64_t executed_on(int gpu) const { return executed_.at(static_cast<std::size_t>(gpu)); }
   std::uint64_t steals() const { return steals_; }
   /// Times a queued GWork popped ahead of the queue front because its
   /// tenant priority was higher (FIFO order bypassed).
   std::uint64_t priority_bypasses() const { return priority_bypasses_; }
-  std::uint64_t cross_bulk_assignments() const { return cross_bulk_; }
   std::uint64_t freed_streams() const { return freed_count_; }
   std::size_t queue_depth(int gpu) const {
     return pool_.at(static_cast<std::size_t>(gpu)).size();
@@ -191,7 +189,7 @@ class GStreamManager {
   obs::StrId gwork_name(const std::string& execute_name);
 
   /// Completion bookkeeping shared by the mapped and pipelined paths.
-  void finish(const GWorkPtr& work, int gpu_index);
+  void finish(const GWorkPtr& work);
 
   sim::Simulation* sim_;
   std::vector<gpu::CudaWrapper*> wrappers_;
@@ -212,10 +210,8 @@ class GStreamManager {
   // Tenant priority table (JobService): simulation-plane like the queues.
   std::unordered_map<std::string, int> tenant_priority_;
 
-  std::vector<std::uint64_t> executed_;
   std::uint64_t steals_ = 0;
   std::uint64_t priority_bypasses_ = 0;
-  std::uint64_t cross_bulk_ = 0;
   std::uint64_t freed_count_ = 0;
   std::uint64_t locality_hits_ = 0;
   std::uint64_t locality_misses_ = 0;

@@ -173,7 +173,6 @@ void Engine::schedule_worker_failure(int worker, sim::Time at, sim::Duration dow
   GFLINK_CHECK(worker >= 1 && worker <= num_workers());
   sim_.schedule_at(at, [this, worker] {
     alive_[static_cast<std::size_t>(worker)] = false;
-    cluster_.metrics().inc(obs::Metric::FaultWorkerFailures);
     cluster_.flight().note_fault(sim_.now(), worker, "worker_failure",
                                  "node" + std::to_string(worker) + " lost");
   });
@@ -315,8 +314,6 @@ void Engine::close_stage(Job& job, StageScope& scope, std::uint64_t records_out)
   m.inc(obs::Metric::EngineStages);
   m.inc(obs::Metric::EngineStageTasks, static_cast<double>(stat.tasks));
   m.inc(obs::Metric::EngineRecordsIn, static_cast<double>(stat.records_in));
-  m.inc(obs::Metric::EngineRecordsOut, static_cast<double>(stat.records_out));
-  m.inc(obs::Metric::EngineShuffleBytes, static_cast<double>(stat.shuffle_bytes));
   m.histogram(obs::Metric::EngineStageDurationNs).add(static_cast<double>(stat.end - stat.begin));
   job.stats().stages.push_back(std::move(stat));
 }

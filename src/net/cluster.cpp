@@ -63,7 +63,6 @@ sim::Co<void> Cluster::transfer(int src, int dst, std::uint64_t bytes, const std
   if (src == dst) co_return;  // in-memory, no NIC involvement
   if (colocated_master_ && (src == 0 || dst == 0)) co_return;
   metrics_.inc(obs::Metric::NetBytes, static_cast<double>(bytes));
-  metrics_.inc(obs::Metric::NetTransfers);
   // Egress first, then ingress: the acquisition order (always egress before
   // ingress, never the reverse) is deadlock-free by construction.
   co_await node(src).egress().transfer(bytes, label, link);
@@ -73,7 +72,6 @@ sim::Co<void> Cluster::transfer(int src, int dst, std::uint64_t bytes, const std
 sim::Co<void> Cluster::message(int src, int dst) {
   if (src == dst) co_return;
   if (colocated_master_ && (src == 0 || dst == 0)) co_return;
-  metrics_.inc(obs::Metric::NetMessages);
   co_await sim_->delay(node(src).spec().nic.latency + node(dst).spec().nic.latency);
 }
 

@@ -137,7 +137,6 @@ class Pipe {
   void export_metrics(obs::MetricsRegistry& out) const {
     const obs::Labels l{{"pipe", name_}};
     out.counter(obs::Metric::NetPipeBytes, l).inc(static_cast<double>(bytes_moved_));
-    out.counter(obs::Metric::NetPipeTransfers, l).inc(static_cast<double>(transfers_));
     out.counter(obs::Metric::NetPipeBusyNs, l).inc(static_cast<double>(busy_ns_));
     out.counter(obs::Metric::NetPipeQueueWaitNs, l).inc(static_cast<double>(queue_wait_ns_));
   }

@@ -34,7 +34,7 @@ constexpr bool keys_sorted(const LabelKeys& keys) {
 
 constexpr bool all_keys_sorted() {
   for (const MetricFamily& f : kMetricFamilies) {
-    if (!keys_sorted(f.keys) || (f.alt_keys && !keys_sorted(*f.alt_keys))) return false;
+    if (!keys_sorted(f.keys)) return false;
   }
   return true;
 }
@@ -64,14 +64,9 @@ constexpr bool has_key(const LabelKeys& keys, std::string_view key) {
   return false;
 }
 
-/// Every key set a family accepts carries `key`.
-constexpr bool family_carries(const MetricFamily& f, std::string_view key) {
-  return has_key(f.keys, key) && (!f.alt_keys || has_key(*f.alt_keys, key));
-}
-
 constexpr bool subsystem_carries(Subsystem subsystem, std::string_view key) {
   for (const MetricFamily& f : kMetricFamilies) {
-    if (f.subsystem == subsystem && !family_carries(f, key)) return false;
+    if (f.subsystem == subsystem && !has_key(f.keys, key)) return false;
   }
   return true;
 }
@@ -142,7 +137,7 @@ const char* subsystem_title(Subsystem subsystem) {
     case Subsystem::Dfs: return "GDFS (`src/dfs`)";
     case Subsystem::Engine: return "Engine (`src/dataflow`)";
     case Subsystem::Gpu: return "GPU device & cache (`src/core`)";
-    case Subsystem::GStream: return "GStream scheduler (`src/core`; ratios derived in `src/obs`)";
+    case Subsystem::GStream: return "GStream scheduler (`src/core`)";
     case Subsystem::Net: return "Network (`src/net`)";
     case Subsystem::Shuffle: return "Shuffle (`src/shuffle`)";
     case Subsystem::Spill: return "Spill tier store (`src/spill`; every family carries tier)";
@@ -153,12 +148,6 @@ const char* subsystem_title(Subsystem subsystem) {
     case Subsystem::Bench: return "Bench report gauges (`bench/`)";
   }
   return "?";
-}
-
-std::string labels_cell(const MetricFamily& f) {
-  std::string cell = f.keys.size == 0 ? "none" : f.keys.to_string();
-  if (f.alt_keys) cell += " or " + (f.alt_keys->size == 0 ? "none" : f.alt_keys->to_string());
-  return cell;
 }
 
 }  // namespace
@@ -173,12 +162,10 @@ std::string LabelKeys::to_string() const {
 }
 
 void metric_registration_failed(const MetricFamily& f, MetricKind as, const std::string& got_keys) {
-  std::string expected = "{" + f.keys.to_string() + "}";
-  if (f.alt_keys) expected += " or {" + f.alt_keys->to_string() + "}";
   sim::check_failed("series registered through its family", __FILE__, __LINE__,
                     "metric family '" + std::string(f.name) + "' is a " +
-                        metric_kind_name(f.kind) + " with label keys " + expected +
-                        ", registered as a " + metric_kind_name(as) + " with label keys {" +
+                        metric_kind_name(f.kind) + " with label keys {" + f.keys.to_string() +
+                        "}, registered as a " + metric_kind_name(as) + " with label keys {" +
                         got_keys + "}");
 }
 
@@ -193,7 +180,7 @@ std::string render_metric_catalog() {
           << "|---|---|---|---|---|\n";
     }
     out << "| `" << f.name << "` | " << metric_kind_name(f.kind) << " | " << unit_name(f.unit)
-        << " | " << labels_cell(f) << " | " << f.help;
+        << " | " << (f.keys.size == 0 ? "none" : f.keys.to_string()) << " | " << f.help;
     if (f.kind == MetricKind::Histogram) {
       out << " (" << f.layout.buckets << " buckets over [" << f.layout.lo << ", " << f.layout.hi
           << "))";

@@ -2,7 +2,6 @@
 
 #include <sys/resource.h>
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -29,11 +28,9 @@ std::string fnv1a_hex(const std::string& bytes) {
 
 void RunReport::capture_spans(const SpanStore& spans) {
   SpanAnalysis analysis = analyze_spans(spans);
-  export_critical_path_metrics(analysis.critical_path, metrics);
   critical_path = std::move(analysis.critical_path);
   stragglers = Json::array();
   for (const auto& s : analysis.stragglers) stragglers.push_back(s.to_json());
-  export_straggler_metrics(analysis.stragglers, metrics);
   span_index_bytes = analysis.index_bytes;
 }
 
@@ -88,32 +85,6 @@ double host_peak_rss_mb() {
   rusage ru{};
   getrusage(RUSAGE_SELF, &ru);
   return static_cast<double>(ru.ru_maxrss) / 1024.0;  // ru_maxrss is KiB on Linux
-}
-
-void add_derived_gflink_metrics(MetricsRegistry& m) {
-  // Touch the headline keys so every report carries them, then derive.
-  for (const char* stage : {"h2d", "kernel", "d2h"}) {
-    m.counter(Metric::GpuStageBusyNs, {{"stage", stage}});
-  }
-  const double hits = m.counter_value("gpu_cache_hits_total");
-  const double misses = m.counter_value("gpu_cache_misses_total");
-  m.gauge(Metric::CacheHitRatio).set(hits + misses > 0 ? hits / (hits + misses) : 0.0);
-
-  const double loc_hits = m.counter_value("gstream_locality_hits_total");
-  const double loc_misses = m.counter_value("gstream_locality_misses_total");
-  m.gauge(Metric::LocalityHitRatio)
-      .set(loc_hits + loc_misses > 0 ? loc_hits / (loc_hits + loc_misses) : 0.0);
-
-  // Cluster-wide copy-compute overlap efficiency: how much of the hideable
-  // copy time (bounded by min(copy busy, kernel busy) per GPU) actually ran
-  // concurrently with a kernel. The per-GPU gauges carry the local values;
-  // this rolls them up for the headline tables.
-  const double overlap = m.counter_sum("gpu_copy_compute_overlap_ns_total");
-  const double copy_busy =
-      m.counter_sum("gpu_h2d_busy_ns_total") + m.counter_sum("gpu_d2h_busy_ns_total");
-  const double kernel_busy = m.counter_sum("gpu_kernel_busy_ns_total");
-  const double hideable = std::min(copy_busy, kernel_busy);
-  m.gauge(Metric::CopyComputeOverlapEfficiency).set(hideable > 0 ? overlap / hideable : 0.0);
 }
 
 }  // namespace gflink::obs

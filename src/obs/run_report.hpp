@@ -48,8 +48,8 @@ struct RunReport {
   }
 
   /// Run the DAG analyses over a retaining span store, over one child
-  /// index: fills critical_path, the stragglers section, the matching
-  /// trace_* gauges and span_index_bytes.
+  /// index: fills critical_path, the stragglers section and
+  /// span_index_bytes.
   void capture_spans(const SpanStore& spans);
 
   /// The report document. `digest` is FNV-1a 64 (16 hex characters) over
@@ -65,11 +65,5 @@ struct RunReport {
 /// Peak resident set size of this process so far, in MiB: VmHWM from
 /// /proc/self/status, or getrusage's ru_maxrss where that is missing.
 double host_peak_rss_mb();
-
-/// Derive the headline GFlink ratios from the raw counters and make sure
-/// the keys every report is expected to carry exist even when a run never
-/// touched the GPU layer: gpu_stage_busy_ns{stage=h2d|kernel|d2h}, the
-/// cache_hit_ratio and locality_hit_ratio gauges.
-void add_derived_gflink_metrics(MetricsRegistry& m);
 
 }  // namespace gflink::obs

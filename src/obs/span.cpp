@@ -167,7 +167,7 @@ void SpanStore::commit(const CausalSpan& s, SpanNotes notes, bool built_closed) 
     // the next word is added: a span built closed takes the highest id yet.
     const std::size_t word = (s.id - 1) / 64;
     while (shot_bits_.size() <= word) {
-      const auto below = shot_bits_.empty() ? 0 : std::popcount(shot_bits_.back());
+      const std::size_t below = shot_bits_.empty() ? 0 : bits_set(shot_bits_.back());
       shot_rank_.push_back((shot_rank_.empty() ? 0 : shot_rank_.back()) +
                            static_cast<std::uint32_t>(below));
       shot_bits_.push_back(0);
@@ -558,13 +558,6 @@ Json CriticalPath::to_json() const {
 
 namespace {
 
-/// popcount of every byte value.
-constexpr std::array<std::uint8_t, 256> kBitsSet = [] {
-  std::array<std::uint8_t, 256> t{};
-  for (unsigned v = 0; v < t.size(); ++v) t[v] = static_cast<std::uint8_t>(std::popcount(v));
-  return t;
-}();
-
 /// Bytes of v as a varint.
 std::uint32_t varint_bytes(std::uint64_t v) {
   return static_cast<std::uint32_t>(std::bit_width(v | 1) + 6) / 7;
@@ -573,12 +566,11 @@ std::uint32_t varint_bytes(std::uint64_t v) {
 /// The children of every retained span, byte-coded. A bit per span index
 /// (id - 1) says whether that span has children, and running counts turn
 /// the bit into the span's rank among the spans that do: one per 64
-/// indices, and a byte's count within its 64. (A table lookup per byte, as
-/// this build has no popcount instruction.) The children of the span of
-/// rank r are the bytes lists_[offset_[r] .. offset_[r + 1]): a zigzag
-/// varint per child, each the difference of its index from the one
-/// before, the first from the parent's. A child's id is higher than its
-/// parent's and siblings are mostly a few ids apart, so a child takes
+/// indices, and a byte's count within its 64 (kBitsSet). The children of
+/// the span of rank r are the bytes lists_[offset_[r] .. offset_[r + 1]):
+/// a zigzag varint per child, each the difference of its index from the
+/// one before, the first from the parent's. A child's id is higher than
+/// its parent's and siblings are mostly a few ids apart, so a child takes
 /// about a byte. Each list is in the order of SpanStore::for_each_retained
 /// (the walk sorts what it reads). Spans with no parent in the index go to
 /// roots().
@@ -828,15 +820,6 @@ CriticalPath extract_critical_path(const SpanStore& store) {
   return critical_path_over(store, ChildIndex(store));
 }
 
-void export_critical_path_metrics(const CriticalPath& cp, MetricsRegistry& m) {
-  m.gauge(Metric::TraceCriticalPathSeconds).set(sim::to_seconds(cp.total));
-  for (std::size_t i = 0; i < kSpanCategories; ++i) {
-    m.gauge(Metric::TraceCriticalPathSeconds,
-            {{"category", span_category_name(static_cast<SpanCategory>(i))}})
-        .set(sim::to_seconds(cp.by_category[i]));
-  }
-}
-
 // ---- Straggler attribution -------------------------------------------------
 
 Json Straggler::to_json() const {
@@ -960,10 +943,6 @@ SpanAnalysis analyze_spans(const SpanStore& store) {
   out.stragglers = stragglers_over(store, children);
   out.index_bytes = children.bytes();
   return out;
-}
-
-void export_straggler_metrics(const std::vector<Straggler>& stragglers, MetricsRegistry& m) {
-  m.gauge(Metric::TraceStragglers).set(static_cast<double>(stragglers.size()));
 }
 
 }  // namespace gflink::obs

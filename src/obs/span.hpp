@@ -352,6 +352,23 @@ class ChunkLog {
   std::size_t size_ = 0;
 };
 
+/// popcount of every byte value. Bit ranks are counted a byte at a time
+/// through it: this build has no popcount instruction, so std::popcount of
+/// a 64-bit word is a library call.
+inline constexpr std::array<std::uint8_t, 256> kBitsSet = [] {
+  std::array<std::uint8_t, 256> t{};
+  for (unsigned v = 0; v < t.size(); ++v) t[v] = static_cast<std::uint8_t>(std::popcount(v));
+  return t;
+}();
+
+/// Set bits of `w`: a kBitsSet lookup per byte, up to its highest nonzero
+/// byte.
+constexpr std::size_t bits_set(std::uint64_t w) {
+  std::size_t n = 0;
+  for (; w != 0; w >>= 8) n += kBitsSet[w & 0xFF];
+  return n;
+}
+
 class SpanStore {
  public:
   /// The retained closed spans in id order, read as CausalSpan values: a
@@ -564,7 +581,7 @@ class SpanStore {
   std::size_t shots_below(SpanId id) const {
     const std::size_t i = id - 1;
     const std::uint64_t below = shot_bits_[i / 64] & ((std::uint64_t{1} << (i % 64)) - 1);
-    return shot_rank_[i / 64] + static_cast<std::size_t>(std::popcount(below));
+    return shot_rank_[i / 64] + bits_set(below);
   }
 
   bool retain_ = false;
@@ -662,9 +679,6 @@ struct CriticalPath {
 /// by_category sums to `total` exactly.
 CriticalPath extract_critical_path(const SpanStore& store);
 
-/// Gauge export: trace_critical_path_seconds (total and per category).
-void export_critical_path_metrics(const CriticalPath& cp, MetricsRegistry& m);
-
 // ---- Straggler attribution -------------------------------------------------
 
 /// Nearest-rank p95 over a peer group: sort ascending and take the value at
@@ -691,9 +705,6 @@ struct Straggler {
 
   Json to_json() const;
 };
-
-/// Gauge export: trace_stragglers_total.
-void export_straggler_metrics(const std::vector<Straggler>& stragglers, MetricsRegistry& m);
 
 /// Both analyses of one store, over one child index built for the two:
 /// extract_critical_path(), and the stragglers. Closed spans are grouped by

@@ -46,10 +46,9 @@ inline void install_engine_probes(Telemetry& telemetry, dataflow::Engine& engine
   }
 }
 
-/// GPU-layer probes, per worker: cache region occupancy and staging-ring
-/// bytes from the GMemoryManager, GWork queue depth from the
-/// GStreamManager, and — for each tenant with a cache quota — the
-/// fraction of that quota in use.
+/// GPU-layer probes, per worker: cache region occupancy from the
+/// GMemoryManager, GWork queue depth from the GStreamManager, and — for
+/// each tenant with a cache quota — the fraction of that quota in use.
 inline void install_runtime_probes(Telemetry& telemetry, core::GFlinkRuntime& runtime,
                                    const std::vector<service::TenantConfig>& tenants = {}) {
   for (int w = 1; w <= runtime.num_workers(); ++w) {
@@ -60,13 +59,6 @@ inline void install_runtime_probes(Telemetry& telemetry, core::GFlinkRuntime& ru
         used += static_cast<double>(gm.memory().region_used(d));
       }
       return used;
-    });
-    telemetry.add_probe(w, Metric::TelemetryGpuStagingBytes, {}, [&gm] {
-      double staged = 0.0;
-      for (int d = 0; d < gm.num_devices(); ++d) {
-        staged += static_cast<double>(gm.memory().staging_bytes(d));
-      }
-      return staged;
     });
     telemetry.add_probe(w, Metric::TelemetryGstreamQueueDepth, {}, [&gm] {
       double depth = 0.0;

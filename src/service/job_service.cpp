@@ -205,9 +205,6 @@ void JobService::dispatch(Tenant& t, const TicketPtr& ticket) {
   ticket->dispatched_at = engine_->now();
   ++t.in_flight;
   ++total_in_flight_;
-  engine_->metrics()
-      .counter(obs::Metric::ServiceDispatchCost, {{"tenant", t.config.name}})
-      .inc(ticket->cost);
   // gflint: allow(C3): the JobService outlives the simulation it drives
   // (owned by the harness that owns the Engine), and the ticket shared_ptr
   // keeps the per-job state alive inside the frame.
@@ -241,9 +238,6 @@ sim::Co<void> JobService::run_job(Tenant& t, TicketPtr ticket) {
   t.queue_wait_samples.push_back(queue_wait);
   t.run_samples.push_back(run_ns);
   t.latency_samples.push_back(latency_ns);
-  engine_->metrics()
-      .histogram(obs::Metric::ServiceRunNs, {{"tenant", t.config.name}})
-      .add(run_ns);
   engine_->metrics()
       .histogram(obs::Metric::ServiceLatencyNs, {{"tenant", t.config.name}})
       .add(latency_ns);

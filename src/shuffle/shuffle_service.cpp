@@ -63,12 +63,9 @@ void ShuffleService::sub_resident(int worker, std::uint64_t bytes) {
 void ShuffleService::block_started() {
   ++in_flight_;
   max_in_flight_ = std::max(max_in_flight_, in_flight_);
-  metrics().gauge(obs::Metric::ShuffleBlocksInFlight).set(static_cast<double>(in_flight_));
 }
 
-void ShuffleService::block_finished() {
-  metrics().gauge(obs::Metric::ShuffleBlocksInFlight).set(static_cast<double>(--in_flight_));
-}
+void ShuffleService::block_finished() { --in_flight_; }
 
 bool ShuffleService::consume_injected_fault() {
   if (injected_faults_ <= 0) return false;
@@ -435,7 +432,6 @@ sim::Co<void> ShuffleSession::deposit(int t, int dst, mem::RecordBatch bucket) {
     auto acct = spill_acct_;
     auto* service = service_;
     std::function<void()> on_landed = [service, acct, bytes] {
-      service->metrics().inc(obs::Metric::ShuffleSpillBlocks);
       service->metrics().inc(obs::Metric::ShuffleSpillBytes, static_cast<double>(bytes));
       *acct += bytes;
     };

@@ -89,11 +89,6 @@ TEST(Metrics, LabelSemantics) {
       (m.counter_value("health_events_total", {{"node", "2"}, {"detector", "straggler"}})), 2.0);
   // Absent series read as zero.
   EXPECT_DOUBLE_EQ((m.counter_value("net_pipe_bytes_total", {{"pipe", "zzz"}})), 0.0);
-  // A family with a second accepted key set registers both shapes.
-  m.gauge(obs::Metric::TraceCriticalPathSeconds).set(2.0);
-  m.gauge(obs::Metric::TraceCriticalPathSeconds, {{"category", "h2d"}}).set(1.0);
-  EXPECT_DOUBLE_EQ(m.gauge_value("trace_critical_path_seconds"), 2.0);
-  EXPECT_DOUBLE_EQ((m.gauge_value("trace_critical_path_seconds", {{"category", "h2d"}})), 1.0);
 
   obs::MetricId id{"bytes", {{"pipe", "a"}}};
   EXPECT_EQ(id.to_string(), "bytes{pipe=\"a\"}");
@@ -133,8 +128,9 @@ TEST(MetricsDeathTest, WrongLabelKeysAbortNamingTheFamily) {
                "'net_pipe_bytes_total' is a counter with label keys \\{pipe\\}");
   EXPECT_DEATH(m.counter(obs::Metric::NetBytes, {{"pipe", "a"}}), "net.bytes");
   EXPECT_DEATH(m.counter(obs::Metric::HealthEvents, {{"node", "1"}}), "detector, node");
-  EXPECT_DEATH(m.gauge(obs::Metric::TraceCriticalPathSeconds, {{"tier", "disk"}}),
-               "\\{\\} or \\{category\\}");
+  EXPECT_DEATH(m.gauge(obs::Metric::GpuCopyComputeOverlapEfficiency, {{"tier", "disk"}}),
+               "'gpu_copy_compute_overlap_efficiency' is a gauge with label keys \\{gpu\\}, "
+               "registered as a gauge with label keys \\{tier\\}");
 }
 
 TEST(MetricsDeathTest, WrongKindAborts) {
@@ -158,14 +154,14 @@ TEST(Metrics, MergeFrom) {
   a.counter(obs::Metric::NetBytes).inc(1);
   b.counter(obs::Metric::NetBytes).inc(2);
   b.counter(obs::Metric::EngineStages).inc(4);
-  a.gauge(obs::Metric::CacheHitRatio).set(0.1);
-  b.gauge(obs::Metric::CacheHitRatio).set(0.9);
+  a.gauge(obs::Metric::MultitenantJobsPerSecond).set(0.1);
+  b.gauge(obs::Metric::MultitenantJobsPerSecond).set(0.9);
   a.histogram(obs::Metric::EngineStageDurationNs).add(1.0);
   b.histogram(obs::Metric::EngineStageDurationNs).add(2.0);
   a.merge_from(b);
   EXPECT_DOUBLE_EQ(a.counter_value("net.bytes"), 3.0);      // counters add
   EXPECT_DOUBLE_EQ(a.counter_value("engine.stages"), 4.0);  // new series appear
-  EXPECT_DOUBLE_EQ(a.gauge_value("cache_hit_ratio"), 0.9);  // gauges overwrite
+  EXPECT_DOUBLE_EQ(a.gauge_value("multitenant_jobs_per_second"), 0.9);  // gauges overwrite
   ASSERT_NE(a.find_histogram("engine_stage_duration_ns"), nullptr);
   EXPECT_EQ(a.find_histogram("engine_stage_duration_ns")->summary().count(),
             2u);  // histograms merge
@@ -174,7 +170,7 @@ TEST(Metrics, MergeFrom) {
 TEST(Metrics, ToJsonCarriesQuantiles) {
   obs::MetricsRegistry m;
   m.counter(obs::Metric::NetPipeBytes, {{"pipe", "v"}}).inc(2);
-  m.gauge(obs::Metric::CacheHitRatio).set(0.25);
+  m.gauge(obs::Metric::MultitenantJobsPerSecond).set(0.25);
   sim::Histogram& h = m.histogram(obs::Metric::EngineStageDurationNs);
   for (int i = 0; i < 100; ++i) h.add(1.0e8 * i);
   Json j = m.to_json();
@@ -309,10 +305,6 @@ TEST(RunReport, ToJsonCarriesHeadlineKeys) {
   rep.metrics.counter(obs::Metric::GpuCacheMisses).inc(1);
   rep.metrics.counter(obs::Metric::GstreamLocalityHits).inc(1);
   rep.metrics.counter(obs::Metric::GstreamLocalityMisses).inc(3);
-  obs::add_derived_gflink_metrics(rep.metrics);
-
-  EXPECT_DOUBLE_EQ(rep.metrics.gauge_value("cache_hit_ratio"), 0.75);
-  EXPECT_DOUBLE_EQ(rep.metrics.gauge_value("locality_hit_ratio"), 0.25);
 
   Json j = rep.to_json();
   EXPECT_EQ(j.find("schema")->as_string(), "gflink.run_report/v3");
@@ -320,16 +312,6 @@ TEST(RunReport, ToJsonCarriesHeadlineKeys) {
   EXPECT_EQ(j.find("config")->find("workers")->as_int(), 4);
   EXPECT_DOUBLE_EQ(j.find("virtual_seconds")->as_double(), 2.0);
   ASSERT_NE(j.find("metrics"), nullptr);
-
-  // The acceptance keys must exist even in a run that never touched GPUs:
-  // the three stage counters and both ratio gauges.
-  const Json* counters = j.find("metrics")->find("counters");
-  ASSERT_NE(counters, nullptr);
-  int stage_keys = 0;
-  for (const Json& c : counters->items()) {
-    if (c.find("name")->as_string() == "gpu_stage_busy_ns") ++stage_keys;
-  }
-  EXPECT_EQ(stage_keys, 3);
 
   // And the whole document survives a parse round-trip.
   auto parsed = Json::parse(j.dump(2));
@@ -418,16 +400,6 @@ TEST(Spans, GoldenDagCriticalPathBreakdown) {
   EXPECT_EQ(cursor, 1000);
 }
 
-TEST(Spans, CriticalPathGaugesExport) {
-  obs::SpanStore s;
-  build_golden_dag(s);
-  obs::MetricsRegistry m;
-  obs::export_critical_path_metrics(obs::extract_critical_path(s), m);
-  EXPECT_DOUBLE_EQ(m.gauge_value("trace_critical_path_seconds"), 1000e-9);
-  EXPECT_DOUBLE_EQ((m.gauge_value("trace_critical_path_seconds", {{"category", "kernel"}})),
-                   300e-9);
-}
-
 TEST(Spans, StragglerFlagsKnownOutlierAndNamesWaitedResource) {
   obs::SpanStore s;
   s.set_retain(true);
@@ -455,10 +427,6 @@ TEST(Spans, StragglerFlagsKnownOutlierAndNamesWaitedResource) {
   EXPECT_EQ(out[0].p95, 100);
   // Attribution names the longest Wait descendant and its lane.
   EXPECT_EQ(out[0].waited_on, "wait:slot on node3/slots");
-
-  obs::MetricsRegistry m;
-  obs::export_straggler_metrics(out, m);
-  EXPECT_DOUBLE_EQ(m.gauge_value("trace_stragglers_total"), 1.0);
 }
 
 TEST(Spans, UntracedStoreStaysEmptyButCounts) {
@@ -1736,12 +1704,4 @@ TEST(RunReport, DigestCoversModelledFieldsOnly) {
   obs::RunReport config = make();
   config.set_config("workers", Json(5));
   EXPECT_NE(digest(config), d0);
-}
-
-TEST(RunReport, DerivedMetricsHandleEmptyRegistry) {
-  obs::MetricsRegistry m;
-  obs::add_derived_gflink_metrics(m);
-  EXPECT_DOUBLE_EQ(m.gauge_value("cache_hit_ratio"), 0.0);
-  EXPECT_DOUBLE_EQ(m.gauge_value("locality_hit_ratio"), 0.0);
-  EXPECT_DOUBLE_EQ((m.counter_value("gpu_stage_busy_ns", {{"stage", "kernel"}})), 0.0);
 }

@@ -453,7 +453,6 @@ int run_workload(const Options& opt) {
     g_report.set_config("gpus_per_worker", obs::Json(opt.testbed.gpus_per_worker));
     g_report.set_config("gpu", obs::Json(opt.testbed.gpu_spec.name));
     g_report.set_config("scale", obs::Json(opt.testbed.scale));
-    obs::add_derived_gflink_metrics(g_report.metrics);
     if (!g_report.write(opt.report_out)) {
       std::fprintf(stderr, "error: could not write report to %s\n", opt.report_out.c_str());
       return 1;
