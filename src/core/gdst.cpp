@@ -102,7 +102,6 @@ sim::Co<void> gpu_map_partition_run(dataflow::TaskContext& ctx, const GpuOpSpec&
     work->tenant = ctx.job().tenant();
     work->span = ctx.span();
     work->chunkable = spec.chunkable;
-    work->chunk_bytes = spec.chunk_bytes;
     GBuffer in_binding;
     in_binding.host = std::move(in_buf);
     in_binding.bytes = in_bytes;

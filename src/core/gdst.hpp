@@ -59,8 +59,6 @@ struct GpuOpSpec {
   /// flow through the intra-GWork chunked pipeline. Block-level reducers
   /// must leave this false.
   bool chunkable = false;
-  /// Per-op chunk size override; 0 = GStreamConfig::chunk_bytes.
-  std::uint64_t chunk_bytes = 0;
 
   /// Output items produced by a block of n input items (identity for pure
   /// maps; constant k for block-level reducers).

@@ -62,12 +62,6 @@ std::uint64_t GFlinkRuntime::total_cache_hits() const {
   return n;
 }
 
-std::uint64_t GFlinkRuntime::total_cache_misses() const {
-  std::uint64_t n = 0;
-  for (const auto& m : managers_) n += m->memory().misses();
-  return n;
-}
-
 std::uint64_t GFlinkRuntime::total_kernels() const {
   std::uint64_t n = 0;
   for (const auto& m : managers_) {

@@ -119,7 +119,6 @@ class GFlinkRuntime {
 
   // Cluster-wide statistics.
   std::uint64_t total_cache_hits() const;
-  std::uint64_t total_cache_misses() const;
   std::uint64_t total_kernels() const;
   std::uint64_t total_bytes_h2d() const;
 

@@ -26,6 +26,28 @@ struct ChunkBuf {
   bool upfront_h2d = false;  // indivisible: one whole transfer before the pipeline
 };
 
+/// Where one GWork's stage spans go: children of its gwork span, on its
+/// GPU's lane. `store` is null when the manager records no spans.
+struct StageSpans {
+  obs::SpanStore* store = nullptr;
+  obs::SpanId gspan = 0;
+  obs::StrId lane;
+  int node = -1;
+};
+
+/// Record one stage [begin, end) of a GWork, named after its category; an
+/// empty stage records nothing. Every h2d/kernel/d2h span is built here:
+/// per chunk by run_chunk, and once per GWork by the monolithic and mapped
+/// paths.
+void record_stage(const StageSpans& to, obs::SpanCategory stage, sim::Time begin,
+                  sim::Time end) {
+  if (to.store == nullptr || end <= begin) return;
+  const char* name = stage == obs::SpanCategory::H2D      ? "h2d"
+                     : stage == obs::SpanCategory::Kernel ? "kernel"
+                                                          : "d2h";
+  to.store->record(name, stage, to.gspan, begin, end, to.lane, to.node);
+}
+
 /// Shared state of one chunked execution; owned by execute_chunked's frame,
 /// which outlives every chunk coroutine (it joins them via the WaitGroup).
 struct ChunkCtx {
@@ -39,15 +61,10 @@ struct ChunkCtx {
   std::vector<ChunkBuf> buffers;  // binding order: inputs then outputs
   sim::Channel<int>* free_slots = nullptr;
   sim::WaitGroup* wg = nullptr;
-  std::string label;
   sim::Duration h2d_ns = 0;
   sim::Duration kernel_ns = 0;
   sim::Duration d2h_ns = 0;
-  // Causal tracing (null/0 when the manager has no span store attached).
-  obs::SpanStore* spans = nullptr;
-  obs::SpanId gspan = 0;
-  obs::StrId lane;
-  int node = -1;
+  StageSpans stages;
 };
 
 /// One chunk's pass through the three stages. Backpressure comes from the
@@ -60,6 +77,7 @@ sim::Co<void> run_chunk(ChunkCtx& ctx, std::size_t c) {
   const std::size_t n = std::min(ctx.items_per_chunk, ctx.work->size - first);
   const gpu::DevicePtr slot_base =
       ctx.ring_base + static_cast<gpu::DevicePtr>(slot) * ctx.slot_stride;
+  const std::string& label = ctx.work->execute_name;
 
   std::vector<gpu::GpuDevice::BufferBinding> bindings;
   bindings.reserve(ctx.buffers.size());
@@ -73,36 +91,27 @@ sim::Co<void> run_chunk(ChunkCtx& ctx, std::size_t c) {
       bindings.push_back({slot_base + b.ring_offset, len});
       continue;
     }
-    if (b.h2d) co_await ctx.api->charge_h2d(*b.host, off, len, ctx.label);
+    if (b.h2d) co_await ctx.api->charge_h2d(*b.host, off, len, label);
     bindings.push_back({0, len, b.host->data() + off});
   }
 
   const sim::Time kernel_begin = ctx.sim->now();
   ctx.h2d_ns += kernel_begin - h2d_begin;
-  if (ctx.spans != nullptr && kernel_begin > h2d_begin) {
-    ctx.spans->record("h2d", obs::SpanCategory::H2D, ctx.gspan, h2d_begin, kernel_begin,
-                      ctx.lane, ctx.node);
-  }
+  record_stage(ctx.stages, obs::SpanCategory::H2D, h2d_begin, kernel_begin);
   co_await ctx.api->launch_kernel(*ctx.kernel, bindings, n, ctx.work->layout,
-                                  ctx.work->block_size, /*grid_size=*/0, ctx.label);
+                                  ctx.work->block_size, /*grid_size=*/0, label);
 
   const sim::Time d2h_begin = ctx.sim->now();
   ctx.kernel_ns += d2h_begin - kernel_begin;
-  if (ctx.spans != nullptr && d2h_begin > kernel_begin) {
-    ctx.spans->record("kernel", obs::SpanCategory::Kernel, ctx.gspan, kernel_begin, d2h_begin,
-                      ctx.lane, ctx.node);
-  }
+  record_stage(ctx.stages, obs::SpanCategory::Kernel, kernel_begin, d2h_begin);
   for (std::size_t i = 0; i < ctx.buffers.size(); ++i) {
     const ChunkBuf& b = ctx.buffers[i];
     if (!b.is_output) continue;
     co_await ctx.api->memcpy_d2h(*b.host, static_cast<std::size_t>(first) * b.stride,
-                                 bindings[i].ptr, bindings[i].len, ctx.label);
+                                 bindings[i].ptr, bindings[i].len, label);
   }
   ctx.d2h_ns += ctx.sim->now() - d2h_begin;
-  if (ctx.spans != nullptr && ctx.sim->now() > d2h_begin) {
-    ctx.spans->record("d2h", obs::SpanCategory::D2H, ctx.gspan, d2h_begin, ctx.sim->now(),
-                      ctx.lane, ctx.node);
-  }
+  record_stage(ctx.stages, obs::SpanCategory::D2H, d2h_begin, ctx.sim->now());
 
   const bool returned = ctx.free_slots->try_send(slot);
   GFLINK_CHECK(returned);
@@ -130,7 +139,6 @@ GStreamManager::GStreamManager(sim::Simulation& sim, std::vector<gpu::CudaWrappe
     for (int s = 0; s < config_.streams_per_gpu; ++s) {
       auto w = std::make_unique<StreamWorker>();
       w->gpu = static_cast<int>(g);
-      w->stream_id = s;
       w->inbox = std::make_unique<sim::Channel<GWorkPtr>>(sim, 1);
       // The GStream Pool starts with live stream threads (paper Fig. 4);
       // they idle-timeout into the freed state and are revived on demand.
@@ -253,7 +261,6 @@ GWorkPtr GStreamManager::steal(int gpu) {
   if (depth == 0) return nullptr;
   GWorkPtr w = pop_best(pool_[longest]);
   ++steals_;
-  w->was_stolen = true;
   return w;
 }
 
@@ -299,6 +306,7 @@ sim::Co<void> GStreamManager::worker_loop(StreamWorker* w) {
 }
 
 obs::StrId GStreamManager::gpu_lane(int gpu) {
+  if (spans_ == nullptr) return {};
   obs::StrId& id = gpu_lanes_[static_cast<std::size_t>(gpu)];
   if (id.v == 0) {
     id = spans_->intern((node_id_ >= 0 ? "node" + std::to_string(node_id_) + "/" : std::string()) +
@@ -317,8 +325,7 @@ bool GStreamManager::chunk_plan(const GWork& work, ChunkPlan& plan) const {
   if (!work.chunkable || work.use_mapped_memory) return false;
   if (work.grid_size != 0) return false;  // explicit grid covers the whole GWork
   if (work.size < 2 || work.outputs.empty()) return false;
-  const std::uint64_t chunk_bytes = work.chunk_bytes != 0 ? work.chunk_bytes : config_.chunk_bytes;
-  if (chunk_bytes == 0 || config_.staging_slots < 2) return false;
+  if (config_.chunk_bytes == 0 || config_.staging_slots < 2) return false;
 
   std::uint64_t per_item = 0;
   plan.ring_item_bytes = 0;
@@ -337,17 +344,74 @@ bool GStreamManager::chunk_plan(const GWork& work, ChunkPlan& plan) const {
   }
   if (per_item == 0) return false;
 
-  plan.items_per_chunk = std::max<std::size_t>(1, static_cast<std::size_t>(chunk_bytes / per_item));
+  plan.items_per_chunk =
+      std::max<std::size_t>(1, static_cast<std::size_t>(config_.chunk_bytes / per_item));
   if (plan.items_per_chunk >= work.size) return false;  // single chunk: use monolithic
   plan.num_chunks = (work.size + plan.items_per_chunk - 1) / plan.items_per_chunk;
   return true;
 }
 
+sim::Co<GStreamManager::Placed> GStreamManager::place(gpu::CudaWrapper& api, const GBuffer& in,
+                                                      Placement& held) {
+  if (in.cache) {
+    auto hit = memory_->lookup_pinned(held.device, held.job, in.cache_key);
+    if (hit && hit->bytes >= in.bytes) {
+      held.hits.push_back(in.cache_key);
+      co_return Placed{hit->ptr, true};  // the paper's avoided PCIe transfer
+    }
+    if (hit) memory_->unpin(held.device, held.job, in.cache_key);  // undersized hit
+    if (auto slot = memory_->insert(held.device, held.job, in.cache_key, in.bytes)) {
+      held.fills.push_back(in.cache_key);
+      co_return Placed{slot->ptr, false};  // region allocation: no cudaMalloc on the hot path
+    }
+  }
+  co_return Placed{co_await allocate(api, held, in.bytes), false};
+}
+
+sim::Co<gpu::DevicePtr> GStreamManager::allocate(gpu::CudaWrapper& api, Placement& held,
+                                                 std::uint64_t bytes) {
+  gpu::DevicePtr ptr = co_await api.cuda_malloc(bytes);
+  if (ptr == 0 && memory_->evict_for_space(held.device, held.job, bytes)) {
+    ptr = co_await api.cuda_malloc(bytes);  // retry after cache relief
+  }
+  if (ptr != 0) held.temporaries.push_back(ptr);
+  co_return ptr;
+}
+
+sim::Co<void> GStreamManager::undo(gpu::CudaWrapper& api, Placement& held) {
+  for (gpu::DevicePtr t : held.temporaries) {
+    co_await api.cuda_free(t);
+  }
+  // Hits first: a fill this GWork also hit (one key named twice) is then
+  // pinned only by the fill, and its erase drops it.
+  for (std::uint64_t key : held.hits) {
+    memory_->unpin(held.device, held.job, key);
+  }
+  for (std::uint64_t key : held.fills) {
+    memory_->erase(held.device, held.job, key);  // releases this pin too
+  }
+  held.temporaries.clear();
+  held.fills.clear();
+  held.hits.clear();
+}
+
+sim::Co<void> GStreamManager::release(gpu::CudaWrapper& api, Placement& held) {
+  for (gpu::DevicePtr t : held.temporaries) {
+    co_await api.cuda_free(t);
+  }
+  for (std::uint64_t key : held.hits) {
+    memory_->unpin(held.device, held.job, key);
+  }
+  for (std::uint64_t key : held.fills) {
+    memory_->unpin(held.device, held.job, key);
+  }
+}
+
 sim::Co<bool> GStreamManager::execute_chunked(StreamWorker* w, const GWorkPtr& work,
-                                              const ChunkPlan& plan, obs::SpanId gspan) {
+                                              const gpu::Kernel& kernel, const ChunkPlan& plan,
+                                              obs::SpanId gspan) {
   gpu::CudaWrapper& api = *wrappers_.at(static_cast<std::size_t>(w->gpu));
   const int gpu_index = w->gpu;
-  const std::string label = work->execute_name;
   const sim::Time stage1_begin = sim_->now();
 
   // Reserve the staging ring before touching the cache or moving any bytes,
@@ -367,26 +431,19 @@ sim::Co<bool> GStreamManager::execute_chunked(StreamWorker* w, const GWorkPtr& w
   ChunkCtx ctx;
   ctx.sim = sim_;
   ctx.api = &api;
-  ctx.kernel = &gpu::KernelRegistry::global().lookup(work->execute_name);
+  ctx.kernel = &kernel;
   ctx.work = work.get();
   ctx.items_per_chunk = plan.items_per_chunk;
   ctx.ring_base = ring;
   ctx.slot_stride = slot_stride;
-  ctx.label = label;
-  ctx.spans = spans_;
-  ctx.gspan = gspan;
-  if (spans_ != nullptr) ctx.lane = gpu_lane(gpu_index);
-  ctx.node = node_id_;
-
-  std::vector<gpu::DevicePtr> temporaries;
-  std::vector<std::uint64_t> pinned_keys;    // hits + fills: unpinned at teardown
-  std::vector<std::uint64_t> inserted_keys;  // fills only: erased on abort
+  ctx.stages = {spans_, gspan, gpu_lane(gpu_index), node_id_};
 
   // Placement pass — allocations only, no data movement yet, so an OOM can
   // abort cleanly into the monolithic fallback (cache untouched, nothing
   // pre-paid). Indivisible inputs (aux/broadcast) get full-size device
-  // buffers; splittable ones either fill a cache slot chunk-by-chunk or
-  // ride the staging ring.
+  // buffers; splittable ones either fill a cache slot chunk-by-chunk or,
+  // uncached, ride the staging ring and need no buffer of their own.
+  Placement held(gpu_index, work->job_id);
   bool placed = true;
   for (auto& in : work->inputs) {
     ChunkBuf b;
@@ -394,35 +451,14 @@ sim::Co<bool> GStreamManager::execute_chunked(StreamWorker* w, const GWorkPtr& w
     b.bytes = in.bytes;
     b.stride = in.item_stride;
     bool cache_hit = false;
-    if (in.cache) {
-      auto hit = memory_->lookup_pinned(gpu_index, work->job_id, in.cache_key);
-      if (hit && hit->bytes >= in.bytes) {
-        b.device_base = hit->ptr;
-        cache_hit = true;  // the paper's avoided PCIe transfer
-        pinned_keys.push_back(in.cache_key);
-      } else {
-        if (hit) memory_->unpin(gpu_index, work->job_id, in.cache_key);  // undersized hit
-        if (auto slot = memory_->insert(gpu_index, work->job_id, in.cache_key, in.bytes)) {
-          b.device_base = slot->ptr;
-          pinned_keys.push_back(in.cache_key);
-          inserted_keys.push_back(in.cache_key);
-        }
-      }
-    }
-    if (b.device_base == 0 && (b.stride == 0 || in.cache)) {
-      // Indivisible uncached input, or a cacheable one the region declined:
-      // full-size transient allocation. (Uncached *splittable* inputs ride
-      // the staging ring and need no allocation here.)
-      gpu::DevicePtr dptr = co_await api.cuda_malloc(in.bytes);
-      if (dptr == 0 && memory_->evict_for_space(gpu_index, work->job_id, in.bytes)) {
-        dptr = co_await api.cuda_malloc(in.bytes);
-      }
-      if (dptr == 0) {
+    if (in.cache || b.stride == 0) {
+      const Placed p = co_await place(api, in, held);
+      if (p.ptr == 0) {
         placed = false;  // ring + full-size buffers exceed the device
         break;
       }
-      temporaries.push_back(dptr);
-      b.device_base = dptr;
+      b.device_base = p.ptr;
+      cache_hit = p.hit;
     }
     if (!cache_hit) {
       b.upfront_h2d = b.stride == 0;
@@ -431,17 +467,7 @@ sim::Co<bool> GStreamManager::execute_chunked(StreamWorker* w, const GWorkPtr& w
     ctx.buffers.push_back(b);
   }
   if (!placed) {
-    for (gpu::DevicePtr t : temporaries) {
-      co_await api.cuda_free(t);
-    }
-    for (std::uint64_t key : inserted_keys) {
-      memory_->erase(gpu_index, work->job_id, key);  // releases this pin too
-    }
-    for (std::uint64_t key : pinned_keys) {
-      if (std::find(inserted_keys.begin(), inserted_keys.end(), key) == inserted_keys.end()) {
-        memory_->unpin(gpu_index, work->job_id, key);
-      }
-    }
+    co_await undo(api, held);
     co_await sim_->delay(api.jni_overhead() + api.stub().overheads().free_cost);
     memory_->release_staging(gpu_index, ring);
     stage_h2d_ns_ += sim_->now() - stage1_begin;
@@ -452,7 +478,7 @@ sim::Co<bool> GStreamManager::execute_chunked(StreamWorker* w, const GWorkPtr& w
   // transfers. Indivisible (aux/broadcast) inputs move whole before the
   // pipeline starts; every chunk kernel binds the full buffer.
   for (const ChunkBuf& b : ctx.buffers) {
-    if (b.upfront_h2d) co_await api.charge_h2d(*b.host, 0, b.bytes, label);
+    if (b.upfront_h2d) co_await api.charge_h2d(*b.host, 0, b.bytes, work->execute_name);
   }
   for (auto& out : work->outputs) {
     ChunkBuf b;
@@ -496,12 +522,7 @@ sim::Co<bool> GStreamManager::execute_chunked(StreamWorker* w, const GWorkPtr& w
   const sim::Time teardown_begin = sim_->now();
   co_await sim_->delay(api.jni_overhead() + api.stub().overheads().free_cost);
   memory_->release_staging(gpu_index, ring);
-  for (gpu::DevicePtr t : temporaries) {
-    co_await api.cuda_free(t);
-  }
-  for (std::uint64_t key : pinned_keys) {
-    memory_->unpin(gpu_index, work->job_id, key);
-  }
+  co_await release(api, held);
   stage_d2h_ns_ += sim_->now() - teardown_begin;
 
   ++chunked_works_;
@@ -509,9 +530,8 @@ sim::Co<bool> GStreamManager::execute_chunked(StreamWorker* w, const GWorkPtr& w
   work->executed_chunks = plan.num_chunks;
   if (spans_ != nullptr) {
     spans_->annotate(gspan, "chunks", std::to_string(plan.num_chunks));
-    spans_->annotate(gspan, "cache_hits",
-                     std::to_string(pinned_keys.size() - inserted_keys.size()));
-    spans_->annotate(gspan, "cache_misses", std::to_string(inserted_keys.size()));
+    spans_->annotate(gspan, "cache_hits", std::to_string(held.hits.size()));
+    spans_->annotate(gspan, "cache_misses", std::to_string(held.fills.size()));
   }
   finish(work);
   co_return true;
@@ -521,7 +541,7 @@ sim::Co<void> GStreamManager::execute(StreamWorker* w, const GWorkPtr& work) {
   gpu::CudaWrapper& api = *wrappers_.at(static_cast<std::size_t>(w->gpu));
   const int gpu_index = w->gpu;
   work->executed_on_gpu = gpu_index;
-  work->executed_on_stream = w->stream_id;
+  const gpu::Kernel& kernel = gpu::KernelRegistry::global().lookup(work->execute_name);
 
   obs::SpanId gspan = 0;
   if (spans_ != nullptr) {
@@ -529,13 +549,14 @@ sim::Co<void> GStreamManager::execute(StreamWorker* w, const GWorkPtr& work) {
     gspan = spans_->open(name, obs::SpanCategory::Control, work->span, sim_->now(),
                          gpu_lane(gpu_index), node_id_);
   }
+  const StageSpans stages{spans_, gspan, gpu_lane(gpu_index), node_id_};
 
   if (ChunkPlan plan; chunk_plan(*work, plan)) {
-    if (co_await execute_chunked(w, work, plan, gspan)) {
+    if (co_await execute_chunked(w, work, kernel, plan, gspan)) {
       if (spans_ != nullptr) spans_->close(gspan, sim_->now());
       co_return;
     }
-    ++chunk_fallbacks_;  // ring unavailable: monolithic fallback below
+    ++chunk_fallbacks_;  // no room for the ring or its buffers: monolithic fallback below
     if (spans_ != nullptr) spans_->annotate(gspan, "chunk_fallback", "staging ring unavailable");
   }
 
@@ -552,14 +573,12 @@ sim::Co<void> GStreamManager::execute(StreamWorker* w, const GWorkPtr& work) {
     for (auto& out : work->outputs) {
       spans.emplace_back(out.host->data(), out.bytes);
     }
-    const gpu::Kernel& kernel = gpu::KernelRegistry::global().lookup(work->execute_name);
     const sim::Time kernel_begin = sim_->now();
     co_await api.device().launch_mapped(kernel, std::move(spans), work->size, work->layout,
                                         work->execute_name);
     stage_kernel_ns_ += sim_->now() - kernel_begin;
+    record_stage(stages, obs::SpanCategory::Kernel, kernel_begin, sim_->now());
     if (spans_ != nullptr) {
-      spans_->record("kernel", obs::SpanCategory::Kernel, gspan, kernel_begin, sim_->now(),
-                     gpu_lane(gpu_index), node_id_);
       spans_->annotate(gspan, "mapped_memory", "1");
       spans_->close(gspan, sim_->now());
     }
@@ -567,14 +586,11 @@ sim::Co<void> GStreamManager::execute(StreamWorker* w, const GWorkPtr& work) {
     co_return;
   }
 
-  const std::string label = work->execute_name;
   const sim::Time stage1_begin = sim_->now();
   std::vector<gpu::GpuDevice::BufferBinding> bindings;
   bindings.reserve(work->inputs.size() + work->outputs.size());
-  std::vector<gpu::DevicePtr> temporaries;
-  std::vector<std::uint64_t> pinned_keys;    // cache entries in use by this GWork
-  std::vector<std::uint64_t> inserted_keys;  // subset of pinned_keys we created
-  std::vector<bool> input_needs_transfer;    // parallel to work->inputs
+  std::vector<bool> input_needs_transfer;  // parallel to work->inputs
+  Placement held(gpu_index, work->job_id);
 
   // Stage 1a: place every buffer (inputs honouring the GPU cache, then
   // outputs) before moving any data. Cached entries are pinned for the
@@ -589,71 +605,31 @@ sim::Co<void> GStreamManager::execute(StreamWorker* w, const GWorkPtr& work) {
   for (int attempt = 0;; ++attempt) {
     bool placed = true;
     for (auto& in : work->inputs) {
-      gpu::DevicePtr dptr = 0;
-      bool need_transfer = true;
-      if (in.cache) {
-        auto hit = memory_->lookup_pinned(gpu_index, work->job_id, in.cache_key);
-        if (hit && hit->bytes >= in.bytes) {
-          dptr = hit->ptr;
-          pinned_keys.push_back(in.cache_key);
-          need_transfer = false;  // the paper's avoided PCIe transfer
-        } else {
-          if (hit) memory_->unpin(gpu_index, work->job_id, in.cache_key);  // undersized hit
-          if (auto slot = memory_->insert(gpu_index, work->job_id, in.cache_key, in.bytes)) {
-            dptr = slot->ptr;  // region allocation: no cudaMalloc on the hot path
-            pinned_keys.push_back(in.cache_key);
-            inserted_keys.push_back(in.cache_key);
-          }
-        }
-      }
-      if (dptr == 0) {
-        dptr = co_await api.cuda_malloc(in.bytes);
-        if (dptr == 0 && memory_->evict_for_space(gpu_index, work->job_id, in.bytes)) {
-          dptr = co_await api.cuda_malloc(in.bytes);  // retry after cache relief
-        }
-        if (dptr == 0) {
-          placed = false;
-          break;
-        }
-        temporaries.push_back(dptr);
+      const Placed p = co_await place(api, in, held);
+      if (p.ptr == 0) {
+        placed = false;
+        break;
       }
       // The kernel reads the GWork's own host bytes in place; the device
       // placement above models capacity and the cache.
-      bindings.push_back({dptr, in.bytes, in.host->data()});
-      input_needs_transfer.push_back(need_transfer);
+      bindings.push_back({p.ptr, in.bytes, in.host->data()});
+      input_needs_transfer.push_back(!p.hit);
     }
     if (placed) {
       // Output allocations (released automatically after D2H).
       for (auto& out : work->outputs) {
-        gpu::DevicePtr dptr = co_await api.cuda_malloc(out.bytes);
-        if (dptr == 0 && memory_->evict_for_space(gpu_index, work->job_id, out.bytes)) {
-          dptr = co_await api.cuda_malloc(out.bytes);
-        }
+        const gpu::DevicePtr dptr = co_await allocate(api, held, out.bytes);
         if (dptr == 0) {
           placed = false;
           break;
         }
-        temporaries.push_back(dptr);
         bindings.push_back({dptr, out.bytes});
       }
     }
     if (placed) break;
 
     // Undo this attempt completely before sleeping.
-    for (gpu::DevicePtr t : temporaries) {
-      co_await api.cuda_free(t);
-    }
-    temporaries.clear();
-    for (std::uint64_t key : inserted_keys) {
-      memory_->erase(gpu_index, work->job_id, key);
-    }
-    for (std::uint64_t key : pinned_keys) {
-      if (std::find(inserted_keys.begin(), inserted_keys.end(), key) == inserted_keys.end()) {
-        memory_->unpin(gpu_index, work->job_id, key);
-      }
-    }
-    pinned_keys.clear();
-    inserted_keys.clear();
+    co_await undo(api, held);
     bindings.clear();
     input_needs_transfer.clear();
     GFLINK_CHECK_MSG(attempt < 1000, "device OOM: GWork buffers never fit");
@@ -671,49 +647,33 @@ sim::Co<void> GStreamManager::execute(StreamWorker* w, const GWorkPtr& work) {
   for (std::size_t i = 0; i < work->inputs.size(); ++i) {
     if (!input_needs_transfer[i]) continue;
     const auto& in = work->inputs[i];
-    co_await api.charge_h2d(*in.host, 0, in.bytes, label);
+    co_await api.charge_h2d(*in.host, 0, in.bytes, work->execute_name);
   }
 
   // Stage 2: kernel execution.
   const sim::Time stage2_begin = sim_->now();
   stage_h2d_ns_ += stage2_begin - stage1_begin;
-  co_await api.launch_kernel(work->execute_name, bindings, work->size, work->layout,
-                             work->block_size, work->grid_size, label);
+  co_await api.launch_kernel(kernel, bindings, work->size, work->layout, work->block_size,
+                             work->grid_size, work->execute_name);
 
   // Stage 3: D2H result transfers.
   const sim::Time stage3_begin = sim_->now();
   stage_kernel_ns_ += stage3_begin - stage2_begin;
   std::size_t binding_index = work->inputs.size();
   for (auto& out : work->outputs) {
-    co_await api.memcpy_d2h(*out.host, 0, bindings[binding_index].ptr, out.bytes, label);
+    co_await api.memcpy_d2h(*out.host, 0, bindings[binding_index].ptr, out.bytes,
+                            work->execute_name);
     ++binding_index;
   }
-
-  for (gpu::DevicePtr t : temporaries) {
-    co_await api.cuda_free(t);
-  }
-  for (std::uint64_t key : pinned_keys) {
-    memory_->unpin(gpu_index, work->job_id, key);
-  }
+  co_await release(api, held);
   stage_d2h_ns_ += sim_->now() - stage3_begin;
 
+  record_stage(stages, obs::SpanCategory::H2D, stage1_begin, stage2_begin);
+  record_stage(stages, obs::SpanCategory::Kernel, stage2_begin, stage3_begin);
+  record_stage(stages, obs::SpanCategory::D2H, stage3_begin, sim_->now());
   if (spans_ != nullptr) {
-    const obs::StrId lane = gpu_lane(gpu_index);
-    if (stage2_begin > stage1_begin) {
-      spans_->record("h2d", obs::SpanCategory::H2D, gspan, stage1_begin, stage2_begin, lane,
-                     node_id_);
-    }
-    if (stage3_begin > stage2_begin) {
-      spans_->record("kernel", obs::SpanCategory::Kernel, gspan, stage2_begin, stage3_begin,
-                     lane, node_id_);
-    }
-    if (sim_->now() > stage3_begin) {
-      spans_->record("d2h", obs::SpanCategory::D2H, gspan, stage3_begin, sim_->now(), lane,
-                     node_id_);
-    }
-    spans_->annotate(gspan, "cache_hits",
-                     std::to_string(pinned_keys.size() - inserted_keys.size()));
-    spans_->annotate(gspan, "cache_misses", std::to_string(inserted_keys.size()));
+    spans_->annotate(gspan, "cache_hits", std::to_string(held.hits.size()));
+    spans_->annotate(gspan, "cache_misses", std::to_string(held.fills.size()));
     if (oom_backoffs > 0) {
       spans_->annotate(gspan, "oom_retries", std::to_string(oom_backoffs));
     }

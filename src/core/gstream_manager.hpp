@@ -107,24 +107,15 @@ class GStreamManager {
   std::size_t queue_depth(int gpu) const {
     return pool_.at(static_cast<std::size_t>(gpu)).size();
   }
-  /// GWork whose cached-input-preferred device (Algorithm 5.1's probe at
-  /// submit time) matched / missed the device it actually executed on.
-  /// Work with nothing cached anywhere counts as neither.
-  std::uint64_t locality_hits() const { return locality_hits_; }
-  std::uint64_t locality_misses() const { return locality_misses_; }
   /// GWork executed through the chunked pipeline / total chunks issued /
   /// chunk-eligible GWork that fell back to monolithic execution because
-  /// the staging ring could not be reserved.
+  /// the staging ring, or the buffers placed beside it, did not fit.
   std::uint64_t chunked_works() const { return chunked_works_; }
   std::uint64_t chunks_total() const { return chunks_total_; }
   std::uint64_t chunk_fallbacks() const { return chunk_fallbacks_; }
   /// Times a monolithic placement released its buffers and backed off
   /// because concurrent streams held the device (see oom_retry_backoff).
   std::uint64_t oom_retries() const { return oom_retries_; }
-  // Per-stage elapsed time of the three-stage pipeline, summed over streams.
-  sim::Duration stage_h2d_busy() const { return stage_h2d_ns_; }
-  sim::Duration stage_kernel_busy() const { return stage_kernel_ns_; }
-  sim::Duration stage_d2h_busy() const { return stage_d2h_ns_; }
 
   /// Publish scheduler counters (executions per GPU, steals, locality
   /// hits/misses, per-stage busy time) into `out`.
@@ -133,7 +124,6 @@ class GStreamManager {
  private:
   struct StreamWorker {
     int gpu = 0;
-    int stream_id = 0;
     bool idle = false;
     bool freed = true;  // not yet started
     std::uint64_t idle_generation = 0;
@@ -177,14 +167,49 @@ class GStreamManager {
 
   /// Chunked execution: H2D(chunk i+1) ‖ kernel(chunk i) ‖ D2H(chunk i-1)
   /// through a device staging ring. Returns false (having changed nothing)
-  /// when the ring cannot be reserved; the caller falls back to execute()'s
-  /// monolithic path. `gspan` is the enclosing gwork causal span.
-  sim::Co<bool> execute_chunked(StreamWorker* w, const GWorkPtr& work, const ChunkPlan& plan,
-                                obs::SpanId gspan);
+  /// when the ring cannot be reserved or the buffers beside it do not fit;
+  /// the caller falls back to execute()'s monolithic path. `gspan` is the
+  /// enclosing gwork causal span.
+  sim::Co<bool> execute_chunked(StreamWorker* w, const GWorkPtr& work, const gpu::Kernel& kernel,
+                                const ChunkPlan& plan, obs::SpanId gspan);
+
+  /// The device memory one GWork holds on its GPU while it runs: transient
+  /// buffers, and the cache entries it pinned (hits it found, fills it
+  /// inserted). Both executors build it with place()/allocate() and hand it
+  /// back with undo() (placement failed) or release() (the GWork is done).
+  struct Placement {
+    Placement(int on_device, std::uint64_t of_job) : device(on_device), job(of_job) {}
+    int device;
+    std::uint64_t job;
+    std::vector<gpu::DevicePtr> temporaries;
+    std::vector<std::uint64_t> hits;
+    std::vector<std::uint64_t> fills;
+  };
+  /// One placed input: its device address (0 = the device had no room) and
+  /// whether it was a cache hit, already resident, so no H2D is due.
+  struct Placed {
+    gpu::DevicePtr ptr = 0;
+    bool hit = false;
+  };
+
+  /// Place one input on the device: a cache hit or fill when it is
+  /// cacheable (an undersized hit is unpinned and refilled), else, or when
+  /// the region declines it, a transient buffer.
+  sim::Co<Placed> place(gpu::CudaWrapper& api, const GBuffer& in, Placement& held);
+  /// A transient buffer of `bytes`, tried again once after evicting the
+  /// job's unpinned cache entries; 0 when the device still has no room.
+  sim::Co<gpu::DevicePtr> allocate(gpu::CudaWrapper& api, Placement& held, std::uint64_t bytes);
+  /// Give back a failed placement: free the temporaries, drop the fills (no
+  /// data reached them) and unpin the hits, leaving `held` empty.
+  sim::Co<void> undo(gpu::CudaWrapper& api, Placement& held);
+  /// Give back a finished GWork's holdings: free the temporaries and unpin
+  /// every entry, hits and fills (the fills stay cached).
+  sim::Co<void> release(gpu::CudaWrapper& api, Placement& held);
 
   /// Lane causal spans of GPU `gpu` render on ("node3/gpu1"), and the
   /// "gwork:<kernel>" span name. Both are interned on first use, so building
-  /// a manager interns nothing and a GWork builds no strings.
+  /// a manager interns nothing and a GWork builds no strings. The lane is
+  /// 0 when the manager records no spans.
   obs::StrId gpu_lane(int gpu);
   obs::StrId gwork_name(const std::string& execute_name);
 

@@ -84,8 +84,6 @@ struct GWork {
   /// sums, gradients, per-block combines) must leave this false — their
   /// output depends on the whole block.
   bool chunkable = false;
-  /// Per-GWork chunk size override; 0 = GStreamConfig::chunk_bytes.
-  std::uint64_t chunk_bytes = 0;
 
   /// Causal parent for the GWork's spans (usually the producing task's
   /// span; 0 = untraced). Plain id, not a pointer: the span may close
@@ -99,25 +97,12 @@ struct GWork {
   sim::Time submitted_at = 0;
   sim::Time finished_at = 0;
   int executed_on_gpu = -1;
-  int executed_on_stream = -1;
-  bool was_stolen = false;
   /// Chunks the pipeline split this GWork into (1 = monolithic execution).
   std::size_t executed_chunks = 1;
   /// Device Algorithm 5.1's locality probe preferred at submit time (-1
   /// when nothing was cached anywhere); compared against executed_on_gpu
   /// for the scheduler's locality hit/miss metric.
   int preferred_gpu = -1;
-
-  std::uint64_t input_bytes() const {
-    std::uint64_t n = 0;
-    for (const auto& b : inputs) n += b.bytes;
-    return n;
-  }
-  std::uint64_t output_bytes() const {
-    std::uint64_t n = 0;
-    for (const auto& b : outputs) n += b.bytes;
-    return n;
-  }
 };
 
 using GWorkPtr = std::shared_ptr<GWork>;

@@ -78,17 +78,9 @@ class CudaStub {
     co_await device_->copy_d2h(src, dst, dst_offset, bytes, label);
   }
 
-  /// Launch a registered kernel by name (the GWork.executeName lookup).
-  sim::Co<void> launch_kernel(const std::string& name,
-                              const std::vector<GpuDevice::BufferBinding>& buffers,
-                              std::size_t items, mem::Layout layout, int block_size = 256,
-                              int grid_size = 0, const std::string& label = {}) {
-    const Kernel& k = KernelRegistry::global().lookup(name);
-    co_await device_->launch(k, buffers, items, layout, block_size, grid_size, label);
-  }
-
-  /// Chunk-granular launch: the caller resolved the Kernel once and issues
-  /// many small launches over sub-ranges (the chunked pipeline hot path).
+  /// Launch a kernel the caller resolved from the registry (the
+  /// GWork.executeName lookup), once per GWork even when the chunked
+  /// pipeline issues many launches over sub-ranges.
   sim::Co<void> launch_kernel(const Kernel& kernel,
                               const std::vector<GpuDevice::BufferBinding>& buffers,
                               std::size_t items, mem::Layout layout, int block_size = 256,
@@ -173,13 +165,6 @@ class CudaWrapper {
                            std::uint64_t bytes, const std::string& label = {}) {
     co_await jni();
     co_await stub_->memcpy_d2h(dst, dst_offset, src, bytes, label);
-  }
-  sim::Co<void> launch_kernel(const std::string& name,
-                              const std::vector<GpuDevice::BufferBinding>& buffers,
-                              std::size_t items, mem::Layout layout, int block_size = 256,
-                              int grid_size = 0, const std::string& label = {}) {
-    co_await jni();
-    co_await stub_->launch_kernel(name, buffers, items, layout, block_size, grid_size, label);
   }
   sim::Co<void> launch_kernel(const Kernel& kernel,
                               const std::vector<GpuDevice::BufferBinding>& buffers,

@@ -909,16 +909,16 @@ std::vector<Straggler> stragglers_over(const SpanStore& store, const ChildIndex&
     std::vector<sim::Duration> durations;
     durations.reserve(group.size());
     for (std::uint32_t i : group) durations.push_back(store.retained(i + 1).duration());
-    const sim::Duration p95 = nearest_rank_p95(std::move(durations));
-    for (std::uint32_t i : group) {
-      const RetainedSpan s = store.retained(i + 1);
-      if (s.duration() <= p95) continue;
-      const SpanKind& k = store.kind(s.kind);
+    const sim::Duration p95 = nearest_rank_p95(durations);
+    for (std::size_t j = 0; j < group.size(); ++j) {
+      if (durations[j] <= p95) continue;
+      const std::uint32_t i = group[j];
+      const SpanKind& k = store.kind(store.retained(i + 1).kind);
       Straggler st;
       st.span = i + 1;
       st.name = store.str(k.name);
       st.lane = store.str(k.lane);
-      st.duration = s.duration();
+      st.duration = durations[j];
       st.p95 = p95;
       st.waited_on = waited_on(i);
       out.push_back(std::move(st));

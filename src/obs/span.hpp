@@ -681,17 +681,19 @@ CriticalPath extract_critical_path(const SpanStore& store);
 
 // ---- Straggler attribution -------------------------------------------------
 
-/// Nearest-rank p95 over a peer group: sort ascending and take the value at
-/// index floor(0.95 * (n - 1)). This is the single definition of "the peer
-/// group's p95" — analyze_spans() (post-hoc span report) and telemetry's
-/// straggler detector (sampled during the run) both call it, so an offline
-/// straggler and a live one agree on what "slower than the peers" means.
-/// Empty input returns a default-constructed T.
+/// Nearest-rank p95 over a peer group: the value at index
+/// floor(0.95 * (n - 1)) of the ascending order, selected without sorting
+/// the whole group. This is the single definition of "the peer group's
+/// p95" — analyze_spans() (post-hoc span report) and telemetry's straggler
+/// detector (sampled during the run) both call it, so an offline straggler
+/// and a live one agree on what "slower than the peers" means. Empty input
+/// returns a default-constructed T.
 template <typename T>
 T nearest_rank_p95(std::vector<T> values) {
   if (values.empty()) return T{};
-  std::sort(values.begin(), values.end());
   const auto rank = static_cast<std::size_t>(0.95 * static_cast<double>(values.size() - 1));
+  std::nth_element(values.begin(), values.begin() + static_cast<std::ptrdiff_t>(rank),
+                   values.end());
   return values[rank];
 }
 

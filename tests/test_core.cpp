@@ -119,6 +119,32 @@ void register_test_kernels() {
   gpu::KernelRegistry::global().register_kernel(recording(k5, "core_record_fan_out"));
 }
 
+/// Build a GWork doubling `n` KVs.
+GWorkPtr make_double_work(mem::AddressSpace& addresses, std::size_t n, bool cache = false,
+                          std::uint64_t key = 0, std::uint64_t job = 1) {
+  auto in = std::make_shared<mem::HBuffer>(n * sizeof(KV), addresses.allocate(n * sizeof(KV)));
+  in->set_pinned(true);
+  auto* vals = reinterpret_cast<KV*>(in->data());
+  for (std::size_t i = 0; i < n; ++i) vals[i] = KV{i, static_cast<std::int64_t>(i)};
+  auto out = std::make_shared<mem::HBuffer>(n * sizeof(KV), addresses.allocate(n * sizeof(KV)));
+  out->set_pinned(true);
+  auto work = std::make_shared<GWork>();
+  work->execute_name = "core_double_kv";
+  work->size = n;
+  work->job_id = job;
+  GBuffer ib;
+  ib.host = in;
+  ib.bytes = n * sizeof(KV);
+  ib.cache = cache;
+  ib.cache_key = key;
+  work->inputs.push_back(ib);
+  GBuffer ob;
+  ob.host = out;
+  ob.bytes = n * sizeof(KV);
+  work->outputs.push_back(ob);
+  return work;
+}
+
 /// Standalone GPU fixture: two devices + wrappers + cache manager + streams.
 struct StreamFixture {
   Simulation s;
@@ -158,31 +184,9 @@ struct StreamFixture {
     return spec;
   }
 
-  /// Build a GWork doubling `n` KVs.
   GWorkPtr make_work(std::size_t n, bool cache = false, std::uint64_t key = 0,
                      std::uint64_t job = 1) {
-    auto in = std::make_shared<mem::HBuffer>(n * sizeof(KV), addresses.allocate(n * sizeof(KV)));
-    in->set_pinned(true);
-    auto* vals = reinterpret_cast<KV*>(in->data());
-    for (std::size_t i = 0; i < n; ++i) vals[i] = KV{i, static_cast<std::int64_t>(i)};
-    auto out =
-        std::make_shared<mem::HBuffer>(n * sizeof(KV), addresses.allocate(n * sizeof(KV)));
-    out->set_pinned(true);
-    auto work = std::make_shared<GWork>();
-    work->execute_name = "core_double_kv";
-    work->size = n;
-    work->job_id = job;
-    GBuffer ib;
-    ib.host = in;
-    ib.bytes = n * sizeof(KV);
-    ib.cache = cache;
-    ib.cache_key = key;
-    work->inputs.push_back(ib);
-    GBuffer ob;
-    ob.host = out;
-    ob.bytes = n * sizeof(KV);
-    work->outputs.push_back(ob);
-    return work;
+    return make_double_work(addresses, n, cache, key, job);
   }
 };
 
@@ -949,6 +953,158 @@ TEST(ChunkedPipeline, StagingFailureFallsBackWithoutDeadlock) {
 
 namespace {
 
+/// An indivisible input of `bytes` (first record {0, value}), cached under
+/// `key` when `key` is nonzero.
+GBuffer aux_buffer(mem::AddressSpace& addresses, std::uint64_t bytes, std::int64_t value,
+                   std::uint64_t key = 0) {
+  auto host = std::make_shared<mem::HBuffer>(bytes, addresses.allocate(bytes));
+  host->set_pinned(true);
+  reinterpret_cast<KV*>(host->data())[0] = KV{0, value};
+  GBuffer b;
+  b.host = host;
+  b.bytes = bytes;
+  b.cache = key != 0;
+  b.cache_key = key;
+  b.counts_for_locality = false;
+  return b;
+}
+
+/// Evict every unpinned entry of `job` on device 0; true when none is left,
+/// i.e. no GWork still holds a pin.
+bool no_pins_left(core::GMemoryManager& memory, std::uint64_t job, std::uint64_t capacity) {
+  memory.evict_for_space(0, job, capacity);
+  return memory.cached_bytes(0, job) == 0;
+}
+
+}  // namespace
+
+TEST(ChunkedPipeline, PlacementFailureUndoesEveryPinAndFill) {
+  // The staging ring reserves, the chunked placement pins a cached aux
+  // buffer (hit) and fills another (insert), and then the indivisible
+  // `big` input finds no hole: the ring took the only one large enough.
+  // The undo erases the fill and unpins the hit, the ring is returned,
+  // and the monolithic fallback places everything into the holes.
+  constexpr std::size_t kN = 2048;  // 32 KB in + 32 KB out
+  constexpr std::uint64_t kBig = 56 << 10;
+  core::GStreamConfig cfg;
+  cfg.chunk_bytes = 16 << 10;  // 512 items/chunk -> 4 chunks; 3 x 16 KB ring
+  cfg.staging_slots = 3;
+  gpu::DeviceSpec spec = StreamFixture::test_spec();
+  spec.device_memory = 512 << 10;
+  SingleGpuFixture f(cfg, spec, sim::nanos(200));
+
+  // Device layout: the hit's entry, then holes of 36, 36 and 56 KB (in
+  // address order, first fit) between walls.
+  ASSERT_TRUE(f.memory.insert(0, /*job=*/1, /*key=*/6, sizeof(KV)).has_value());
+  f.memory.unpin(0, 1, 6);
+  std::vector<gpu::DevicePtr> holes;
+  for (std::uint64_t bytes : {36u << 10, 4u << 10, 36u << 10, 4u << 10, 56u << 10}) {
+    holes.push_back(f.dev.memory().allocate(bytes));
+  }
+  ASSERT_NE(f.dev.memory().allocate(f.dev.memory().free_bytes()), 0u);
+  for (std::size_t h : {0u, 2u, 4u}) f.dev.memory().free(holes[h]);
+  const std::uint64_t baseline = f.dev.memory().allocated();
+
+  auto work = make_double_work(f.addresses, kN);
+  work->execute_name = "core_add_aux";  // reads buffers [in, aux, ..., out]
+  make_chunkable(*work);
+  work->inputs.push_back(aux_buffer(f.addresses, sizeof(KV), 1000, /*key=*/6));  // hit
+  work->inputs.push_back(aux_buffer(f.addresses, sizeof(KV), 0, /*key=*/7));     // fill
+  work->inputs.push_back(aux_buffer(f.addresses, kBig, 0));                      // no room
+
+  run_work(f.s, f.streams, work);
+
+  EXPECT_EQ(f.streams.chunk_fallbacks(), 1u);
+  EXPECT_EQ(f.streams.chunked_works(), 0u);
+  EXPECT_EQ(f.streams.oom_retries(), 0u);
+  EXPECT_EQ(work->executed_chunks, 1u);
+  EXPECT_EQ(f.memory.staging_bytes(0), 0u);
+  // Each path looked key 6 up (hit) and inserted key 7 (miss): the undo
+  // erased the chunked path's fill, so the fallback filled it afresh.
+  EXPECT_EQ(f.memory.hits(), 2u);
+  EXPECT_EQ(f.memory.misses(), 1u + 2u);  // the layout's own insert, then two fills
+  // Only the fallback's fill outlives the GWork; it holds no pin.
+  EXPECT_EQ(f.dev.memory().allocated(), baseline + 256);
+  EXPECT_TRUE(no_pins_left(f.memory, 1, spec.device_memory));
+  const KV* result = reinterpret_cast<const KV*>(work->outputs[0].host->data());
+  for (std::size_t i = 0; i < kN; ++i) {
+    ASSERT_EQ(result[i].value, static_cast<std::int64_t>(i) + 1000);
+  }
+}
+
+TEST(GStreamManager, OomRetryUndoesAndSucceedsOnceTheDeviceDrains) {
+  // A concurrent allocation leaves room for the inputs but not the output.
+  // Each attempt pins the cached input (hit), fills the aux buffer and
+  // allocates a transient one, then fails on the output, undoes all three
+  // and backs off; the blocker is freed at 1 ms, and the next attempt
+  // completes.
+  constexpr std::size_t kN = 1024;  // 16 KB in + 16 KB out
+  gpu::DeviceSpec spec = StreamFixture::test_spec();
+  spec.device_memory = 512 << 10;
+  SingleGpuFixture f(core::GStreamConfig{}, spec, sim::nanos(200));
+
+  ASSERT_TRUE(f.memory.insert(0, /*job=*/1, /*key=*/5, kN * sizeof(KV)).has_value());
+  f.memory.unpin(0, 1, 5);
+  const std::uint64_t baseline = f.dev.memory().allocated();
+  const gpu::DevicePtr blocker = f.dev.memory().allocate(f.dev.memory().free_bytes() - (4 << 10));
+  ASSERT_NE(blocker, 0u);
+  f.s.schedule_in(sim::millis(1), [&f, blocker] { f.dev.memory().free(blocker); });
+
+  auto work = make_double_work(f.addresses, kN, /*cache=*/true, /*key=*/5);
+  work->execute_name = "core_add_aux";
+  work->inputs.push_back(aux_buffer(f.addresses, sizeof(KV), 1000, /*key=*/6));
+  work->inputs.push_back(aux_buffer(f.addresses, sizeof(KV), 0));  // transient
+
+  run_work(f.s, f.streams, work);
+
+  EXPECT_GE(f.streams.oom_retries(), 1u);
+  obs::MetricsRegistry reg;
+  f.streams.export_metrics(reg);
+  EXPECT_EQ(reg.counter_sum("gstream_oom_retries_total"),
+            static_cast<double>(f.streams.oom_retries()));
+  EXPECT_GE(work->finished_at, sim::millis(1));
+  const KV* result = reinterpret_cast<const KV*>(work->outputs[0].host->data());
+  for (std::size_t i = 0; i < kN; ++i) {
+    ASSERT_EQ(result[i].value, static_cast<std::int64_t>(i) + 1000);
+  }
+  // The blocker is gone and the temporaries freed: the aux fill is the
+  // only new allocation, and no pin is left on either entry.
+  EXPECT_EQ(f.dev.memory().allocated(), baseline + 256);
+  EXPECT_TRUE(no_pins_left(f.memory, 1, spec.device_memory));
+  EXPECT_EQ(f.dev.memory().allocated(), 0u);
+}
+
+TEST(GStreamManager, OomRetryDropsAFillTheSameWorkAlsoHit) {
+  // One block bound twice: the first binding fills its cache entry and the
+  // second hits that fill. Every undo must drop the fill whole, so each
+  // attempt fills it afresh and no pin outlives the GWork.
+  constexpr std::size_t kN = 1024;
+  gpu::DeviceSpec spec = StreamFixture::test_spec();
+  spec.device_memory = 512 << 10;
+  SingleGpuFixture f(core::GStreamConfig{}, spec, sim::nanos(200));
+  const gpu::DevicePtr blocker =
+      f.dev.memory().allocate(f.dev.memory().free_bytes() - (kN * sizeof(KV) + (4 << 10)));
+  ASSERT_NE(blocker, 0u);
+  f.s.schedule_in(sim::millis(1), [&f, blocker] { f.dev.memory().free(blocker); });
+
+  auto work = make_double_work(f.addresses, kN, /*cache=*/true, /*key=*/5);
+  work->inputs.push_back(work->inputs[0]);
+
+  run_work(f.s, f.streams, work);
+
+  EXPECT_GE(f.streams.oom_retries(), 1u);
+  EXPECT_EQ(f.memory.misses(), f.streams.oom_retries() + 1);
+  EXPECT_EQ(f.memory.hits(), f.streams.oom_retries() + 1);
+  const KV* result = reinterpret_cast<const KV*>(work->outputs[0].host->data());
+  for (std::size_t i = 0; i < kN; ++i) {
+    ASSERT_EQ(result[i].value, static_cast<std::int64_t>(2 * i));
+  }
+  EXPECT_TRUE(no_pins_left(f.memory, 1, spec.device_memory));
+  EXPECT_EQ(f.dev.memory().allocated(), 0u);
+}
+
+namespace {
+
 /// Run a miss (uncached), a cache fill and a cache hit of one block plus
 /// an indivisible aux buffer, and check that every kernel launch read both
 /// inputs from the GWork's own host bytes: the block as contiguous tiles
@@ -1303,13 +1459,12 @@ std::uint64_t dataset_hash(const df::MaterializedDataSet& data) {
 }
 
 /// 16 blocks of 64 KVs (the last one partial) on one partition, recorded
-/// by core_record_inputs; a nonzero `chunk_bytes` splits each block into
-/// 16-record chunks of the chunked pipeline.
-core::GpuOpSpec recorded_double(std::uint64_t chunk_bytes) {
+/// by core_record_inputs; `chunkable` blocks go through the chunked
+/// pipeline.
+core::GpuOpSpec recorded_double(bool chunkable) {
   core::GpuOpSpec spec;
   spec.kernel = "core_record_inputs";
-  spec.chunkable = chunk_bytes != 0;
-  spec.chunk_bytes = chunk_bytes;
+  spec.chunkable = chunkable;
   return spec;
 }
 
@@ -1330,18 +1485,21 @@ void expect_doubled(const mem::RecordBatch& batch, std::uint64_t n) {
 
 /// A generated source feeds a same-type element-wise op: the stage owns its
 /// input, so the output batch is the partition's own storage, which the
-/// kernel read block 0 from, and it equals the CPU map's output.
+/// kernel read block 0 from, and it equals the CPU map's output. A nonzero
+/// `chunk_bytes` splits each block into chunks of that many bytes.
 void expect_owned_input_written_in_place(std::uint64_t chunk_bytes) {
   register_test_kernels();
   df::Engine e(one_page_per_block_config());
-  core::GFlinkRuntime runtime(e, gpu_config());
+  core::GpuManagerConfig gpus = gpu_config();
+  gpus.streams.chunk_bytes = chunk_bytes;
+  core::GFlinkRuntime runtime(e, gpus);
   recorded_inputs().clear();
   df::DataHandle on_gpu, on_cpu;
   e.run([&](df::Engine& eng) -> Co<void> {
     df::Job job(eng, "t");
     co_await job.submit();
     on_gpu = co_await core::gpu_dataset_op<KV, KV>(iota(eng, 1, 1000), &kv_desc(), "g",
-                                                   recorded_double(chunk_bytes))
+                                                   recorded_double(chunk_bytes != 0))
                  .materialize(job);
     on_cpu = co_await iota(eng, 1, 1000)
                  .map<KV>(&kv_desc(), "cpuDouble", df::OpCost{4.0, 32.0},

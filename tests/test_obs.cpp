@@ -427,6 +427,25 @@ TEST(Spans, StragglerFlagsKnownOutlierAndNamesWaitedResource) {
   EXPECT_EQ(out[0].p95, 100);
   // Attribution names the longest Wait descendant and its lane.
   EXPECT_EQ(out[0].waited_on, "wait:slot on node3/slots");
+
+  // The p95 is the sorted group's nearest-rank entry, on random groups of
+  // every size from 1 to 40 whose values repeat often.
+  std::uint64_t x = 7;
+  for (std::size_t n = 1; n <= 40; ++n) {
+    for (int round = 0; round < 8; ++round) {
+      std::vector<sim::Duration> group(n);
+      for (auto& d : group) {
+        x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+        d = static_cast<sim::Duration>((x >> 33) % (1 + n / 3));
+      }
+      std::vector<sim::Duration> sorted = group;
+      std::sort(sorted.begin(), sorted.end());
+      EXPECT_EQ(obs::nearest_rank_p95(group),
+                sorted[static_cast<std::size_t>(0.95 * static_cast<double>(n - 1))])
+          << "n=" << n << " round=" << round;
+    }
+  }
+  EXPECT_EQ(obs::nearest_rank_p95(std::vector<sim::Duration>{}), 0);
 }
 
 TEST(Spans, UntracedStoreStaysEmptyButCounts) {

@@ -274,8 +274,7 @@ class FileModel:
     recognized definitions. Built exactly once per file and shared by every
     rule (the tokenizer cache)."""
 
-    def __init__(self, rel: str, text: str):
-        self.rel = rel
+    def __init__(self, text: str):
         self.text = text
         self.toks = lex(text)
         # Significant tokens: everything the structural parser consumes.
@@ -284,7 +283,7 @@ class FileModel:
         self._match_braces()
         self.classes = []   # {name, open, close}
         self.lambdas = []   # {line, captures, params, body, ret}
-        self.functions = []  # {name, qual, cls, line, params, body|None, ret}
+        self.functions = []  # {name, cls, line, params, body|None, ret}
         self._parse_structure()
         self._mark_coroutines()
         self.suppressions = []  # {line_set, rules, reason, bare}
@@ -316,22 +315,17 @@ class FileModel:
         self.match = {}
         stacks = {"(": [], "{": [], "[": []}
         closers = {")": "(", "}": "{", "]": "["}
-        brace_stack = []
         for i, (kind, text, _line) in enumerate(sig):
             if kind != "punct":
                 continue
             if text in stacks:
                 stacks[text].append(i)
-                if text == "{":
-                    brace_stack.append(i)
             elif text in closers:
                 st = stacks[closers[text]]
                 if st:
                     j = st.pop()
                     self.match[j] = i
                     self.match[i] = j
-                if text == "}" and brace_stack:
-                    brace_stack.pop()
 
     def line_of_offset(self, pos: int) -> int:
         return self.text.count("\n", 0, pos) + 1
@@ -522,8 +516,6 @@ class FileModel:
                 while m < n:
                     kk, tt, _ = sig[m]
                     if kk == "punct":
-                        if tt in ("(", "{") and depth == 0 and self._init_list_done(m):
-                            pass
                         if tt in ("(", "[", "<"):
                             depth += 1
                         elif tt in (")", "]", ">"):
@@ -555,7 +547,6 @@ class FileModel:
             cls = self.enclosing_class(i)
         return {
             "name": name,
-            "qual": "::".join(parts),
             "cls": cls,
             "line": sig[i - 1][2] if i > 0 else sig[i][2],
             "params": self._parse_params(i + 1, pclose),
@@ -574,9 +565,6 @@ class FileModel:
         if prev is None:
             return True
         return not (prev[0] == "id")
-
-    def _init_list_done(self, m) -> bool:
-        return False
 
     def _decl_returns_co(self, ret_tokens) -> bool:
         return "Co" in ret_tokens
@@ -704,14 +692,6 @@ class FileModel:
                 "line": line,
             })
 
-    def suppressed(self, rule: str, line: int):
-        for s in self.suppressions:
-            if not s["reason"]:
-                continue
-            if rule in s["rules"] and line in s["lines"]:
-                return s
-        return None
-
 
 # ---- Shared site extraction ------------------------------------------------
 
@@ -766,7 +746,6 @@ def extract_spawn_sites(model):
         site = {
             "line": line,
             "encl_cls": encl["cls"] if encl else model.enclosing_class(i),
-            "encl_fn": encl["qual"] if encl else None,
             "stmt": " ".join(t[1] for t in sig[i:stmt_end]),
             "lambda": None,
             "callee": None,
@@ -816,7 +795,7 @@ def scan_file(root: Path, rel):
         text = path.read_text()
     except OSError as exc:
         return {"rel": rel, "error": f"{path}: {exc}"}
-    model = FileModel(rel, text)
+    model = FileModel(text)
     findings = []
 
     # R1: device allocation outside its owners.
@@ -873,7 +852,7 @@ def scan_file(root: Path, rel):
         "facts": {
             "coro_fns": [
                 {"name": f["name"], "cls": f["cls"], "params": f["params"],
-                 "line": f["line"], "has_body": f["body"] is not None}
+                 "line": f["line"]}
                 for f in model.functions if f["is_coro"]
             ],
             "spawn_sites": spawn,
